@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check lint test race chaos sweep-smoke cluster-smoke tournament-smoke check bench bench-smoke bench-baseline bench-paper figures examples clean
+.PHONY: all build vet fmt fmt-check lint test race chaos sweep-smoke cluster-smoke tournament-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
 
 all: check
 
@@ -83,21 +83,32 @@ tournament-smoke:
 	@$(GO) run ./scripts/tournamentsmoke > tournament-smoke.out 2>&1; st=$$?; \
 		cat tournament-smoke.out; exit $$st
 
+# The repository benchmark (bench/, a Go module of its own that tier-1
+# `go build ./... && go test ./...` does not reach) still compiles
+# against this tree and passes its own tests: unit tests plus a
+# seconds-long smoke of all six mamaload workloads, ≈ 15 s. A change
+# that breaks one of bench/README.md's load-bearing signatures fails
+# here instead of in the benchmark driver.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The default gate: compile everything, lint (vet + staticcheck when
 # available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
 # drive a real sweep, the 3-node cluster, and the controller tournament
-# end to end, then make sure the hot-path benchmarks still run and stay
-# allocation-free (1 iteration; catches bit-rot and alloc regressions,
-# not timing regressions).
-check: build lint fmt-check test race chaos sweep-smoke cluster-smoke tournament-smoke bench-smoke
+# end to end, check the bench/ module against this tree, then make sure
+# the hot-path benchmarks still run and stay allocation-free (1
+# iteration; catches bit-rot and alloc regressions, not timing
+# regressions).
+check: build lint fmt-check test race chaos sweep-smoke cluster-smoke tournament-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
-# advance benchmarks, and end-to-end simulator throughput, compared
-# against the checked-in baseline. Regenerate the baseline on a quiet
-# machine with `make bench-baseline`.
-BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace
-BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace .
+# advance benchmarks, end-to-end simulator throughput, and two
+# service-path benchmarks (one anti-entropy cache page; client
+# connection reuse), compared against the checked-in baseline.
+# Regenerate the baseline on a quiet machine with `make bench-baseline`.
+BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse
+BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/server ./internal/client .
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | tee bench.out
@@ -111,9 +122,12 @@ bench:
 # tolerance (0 -> any alloc fails); the generous -tol only gives slack
 # to benches that legitimately allocate, whose per-op counts are
 # setup-dominated at a single iteration (SimulatorThroughput reads
-# ~135 allocs/op at 1x vs 40 at full benchtime).
+# ~135 allocs/op at 1x vs 40 at full benchtime). Packages run one at a
+# time (-p 1): next to the server package's test binary building and
+# running, a single-iteration zero-alloc bench picks up stray runtime
+# allocations and trips the strict gate.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime=1x -benchmem $(BENCH_PKGS) | tee bench-smoke.out
+	$(GO) test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime=1x -benchmem $(BENCH_PKGS) | tee bench-smoke.out
 	$(GO) run ./scripts/benchdiff -tol 4 -gate allocs/op bench-smoke.out
 
 bench-baseline:

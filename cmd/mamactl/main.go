@@ -15,9 +15,15 @@
 // Every request runs on one shared http.Client with an explicit
 // timeout, retries transient failures (connection errors, 429, 5xx)
 // with exponential backoff honoring Retry-After, and is cancellable
-// with SIGINT/SIGTERM (polling waits exit promptly). Retrying a submit
-// is safe: jobs are content-addressed, so a resubmission lands on the
+// with SIGINT/SIGTERM (waits exit promptly). Retrying a submit is
+// safe: jobs are content-addressed, so a resubmission lands on the
 // same job instead of running a second simulation.
+//
+// submit -wait and wait do not poll: they hold one
+// GET /v1/jobs/{id}/result?wait= open until the server reports the job
+// finished, asking for ¾ of -timeout at a time (at most the server's
+// 30s cap), so a job slower than that is re-asked for rather than
+// timed out.
 package main
 
 import (
@@ -40,7 +46,7 @@ var (
 	addr     = flag.String("addr", "http://localhost:8077", "mamaserved base URL")
 	timeout  = flag.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 	retries  = flag.Int("retries", 4, "max retries on transient failures (429/5xx/connection errors)")
-	deadline = flag.Duration("deadline", time.Hour, "overall deadline for the whole invocation (0 = none); bounds polling waits")
+	deadline = flag.Duration("deadline", time.Hour, "overall deadline for the whole invocation (0 = none); bounds waits")
 )
 
 func main() {
@@ -51,7 +57,7 @@ func main() {
 	}
 
 	// One signal-cancelled context threads through every subcommand, so
-	// ^C interrupts an in-flight request or a polling wait immediately.
+	// ^C interrupts an in-flight request or a held wait immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *deadline > 0 {
@@ -106,7 +112,7 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 		target     = fs.Uint64("target", 0, "instruction target override")
 		step       = fs.Uint64("step", 0, "agent timestep override")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-job timeout enforced by the server")
-		wait       = fs.Bool("wait", false, "poll until the job finishes and print the result")
+		wait       = fs.Bool("wait", false, "wait until the job finishes and print the result")
 	)
 	fs.Parse(args)
 	if *mix == "" {
@@ -167,10 +173,10 @@ func cmdWait(ctx context.Context, c *client.Client, args []string) error {
 	return waitFor(ctx, c, args[0])
 }
 
-// waitFor polls the result endpoint until the job leaves
+// waitFor blocks on the result endpoint until the job leaves
 // queued/running, then prints the final body; a failed job exits 1.
 func waitFor(ctx context.Context, c *client.Client, id string) error {
-	resp, err := c.WaitJob(ctx, id, 200*time.Millisecond)
+	resp, err := c.WaitJob(ctx, id, 0)
 	if resp != nil {
 		printJSON(resp.Body)
 	}

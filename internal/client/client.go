@@ -4,6 +4,11 @@
 // errors, 429, 5xx) honoring Retry-After, and context-first APIs so
 // every call is signal-cancellable.
 //
+// Waiting for a job is event-driven, not polled: WaitJob holds one
+// GET …/result?wait= open until the server reports completion (see
+// WaitJob for the budget rule that keeps the held request inside every
+// timeout in the chain).
+//
 // Retrying a submission is safe by construction: POST /v1/jobs is
 // idempotent because jobs are content-addressed — resubmitting an
 // identical spec lands on the same job ID via the server's cache and
@@ -58,9 +63,10 @@ type Options struct {
 
 // newTransport is the client's default tuned transport. The stock
 // http.DefaultTransport caps idle connections per host at 2, which
-// forces a fresh TCP handshake on nearly every call of a polling
-// client (WaitJob, sweep streaming); an explicit per-host idle pool
-// keeps connections alive across the submit→poll→fetch cycle.
+// forces fresh TCP handshakes once a few goroutines share one client
+// (closed-loop submitters, held WaitJob requests, sweep streams); an
+// explicit per-host idle pool keeps connections alive across the
+// submit→wait→fetch cycle.
 func newTransport() *http.Transport {
 	return &http.Transport{
 		Proxy:               http.ProxyFromEnvironment,
@@ -332,25 +338,53 @@ func (c *Client) Post(ctx context.Context, path string, body []byte) (*Response,
 // the response body still carries the full job view.
 var ErrJobFailed = errors.New("job failed")
 
-// WaitJob polls GET /v1/jobs/{id}/result every poll interval until the
-// job leaves queued/running (server answers 200), ctx is cancelled, or
-// a non-retryable error occurs. Transient failures during polling ride
-// the client's normal retry policy. A job that finished as failed
-// returns the final body alongside ErrJobFailed.
+// waitBudget is how long one held GET …/result?wait= may ask the server
+// to keep the request open: the server's cap (cluster.MaxResultWait),
+// ¾ of the per-attempt HTTP timeout (so a slow job comes back as a 202
+// to re-issue, never as a transport timeout that burns Do's retries),
+// and the time left on ctx, whichever is least — in whole milliseconds and at least one, so the
+// query string the server parses is exactly the duration an early 202
+// is judged against and is never wait=0, which the server does not hold.
+func (c *Client) waitBudget(ctx context.Context) time.Duration {
+	budget := cluster.MaxResultWait
+	if t := c.hc.Timeout; t > 0 {
+		budget = min(budget, t*3/4)
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		budget = min(budget, time.Until(dl))
+	}
+	return max(budget.Truncate(time.Millisecond), time.Millisecond)
+}
+
+// WaitJob blocks until the job leaves queued/running, ctx is cancelled,
+// or a non-retryable error occurs. It is event-driven: each request is
+// GET /v1/jobs/{id}/result?wait=<budget>, which the server holds open
+// until the job finishes, so a job costs one GET and the result arrives
+// one round trip after it exists. A 202 after the full wait (slow job)
+// is re-issued at once. A 202 that comes back early — a server shutting
+// down releases its held requests, and an old server or a proxy may
+// ignore wait altogether — is paced by poll (default 200ms) so the loop
+// cannot spin; that is poll's only use. Transient failures during a
+// held request ride the client's normal retry policy (the GET is
+// idempotent). A job that finished as failed returns the final body
+// alongside ErrJobFailed.
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*Response, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	path := "/v1/jobs/" + id + "/result"
 	for {
-		resp, err := c.Get(ctx, path)
+		budget := c.waitBudget(ctx)
+		asked := time.Now()
+		resp, err := c.Get(ctx, "/v1/jobs/"+id+"/result?wait="+budget.String())
 		if err != nil {
 			return nil, err
 		}
 		switch resp.Status {
 		case http.StatusAccepted:
-			if err := c.sleep(ctx, poll); err != nil {
-				return nil, err
+			if time.Since(asked) < budget {
+				if err := c.sleep(ctx, poll); err != nil {
+					return nil, err
+				}
 			}
 		case http.StatusOK:
 			var view struct {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"micromama/internal/cluster"
 )
 
 // newTestClient wires a client to ts with recorded (not slept) backoff.
@@ -156,40 +158,171 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	}
 }
 
-// TestWaitJob checks polling: 202 → sleep → 200 done, and failed jobs
-// return ErrJobFailed with the body preserved.
-func TestWaitJob(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.WriteHeader(http.StatusAccepted)
-			w.Write([]byte(`{"status":"running"}`))
-			return
-		}
-		w.Write([]byte(`{"status":"done","result":{"ws":1.5}}`))
-	}))
-	defer ts.Close()
+// heldResult mimics the server's GET …/result?wait= contract for a job
+// that finishes when done is closed: hold the request for the asked
+// wait, answer 200 if the job finished meanwhile and 202 if not. It
+// records every wait it was asked for.
+type heldResult struct {
+	done  chan struct{}
+	mu    sync.Mutex
+	waits []time.Duration
+}
 
-	c, slept := newTestClient(ts, Options{})
-	resp, err := c.WaitJob(context.Background(), "jabc", 50*time.Millisecond)
+func (h *heldResult) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
 	if err != nil {
-		t.Fatal(err)
+		http.Error(w, "request carries no usable wait: "+r.URL.RawQuery, http.StatusBadRequest)
+		return
 	}
-	if resp.Status != http.StatusOK || len(*slept) != 2 {
-		t.Fatalf("status %d after %d sleeps", resp.Status, len(*slept))
+	h.mu.Lock()
+	h.waits = append(h.waits, wait)
+	h.mu.Unlock()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-h.done:
+		w.Write([]byte(`{"status":"done","result":{"ws":1.5}}`))
+	case <-timer.C:
+		w.WriteHeader(http.StatusAccepted)
+		w.Write([]byte(`{"status":"running"}`))
+	case <-r.Context().Done():
 	}
+}
 
-	fail := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"status":"failed","error":"boom"}`))
-	}))
-	defer fail.Close()
-	cf, _ := newTestClient(fail, Options{})
-	resp, err = cf.WaitJob(context.Background(), "jdef", time.Millisecond)
-	if !errors.Is(err, ErrJobFailed) {
-		t.Fatalf("err = %v, want ErrJobFailed", err)
-	}
-	if resp == nil || resp.Status != http.StatusOK {
-		t.Fatalf("failed wait should still carry the final body: %+v", resp)
+func (h *heldResult) asked() []time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]time.Duration(nil), h.waits...)
+}
+
+// TestWaitJob pins the one wait protocol: a held GET …/result?wait=
+// that is re-issued at once after a full wait, paced by poll only when
+// the 202 came back early, bounded below every timeout in the chain.
+func TestWaitJob(t *testing.T) {
+	t.Run("one held GET suffices", func(t *testing.T) {
+		h := &heldResult{done: make(chan struct{})}
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		c, slept := newTestClient(ts, Options{})
+		time.AfterFunc(30*time.Millisecond, func() { close(h.done) })
+		resp, err := c.WaitJob(context.Background(), "jabc", 50*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits := h.asked()
+		if resp.Status != http.StatusOK || len(waits) != 1 || len(*slept) != 0 {
+			t.Fatalf("status %d after %d GETs and %d sleeps, want 200 after 1 and 0",
+				resp.Status, len(waits), len(*slept))
+		}
+		// Default 30s per-attempt timeout: ¾ of it, under the server's cap.
+		if waits[0] != 22500*time.Millisecond {
+			t.Errorf("asked wait=%v, want 22.5s", waits[0])
+		}
+	})
+
+	t.Run("budget stays below the per-attempt timeout", func(t *testing.T) {
+		const timeout = 200 * time.Millisecond
+		h := &heldResult{done: make(chan struct{})}
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		c, slept := newTestClient(ts, Options{Timeout: timeout})
+		// The job outlives two full waits, so the third held request sees it.
+		time.AfterFunc(timeout*2, func() { close(h.done) })
+		resp, err := c.WaitJob(context.Background(), "jslow", time.Hour)
+		if err != nil {
+			t.Fatalf("slow job surfaced as an error (transport timeout?): %v", err)
+		}
+		waits := h.asked()
+		if resp.Status != http.StatusOK || len(waits) < 2 {
+			t.Fatalf("status %d after %d GETs, want 200 after re-issued long-polls", resp.Status, len(waits))
+		}
+		for _, w := range waits {
+			if w <= 0 || w >= timeout {
+				t.Errorf("asked wait=%v, want inside (0, %v)", w, timeout)
+			}
+		}
+		// No backoff (no retry) and no poll pause (every 202 came after a
+		// full wait): the client never slept.
+		if len(*slept) != 0 {
+			t.Errorf("client slept %v, want no retries and no pacing", *slept)
+		}
+	})
+
+	t.Run("only an early 202 is paced by poll", func(t *testing.T) {
+		// A server that ignores wait (old version, a proxy, or one that is
+		// shutting down): 202 at once, twice, then done.
+		var calls atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if calls.Add(1) <= 2 {
+				w.WriteHeader(http.StatusAccepted)
+				w.Write([]byte(`{"status":"running"}`))
+				return
+			}
+			w.Write([]byte(`{"status":"done"}`))
+		}))
+		defer ts.Close()
+		const poll = 50 * time.Millisecond
+		c, slept := newTestClient(ts, Options{})
+		if _, err := c.WaitJob(context.Background(), "jabc", poll); err != nil {
+			t.Fatal(err)
+		}
+		if len(*slept) != 2 || (*slept)[0] != poll || (*slept)[1] != poll {
+			t.Fatalf("slept %v, want [%v %v]", *slept, poll, poll)
+		}
+	})
+
+	t.Run("ctx cancelled mid-wait", func(t *testing.T) {
+		h := &heldResult{done: make(chan struct{})}
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		c, _ := newTestClient(ts, Options{})
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(30*time.Millisecond, cancel)
+		begin := time.Now()
+		_, err := c.WaitJob(ctx, "jabc", time.Hour)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if d := time.Since(begin); d > 2*time.Second {
+			t.Errorf("cancel took %v to surface", d)
+		}
+	})
+
+	t.Run("failed job keeps its body", func(t *testing.T) {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(`{"status":"failed","error":"boom"}`))
+		}))
+		defer ts.Close()
+		c, _ := newTestClient(ts, Options{})
+		resp, err := c.WaitJob(context.Background(), "jdef", time.Millisecond)
+		if !errors.Is(err, ErrJobFailed) {
+			t.Fatalf("err = %v, want ErrJobFailed", err)
+		}
+		if resp == nil || resp.Status != http.StatusOK {
+			t.Fatalf("failed wait should still carry the final body: %+v", resp)
+		}
+	})
+}
+
+// TestWaitBudget covers the three bounds on a held request's wait.
+func TestWaitBudget(t *testing.T) {
+	short, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		ctx      context.Context
+		min, max time.Duration
+	}{
+		{"default timeout", Options{}, context.Background(), 22500 * time.Millisecond, 22500 * time.Millisecond},
+		{"long timeout hits the server cap", Options{Timeout: time.Hour}, context.Background(), cluster.MaxResultWait, cluster.MaxResultWait},
+		{"injected client without timeout", Options{HTTPClient: &http.Client{}}, context.Background(), cluster.MaxResultWait, cluster.MaxResultWait},
+		{"injected client timeout", Options{HTTPClient: &http.Client{Timeout: 2 * time.Second}}, context.Background(), 1500 * time.Millisecond, 1500 * time.Millisecond},
+		{"time left on ctx", Options{}, short, time.Millisecond, 100 * time.Millisecond},
+	} {
+		if got := New("http://unused", tc.opts).waitBudget(tc.ctx); got < tc.min || got > tc.max {
+			t.Errorf("%s: budget %v, want in [%v, %v]", tc.name, got, tc.min, tc.max)
+		}
 	}
 }
 

@@ -361,3 +361,9 @@ const (
 	// cluster-aware clients can talk to the owner directly next time.
 	HeaderOwner = "X-Mama-Owner"
 )
+
+// MaxResultWait is the longest a node holds GET /v1/jobs/{id}/result?wait=
+// open. It lives here because every hop has to agree on it: the serving
+// node caps wait at it, a forwarding node's proxy timeout sits above
+// it, and the client judges a 202 "early" against it.
+const MaxResultWait = 30 * time.Second

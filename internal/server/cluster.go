@@ -144,10 +144,16 @@ type stolenLease struct {
 	expires time.Time
 }
 
-// longPollWait is how long a remote-cell result poll asks the owner to
+// longPollWait is how long a remote-cell result wait asks the owner to
 // hold the request open (?wait=). Completions come back in one
-// round-trip; only cells slower than this fall back to re-polling.
+// round-trip; a cell slower than this is asked for again at once.
 var longPollWait = 2 * time.Second
+
+// earlyReleasePause paces a remote-cell wait whose 202 came back before
+// longPollWait elapsed: the owner released its held requests because it
+// is shutting down, and re-asking at once would spin until its listener
+// closes.
+const earlyReleasePause = 100 * time.Millisecond
 
 // clusterState is the per-server cluster runtime: the ring + breaker
 // view, remote-execution slots, the stolen-cell lease table, and the
@@ -159,7 +165,6 @@ type clusterState struct {
 
 	sem        chan struct{} // bounds concurrent remote cell executions
 	peerSlots  int           // capacity of each per-peer semaphore
-	pollEvery  time.Duration // remote job result poll interval
 	stealEvery time.Duration // thief poll interval; <= 0 disables stealing
 	lease      time.Duration // stolen-cell lease duration
 	minPending int           // pending cells a victim keeps for itself
@@ -183,10 +188,6 @@ func newClusterState(s *Server) *clusterState {
 	if peerSlots <= 0 {
 		peerSlots = cfg.Workers
 	}
-	poll := cfg.RemotePollInterval
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
 	stealEvery := cfg.StealInterval
 	if stealEvery == 0 {
 		stealEvery = 250 * time.Millisecond
@@ -207,7 +208,6 @@ func newClusterState(s *Server) *clusterState {
 		m:          newClusterMetrics(s.reg),
 		sem:        make(chan struct{}, slots),
 		peerSlots:  peerSlots,
-		pollEvery:  poll,
 		stealEvery: stealEvery,
 		lease:      lease,
 		minPending: minPending,
@@ -414,7 +414,7 @@ func (cs *clusterState) proxyLookup(w http.ResponseWriter, r *http.Request, id, 
 		path += "?" + q
 	}
 	code, resp, err := cs.c.DoTimeout(r.Context(), owner, http.MethodGet, path, nil,
-		maxResultWait+10*time.Second)
+		cluster.MaxResultWait+10*time.Second)
 	if err != nil {
 		// The owner holds the job state and is unreachable: answer
 		// retryable, not 404 — the job may well be running there.
@@ -747,7 +747,7 @@ func (cs *clusterState) dispatchNext() {
 }
 
 // runRemoteCell executes one sweep cell on its owning peer: submit the
-// equivalent job, poll for the result, feed the outcome back to the
+// equivalent job, wait for the result, feed the outcome back to the
 // sweep manager. Peer death at any point reports transient, returning
 // the cell to pending — after enough failures the owner's breaker
 // opens and the next dispatch runs locally.
@@ -797,22 +797,29 @@ func (cs *clusterState) runRemoteCell(owner string, t sweep.Ticket) {
 		return
 	}
 
-	// Long-poll the result: the owner holds the request open until the
-	// job completes (or its wait cap fires), so a finished cell comes
-	// back in one round-trip instead of a pollEvery-paced 202 loop.
-	// pollEvery still paces the retry cadence when the long poll times
-	// out on a slow cell.
-	waitQ := "?wait=" + longPollWait.String()
+	// Wait for the result as a held request: the owner keeps it open
+	// until the job completes or the wait elapses, so a finished cell
+	// comes back in one round-trip and a cell slower than longPollWait
+	// is asked for again at once.
+	wait := longPollWait
+	waitQ := "?wait=" + wait.String()
 	for {
+		asked := time.Now()
 		code, resp, err := cs.c.DoTimeout(ctx, owner, http.MethodGet,
-			"/v1/jobs/"+id+"/result"+waitQ, nil, longPollWait+10*time.Second)
+			"/v1/jobs/"+id+"/result"+waitQ, nil, wait+10*time.Second)
 		if err != nil {
-			fail(fmt.Errorf("%w: poll %s: %v", errPeerUnavailable, owner, err))
+			fail(fmt.Errorf("%w: result wait on %s: %v", errPeerUnavailable, owner, err))
 			return
 		}
 		switch {
 		case code == http.StatusAccepted:
-			// still queued/running on the owner
+			// Still queued/running on the owner.
+			if time.Since(asked) < wait {
+				select {
+				case <-ctx.Done():
+				case <-time.After(earlyReleasePause):
+				}
+			}
 		case code == http.StatusOK:
 			var out resultBody
 			if err := json.Unmarshal(resp, &out); err != nil {
@@ -841,14 +848,8 @@ func (cs *clusterState) runRemoteCell(owner string, t sweep.Ticket) {
 			fail(fmt.Errorf("%w: %s lost job %s", errPeerUnavailable, owner, id))
 			return
 		default:
-			fail(fmt.Errorf("owner %s answered HTTP %d polling %s", owner, code, id))
+			fail(fmt.Errorf("owner %s answered HTTP %d waiting for %s", owner, code, id))
 			return
-		}
-		select {
-		case <-ctx.Done():
-			fail(fmt.Errorf("%w: result poll on %s: %v", errPeerUnavailable, owner, ctx.Err()))
-			return
-		case <-time.After(cs.pollEvery):
 		}
 	}
 }

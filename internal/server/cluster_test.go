@@ -58,11 +58,10 @@ func startClusterOpts(t testing.TB, n int, opts cluster.Options, mut func(i int,
 			t.Fatal(err)
 		}
 		cfg := Config{
-			Workers:            2,
-			QueueDepth:         64,
-			Cluster:            cl,
-			RemotePollInterval: 5 * time.Millisecond,
-			StealInterval:      -1, // tests that want stealing opt in
+			Workers:       2,
+			QueueDepth:    64,
+			Cluster:       cl,
+			StealInterval: -1, // tests that want stealing opt in
 		}
 		if mut != nil {
 			mut(i, &cfg)
@@ -167,22 +166,30 @@ func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 	}
 }
 
-// specOwnedBy hunts for a fake-job seed whose key lands on the wanted
-// node, using the ring every node shares.
-func specOwnedBy(t *testing.T, n *clusterNode, want string) JobSpec {
+// specsOwnedBy hunts for count fake-job seeds whose keys land on the
+// wanted node, using the ring every node shares.
+func specsOwnedBy(t *testing.T, n *clusterNode, want string, count int) []JobSpec {
 	t.Helper()
-	for seed := uint64(1); seed < 4096; seed++ {
+	var out []JobSpec
+	for seed := uint64(1); seed < 4096 && len(out) < count; seed++ {
 		spec := JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: seed}
 		p, err := n.srv.resolve(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n.srv.cl.c.Owner(p.key) == want {
-			return spec
+			out = append(out, spec)
 		}
 	}
-	t.Fatal("no seed found owned by " + want)
-	return JobSpec{}
+	if len(out) < count {
+		t.Fatalf("only %d of %d seeds found owned by %s", len(out), count, want)
+	}
+	return out
+}
+
+func specOwnedBy(t *testing.T, n *clusterNode, want string) JobSpec {
+	t.Helper()
+	return specsOwnedBy(t, n, want, 1)[0]
 }
 
 // TestClusterProxySubmit checks interactive routing: a submission to a
@@ -541,7 +548,6 @@ func BenchmarkClusterSweep(b *testing.B) {
 			nodes := startCluster(b, size, func(i int, cfg *Config) {
 				cfg.Run = pureRun(&sims, 20*time.Millisecond)
 				cfg.StealInterval = 5 * time.Millisecond
-				cfg.RemotePollInterval = 2 * time.Millisecond
 				cfg.RemotePeerSlots = 3
 			})
 			client := nodes[0].ts.Client()

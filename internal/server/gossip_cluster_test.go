@@ -45,11 +45,10 @@ func startGossipNode(t *testing.T, self string, urls []string, ln net.Listener,
 	}
 	cl.EnableGossip(opts)
 	cfg := Config{
-		Workers:            2,
-		QueueDepth:         64,
-		Cluster:            cl,
-		RemotePollInterval: 5 * time.Millisecond,
-		StealInterval:      -1,
+		Workers:       2,
+		QueueDepth:    64,
+		Cluster:       cl,
+		StealInterval: -1,
 	}
 	if mut != nil {
 		mut(&cfg)

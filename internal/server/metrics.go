@@ -39,11 +39,25 @@ type serverMetrics struct {
 	// Latency. Wait = enqueue → worker pickup; run = pickup → finish.
 	waitSeconds *telemetry.Histogram
 	runSeconds  *telemetry.Histogram
+
+	// Held GET …/result?wait= requests, by what released them, and how
+	// long each was held. The server-side view of what a waiter
+	// experiences as notify lag.
+	resultWaitDone     *telemetry.Counter // the job finished
+	resultWaitTimeout  *telemetry.Counter // the wait elapsed first (202, waiter re-issues)
+	resultWaitGone     *telemetry.Counter // the waiter disconnected
+	resultWaitShutdown *telemetry.Counter // this server began shutting down
+	resultWaitSeconds  *telemetry.Histogram
 }
 
 // newServerMetrics registers the instrument set on r and wires the
 // sampled gauges to live server state.
 func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
+	resultWaits := func(outcome string) *telemetry.Counter {
+		return r.Counter("mama_result_waits_total",
+			"Held GET /v1/jobs/{id}/result?wait= requests, by what released them.",
+			telemetry.L("outcome", outcome))
+	}
 	m := &serverMetrics{
 		jobsSubmitted: r.Counter("mama_server_jobs_submitted_total",
 			"Job submissions accepted (including cache and dedup hits)."),
@@ -85,6 +99,13 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 			"Queue wait per job: enqueue to worker pickup.", telemetry.DurationBuckets),
 		runSeconds: r.Histogram("mama_server_job_run_seconds",
 			"Execution time per job: worker pickup to finish.", telemetry.DurationBuckets),
+		resultWaitDone:     resultWaits("done"),
+		resultWaitTimeout:  resultWaits("timeout"),
+		resultWaitGone:     resultWaits("gone"),
+		resultWaitShutdown: resultWaits("shutdown"),
+		resultWaitSeconds: r.Histogram("mama_result_wait_seconds",
+			"How long each held result request stayed open before it was released.",
+			telemetry.DurationBuckets),
 	}
 	r.GaugeFunc("mama_server_queue_depth",
 		"Jobs waiting in the admission queue.",

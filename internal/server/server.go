@@ -103,9 +103,6 @@ type Config struct {
 	// queue where a local worker or an idle thief can still claim them,
 	// instead of serializing in one busy owner's queue.
 	RemotePeerSlots int
-	// RemotePollInterval is the result-poll cadence for remote cell
-	// execution (default 100ms; tests shrink it).
-	RemotePollInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -752,15 +749,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // resultBody is the /result payload: the job view plus, when done, the
-// metrics. Clients poll until status leaves queued/running (HTTP 202),
-// then read either result (done, 200) or error (failed, 200).
+// metrics. 202 while the job is queued/running; then either result
+// (done, 200) or error (failed, 200).
 type resultBody struct {
 	JobView
 	Result *JobResult `json:"result,omitempty"`
 }
-
-// maxResultWait caps the ?wait= long-poll on GET /v1/jobs/{id}/result.
-const maxResultWait = 30 * time.Second
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -774,28 +768,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?wait=<duration> long-polls: block until the job reaches a terminal
-	// status or the wait elapses, then answer normally. Pollers (remote
-	// cell executors, impatient clients) get an immediate completion
-	// signal instead of a timer-driven 202 loop. The wait is capped so a
-	// stuck job cannot pin handler goroutines indefinitely.
+	// status or the wait elapses, then answer normally. Every in-repo
+	// waiter (client.WaitJob, remote cell executors) uses this, so a
+	// completion reaches them as an event rather than on a timer. The
+	// wait is capped so a stuck job cannot pin handler goroutines
+	// indefinitely. Without wait this is a plain status read.
 	if ws := r.URL.Query().Get("wait"); ws != "" {
 		wait, err := time.ParseDuration(ws)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad wait duration: " + ws})
 			return
 		}
-		if wait > maxResultWait {
-			wait = maxResultWait
-		}
 		if wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-j.done:
-			case <-timer.C:
-			case <-r.Context().Done():
-			case <-s.baseCtx.Done():
-			}
-			timer.Stop()
+			s.holdResult(r, j, min(wait, cluster.MaxResultWait))
 		}
 	}
 	body := resultBody{JobView: j.view()}
@@ -809,6 +794,37 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, status, body)
+}
+
+// holdResult blocks one ?wait= request until the job finishes, the wait
+// elapses, the client goes away, or the server shuts down, and records
+// which of the four released it and after how long.
+func (s *Server) holdResult(r *http.Request, j *job, wait time.Duration) {
+	begin := time.Now()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	m := s.metrics
+	var outcome *telemetry.Counter
+	select {
+	case <-j.done:
+		outcome = m.resultWaitDone
+	case <-timer.C:
+		outcome = m.resultWaitTimeout
+	case <-r.Context().Done():
+		outcome = m.resultWaitGone
+	case <-s.baseCtx.Done():
+		outcome = m.resultWaitShutdown
+	}
+	// select picks at random when the job finished in the same instant as
+	// another release; the waiter is answered with the result, so count
+	// what it got.
+	select {
+	case <-j.done:
+		outcome = m.resultWaitDone
+	default:
+	}
+	outcome.Inc()
+	m.resultWaitSeconds.Observe(time.Since(begin).Seconds())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

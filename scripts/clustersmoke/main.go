@@ -83,9 +83,8 @@ func startNode(ln net.Listener, self string, urls []string) (*node, error) {
 		// Eager owner dispatch: every cell runs on the node owning
 		// its key, so the warm pass finds each result exactly where
 		// the ring says it lives (no async write-back to wait on).
-		RemotePeerSlots:    32,
-		RemotePollInterval: 5 * time.Millisecond,
-		StealInterval:      -1, // stealing off: determinism over latency here
+		RemotePeerSlots: 32,
+		StealInterval:   -1, // stealing off: determinism over latency here
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server %s: %w", self, err)
