@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check lint test race chaos sweep-smoke cluster-smoke tournament-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
+.PHONY: all build vet fmt fmt-check lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
 
 all: check
 
@@ -50,6 +50,16 @@ chaos:
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
 		$(GO) test -race -count=1 ./internal/faultinject ./internal/server ./internal/client ./internal/sweep
 
+# Ten seconds of coverage-guided fuzzing per target on the trace
+# layer's two parsers of untrusted shape: the run-length packer
+# (pack then expand is the identity, through every read surface) and
+# the MMT1 loader (any bytes give an error or a faithful slab, never a
+# panic or a header-sized allocation). `go test` alone only replays the
+# seed corpus. One target per invocation is a `go test -fuzz` rule.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadMaterialized$$' -fuzztime 10s ./internal/trace
+
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
 # resubmission answered entirely from the warm cache with zero new
@@ -95,12 +105,13 @@ bench-check:
 # The default gate: compile everything, lint (vet + staticcheck when
 # available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
-# drive a real sweep, the 3-node cluster, and the controller tournament
+# fuzz the trace packer and loader for ten seconds each, drive a real
+# sweep, the 3-node cluster, and the controller tournament
 # end to end, check the bench/ module against this tree, then make sure
 # the hot-path benchmarks still run and stay allocation-free (1
 # iteration; catches bit-rot and alloc regressions, not timing
 # regressions).
-check: build lint fmt-check test race chaos sweep-smoke cluster-smoke tournament-smoke bench-check bench-smoke
+check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
 # advance benchmarks, end-to-end simulator throughput, and two

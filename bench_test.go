@@ -424,6 +424,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		res := sys.Run(200_000, 0)
+		sys.Close()
 		instr += res.Cores[0].Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")

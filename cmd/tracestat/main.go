@@ -1,9 +1,11 @@
 // Command tracestat analyzes an instruction trace — a catalog name or a
 // binary MMT1 file — and prints the characteristics the paper's
 // methodology cares about: memory-instruction ratio, load/store split,
-// working-set footprint, stride regularity, and an estimated
-// no-prefetch L2 MPKI (distinct lines touched outside a recent-reuse
-// window).
+// working-set footprint, stride regularity, an estimated no-prefetch L2
+// MPKI (distinct lines touched outside a recent-reuse window), and what
+// the trace costs held in memory: the lengths of its runs of identical
+// non-memory instructions and the bytes per instruction of the
+// run-length packed slab the simulator replays.
 //
 // Usage:
 //
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"micromama/internal/trace"
@@ -69,6 +72,17 @@ type Stats struct {
 	// StrideRegularity is the fraction of same-PC accesses whose stride
 	// repeats the previous one.
 	StrideRegularity float64
+
+	// Runs describes the prefix as the trace pool holds it: a run is a
+	// maximal stretch of byte-identical non-memory instructions, one
+	// packed record.
+	Runs           uint64
+	RunMean        float64
+	RunP50, RunP99 uint32
+	RunMax         uint32
+	// PackedBytesPerInstr is the packed slab's size over Instructions
+	// (an unpacked record is 24 bytes).
+	PackedBytesPerInstr float64
 }
 
 // StrideCount is one stride histogram bucket.
@@ -77,9 +91,14 @@ type StrideCount struct {
 	Count  uint64
 }
 
-// Analyze scans up to n instructions of r.
+// Analyze scans up to n instructions of r, through the packer the trace
+// pool uses, so the run statistics are of the records a simulation
+// actually reads.
 func Analyze(r trace.Reader, n uint64) Stats {
 	var st Stats
+	if n == 0 {
+		return st
+	}
 	lines := map[uint64]bool{}
 
 	// Recent-reuse window as a ring over line addresses (~16K lines).
@@ -92,14 +111,16 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	strideHist := map[int64]uint64{}
 	var strideRepeats, strideSamples uint64
 
+	m := trace.Materialize(r, n)
+	st.Instructions = uint64(m.Len())
+	if st.Instructions > 0 {
+		st.PackedBytesPerInstr = float64(m.Footprint()) / float64(st.Instructions)
+	}
+	var runs []uint32
 	var accessIdx uint64
-	for st.Instructions < n {
-		ins, ok := r.Next()
-		if !ok {
-			break
-		}
-		st.Instructions++
+	for _, ins := range m.Replay().NextPacked(m.Len()) {
 		if ins.Kind == trace.Other {
+			runs = append(runs, ins.Run+1)
 			continue
 		}
 		if ins.Kind == trace.Load {
@@ -137,6 +158,14 @@ func Analyze(r trace.Reader, n uint64) Stats {
 		lastByPC[ins.PC] = ins.Addr
 	}
 
+	if st.Runs = uint64(len(runs)); st.Runs > 0 {
+		slices.Sort(runs)
+		st.RunMean = float64(st.Instructions-st.Loads-st.Stores) / float64(st.Runs)
+		// Nearest rank.
+		st.RunP50 = runs[(len(runs)*50+99)/100-1]
+		st.RunP99 = runs[(len(runs)*99+99)/100-1]
+		st.RunMax = runs[len(runs)-1]
+	}
 	st.DistinctLines = uint64(len(lines))
 	st.FootprintMB = float64(st.DistinctLines) * 64 / (1 << 20)
 	if st.Instructions > 0 {
@@ -161,6 +190,9 @@ func (st Stats) Print(w *os.File) {
 	fmt.Fprintf(w, "instructions:      %d\n", st.Instructions)
 	fmt.Fprintf(w, "memory ratio:      %.1f%% (%d loads, %d stores, %d dependent)\n",
 		100*float64(mem)/float64(st.Instructions), st.Loads, st.Stores, st.Dependent)
+	fmt.Fprintf(w, "non-memory share:  %.1f%% in %d runs (length mean %.1f, p50 %d, p99 %d, max %d)\n",
+		100*float64(st.Instructions-mem)/float64(st.Instructions), st.Runs, st.RunMean, st.RunP50, st.RunP99, st.RunMax)
+	fmt.Fprintf(w, "packed slab:       %.2f bytes/instruction (24 unpacked)\n", st.PackedBytesPerInstr)
 	fmt.Fprintf(w, "footprint:         %.1f MB (%d distinct lines)\n", st.FootprintMB, st.DistinctLines)
 	fmt.Fprintf(w, "est. L2 MPKI:      %.1f (no prefetching)\n", st.EstMPKI)
 	fmt.Fprintf(w, "stride regularity: %.0f%%\n", st.StrideRegularity*100)

@@ -57,3 +57,25 @@ func TestAnalyzeStopsAtN(t *testing.T) {
 		t.Errorf("analyzed %d, want 1234", st.Instructions)
 	}
 }
+
+// Run statistics are of the packed records: nine runs of 1..9 and a
+// tenth of 91 between ten loads, 146 instructions in 20 records.
+func TestAnalyzeRuns(t *testing.T) {
+	var ins []trace.Instr
+	for _, run := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 91} {
+		ins = append(ins, trace.Instr{PC: 0x2000, Addr: uint64(run) * 64, Kind: trace.Load})
+		for i := 0; i < run; i++ {
+			ins = append(ins, trace.Instr{PC: 0x1000})
+		}
+	}
+	st := Analyze(trace.NewSlice("runs", ins), 1000)
+	if st.Instructions != 146 || st.Loads != 10 || st.Runs != 10 {
+		t.Fatalf("instructions/loads/runs = %d/%d/%d, want 146/10/10", st.Instructions, st.Loads, st.Runs)
+	}
+	if st.RunMean != 13.6 || st.RunP50 != 5 || st.RunP99 != 91 || st.RunMax != 91 {
+		t.Errorf("run mean/p50/p99/max = %v/%d/%d/%d, want 13.6/5/91/91", st.RunMean, st.RunP50, st.RunP99, st.RunMax)
+	}
+	if want := 20 * 24.0 / 146; st.PackedBytesPerInstr != want {
+		t.Errorf("packed bytes per instruction = %v, want %v", st.PackedBytesPerInstr, want)
+	}
+}

@@ -15,7 +15,10 @@
 // patterns of the hierarchy walk touch each set exactly once.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -140,6 +143,41 @@ type Cache struct {
 	inflight []mshr
 }
 
+// lineArrays recycles line arrays between caches of the same geometry:
+// a sync.Pool of *[]line per array length. A simulation's arrays are
+// its only large allocation (1.8 MB for one core, 2.7 MB for four) and
+// short sweep cells build hundreds of systems a second, so without
+// reuse the collector runs every simulation or two (ARCHITECTURE.md,
+// "Cache-array recycling"). The collector still trims arrays no one
+// has taken for two cycles, so an odd geometry does not stay resident.
+var lineArrays sync.Map // int -> *sync.Pool
+
+// takeLines returns a zeroed line array of length n.
+func takeLines(n int) []line {
+	if p, ok := lineArrays.Load(n); ok {
+		if a, ok := p.(*sync.Pool).Get().(*[]line); ok {
+			clear(*a)
+			return *a
+		}
+	}
+	return make([]line, n)
+}
+
+// Release returns the cache's line array for reuse by a later New of
+// the same geometry. The cache must not be used afterwards except for
+// Stats and Config: any lookup or fill panics on the nil array instead
+// of corrupting whichever cache took the array over. Releasing twice
+// is harmless.
+func (c *Cache) Release() {
+	if c.lines == nil {
+		return
+	}
+	a := c.lines
+	c.lines = nil
+	p, _ := lineArrays.LoadOrStore(len(a), new(sync.Pool))
+	p.(*sync.Pool).Put(&a)
+}
+
 // New constructs a cache. It panics on invalid configuration (a
 // programming error).
 func New(cfg Config) *Cache {
@@ -152,7 +190,7 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:       cfg,
-		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lines:     takeLines(cfg.Sets * cfg.Ways),
 		setMask:   uint64(cfg.Sets - 1),
 		ways:      cfg.Ways,
 		lineShift: shift,

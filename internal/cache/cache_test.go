@@ -263,3 +263,48 @@ func TestQuickStatsConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A released line array comes back to the next cache of the same
+// geometry, cleared; the cache that gave it up panics when used instead
+// of writing into its successor; stats outlive the release.
+func TestReleaseRecyclesLineArray(t *testing.T) {
+	cfg := testCfg(32, 3) // a geometry no other test in the package uses
+	reused := false
+	for round := 0; round < 100 && !reused; round++ {
+		old := New(cfg)
+		for a := uint64(0); a < 32*3*64; a += 64 {
+			old.Lookup(a, 0, true)
+			old.Fill(a, 0, false, true)
+		}
+		array := &old.lines[0]
+		old.Release()
+		old.Release() // harmless
+		if st := old.Stats(); st.Misses != 32*3 {
+			t.Fatalf("stats after Release: %+v, want %d misses", st, 32*3)
+		}
+
+		next := New(cfg)
+		reused = &next.lines[0] == array
+		for i, l := range next.lines {
+			if l != (line{}) {
+				t.Fatalf("round %d: line %d of a new cache is %+v, want zero (reused=%v)", round, i, l, reused)
+			}
+		}
+		if reused {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Lookup on a released cache did not panic")
+					}
+				}()
+				old.Lookup(0, 0, true)
+			}()
+		}
+		// next is dropped, not released: the pool holds at most one array.
+	}
+	// sync.Pool may drop an array (it does so at random under -race, and
+	// at a collection), but not a hundred times running.
+	if !reused {
+		t.Error("no line array was reused in 100 New/Release rounds")
+	}
+}

@@ -90,6 +90,7 @@ func (r *Runner) BaselineIPCContext(ctx context.Context, spec workload.Spec, cfg
 				return float64(0), fmt.Errorf("experiment: baseline run for %s: %w", spec.Name, err)
 			}
 			res, err := sys.RunContext(ctx, r.Scale.Target, r.Scale.MaxCycles())
+			sys.Close()
 			if err != nil {
 				return float64(0), err
 			}
@@ -131,6 +132,7 @@ func (r *Runner) ProfilesContext(ctx context.Context, mix workload.Mix, cfg sim.
 				return []float64(nil), fmt.Errorf("experiment: profile run for %s: %w", mix.Name(), err)
 			}
 			res, err := sys.RunContext(ctx, r.Scale.Target, r.Scale.MaxCycles())
+			sys.Close()
 			if err != nil {
 				return []float64(nil), err
 			}
@@ -201,6 +203,7 @@ func (r *Runner) RunMixWithContext(ctx context.Context, mix workload.Mix, cfg si
 		return MixResult{}, err
 	}
 	res, err := sys.RunContext(ctx, r.Scale.Target, r.Scale.MaxCycles())
+	sys.Close()
 	if err != nil {
 		return MixResult{}, err
 	}

@@ -320,6 +320,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mama_server_result_cache_entries",
 		"mama_trace_pool_entries",
 		"mama_trace_pool_used_bytes",
+		"mama_trace_pool_instructions",
 	} {
 		if v := scrapeMetric(t, ts, series); v < 0 {
 			t.Errorf("series %s missing from /metrics", series)

@@ -421,8 +421,21 @@ func TestSweepRestartResume(t *testing.T) {
 	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	// The restarted server's workers start at once, so they are held at
+	// the door of their first cell until the restored count is read:
+	// while none can finish, Done is what the store brought back, however
+	// fast or loaded the machine is.
 	run2, snap2 := recordingRun(2 * time.Millisecond)
-	srv2 := mustNew(t, Config{Workers: 2, QueueDepth: 8, CacheDir: dir, Run: run2})
+	release := make(chan struct{})
+	held := func(ctx context.Context, spec JobSpec) (JobResult, error) {
+		select {
+		case <-release:
+			return run2(ctx, spec)
+		case <-ctx.Done():
+			return JobResult{}, ctx.Err()
+		}
+	}
+	srv2 := mustNew(t, Config{Workers: 2, QueueDepth: 8, CacheDir: dir, Run: held})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
@@ -437,6 +450,7 @@ func TestSweepRestartResume(t *testing.T) {
 	if st.Sweeps.Resumed != 1 {
 		t.Fatalf("stats sweeps_resumed = %d, want 1", st.Sweeps.Resumed)
 	}
+	close(release)
 
 	final := waitSweepDone(t, ts2, sv.ID, 15*time.Second)
 	if final.Done+final.Deduped != cells || final.Failed != 0 {

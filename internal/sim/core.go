@@ -22,17 +22,20 @@ type Core struct {
 	traceName string
 	base      uint64 // per-core address-space offset
 
-	// Instruction supply. The core consumes fixed-size batches instead
-	// of one virtual Next() per instruction: blockSrc (if the reader
-	// supports zero-copy views) or batchSrc/src refill batch, and the
-	// inner loop indexes it directly. Exhaustion wraps the trace
+	// Instruction supply. The core consumes fixed-size batches of
+	// records instead of one virtual Next() per instruction: packedSrc
+	// (if the reader serves zero-copy, run-length packed views) or
+	// batchSrc/src refill batch, and the inner loop indexes it directly.
+	// A record stands for Run+1 instructions; runLeft is how many of the
+	// current record's are still to retire. Exhaustion wraps the trace
 	// (Reset + refill), matching the paper's trace-restart methodology.
-	src      trace.Reader
-	blockSrc trace.BlockReader // src, when it serves direct slices
-	batchSrc trace.BatchReader // src, when it serves bulk copies
-	batch    []trace.Instr     // current window; persists across epochs
-	batchPos int
-	fillBuf  []trace.Instr // private refill buffer for non-block readers
+	src       trace.Reader
+	packedSrc trace.PackedReader // src, when it serves direct slices
+	batchSrc  trace.BatchReader  // src, when it serves bulk copies
+	batch     []trace.Instr      // current window; persists across epochs
+	batchPos  int
+	runLeft   uint64
+	fillBuf   []trace.Instr // private refill buffer for non-packed readers
 
 	cycle    uint64
 	subCycle int
@@ -111,8 +114,8 @@ func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *
 	if fb, ok := engine.(prefetch.Feedback); ok {
 		c.feedback = fb
 	}
-	if bs, ok := tr.(trace.BlockReader); ok {
-		c.blockSrc = bs
+	if ps, ok := tr.(trace.PackedReader); ok {
+		c.packedSrc = ps
 	} else {
 		if br, ok := tr.(trace.BatchReader); ok {
 			c.batchSrc = br
@@ -122,7 +125,7 @@ func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *
 	return c
 }
 
-// coreBatch is how many instructions one refill pulls from the trace:
+// coreBatch is how many records one refill pulls from the trace:
 // big enough to amortize the interface call, small enough that the
 // window stays cache-resident.
 const coreBatch = 256
@@ -132,8 +135,8 @@ const coreBatch = 256
 // false only for an empty trace.
 func (c *Core) refill() bool {
 	for attempt := 0; attempt < 2; attempt++ {
-		if c.blockSrc != nil {
-			if blk := c.blockSrc.NextBlock(coreBatch); len(blk) > 0 {
+		if c.packedSrc != nil {
+			if blk := c.packedSrc.NextPacked(coreBatch); len(blk) > 0 {
 				c.batch, c.batchPos = blk, 0
 				return true
 			}
@@ -163,9 +166,11 @@ func (c *Core) refill() bool {
 
 // advance executes instructions until the core's local clock reaches
 // epochEnd, freezing stats the moment the instruction target is
-// crossed.
+// crossed. The first instruction of a record takes the full path here;
+// the rest of its run retire in retireRun.
 func (c *Core) advance(epochEnd, target uint64) {
 	commitWidth := c.sys.cfg.CommitWidth
+	c.retireRun(epochEnd, target) // what the last epoch left of a run
 	for c.cycle < epochEnd {
 		if c.batchPos >= len(c.batch) {
 			if !c.refill() {
@@ -174,7 +179,7 @@ func (c *Core) advance(epochEnd, target uint64) {
 				return
 			}
 		}
-		ins := c.batch[c.batchPos]
+		ins := &c.batch[c.batchPos]
 		c.batchPos++
 		c.instr++
 		c.subCycle++
@@ -189,14 +194,46 @@ func (c *Core) advance(epochEnd, target uint64) {
 		}
 		switch ins.Kind {
 		case trace.Load:
-			c.doLoad(ins)
+			c.doLoad(ins.PC, ins.Addr, ins.Flags)
 		case trace.Store:
-			c.doStore(ins)
+			c.doStore(ins.PC, ins.Addr)
 		}
 		if c.instr == target && c.frozenAt == 0 {
 			// The system recounts frozen cores at the epoch boundary
 			// (recountFrozen), so freezing touches only core-local state
 			// and advance stays safe to run off the owner goroutine.
+			c.freeze()
+		}
+		if ins.Run != 0 {
+			c.runLeft = uint64(ins.Run)
+			c.retireRun(epochEnd, target)
+		}
+	}
+}
+
+// retireRun retires what is left of the current record's run, as far as
+// the epoch allows. Those instructions are non-memory and at the PC of
+// the record's first, which advance just executed: the fetch check
+// (same line as lastFetchLine) sends none of them to the L1I, and they
+// touch nothing else, so each only retires — one more instruction, one
+// more commit slot. Retiring k of them at once is therefore the same
+// arithmetic done k times, provided k stops where advance's loop would
+// have: at the epoch boundary (the loop runs an instruction only while
+// cycle < epochEnd, i.e. for (epochEnd−cycle)·CommitWidth − subCycle
+// more commit slots) and on the instruction target, where stats freeze.
+func (c *Core) retireRun(epochEnd, target uint64) {
+	commitWidth := uint64(c.sys.cfg.CommitWidth)
+	for c.runLeft > 0 && c.cycle < epochEnd {
+		k := min(c.runLeft, (epochEnd-c.cycle)*commitWidth-uint64(c.subCycle))
+		if c.instr < target {
+			k = min(k, target-c.instr)
+		}
+		c.runLeft -= k
+		c.instr += k
+		k += uint64(c.subCycle)
+		c.cycle += k / commitWidth
+		c.subCycle = int(k % commitWidth)
+		if c.instr == target && c.frozenAt == 0 {
 			c.freeze()
 		}
 	}
@@ -255,13 +292,13 @@ func (c *Core) doFetch(pc uint64) {
 	}
 }
 
-func (c *Core) doLoad(ins trace.Instr) {
-	addr := ins.Addr | c.base
-	done, fast := c.access(ins.PC, addr, false)
+func (c *Core) doLoad(pc, addr uint64, flags trace.Flags) {
+	addr |= c.base
+	done, fast := c.access(pc, addr, false)
 	if fast {
 		return
 	}
-	if ins.Flags&trace.DependsPrev != 0 {
+	if flags&trace.DependsPrev != 0 {
 		// Pointer chase: serialized behind its producing load.
 		if done > c.cycle {
 			c.cycle = done
@@ -280,11 +317,10 @@ func (c *Core) doLoad(ins trace.Instr) {
 	c.pushMiss(done, line)
 }
 
-func (c *Core) doStore(ins trace.Instr) {
-	addr := ins.Addr | c.base
+func (c *Core) doStore(pc, addr uint64) {
 	// Stores are write-buffered: they consume cache/DRAM resources but
 	// never stall retirement.
-	c.access(ins.PC, addr, true)
+	c.access(pc, addr|c.base, true)
 }
 
 // pushMiss records an outstanding miss and applies the MLP and ROB
@@ -490,14 +526,24 @@ func (c *Core) issueL1Prefetches(now uint64) {
 // ChampSim-style warmup. Cache hit/miss counters are reset by the
 // caller afterwards.
 func (c *Core) warmupAdvance(n uint64) {
-	for done := uint64(0); done < n; done++ {
+	for n > 0 {
+		if c.runLeft > 0 {
+			// The rest of a run installs nothing (see retireRun); a run
+			// that outlasts the warmup retires its remainder timed.
+			k := min(c.runLeft, n)
+			c.runLeft -= k
+			n -= k
+			continue
+		}
 		if c.batchPos >= len(c.batch) {
 			if !c.refill() {
 				return // empty trace
 			}
 		}
-		ins := c.batch[c.batchPos]
+		ins := &c.batch[c.batchPos]
 		c.batchPos++
+		c.runLeft = uint64(ins.Run)
+		n--
 		if ins.PC&c.fetchLineMask != c.lastFetchLine {
 			c.warmFetch(ins.PC)
 		}

@@ -172,9 +172,9 @@ func (s *System) RunContext(ctx context.Context, target uint64, maxCycles uint64
 // simulation epochs toward target and reports whether every core has
 // now reached it. Unlike RunContext it neither publishes run telemetry
 // nor retires the parallel workers between calls — steady-state
-// stepping is allocation-free — so callers that stop before completion
-// must Close the system. The first call performs functional warmup and
-// spins up the parallel engine if configured.
+// stepping is allocation-free — so callers Close the system when done.
+// The first call performs functional warmup and spins up the parallel
+// engine if configured.
 func (s *System) Advance(target uint64, epochs uint64) bool {
 	s.functionalWarmup()
 	s.startParallel()
@@ -222,12 +222,22 @@ func (s *System) recountFrozen() {
 	s.frozen = n
 }
 
-// Close retires the parallel engine's worker goroutines, if running.
-// RunContext does this itself on every exit path; only callers driving
-// the system through Advance need to Close explicitly. The system
-// remains usable afterwards (a later run restarts the engine). Safe to
+// Close ends the system's life: it retires the parallel engine's worker
+// goroutines, if running (RunContext does that much itself on every
+// exit path), and hands the cache arrays back for the next system of
+// the same geometry (cache.Release). Result and the stats accessors
+// still work afterwards; advancing a closed system panics. A system
+// that is never closed only costs the collector its arrays. Safe to
 // call repeatedly.
-func (s *System) Close() { s.stopParallel() }
+func (s *System) Close() {
+	s.stopParallel()
+	for _, c := range s.cores {
+		c.l1i.Release()
+		c.l1d.Release()
+		c.l2.Release()
+	}
+	s.llc.Release()
+}
 
 // functionalWarmup fast-forwards every core through
 // Config.WarmupInstructions in content-only mode, then clears the cache

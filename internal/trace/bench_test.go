@@ -41,11 +41,14 @@ func BenchmarkTraceReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceReplayBlock measures the zero-copy block path the
-// simulator core uses; 0 allocs/op.
+// BenchmarkTraceReplayBlock measures block replay for a consumer that
+// wants one record per instruction (runs expanded into the cursor's
+// buffer); 0 allocs/op.
 func BenchmarkTraceReplayBlock(b *testing.B) {
 	m := Materialize(benchStreamGen(), 0)
 	r := m.Replay()
+	r.NextBlock(256) // the cursor's one allocation: its expansion buffer
+	r.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
@@ -59,6 +62,28 @@ func BenchmarkTraceReplayBlock(b *testing.B) {
 			sink += ins.Addr
 		}
 		n += len(blk)
+	}
+}
+
+// BenchmarkTraceReplayPacked measures the zero-copy packed path the
+// simulator core uses, per instruction the records stand for; 0
+// allocs/op.
+func BenchmarkTraceReplayPacked(b *testing.B) {
+	m := Materialize(benchStreamGen(), 0)
+	r := m.Replay()
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for n < b.N {
+		blk := r.NextPacked(256)
+		if len(blk) == 0 {
+			r.Reset()
+			continue
+		}
+		for _, rec := range blk {
+			sink += rec.Addr
+			n += int(rec.Run) + 1
+		}
 	}
 }
 

@@ -205,23 +205,19 @@ func SaveMaterialized(path string, m *Materialized) error {
 }
 
 // LoadMaterialized decodes a whole MMT1 trace file into a Materialized
-// slab.
+// slab. The file's record count is checked against the records actually
+// read, never trusted for an allocation.
 func LoadMaterialized(path string) (*Materialized, error) {
 	ft, err := OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer ft.Close()
-	instrs := make([]Instr, ft.Len())
-	got := 0
-	for got < len(instrs) {
-		n := ft.ReadBatch(instrs[got:])
-		if n == 0 {
-			return nil, fmt.Errorf("trace: %s: truncated after %d of %d records", path, got, len(instrs))
-		}
-		got += n
+	m := Materialize(ft, 0)
+	if uint64(m.n) != ft.Len() {
+		return nil, fmt.Errorf("trace: %s: truncated after %d of %d records", path, m.n, ft.Len())
 	}
-	return &Materialized{name: ft.Name(), instrs: instrs}, nil
+	return m, nil
 }
 
 // PreloadDir loads every MMT1 file in dir into the pool, keyed by the

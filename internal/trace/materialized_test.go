@@ -107,11 +107,7 @@ func TestMaterializedFileRoundTrip(t *testing.T) {
 	if got.Len() != m.Len() {
 		t.Fatalf("len = %d, want %d", got.Len(), m.Len())
 	}
-	for i := 0; i < m.Len(); i++ {
-		if got.At(i) != m.At(i) {
-			t.Fatalf("record %d = %+v, want %+v", i, got.At(i), m.At(i))
-		}
-	}
+	equalInstrs(t, "loaded", drain(got.Replay()), drain(m.Replay()))
 }
 
 // FileTrace.ReadBatch must decode the same records Next does.

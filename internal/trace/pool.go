@@ -19,20 +19,22 @@ import (
 // replays the same read-only buffer instead of regenerating it.
 //
 // Replay is bit-identical to streaming generation by construction: the
-// slab holds exactly the records the generator emits, and a reader that
-// runs past what the budget allows degrades transparently to streaming
-// from its own generator instance positioned at the frontier.
+// slab holds exactly the instructions the generator emits, run-length
+// packed (see appendPacked), and a reader that runs past what the
+// budget allows degrades transparently to streaming from its own
+// generator instance positioned at the frontier.
 //
-// Budgeting: TotalBudget bounds the bytes of all slabs combined;
-// PerTraceBudget bounds one entry. When a trace would exceed its cap,
-// the slab stops growing (readers stream the tail); when the store is
-// full, Shared hands out plain streaming generators. Both fallbacks
-// preserve the generated sequence exactly.
+// Budgeting is in bytes actually held: TotalBudget bounds the bytes of
+// all slabs combined; PerTraceBudget bounds one entry. When a trace
+// would exceed its cap, the slab stops growing (readers stream the
+// tail); when the store is full, Shared hands out plain streaming
+// generators. Both fallbacks preserve the generated sequence exactly.
 type Pool struct {
 	mu      sync.Mutex
 	total   int64
 	per     int64
-	used    int64
+	used    int64 // bytes of slab held or reserved
+	instrs  int64 // instructions those slabs stand for
 	entries map[string]*sharedTrace
 
 	fallbacks        atomic.Uint64 // Shared calls answered with a streaming reader
@@ -45,6 +47,9 @@ type Pool struct {
 type PoolStats struct {
 	Entries   int
 	UsedBytes int64
+	// Instructions is how many instructions the held slabs stand for;
+	// UsedBytes / Instructions is the packed cost of one instruction.
+	Instructions int64
 	// Fallbacks counts Shared calls that returned a plain streaming
 	// reader because the store budget was exhausted.
 	Fallbacks uint64
@@ -59,7 +64,8 @@ type PoolStats struct {
 
 // extendChunk is how many instructions one slab extension generates:
 // large enough to amortize locking and snapshot publication, small
-// enough that a short run does not over-generate.
+// enough that a short run does not over-generate. Runs are not merged
+// across chunks, so a slab's layout does not depend on who extended it.
 const extendChunk = 1 << 16
 
 // NewPool builds a store with the given byte budgets. totalBudget <= 0
@@ -109,6 +115,7 @@ func (s *Pool) Stats() PoolStats {
 	return PoolStats{
 		Entries:          len(s.entries),
 		UsedBytes:        s.used,
+		Instructions:     s.instrs,
 		Fallbacks:        s.fallbacks.Load(),
 		Hits:             s.hits.Load(),
 		Materializations: s.materializations.Load(),
@@ -139,6 +146,9 @@ func (s *Pool) RegisterMetrics(r *telemetry.Registry) {
 	r.GaugeFunc("mama_trace_pool_used_bytes",
 		"Bytes of materialized trace slabs currently held.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.used) })
+	r.GaugeFunc("mama_trace_pool_instructions",
+		"Instructions the held slabs stand for (used_bytes / instructions = packed bytes per instruction).",
+		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.instrs) })
 	r.GaugeFunc("mama_trace_pool_budget_bytes",
 		"Total byte budget for materialized traces (MAMA_TRACE_BUDGET_MB).",
 		func() float64 { return float64(s.total) })
@@ -179,16 +189,18 @@ func (s *Pool) Shared(key string, factory func() Reader) Reader {
 // final: readers loop at its end exactly like a trace-file replay.
 func (s *Pool) Preload(key string, m *Materialized) {
 	e := &sharedTrace{store: s, name: m.Name()}
-	e.snap.Store(&traceSnap{instrs: m.instrs, done: true})
+	e.snap.Store(&traceSnap{recs: m.recs, n: m.n, done: true})
 	s.mu.Lock()
 	if old, ok := s.entries[key]; ok {
 		old.mu.Lock()
-		oldLen := int64(len(old.snap.Load().instrs))
+		snap := old.snap.Load()
 		old.mu.Unlock()
-		s.used -= oldLen * instrFootprint
+		s.used -= int64(len(snap.recs)) * instrFootprint
+		s.instrs -= int64(snap.n)
 	}
 	s.entries[key] = e
 	s.used += m.Footprint()
+	s.instrs += int64(m.n)
 	s.mu.Unlock()
 }
 
@@ -196,8 +208,9 @@ func (s *Pool) Preload(key string, m *Materialized) {
 // immutable: extension builds a new one and swaps the pointer, so
 // readers never lock.
 type traceSnap struct {
-	instrs []Instr
-	// done: the generator ended; instrs is the complete trace.
+	recs []Instr // packed
+	n    int     // instructions recs stands for
+	// done: the generator ended; recs is the complete trace.
 	done bool
 	// capped: the budget stops further growth; readers needing more
 	// stream the tail from their own generator.
@@ -225,43 +238,33 @@ func (e *sharedTrace) ensure(n int) *traceSnap {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.snap.Load()
-	if len(snap.instrs) >= n || snap.done || snap.capped {
+	if snap.n >= n || snap.done || snap.capped {
 		return snap
 	}
-	instrs := snap.instrs
-	done, capped := false, false
-	for len(instrs) < n {
-		grant := e.store.reserve(int64(len(instrs)))
-		if grant <= 0 {
-			capped = true
+	next := &traceSnap{recs: snap.recs, n: snap.n}
+	for next.n < n && !next.done {
+		// One chunk: extendChunk instructions, or as many as fit in the
+		// records the budget grants. Published records are below floor.
+		floor := len(next.recs)
+		grant := e.store.reserve(floor)
+		if grant == 0 {
+			next.capped = true
 			break
-		}
-		if grant > extendChunk {
-			grant = extendChunk
 		}
 		got := 0
-		for got < grant {
+		for got < extendChunk && len(next.recs)-floor < grant {
 			ins, ok := e.gen.Next()
 			if !ok {
-				done = true
+				next.done = true
+				e.gen = nil
 				break
 			}
-			instrs = append(instrs, ins)
+			next.recs = appendPacked(next.recs, floor, ins)
 			got++
 		}
-		e.store.commit(int64(grant - got))
-		if done {
-			break
-		}
+		next.n += got
+		e.store.settle(grant-(len(next.recs)-floor), got)
 	}
-	if done || capped {
-		// The generator is either exhausted or parked at the frontier
-		// for takeTail; extension is over either way.
-		if done {
-			e.gen = nil
-		}
-	}
-	next := &traceSnap{instrs: instrs, done: done, capped: capped}
 	e.snap.Store(next)
 	return next
 }
@@ -293,14 +296,15 @@ func (e *sharedTrace) tailReader(pos int) Reader {
 	return g
 }
 
-// reserve grants up to extendChunk instructions of budget to an entry
-// whose slab currently holds have instructions. Returns the granted
-// instruction count (0 = capped).
-func (s *Pool) reserve(have int64) int {
+// reserve sets budget aside for the next chunk of an entry whose slab
+// holds have records, and returns how many records the chunk may add:
+// extendChunk (a chunk of that many instructions can need no more), or
+// fewer near a cap, or 0 when the entry is capped.
+func (s *Pool) reserve(have int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	grant := int64(extendChunk)
-	if perLeft := s.per/instrFootprint - have; perLeft < grant {
+	if perLeft := s.per/instrFootprint - int64(have); perLeft < grant {
 		grant = perLeft
 	}
 	if totalLeft := (s.total - s.used) / instrFootprint; totalLeft < grant {
@@ -313,32 +317,26 @@ func (s *Pool) reserve(have int64) int {
 	return int(grant)
 }
 
-// commit returns unused reserved budget (the generator ended before
-// filling its grant).
-func (s *Pool) commit(unusedInstrs int64) {
-	if unusedInstrs <= 0 {
-		return
-	}
+// settle closes a chunk: it returns the budget of the granted records
+// the chunk did not need and counts the instructions it added.
+func (s *Pool) settle(unusedRecs, instrs int) {
 	s.mu.Lock()
-	s.used -= unusedInstrs * instrFootprint
+	s.used -= int64(unusedRecs) * instrFootprint
+	s.instrs += int64(instrs)
 	s.mu.Unlock()
 }
 
 // sharedReplay is a cursor over a sharedTrace. It implements Reader,
-// BatchReader, and BlockReader. Replays are independent and safe to use
-// from different goroutines (one goroutine per replay).
+// BatchReader, BlockReader and PackedReader. Replays are independent
+// and safe to use from different goroutines (one goroutine per replay).
 type sharedReplay struct {
 	sh  *sharedTrace
-	pos int
+	cur packedCursor
 
 	// tail streams instructions past the slab cap; non-nil once this
 	// replay crossed the frontier of a capped entry.
-	tail    Reader
-	tailBuf []Instr
-
-	// cur/curPos serve Next() block-by-block.
-	cur    []Instr
-	curPos int
+	tail Reader
+	buf  []Instr // NextBlock's expansion, and every tail block
 }
 
 // Name implements Reader.
@@ -347,73 +345,75 @@ func (r *sharedReplay) Name() string { return r.sh.name }
 // Reset implements Reader. A discarded tail generator is rebuilt on
 // demand if this replay crosses the cap again.
 func (r *sharedReplay) Reset() {
-	r.pos = 0
+	r.cur = packedCursor{}
 	r.tail = nil
-	r.cur, r.curPos = nil, 0
+}
+
+// slab returns the packed records published so far, extended by a
+// chunk when the cursor has consumed them all. If the cursor is still
+// at their end afterwards, the trace is over (r.tail == nil; callers
+// Reset to loop) or this replay now streams the tail of a capped entry
+// (r.tail != nil).
+func (r *sharedReplay) slab() []Instr {
+	snap := r.sh.snap.Load()
+	if r.cur.idx >= len(snap.recs) && !snap.done && !snap.capped {
+		snap = r.sh.ensure(snap.n + 1)
+	}
+	if r.cur.idx >= len(snap.recs) && !snap.done {
+		// Capped, and the cursor has consumed all snap.n instructions.
+		r.tail = r.sh.tailReader(snap.n)
+	}
+	return snap.recs
 }
 
 // Next implements Reader.
 func (r *sharedReplay) Next() (Instr, bool) {
-	if r.curPos >= len(r.cur) {
-		r.cur = r.NextBlock(extendChunk)
-		r.curPos = 0
-		if len(r.cur) == 0 {
-			return Instr{}, false
+	if r.tail == nil {
+		if ins, ok := r.cur.next(r.slab()); ok || r.tail == nil {
+			return ins, ok
 		}
 	}
-	ins := r.cur[r.curPos]
-	r.curPos++
-	return ins, true
+	return r.tail.Next()
 }
 
 // ReadBatch implements BatchReader.
 func (r *sharedReplay) ReadBatch(dst []Instr) int {
-	blk := r.NextBlock(len(dst))
-	return copy(dst, blk)
-}
-
-// NextBlock implements BlockReader. Within the materialized prefix the
-// returned slice aliases the shared slab (zero copy); past a capped
-// frontier it is served from this replay's private streaming tail.
-func (r *sharedReplay) NextBlock(max int) []Instr {
-	if r.tail != nil {
-		return r.tailBlock(max)
-	}
-	snap := r.sh.snap.Load()
-	if r.pos+max > len(snap.instrs) && !snap.done && !snap.capped {
-		snap = r.sh.ensure(r.pos + max)
-	}
-	if r.pos >= len(snap.instrs) {
-		if snap.done {
-			return nil // end of trace; callers Reset to loop
+	if r.tail == nil {
+		if n := r.cur.expand(r.slab(), dst); n > 0 || r.tail == nil {
+			return n
 		}
-		// Capped: degrade to streaming from the frontier.
-		r.tail = r.sh.tailReader(r.pos)
-		return r.tailBlock(max)
 	}
-	end := r.pos + max
-	if end > len(snap.instrs) {
-		end = len(snap.instrs)
-	}
-	blk := snap.instrs[r.pos:end]
-	r.pos = end
-	return blk
+	return r.readTail(dst)
 }
 
-func (r *sharedReplay) tailBlock(max int) []Instr {
-	if cap(r.tailBuf) < max {
-		r.tailBuf = make([]Instr, max)
+// NextBlock implements BlockReader.
+func (r *sharedReplay) NextBlock(max int) []Instr {
+	r.buf = grow(r.buf, max)
+	return r.buf[:r.ReadBatch(r.buf[:max])]
+}
+
+// NextPacked implements PackedReader. Within the materialized prefix
+// the returned slice aliases the shared slab (zero copy); past a capped
+// frontier it is served from this replay's private streaming tail, one
+// record per instruction.
+func (r *sharedReplay) NextPacked(max int) []Instr {
+	if r.tail == nil {
+		if blk := r.cur.packed(r.slab(), max); len(blk) > 0 || r.tail == nil {
+			return blk
+		}
 	}
-	buf := r.tailBuf[:max]
+	return r.NextBlock(max)
+}
+
+func (r *sharedReplay) readTail(dst []Instr) int {
 	n := 0
-	for n < max {
+	for n < len(dst) {
 		ins, ok := r.tail.Next()
 		if !ok {
 			break
 		}
-		buf[n] = ins
+		dst[n] = ins
 		n++
 	}
-	r.pos += n
-	return buf[:n]
+	return n
 }

@@ -184,13 +184,5 @@ func TestPoolPreloadDir(t *testing.T) {
 		t.Fatal("factory invoked for a preloaded trace")
 		return nil
 	})
-	got := drain(r)
-	if len(got) != m.Len() {
-		t.Fatalf("preloaded replay %d records, want %d", len(got), m.Len())
-	}
-	for i := range got {
-		if got[i] != m.At(i) {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], m.At(i))
-		}
-	}
+	equalInstrs(t, "preloaded replay", drain(r), drain(m.Replay()))
 }

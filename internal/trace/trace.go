@@ -58,10 +58,18 @@ type Instr struct {
 	Addr  uint64
 	Kind  Kind
 	Flags Flags
+	// Run is how many further instructions, byte-identical to this one
+	// and of Kind Other, the record stands for: a record is Run+1
+	// instructions. It is zero in every record Next, ReadBatch and
+	// NextBlock deliver (one record per instruction); only the packed
+	// view (PackedReader) carries runs. It lives in what used to be
+	// padding, so the record is still 24 bytes.
+	Run uint32
 }
 
 // instrFootprint is the in-memory size of one Instr (24 bytes: two
-// words plus two bytes padded to a word), used for store budgeting.
+// words, two bytes, and the run count in the rest of the third word),
+// used for store budgeting.
 const instrFootprint = int64(unsafe.Sizeof(Instr{}))
 
 // Reader is a resettable instruction stream.
@@ -76,7 +84,8 @@ type Reader interface {
 	Name() string
 }
 
-// Slice is an in-memory trace, useful in tests.
+// Slice is an in-memory trace, useful in tests. It delivers its records
+// as they are, through every surface.
 type Slice struct {
 	Instrs []Instr
 	Label  string
@@ -121,6 +130,9 @@ func (s *Slice) NextBlock(max int) []Instr {
 	s.pos = end
 	return blk
 }
+
+// NextPacked implements PackedReader.
+func (s *Slice) NextPacked(max int) []Instr { return s.NextBlock(max) }
 
 // Looping wraps a Reader so it never ends: when the inner trace is
 // exhausted it is Reset and restarted, matching the paper's methodology
