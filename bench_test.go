@@ -14,7 +14,6 @@ package micromama_bench
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -430,57 +429,47 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkSimulatorThroughputParallel measures aggregate multicore
-// simulation speed under the parallel epoch engine: 1/2/4/8 simulated
-// cores, each at parallelism 0 (the serial reference path) and
-// GOMAXPROCS. The system is built and warmed outside the timed loop and
-// stepped with the chunked Advance API, so steady-state allocs/op must
-// be 0 on both paths. The compute-bound per-core workloads keep most
-// work core-private — the regime the engine targets — making the
-// parallel/serial instr/s ratio at 8 cores the headline speedup.
-func BenchmarkSimulatorThroughputParallel(b *testing.B) {
-	modes := []struct {
-		name string
-		par  int
-	}{{"serial", 0}, {"parallel", runtime.GOMAXPROCS(0)}}
+// BenchmarkSimulatorThroughputCores measures aggregate multicore
+// simulation speed at 1/2/4/8 simulated cores. The system is built and
+// warmed outside the timed loop and stepped with the chunked Advance
+// API, so steady-state allocs/op must be 0. The per-core workloads are
+// compute-bound, so instr/s here is the simulator's ceiling at each
+// core count, before shared-LLC and DRAM contention.
+func BenchmarkSimulatorThroughputCores(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%dc/%s", cores, mode.name), func(b *testing.B) {
-				cfg := sim.DefaultConfig(cores)
-				cfg.Parallelism = mode.par
-				traces := make([]trace.Reader, cores)
-				for i := range traces {
-					traces[i] = trace.NewCompute(fmt.Sprintf("bench.compute.%d", i), trace.ComputeConfig{
-						Seed: 17 + uint64(i)*1031, WorkingSet: 32 << 10, MemRatio: 0.3, Length: 1 << 62,
-					})
-				}
-				sys, err := sim.New(cfg, traces, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer sys.Close()
+		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
+			traces := make([]trace.Reader, cores)
+			for i := range traces {
+				traces[i] = trace.NewCompute(fmt.Sprintf("bench.compute.%d", i), trace.ComputeConfig{
+					Seed: 17 + uint64(i)*1031, WorkingSet: 32 << 10, MemRatio: 0.3, Length: 1 << 62,
+				})
+			}
+			sys, err := sim.New(sim.DefaultConfig(cores), traces, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
 
-				total := func() uint64 {
-					var t uint64
-					for i := 0; i < cores; i++ {
-						t += sys.Instructions(i)
-					}
-					return t
+			total := func() uint64 {
+				var t uint64
+				for i := 0; i < cores; i++ {
+					t += sys.Instructions(i)
 				}
-				// Warm: spins up the worker pool and runs past cold-start
-				// growth of the pending-miss FIFOs and cache arrays. The
-				// infinite traces and max target mean no core ever freezes.
-				const never, chunk = ^uint64(0), 64
-				sys.Advance(never, 512)
-				start := total()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys.Advance(never, chunk)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(total()-start)/b.Elapsed().Seconds(), "instr/s")
-			})
-		}
+				return t
+			}
+			// Warm: runs past cold-start growth of the pending-miss FIFOs
+			// and cache arrays. The infinite traces and max target mean
+			// no core ever freezes.
+			const never, chunk = ^uint64(0), 64
+			sys.Advance(never, 512)
+			start := total()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Advance(never, chunk)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(total()-start)/b.Elapsed().Seconds(), "instr/s")
+		})
 	}
 }

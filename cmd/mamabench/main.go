@@ -115,7 +115,6 @@ func main() {
 		"comma-separated core counts the tournament races")
 	flag.IntVar(&tournamentSeeds, "tournament-seeds", 1,
 		"seed replicas: replica i samples mixes with scale seed + i")
-	simPar := flag.Int("sim-parallel", sim.ParallelismFromEnv(0), "goroutines advancing each simulation's cores in parallel; 0 = serial (default; or MAMA_SIM_PARALLEL) since mamabench already runs GOMAXPROCS simulations side by side. Results are bit-identical at any setting")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsOut := flag.String("metrics-dump", "", "write telemetry in Prometheus text format to this file at exit (\"-\" for stdout)")
@@ -172,10 +171,6 @@ func main() {
 
 	r := experiment.NewRunner(scale)
 	r.BaseCtx = ctx
-	if *simPar < 0 {
-		*simPar = 0
-	}
-	r.SimParallelism = *simPar
 	var rr *remoteRunner
 	if *server != "" {
 		rr = &remoteRunner{

@@ -45,7 +45,6 @@ import (
 
 	"micromama/internal/cluster"
 	"micromama/internal/server"
-	"micromama/internal/sim"
 	"micromama/internal/telemetry"
 	"micromama/internal/trace"
 )
@@ -59,7 +58,6 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", 30*time.Minute, "upper bound on client-requested timeouts")
 		maxCores   = flag.Int("max-cores", 16, "largest mix a job may request")
 		maxCells   = flag.Int("max-sweep-cells", 0, "largest expansion a single sweep may request (0 = 4096)")
-		simPar     = flag.Int("sim-parallel", sim.ParallelismFromEnv(-1), "per-simulation goroutines for each job; 0 = serial, -1 = auto (default; or MAMA_SIM_PARALLEL): divide GOMAXPROCS across the worker pool, serial if that leaves < 2. Results are bit-identical at any setting; resolved value appears in /v1/stats")
 		traceCache = flag.String("trace-cache", "", "directory of MMT1 trace files (from tracegen) preloaded into the shared trace pool; cached traces loop at their recorded length")
 		cacheDir   = flag.String("cache-dir", "", "directory for crash-safe result-cache persistence (restored on startup; corrupt entries quarantined)")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight jobs before cancelling them")
@@ -154,7 +152,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		MaxCores:       *maxCores,
 		MaxSweepCells:  *maxCells,
-		SimParallelism: *simPar,
 		CacheDir:       *cacheDir,
 		Logger:         logger,
 		Cluster:        cl,
@@ -194,8 +191,7 @@ func main() {
 
 	st := svc.Stats()
 	logger.Info("mamaserved listening", "addr", *addr,
-		"workers", st.Workers, "queue_cap", st.QueueCap,
-		"sim_parallelism", st.SimParallelism)
+		"workers", st.Workers, "queue_cap", st.QueueCap)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "mamaserved:", err)
 		os.Exit(1)

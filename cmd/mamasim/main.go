@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"micromama/internal/dram"
@@ -36,7 +35,6 @@ func main() {
 		channels   = flag.Int("channels", 1, "DRAM channels")
 		list       = flag.Bool("list", false, "list catalog traces and exit")
 		ctrls      = flag.Bool("controllers", false, "list controllers and exit")
-		simPar     = flag.Int("sim-parallel", sim.ParallelismFromEnv(-1), "goroutines advancing cores of the one simulation in parallel; 0 = serial, -1 = GOMAXPROCS (default; or MAMA_SIM_PARALLEL). Results are bit-identical at any setting")
 		warmup     = flag.Uint64("warmup", 0, "functional-warmup instructions per core (caches populated, no timing) before the measured run")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -104,15 +102,9 @@ func main() {
 		cfg.DRAM = dram.DDR4(*dramMTps, *channels)
 	}
 	cfg.WarmupInstructions = *warmup
-	if *simPar < 0 {
-		// mamasim runs one simulation at a time, so the whole host
-		// belongs to it.
-		*simPar = runtime.GOMAXPROCS(0)
-	}
 
 	scale := experiment.Scale{Target: *instr, MaxCyclesFactor: *maxFactor, MixCount: 1, Seed: 7, Step: *step}
 	runner := experiment.NewRunner(scale)
-	runner.SimParallelism = *simPar
 
 	keys := strings.Split(*controller, ",")
 	if len(keys) > 1 {

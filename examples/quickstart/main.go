@@ -32,6 +32,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		defer sys.Close()
 		return sys.Run(target, target*16)
 	}
 

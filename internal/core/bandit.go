@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"micromama/internal/bandit"
 	"micromama/internal/prefetch"
 	"micromama/internal/sim"
@@ -130,11 +128,9 @@ type Bandit struct {
 
 	// Aggressiveness accounting for the Figure 3 analysis: the summed
 	// total degree (Table 2 ordering) of every arm chosen, and the
-	// number of choices. Atomic because timesteps of different cores
-	// may fire concurrently under the parallel epoch engine; sums
-	// commute, so the totals stay deterministic.
-	degreeSum   atomic.Uint64
-	degreeSteps atomic.Uint64
+	// number of choices.
+	degreeSum   uint64
+	degreeSteps uint64
 }
 
 // NewBandit constructs the controller.
@@ -176,11 +172,11 @@ func (b *Bandit) Timeline() []PolicySample { return b.timeline }
 // the arms the agents chose — the policy-level signal behind the
 // paper's Figure 3 (Bandit grows more aggressive with core count).
 func (b *Bandit) MeanChosenDegree() float64 {
-	steps := b.degreeSteps.Load()
+	steps := b.degreeSteps
 	if steps == 0 {
 		return 0
 	}
-	return float64(b.degreeSum.Load()) / float64(steps)
+	return float64(b.degreeSum) / float64(steps)
 }
 
 // OnL2Demand implements sim.Controller: each agent independently ends
@@ -206,21 +202,11 @@ func (b *Bandit) OnL2Demand(core int, now uint64) {
 		a.curArm = next
 		a.engine.SetArm(next)
 	}
-	b.degreeSum.Add(uint64(prefetch.Arms[next].TotalDegree()))
-	b.degreeSteps.Add(1)
+	b.degreeSum += uint64(prefetch.Arms[next].TotalDegree())
+	b.degreeSteps++
 	if b.cfg.RecordTimeline {
 		b.timeline = append(b.timeline, PolicySample{Cycle: now, Core: core, Arm: next})
 	}
-}
-
-// CoreLocalDemand implements sim.CoreLocalController: with local
-// rewards each agent's timestep reads and writes only its own core's
-// state (plus the commutative atomic degree totals), so demand hooks
-// may fire concurrently. SharedReward reads every core's live counters
-// mid-epoch and RecordTimeline appends to one shared slice, so either
-// mode declines and the simulator falls back to the serial path.
-func (b *Bandit) CoreLocalDemand() bool {
-	return !b.cfg.SharedReward && !b.cfg.RecordTimeline
 }
 
 // sharedReward computes the mean normalized IPC of all cores over this

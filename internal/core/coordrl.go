@@ -89,15 +89,13 @@ type coordAgent struct {
 // utilization, (b) receives a reward blending its own normalized IPC
 // with the live system mean, and (c) greedily/exploringly picks the
 // next ensemble arm. Both (a) and (b) read and write cross-core state
-// mid-epoch, so CoordRL deliberately does NOT satisfy
-// sim.CoreLocalController — it exercises the serial fallback path.
+// mid-epoch.
 type CoordRL struct {
 	cfg    CoordRLConfig
 	sys    *sim.System
 	agents []*coordAgent
 	// aggr is the shared aggressiveness ledger: aggr[i] is core i's
-	// current arm total degree. Plain (non-atomic) on purpose — the
-	// serial path is the only legal execution for this controller.
+	// current arm total degree.
 	aggr []int
 }
 
@@ -252,9 +250,4 @@ func bucket3(v, lo, hi float64) int {
 	}
 }
 
-// CoordRL intentionally does not implement sim.CoreLocalController:
-// state() reads the shared aggressiveness ledger and reward() reads
-// every core's live counters and reference IPCs mid-epoch, so demand
-// hooks must be serialized. The simulator detects the missing interface
-// and falls back to the serial path.
 var _ sim.Controller = (*CoordRL)(nil)

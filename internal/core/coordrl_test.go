@@ -40,13 +40,6 @@ func TestCoordRLRunsAndLearns(t *testing.T) {
 	}
 }
 
-func TestCoordRLDeclinesParallelPath(t *testing.T) {
-	var ctrl sim.Controller = NewCoordRL(CoordRLConfig{})
-	if _, ok := ctrl.(sim.CoreLocalController); ok {
-		t.Fatal("CoordRL must not advertise core-local demand hooks; its ledger and reward reads are cross-core")
-	}
-}
-
 func TestCoordRLDeterministicAcrossRuns(t *testing.T) {
 	run := func() sim.Result {
 		cfg := DefaultCoordRLConfig()

@@ -82,8 +82,7 @@ type phaseCore struct {
 // Bingo/Pythia/SPP by classifying the running interval's phase from
 // features the Selector engine already taps (L2 miss rate and MPKI,
 // global stride regularity, page locality, active-engine accuracy). It
-// holds no cross-core state at all, so it implements
-// sim.CoreLocalController and runs on the parallel epoch path.
+// holds no cross-core state at all.
 type PhaseSelect struct {
 	cfg   PhaseSelectConfig
 	sys   *sim.System
@@ -206,9 +205,3 @@ func (p *PhaseSelect) classify(f prefetch.SelectorFeatures, mpki float64, curren
 	}
 	return want
 }
-
-// CoreLocalDemand implements sim.CoreLocalController: each core's
-// classifier reads only its own Selector's features and its own
-// instruction counter, and writes only its own engine — no cross-core
-// state exists, under any configuration.
-func (p *PhaseSelect) CoreLocalDemand() bool { return true }

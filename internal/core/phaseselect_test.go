@@ -31,14 +31,6 @@ func TestPhaseSelectRunsAndClassifies(t *testing.T) {
 	}
 }
 
-func TestPhaseSelectIsCoreLocal(t *testing.T) {
-	var ctrl sim.Controller = NewPhaseSelect(PhaseSelectConfig{})
-	cl, ok := ctrl.(sim.CoreLocalController)
-	if !ok || !cl.CoreLocalDemand() {
-		t.Fatal("PhaseSelect must be core-local under every configuration")
-	}
-}
-
 func TestPhaseSelectDecisionTable(t *testing.T) {
 	p := NewPhaseSelect(DefaultPhaseSelectConfig())
 	cases := []struct {

@@ -79,37 +79,6 @@ var ControllerKeys = []string{
 	"phase-select", "coord-rl",
 }
 
-// ControllerInfo describes one controller key for catalog endpoints:
-// its name and whether its demand hooks are core-local under the
-// default configuration — i.e. whether the simulator may run it on the
-// parallel epoch path or must fall back to serial.
-type ControllerInfo struct {
-	Key       string `json:"key"`
-	CoreLocal bool   `json:"core_local"`
-}
-
-// ControllerCatalog returns every known controller with its
-// parallel-path eligibility. Keys whose constructor requires extra
-// options (mumama-profiled) are probed with placeholder options; only
-// the eligibility bit is read from the probe instance.
-func ControllerCatalog() []ControllerInfo {
-	out := make([]ControllerInfo, 0, len(ControllerKeys))
-	for _, key := range ControllerKeys {
-		opt := Options{}
-		if key == "mumama-profiled" {
-			opt.Profiles = []float64{1, 1}
-		}
-		info := ControllerInfo{Key: key}
-		if ctrl, err := MakeController(key, opt); err == nil {
-			if cl, ok := ctrl.(sim.CoreLocalController); ok {
-				info.CoreLocal = cl.CoreLocalDemand()
-			}
-		}
-		out = append(out, info)
-	}
-	return out
-}
-
 // MakeController builds a prefetch controller by key.
 func MakeController(key string, opt Options) (sim.Controller, error) {
 	mm := func(metric core.Metric, mutate func(*core.MuMamaConfig)) sim.Controller {
@@ -233,15 +202,6 @@ type Runner struct {
 	Scale   Scale
 	Workers int
 
-	// SimParallelism is the per-simulation goroutine budget passed to
-	// sim.Config.Parallelism on every simulation this runner starts
-	// (0 = serial). Results are bit-identical either way; this only
-	// decides how a single simulation spreads over host cores, while
-	// Workers decides how many simulations run side by side. Keep
-	// Workers × SimParallelism near GOMAXPROCS to avoid
-	// oversubscription.
-	SimParallelism int
-
 	// BaseCtx, when non-nil, is the context used by the non-Context
 	// entry points (RunMix, RunMixes, Profiles, ...): drivers like
 	// cmd/mamabench set it once (e.g. to a signal-cancelled context)
@@ -272,12 +232,4 @@ func (r *Runner) baseCtx() context.Context {
 		return r.BaseCtx
 	}
 	return context.Background()
-}
-
-// simCfg stamps the runner's per-simulation parallelism onto a config
-// on its way into sim.New. Parallelism is excluded from fingerprints,
-// so cache keys computed from cfg before or after this call agree.
-func (r *Runner) simCfg(cfg sim.Config) sim.Config {
-	cfg.Parallelism = r.SimParallelism
-	return cfg
 }

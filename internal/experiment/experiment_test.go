@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -22,40 +21,6 @@ func TestMakeControllerAllKeys(t *testing.T) {
 		}
 		if ctrl == nil || ctrl.Name() == "" {
 			t.Errorf("MakeController(%q) returned unusable controller", key)
-		}
-	}
-}
-
-func TestControllerCatalogEligibility(t *testing.T) {
-	cat := ControllerCatalog()
-	if len(cat) != len(ControllerKeys) {
-		t.Fatalf("catalog has %d entries, want %d", len(cat), len(ControllerKeys))
-	}
-	byKey := map[string]bool{}
-	for _, info := range cat {
-		byKey[info.Key] = info.CoreLocal
-	}
-	// Spot-check the eligibility semantics: fixed engines and the
-	// default Bandit are core-local; µMama's arbiter, the shared-reward
-	// Bandit, and CoordRL's cross-core ledger are not; PhaseSelect is
-	// core-local by construction.
-	want := map[string]bool{
-		"no":            true,
-		"bingo":         true,
-		"bandit":        true,
-		"bandit-shared": false,
-		"mumama":        false,
-		"phase-select":  true,
-		"coord-rl":      false,
-	}
-	for key, coreLocal := range want {
-		got, ok := byKey[key]
-		if !ok {
-			t.Errorf("catalog missing %q", key)
-			continue
-		}
-		if got != coreLocal {
-			t.Errorf("catalog %q core_local = %v, want %v", key, got, coreLocal)
 		}
 	}
 }
@@ -95,27 +60,6 @@ func TestRunMixProducesMetrics(t *testing.T) {
 	}
 	if len(res.Speedups) != 2 {
 		t.Errorf("speedups len %d", len(res.Speedups))
-	}
-}
-
-// TestRunMixSimParallelismMatchesSerial: the runner's per-simulation
-// parallelism must not change any measurement — separate runners so the
-// serial pass's caches cannot mask a divergence in the parallel one.
-func TestRunMixSimParallelismMatchesSerial(t *testing.T) {
-	mixes := workload.Mixes(2, 1, 3)
-	cfg := sim.DefaultConfig(2)
-	run := func(simPar int) MixResult {
-		r := NewRunner(ScaleTiny)
-		r.SimParallelism = simPar
-		res, err := r.RunMix(mixes[0], cfg, "bandit", Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ser, par := run(0), run(4)
-	if !reflect.DeepEqual(ser, par) {
-		t.Errorf("SimParallelism changed the measurement:\nserial:   %+v\nparallel: %+v", ser, par)
 	}
 }
 

@@ -605,11 +605,12 @@ func (r *Runner) FigTimeline(key string) (*TimelineReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := sim.New(r.simCfg(cfg), mix.Traces(), ctrl)
+	sys, err := sim.New(cfg, mix.Traces(), ctrl)
 	if err != nil {
 		return nil, err
 	}
 	sys.Run(r.Scale.Target, r.Scale.MaxCycles())
+	sys.Close()
 	rep := &TimelineReport{Controller: key, Mix: mix}
 	if tr, ok := ctrl.(core.TimelineRecorder); ok {
 		rep.Samples = tr.Timeline()

@@ -85,7 +85,7 @@ func (r *Runner) BaselineIPCContext(ctx context.Context, spec workload.Spec, cfg
 		func() (any, bool) { v, ok := r.baseline[key]; return v, ok },
 		func() (any, error) {
 			mix := workload.Mix{Specs: []workload.Spec{spec}}
-			sys, err := sim.New(r.simCfg(c), mix.Traces(), sim.NoPrefetchController())
+			sys, err := sim.New(c, mix.Traces(), sim.NoPrefetchController())
 			if err != nil {
 				return float64(0), fmt.Errorf("experiment: baseline run for %s: %w", spec.Name, err)
 			}
@@ -127,7 +127,7 @@ func (r *Runner) ProfilesContext(ctx context.Context, mix workload.Mix, cfg sim.
 	v, err := r.singleflight(ctx, key,
 		func() (any, bool) { v, ok := r.profiles[key]; return v, ok },
 		func() (any, error) {
-			sys, err := sim.New(r.simCfg(c), mix.Traces(), sim.NoPrefetchController())
+			sys, err := sim.New(c, mix.Traces(), sim.NoPrefetchController())
 			if err != nil {
 				return []float64(nil), fmt.Errorf("experiment: profile run for %s: %w", mix.Name(), err)
 			}
@@ -198,7 +198,7 @@ func (r *Runner) RunMixWith(mix workload.Mix, cfg sim.Config, ctrl sim.Controlle
 // RunMixWithContext is RunMixWith with cancellation.
 func (r *Runner) RunMixWithContext(ctx context.Context, mix workload.Mix, cfg sim.Config, ctrl sim.Controller) (MixResult, error) {
 	cfg.Cores = len(mix.Specs)
-	sys, err := sim.New(r.simCfg(cfg), mix.Traces(), ctrl)
+	sys, err := sim.New(cfg, mix.Traces(), ctrl)
 	if err != nil {
 		return MixResult{}, err
 	}

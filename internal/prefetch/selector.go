@@ -91,8 +91,7 @@ func (f SelectorFeatures) Accuracy() float64 {
 }
 
 // Selector is the multiplexing engine. It is not safe for concurrent
-// use; like every other engine it is owned by a single core, and under
-// the parallel epoch path all calls come from that core's goroutine.
+// use; like every other engine it is owned by a single core.
 type Selector struct {
 	engines [NumSelectorEngines]Prefetcher
 	active  int

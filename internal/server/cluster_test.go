@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -516,77 +515,5 @@ func TestClusterPartitionDegrade(t *testing.T) {
 	}
 	if len(acl.Unhealthy) == 0 {
 		t.Error("partitioned peer never marked unhealthy")
-	}
-}
-
-// BenchmarkClusterSweep measures cold-sweep wall time for a 1-node and
-// a 3-node cluster over a latency-bound workload (each cell sleeps
-// 20ms, modelling a simulation this host would run serially). The
-// 3-node figure must come in well under the 1-node one: remote
-// dispatch and stealing keep all three pools busy no matter which node
-// received the sweep. (On a single-CPU host the routing RPCs serialize
-// against the workload, so the measured speedup here understates what
-// a real multi-host deployment sees.)
-func BenchmarkClusterSweep(b *testing.B) {
-	const cells = 48
-	var seedBase atomic.Uint64
-	seedBase.Store(1_000_000)
-
-	freshSweep := func() string {
-		base := seedBase.Add(10_000)
-		seeds := make([]string, cells)
-		for i := range seeds {
-			seeds[i] = fmt.Sprint(base + uint64(i))
-		}
-		return fmt.Sprintf(`{"name":"bench-%d","grid":{"mixes":[["spec06.libquantum"]],"controllers":["no"],"scales":["tiny"],"seeds":[%s]}}`,
-			base, strings.Join(seeds, ","))
-	}
-
-	for _, size := range []int{1, 3} {
-		b.Run(fmt.Sprintf("%dnode", size), func(b *testing.B) {
-			var sims atomic.Int64
-			nodes := startCluster(b, size, func(i int, cfg *Config) {
-				cfg.Run = pureRun(&sims, 20*time.Millisecond)
-				cfg.StealInterval = 5 * time.Millisecond
-				cfg.RemotePeerSlots = 3
-			})
-			client := nodes[0].ts.Client()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := client.Post(nodes[0].ts.URL+"/v1/sweeps", "application/json",
-					strings.NewReader(freshSweep()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				var view struct {
-					ID string `json:"id"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				deadline := time.Now().Add(2 * time.Minute)
-				for {
-					r, err := client.Get(nodes[0].ts.URL + "/v1/sweeps/" + view.ID)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var v struct {
-						Status string `json:"status"`
-					}
-					if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-						b.Fatal(err)
-					}
-					r.Body.Close()
-					if v.Status == "done" {
-						break
-					}
-					if time.Now().After(deadline) {
-						b.Fatal("sweep did not finish")
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-			}
-		})
 	}
 }

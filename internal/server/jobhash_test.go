@@ -81,6 +81,25 @@ func TestJobKeyDeterministicAndCanonical(t *testing.T) {
 	}
 }
 
+// TestJobKeyPinned: the content key is what every persisted cache entry
+// and every cluster ring placement is filed under, so a change to the
+// hashed structs (a sim.Config or experiment.Scale field added, removed
+// or renamed) that moves it orphans every stored result. A deliberate
+// model change re-pins the literal and says so.
+func TestJobKeyPinned(t *testing.T) {
+	p, err := newResolver(t).resolve(JobSpec{
+		Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "mumama",
+		Scale: "tiny", Seed: 7, Target: 100_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "1802f64ccf4c8f942a4d74e025debb24f87bf3715db96b6b5f144491d87b8d4b"
+	if p.key != want {
+		t.Errorf("job key = %s, want %s (persisted cache entries would be orphaned)", p.key, want)
+	}
+}
+
 func TestQueueBounds(t *testing.T) {
 	q := newQueue(2)
 	a, b, c := &job{id: "a"}, &job{id: "b"}, &job{id: "c"}

@@ -65,15 +65,6 @@ type Config struct {
 	Logger *slog.Logger
 	// MaxSweepCells bounds a single sweep's expansion (default 4096).
 	MaxSweepCells int
-	// SimParallelism is the per-simulation goroutine budget handed to
-	// the simulator (sim.Config.Parallelism) for every job: 0 runs each
-	// simulation serially (the default — a loaded server already keeps
-	// Workers simulations in flight), a negative value auto-divides:
-	// GOMAXPROCS / Workers, floored, serial when that leaves fewer than
-	// 2. Results are bit-identical regardless, so this only trades
-	// single-job latency against cross-job throughput; the resolved
-	// value is reported in /v1/stats as sim_parallelism.
-	SimParallelism int
 	// Run overrides the execution function (tests only); nil runs real
 	// simulations through a shared experiment.Runner per scale.
 	Run runFunc
@@ -123,22 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.SimParallelism < 0 {
-		// Auto: split host cores between pool workers and per-sim
-		// goroutines so a loaded server does not oversubscribe
-		// GOMAXPROCS; with a full-width pool this resolves to serial.
-		c.SimParallelism = runtime.GOMAXPROCS(0) / c.Workers
-		if c.SimParallelism < 2 {
-			c.SimParallelism = 0
-		}
-	}
-	if c.SimParallelism == 1 {
-		// One goroutine per simulation is the serial path plus engine
-		// overhead; never hand that to the simulator. (The simulator
-		// also refuses it — and any width on a GOMAXPROCS=1 host — in
-		// sim.System.ParallelWorkers; this keeps /v1/stats honest.)
-		c.SimParallelism = 0
 	}
 	return c
 }
@@ -406,10 +381,6 @@ func (s *Server) runnerFor(scale experiment.Scale) *experiment.Runner {
 	r, ok := s.runners[scale]
 	if !ok {
 		r = experiment.NewRunner(scale)
-		// The pool supplies cross-job concurrency (each job is a single
-		// RunMixContext on a pool worker); the resolved per-simulation
-		// parallelism from the server config applies inside each job.
-		r.SimParallelism = s.cfg.SimParallelism
 		s.runners[scale] = r
 	}
 	return r
@@ -614,7 +585,6 @@ func (s *Server) Stats() Stats {
 		QueueDepth:       s.q.depth(),
 		QueueCap:         s.q.cap(),
 		Workers:          s.cfg.Workers,
-		SimParallelism:   s.cfg.SimParallelism,
 		CachedKeys:       s.cache.size(),
 		JobsTracked:      tracked,
 		Draining:         s.isDraining(),
@@ -843,15 +813,10 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Traces      []catalogEntry `json:"traces"`
 		Controllers []string       `json:"controllers"`
-		// ControllerInfo carries per-controller parallel-path
-		// eligibility (core_local); Controllers stays for older
-		// clients that expect a bare name list.
-		ControllerInfo []experiment.ControllerInfo `json:"controller_info"`
-		Scales         []string                    `json:"scales"`
+		Scales      []string       `json:"scales"`
 	}{
-		Controllers:    experiment.ControllerKeys,
-		ControllerInfo: experiment.ControllerCatalog(),
-		Scales:         []string{"tiny", "small", "default", "full"},
+		Controllers: experiment.ControllerKeys,
+		Scales:      []string{"tiny", "small", "default", "full"},
 	}
 	for _, sp := range specs {
 		out.Traces = append(out.Traces, catalogEntry{

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"micromama/internal/experiment"
 )
 
 // mustNew builds a started Server or fails the test.
@@ -423,11 +425,10 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestCatalogControllerEligibility checks that /v1/catalog exposes every
-// controller with its parallel-path eligibility, so tournament clients
-// can validate controller names and predict which families run on the
-// parallel epoch path.
-func TestCatalogControllerEligibility(t *testing.T) {
+// TestCatalogListsControllers checks that /v1/catalog names every
+// controller the harness can build, so tournament clients can validate
+// controller names before submitting.
+func TestCatalogListsControllers(t *testing.T) {
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -439,30 +440,13 @@ func TestCatalogControllerEligibility(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var cat struct {
-		Controllers    []string `json:"controllers"`
-		ControllerInfo []struct {
-			Key       string `json:"key"`
-			CoreLocal bool   `json:"core_local"`
-		} `json:"controller_info"`
+		Controllers []string `json:"controllers"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
 		t.Fatal(err)
 	}
-	if len(cat.ControllerInfo) != len(cat.Controllers) {
-		t.Fatalf("controller_info has %d rows, controllers %d", len(cat.ControllerInfo), len(cat.Controllers))
-	}
-	want := map[string]bool{"phase-select": true, "coord-rl": false, "mumama": false, "bingo": true}
-	seen := map[string]bool{}
-	for _, info := range cat.ControllerInfo {
-		seen[info.Key] = true
-		if w, ok := want[info.Key]; ok && info.CoreLocal != w {
-			t.Errorf("catalog %q core_local = %v, want %v", info.Key, info.CoreLocal, w)
-		}
-	}
-	for key := range want {
-		if !seen[key] {
-			t.Errorf("catalog missing controller %q", key)
-		}
+	if got, want := strings.Join(cat.Controllers, ","), strings.Join(experiment.ControllerKeys, ","); got != want {
+		t.Errorf("catalog controllers = %s, want %s", got, want)
 	}
 }
 

@@ -525,10 +525,12 @@ func TestSweepPersistWriteFault(t *testing.T) {
 
 	_, sv := postSweep(t, ts, sweepGridJSON("wf", 3))
 	waitSweepDone(t, ts, sv.ID, 10*time.Second)
+	// The store writes behind the sweep: Close drains it, so the failed
+	// attempts are counted by the time it returns.
+	srv.Close()
 	if v := scrapeMetric(t, ts, "mama_server_sweep_persist_errors_total"); v < 1 {
 		t.Errorf("mama_server_sweep_persist_errors_total = %v, want >= 1", v)
 	}
-	srv.Close()
 	if files, _ := filepath.Glob(filepath.Join(dir, "sweeps", "*.json")); len(files) != 0 {
 		t.Errorf("sweep records written despite injected failures: %v", files)
 	}

@@ -157,24 +157,19 @@ type JobView struct {
 // Stats is the /v1/stats payload: monotonically increasing counters
 // plus instantaneous gauges.
 type Stats struct {
-	Submitted   uint64 `json:"submitted"`   // accepted POSTs (incl. cache/dedup hits)
-	Completed   uint64 `json:"completed"`   // jobs finished successfully
-	Failed      uint64 `json:"failed"`      // jobs finished with an error (incl. timeouts)
-	Panics      uint64 `json:"panics"`      // recovered panics inside job runs
-	Rejected    uint64 `json:"rejected"`    // 429s from queue overflow
-	CacheHits   uint64 `json:"cache_hits"`  // submissions satisfied by the result cache
-	DedupHits   uint64 `json:"dedup_hits"`  // submissions coalesced onto an in-flight job
-	Simulations uint64 `json:"simulations"` // RunMix executions actually performed
-	QueueDepth  int    `json:"queue_depth"` // jobs currently waiting
-	QueueCap    int    `json:"queue_cap"`   // queue capacity
-	Workers     int    `json:"workers"`     // worker-pool size
-	// SimParallelism is the resolved per-simulation goroutine budget
-	// (sim.Config.Parallelism) applied to every job: 0 = serial; with
-	// -sim-parallel=-1 this shows the auto-divided GOMAXPROCS/Workers
-	// outcome.
-	SimParallelism int `json:"sim_parallelism"`
-	CachedKeys     int `json:"cached_keys"`  // distinct results in the cache
-	JobsTracked    int `json:"jobs_tracked"` // jobs in the registry
+	Submitted   uint64 `json:"submitted"`    // accepted POSTs (incl. cache/dedup hits)
+	Completed   uint64 `json:"completed"`    // jobs finished successfully
+	Failed      uint64 `json:"failed"`       // jobs finished with an error (incl. timeouts)
+	Panics      uint64 `json:"panics"`       // recovered panics inside job runs
+	Rejected    uint64 `json:"rejected"`     // 429s from queue overflow
+	CacheHits   uint64 `json:"cache_hits"`   // submissions satisfied by the result cache
+	DedupHits   uint64 `json:"dedup_hits"`   // submissions coalesced onto an in-flight job
+	Simulations uint64 `json:"simulations"`  // RunMix executions actually performed
+	QueueDepth  int    `json:"queue_depth"`  // jobs currently waiting
+	QueueCap    int    `json:"queue_cap"`    // queue capacity
+	Workers     int    `json:"workers"`      // worker-pool size
+	CachedKeys  int    `json:"cached_keys"`  // distinct results in the cache
+	JobsTracked int    `json:"jobs_tracked"` // jobs in the registry
 	// Resilience state.
 	Draining         bool   `json:"draining"`          // shutdown in progress; submits get 503
 	CacheLoaded      uint64 `json:"cache_loaded"`      // entries restored from -cache-dir at startup

@@ -11,38 +11,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 
 	"micromama/internal/cache"
 	"micromama/internal/dram"
 	"micromama/internal/noc"
 )
-
-// EnvParallelism is the environment variable consulted by the binaries'
-// -sim-parallel flag defaults: an integer (0 = serial), or "auto" (-1),
-// which each binary resolves against its own concurrency budget
-// (mamasim: GOMAXPROCS; mamaserved: GOMAXPROCS divided by pool
-// workers).
-const EnvParallelism = "MAMA_SIM_PARALLEL"
-
-// ParallelismFromEnv returns the per-simulation parallelism requested
-// via MAMA_SIM_PARALLEL, or def when the variable is unset or
-// unparsable. "auto" maps to -1.
-func ParallelismFromEnv(def int) int {
-	v := os.Getenv(EnvParallelism)
-	if v == "" {
-		return def
-	}
-	if v == "auto" {
-		return -1
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
-}
 
 // Config describes the simulated system (paper Table 3 by default).
 type Config struct {
@@ -76,26 +49,14 @@ type Config struct {
 	// position.
 	AddrSpaceShift uint
 
-	// Parallelism bounds how many cores advance concurrently between
-	// epoch synchronization points (0 = serial, the reference path;
-	// 1-core systems always run serially). The parallel engine is
-	// bit-identical to the serial path by construction — shared
-	// LLC/DRAM access stays in canonical core order — so Parallelism is
-	// an execution-resource knob, not part of the simulated model: it
-	// is excluded from JSON marshaling and therefore from Fingerprint
-	// and server job keys. See docs/ARCHITECTURE.md, "Parallel
-	// epoch-synchronous core".
-	Parallelism int `json:"-"`
-
 	// WarmupInstructions, when non-zero, fast-forwards each core's
 	// trace by this many instructions in functional-warmup mode before
 	// timing starts: caches (L1I/L1D/L2/LLC) are populated content-only
 	// — no cycle accounting, no prefetching, no DRAM traffic — and all
 	// cache counters are reset afterwards, the ChampSim-style warmup
-	// that skips cold-start effects on long trace prefixes. Unlike
-	// Parallelism it changes simulated results, so it participates in
-	// Fingerprint (omitted when zero to keep existing fingerprints
-	// stable).
+	// that skips cold-start effects on long trace prefixes. It changes
+	// simulated results, so it participates in Fingerprint (omitted
+	// when zero to keep existing fingerprints stable).
 	WarmupInstructions uint64 `json:",omitempty"`
 }
 

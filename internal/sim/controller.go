@@ -23,22 +23,6 @@ type Controller interface {
 	OnL2Demand(core int, now uint64)
 }
 
-// CoreLocalController is implemented by controllers whose OnL2Demand
-// touches only state owned by the demanding core (or commutative
-// atomics), making it safe to invoke concurrently from per-core
-// goroutines. The parallel epoch engine (parallel.go) runs only under
-// such controllers; anything else — notably µMama, whose arbiter
-// mutates cross-core state and reads other cores' counters mid-epoch —
-// falls back to the serial path automatically. The report is a method,
-// not a bare marker, because eligibility can depend on configuration
-// (Bandit with a shared reward or timeline recording reads/writes
-// cross-core state and must decline).
-type CoreLocalController interface {
-	// CoreLocalDemand reports whether OnL2Demand is core-local under
-	// the controller's current configuration.
-	CoreLocalDemand() bool
-}
-
 // L1Provider is implemented by controllers that also control the L1D
 // prefetcher (the paper's §7 L1+L2 extension). Controllers that do not
 // implement it get the default ip_stride prefetcher in every L1D.
@@ -81,7 +65,3 @@ func (f *FixedController) Engine(core int) prefetch.Prefetcher { return f.engine
 
 // OnL2Demand implements Controller; fixed engines ignore timesteps.
 func (f *FixedController) OnL2Demand(core int, now uint64) {}
-
-// CoreLocalDemand implements CoreLocalController: a no-op demand hook
-// is trivially core-local.
-func (f *FixedController) CoreLocalDemand() bool { return true }

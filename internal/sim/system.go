@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"micromama/internal/cache"
 	"micromama/internal/dram"
@@ -38,12 +37,6 @@ type System struct {
 	epochEnd uint64 // upper cycle bound of the next epoch to run
 	epochs   uint64 // epochs completed
 	warmed   bool   // functional warmup already performed
-
-	// Parallel epoch engine (nil while on the serial path); see
-	// parallel.go.
-	par          *parRunner
-	parEpochs    uint64
-	pubParEpochs uint64
 
 	pubInstr  uint64 // totals already published to telemetry
 	pubEpochs uint64
@@ -134,19 +127,11 @@ const ctxCheckEpochs = 256
 // early and returns the partial Result alongside ctx.Err(). Callers
 // that need a hard per-job bound (the mamaserved worker pool) combine
 // this with context.WithTimeout.
-//
-// When Config.Parallelism admits it (see startParallel), per-core work
-// runs on worker goroutines between epoch boundaries; the result is
-// bit-identical to the serial path either way. The workers are retired
-// before RunContext returns, so a System driven this way never leaks
-// goroutines.
 func (s *System) RunContext(ctx context.Context, target uint64, maxCycles uint64) (Result, error) {
 	simRunsTotal.Inc()
 	simRunsActive.Add(1)
 	defer simRunsActive.Add(-1)
-	defer s.stopParallel()
 	s.functionalWarmup()
-	s.startParallel()
 	// Telemetry publication rides the existing context-poll cadence: a
 	// handful of atomic adds every ctxCheckEpochs epochs, nothing inside
 	// Core.advance itself.
@@ -170,14 +155,11 @@ func (s *System) RunContext(ctx context.Context, target uint64, maxCycles uint64
 
 // Advance is the chunked stepping API: it runs at most epochs further
 // simulation epochs toward target and reports whether every core has
-// now reached it. Unlike RunContext it neither publishes run telemetry
-// nor retires the parallel workers between calls — steady-state
-// stepping is allocation-free — so callers Close the system when done.
-// The first call performs functional warmup and spins up the parallel
-// engine if configured.
+// now reached it. Unlike RunContext it publishes no run telemetry, and
+// steady-state stepping is allocation-free. The first call performs
+// functional warmup.
 func (s *System) Advance(target uint64, epochs uint64) bool {
 	s.functionalWarmup()
-	s.startParallel()
 	for i := uint64(0); i < epochs; i++ {
 		if s.frozen >= len(s.cores) {
 			return true
@@ -187,50 +169,24 @@ func (s *System) Advance(target uint64, epochs uint64) bool {
 	return s.frozen >= len(s.cores)
 }
 
-// stepEpoch advances every core through one epoch — serially or on the
-// parallel runner — then performs the boundary work that must see all
-// cores quiescent. Both paths share this function, so their boundary
-// behavior is structurally identical.
+// stepEpoch advances every core through one epoch, in core order, then
+// performs the epoch-boundary work.
 func (s *System) stepEpoch(target uint64) {
-	if s.par != nil {
-		s.par.runEpoch(s.epochEnd, target)
-		s.parEpochs++
-	} else {
-		for _, c := range s.cores {
-			c.advance(s.epochEnd, target)
-		}
+	for _, c := range s.cores {
+		c.advance(s.epochEnd, target)
 	}
 	s.epochEnd += s.cfg.Epoch
 	s.epochs++
-	s.recountFrozen()
 	if s.epochs%bwSampleEpochs == 0 {
 		s.sampleBandwidth(s.epochEnd)
 	}
 }
 
-// recountFrozen refreshes the frozen-core count at an epoch boundary.
-// Freezing itself is core-local (advance may run off the owner
-// goroutine), so the count is recomputed here rather than incremented
-// at freeze time.
-func (s *System) recountFrozen() {
-	n := 0
-	for _, c := range s.cores {
-		if c.frozenAt != 0 {
-			n++
-		}
-	}
-	s.frozen = n
-}
-
-// Close ends the system's life: it retires the parallel engine's worker
-// goroutines, if running (RunContext does that much itself on every
-// exit path), and hands the cache arrays back for the next system of
-// the same geometry (cache.Release). Result and the stats accessors
-// still work afterwards; advancing a closed system panics. A system
-// that is never closed only costs the collector its arrays. Safe to
-// call repeatedly.
+// Close hands the cache arrays back for the next system of the same
+// geometry (cache.Release). Result and the stats accessors still work
+// afterwards; advancing a closed system panics. A system that is never
+// closed only costs the collector its arrays. Safe to call repeatedly.
 func (s *System) Close() {
-	s.stopParallel()
 	for _, c := range s.cores {
 		c.l1i.Release()
 		c.l1d.Release()
@@ -242,8 +198,7 @@ func (s *System) Close() {
 // functionalWarmup fast-forwards every core through
 // Config.WarmupInstructions in content-only mode, then clears the cache
 // counters so the timed region starts from warm arrays but zeroed
-// stats. Runs once, serially and in core order (so it is deterministic
-// and needs no arbitration), before the parallel engine starts.
+// stats. Runs once, in core order.
 func (s *System) functionalWarmup() {
 	if s.warmed || s.cfg.WarmupInstructions == 0 {
 		return
@@ -277,66 +232,6 @@ func (s *System) sampleBandwidth(now uint64) {
 		}
 	}
 }
-
-// startParallel spins up the parallel epoch engine when the
-// configuration and controller admit it; otherwise the system stays on
-// the serial reference path. Eligibility (see ParallelWorkers): at
-// least two cores and two effective workers (a 1-core system has
-// nothing to overlap, a 1-worker engine only adds barrier overhead), a
-// multi-proc host (GOMAXPROCS >= 2), and a controller that declares its
-// demand hook core-local (CoreLocalController) — controllers that
-// mutate cross-core state on demand accesses, like µMama's arbiter,
-// silently fall back to serial.
-func (s *System) startParallel() {
-	if s.par != nil || s.ParallelWorkers() == 0 {
-		return
-	}
-	s.par = newParRunner(s)
-	simParRunsTotal.Inc()
-}
-
-// stopParallel retires the worker goroutines and returns the system to
-// the serial path. Idempotent.
-func (s *System) stopParallel() {
-	if s.par == nil {
-		return
-	}
-	s.par.stop()
-	s.par = nil
-	for _, c := range s.cores {
-		c.par = nil
-	}
-}
-
-// ParallelWorkers reports the concurrency the parallel engine runs (or
-// would run) with; 0 means the serial reference path. Beyond the model
-// eligibility rules (>= 2 cores, core-local controller), the engine only
-// engages when it can actually win: an effective worker count of 1, or a
-// process capped at GOMAXPROCS(1), pays the epoch-barrier and channel
-// overhead with zero overlap — the BENCH_baseline regression that
-// motivated this guard showed 8c "parallel" 9% slower than serial on a
-// single-proc host.
-func (s *System) ParallelWorkers() int {
-	if s.cfg.Parallelism < 1 || len(s.cores) < 2 {
-		return 0
-	}
-	cl, ok := s.controller.(CoreLocalController)
-	if !ok || !cl.CoreLocalDemand() {
-		return 0
-	}
-	p := s.cfg.Parallelism
-	if p > len(s.cores) {
-		p = len(s.cores)
-	}
-	if p <= 1 || runtime.GOMAXPROCS(0) == 1 {
-		return 0
-	}
-	return p
-}
-
-// ParallelEpochs reports how many epochs the parallel engine has
-// executed (tests use this to assert which path actually ran).
-func (s *System) ParallelEpochs() uint64 { return s.parEpochs }
 
 // CoreResult reports one core's frozen-at-target statistics.
 type CoreResult struct {

@@ -16,10 +16,6 @@ var (
 		"Instructions committed across all cores of all simulations.")
 	simEpochsTotal = telemetry.Default().Counter("mama_sim_epochs_total",
 		"Simulation epochs advanced across all simulations.")
-	simParRunsTotal = telemetry.Default().Counter("mama_sim_parallel_runs_total",
-		"Simulations that started the parallel epoch engine.")
-	simParEpochsTotal = telemetry.Default().Counter("mama_sim_parallel_epochs_total",
-		"Simulation epochs executed by the parallel epoch engine.")
 	simPrefIssuedL1 = telemetry.Default().Counter("mama_sim_prefetches_issued_total",
 		"Prefetches issued, by cache level.", telemetry.L("level", "l1"))
 	simPrefIssuedL2 = telemetry.Default().Counter("mama_sim_prefetches_issued_total",
@@ -59,8 +55,7 @@ func (s *System) publishProgress() {
 	instr := s.committedInstructions()
 	simInstrTotal.Add(instr - s.pubInstr)
 	simEpochsTotal.Add(s.epochs - s.pubEpochs)
-	simParEpochsTotal.Add(s.parEpochs - s.pubParEpochs)
-	s.pubInstr, s.pubEpochs, s.pubParEpochs = instr, s.epochs, s.parEpochs
+	s.pubInstr, s.pubEpochs = instr, s.epochs
 }
 
 // finishRunTelemetry publishes end-of-run totals that are too expensive

@@ -151,7 +151,6 @@ func (s *Spec) SweepSpec() (sweep.Spec, []CellMeta, error) {
 type Row struct {
 	Rank       int     `json:"rank"`
 	Controller string  `json:"controller"`
-	CoreLocal  bool    `json:"core_local"`
 	Cells      int     `json:"cells"`
 	MeanWS     float64 `json:"mean_ws"`
 	MeanHS     float64 `json:"mean_hs"`
@@ -205,15 +204,10 @@ func (s *Spec) Aggregate(metas []CellMeta, results map[int]CellResult) *Report {
 		arenas[g][m.Controller] = res.WS
 	}
 
-	coreLocal := map[string]bool{}
-	for _, info := range experiment.ControllerCatalog() {
-		coreLocal[info.Key] = info.CoreLocal
-	}
-
 	rows := make([]Row, 0, len(s.Controllers))
 	for _, key := range s.Controllers {
 		a := byCtrl[key]
-		r := Row{Controller: key, CoreLocal: coreLocal[key], Cells: a.n}
+		r := Row{Controller: key, Cells: a.n}
 		if a.n > 0 {
 			n := float64(a.n)
 			r.MeanWS, r.MeanHS, r.MeanGM, r.MeanUnfair = a.ws/n, a.hs/n, a.gm/n, a.unfair/n
@@ -287,15 +281,11 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Controller tournament (scale %s, cores %v, %d seed replica(s))\n",
 		r.ScaleName, r.CoreCounts, r.Seeds)
-	fmt.Fprintf(&b, "%-4s %-16s %-9s %-6s %8s %8s %8s %8s %10s\n",
-		"rank", "controller", "parallel", "cells", "WS", "HS", "GM", "unfair", "W-L-T")
+	fmt.Fprintf(&b, "%-4s %-16s %-6s %8s %8s %8s %8s %10s\n",
+		"rank", "controller", "cells", "WS", "HS", "GM", "unfair", "W-L-T")
 	for _, row := range r.Rows {
-		par := "serial"
-		if row.CoreLocal {
-			par = "parallel"
-		}
-		fmt.Fprintf(&b, "%-4d %-16s %-9s %-6d %8.3f %8.3f %8.3f %8.3f %4d-%d-%d\n",
-			row.Rank, row.Controller, par, row.Cells,
+		fmt.Fprintf(&b, "%-4d %-16s %-6d %8.3f %8.3f %8.3f %8.3f %4d-%d-%d\n",
+			row.Rank, row.Controller, row.Cells,
 			row.MeanWS, row.MeanHS, row.MeanGM, row.MeanUnfair,
 			row.Wins, row.Losses, row.Ties)
 	}
@@ -351,7 +341,6 @@ func Run(ctx context.Context, r *experiment.Runner, spec Spec) (*Report, error) 
 		scale.Target = spec.Target
 		nr := experiment.NewRunner(scale)
 		nr.Workers = r.Workers
-		nr.SimParallelism = r.SimParallelism
 		nr.BaseCtx = r.BaseCtx
 		r = nr
 	}

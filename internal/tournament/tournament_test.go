@@ -99,13 +99,7 @@ func TestAggregateRanksAndPairwise(t *testing.T) {
 	if rep.Wins[0][2] != arenaCount || rep.Wins[2][0] != 0 {
 		t.Errorf("pairwise matrix wrong: %v", rep.Wins)
 	}
-	// PhaseSelect must be flagged parallel-eligible, bandit too, and
-	// the renderings must not be empty.
-	for _, row := range rep.Rows {
-		if (row.Controller == "phase-select" || row.Controller == "bandit") && !row.CoreLocal {
-			t.Errorf("%s not marked core-local", row.Controller)
-		}
-	}
+	// The renderings must not be empty.
 	if !strings.Contains(rep.String(), "Pairwise wins") {
 		t.Error("String() missing win matrix")
 	}

@@ -2,15 +2,11 @@
 // controller tournament driven end to end in one process, in seconds.
 //
 // It asserts, in order:
-//  1. Engine dispatch: a 2-core PhaseSelect simulation at parallelism 2
-//     runs on the parallel epoch path, while the identical CoordRL
-//     simulation falls back to serial (its coordination is cross-core
-//     by design).
-//  2. A tiny tournament (3 controllers × 2 mixes × 1 seed) submitted as
+//  1. A tiny tournament (3 controllers × 2 mixes × 1 seed) submitted as
 //     a sweep to an in-process mamaserved produces a complete
 //     leaderboard, and aggregating the same cell results twice yields
 //     the identical ranking (deterministic leaderboard).
-//  3. A restart over the same cache dir followed by a warm resubmission
+//  2. A restart over the same cache dir followed by a warm resubmission
 //     of the same cells completes with zero new simulations, and its
 //     leaderboard matches the cold one.
 package main
@@ -21,21 +17,18 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"time"
 
 	"micromama/internal/client"
 	"micromama/internal/experiment"
 	"micromama/internal/server"
-	"micromama/internal/sim"
 	"micromama/internal/sweep"
 	"micromama/internal/tournament"
-	"micromama/internal/workload"
 )
 
-// tournamentSpec is the 3×2×1 tournament: one core-local family
-// (phase-select), one serial-fallback family (coord-rl), and the
-// paper's bandit as the incumbent, over two tiny 2-core mixes.
+// tournamentSpec is the 3×2×1 tournament: a per-core family
+// (phase-select), a cross-core family (coord-rl), and the paper's
+// bandit as the incumbent, over two tiny 2-core mixes.
 func tournamentSpec() tournament.Spec {
 	scale := experiment.ScaleTiny
 	scale.MixCount = 2
@@ -47,59 +40,6 @@ func tournamentSpec() tournament.Spec {
 		Scale:       scale,
 		Target:      60_000,
 	}
-}
-
-// assertPaths pins the engine dispatch for the two new families by
-// running each directly at parallelism 2 on a 2-core system.
-func assertPaths() error {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// The parallel engine declines on single-proc hosts; the path
-		// assertion needs at least two.
-		runtime.GOMAXPROCS(2)
-	}
-	run := func(key string) (*sim.System, error) {
-		ctrl, err := experiment.MakeController(key, experiment.Options{Step: 150})
-		if err != nil {
-			return nil, err
-		}
-		var traces []string = []string{"spec06.libquantum", "spec06.mcf"}
-		mix := workload.Mix{}
-		for _, name := range traces {
-			sp, err := workload.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			mix.Specs = append(mix.Specs, sp)
-		}
-		cfg := sim.DefaultConfig(2)
-		cfg.Parallelism = 2
-		sys, err := sim.New(cfg, mix.Traces(), ctrl)
-		if err != nil {
-			return nil, err
-		}
-		sys.Run(60_000, 60_000*14)
-		return sys, nil
-	}
-
-	ps, err := run("phase-select")
-	if err != nil {
-		return fmt.Errorf("phase-select run: %w", err)
-	}
-	if ps.ParallelEpochs() == 0 {
-		return fmt.Errorf("phase-select ran 0 parallel epochs at parallelism 2 (workers %d); it must take the parallel path",
-			ps.ParallelWorkers())
-	}
-	cr, err := run("coord-rl")
-	if err != nil {
-		return fmt.Errorf("coord-rl run: %w", err)
-	}
-	if cr.ParallelEpochs() != 0 {
-		return fmt.Errorf("coord-rl ran %d parallel epochs; its cross-core coordination must fall back to serial",
-			cr.ParallelEpochs())
-	}
-	fmt.Printf("tournament-smoke: paths ok (phase-select parallel epochs %d, coord-rl 0)\n",
-		ps.ParallelEpochs())
-	return nil
 }
 
 // runTournament submits the tournament's cells as a sweep and returns
@@ -150,27 +90,10 @@ func checkReport(rep *tournament.Report, spec tournament.Spec) error {
 			return fmt.Errorf("%s mean WS = %g", row.Controller, row.MeanWS)
 		}
 	}
-	// The eligibility column must match the families' contracts.
-	for _, row := range rep.Rows {
-		switch row.Controller {
-		case "phase-select", "bandit":
-			if !row.CoreLocal {
-				return fmt.Errorf("%s not marked core-local in the leaderboard", row.Controller)
-			}
-		case "coord-rl":
-			if row.CoreLocal {
-				return fmt.Errorf("coord-rl marked core-local; it must not be")
-			}
-		}
-	}
 	return nil
 }
 
 func run() error {
-	if err := assertPaths(); err != nil {
-		return err
-	}
-
 	spec := tournamentSpec()
 	sweepSpec, metas, err := spec.SweepSpec()
 	if err != nil {
