@@ -46,9 +46,14 @@ race:
 # injection activated through the environment. The seeded slow-job fault stretches every 5th run to
 # shake out drain/timeout races; counter- and PRNG-based rules are
 # deterministic, so a red run reproduces exactly from the same seed.
+# The second line repeats the same-key tests (one content key wanted by
+# two sweeps, an interactive job, a thief — see samekey_test.go) twenty
+# times: what they pin depends on the schedule, so one pass proves little.
 chaos:
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
 		$(GO) test -race -count=1 ./internal/faultinject ./internal/server ./internal/client ./internal/sweep
+	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
+		$(GO) test -race -count=20 -run '^TestSameKey' ./internal/server
 
 # Ten seconds of coverage-guided fuzzing per target on the trace
 # layer's two parsers of untrusted shape: the run-length packer

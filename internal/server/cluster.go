@@ -20,13 +20,14 @@
 //     or stolen work) push the result back to the owner best-effort.
 //
 //   - Work stealing. An idle node polls busy peers for queued sweep
-//     cells. The victim dispatches through the sweep manager's own
-//     TryDequeue — which skips cached and inflight keys — so only
-//     same-key-absent work can be stolen and dedupe semantics survive.
-//     Stolen cells are tracked as leases on the victim; a thief that
-//     dies mid-cell simply lets the lease expire and the cell returns
-//     to pending. Results are bit-identical wherever they run, so a
-//     late report after an expired lease is still a valid cache fill.
+//     cells. The victim passes each dequeued ticket through the same
+//     admit step as its own workers — cached and in-flight keys never
+//     leave — and keeps the new job in its registry, running, under a
+//     lease: a submission of that key to the victim coalesces onto it.
+//     A thief that dies mid-cell simply lets the lease expire; the job
+//     fails and the cell returns to pending. Results are bit-identical
+//     wherever they run, so a late report after an expired lease is
+//     still a valid cache fill.
 package server
 
 import (
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,10 +46,11 @@ import (
 	"micromama/internal/telemetry"
 )
 
-// errPeerUnavailable marks a cell outcome caused by the owning peer
-// being unreachable, not by the simulation: the sweep manager treats it
-// as transient and the cell re-runs (locally, once the breaker opens).
-var errPeerUnavailable = errors.New("cluster: owning peer unavailable")
+// errPeerUnavailable marks a job outcome caused by the peer executing
+// it (the key's owner, or a thief) being unreachable or gone, not by the
+// simulation: settle hands the cell back as pending and it re-runs
+// (locally, once the breaker opens).
+var errPeerUnavailable = errors.New("cluster: executing peer unavailable")
 
 // clusterMetrics is the mama_cluster_* instrument set. Aggregate
 // counters feed /v1/stats; the per-peer series (label "peer") feed
@@ -131,15 +134,9 @@ func (cm *clusterMetrics) perPeer(name, help, peer string) {
 	cm.reg.Counter(name, help, telemetry.L("peer", peer)).Inc()
 }
 
-// leaseKey identifies one stolen cell on the victim.
-type leaseKey struct {
-	sweep string
-	index int
-}
-
-// stolenLease is the victim-side record of a cell handed to a thief.
+// stolenLease is the victim-side record of a job handed to a thief.
 type stolenLease struct {
-	t       sweep.Ticket
+	j       *job
 	peer    string
 	expires time.Time
 }
@@ -171,19 +168,15 @@ type clusterState struct {
 
 	mu       sync.Mutex
 	peerSem  map[string]chan struct{} // per-peer in-flight bound, created on demand
-	leases   map[leaseKey]*stolenLease
-	stealCur int        // round-robin cursor over peers
-	stealRng *rand.Rand // jitter source for steal backoff
+	leases   map[string]*stolenLease  // job key → the lease its job is out on
+	stealCur int                      // round-robin cursor over peers
+	stealRng *rand.Rand               // jitter source for steal backoff
 
 	wg sync.WaitGroup
 }
 
 func newClusterState(s *Server) *clusterState {
 	cfg := s.cfg
-	slots := cfg.RemoteSlots
-	if slots <= 0 {
-		slots = 4 * cfg.Workers
-	}
 	peerSlots := cfg.RemotePeerSlots
 	if peerSlots <= 0 {
 		peerSlots = cfg.Workers
@@ -206,13 +199,13 @@ func newClusterState(s *Server) *clusterState {
 		s:          s,
 		c:          cfg.Cluster,
 		m:          newClusterMetrics(s.reg),
-		sem:        make(chan struct{}, slots),
+		sem:        make(chan struct{}, 4*cfg.Workers),
 		peerSlots:  peerSlots,
 		stealEvery: stealEvery,
 		lease:      lease,
 		minPending: minPending,
 		peerSem:    make(map[string]chan struct{}),
-		leases:     make(map[leaseKey]*stolenLease),
+		leases:     make(map[string]*stolenLease),
 		stealRng:   rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	if cfg.Cluster.GossipEnabled() {
@@ -286,11 +279,8 @@ func (cs *clusterState) wait() {
 // synchronously by the cluster layer, possibly from a gossip loop or
 // any request goroutine that merged a piggybacked delta):
 //
-//   - Leases held by a confirmed-dead thief are requeued immediately
-//     instead of waiting out the lease clock. Deleting the lease under
-//     cs.mu before emitting the transient CellDone keeps the event
-//     exactly-once: the janitor and a late steal-done report both miss
-//     the deleted entry.
+//   - Leases held by a confirmed-dead thief are ended immediately
+//     instead of waiting out the lease clock (see endLeases).
 //
 //   - Anti-entropy repair runs in the background: every ring change
 //     moves some key ranges onto this node, so it batch-pulls the warm
@@ -301,27 +291,8 @@ func (cs *clusterState) onRingChange(ev cluster.ChangeEvent) {
 	cs.s.log.Info("cluster: membership changed",
 		"version", ev.Version, "members", len(ev.Members),
 		"joined", ev.Joined, "dead", ev.Dead)
-	if len(ev.Dead) > 0 {
-		dead := make(map[string]bool, len(ev.Dead))
-		for _, d := range ev.Dead {
-			dead[d] = true
-		}
-		var requeue []*stolenLease
-		cs.mu.Lock()
-		for k, l := range cs.leases {
-			if dead[l.peer] {
-				delete(cs.leases, k)
-				requeue = append(requeue, l)
-			}
-		}
-		cs.mu.Unlock()
-		for _, l := range requeue {
-			cs.m.deadRequeued.Inc()
-			cs.s.log.Warn("cluster: thief confirmed dead; re-queueing stolen cell",
-				"sweep", l.t.SweepID, "cell", l.t.Index, "thief", l.peer)
-			cs.s.sweeps.CellDone(l.t, nil, "thief confirmed dead", true)
-		}
-	}
+	cs.endLeases(cs.m.deadRequeued, "thief confirmed dead",
+		func(l *stolenLease) bool { return slices.Contains(ev.Dead, l.peer) })
 	if cs.s.isDraining() || cs.s.baseCtx.Err() != nil {
 		return
 	}
@@ -332,17 +303,26 @@ func (cs *clusterState) onRingChange(ev cluster.ChangeEvent) {
 	}()
 }
 
-// cellTimeout derives a ticket's execution deadline the same way
-// cellJob does.
-func (cs *clusterState) cellTimeout(t sweep.Ticket) time.Duration {
-	timeout := cs.s.cfg.DefaultTimeout
-	if t.TimeoutMs > 0 {
-		timeout = time.Duration(t.TimeoutMs) * time.Millisecond
-		if timeout > cs.s.cfg.MaxTimeout {
-			timeout = cs.s.cfg.MaxTimeout
+// endLeases ends every lease lost matches: the thief will not report,
+// so the leased job fails — waking anyone waiting on it — and its cell
+// returns to pending. Deleting the lease under cs.mu first keeps that
+// exactly-once: the janitor, a ring change and a late steal-done report
+// cannot all find the same entry.
+func (cs *clusterState) endLeases(counter *telemetry.Counter, why string, lost func(*stolenLease) bool) {
+	var ended []*stolenLease
+	cs.mu.Lock()
+	for k, l := range cs.leases {
+		if lost(l) {
+			delete(cs.leases, k)
+			ended = append(ended, l)
 		}
 	}
-	return timeout
+	cs.mu.Unlock()
+	for _, l := range ended {
+		counter.Inc()
+		cs.s.log.Warn("cluster: "+why+"; re-queueing stolen cell", "job", l.j.id, "thief", l.peer)
+		cs.s.finishJob(l.j, JobResult{}, fmt.Errorf("%w: %s", errPeerUnavailable, why), false)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -445,15 +425,6 @@ type cacheLookupResponse struct {
 	Results map[string]JobResult `json:"results"`
 }
 
-// storeResult inserts a result fetched from (or reported by) a peer
-// into the local cache and the write-behind mirror.
-func (cs *clusterState) storeResult(key string, res JobResult) {
-	cs.s.cache.put(key, res)
-	if cs.s.persist != nil {
-		cs.s.persist.enqueue(key, res)
-	}
-}
-
 // prefetchSweep resolves a sweep spec's cells and batch-fetches every
 // remote-owned key from its owner before admission, one RPC per peer.
 // Hits land in the local cache, so the sweep manager's admission-time
@@ -499,7 +470,7 @@ func (cs *clusterState) prefetchSweep(ctx context.Context, spec sweep.Spec) {
 			continue
 		}
 		for key, res := range out.Results {
-			cs.storeResult(key, res)
+			cs.s.storeResult(key, res)
 			cs.m.remoteHits.Inc()
 			cs.m.perPeer("mama_cluster_peer_remote_cache_hits_total",
 				"Results fetched from this peer's cache.", owner)
@@ -590,7 +561,7 @@ func (cs *clusterState) repairFrom(peer string) {
 				if _, ok := cs.s.cache.get(key); ok {
 					continue
 				}
-				cs.storeResult(key, res)
+				cs.s.storeResult(key, res)
 				cs.m.repairPulled.Inc()
 			}
 			if out.Next == "" {
@@ -683,22 +654,35 @@ func (cs *clusterState) writeBack(key string, res JobResult) {
 // Remote cell execution (ring-aware sweep dispatch)
 // ---------------------------------------------------------------------
 
-// tryRemote is the pool's dispatch hook: when a dequeued cell's key is
-// owned by a healthy peer and a remote slot is free, the cell executes
-// on its owner — the goroutine below only waits on HTTP, so the pool
-// worker that dequeued it immediately moves on to other work. This is
-// what lets one receiving node drive a whole cluster's worth of
-// compute. Returns false when the caller should execute locally.
-func (cs *clusterState) tryRemote(t sweep.Ticket) bool {
-	owner := cs.c.Owner(t.Key)
+// remoteSlot is a reservation to execute one job on the peer owning its
+// key: one of the node-wide slots and one of that peer's.
+type remoteSlot struct {
+	cs    *clusterState
+	owner string
+	peer  chan struct{}
+}
+
+// release frees the reservation; a nil slot (nothing reserved) is fine.
+func (r *remoteSlot) release() {
+	if r != nil {
+		<-r.cs.sem
+		<-r.peer
+	}
+}
+
+// reserve claims a remote slot for key when a healthy peer owns it, or
+// returns nil when the cell should run here: we own the key, the owner
+// is down, or the slots are taken.
+func (cs *clusterState) reserve(key string) *remoteSlot {
+	owner := cs.c.Owner(key)
 	if cs.c.IsSelf(owner) || !cs.c.Healthy(owner) {
-		return false
+		return nil
 	}
 	ps := cs.peerSlot(owner)
 	select {
 	case cs.sem <- struct{}{}:
 	default:
-		return false // all remote slots busy: local compute beats waiting
+		return nil // all remote slots busy: local compute beats waiting
 	}
 	select {
 	case ps <- struct{}{}:
@@ -707,79 +691,86 @@ func (cs *clusterState) tryRemote(t sweep.Ticket) bool {
 		// Running this one locally (or leaving it for a thief) beats
 		// serializing it in the busiest shard's queue.
 		<-cs.sem
-		return false
+		return nil
 	}
+	return &remoteSlot{cs: cs, owner: owner, peer: ps}
+}
+
+// runRemote executes a registered job on the owner that slot reserved.
+// The goroutine only waits on HTTP, so the pool worker that dequeued
+// the cell immediately moves on to other work — this is what lets one
+// receiving node drive a whole cluster's worth of compute.
+func (cs *clusterState) runRemote(slot *remoteSlot, j *job) {
+	j.markRunning()
 	// Remote executions ride the pool's WaitGroup, not cs.wg: they are
 	// admitted work, so a graceful drain must wait for them exactly like
-	// local runs. (The Add happens on a pool worker goroutine, so the
-	// counter is provably non-zero.)
+	// local runs. (The Add happens on a goroutine the pool is already
+	// waiting for, so the counter is provably non-zero.)
 	cs.s.pool.wg.Add(1)
 	go func() {
 		defer cs.s.pool.wg.Done()
-		cs.runRemoteCell(owner, t)
-		<-cs.sem
-		<-ps
+		res, err := cs.runRemoteCell(slot.owner, j)
+		cs.s.finishJob(j, res, err, false)
+		slot.release()
 		// Chain the next dispatch off this completion: local workers are
 		// typically mid-cell for tens of milliseconds, and waiting for
 		// one to come free would leave the owner's pool idle that long.
 		cs.dispatchNext()
 	}()
-	return true
 }
 
-// dispatchNext tries to push one more queued cell to its owning peer,
-// called when a remote slot frees up. A cell that is not remotely
-// dispatchable right now (self-owned, owner busy or unhealthy) is
-// returned to pending as transient — a local worker or a thief picks
-// it up; no terminal event is emitted.
+// dispatchNext pushes one more queued cell to its owning peer, called
+// when a remote slot frees up. A cell that is not remotely dispatchable
+// right now (self-owned, owner busy or unhealthy) never became a job:
+// its ticket goes straight back to pending for a local worker or a
+// thief. One that is already cached or running is settled by admitCell,
+// and the next is tried.
 func (cs *clusterState) dispatchNext() {
-	if cs.s.isDraining() || cs.s.baseCtx.Err() != nil {
-		return
+	for !cs.s.isDraining() && cs.s.baseCtx.Err() == nil {
+		t, ok := cs.s.sweeps.TryDequeue()
+		if !ok {
+			return
+		}
+		slot := cs.reserve(t.Key)
+		if slot == nil {
+			cs.s.sweeps.CellDone(t, sweep.CellPending, nil, "")
+			return
+		}
+		if j := cs.s.admitCell(t); j != nil {
+			cs.runRemote(slot, j)
+			return
+		}
+		slot.release()
 	}
-	t, ok := cs.s.sweeps.TryDequeue()
-	if !ok {
-		return
-	}
-	if cs.tryRemote(t) {
-		return
-	}
-	cs.s.sweeps.CellDone(t, nil, "not remotely dispatchable; requeued", true)
 }
 
-// runRemoteCell executes one sweep cell on its owning peer: submit the
-// equivalent job, wait for the result, feed the outcome back to the
-// sweep manager. Peer death at any point reports transient, returning
-// the cell to pending — after enough failures the owner's breaker
-// opens and the next dispatch runs locally.
-func (cs *clusterState) runRemoteCell(owner string, t sweep.Ticket) {
-	spec := specFromCell(t.Cell)
-	spec.TimeoutMs = t.TimeoutMs
-	body, err := json.Marshal(spec)
+// runRemoteCell executes one job on the peer owning its key: submit the
+// spec, wait for the result. Peer death at any point is reported as
+// errPeerUnavailable — after enough failures the owner's breaker opens
+// and the next dispatch runs locally.
+func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
+	fail := func(err error) (JobResult, error) {
+		if cs.s.baseCtx.Err() != nil {
+			err = context.Canceled // shutdown: the cell re-runs after restart
+		}
+		return JobResult{}, err
+	}
+	body, err := json.Marshal(j.spec)
 	if err != nil {
-		cs.s.cellDone(t, JobResult{}, fmt.Errorf("encode cell spec: %w", err))
-		return
+		return fail(fmt.Errorf("encode cell spec: %w", err))
 	}
 	// The deadline covers the remote queue wait plus the run itself;
 	// shutdown cancellation arrives through baseCtx.
-	ctx, cancel := context.WithTimeout(cs.s.baseCtx, cs.cellTimeout(t)+30*time.Second)
+	ctx, cancel := context.WithTimeout(cs.s.baseCtx, j.timeout+30*time.Second)
 	defer cancel()
-
-	fail := func(err error) {
-		if cs.s.baseCtx.Err() != nil {
-			err = context.Canceled // shutdown: transient, cell re-runs after restart
-		}
-		cs.s.cellDone(t, JobResult{}, err)
-	}
 
 	// Submit until admitted: 429/503 mean the owner is alive but
 	// saturated or restarting — waiting keeps the work on the node that
 	// owns the key, and the cluster is making progress meanwhile.
-	id := jobID(t.Key)
 	for {
 		code, _, err := cs.c.Do(ctx, owner, http.MethodPost, "/v1/jobs", body)
 		if err != nil {
-			fail(fmt.Errorf("%w: submit to %s: %v", errPeerUnavailable, owner, err))
-			return
+			return fail(fmt.Errorf("%w: submit to %s: %v", errPeerUnavailable, owner, err))
 		}
 		if code == http.StatusOK || code == http.StatusAccepted {
 			break
@@ -787,14 +778,12 @@ func (cs *clusterState) runRemoteCell(owner string, t sweep.Ticket) {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			select {
 			case <-ctx.Done():
-				fail(fmt.Errorf("%w: %s stayed saturated: %v", errPeerUnavailable, owner, ctx.Err()))
-				return
+				return fail(fmt.Errorf("%w: %s stayed saturated: %v", errPeerUnavailable, owner, ctx.Err()))
 			case <-time.After(500 * time.Millisecond):
 				continue
 			}
 		}
-		fail(fmt.Errorf("owner %s refused cell job: HTTP %d", owner, code))
-		return
+		return fail(fmt.Errorf("owner %s refused cell job: HTTP %d", owner, code))
 	}
 
 	// Wait for the result as a held request: the owner keeps it open
@@ -806,10 +795,9 @@ func (cs *clusterState) runRemoteCell(owner string, t sweep.Ticket) {
 	for {
 		asked := time.Now()
 		code, resp, err := cs.c.DoTimeout(ctx, owner, http.MethodGet,
-			"/v1/jobs/"+id+"/result"+waitQ, nil, wait+10*time.Second)
+			"/v1/jobs/"+j.id+"/result"+waitQ, nil, wait+10*time.Second)
 		if err != nil {
-			fail(fmt.Errorf("%w: result wait on %s: %v", errPeerUnavailable, owner, err))
-			return
+			return fail(fmt.Errorf("%w: result wait on %s: %v", errPeerUnavailable, owner, err))
 		}
 		switch {
 		case code == http.StatusAccepted:
@@ -823,33 +811,26 @@ func (cs *clusterState) runRemoteCell(owner string, t sweep.Ticket) {
 		case code == http.StatusOK:
 			var out resultBody
 			if err := json.Unmarshal(resp, &out); err != nil {
-				fail(fmt.Errorf("decode result from %s: %w", owner, err))
-				return
+				return fail(fmt.Errorf("decode result from %s: %w", owner, err))
 			}
 			switch out.Status {
 			case StatusDone:
 				if out.Result == nil {
-					fail(fmt.Errorf("owner %s reported done without a result", owner))
-					return
+					return fail(fmt.Errorf("owner %s reported done without a result", owner))
 				}
-				cs.storeResult(t.Key, *out.Result)
 				cs.m.remoteCells.Inc()
 				cs.m.perPeer("mama_cluster_peer_remote_cells_total",
 					"Sweep cells executed on this owning peer.", owner)
-				cs.s.cellDone(t, *out.Result, nil)
-				return
+				return *out.Result, nil
 			case StatusFailed:
-				cs.s.cellDone(t, JobResult{}, fmt.Errorf("remote cell failed on %s: %s", owner, out.Error))
-				return
+				return JobResult{}, fmt.Errorf("remote cell failed on %s: %s", owner, out.Error)
 			}
 		case code == http.StatusNotFound:
 			// The owner restarted without the job (no persistence there):
-			// transient, the next dispatch resubmits.
-			fail(fmt.Errorf("%w: %s lost job %s", errPeerUnavailable, owner, id))
-			return
+			// the next dispatch resubmits.
+			return fail(fmt.Errorf("%w: %s lost job %s", errPeerUnavailable, owner, j.id))
 		default:
-			fail(fmt.Errorf("owner %s answered HTTP %d waiting for %s", owner, code, id))
-			return
+			return fail(fmt.Errorf("owner %s answered HTTP %d waiting for %s", owner, code, j.id))
 		}
 	}
 }
@@ -1031,36 +1012,36 @@ func (cs *clusterState) stealFrom(peer string, max int) []stolenCellWire {
 	return out.Cells
 }
 
-// runStolen executes one stolen cell locally (through the normal job
-// path: registry entry, panic isolation, metrics, cache fill and
-// write-back to the key's owner) and reports the outcome to the victim.
+// runStolen executes one stolen cell here and reports the outcome to
+// the victim. The key goes through this node's own admit step (the
+// victim's ticket stays with the victim): a cached result is reported
+// without running, a key already in flight here is waited for, and a
+// new one runs through the normal job path — registry entry, panic
+// isolation, metrics, cache fill and write-back to the key's owner.
 func (cs *clusterState) runStolen(victim string, sc stolenCellWire) {
-	t := sweep.Ticket{SweepID: sc.Sweep, Index: sc.Index, Cell: sc.Cell, Key: sc.Key, TimeoutMs: sc.TimeoutMs}
+	j, how := cs.s.admitKey(sc.Key, sc.Cell, sc.TimeoutMs, nil)
+	if how == admitNew {
+		cs.s.pool.execute(-1, j)
+	}
+	select {
+	case <-j.done:
+	case <-cs.s.baseCtx.Done():
+	}
 	report := stealDoneRequest{Sweep: sc.Sweep, Index: sc.Index, Key: sc.Key}
-	if res, ok := cs.s.cache.get(sc.Key); ok {
-		// The thief already had the result (the victim could not know):
-		// the dedupe contract holds, nothing runs.
-		if raw, err := json.Marshal(res); err == nil {
-			report.Result = raw
-		}
-	} else {
-		j := cs.s.cellJob(t)
-		res, err := cs.s.pool.execute(-1, j)
-		if errors.Is(err, context.Canceled) && cs.s.baseCtx.Err() != nil {
-			// This thief is shutting down mid-cell: say nothing. The
-			// victim's lease janitor returns the cell to pending, and a
-			// live node computes it — reporting an error here would fail
-			// the cell permanently for a fault that is ours, not the
-			// simulation's.
-			return
-		}
+	if res, ok := j.resultSnapshot(); ok {
+		raw, err := json.Marshal(res)
 		if err != nil {
-			report.Error = err.Error()
-		} else if raw, merr := json.Marshal(res); merr == nil {
-			report.Result = raw
-		} else {
-			report.Error = fmt.Sprintf("encode stolen result: %v", merr)
+			report.Error = fmt.Sprintf("encode stolen result: %v", err)
 		}
+		report.Result = raw
+	} else if cs.s.baseCtx.Err() != nil {
+		// This thief is shutting down mid-cell: say nothing. The victim's
+		// lease janitor returns the cell to pending, and a live node
+		// computes it — reporting an error here would fail the cell
+		// permanently for a fault that is ours, not the simulation's.
+		return
+	} else {
+		report.Error = j.view().Error
 	}
 	cs.m.stealsOut.Inc()
 	cs.m.perPeer("mama_cluster_peer_steals_out_total",
@@ -1083,23 +1064,9 @@ func (cs *clusterState) janitorLoop() {
 		select {
 		case <-cs.s.baseCtx.Done():
 			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		var expired []*stolenLease
-		cs.mu.Lock()
-		for k, l := range cs.leases {
-			if now.After(l.expires) {
-				delete(cs.leases, k)
-				expired = append(expired, l)
-			}
-		}
-		cs.mu.Unlock()
-		for _, l := range expired {
-			cs.m.stealExpired.Inc()
-			cs.s.log.Warn("cluster: stolen cell lease expired; re-queueing",
-				"sweep", l.t.SweepID, "cell", l.t.Index, "thief", l.peer)
-			cs.s.sweeps.CellDone(l.t, nil, "steal lease expired", true)
+		case now := <-ticker.C:
+			cs.endLeases(cs.m.stealExpired, "steal lease expired",
+				func(l *stolenLease) bool { return now.After(l.expires) })
 		}
 	}
 }
@@ -1125,23 +1092,12 @@ func (cs *clusterState) gossipExchange(next http.Handler) http.Handler {
 }
 
 func (cs *clusterState) registerHandlers(mux *http.ServeMux) {
-	mux.HandleFunc("GET /internal/cache/{key}", cs.handleCacheGet)
 	mux.HandleFunc("PUT /internal/cache/{key}", cs.handleCachePut)
 	mux.HandleFunc("POST /internal/cache/lookup", cs.handleCacheLookup)
 	mux.HandleFunc("POST /internal/cache/pull", cs.handleCachePull)
 	mux.HandleFunc("POST /internal/steal", cs.handleSteal)
 	mux.HandleFunc("POST /internal/steal/done", cs.handleStealDone)
 	cs.c.RegisterGossipHandlers(mux)
-}
-
-func (cs *clusterState) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	res, ok := cs.s.cache.get(r.PathValue("key"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "not cached"})
-		return
-	}
-	cs.m.cacheServed.Inc()
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (cs *clusterState) handleCachePut(w http.ResponseWriter, r *http.Request) {
@@ -1151,7 +1107,7 @@ func (cs *clusterState) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad result: " + err.Error()})
 		return
 	}
-	cs.storeResult(r.PathValue("key"), res)
+	cs.s.storeResult(r.PathValue("key"), res)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1174,9 +1130,11 @@ func (cs *clusterState) handleCacheLookup(w http.ResponseWriter, r *http.Request
 
 // handleSteal is the victim side: hand out queued sweep cells when this
 // node has more pending work than its own pool will promptly absorb.
-// Dispatch goes through the sweep manager's TryDequeue, which skips
-// cached and inflight keys — a thief can only receive same-key-absent
-// work, preserving the cluster-wide at-most-once compute guarantee.
+// Every dequeued ticket passes the admit step first, so a thief only
+// receives keys that are neither cached nor in flight here, and what it
+// receives stays in this node's registry as a running job under a
+// lease — preserving the at-most-once compute guarantee against any
+// later submission of the same key.
 func (cs *clusterState) handleSteal(w http.ResponseWriter, r *http.Request) {
 	var req stealRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -1205,10 +1163,13 @@ func (cs *clusterState) handleSteal(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			break
 		}
-		cs.mu.Lock()
-		cs.leases[leaseKey{t.SweepID, t.Index}] = &stolenLease{
-			t: t, peer: thief, expires: time.Now().Add(cs.lease),
+		j := cs.s.admitCell(t)
+		if j == nil {
+			continue
 		}
+		j.markRunning()
+		cs.mu.Lock()
+		cs.leases[t.Key] = &stolenLease{j: j, peer: thief, expires: time.Now().Add(cs.lease)}
 		cs.mu.Unlock()
 		cs.m.stealsIn.Inc()
 		out.Cells = append(out.Cells, stolenCellWire{
@@ -1218,9 +1179,9 @@ func (cs *clusterState) handleSteal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleStealDone resolves a stolen-cell lease with the thief's
-// outcome. A report for an already-expired lease answers 410: the cell
-// was re-queued, but the attached result is still a valid cache fill
+// handleStealDone finishes a leased job with the thief's outcome. A
+// report for an already-expired lease answers 410: the cell was
+// re-queued, but the attached result is still a valid cache fill
 // (results are bit-identical wherever computed), so it is kept — the
 // re-queued cell then completes as deduped without running.
 func (cs *clusterState) handleStealDone(w http.ResponseWriter, r *http.Request) {
@@ -1230,27 +1191,25 @@ func (cs *clusterState) handleStealDone(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad steal report: " + err.Error()})
 		return
 	}
-	if len(req.Result) > 0 {
-		var res JobResult
-		if err := json.Unmarshal(req.Result, &res); err == nil {
-			cs.storeResult(req.Key, res)
-		}
+	var res JobResult
+	var err error
+	if req.Error != "" {
+		err = errors.New(req.Error)
+	} else if uerr := json.Unmarshal(req.Result, &res); uerr != nil {
+		err = fmt.Errorf("decode stolen result: %w", uerr)
 	}
 	cs.mu.Lock()
-	lease, ok := cs.leases[leaseKey{req.Sweep, req.Index}]
-	if ok {
-		delete(cs.leases, leaseKey{req.Sweep, req.Index})
-	}
+	lease, ok := cs.leases[req.Key]
+	delete(cs.leases, req.Key)
 	cs.mu.Unlock()
 	if !ok {
+		if err == nil {
+			cs.s.storeResult(req.Key, res)
+		}
 		writeJSON(w, http.StatusGone, errorBody{Error: "no such lease (expired or unknown)"})
 		return
 	}
-	if req.Error != "" {
-		cs.s.sweeps.CellDone(lease.t, nil, req.Error, false)
-	} else {
-		cs.s.sweeps.CellDone(lease.t, req.Result, "", false)
-	}
+	cs.s.finishJob(lease.j, res, err, false)
 	w.WriteHeader(http.StatusNoContent)
 }
 

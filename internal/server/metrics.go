@@ -1,6 +1,7 @@
 package server
 
 import (
+	"micromama/internal/persist"
 	"micromama/internal/telemetry"
 )
 
@@ -30,11 +31,7 @@ type serverMetrics struct {
 	rejectedDraining *telemetry.Counter
 
 	// Persistence (the -cache-dir write-behind mirror).
-	persistWrites      *telemetry.Counter // entries durably written
-	persistErrors      *telemetry.Counter // failed write attempts
-	persistDropped     *telemetry.Counter // write-behind queue overflows
-	persistLoaded      *telemetry.Counter // entries restored at startup
-	persistQuarantined *telemetry.Counter // corrupt entries renamed aside
+	persist persist.Metrics
 
 	// Latency. Wait = enqueue → worker pickup; run = pickup → finish.
 	waitSeconds *telemetry.Histogram
@@ -81,16 +78,7 @@ func newServerMetrics(r *telemetry.Registry, s *Server) *serverMetrics {
 			"Panics recovered inside job runs (the worker survived)."),
 		rejectedDraining: r.Counter("mama_server_jobs_rejected_draining_total",
 			"Job submissions refused with 503 because the server was draining."),
-		persistWrites: r.Counter("mama_server_cache_persist_writes_total",
-			"Result-cache entries durably written to the cache dir."),
-		persistErrors: r.Counter("mama_server_cache_persist_errors_total",
-			"Result-cache persistence writes that failed."),
-		persistDropped: r.Counter("mama_server_cache_persist_dropped_total",
-			"Write-behind entries dropped because the persist queue was full."),
-		persistLoaded: r.Counter("mama_server_cache_persist_loaded_total",
-			"Result-cache entries restored from the cache dir at startup."),
-		persistQuarantined: r.Counter("mama_server_cache_persist_quarantined_total",
-			"Corrupt or unreadable cache files quarantined at startup."),
+		persist: persist.NewMetrics(r, "mama_server_cache_persist", "result-cache entries"),
 		simulations: r.Counter("mama_server_simulations_total",
 			"RunMix simulations actually executed (cache misses that ran)."),
 		workersBusy: r.Gauge("mama_server_workers_busy",

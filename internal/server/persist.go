@@ -1,189 +1,50 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
-
 	"micromama/internal/faultinject"
+	"micromama/internal/persist"
 )
 
-// Fault-injection sites on the persistence path: write failures on the
-// write-behind goroutine and read failures during load-on-start (a read
-// fault is handled exactly like a corrupt file: quarantine, count,
-// continue).
+// Fault-injection sites on the result cache's disk mirror (see
+// persist.Options).
 var (
 	faultPersistWrite = faultinject.New("server/cache/persist-write")
 	faultPersistRead  = faultinject.New("server/cache/persist-read")
 )
 
-// persistEntry is the on-disk form of one cached result. Key is the
-// full content hash (also the file name) so a load can verify the entry
-// matches its file; a mismatch means tampering or a torn write and the
-// file is quarantined.
+// persistEntry is the on-disk form of one cached result, stored as
+// <CacheDir>/<key>.json. Key is the full content hash.
 type persistEntry struct {
 	Key    string    `json:"key"`
 	Result JobResult `json:"result"`
 }
 
-// persister is the crash-safe disk mirror of the result cache: a
-// write-behind goroutine serializes completed results into
-// <dir>/<key>.json with atomic tmp+rename writes, and load-on-start
-// repopulates the in-memory cache so a restart serves previously
-// simulated specs as cache hits. Corrupt, truncated, or mismatched
-// entries are quarantined (renamed aside, counted) rather than fatal:
-// the cache is a memo, so losing an entry costs one re-simulation while
-// dying on it costs the whole service.
-type persister struct {
-	dir  string
-	ch   chan persistEntry
-	done chan struct{}
-	once sync.Once
-	m    *serverMetrics
-	log  *slog.Logger
-}
-
-const persistQueueDepth = 1024
-
-// newPersister prepares dir and the write-behind queue (start launches
-// the writer; loadInto replays existing entries).
-func newPersister(dir string, m *serverMetrics, log *slog.Logger) (*persister, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cache dir: %w", err)
-	}
-	return &persister{
-		dir:  dir,
-		ch:   make(chan persistEntry, persistQueueDepth),
-		done: make(chan struct{}),
-		m:    m,
-		log:  log,
-	}, nil
-}
-
-// loadInto replays every persisted entry into c, quarantining anything
-// unreadable. Returns (loaded, quarantined).
-func (p *persister) loadInto(c *resultCache) (int, int) {
-	entries, err := os.ReadDir(p.dir)
+// openPersist opens the result cache's disk mirror and replays it into
+// the cache, so a restart serves previously simulated specs as hits.
+func (s *Server) openPersist() error {
+	st, err := persist.Open(persist.Options[persistEntry]{
+		Dir:        s.cfg.CacheDir,
+		What:       "result cache",
+		Key:        func(e persistEntry) string { return e.Key },
+		Metrics:    s.metrics.persist,
+		WriteFault: faultPersistWrite,
+		ReadFault:  faultPersistRead,
+		Logger:     s.log,
+	})
 	if err != nil {
-		// The directory was just created (or is unreadable); either way
-		// there is nothing to load and writes will surface real errors.
-		p.log.Warn("cache dir unreadable; starting cold", "dir", p.dir, "err", err)
-		return 0, 0
+		return err
 	}
-	loaded, quarantined := 0, 0
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(p.dir, name)
-		entry, err := p.readEntry(path, strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			p.quarantine(path, err)
-			quarantined++
-			continue
-		}
-		c.put(entry.Key, entry.Result)
-		loaded++
-	}
-	p.m.persistLoaded.Add(uint64(loaded))
-	if loaded > 0 || quarantined > 0 {
-		p.log.Info("result cache restored from disk",
-			"dir", p.dir, "loaded", loaded, "quarantined", quarantined)
-	}
-	return loaded, quarantined
+	st.Load(func(e persistEntry) { s.cache.put(e.Key, e.Result) })
+	s.persist = st
+	return nil
 }
 
-// readEntry reads and validates one persisted result file.
-func (p *persister) readEntry(path, wantKey string) (persistEntry, error) {
-	if faultPersistRead.Fire() {
-		return persistEntry{}, fmt.Errorf("faultinject: server/cache/persist-read")
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return persistEntry{}, err
-	}
-	var e persistEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		return persistEntry{}, fmt.Errorf("decode: %w", err)
-	}
-	if e.Key != wantKey {
-		return persistEntry{}, fmt.Errorf("entry key %q does not match file name", e.Key)
-	}
-	return e, nil
-}
-
-// quarantine renames a bad entry aside (path + ".quarantine") so it is
-// never retried but stays available for inspection, and counts it.
-func (p *persister) quarantine(path string, cause error) {
-	p.m.persistQuarantined.Inc()
-	dst := path + ".quarantine"
-	if err := os.Rename(path, dst); err != nil {
-		p.log.Error("quarantine rename failed", "file", path, "err", err)
-		return
-	}
-	p.log.Warn("quarantined corrupt cache entry", "file", path, "cause", cause)
-}
-
-// start launches the write-behind goroutine; it drains the queue until
-// close, so close doubles as a flush barrier.
-func (p *persister) start() {
-	go func() {
-		defer close(p.done)
-		for e := range p.ch {
-			p.write(e)
-		}
-	}()
-}
-
-// enqueue hands a completed result to the write-behind goroutine. It
-// never blocks job completion: if the queue is full the entry is
-// dropped (and counted) — the result stays served from memory and is
-// re-persisted only if re-simulated after a restart.
-func (p *persister) enqueue(key string, res JobResult) {
-	select {
-	case p.ch <- persistEntry{Key: key, Result: res}:
-	default:
-		p.m.persistDropped.Inc()
-		p.log.Warn("persist queue full; dropping write-behind entry", "key", key)
-	}
-}
-
-// write serializes one entry with an atomic tmp+rename so a crash
-// mid-write leaves either the old file or the new one, never a torn
-// entry. Failures are counted and logged, never propagated: persistence
-// is best-effort by design.
-func (p *persister) write(e persistEntry) {
-	err := func() error {
-		if faultPersistWrite.Fire() {
-			return fmt.Errorf("faultinject: server/cache/persist-write")
-		}
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		final := filepath.Join(p.dir, e.Key+".json")
-		tmp := final + ".tmp"
-		if err := os.WriteFile(tmp, b, 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, final)
-	}()
-	if err != nil {
-		p.m.persistErrors.Inc()
-		p.log.Error("cache persist write failed", "key", e.Key, "err", err)
-		return
-	}
-	p.m.persistWrites.Inc()
-}
-
-// close flushes the write-behind queue and stops the writer. Safe to
-// call more than once.
-func (p *persister) close() {
-	p.once.Do(func() { close(p.ch) })
-	<-p.done
+// storeResult is the one way a result enters this node: the in-memory
+// cache, then the write-behind mirror. finishJob calls it for every
+// execution; the fetch paths (sweep prefetch, anti-entropy repair, a
+// peer's write-back, a steal report that outlived its lease) call it
+// for results computed elsewhere.
+func (s *Server) storeResult(key string, res JobResult) {
+	s.cache.put(key, res)
+	s.persist.Save(persistEntry{Key: key, Result: res})
 }

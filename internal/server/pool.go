@@ -40,14 +40,20 @@ type job struct {
 	// coalesced submissions keep their own IDs in the access log but the
 	// worker-side lifecycle is logged under the creator's.
 	reqID string
+	// cell is the sweep ticket this job was registered for — the cell
+	// that runs. nil when an interactive submission created the job.
+	cell *sweep.Ticket
 
 	// done is closed when the job reaches a terminal status, letting
 	// long-poll result reads block on completion instead of re-reading
 	// the status on a timer.
 	done chan struct{}
 
-	mu         sync.Mutex
-	status     JobStatus
+	mu     sync.Mutex
+	status JobStatus
+	// riders are sweep tickets dequeued while this job was already queued
+	// or running: they wait on its outcome instead of simulating again.
+	riders     []sweep.Ticket
 	errMsg     string
 	result     *JobResult
 	cached     bool
@@ -56,9 +62,9 @@ type job struct {
 	finishedAt time.Time
 }
 
-func newJob(id, key string, spec JobSpec, timeout time.Duration, reqID string) *job {
+func newJob(id, key string, spec JobSpec, timeout time.Duration, reqID string, cell *sweep.Ticket) *job {
 	return &job{
-		id: id, key: key, spec: spec, timeout: timeout, reqID: reqID,
+		id: id, key: key, spec: spec, timeout: timeout, reqID: reqID, cell: cell,
 		status: StatusQueued, enqueuedAt: time.Now(),
 		done: make(chan struct{}),
 	}
@@ -83,6 +89,19 @@ func (j *job) currentStatus() JobStatus {
 	return j.status
 }
 
+// join reports the job's status and, if it is still queued or running,
+// adds t (when non-nil) to its riders. Status check and append share one
+// critical section with finish, so a rider is never added to a job that
+// has already handed its riders out.
+func (j *job) join(t *sweep.Ticket) JobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if t != nil && (j.status == StatusQueued || j.status == StatusRunning) {
+		j.riders = append(j.riders, *t)
+	}
+	return j.status
+}
+
 // markRunning flips the job to running and returns how long it waited
 // in the queue.
 func (j *job) markRunning() time.Duration {
@@ -94,8 +113,11 @@ func (j *job) markRunning() time.Duration {
 	return wait
 }
 
-func (j *job) finish(res JobResult, err error) {
+// finish moves the job to its terminal status, releases everything
+// blocked on done, and returns the riders it collected.
+func (j *job) finish(res JobResult, err error) []sweep.Ticket {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.finishedAt = time.Now()
 	if err != nil {
 		j.status = StatusFailed
@@ -104,12 +126,10 @@ func (j *job) finish(res JobResult, err error) {
 		j.status = StatusDone
 		j.result = &res
 	}
-	select {
-	case <-j.done:
-	default:
-		close(j.done)
-	}
-	j.mu.Unlock()
+	close(j.done)
+	riders := j.riders
+	j.riders = nil
+	return riders
 }
 
 // view snapshots the job for the API.
@@ -164,23 +184,19 @@ type runFunc func(ctx context.Context, spec JobSpec) (JobResult, error)
 // most one cell execution — a giant sweep cannot starve POST /v1/jobs
 // traffic beyond that bound.
 type pool struct {
-	run      runFunc
-	baseCtx  context.Context
+	run     runFunc
+	baseCtx context.Context
+	// onFinish receives every local run's outcome (Server.finishJob).
 	onFinish func(*job, JobResult, error)
 	m        *serverMetrics
 	log      *slog.Logger
 	wg       sync.WaitGroup
 
-	// Sweep dispatch: mgr hands out cells; cellJob materializes a cell
-	// into a registry-visible job; cellDone returns the outcome.
-	mgr      *sweep.Manager
-	cellJob  func(sweep.Ticket) *job
-	cellDone func(sweep.Ticket, JobResult, error)
-
-	// remote, when non-nil, may take a dequeued cell off this worker's
-	// hands and execute it on the peer owning its key (see cluster.go);
-	// the worker immediately moves on to other work.
-	remote *clusterState
+	// Sweep dispatch: mgr hands out tickets; runCell (Server.runCell)
+	// admits one and sees it to an execution venue, which may be this
+	// worker (it calls execute) or a peer (the worker moves on at once).
+	mgr     *sweep.Manager
+	runCell func(worker int, t sweep.Ticket)
 }
 
 // start launches n workers. Workers exit when q is closed and drained
@@ -215,7 +231,7 @@ func (p *pool) drainLoop(worker int, q *queue) {
 		default:
 		}
 		if t, ok := p.mgr.TryDequeue(); ok {
-			p.executeCell(worker, t)
+			p.runCell(worker, t)
 			continue
 		}
 		select {
@@ -229,28 +245,9 @@ func (p *pool) drainLoop(worker int, q *queue) {
 	}
 }
 
-// executeCell runs one sweep cell through the same execution path as an
-// interactive job (registry entry, panic isolation, metrics) and
-// reports the outcome back to the sweep manager.
-func (p *pool) executeCell(worker int, t sweep.Ticket) {
-	if faultSweepWorkerKill.Fire() {
-		// Simulate the worker dying mid-cell: the run never happens and
-		// the outcome is lost, exactly as if the process were killed. The
-		// manager treats it as transient and the cell returns to pending.
-		p.log.Warn("sweep cell abandoned: injected worker death",
-			"sweep", t.SweepID, "cell", t.Index, "worker", worker)
-		p.cellDone(t, JobResult{}, errWorkerKilled)
-		return
-	}
-	if p.remote != nil && p.remote.tryRemote(t) {
-		return // executing on the owning peer; outcome arrives via cellDone
-	}
-	j := p.cellJob(t)
-	res, err := p.execute(worker, j)
-	p.cellDone(t, res, err)
-}
-
-func (p *pool) execute(worker int, j *job) (JobResult, error) {
+// execute runs one registered job on this goroutine and hands the
+// outcome to onFinish.
+func (p *pool) execute(worker int, j *job) {
 	wait := j.markRunning()
 	p.m.waitSeconds.Observe(wait.Seconds())
 	p.m.workersBusy.Add(1)
@@ -269,14 +266,21 @@ func (p *pool) execute(worker int, j *job) (JobResult, error) {
 		err = fmt.Errorf("job exceeded its %v timeout: %w", j.timeout, err)
 	}
 	if err != nil {
+		p.m.jobsFailed.Inc()
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			p.m.jobsTimeout.Inc()
+		case errors.Is(err, context.Canceled):
+			p.m.jobsCancelled.Inc()
+		}
 		p.log.Warn("job failed", "req", j.reqID, "job", j.id, "worker", worker,
 			"ms", run.Milliseconds(), "err", err)
 	} else {
+		p.m.jobsCompleted.Inc()
 		p.log.Info("job finished", "req", j.reqID, "job", j.id, "worker", worker,
 			"ms", run.Milliseconds())
 	}
 	p.onFinish(j, res, err)
-	return res, err
 }
 
 // runIsolated executes one job with panic isolation: a panic anywhere

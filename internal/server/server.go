@@ -21,6 +21,7 @@ import (
 	"micromama/internal/dram"
 	"micromama/internal/experiment"
 	"micromama/internal/faultinject"
+	"micromama/internal/persist"
 	"micromama/internal/sim"
 	"micromama/internal/sweep"
 	"micromama/internal/telemetry"
@@ -84,10 +85,6 @@ type Config struct {
 	// pool before handing work to thieves (default Workers; negative
 	// means hand out everything that is queued).
 	StealMinPending int
-	// RemoteSlots bounds concurrent remote cell executions — cells being
-	// computed on their owning peers while local workers do other work
-	// (default 4 × Workers).
-	RemoteSlots int
 	// RemotePeerSlots bounds in-flight remote executions per owning
 	// peer (default Workers). Keeping it near the peers' own pool width
 	// is deliberate late binding: cells beyond it stay in this node's
@@ -133,14 +130,19 @@ type Server struct {
 	reg     *telemetry.Registry
 	metrics *serverMetrics
 
+	// jobs is the registry and the one keyed in-flight table: job ID
+	// (content-derived) → job. A key that is queued or running anywhere
+	// on this node's behalf — a local worker, the key's owner, a thief —
+	// has an entry here before its simulation starts, and admitLocked is
+	// the only way in.
 	mu   sync.Mutex
-	jobs map[string]*job // job ID -> job (registry; IDs are content-derived)
+	jobs map[string]*job
 
 	runnersMu sync.Mutex
 	runners   map[experiment.Scale]*experiment.Runner
 
 	// persist mirrors the result cache to disk; nil without CacheDir.
-	persist *persister
+	persist *persist.Store[persistEntry]
 
 	// sweeps orchestrates multi-cell experiment sweeps over the same
 	// worker pool (see internal/sweep); always non-nil.
@@ -179,14 +181,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(s.reg, s)
 	if cfg.CacheDir != "" {
-		p, err := newPersister(cfg.CacheDir, s.metrics, s.log)
-		if err != nil {
+		if err := s.openPersist(); err != nil {
 			cancel()
 			return nil, err
 		}
-		p.loadInto(s.cache)
-		p.start()
-		s.persist = p
 	}
 	// The sweep manager loads after the result cache (its resume pass
 	// reconciles persisted cell statuses against restored results) and
@@ -219,8 +217,8 @@ func New(cfg Config) (*Server, error) {
 		s.cl = newClusterState(s)
 	}
 	s.pool = &pool{
-		run: run, baseCtx: ctx, onFinish: s.finishJob, m: s.metrics, log: s.log,
-		mgr: mgr, cellJob: s.cellJob, cellDone: s.cellDone, remote: s.cl,
+		run: run, baseCtx: ctx, m: s.metrics, log: s.log, mgr: mgr, runCell: s.runCell,
+		onFinish: func(j *job, res JobResult, err error) { s.finishJob(j, res, err, true) },
 	}
 	s.pool.start(cfg.Workers, s.q)
 	if s.cl != nil {
@@ -285,11 +283,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// executions already drained with the pool.
 		s.cl.wait()
 	}
-	if s.persist != nil {
-		s.persist.close()
-	}
+	s.persist.Close()
 	// The sweep store closes only after the workers are gone, so the
-	// final CellDone mutations (including transient reverts to pending)
+	// final CellDone mutations (including cells handed back as pending)
 	// reach disk and the next process resumes from exact state.
 	s.sweeps.CloseStore()
 	s.log.Info("drain complete", "err", err)
@@ -306,9 +302,7 @@ func (s *Server) Close() {
 	if s.cl != nil {
 		s.cl.wait()
 	}
-	if s.persist != nil {
-		s.persist.close()
-	}
+	s.persist.Close()
 	s.sweeps.CloseStore()
 }
 
@@ -427,47 +421,80 @@ func (s *Server) simulate(ctx context.Context, spec JobSpec) (JobResult, error) 
 	return out, nil
 }
 
-// finishJob records a worker's outcome: successful results enter the
-// content-addressed cache before the job flips to done, so a cache miss
-// followed by a registry hit can never observe a done job without a
-// cached result.
-func (s *Server) finishJob(j *job, res JobResult, err error) {
+// finishJob is where every execution ends, wherever it ran: a local
+// worker, the key's owner, a thief reporting back, or a lease that
+// expired. A successful result enters the content-addressed cache
+// before the job flips to done, so a cache miss followed by a registry
+// hit can never observe a done job without a cached result; held
+// ?wait= requests are released; then every sweep cell waiting on the
+// job is settled. ranHere says this node simulated the result: only
+// then is it pushed to the key's owner (a result that came from the
+// owner, or from a thief that has already written it back, is not).
+func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) {
 	if err == nil {
-		s.cache.put(j.key, res)
-		if s.persist != nil {
-			s.persist.enqueue(j.key, res)
-		}
-		if s.cl != nil {
-			// Degraded or stolen work computed off-owner: make the result
-			// findable cluster-wide by pushing it to the key's owner.
+		s.storeResult(j.key, res)
+		if ranHere && s.cl != nil {
 			s.cl.writeBack(j.key, res)
 		}
-		s.metrics.jobsCompleted.Inc()
-	} else {
-		s.metrics.jobsFailed.Inc()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.metrics.jobsTimeout.Inc()
-		case errors.Is(err, context.Canceled):
-			s.metrics.jobsCancelled.Inc()
-		}
 	}
-	j.finish(res, err)
-	// Resolve sweep cells parked on this key (an interactive run of the
-	// same content address): success dedupes them, failure sends them
-	// back to their queues for their own attempt. Keys the sweep manager
-	// dispatched itself are ignored here — cellDone covers those.
-	if err == nil {
-		if raw, merr := json.Marshal(res); merr == nil {
-			s.sweeps.OnResult(j.key, raw, "")
-		}
-	} else {
-		s.sweeps.OnResult(j.key, nil, err.Error())
-	}
+	s.settle(j.cell, j.finish(res, err), res, err)
 }
 
-// submit admits one job: cache hit → done immediately; identical job
-// already queued or running → coalesce onto it (singleflight); queue
+// jobTimeout is the one rule for a job's execution deadline: the
+// requested timeout_ms clamped to MaxTimeout, DefaultTimeout when unset.
+func (s *Server) jobTimeout(ms int64) time.Duration {
+	if ms <= 0 {
+		return s.cfg.DefaultTimeout
+	}
+	return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
+}
+
+// admission is how admitLocked disposed of a key.
+type admission int
+
+const (
+	admitHit      admission = iota // cached: the returned job is done
+	admitAttached                  // queued or running: joined that job
+	admitNew                       // registered a new job; someone owes it an execution
+	admitRefused                   // enqueue only: the queue is full, nothing registered
+)
+
+// admitLocked is the one admit step (s.mu held), serving interactive
+// submissions and every dequeued sweep ticket alike: a key that is
+// queued or running takes the caller onto its job (t, when non-nil,
+// rides on it); a cached key is answered with a done job; anything else
+// registers a new job. The registry is checked before the cache because
+// a job flips to done only after its result is cached — in this order
+// no key can be seen as neither. With enqueue the new job goes onto the
+// interactive queue (or is refused when that is full); without, the
+// caller executes it.
+func (s *Server) admitLocked(key string, spec JobSpec, reqID string, t *sweep.Ticket, enqueue bool) (*job, admission) {
+	id := jobID(key)
+	j, known := s.jobs[id]
+	var st JobStatus
+	if known {
+		if st = j.join(t); st == StatusQueued || st == StatusRunning {
+			return j, admitAttached
+		}
+	}
+	if res, ok := s.cache.get(key); ok {
+		if st != StatusDone {
+			j = doneJob(id, key, spec, res)
+			s.jobs[id] = j
+		}
+		return j, admitHit
+	}
+	// Never seen, or failed: a failed job is retried by resubmission.
+	j = newJob(id, key, spec, s.jobTimeout(spec.TimeoutMs), reqID, t)
+	if enqueue && !s.q.tryPush(j) {
+		return nil, admitRefused
+	}
+	s.jobs[id] = j
+	return j, admitNew
+}
+
+// submit admits one interactive job: cache hit → done immediately;
+// identical job already queued or running → coalesce onto it; queue
 // full or draining → reject. Returns the job and the HTTP status to
 // answer with.
 func (s *Server) submit(spec JobSpec) (*job, int, error) {
@@ -479,14 +506,6 @@ func (s *Server) submit(spec JobSpec) (*job, int, error) {
 		}
 		return nil, status, err
 	}
-	timeout := s.cfg.DefaultTimeout
-	if p.spec.TimeoutMs > 0 {
-		timeout = time.Duration(p.spec.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-
 	reqID := telemetry.NewRequestID(p.id)
 
 	s.mu.Lock()
@@ -501,56 +520,28 @@ func (s *Server) submit(spec JobSpec) (*job, int, error) {
 			fmt.Errorf("server is draining; retry against a healthy instance")
 	}
 
-	// Content-addressed fast path: an identical job already finished.
-	if res, ok := s.cache.get(p.key); ok {
-		j, ok := s.jobs[p.id]
-		if !ok || j.currentStatus() != StatusDone {
-			j = doneJob(p.id, p.key, p.spec, res)
-			s.jobs[p.id] = j
-		}
-		s.metrics.cacheHits.Inc()
-		s.metrics.jobsSubmitted.Inc()
-		s.log.Info("job submitted", "req", reqID, "job", j.id, "outcome", "cache_hit",
-			"mix", j.spec.Mix, "ctrl", j.spec.Controller)
-		return j, http.StatusOK, nil
-	}
-
-	// Singleflight: an identical job is queued or running — share it.
-	if j, ok := s.jobs[p.id]; ok {
-		switch j.currentStatus() {
-		case StatusQueued, StatusRunning:
-			s.metrics.dedupHits.Inc()
-			s.metrics.jobsSubmitted.Inc()
-			s.log.Info("job submitted", "req", reqID, "job", j.id, "outcome", "dedup",
-				"mix", j.spec.Mix, "ctrl", j.spec.Controller)
-			return j, http.StatusAccepted, nil
-		case StatusDone:
-			// Completed between the cache check and here, or a stale
-			// pre-cache entry; serve it as a cache hit.
-			s.metrics.cacheHits.Inc()
-			s.metrics.jobsSubmitted.Inc()
-			s.log.Info("job submitted", "req", reqID, "job", j.id, "outcome", "cache_hit",
-				"mix", j.spec.Mix, "ctrl", j.spec.Controller)
-			return j, http.StatusOK, nil
-		case StatusFailed:
-			// Fall through: a failed job is retried by resubmission.
-		}
-	}
-
-	j := newJob(p.id, p.key, p.spec, timeout, reqID)
-	if !s.q.tryPush(j) {
+	j, how := s.admitLocked(p.key, p.spec, reqID, nil, true)
+	status, outcome := http.StatusAccepted, "queued"
+	switch how {
+	case admitRefused:
 		s.metrics.jobsRejected.Inc()
 		s.log.Warn("job rejected", "req", reqID, "job", p.id,
 			"queue_depth", s.q.depth(), "queue_cap", s.q.cap())
 		return nil, http.StatusTooManyRequests,
 			fmt.Errorf("queue full (%d jobs waiting); retry later", s.q.depth())
+	case admitHit:
+		s.metrics.cacheHits.Inc()
+		status, outcome = http.StatusOK, "cache_hit"
+	case admitAttached:
+		s.metrics.dedupHits.Inc()
+		outcome = "dedup"
+	case admitNew:
+		s.metrics.cacheMisses.Inc()
 	}
-	s.jobs[p.id] = j
-	s.metrics.cacheMisses.Inc()
 	s.metrics.jobsSubmitted.Inc()
-	s.log.Info("job submitted", "req", reqID, "job", j.id, "outcome", "queued",
+	s.log.Info("job submitted", "req", reqID, "job", j.id, "outcome", outcome,
 		"mix", j.spec.Mix, "ctrl", j.spec.Controller, "queue_depth", s.q.depth())
-	return j, http.StatusAccepted, nil
+	return j, status, nil
 }
 
 // jobByID returns the registry entry for a job ID.
@@ -588,8 +579,8 @@ func (s *Server) Stats() Stats {
 		CachedKeys:       s.cache.size(),
 		JobsTracked:      tracked,
 		Draining:         s.isDraining(),
-		CacheLoaded:      m.persistLoaded.Value(),
-		CacheQuarantined: m.persistQuarantined.Value(),
+		CacheLoaded:      m.persist.Loaded.Value(),
+		CacheQuarantined: m.persist.Quarantined.Value(),
 		Sweeps:           s.sweeps.Counts(),
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"micromama/internal/faultinject"
 	"micromama/internal/sweep"
@@ -17,15 +16,9 @@ import (
 
 // faultSweepWorkerKill simulates a worker dying while holding a sweep
 // cell: the dispatched run is abandoned before it starts and its
-// outcome is lost. The sweep manager classifies it as transient, so
-// the cell returns to pending — the same path a real crash exercises
-// through persistence and resume.
+// outcome is lost, so the ticket goes back to the manager as pending —
+// the same path a real crash exercises through persistence and resume.
 var faultSweepWorkerKill = faultinject.New("server/sweep/worker-kill")
-
-// errWorkerKilled marks an abandoned cell run (see
-// faultSweepWorkerKill); the sweep manager re-queues rather than fails
-// these.
-var errWorkerKilled = errors.New("worker killed mid-cell (injected fault)")
 
 // specFromCell maps a sweep cell onto the interactive job spec it is
 // equivalent to. The mapping is field-for-field, which is what makes a
@@ -45,9 +38,8 @@ func specFromCell(c sweep.Cell) JobSpec {
 }
 
 // sweepExec adapts the Server into the sweep manager's execution
-// backend: cell resolution through the canonical job hash, result
-// lookups against the content-addressed cache, and inflight checks
-// against the job registry.
+// backend: cell resolution through the canonical job hash and result
+// lookups against the content-addressed cache.
 type sweepExec struct{ s *Server }
 
 func (e sweepExec) ResolveCell(c sweep.Cell) (string, error) {
@@ -70,56 +62,92 @@ func (e sweepExec) CachedResult(key string) (json.RawMessage, bool) {
 	return raw, true
 }
 
-func (e sweepExec) InflightKey(key string) bool {
-	j, ok := e.s.jobByID(jobID(key))
-	if !ok {
-		return false
+// runCell sees one dequeued ticket to an execution venue: this worker,
+// or (clustered) the peer that owns its key, in which case the worker
+// moves on at once. A ticket whose key is already cached or running
+// never gets that far — admitCell answers or attaches it.
+func (s *Server) runCell(worker int, t sweep.Ticket) {
+	if faultSweepWorkerKill.Fire() {
+		s.log.Warn("sweep cell abandoned: injected worker death",
+			"sweep", t.SweepID, "cell", t.Index, "worker", worker)
+		s.sweeps.CellDone(t, sweep.CellPending, nil, "")
+		return
 	}
-	st := j.currentStatus()
-	return st == StatusQueued || st == StatusRunning
+	var slot *remoteSlot
+	if s.cl != nil {
+		slot = s.cl.reserve(t.Key)
+	}
+	switch j := s.admitCell(t); {
+	case j == nil:
+		slot.release()
+	case slot != nil:
+		s.cl.runRemote(slot, j)
+	default:
+		s.pool.execute(worker, j)
+	}
 }
 
-// cellJob materializes a dispatched sweep cell as a registry-visible
-// job, so GET /v1/jobs/{id} works on sweep work and interactive
-// submissions of the same spec coalesce onto it instead of re-running.
-func (s *Server) cellJob(t sweep.Ticket) *job {
-	spec := specFromCell(t.Cell)
-	spec.TimeoutMs = t.TimeoutMs
+// admitKey runs the admit step for a sweep cell's key — t is the ticket
+// to attach, nil when the cell is another node's (a stolen one) — so the
+// key is in the job registry before its simulation starts anywhere.
+func (s *Server) admitKey(key string, c sweep.Cell, timeoutMs int64, t *sweep.Ticket) (*job, admission) {
+	spec := specFromCell(c)
+	spec.TimeoutMs = timeoutMs
 	spec.normalize()
-	timeout := s.cfg.DefaultTimeout
-	if t.TimeoutMs > 0 {
-		timeout = time.Duration(t.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	id := jobID(t.Key)
-	j := newJob(id, t.Key, spec, timeout, telemetry.NewRequestID(id))
 	s.mu.Lock()
-	if existing, ok := s.jobs[id]; !ok ||
-		existing.currentStatus() == StatusDone || existing.currentStatus() == StatusFailed {
-		s.jobs[id] = j
-	}
-	s.mu.Unlock()
-	return j
+	defer s.mu.Unlock()
+	return s.admitLocked(key, spec, telemetry.NewRequestID(jobID(key)), t, false)
 }
 
-// cellDone reports a cell's outcome to the sweep manager. Shutdown
-// cancellation and injected worker death are transient — the cell
-// returns to pending and re-runs (after restart, for drain) — while
-// timeouts and simulation errors fail the cell.
-func (s *Server) cellDone(t sweep.Ticket, res JobResult, err error) {
-	if err == nil {
-		raw, merr := json.Marshal(res)
-		if merr == nil {
-			s.sweeps.CellDone(t, raw, "", false)
-			return
-		}
-		err = fmt.Errorf("encode result: %w", merr)
+// admitCell admits a dequeued ticket. It returns the new job the caller
+// now owes an execution, or nil when there is nothing to run: the
+// result was cached (the cell completes as deduped here) or an
+// identical job is queued or running (the ticket rides on it and
+// finishJob settles it).
+func (s *Server) admitCell(t sweep.Ticket) *job {
+	j, how := s.admitKey(t.Key, t.Cell, t.TimeoutMs, &t)
+	switch how {
+	case admitNew:
+		return j
+	case admitHit:
+		res, _ := j.resultSnapshot()
+		s.settle(nil, []sweep.Ticket{t}, res, nil)
 	}
-	transient := errors.Is(err, context.Canceled) || errors.Is(err, errWorkerKilled) ||
-		errors.Is(err, errPeerUnavailable)
-	s.sweeps.CellDone(t, nil, err.Error(), transient)
+	return nil
+}
+
+// settle reports one outcome to the sweep cells waiting on it: ran is
+// the ticket whose job executed (nil when an interactive job or the
+// cache produced the outcome), riders the tickets that joined it. On
+// success ran is done and the riders deduped, all carrying the same
+// bytes. A failure belongs to ran alone: the riders were never
+// attempted, so each goes back for its own run. Shutdown and a lost
+// peer are nobody's failure — ran goes back too and re-runs on the next
+// dispatch or after restart.
+func (s *Server) settle(ran *sweep.Ticket, riders []sweep.Ticket, res JobResult, err error) {
+	if ran == nil && len(riders) == 0 {
+		return
+	}
+	ranAs, rideAs, msg := sweep.CellDone, sweep.CellDeduped, ""
+	var raw json.RawMessage
+	if err == nil {
+		var merr error
+		if raw, merr = json.Marshal(res); merr != nil {
+			// Re-running cannot fix an unencodable result; fail everyone.
+			ranAs, rideAs, msg = sweep.CellFailed, sweep.CellFailed, "encode result: "+merr.Error()
+		}
+	} else {
+		ranAs, rideAs, msg = sweep.CellFailed, sweep.CellPending, err.Error()
+		if errors.Is(err, context.Canceled) || errors.Is(err, errPeerUnavailable) {
+			ranAs = sweep.CellPending
+		}
+	}
+	if ran != nil {
+		s.sweeps.CellDone(*ran, ranAs, raw, msg)
+	}
+	for _, t := range riders {
+		s.sweeps.CellDone(t, rideAs, raw, msg)
+	}
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {

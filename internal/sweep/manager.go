@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sort"
 	"sync"
 	"time"
 
+	"micromama/internal/persist"
 	"micromama/internal/telemetry"
 )
 
@@ -24,11 +26,6 @@ type Exec interface {
 	// CachedResult returns the cached result for a job key, encoded as
 	// the API's JSON result object.
 	CachedResult(key string) (json.RawMessage, bool)
-	// InflightKey reports whether the backend is already running (or has
-	// queued) an interactive job with this key. Cells for such keys park
-	// instead of dispatching a duplicate simulation; the backend reports
-	// the outcome through OnResult.
-	InflightKey(key string) bool
 }
 
 // Config tunes a Manager. Zero values select defaults.
@@ -49,20 +46,16 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Ticket is one dispatched cell: the manager's claim check that the
-// executing worker returns through CellDone.
+// Ticket is one dispatched cell: the manager's claim check, which the
+// backend returns through CellDone. The manager does not know which
+// keys are running — the backend's job registry does, and it may make
+// several tickets wait on one execution.
 type Ticket struct {
 	SweepID   string
 	Index     int
 	Cell      Cell
 	Key       string
 	TimeoutMs int64
-}
-
-// cellRef names one cell of one sweep.
-type cellRef struct {
-	sweep string
-	index int
 }
 
 // state is the in-memory authority for one sweep.
@@ -121,7 +114,7 @@ type metrics struct {
 	cellsDeduped  *telemetry.Counter
 	cellsDone     *telemetry.Counter
 	cellsFailed   *telemetry.Counter
-	store         storeMetrics
+	store         persist.Metrics
 }
 
 func newMetrics(r *telemetry.Registry, mgr *Manager) *metrics {
@@ -138,16 +131,7 @@ func newMetrics(r *telemetry.Registry, mgr *Manager) *metrics {
 			"Sweep cells that ran to a successful result."),
 		cellsFailed: r.Counter("mama_server_sweep_cells_failed_total",
 			"Sweep cells that finished with an error."),
-		store: storeMetrics{
-			writes: r.Counter("mama_server_sweep_persist_writes_total",
-				"Sweep records durably written to the sweep dir."),
-			errors: r.Counter("mama_server_sweep_persist_errors_total",
-				"Sweep record writes that failed."),
-			loaded: r.Counter("mama_server_sweep_persist_loaded_total",
-				"Sweep records restored from the sweep dir at startup."),
-			quarantined: r.Counter("mama_server_sweep_persist_quarantined_total",
-				"Corrupt or unreadable sweep records quarantined at startup."),
-		},
+		store: persist.NewMetrics(r, "mama_server_sweep_persist", "sweep records"),
 	}
 	r.GaugeFunc("mama_server_sweeps_active",
 		"Sweeps with cells still pending or running.",
@@ -187,15 +171,13 @@ type Manager struct {
 	mu       sync.Mutex
 	sweeps   map[string]*state
 	sched    *sched
-	inflight map[string]cellRef   // job key → the cell currently dispatched for it
-	parked   map[string][]cellRef // job key → pending cells waiting on that dispatch
-	notify   chan struct{}        // closed and replaced whenever any event log grows
+	notify   chan struct{} // closed and replaced whenever any event log grows
 	draining bool
 
 	wake    chan struct{} // cap 1; pokes the server's dispatcher
 	drainCh chan struct{} // closed once Drain begins; ends follow-streams
 
-	store *store // nil without Config.Dir
+	store *persist.Store[record] // nil without Config.Dir
 }
 
 // New builds a Manager and, when Config.Dir is set, restores persisted
@@ -226,22 +208,26 @@ func New(cfg Config) (*Manager, error) {
 		reg:         cfg.Registry,
 		sweeps:      make(map[string]*state),
 		sched:       newSched(),
-		inflight:    make(map[string]cellRef),
-		parked:      make(map[string][]cellRef),
 		notify:      make(chan struct{}),
 		wake:        make(chan struct{}, 1),
 		drainCh:     make(chan struct{}),
 	}
 	mgr.m = newMetrics(cfg.Registry, mgr)
 	if cfg.Dir != "" {
-		st, err := newStore(cfg.Dir, mgr.m.store, cfg.Logger)
+		st, err := persist.Open(persist.Options[record]{
+			Dir:        cfg.Dir,
+			What:       "sweep state",
+			Key:        func(rec record) string { return rec.ID },
+			Metrics:    mgr.m.store,
+			WriteFault: faultSweepPersistWrite,
+			ReadFault:  faultSweepPersistRead,
+			Logger:     cfg.Logger,
+		})
 		if err != nil {
 			return nil, err
 		}
 		mgr.store = st
-		for _, rec := range st.load() {
-			mgr.resume(rec)
-		}
+		st.Load(mgr.resume)
 	}
 	return mgr, nil
 }
@@ -432,153 +418,62 @@ func (mgr *Manager) registerDepthGauge(id string) {
 }
 
 // TryDequeue hands the dispatcher the next cell under weighted round-
-// robin, or ok=false when nothing is dispatchable. Cells whose result
-// appeared in the cache since admission complete as deduped without
-// dispatch; cells whose key is already running (here or in another
-// sweep) park until that run finishes.
+// robin and marks it running, or ok=false when nothing is dispatchable.
+// Whether the cell then simulates, is answered from the cache, or waits
+// on a twin already running is the backend's call (its admit step); the
+// cell reads as running here until CellDone says which.
 func (mgr *Manager) TryDequeue() (Ticket, bool) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	if mgr.draining {
 		return Ticket{}, false
 	}
-	var dirty []*state
-	defer func() {
-		for _, st := range dirty {
-			mgr.saveLocked(st)
-		}
-		if len(dirty) > 0 {
-			mgr.broadcastLocked()
-		}
-	}()
-	for {
-		id, idx, ok := mgr.sched.pop()
-		if !ok {
-			return Ticket{}, false
-		}
-		st := mgr.sweeps[id]
-		if st == nil || st.status[idx] != CellPending {
-			// Completed while queued (deduped through a same-key run);
-			// lazily dropped here instead of being plucked mid-queue.
-			continue
-		}
-		key := st.keys[idx]
-		if raw, ok := mgr.exec.CachedResult(key); ok {
-			mgr.completeLocked(st, idx, CellDeduped, raw, "")
-			dirty = append(dirty, st)
-			continue
-		}
-		if _, running := mgr.inflight[key]; running || mgr.exec.InflightKey(key) {
-			mgr.parked[key] = append(mgr.parked[key], cellRef{id, idx})
-			continue
-		}
-		st.status[idx] = CellRunning
-		st.running++
-		mgr.inflight[key] = cellRef{id, idx}
-		// Cascade the wake: this call consumed at most one wake token but
-		// may leave more dispatchable cells behind it, and other workers
-		// may be blocked on the channel.
-		if mgr.sched.anyPending() {
-			mgr.pokeLocked()
-		}
-		return Ticket{
-			SweepID:   id,
-			Index:     idx,
-			Cell:      st.cells[idx],
-			Key:       key,
-			TimeoutMs: st.spec.TimeoutMs,
-		}, true
+	id, idx, ok := mgr.sched.pop()
+	if !ok {
+		return Ticket{}, false
 	}
+	st := mgr.sweeps[id]
+	st.status[idx] = CellRunning
+	st.running++
+	// Cascade the wake: this call consumed at most one wake token but
+	// may leave more dispatchable cells behind it, and other workers
+	// may be blocked on the channel.
+	if mgr.sched.anyPending() {
+		mgr.pokeLocked()
+	}
+	return Ticket{
+		SweepID:   id,
+		Index:     idx,
+		Cell:      st.cells[idx],
+		Key:       st.keys[idx],
+		TimeoutMs: st.spec.TimeoutMs,
+	}, true
 }
 
-// OnResult lets the backend report an interactive job's outcome so
-// cells parked on its key resolve: a success completes them as deduped,
-// a failure returns them to their pending queues for their own run.
-// Keys the manager itself dispatched are ignored here — their parked
-// cells resolve in CellDone.
-func (mgr *Manager) OnResult(key string, raw json.RawMessage, errMsg string) {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	if _, ours := mgr.inflight[key]; ours {
-		return
-	}
-	waiters := mgr.parked[key]
-	if len(waiters) == 0 {
-		return
-	}
-	delete(mgr.parked, key)
-	if errMsg == "" {
-		for _, ref := range waiters {
-			if st := mgr.sweeps[ref.sweep]; st != nil && st.status[ref.index] == CellPending {
-				mgr.completeLocked(st, ref.index, CellDeduped, raw, "")
-				mgr.saveLocked(st)
-			}
-		}
-	} else {
-		mgr.requeueLocked(waiters)
-		for _, ref := range waiters {
-			if st := mgr.sweeps[ref.sweep]; st != nil {
-				mgr.saveLocked(st)
-			}
-		}
-	}
-	mgr.pokeLocked()
-	mgr.broadcastLocked()
-}
-
-// CellDone returns a dispatched ticket with its outcome. A transient
-// error (shutdown cancellation, injected worker death) sends the cell
-// back to pending — it re-runs after restart or on the next dispatch —
-// while a real error finishes it as failed. Success also completes, as
-// deduped, every cell parked on the same key.
-func (mgr *Manager) CellDone(t Ticket, raw json.RawMessage, errMsg string, transient bool) {
+// CellDone returns a dispatched ticket with its outcome. CellDone and
+// CellDeduped carry the result (the cell ran, or shared a run or a
+// cached result); CellFailed carries the error. CellPending hands the
+// cell back without an outcome — shutdown, a lost peer, an injected
+// worker death, a failed run this cell was only waiting on — and it
+// re-runs on the next dispatch or after restart, from the head of its
+// queue: it already waited its turn once.
+func (mgr *Manager) CellDone(t Ticket, status CellStatus, raw json.RawMessage, errMsg string) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	st := mgr.sweeps[t.SweepID]
 	if st == nil || st.status[t.Index] != CellRunning {
 		return
 	}
-	delete(mgr.inflight, t.Key)
-	st.status[t.Index] = CellPending
 	st.running--
-	waiters := mgr.parked[t.Key]
-	delete(mgr.parked, t.Key)
-
-	switch {
-	case errMsg == "":
-		mgr.completeLocked(st, t.Index, CellDone, raw, "")
-		for _, ref := range waiters {
-			if wst := mgr.sweeps[ref.sweep]; wst != nil && wst.status[ref.index] == CellPending {
-				mgr.completeLocked(wst, ref.index, CellDeduped, raw, "")
-				mgr.saveLocked(wst)
-			}
-		}
-	case transient:
-		// Head of the queue, not the back: the cell already waited its
-		// turn once.
-		mgr.sched.add(st.id, st.priority)
+	if status == CellPending {
+		st.status[t.Index] = CellPending
 		mgr.sched.pushFront(st.id, t.Index)
-		mgr.requeueLocked(waiters)
-	default:
-		mgr.completeLocked(st, t.Index, CellFailed, nil, errMsg)
-		// Parked cells were never attempted; give each its own run.
-		mgr.requeueLocked(waiters)
+	} else {
+		mgr.completeLocked(st, t.Index, status, raw, errMsg)
 	}
 	mgr.saveLocked(st)
 	mgr.pokeLocked()
 	mgr.broadcastLocked()
-}
-
-// requeueLocked returns parked cells to their sweeps' pending queues.
-func (mgr *Manager) requeueLocked(refs []cellRef) {
-	for _, ref := range refs {
-		st := mgr.sweeps[ref.sweep]
-		if st == nil || st.status[ref.index] != CellPending {
-			continue
-		}
-		mgr.sched.add(st.id, st.priority)
-		mgr.sched.push(st.id, ref.index)
-	}
 }
 
 // completeLocked finishes one cell and appends its event.
@@ -639,7 +534,7 @@ func (mgr *Manager) saveLocked(st *state) {
 			rec.Errors[i] = e
 		}
 	}
-	mgr.store.save(rec)
+	mgr.store.Save(rec)
 }
 
 // pokeLocked wakes the dispatcher (non-blocking; the channel holds one
@@ -685,14 +580,12 @@ func (mgr *Manager) List() []View {
 	for _, st := range mgr.sweeps {
 		out = append(out, st.view())
 	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].CreatedAt.After(out[i].CreatedAt) ||
-				(out[j].CreatedAt.Equal(out[i].CreatedAt) && out[j].ID < out[i].ID) {
-				out[i], out[j] = out[j], out[i]
-			}
+	sort.Slice(out, func(i, j int) bool {
+		if !out[i].CreatedAt.Equal(out[j].CreatedAt) {
+			return out[i].CreatedAt.After(out[j].CreatedAt)
 		}
-	}
+		return out[i].ID < out[j].ID
+	})
 	return out
 }
 
@@ -753,8 +646,8 @@ func (mgr *Manager) Counts() Counts {
 
 // Drain stops dispatch (TryDequeue returns false; Submit refuses) and
 // releases stream followers. In-flight cells still report through
-// CellDone — a shutdown cancellation arrives there as transient, which
-// returns the cell to pending so the restarted server re-runs it.
+// CellDone — a shutdown cancellation arrives there as CellPending, so
+// the restarted server re-runs the cell.
 func (mgr *Manager) Drain() {
 	mgr.mu.Lock()
 	if mgr.draining {
@@ -768,9 +661,5 @@ func (mgr *Manager) Drain() {
 
 // CloseStore flushes and stops the crash-safe store. Call only after
 // the worker pool has fully stopped, so the final CellDone mutations
-// (including transient reverts to pending) are captured on disk.
-func (mgr *Manager) CloseStore() {
-	if mgr.store != nil {
-		mgr.store.close()
-	}
-}
+// (including cells handed back as pending) are captured on disk.
+func (mgr *Manager) CloseStore() { mgr.store.Close() }

@@ -1,25 +1,14 @@
 package sweep
 
 import (
-	"encoding/json"
-	"fmt"
-	"log/slog"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"micromama/internal/faultinject"
-	"micromama/internal/telemetry"
 )
 
-// Fault-injection sites on the sweep persistence path, mirroring the
-// result-cache sites: a write fault loses one durability update (the
-// sweep keeps running from memory; a crash before the next successful
-// write replays more cells), and a read fault at load time quarantines
-// that sweep file exactly like a corrupt one.
+// Fault-injection sites on the sweep store (see persist.Options): a
+// lost write means a crash before the next successful one replays more
+// cells; a failed read quarantines that sweep's file.
 var (
 	faultSweepPersistWrite = faultinject.New("server/sweep/persist-write")
 	faultSweepPersistRead  = faultinject.New("server/sweep/persist-read")
@@ -29,207 +18,12 @@ var (
 // deterministic expansion reproduces the cell list on load), per-cell
 // terminal statuses, and per-cell error messages. Cell results are NOT
 // stored here — they live in the content-addressed result cache, which
-// has its own crash-safe mirror; on resume the manager rehydrates
-// events by looking finished cells up by key.
+// has its own mirror in the same kind of store; on resume the manager
+// rehydrates events by looking finished cells up by key.
 type record struct {
 	ID        string         `json:"id"`
 	Spec      Spec           `json:"spec"`
 	Status    []CellStatus   `json:"status"`
 	Errors    map[int]string `json:"errors,omitempty"`
 	CreatedAt time.Time      `json:"created_at"`
-}
-
-// storeMetrics counts the sweep store's disk traffic.
-type storeMetrics struct {
-	writes      *telemetry.Counter
-	errors      *telemetry.Counter
-	loaded      *telemetry.Counter
-	quarantined *telemetry.Counter
-}
-
-// store is the crash-safe mirror of sweep state: one JSON file per
-// sweep under dir, written behind by a coalescing goroutine. Updates
-// for the same sweep between writer wakeups collapse into one write
-// (a 1000-cell sweep completing does not issue 1000 fsync-adjacent
-// writes), each write is atomic tmp+rename, and load-on-start
-// quarantines unreadable files instead of failing: a lost sweep file
-// costs re-running that sweep's unfinished cells, never the service.
-type store struct {
-	dir string
-	m   storeMetrics
-	log *slog.Logger
-
-	mu     sync.Mutex
-	dirty  map[string]record
-	closed bool
-
-	kick    chan struct{} // cap 1; pokes the writer
-	closeCh chan struct{}
-	done    chan struct{}
-}
-
-func newStore(dir string, m storeMetrics, log *slog.Logger) (*store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweep dir: %w", err)
-	}
-	s := &store{
-		dir:     dir,
-		m:       m,
-		log:     log,
-		dirty:   make(map[string]record),
-		kick:    make(chan struct{}, 1),
-		closeCh: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go s.writer()
-	return s, nil
-}
-
-// load reads every persisted sweep record, quarantining anything
-// unreadable or mismatched. Order is deterministic (sorted by ID).
-func (s *store) load() []record {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		s.log.Warn("sweep dir unreadable; starting with no sweeps", "dir", s.dir, "err", err)
-		return nil
-	}
-	var out []record
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		rec, err := s.readRecord(path, strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			s.quarantine(path, err)
-			continue
-		}
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	s.m.loaded.Add(uint64(len(out)))
-	if len(out) > 0 {
-		s.log.Info("sweep state restored from disk", "dir", s.dir, "sweeps", len(out))
-	}
-	return out
-}
-
-func (s *store) readRecord(path, wantID string) (record, error) {
-	if faultSweepPersistRead.Fire() {
-		return record{}, fmt.Errorf("faultinject: server/sweep/persist-read")
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return record{}, err
-	}
-	var rec record
-	if err := json.Unmarshal(b, &rec); err != nil {
-		return record{}, fmt.Errorf("decode: %w", err)
-	}
-	if rec.ID != wantID {
-		return record{}, fmt.Errorf("record id %q does not match file name", rec.ID)
-	}
-	return rec, nil
-}
-
-func (s *store) quarantine(path string, cause error) {
-	s.m.quarantined.Inc()
-	dst := path + ".quarantine"
-	if err := os.Rename(path, dst); err != nil {
-		s.log.Error("sweep quarantine rename failed", "file", path, "err", err)
-		return
-	}
-	s.log.Warn("quarantined corrupt sweep record", "file", path, "cause", cause)
-}
-
-// save schedules a durability update for one sweep. Never blocks the
-// caller: updates coalesce in the dirty map until the writer catches
-// up, so the most recent snapshot always wins.
-func (s *store) save(rec record) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.dirty[rec.ID] = rec
-	s.mu.Unlock()
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-// writer drains the dirty map until close, which doubles as a flush
-// barrier: close marks closed, pokes the writer, and waits for done.
-func (s *store) writer() {
-	defer close(s.done)
-	for {
-		s.mu.Lock()
-		if len(s.dirty) == 0 {
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return
-			}
-			select {
-			case <-s.kick:
-			case <-s.closeCh:
-			}
-			continue
-		}
-		batch := s.dirty
-		s.dirty = make(map[string]record)
-		s.mu.Unlock()
-		ids := make([]string, 0, len(batch))
-		for id := range batch {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			s.write(batch[id])
-		}
-	}
-}
-
-// write serializes one record with atomic tmp+rename; failures are
-// counted and logged, never propagated (persistence is best-effort —
-// the running sweep is authoritative in memory).
-func (s *store) write(rec record) {
-	err := func() error {
-		if faultSweepPersistWrite.Fire() {
-			return fmt.Errorf("faultinject: server/sweep/persist-write")
-		}
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		final := filepath.Join(s.dir, rec.ID+".json")
-		tmp := final + ".tmp"
-		if err := os.WriteFile(tmp, b, 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, final)
-	}()
-	if err != nil {
-		s.m.errors.Inc()
-		s.log.Error("sweep persist write failed", "sweep", rec.ID, "err", err)
-		return
-	}
-	s.m.writes.Inc()
-}
-
-// close flushes every dirty record and stops the writer. Safe to call
-// more than once.
-func (s *store) close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.done
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.closeCh)
-	<-s.done
 }

@@ -235,7 +235,8 @@ type CellStatus string
 const (
 	// CellPending: admitted, waiting in the sweep's fair-share queue.
 	CellPending CellStatus = "pending"
-	// CellRunning: dispatched to a worker.
+	// CellRunning: dispatched — simulating, or waiting on an identical job
+	// that already is.
 	CellRunning CellStatus = "running"
 	// CellDone: simulation finished and the result is attached.
 	CellDone CellStatus = "done"
