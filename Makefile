@@ -42,7 +42,8 @@ race:
 
 # Chaos suite: the serving-stack resilience tests (panic isolation,
 # graceful drain, crash-safe cache and sweep persistence, mid-sweep
-# worker death, client retries) under the race detector with fault
+# worker death, client retries, and the cluster failure detector's own
+# schedule-sensitive tests) under the race detector with fault
 # injection activated through the environment. The seeded slow-job fault stretches every 5th run to
 # shake out drain/timeout races; counter- and PRNG-based rules are
 # deterministic, so a red run reproduces exactly from the same seed.
@@ -51,19 +52,23 @@ race:
 # times: what they pin depends on the schedule, so one pass proves little.
 chaos:
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
-		$(GO) test -race -count=1 ./internal/faultinject ./internal/server ./internal/client ./internal/sweep
+		$(GO) test -race -count=1 ./internal/faultinject ./internal/cluster ./internal/server ./internal/client ./internal/sweep
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
 		$(GO) test -race -count=20 -run '^TestSameKey' ./internal/server
 
-# Ten seconds of coverage-guided fuzzing per target on the trace
-# layer's two parsers of untrusted shape: the run-length packer
-# (pack then expand is the identity, through every read surface) and
-# the MMT1 loader (any bytes give an error or a faithful slab, never a
-# panic or a header-sized allocation). `go test` alone only replays the
-# seed corpus. One target per invocation is a `go test -fuzz` rule.
+# Ten seconds of coverage-guided fuzzing per target on the parsers of
+# untrusted shape: in the trace layer the run-length packer (pack then
+# expand is the identity, through every read surface) and the MMT1
+# loader (any bytes give an error or a faithful slab, never a panic or
+# a header-sized allocation); in the cluster layer the X-Mama-Gossip
+# header any client can send (it fails to decode or applies without a
+# panic, and the node stays alive in its own ring). `go test` alone
+# only replays the seed corpus. One target per invocation is a
+# `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadMaterialized$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s ./internal/cluster
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
@@ -109,7 +114,8 @@ bench-check:
 # The default gate: compile everything, lint (vet + staticcheck when
 # available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
-# fuzz the trace packer and loader for ten seconds each, drive a real
+# fuzz the trace packer, the trace loader and the gossip-header decoder
+# for ten seconds each, drive a real
 # sweep, the 3-node cluster, and the controller tournament
 # end to end, check the bench/ module against this tree, then make sure
 # the hot-path benchmarks still run and stay allocation-free (1

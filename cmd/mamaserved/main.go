@@ -65,17 +65,15 @@ func main() {
 		logFormat  = flag.String("log-format", "text", "structured-log format: text|json")
 
 		// Cluster membership (see docs/ARCHITECTURE.md, "Cluster &
-		// sharding"). -peers/-membership/-join are bootstrap seeds; with
-		// gossip enabled (the default for clustered nodes) the live
-		// member set is maintained by the SWIM failure detector, so a
-		// node can die, rejoin, or be added without restarting the rest.
-		peers         = flag.String("peers", "", "comma-separated peer URLs seeding a sharded cluster (include or omit this node; it is added automatically). With gossip these are bootstrap members; the live set evolves from there")
-		membership    = flag.String("membership", "", "JSON membership seed file: a bare array of peer URLs or {\"peers\": [...]} (alternative to -peers)")
+		// sharding"). A node is clustered iff -advertise is set; -peers
+		// and -join only say where membership starts. The live member set
+		// is maintained by the SWIM failure detector, so a node can die,
+		// rejoin, or be added without restarting the rest.
+		advertise     = flag.String("advertise", "", "this node's URL as peers reach it (e.g. http://10.0.0.5:8077); setting it makes the node one member of a sharded cluster")
+		peers         = flag.String("peers", "", "comma-separated peer URLs assumed alive at boot (include or omit this node; it is added automatically); the live set evolves from there by gossip")
 		join          = flag.String("join", "", "comma-separated URLs of existing cluster nodes to join via gossip; unlike -peers they are contacted, not assumed — membership comes from what they answer")
-		advertise     = flag.String("advertise", "", "this node's URL as peers reach it (e.g. http://10.0.0.5:8077); required with -peers/-membership/-join")
-		vnodes        = flag.Int("vnodes", 0, "virtual nodes per peer on the consistent-hash ring (0 = 128)")
 		stealInterval = flag.Duration("steal-interval", 0, "base interval for an idle node's steal polls; backs off exponentially while victims are empty (0 = 250ms; negative disables work stealing)")
-		gossipEvery   = flag.Duration("gossip-interval", time.Second, "SWIM probe interval (0 or negative disables gossip: membership stays fixed at the bootstrap seeds)")
+		gossipEvery   = flag.Duration("gossip-interval", time.Second, "SWIM probe interval (must be positive)")
 		suspectT      = flag.Duration("suspect-timeout", 0, "how long a suspected peer has to refute before it is confirmed dead (0 = 5x gossip-interval)")
 	)
 	flag.Parse()
@@ -83,58 +81,31 @@ func main() {
 	logger := telemetry.NewLogger(*logLevel, *logFormat)
 
 	var cl *cluster.Cluster
-	if *peers != "" || *membership != "" || *join != "" {
-		if *advertise == "" {
-			fmt.Fprintln(os.Stderr, "mamaserved: -advertise is required with -peers/-membership/-join")
+	if *advertise != "" {
+		if *gossipEvery <= 0 {
+			fmt.Fprintln(os.Stderr, "mamaserved: -gossip-interval must be positive: every clustered node runs the failure detector")
 			os.Exit(2)
 		}
-		list := []string{}
-		if *membership != "" {
-			var err error
-			list, err = cluster.LoadMembership(*membership)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mamaserved:", err)
-				os.Exit(1)
-			}
-		}
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				list = append(list, p)
-			}
-		}
-		joinSeeds := []string{}
-		for _, p := range strings.Split(*join, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				joinSeeds = append(joinSeeds, p)
-			}
-		}
-		if len(list) == 0 && len(joinSeeds) == 0 {
-			fmt.Fprintln(os.Stderr, "mamaserved: -join lists no URLs")
-			os.Exit(2)
-		}
+		list, joinSeeds := splitList(*peers), splitList(*join)
 		var err error
-		cl, err = cluster.New(*advertise, list, cluster.Options{Vnodes: *vnodes})
+		cl, err = cluster.New(*advertise, list, cluster.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mamaserved:", err)
 			os.Exit(1)
 		}
-		if *gossipEvery > 0 {
-			// Every bootstrap source doubles as a gossip seed: a
-			// restarted node re-syncs with whoever it knew, learns its
-			// own tombstone, and rejoins with a bumped incarnation — no
-			// flag changes needed.
-			cl.EnableGossip(cluster.GossipOptions{
-				Interval:       *gossipEvery,
-				SuspectTimeout: *suspectT,
-				Seeds:          append(append([]string{}, list...), joinSeeds...),
-			})
-		} else if len(joinSeeds) > 0 {
-			fmt.Fprintln(os.Stderr, "mamaserved: -join requires gossip (-gossip-interval > 0)")
-			os.Exit(2)
-		}
+		// Every bootstrap source doubles as a gossip seed: a restarted
+		// node re-syncs with whoever it knew, learns its own tombstone,
+		// and rejoins with a bumped incarnation — no flag changes needed.
+		cl.EnableGossip(cluster.GossipOptions{
+			Interval:       *gossipEvery,
+			SuspectTimeout: *suspectT,
+			Seeds:          append(list, joinSeeds...),
+		})
 		logger.Info("cluster configured", "self", cl.Self(),
-			"peers", len(cl.Peers()), "ring_size", cl.Size(),
-			"gossip", cl.GossipEnabled())
+			"peers", len(cl.Peers()), "ring_size", cl.Size(), "seeds", len(list)+len(joinSeeds))
+	} else if *peers != "" || *join != "" {
+		fmt.Fprintln(os.Stderr, "mamaserved: -advertise is required with -peers/-join")
+		os.Exit(2)
 	}
 
 	if *traceCache != "" {
@@ -197,4 +168,15 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("mamaserved shut down")
+}
+
+// splitList parses a comma-separated flag value, dropping empty items.
+func splitList(v string) []string {
+	var out []string
+	for _, p := range strings.Split(v, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }

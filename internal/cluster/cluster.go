@@ -3,11 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +17,12 @@ import (
 // Fault-injection sites on the cluster path (see internal/faultinject).
 //
 // faultPartition fails an outbound peer RPC as if the network were
-// partitioned: the request never leaves the node and the error feeds
-// the peer's health breaker, exactly like a real unreachable host.
+// partitioned: the request never leaves the node and the failure is
+// booked against the peer, exactly like a real unreachable host.
 //
-// faultPeerDown makes the health breaker report a peer dead without
-// any RPC having failed — the "owning shard died" scenario, letting
-// chaos tests force the degrade-to-local path deterministically.
+// faultPeerDown makes Healthy report a peer down without any RPC or
+// probe having failed — the "owning shard died" scenario, letting chaos
+// tests force the degrade-to-local path deterministically.
 var (
 	faultPartition = faultinject.New("cluster/rpc/partition")
 	faultPeerDown  = faultinject.New("cluster/peer/down")
@@ -34,50 +33,25 @@ var ErrPartitioned = fmt.Errorf("cluster: injected partition")
 
 // Options tunes a Cluster. Zero values select production defaults.
 type Options struct {
-	// Vnodes is the virtual-node count per peer (default DefaultVnodes).
-	Vnodes int
-	// FailureThreshold is how many consecutive RPC failures open a
-	// peer's breaker (default 3).
-	FailureThreshold int
-	// Cooldown is how long an open breaker reports the peer unhealthy
-	// before allowing a probe (default 2s).
-	Cooldown time.Duration
 	// RPCTimeout bounds one peer RPC (default 10s). Job proxying uses
 	// its own, longer deadline derived from the job timeout.
 	RPCTimeout time.Duration
-	// HTTPClient overrides the peer HTTP client (tests). When nil a
-	// client with a connection-reusing transport is built: proxying a
-	// stream of jobs to the same few peers must not pay per-request
-	// connection setup.
-	HTTPClient *http.Client
 }
 
-// peerHealth is one peer's breaker state.
-type peerHealth struct {
-	failures  int       // consecutive failures
-	openUntil time.Time // unhealthy until this instant once open
-}
-
-// Cluster is one node's view of the peer set: versioned membership,
-// the ring, the breaker table, and the HTTP client used for peer RPCs.
-// Safe for concurrent use.
+// Cluster is one node's view of the peer set: the member table, the
+// ring built from it, and the HTTP client used for peer RPCs. Safe for
+// concurrent use.
 //
-// Membership starts from the bootstrap peer list and, when gossip is
-// enabled (EnableGossip), evolves at runtime: the SWIM failure
-// detector in gossip.go mutates the member table and every transition
-// rebuilds the ring and swaps it in atomically, so readers always see
-// a complete, internally-consistent ring.
+// Membership starts from the bootstrap peer list and evolves at
+// runtime: the SWIM failure detector in gossip.go mutates the member
+// table and every transition rebuilds the ring and swaps it in
+// atomically, so readers always see a complete, internally-consistent
+// ring. The member table is also the one record of peer health (see
+// Healthy).
 type Cluster struct {
-	self   string
-	vnodes int
-	hc     *http.Client
-	rpcTO  time.Duration
-
-	failureThreshold int
-	cooldown         time.Duration
-
-	mu     sync.Mutex
-	health map[string]*peerHealth
+	self  string
+	hc    *http.Client
+	rpcTO time.Duration
 
 	// Membership state. ring/ringHash/version are lock-free snapshots
 	// for the hot routing path; the member table behind them is guarded
@@ -98,7 +72,7 @@ type Cluster struct {
 	refutes       atomic.Uint64
 	confirmsCount atomic.Uint64
 
-	gossip *gossipState // nil → static membership
+	gossip *gossipState
 }
 
 // NewTransport returns an http.Transport tuned for cluster traffic:
@@ -119,40 +93,24 @@ func NewTransport() *http.Transport {
 // New builds a node's cluster view. self must appear in peers (it is
 // added if absent) so every node computes ownership over the identical
 // set. A cluster of one (or an empty peer list) is valid and routes
-// everything to self.
+// everything to self until gossip brings in more members. The failure
+// detector is built with default GossipOptions and the bootstrap peers
+// as seeds; EnableGossip replaces those before StartGossip.
 func New(self string, peers []string, opts Options) (*Cluster, error) {
 	self = NormalizePeer(self)
 	if self == "" {
 		return nil, fmt.Errorf("cluster: self URL is required when peers are configured")
 	}
-	if opts.Vnodes <= 0 {
-		opts.Vnodes = DefaultVnodes
-	}
-	if opts.FailureThreshold <= 0 {
-		opts.FailureThreshold = 3
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = 2 * time.Second
-	}
 	if opts.RPCTimeout <= 0 {
 		opts.RPCTimeout = 10 * time.Second
 	}
-	all := append([]string{self}, peers...)
-	ring := NewRing(all, opts.Vnodes)
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Transport: NewTransport()}
-	}
+	ring := NewRing(append([]string{self}, peers...), 0)
 	c := &Cluster{
-		self:             self,
-		vnodes:           opts.Vnodes,
-		hc:               hc,
-		rpcTO:            opts.RPCTimeout,
-		failureThreshold: opts.FailureThreshold,
-		cooldown:         opts.Cooldown,
-		health:           make(map[string]*peerHealth),
-		members:          make(map[string]*member),
-		queue:            make(map[string]*queuedUpdate),
+		self:    self,
+		hc:      &http.Client{Transport: NewTransport()},
+		rpcTO:   opts.RPCTimeout,
+		members: make(map[string]*member),
+		queue:   make(map[string]*queuedUpdate),
 	}
 	// Bootstrap peers enter the table alive at incarnation 0; the ring
 	// over them is identical on every node that holds the same list.
@@ -164,30 +122,13 @@ func New(self string, peers []string, opts Options) (*Cluster, error) {
 	c.ring.Store(ring)
 	c.ringHash.Store(hash64(joinPeers(ring.Peers())))
 	c.version.Store(1)
+	c.gossip = &gossipState{
+		c:    c,
+		rng:  rand.New(rand.NewSource(int64(hash64(self)))), // deterministic per node
+		stop: make(chan struct{}),
+	}
+	c.EnableGossip(GossipOptions{Seeds: peers})
 	return c, nil
-}
-
-// LoadMembership reads a JSON membership file: either a bare array of
-// peer URLs or {"peers": [...]}.
-func LoadMembership(path string) ([]string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: read membership file: %w", err)
-	}
-	var bare []string
-	if err := json.Unmarshal(b, &bare); err == nil {
-		return bare, nil
-	}
-	var obj struct {
-		Peers []string `json:"peers"`
-	}
-	if err := json.Unmarshal(b, &obj); err != nil {
-		return nil, fmt.Errorf("cluster: parse membership file %s: %w", path, err)
-	}
-	if len(obj.Peers) == 0 {
-		return nil, fmt.Errorf("cluster: membership file %s lists no peers", path)
-	}
-	return obj.Peers, nil
 }
 
 // Self returns this node's normalized advertised URL.
@@ -246,76 +187,47 @@ func (c *Cluster) Contains(peer string) bool {
 	return false
 }
 
-// Healthy reports whether a peer's breaker admits traffic: closed, or
-// open but past its cooldown (one probe is allowed through; a success
-// closes the breaker, another failure re-opens it).
+// Healthy reports whether routing should use a peer: the failure
+// detector holds it alive and the last RPC to it did not fail. One
+// failed RPC sidelines the peer at once and makes it the next probe
+// target, so within one gossip interval it is either answering again
+// or on its way to confirmed dead; there is no threshold or cooldown.
 func (c *Cluster) Healthy(peer string) bool {
 	if faultPeerDown.Fire() {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.health[peer]
-	if !ok || h.failures < c.failureThreshold {
-		return true
-	}
-	return time.Now().After(h.openUntil)
-}
-
-// ReportSuccess closes a peer's breaker.
-func (c *Cluster) ReportSuccess(peer string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.health, peer)
-}
-
-// ReportFailure records one RPC failure; at FailureThreshold
-// consecutive failures the breaker opens for Cooldown.
-func (c *Cluster) ReportFailure(peer string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.health[peer]
-	if !ok {
-		h = &peerHealth{}
-		c.health[peer] = h
-	}
-	h.failures++
-	if h.failures >= c.failureThreshold {
-		h.openUntil = time.Now().Add(c.cooldown)
-	}
-}
-
-// UnhealthyPeers snapshots the peers whose breakers are currently
-// open (for /v1/stats).
-func (c *Cluster) UnhealthyPeers() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	var out []string
-	for p, h := range c.health {
-		if h.failures >= c.failureThreshold && now.Before(h.openUntil) {
-			out = append(out, p)
-		}
-	}
-	return out
+	c.memMu.Lock()
+	defer c.memMu.Unlock()
+	m, ok := c.members[peer]
+	return ok && m.state == StateAlive && !m.rpcFailed
 }
 
 // Do performs one peer RPC: method+path against the peer's base URL,
 // with an optional JSON body, bounded by the RPC timeout (or the
-// context, whichever ends first). Outcomes feed the peer's breaker.
-// A fired partition site fails the call without touching the network.
+// context, whichever ends first). The outcome is recorded as the peer's
+// last RPC outcome (see Healthy). A fired partition site fails the call
+// without touching the network.
 func (c *Cluster) Do(ctx context.Context, peer, method, path string, body []byte) (int, []byte, error) {
 	return c.DoTimeout(ctx, peer, method, path, body, c.rpcTO)
 }
 
 // DoTimeout is Do with an explicit per-call timeout (job proxying
 // needs deadlines derived from the job's own timeout).
-func (c *Cluster) DoTimeout(ctx context.Context, peer, method, path string, body []byte, timeout time.Duration) (int, []byte, error) {
-	if faultPartition.Fire() {
-		c.ReportFailure(peer)
-		return 0, nil, ErrPartitioned
+func (c *Cluster) DoTimeout(parent context.Context, peer, method, path string, body []byte, timeout time.Duration) (int, []byte, error) {
+	// fail books a transport failure against the peer — unless the
+	// caller's own context ended the call (a client that hung up, this
+	// node shutting down), which says nothing about the peer. The call's
+	// own timeout does count.
+	fail := func(err error) (int, []byte, error) {
+		if parent.Err() == nil {
+			c.setRPCFailed(peer, true)
+		}
+		return 0, nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	if faultPartition.Fire() {
+		return fail(ErrPartitioned)
+	}
+	ctx, cancel := context.WithTimeout(parent, timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -334,18 +246,16 @@ func (c *Cluster) DoTimeout(ctx context.Context, peer, method, path string, body
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.ReportFailure(peer)
-		return 0, nil, err
+		return fail(err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		c.ReportFailure(peer)
-		return 0, nil, err
+		return fail(err)
 	}
 	// Any HTTP answer means the peer process is alive; 4xx/5xx are its
 	// considered opinion, not a transport failure.
-	c.ReportSuccess(peer)
+	c.setRPCFailed(peer, false)
 	// Ordinary cluster traffic doubles as a gossip channel: merge the
 	// peer's piggybacked membership deltas.
 	c.ApplyGossipHeader(resp.Header.Get(HeaderGossip))

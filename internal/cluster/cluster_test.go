@@ -4,8 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,200 +12,229 @@ import (
 	"micromama/internal/faultinject"
 )
 
-// TestBreaker: consecutive RPC failures open the breaker, a cooldown
-// expiry lets a probe through, and a success closes it again.
-func TestBreaker(t *testing.T) {
-	c, err := New("http://self:1", []string{"http://peer:1"}, Options{
-		FailureThreshold: 3, Cooldown: 50 * time.Millisecond,
-	})
+// enableFault arms a fault site for the rest of the test.
+func enableFault(t *testing.T, site, rule string) (restore func()) {
+	t.Helper()
+	restore, err := faultinject.Enable(site, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const peer = "http://peer:1"
-	if !c.Healthy(peer) {
-		t.Fatal("fresh peer should be healthy")
+	t.Cleanup(restore)
+	return restore
+}
+
+// startIdlePeers boots n live nodes that answer gossip RPCs but whose
+// own loops sleep for an hour, and returns their URLs: peers for a
+// Cluster whose detector the test drives by hand.
+func startIdlePeers(t *testing.T, n int) []string {
+	t.Helper()
+	urls := make([]string, n)
+	for i := range urls {
+		ln := listenLocal(t)
+		urls[i] = "http://" + ln.Addr().String()
+		startGossipNode(t, urls[i], nil, ln, GossipOptions{Interval: time.Hour})
 	}
-	c.ReportFailure(peer)
-	c.ReportFailure(peer)
-	if !c.Healthy(peer) {
-		t.Fatal("peer unhealthy below the failure threshold")
+	return urls
+}
+
+func memberState(t *testing.T, c *Cluster, peer string) MemberState {
+	t.Helper()
+	for _, m := range c.Members() {
+		if m.URL == peer {
+			return m.State
+		}
 	}
-	c.ReportFailure(peer)
-	if c.Healthy(peer) {
-		t.Fatal("breaker did not open at the threshold")
-	}
-	if got := c.UnhealthyPeers(); len(got) != 1 || got[0] != peer {
-		t.Fatalf("UnhealthyPeers = %v, want [%s]", got, peer)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !c.Healthy(peer) {
-		t.Fatal("breaker did not admit a probe after cooldown")
-	}
-	c.ReportSuccess(peer)
-	c.ReportFailure(peer) // one failure after success: closed again
-	if !c.Healthy(peer) {
-		t.Fatal("success did not reset the failure count")
+	t.Fatalf("%s is not in the member table %+v", peer, c.Members())
+	return ""
+}
+
+// failOneRPC fails exactly one c.Do against peer at the partition site.
+func failOneRPC(t *testing.T, c *Cluster, peer string) {
+	t.Helper()
+	restore := enableFault(t, "cluster/rpc/partition", "always")
+	defer restore()
+	if _, _, err := c.Do(context.Background(), peer, http.MethodGet, "/x", nil); err == nil {
+		t.Fatal("partitioned RPC succeeded")
 	}
 }
 
-// TestBreakerHalfOpenRecovery pins the half-open contract from both
-// sides: after the cooldown the breaker admits exactly the probe
-// traffic (Healthy flips true, the peer leaves UnhealthyPeers), a
-// failed probe re-opens it for a fresh cooldown, and a successful
-// probe closes it fully — the peer then tolerates FailureThreshold-1
-// new failures before opening again.
-func TestBreakerHalfOpenRecovery(t *testing.T) {
-	const peer = "http://peer:1"
-	c, err := New("http://self:1", []string{peer}, Options{
-		FailureThreshold: 2, Cooldown: 50 * time.Millisecond,
-	})
+// TestFailedRPCSidelinesPeerAtOnce: one failed RPC — no threshold —
+// makes a peer unhealthy while the detector still holds it alive, and
+// puts it at the head of the probe order; the answered probe makes it
+// healthy again — no cooldown. Every peer takes a turn as the victim, so
+// the shuffled round-robin order cannot pass for the fast lane.
+func TestFailedRPCSidelinesPeerAtOnce(t *testing.T) {
+	urls := startIdlePeers(t, 3)
+	for _, victim := range urls {
+		c, err := New("http://self:1", urls, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		failOneRPC(t, c, victim)
+		for _, p := range urls {
+			if got, want := c.Healthy(p), p != victim; got != want {
+				t.Fatalf("after one failed RPC to %s: Healthy(%s) = %v, want %v", victim, p, got, want)
+			}
+		}
+		if st := memberState(t, c, victim); st != StateAlive {
+			t.Fatalf("a failed RPC moved the member to %q; only probes may", st)
+		}
+		if got := c.gossip.nextTarget(); got != victim {
+			t.Fatalf("next probe target = %s, want the peer whose RPC failed (%s)", got, victim)
+		}
+		c.gossip.probeOnce()
+		if !c.Healthy(victim) {
+			t.Fatal("an answered probe did not make the peer healthy again")
+		}
+		if got := c.rpcFailedPeer(); got != "" {
+			t.Fatalf("%s still in the probe fast lane after its probe was answered", got)
+		}
+	}
+}
+
+// TestFailedPeerRecoversThroughProbe follows a sidelined peer through
+// both probe verdicts: an unanswered probe turns the failed RPC into an
+// ordinary suspicion (still unhealthy, no longer jumping the probe
+// queue), and the next answered probe clears suspicion and RPC mark in
+// one step.
+func TestFailedPeerRecoversThroughProbe(t *testing.T) {
+	peer := startIdlePeers(t, 1)[0]
+	c, err := New("http://self:1", []string{peer}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trip := func() {
-		c.ReportFailure(peer)
-		c.ReportFailure(peer)
+	failOneRPC(t, c, peer)
+
+	// Two nodes, so no relay: a dropped direct ping is a failed probe.
+	restore := enableFault(t, "cluster/gossip/probe-drop", "always")
+	c.gossip.probeOnce()
+	restore()
+	if st := memberState(t, c, peer); st != StateSuspect {
+		t.Fatalf("member state after an unanswered probe = %q, want suspect", st)
+	}
+	if c.Healthy(peer) {
+		t.Fatal("a suspect peer reads healthy")
+	}
+	if got := c.rpcFailedPeer(); got != "" {
+		t.Fatalf("suspect %s still jumps the probe queue", got)
 	}
 
-	// Open, then cooldown: half-open (probe admitted, off the
-	// unhealthy list).
-	trip()
-	if c.Healthy(peer) {
-		t.Fatal("breaker did not open at the threshold")
+	c.gossip.probeOnce()
+	if st := memberState(t, c, peer); st != StateAlive {
+		t.Fatalf("member state after an answered probe = %q, want alive", st)
 	}
-	time.Sleep(60 * time.Millisecond)
 	if !c.Healthy(peer) {
-		t.Fatal("half-open breaker did not admit a probe after cooldown")
-	}
-	if got := c.UnhealthyPeers(); len(got) != 0 {
-		t.Fatalf("UnhealthyPeers after cooldown = %v, want empty (half-open)", got)
-	}
-
-	// A failed probe re-opens immediately for a fresh cooldown.
-	c.ReportFailure(peer)
-	if c.Healthy(peer) {
-		t.Fatal("failed probe did not re-open the half-open breaker")
-	}
-	if got := c.UnhealthyPeers(); len(got) != 1 || got[0] != peer {
-		t.Fatalf("UnhealthyPeers after failed probe = %v, want [%s]", got, peer)
-	}
-
-	// Cooldown again, successful probe: fully closed — the failure
-	// count resets, so one new failure (below threshold) stays healthy
-	// and a second opens it again.
-	time.Sleep(60 * time.Millisecond)
-	if !c.Healthy(peer) {
-		t.Fatal("breaker did not admit the second probe")
-	}
-	c.ReportSuccess(peer)
-	c.ReportFailure(peer)
-	if !c.Healthy(peer) {
-		t.Fatal("successful probe did not reset the failure count")
-	}
-	c.ReportFailure(peer)
-	if c.Healthy(peer) {
-		t.Fatal("closed breaker did not re-open at the threshold")
+		t.Fatal("an answered probe did not clear the failed-RPC mark")
 	}
 }
 
-// TestDoFeedsBreaker: transport failures open the breaker through Do,
-// and any HTTP answer (even a 500) closes it — an answering peer is
-// alive.
-func TestDoFeedsBreaker(t *testing.T) {
-	var status atomic.Int32
-	status.Store(http.StatusInternalServerError)
+// TestDoRecordsRPCOutcome: a real transport failure through Do makes
+// the peer unhealthy on the first call, and any HTTP answer (even a
+// 500) makes it healthy on the next — an answering peer is alive.
+func TestDoRecordsRPCOutcome(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(HeaderForwarded) == "" {
 			t.Error("peer RPC missing the forwarded header")
 		}
-		w.WriteHeader(int(status.Load()))
+		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer ts.Close()
+	const dead = "http://127.0.0.1:1"
 
-	c, err := New("http://self:1", []string{ts.URL}, Options{FailureThreshold: 1})
+	c, err := New("http://self:1", []string{ts.URL, dead}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	if _, _, err := c.Do(ctx, dead, http.MethodGet, "/x", nil); err == nil {
+		t.Fatal("Do against a dead peer succeeded")
+	}
+	if c.Healthy(dead) {
+		t.Fatal("a transport failure left the peer healthy")
+	}
+
+	failOneRPC(t, c, ts.URL)
+	if c.Healthy(ts.URL) {
+		t.Fatal("a failed RPC left the peer healthy")
+	}
 	if code, _, err := c.Do(ctx, ts.URL, http.MethodGet, "/x", nil); err != nil || code != http.StatusInternalServerError {
 		t.Fatalf("Do = (%d, %v), want (500, nil)", code, err)
 	}
 	if !c.Healthy(ts.URL) {
-		t.Fatal("an answering peer must stay healthy")
+		t.Fatal("an HTTP answer did not make the peer healthy again")
+	}
+}
+
+// TestCallerCancelIsNotPeerFailure: an RPC that ends because its caller
+// gave up (a client that hung up, the node shutting down) is no
+// evidence about the peer — Healthy stays true and the member table is
+// untouched — while the call's own timeout against the same silent peer
+// does count.
+func TestCallerCancelIsNotPeerFailure(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-r.Context().Done() // never answers
+	}))
+	defer ts.Close()
+
+	c, err := New("http://self:1", []string{ts.URL}, Options{RPCTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Members()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-arrived
+		cancel()
+	}()
+	if _, _, err := c.DoTimeout(ctx, ts.URL, http.MethodGet, "/x", nil, time.Minute); err == nil {
+		t.Fatal("cancelled RPC succeeded")
+	}
+	if !c.Healthy(ts.URL) {
+		t.Fatal("the caller's cancellation was booked against the peer")
+	}
+	if got := c.Members(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("member table changed: %+v, was %+v", got, before)
+	}
+	if got := c.rpcFailedPeer(); got != "" {
+		t.Fatalf("%s queued for a priority probe by its caller's cancellation", got)
 	}
 
-	dead, _ := New("http://self:1", []string{"http://127.0.0.1:1"}, Options{
-		FailureThreshold: 1, RPCTimeout: 200 * time.Millisecond,
-	})
-	if _, _, err := dead.Do(ctx, "http://127.0.0.1:1", http.MethodGet, "/x", nil); err == nil {
-		t.Fatal("Do against a dead peer succeeded")
+	if _, _, err := c.Do(context.Background(), ts.URL, http.MethodGet, "/x", nil); err == nil {
+		t.Fatal("RPC to a silent peer succeeded")
 	}
-	if dead.Healthy("http://127.0.0.1:1") {
-		t.Fatal("transport failure did not open the breaker")
+	if c.Healthy(ts.URL) {
+		t.Fatal("the call's own timeout was not booked against the peer")
 	}
 }
 
 // TestPartitionFault: the cluster/rpc/partition site fails RPCs
-// without touching the network and feeds the breaker.
+// without touching the network and books the failure against the peer.
 func TestPartitionFault(t *testing.T) {
 	hits := atomic.Int32{}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 	}))
 	defer ts.Close()
-	restore, err := faultinject.Enable("cluster/rpc/partition", "always")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restore()
 
-	c, _ := New("http://self:1", []string{ts.URL}, Options{FailureThreshold: 1})
-	if _, _, err := c.Do(context.Background(), ts.URL, http.MethodGet, "/x", nil); err == nil {
-		t.Fatal("partitioned RPC succeeded")
-	}
+	c, _ := New("http://self:1", []string{ts.URL}, Options{})
+	failOneRPC(t, c, ts.URL)
 	if hits.Load() != 0 {
 		t.Fatal("partitioned RPC reached the peer")
 	}
 	if c.Healthy(ts.URL) {
-		t.Fatal("partition did not open the breaker")
+		t.Fatal("partition left the peer healthy")
 	}
 }
 
 // TestPeerDownFault: the cluster/peer/down site forces Healthy()
 // false, the shard-death chaos hook.
 func TestPeerDownFault(t *testing.T) {
-	restore, err := faultinject.Enable("cluster/peer/down", "always")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restore()
+	enableFault(t, "cluster/peer/down", "always")
 	c, _ := New("http://self:1", []string{"http://peer:1"}, Options{})
 	if c.Healthy("http://peer:1") {
 		t.Fatal("peer/down fault did not mark the peer unhealthy")
-	}
-}
-
-// TestLoadMembership covers both accepted file shapes and the error
-// paths.
-func TestLoadMembership(t *testing.T) {
-	dir := t.TempDir()
-	bare := filepath.Join(dir, "bare.json")
-	os.WriteFile(bare, []byte(`["http://a:1", "http://b:1"]`), 0o644)
-	obj := filepath.Join(dir, "obj.json")
-	os.WriteFile(obj, []byte(`{"peers": ["http://a:1"]}`), 0o644)
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"peers": 7}`), 0o644)
-
-	if got, err := LoadMembership(bare); err != nil || len(got) != 2 {
-		t.Fatalf("bare array: (%v, %v)", got, err)
-	}
-	if got, err := LoadMembership(obj); err != nil || len(got) != 1 {
-		t.Fatalf("object form: (%v, %v)", got, err)
-	}
-	if _, err := LoadMembership(bad); err == nil {
-		t.Fatal("malformed membership file accepted")
-	}
-	if _, err := LoadMembership(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing membership file accepted")
 	}
 }

@@ -78,6 +78,10 @@ type member struct {
 	inc       uint64
 	state     MemberState
 	suspectAt time.Time // when suspicion started (state == StateSuspect)
+	// rpcFailed says the last ordinary RPC to the peer failed in
+	// transport. It is local evidence, never gossiped: set and cleared by
+	// DoTimeout, cleared by an answered probe, written by nothing else.
+	rpcFailed bool
 }
 
 // MemberInfo is a snapshot of one member for stats endpoints.
@@ -141,8 +145,8 @@ func (o GossipOptions) withDefaults() GossipOptions {
 }
 
 // gossipState is the running failure detector: probe scheduling state
-// and loop lifecycle. Membership itself lives on the Cluster so stats
-// and static clusters share one representation.
+// and loop lifecycle. Membership itself lives on the Cluster, where
+// routing and stats read it.
 type gossipState struct {
 	c    *Cluster
 	opts GossipOptions
@@ -152,10 +156,9 @@ type gossipState struct {
 	idx   int
 	rng   *rand.Rand
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	started  bool
+	startOnce, stopOnce sync.Once
+	stop                chan struct{}
+	wg                  sync.WaitGroup
 }
 
 // gossipMsg is the wire envelope for pings, syncs, and the
@@ -215,11 +218,10 @@ func decodeGossip(v string) (gossipMsg, bool) {
 	return msg, true
 }
 
-// EnableGossip configures the failure detector. Call before
-// StartGossip (and before OnChange hooks fire, i.e. before any
-// traffic). A cluster without EnableGossip keeps the static-membership
-// behavior: the ring never changes and gossip headers are neither sent
-// nor honored.
+// EnableGossip replaces the failure detector's options (New installs
+// the defaults, seeded with the bootstrap peers). Call before
+// StartGossip and before serving any traffic: the loops and handlers
+// read the options without synchronization.
 func (c *Cluster) EnableGossip(opts GossipOptions) {
 	opts = opts.withDefaults()
 	seeds := make([]string, 0, len(opts.Seeds))
@@ -231,51 +233,22 @@ func (c *Cluster) EnableGossip(opts GossipOptions) {
 	}
 	sort.Strings(seeds)
 	opts.Seeds = seeds
-	c.gossip = &gossipState{
-		c:    c,
-		opts: opts,
-		rng:  rand.New(rand.NewSource(int64(hash64(c.self)))), // deterministic per node
-		stop: make(chan struct{}),
-	}
+	c.gossip.opts = opts
 }
 
-// GossipEnabled reports whether membership is gossip-managed.
-func (c *Cluster) GossipEnabled() bool { return c.gossip != nil }
-
-// GossipOptionsValue returns the configured options (zero when gossip
-// is disabled), for stats and tests.
-func (c *Cluster) GossipOptionsValue() GossipOptions {
-	if c.gossip == nil {
-		return GossipOptions{}
-	}
-	return c.gossip.opts
-}
-
-// StartGossip launches the probe and anti-entropy loops. Idempotent;
-// no-op when gossip is not enabled.
+// StartGossip launches the probe and anti-entropy loops. Idempotent.
 func (c *Cluster) StartGossip() {
 	g := c.gossip
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	if g.started {
-		g.mu.Unlock()
-		return
-	}
-	g.started = true
-	g.mu.Unlock()
-	g.wg.Add(1)
-	go g.run()
+	g.startOnce.Do(func() {
+		g.wg.Add(1)
+		go g.run()
+	})
 }
 
 // StopGossip stops the loops and waits for them. Idempotent and safe
-// when gossip was never enabled or started.
+// when they were never started.
 func (c *Cluster) StopGossip() {
 	g := c.gossip
-	if g == nil {
-		return
-	}
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
 }
@@ -339,7 +312,7 @@ func (g *gossipState) probeOnce() {
 	if ok {
 		// An answered probe proves liveness directly; clear any local
 		// suspicion without waiting for the member's own refutation.
-		g.c.clearSuspect(target)
+		g.c.probeAnswered(target)
 	} else {
 		g.c.markSuspect(target)
 	}
@@ -380,8 +353,14 @@ func (g *gossipState) probeTimeout() time.Duration {
 // nextTarget returns the next peer in the shuffled round-robin probe
 // order, reshuffling from current membership at each wrap. Round-robin
 // (rather than uniform random) bounds the worst-case detection time:
-// every member is probed at least once per n intervals.
+// every member is probed at least once per n intervals. An alive peer
+// whose last RPC failed jumps the queue: routing already avoids it, so
+// the detector rules on it — answering, or suspect — within one
+// interval, and either verdict takes it out of this fast lane.
 func (g *gossipState) nextTarget() string {
+	if t := g.c.rpcFailedPeer(); t != "" {
+		return t
+	}
 	peers := g.c.Peers()
 	if len(peers) == 0 {
 		return ""
@@ -529,18 +508,46 @@ func (c *Cluster) markSuspect(peer string) {
 	c.enqueueLocked(MemberUpdate{URL: peer, Inc: m.inc, State: StateSuspect})
 }
 
-// clearSuspect reverts a local suspicion after a successful probe.
-// Local-only (not gossiped): remote suspicions are cleared by the
-// member's own incarnation-bumping refutation, which this node will
-// have delivered to it via piggyback.
-func (c *Cluster) clearSuspect(peer string) {
+// probeAnswered records a successful direct or indirect probe: it
+// reverts a local suspicion and clears a failed-RPC mark. Local-only
+// (not gossiped): remote suspicions are cleared by the member's own
+// incarnation-bumping refutation, which this node will have delivered
+// to it via piggyback.
+func (c *Cluster) probeAnswered(peer string) {
 	peer = NormalizePeer(peer)
 	c.memMu.Lock()
 	defer c.memMu.Unlock()
 	m, ok := c.members[peer]
-	if ok && m.state == StateSuspect {
+	if !ok {
+		return
+	}
+	if m.state == StateSuspect {
 		m.state = StateAlive
 	}
+	m.rpcFailed = false
+}
+
+// setRPCFailed records the transport outcome of an ordinary peer RPC
+// (DoTimeout is the only caller). A peer not in the table has no health
+// to record: Healthy already rejects it.
+func (c *Cluster) setRPCFailed(peer string, failed bool) {
+	c.memMu.Lock()
+	defer c.memMu.Unlock()
+	if m, ok := c.members[peer]; ok {
+		m.rpcFailed = failed
+	}
+}
+
+// rpcFailedPeer returns an alive member whose last RPC failed, or "".
+func (c *Cluster) rpcFailedPeer() string {
+	c.memMu.Lock()
+	defer c.memMu.Unlock()
+	for url, m := range c.members {
+		if m.rpcFailed && m.state == StateAlive {
+			return url
+		}
+	}
+	return ""
 }
 
 // expireSuspects confirms dead every member suspected longer than the
@@ -584,7 +591,7 @@ func (c *Cluster) rebuildLocked(before []string) (ChangeEvent, bool) {
 	if stringSlicesEqual(before, after) {
 		return ChangeEvent{}, false
 	}
-	ring := NewRing(after, c.vnodes)
+	ring := NewRing(after, 0)
 	c.ring.Store(ring)
 	c.ringHash.Store(hash64(joinPeers(after)))
 	v := c.version.Add(1)
@@ -601,9 +608,6 @@ func (c *Cluster) rebuildLocked(before []string) (ChangeEvent, bool) {
 // O(log n) transmissions spread a rumor with high probability). A
 // newer claim about the same member replaces the queued one.
 func (c *Cluster) enqueueLocked(u MemberUpdate) {
-	if c.gossip == nil {
-		return
-	}
 	n := len(c.members) + 1
 	c.queue[u.URL] = &queuedUpdate{u: u, remaining: 4 + 3*bits.Len(uint(n))}
 }
@@ -614,9 +618,10 @@ type queuedUpdate struct {
 }
 
 // outMsg builds one outbound gossip envelope: the node's own alive
-// claim plus up to max queued deltas (deterministic order, budgets
-// decremented).
-func (c *Cluster) outMsg(max int) gossipMsg {
+// claim plus up to MaxPiggyback queued deltas (deterministic order,
+// budgets decremented).
+func (c *Cluster) outMsg() gossipMsg {
+	max := c.gossip.opts.MaxPiggyback
 	c.memMu.Lock()
 	ups := make([]MemberUpdate, 0, max+1)
 	ups = append(ups, MemberUpdate{URL: c.self, Inc: c.selfInc, State: StateAlive})
@@ -668,7 +673,7 @@ func (c *Cluster) fullState() []MemberUpdate {
 // gossipPing sends one direct ping. The response piggyback (which
 // always includes the target's own alive claim) is applied on success.
 func (c *Cluster) gossipPing(target string, timeout time.Duration) bool {
-	resp, ok := c.gossipPost(target, PathGossipPing, c.outMsg(c.maxPiggyback()), timeout)
+	resp, ok := c.gossipPost(target, PathGossipPing, c.outMsg(), timeout)
 	if !ok {
 		return false
 	}
@@ -681,7 +686,7 @@ func (c *Cluster) gossipPingReq(relay, target string, timeout time.Duration) boo
 	if faultGossipPartition.Fire() {
 		return false
 	}
-	body, _ := json.Marshal(pingReqMsg{Target: target, Msg: c.outMsg(c.maxPiggyback())})
+	body, _ := json.Marshal(pingReqMsg{Target: target, Msg: c.outMsg()})
 	// The relay needs its own probe timeout inside ours.
 	raw, ok := c.gossipRoundTrip(relay, PathGossipPingReq, body, 2*timeout)
 	if !ok {
@@ -723,10 +728,11 @@ func (c *Cluster) gossipPost(target, path string, msg gossipMsg, timeout time.Du
 	return resp, true
 }
 
-// gossipRoundTrip is the raw HTTP exchange for gossip RPCs. Outcomes
-// deliberately do not feed the per-peer breakers: liveness is the
-// gossip layer's own verdict now, and a breaker half-open probe racing
-// the failure detector would make both less predictable.
+// gossipRoundTrip is the raw HTTP exchange for gossip RPCs. A failed
+// one deliberately does not mark the peer's last RPC failed: a lost
+// probe already has its own consequence (the indirect round, then
+// suspicion), and a sync or relay lost to a busy peer is no reason to
+// route around it.
 func (c *Cluster) gossipRoundTrip(target, path string, body []byte, timeout time.Duration) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -747,19 +753,10 @@ func (c *Cluster) gossipRoundTrip(target, path string, body []byte, timeout time
 	return raw, true
 }
 
-func (c *Cluster) maxPiggyback() int {
-	if c.gossip == nil {
-		return 8
-	}
-	return c.gossip.opts.MaxPiggyback
-}
-
 // ---------------------------------------------------------------------------
 // HTTP handlers and the piggyback header.
 
-// RegisterGossipHandlers mounts the gossip endpoints on a mux. Safe to
-// call for static clusters too: the handlers answer from the static
-// table and never mutate it (applyUpdates is gated on gossip).
+// RegisterGossipHandlers mounts the gossip endpoints on a mux.
 func (c *Cluster) RegisterGossipHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathGossipPing, c.handleGossipPing)
 	mux.HandleFunc("POST "+PathGossipPingReq, c.handleGossipPingReq)
@@ -772,10 +769,10 @@ func (c *Cluster) handleGossipPing(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg gossipMsg
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&msg); err == nil && c.gossip != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&msg); err == nil {
 		c.applyUpdates(msg.Updates)
 	}
-	writeGossipJSON(w, c.outMsg(c.maxPiggyback()))
+	writeGossipJSON(w, c.outMsg())
 }
 
 func (c *Cluster) handleGossipPingReq(w http.ResponseWriter, r *http.Request) {
@@ -784,20 +781,14 @@ func (c *Cluster) handleGossipPingReq(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad ping-req body", http.StatusBadRequest)
 		return
 	}
-	if c.gossip != nil {
-		c.applyUpdates(req.Msg.Updates)
-	}
+	c.applyUpdates(req.Msg.Updates)
 	target := NormalizePeer(req.Target)
 	ok := false
 	if target != "" && target != c.self {
 		// Relay's own probe, subject to the same partition fault.
-		to := 2 * time.Second
-		if c.gossip != nil {
-			to = c.gossip.probeTimeout()
-		}
-		ok = c.gossipPing(target, to)
+		ok = c.gossipPing(target, c.gossip.probeTimeout())
 	}
-	writeGossipJSON(w, pingReqResp{OK: ok, Msg: c.outMsg(c.maxPiggyback())})
+	writeGossipJSON(w, pingReqResp{OK: ok, Msg: c.outMsg()})
 }
 
 func (c *Cluster) handleGossipSync(w http.ResponseWriter, r *http.Request) {
@@ -806,9 +797,7 @@ func (c *Cluster) handleGossipSync(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad sync body", http.StatusBadRequest)
 		return
 	}
-	if c.gossip != nil {
-		c.applyUpdates(msg.Updates)
-	}
+	c.applyUpdates(msg.Updates)
 	writeGossipJSON(w, gossipMsg{From: c.self, Version: c.version.Load(), Ring: c.ringHash.Load(), Updates: c.fullState()})
 }
 
@@ -823,16 +812,13 @@ func writeGossipJSON(w http.ResponseWriter, v any) {
 }
 
 // GossipHeaderValue returns the X-Mama-Gossip value to attach to an
-// outbound request or response, or "" when gossip is disabled (or the
-// partition fault is isolating this node).
+// outbound request or response, or "" when the partition fault is
+// isolating this node.
 func (c *Cluster) GossipHeaderValue() string {
-	if c.gossip == nil {
-		return ""
-	}
 	if faultGossipPartition.Fire() {
 		return ""
 	}
-	b, err := json.Marshal(c.outMsg(c.maxPiggyback()))
+	b, err := json.Marshal(c.outMsg())
 	if err != nil {
 		return ""
 	}
@@ -840,16 +826,12 @@ func (c *Cluster) GossipHeaderValue() string {
 }
 
 // ApplyGossipHeader merges the membership deltas piggybacked on an
-// incoming request or a peer response. No-op for static clusters.
+// incoming request or a peer response; a value that does not decode is
+// ignored.
 func (c *Cluster) ApplyGossipHeader(v string) {
-	if c.gossip == nil || v == "" {
-		return
+	if msg, ok := decodeGossip(v); ok {
+		c.applyUpdates(msg.Updates)
 	}
-	msg, ok := decodeGossip(v)
-	if !ok {
-		return
-	}
-	c.applyUpdates(msg.Updates)
 }
 
 // ---------------------------------------------------------------------------

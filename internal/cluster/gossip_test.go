@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +67,6 @@ func TestRefutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableGossip(GossipOptions{Interval: time.Hour}) // loops never started
 	c.applyUpdates([]MemberUpdate{{URL: "http://a:1", Inc: 0, State: StateSuspect}})
 	if got := c.SelfIncarnation(); got != 1 {
 		t.Fatalf("SelfIncarnation = %d, want 1 after refuting suspect(0)", got)
@@ -78,7 +80,7 @@ func TestRefutation(t *testing.T) {
 		t.Fatalf("SelfIncarnation = %d, want 2 after refuting dead(1)", got)
 	}
 	// The refutation is queued for piggybacking.
-	msg := c.outMsg(8)
+	msg := c.outMsg()
 	if len(msg.Updates) == 0 || msg.Updates[0].URL != "http://a:1" || msg.Updates[0].Inc != 2 {
 		t.Fatalf("outMsg does not lead with the refuted alive claim: %+v", msg.Updates)
 	}
@@ -148,11 +150,10 @@ func TestPiggybackBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableGossip(GossipOptions{Interval: time.Hour})
 	c.markSuspect("http://b:1")
 	seen := 0
 	for i := 0; i < 64; i++ {
-		msg := c.outMsg(8)
+		msg := c.outMsg()
 		// Updates[0] is always the sender's own alive claim.
 		if len(msg.Updates) > 1 {
 			seen++
@@ -174,7 +175,6 @@ func TestGossipHeaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableGossip(GossipOptions{Interval: time.Hour})
 		return c
 	}
 	a, b := mk("http://a:1"), mk("http://b:1")
@@ -182,7 +182,7 @@ func TestGossipHeaderRoundTrip(t *testing.T) {
 	a.applyUpdates([]MemberUpdate{{URL: "http://c:1", Inc: 0, State: StateDead}})
 	hdr := a.GossipHeaderValue()
 	if hdr == "" {
-		t.Fatal("empty gossip header with gossip enabled")
+		t.Fatal("empty gossip header")
 	}
 	d, ok := DecodeGossipDigest(hdr)
 	if !ok || d.From != "http://a:1" || d.Ring != a.RingHash() {
@@ -195,6 +195,52 @@ func TestGossipHeaderRoundTrip(t *testing.T) {
 	if b.RingHash() != a.RingHash() {
 		t.Fatal("rings disagree after header exchange")
 	}
+}
+
+// FuzzDecodeGossip feeds arbitrary X-Mama-Gossip values — the one
+// membership input any client can send — to a fresh node: a value
+// either fails to decode and changes nothing, or applies without a
+// panic; either way the node still holds itself alive, in its own ring,
+// and has out-bid every suspect or dead claim about itself.
+func FuzzDecodeGossip(f *testing.F) {
+	const self, peer = "http://a:1", "http://b:1"
+	enc := func(msg gossipMsg) string {
+		b, _ := json.Marshal(msg)
+		return base64.RawURLEncoding.EncodeToString(b)
+	}
+	f.Add("")
+	f.Add("not base64!")
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte(`{"updates":7}`)))
+	f.Add(enc(gossipMsg{From: peer, Updates: []MemberUpdate{{peer, 3, StateAlive}, {"http://c:1", 0, StateSuspect}}}))
+	f.Add(enc(gossipMsg{From: peer, Updates: []MemberUpdate{{self, 9, StateDead}, {"a:1/", 2, StateSuspect}, {peer, 0, StateDead}}}))
+	f.Add(enc(gossipMsg{From: peer, Updates: []MemberUpdate{{"", 1, StateDead}, {self, 0, "zombie"}, {" http://a:1 /", 0, StateDead}}}))
+	f.Fuzz(func(t *testing.T, v string) {
+		c, err := New(self, []string{peer}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.Members()
+		msg, ok := decodeGossip(v)
+		c.ApplyGossipHeader(v)
+		if !ok && !reflect.DeepEqual(c.Members(), before) {
+			t.Fatalf("undecodable header changed the member table: %+v", c.Members())
+		}
+		if !c.Contains(self) || c.Owner("0123456789abcdef") == "" {
+			t.Fatalf("self left its own ring: %v", c.ring.Load().Peers())
+		}
+		c.memMu.Lock()
+		_, inTable := c.members[self]
+		c.memMu.Unlock()
+		if inTable {
+			t.Fatal("self entered its own member table")
+		}
+		for _, u := range msg.Updates {
+			known := u.State == StateSuspect || u.State == StateDead
+			if known && NormalizePeer(u.URL) == self && c.SelfIncarnation() <= u.Inc {
+				t.Fatalf("claim %+v about self not refuted: incarnation %d", u, c.SelfIncarnation())
+			}
+		}
+	})
 }
 
 // gossipNode is one in-process node for failure-detector tests: a

@@ -2,19 +2,20 @@
 // one sharded service. Jobs are already content-addressed (the SHA-256
 // job key), so the cluster layer is thin and stateless: a consistent-
 // hash ring assigns every job key an owning peer, any node accepts any
-// request and routes it to the owner, and a small health breaker per
-// peer lets the serving path degrade to local compute the moment a
-// peer stops answering — a partition slows the cluster down, it never
-// surfaces errors to clients.
+// request and routes it to the owner, and one health verdict per peer
+// (Healthy: the failure detector's state plus the last RPC outcome) lets
+// the serving path degrade to local compute the moment a peer stops
+// answering — a partition slows the cluster down, it never surfaces
+// errors to clients.
 //
-// Membership is seeded from the command line or a JSON membership
-// file and, with gossip enabled, maintained at runtime by a SWIM-style
-// failure detector (gossip.go): probes suspect unresponsive peers,
-// suspects that fail to refute are confirmed dead and leave the ring,
-// and rejoining nodes announce themselves with a bumped incarnation.
-// Because ring construction is deterministic (peers are sorted before
-// hashing, vnode points depend only on the peer URL), every node that
-// converges on the same member set computes the identical ring.
+// Membership is seeded from the command line and maintained at runtime
+// by a SWIM-style failure detector (gossip.go): probes suspect
+// unresponsive peers, suspects that fail to refute are confirmed dead
+// and leave the ring, and rejoining nodes announce themselves with a
+// bumped incarnation. Because ring construction is deterministic (peers
+// are sorted before hashing, vnode points depend only on the peer URL),
+// every node that converges on the same member set computes the
+// identical ring.
 package cluster
 
 import (
@@ -57,8 +58,8 @@ func hash64(s string) uint64 {
 
 // NewRing builds the ring for a peer list. Peers are normalized
 // (sorted, deduplicated) first, so any permutation of the same list —
-// every node's flag order, a shuffled membership file — produces an
-// identical ring. vnodes <= 0 selects DefaultVnodes.
+// every node's flag order, the order gossip delivered it in — produces
+// an identical ring. vnodes <= 0 selects DefaultVnodes.
 func NewRing(peers []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes

@@ -14,14 +14,16 @@ import (
 	"micromama/internal/faultinject"
 )
 
-// enableFault arms a fault-injection site for one test.
-func enableFault(t *testing.T, site, rule string) {
+// enableFault arms a fault-injection site for one test; restore disarms
+// it before the test ends.
+func enableFault(t *testing.T, site, rule string) (restore func()) {
 	t.Helper()
 	restore, err := faultinject.Enable(site, rule)
 	if err != nil {
 		t.Fatalf("enable fault %s=%s: %v", site, rule, err)
 	}
 	t.Cleanup(restore)
+	return restore
 }
 
 // TestFaultSiteCoverage pins the injection surface: every failure mode

@@ -48,14 +48,16 @@ import (
 
 // errPeerUnavailable marks a job outcome caused by the peer executing
 // it (the key's owner, or a thief) being unreachable or gone, not by the
-// simulation: settle hands the cell back as pending and it re-runs
-// (locally, once the breaker opens).
+// simulation: settle hands the cell back as pending and it re-runs —
+// locally, since the failed RPC has already marked the peer unhealthy.
 var errPeerUnavailable = errors.New("cluster: executing peer unavailable")
 
 // clusterMetrics is the mama_cluster_* instrument set. Aggregate
 // counters feed /v1/stats; the per-peer series (label "peer") feed
 // /metrics so an operator can see which shard is slow, dead, or being
-// farmed for work.
+// farmed for work. The failure detector's own state (member count,
+// membership version, suspicion / refutation / confirm-dead counters)
+// is read from the cluster at scrape time.
 type clusterMetrics struct {
 	reg *telemetry.Registry
 
@@ -74,7 +76,22 @@ type clusterMetrics struct {
 	deadRequeued *telemetry.Counter // leases requeued because the thief was confirmed dead
 }
 
-func newClusterMetrics(r *telemetry.Registry) *clusterMetrics {
+func newClusterMetrics(r *telemetry.Registry, c *cluster.Cluster) *clusterMetrics {
+	r.GaugeFunc("mama_cluster_members",
+		"Current ring membership including self.",
+		func() float64 { return float64(c.Size()) })
+	r.GaugeFunc("mama_cluster_membership_version",
+		"Node-local membership version, bumped once per atomic ring transition.",
+		func() float64 { return float64(c.MembershipVersion()) })
+	r.CounterFunc("mama_cluster_suspect_total",
+		"Members this node has suspected (locally or via gossip).",
+		func() uint64 { n, _, _ := c.GossipCounts(); return n })
+	r.CounterFunc("mama_cluster_refute_total",
+		"Suspicions about this node it refuted by bumping its incarnation.",
+		func() uint64 { _, n, _ := c.GossipCounts(); return n })
+	r.CounterFunc("mama_cluster_confirm_dead_total",
+		"Members confirmed dead (suspect timeout expired or learned via gossip).",
+		func() uint64 { _, _, n := c.GossipCounts(); return n })
 	return &clusterMetrics{
 		reg: r,
 		proxied: r.Counter("mama_cluster_proxied_total",
@@ -106,27 +123,6 @@ func newClusterMetrics(r *telemetry.Registry) *clusterMetrics {
 	}
 }
 
-// registerMembership exposes the gossip layer's live membership state
-// as metrics: a member-count gauge, the node-local membership version,
-// and the lifetime suspicion / refutation / confirm-dead counters.
-func (cm *clusterMetrics) registerMembership(c *cluster.Cluster) {
-	cm.reg.GaugeFunc("mama_cluster_members",
-		"Current ring membership including self.",
-		func() float64 { return float64(c.Size()) })
-	cm.reg.GaugeFunc("mama_cluster_membership_version",
-		"Node-local membership version, bumped once per atomic ring transition.",
-		func() float64 { return float64(c.MembershipVersion()) })
-	cm.reg.CounterFunc("mama_cluster_suspect_total",
-		"Members this node has suspected (locally or via gossip).",
-		func() uint64 { s, _, _ := c.GossipCounts(); return s })
-	cm.reg.CounterFunc("mama_cluster_refute_total",
-		"Suspicions about this node it refuted by bumping its incarnation.",
-		func() uint64 { _, r, _ := c.GossipCounts(); return r })
-	cm.reg.CounterFunc("mama_cluster_confirm_dead_total",
-		"Members confirmed dead (suspect timeout expired or learned via gossip).",
-		func() uint64 { _, _, d := c.GossipCounts(); return d })
-}
-
 // perPeer bumps the labeled sibling of an aggregate counter. The
 // registry deduplicates by (name, labels), so this is cheap after the
 // first call per peer.
@@ -152,7 +148,7 @@ var longPollWait = 2 * time.Second
 // closes.
 const earlyReleasePause = 100 * time.Millisecond
 
-// clusterState is the per-server cluster runtime: the ring + breaker
+// clusterState is the per-server cluster runtime: the ring and member
 // view, remote-execution slots, the stolen-cell lease table, and the
 // background stealer/janitor goroutines.
 type clusterState struct {
@@ -198,7 +194,7 @@ func newClusterState(s *Server) *clusterState {
 	cs := &clusterState{
 		s:          s,
 		c:          cfg.Cluster,
-		m:          newClusterMetrics(s.reg),
+		m:          newClusterMetrics(s.reg, cfg.Cluster),
 		sem:        make(chan struct{}, 4*cfg.Workers),
 		peerSlots:  peerSlots,
 		stealEvery: stealEvery,
@@ -207,9 +203,6 @@ func newClusterState(s *Server) *clusterState {
 		peerSem:    make(map[string]chan struct{}),
 		leases:     make(map[string]*stolenLease),
 		stealRng:   rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
-	if cfg.Cluster.GossipEnabled() {
-		cs.m.registerMembership(cfg.Cluster)
 	}
 	// The ring-change hook must be in place before gossip starts (see
 	// start()): a transition observed with no hook would skip repair.
@@ -231,9 +224,10 @@ func (cs *clusterState) peerSlot(peer string) chan struct{} {
 	return ps
 }
 
-// start launches the background goroutines: the lease janitor and (if
-// enabled) the stealer. Both exit when the server's base context is
-// cancelled; wait() joins them and any in-flight remote executions.
+// start launches the failure detector and the background goroutines:
+// the lease janitor, one boot-time repair and (unless disabled) the
+// stealer. They exit when the server's base context is cancelled;
+// wait() joins them and any in-flight remote executions.
 func (cs *clusterState) start() {
 	// Gossip starts here, after newClusterState registered the ring-
 	// change hook, so no transition can be missed.
@@ -243,23 +237,18 @@ func (cs *clusterState) start() {
 		defer cs.wg.Done()
 		cs.janitorLoop()
 	}()
-	// A gossip node repairs itself once at boot: a restarted member
-	// pulls back the warm entries it owns from whoever kept serving
-	// while it was gone (join-only nodes with no bootstrap peers get
-	// the same effect from the onRingChange hook when the synced
-	// membership lands). Static-membership clusters skip this — their
-	// caches never moved.
-	if cs.c.GossipEnabled() && len(cs.c.Peers()) > 0 {
-		cs.wg.Add(1)
-		go func() {
-			defer cs.wg.Done()
-			cs.repairOwned()
-		}()
-	}
-	// With gossip the peer set can grow from empty (a node started with
-	// only -join seeds), so the stealer starts whenever membership can
-	// change, not just when bootstrap peers exist.
-	if cs.stealEvery > 0 && (len(cs.c.Peers()) > 0 || cs.c.GossipEnabled()) {
+	// A node repairs itself once at boot: a restarted member pulls back
+	// the warm entries it owns from whoever kept serving while it was
+	// gone (join-only nodes with no bootstrap peers get the same effect
+	// from the onRingChange hook when the synced membership lands).
+	cs.wg.Add(1)
+	go func() {
+		defer cs.wg.Done()
+		cs.repairOwned()
+	}()
+	// The peer set can grow from empty (a node started with only -join
+	// seeds), so the stealer runs whether or not bootstrap peers exist.
+	if cs.stealEvery > 0 {
 		cs.wg.Add(1)
 		go func() {
 			defer cs.wg.Done()
@@ -628,15 +617,12 @@ func (cs *clusterState) handleCachePull(w http.ResponseWriter, r *http.Request) 
 // traffic, the owner copy makes the key findable cluster-wide.
 func (cs *clusterState) writeBack(key string, res JobResult) {
 	owner := cs.c.Owner(key)
-	if cs.c.IsSelf(owner) {
+	if cs.c.IsSelf(owner) || !cs.c.Healthy(owner) {
 		return
 	}
 	cs.wg.Add(1)
 	go func() {
 		defer cs.wg.Done()
-		if !cs.c.Healthy(owner) {
-			return
-		}
 		body, err := json.Marshal(res)
 		if err != nil {
 			return
@@ -746,8 +732,8 @@ func (cs *clusterState) dispatchNext() {
 
 // runRemoteCell executes one job on the peer owning its key: submit the
 // spec, wait for the result. Peer death at any point is reported as
-// errPeerUnavailable — after enough failures the owner's breaker opens
-// and the next dispatch runs locally.
+// errPeerUnavailable; the failed RPC has marked the owner unhealthy, so
+// the next dispatch of the cell runs locally.
 func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
 	fail := func(err error) (JobResult, error) {
 		if cs.s.baseCtx.Err() != nil {
@@ -850,11 +836,11 @@ type stolenCellWire struct {
 
 type stealRequest struct {
 	Max int `json:"max"`
-	// Thief is the thief's advertised URL. The victim records it on the
-	// lease so a ring transition that confirms the thief dead can match
-	// and requeue its leases immediately (RemoteAddr is an ephemeral
-	// client port, useless for that comparison).
-	Thief string `json:"thief,omitempty"`
+	// Thief is the thief's advertised URL, required. The victim records
+	// it on the lease so a ring transition that confirms the thief dead
+	// can match and requeue its leases immediately (RemoteAddr is an
+	// ephemeral client port, useless for that comparison).
+	Thief string `json:"thief"`
 }
 
 type stealResponse struct {
@@ -1075,8 +1061,8 @@ func (cs *clusterState) janitorLoop() {
 // Internal HTTP endpoints (peer-to-peer protocol)
 // ---------------------------------------------------------------------
 
-// gossipExchange is the piggyback middleware wrapped around the whole
-// HTTP surface when gossip is enabled: incoming requests may carry
+// gossipExchange is the piggyback middleware wrapped around a clustered
+// node's whole HTTP surface: incoming requests may carry
 // membership deltas from peers or cluster-aware clients, and every
 // response carries this node's current digest plus queued deltas. This
 // is what makes membership converge between probe ticks — ordinary
@@ -1142,6 +1128,11 @@ func (cs *clusterState) handleSteal(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad steal request: " + err.Error()})
 		return
 	}
+	thief := cluster.NormalizePeer(req.Thief)
+	if thief == "" {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "steal request needs thief"})
+		return
+	}
 	out := stealResponse{Cells: []stolenCellWire{}}
 	if cs.s.isDraining() || req.Max <= 0 {
 		writeJSON(w, http.StatusOK, out)
@@ -1153,10 +1144,6 @@ func (cs *clusterState) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if pending := cs.s.sweeps.Counts().CellsPending; pending <= cs.minPending {
 		writeJSON(w, http.StatusOK, out)
 		return
-	}
-	thief := cluster.NormalizePeer(req.Thief)
-	if thief == "" {
-		thief = r.RemoteAddr // pre-gossip thieves; lease still expires on the clock
 	}
 	for len(out.Cells) < req.Max {
 		t, ok := cs.s.sweeps.TryDequeue()
@@ -1216,11 +1203,17 @@ func (cs *clusterState) handleStealDone(w http.ResponseWriter, r *http.Request) 
 // clusterStats snapshots the cluster block of /v1/stats.
 func (cs *clusterState) stats() *ClusterStats {
 	suspects, refutes, confirms := cs.c.GossipCounts()
+	peers := cs.c.Peers()
+	var unhealthy []string
+	for _, p := range peers {
+		if !cs.c.Healthy(p) {
+			unhealthy = append(unhealthy, p)
+		}
+	}
 	return &ClusterStats{
 		Self:              cs.c.Self(),
-		Peers:             cs.c.Peers(),
-		Unhealthy:         cs.c.UnhealthyPeers(),
-		GossipEnabled:     cs.c.GossipEnabled(),
+		Peers:             peers,
+		Unhealthy:         unhealthy,
 		Members:           cs.c.Members(),
 		MembershipVersion: cs.c.MembershipVersion(),
 		RingHash:          cs.c.RingHash(),

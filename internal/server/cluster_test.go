@@ -27,18 +27,23 @@ func (n *clusterNode) kill() {
 	n.srv.Close()
 }
 
-// startCluster boots n nodes that share one consistent-hash ring.
-// Listeners are bound first so every node is constructed with the full
-// peer set; mut customizes each node's Config before New.
-func startCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*clusterNode {
-	return startClusterOpts(t, n, cluster.Options{
-		FailureThreshold: 2,
-		Cooldown:         250 * time.Millisecond,
-		RPCTimeout:       5 * time.Second,
-	}, mut)
+// testGossipOptions are aggressive SWIM timings for in-process tests:
+// fast probes so kill/rejoin converges in tens of milliseconds, with a
+// suspect timeout loose enough that -race scheduling jitter cannot
+// spuriously confirm a live node dead.
+func testGossipOptions(seeds []string) cluster.GossipOptions {
+	return cluster.GossipOptions{
+		Interval:       10 * time.Millisecond,
+		SuspectTimeout: 150 * time.Millisecond,
+		SyncInterval:   40 * time.Millisecond,
+		Seeds:          seeds,
+	}
 }
 
-func startClusterOpts(t testing.TB, n int, opts cluster.Options, mut func(i int, cfg *Config)) []*clusterNode {
+// listenLoopback binds n loopback listeners and returns them with the
+// URLs nodes served on them will advertise. Binding first lets every
+// node be constructed with the full peer set.
+func listenLoopback(t testing.TB, n int) ([]net.Listener, []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -50,30 +55,60 @@ func startClusterOpts(t testing.TB, n int, opts cluster.Options, mut func(i int,
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
+	return lns, urls
+}
+
+// serveNode boots a server around an already-built cluster view and
+// serves it on a pre-bound listener; mut customizes the server Config.
+func serveNode(t testing.TB, cl *cluster.Cluster, ln net.Listener, mut func(cfg *Config)) *clusterNode {
+	t.Helper()
+	cfg := Config{
+		Workers:       2,
+		QueueDepth:    64,
+		Cluster:       cl,
+		StealInterval: -1, // tests that want stealing opt in
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener = ln
+	ts.Start()
+	n := &clusterNode{srv: srv, ts: ts, url: cl.Self()}
+	t.Cleanup(n.kill)
+	return n
+}
+
+// startNode boots one cluster node on a pre-bound listener. urls is
+// the bootstrap membership; opts are the failure detector's timings and
+// seeds.
+func startNode(t testing.TB, self string, urls []string, ln net.Listener,
+	opts cluster.GossipOptions, mut func(cfg *Config)) *clusterNode {
+	t.Helper()
+	cl, err := cluster.New(self, urls, cluster.Options{RPCTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.EnableGossip(opts)
+	return serveNode(t, cl, ln, mut)
+}
+
+// startCluster boots n nodes that share one bootstrap list (also the
+// gossip seed list) under testGossipOptions.
+func startCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*clusterNode {
+	t.Helper()
+	lns, urls := listenLoopback(t, n)
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
-		cl, err := cluster.New(urls[i], urls, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{
-			Workers:       2,
-			QueueDepth:    64,
-			Cluster:       cl,
-			StealInterval: -1, // tests that want stealing opt in
-		}
-		if mut != nil {
-			mut(i, &cfg)
-		}
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewUnstartedServer(srv.Handler())
-		ts.Listener = lns[i]
-		ts.Start()
-		nodes[i] = &clusterNode{srv: srv, ts: ts, url: urls[i]}
-		t.Cleanup(nodes[i].kill)
+		nodes[i] = startNode(t, urls[i], urls, lns[i], testGossipOptions(urls), func(cfg *Config) {
+			if mut != nil {
+				mut(i, cfg)
+			}
+		})
 	}
 	return nodes
 }
@@ -413,8 +448,9 @@ func TestClusterGoldenRoutingPaths(t *testing.T) {
 
 // TestClusterOwnerDeathMidSweep kills an owning shard while a sweep is
 // in flight: the sweep must still complete via re-routing (transient
-// requeue, breaker, degraded-local compute) with every cell terminal
-// exactly once — none lost, none double-counted.
+// requeue, the failed RPC sidelining the owner, degraded-local compute)
+// with every cell terminal exactly once — none lost, none
+// double-counted.
 func TestClusterOwnerDeathMidSweep(t *testing.T) {
 	const cells = 12
 	sims := make([]atomic.Int64, 3)
@@ -463,32 +499,29 @@ func TestClusterOwnerDeathMidSweep(t *testing.T) {
 	}
 }
 
-// TestClusterPartitionDegrade cuts every peer RPC via the injected
-// partition fault: submissions against the reachable node must degrade
-// to local compute — slower, but never a client-visible error.
+// TestClusterPartitionDegrade cuts every ordinary peer RPC via the
+// injected partition fault while gossip keeps flowing: each RPC fails
+// and sidelines the peer, each answered probe brings it back, and
+// submissions against the reachable node must degrade to local compute
+// throughout — slower, but never a client-visible error.
 func TestClusterPartitionDegrade(t *testing.T) {
 	enableFault(t, "cluster/rpc/partition", "always")
 	sims := make([]atomic.Int64, 2)
-	// A long cooldown keeps the breaker visibly open once it trips, so
-	// the final stats assertions are deterministic.
-	nodes := startClusterOpts(t, 2, cluster.Options{
-		FailureThreshold: 2,
-		Cooldown:         time.Minute,
-		RPCTimeout:       5 * time.Second,
-	}, func(i int, cfg *Config) {
+	nodes := startCluster(t, 2, func(i int, cfg *Config) {
 		cfg.Run = pureRun(&sims[i], 0)
 	})
 	a, b := nodes[0], nodes[1]
 
-	// A peer-owned job, submitted twice: each proxy attempt fails in
-	// transport and degrades to local compute; the second failure trips
-	// the breaker. The client sees 202s throughout, never an error.
+	// A peer-owned job, submitted twice: a proxy attempt fails in
+	// transport and degrades to local compute, or finds the peer still
+	// sidelined by the last failure and degrades without trying. The
+	// client sees 202s throughout, never an error.
 	remoteSpec := specOwnedBy(t, a, b.url)
 	body, _ := json.Marshal(remoteSpec)
 	for i := 0; i < 2; i++ {
 		resp, view := postJob(t, a.ts, string(body))
 		// First submit queues locally (202); the resubmission is a local
-		// cache hit (200) — still routed through a proxy attempt first.
+		// cache hit (200) — still routed through the proxy path first.
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %d under partition: HTTP %d", i, resp.StatusCode)
 		}
@@ -509,11 +542,10 @@ func TestClusterPartitionDegrade(t *testing.T) {
 	if sims[1].Load() != 0 {
 		t.Errorf("partitioned peer ran %d simulations; nothing should reach it", sims[1].Load())
 	}
-	_, acl := clusterStats(t, a)
-	if acl.DegradedLocal == 0 {
+	// No end-state check on cluster.unhealthy: probes still reach the
+	// peer, so the mark a failed RPC leaves is cleared within one gossip
+	// interval (TestSuspectPeerIsSkipped pins the stat while it holds).
+	if _, acl := clusterStats(t, a); acl.DegradedLocal == 0 {
 		t.Error("no degraded-local compute recorded under full partition")
-	}
-	if len(acl.Unhealthy) == 0 {
-		t.Error("partitioned peer never marked unhealthy")
 	}
 }

@@ -3,10 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,82 +15,6 @@ import (
 	"micromama/internal/cluster"
 	"micromama/internal/sweep"
 )
-
-// testGossipOptions are aggressive SWIM timings for in-process tests:
-// fast probes so kill/rejoin converges in tens of milliseconds, with a
-// suspect timeout loose enough that -race scheduling jitter cannot
-// spuriously confirm a live node dead.
-func testGossipOptions(seeds []string) cluster.GossipOptions {
-	return cluster.GossipOptions{
-		Interval:       10 * time.Millisecond,
-		SuspectTimeout: 150 * time.Millisecond,
-		SyncInterval:   40 * time.Millisecond,
-		Seeds:          seeds,
-	}
-}
-
-// startGossipNode boots one gossip-enabled cluster node on a
-// pre-bound listener. urls is the bootstrap membership (also the
-// gossip seed list); mut customizes the server Config.
-func startGossipNode(t *testing.T, self string, urls []string, ln net.Listener,
-	opts cluster.GossipOptions, mut func(cfg *Config)) *clusterNode {
-	t.Helper()
-	cl, err := cluster.New(self, urls, cluster.Options{
-		FailureThreshold: 2,
-		Cooldown:         250 * time.Millisecond,
-		RPCTimeout:       5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.EnableGossip(opts)
-	cfg := Config{
-		Workers:       2,
-		QueueDepth:    64,
-		Cluster:       cl,
-		StealInterval: -1,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewUnstartedServer(srv.Handler())
-	ts.Listener = ln
-	ts.Start()
-	n := &clusterNode{srv: srv, ts: ts, url: self}
-	t.Cleanup(n.kill)
-	return n
-}
-
-// startGossipCluster boots n gossip-enabled nodes sharing one
-// bootstrap list.
-func startGossipCluster(t *testing.T, n int, mut func(i int, cfg *Config)) []*clusterNode {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	nodes := make([]*clusterNode, n)
-	for i := range nodes {
-		i := i
-		nodes[i] = startGossipNode(t, urls[i], urls, lns[i], testGossipOptions(urls),
-			func(cfg *Config) {
-				if mut != nil {
-					mut(i, cfg)
-				}
-			})
-	}
-	return nodes
-}
 
 // relisten rebinds a specific address, retrying briefly: the previous
 // listener's close may not have fully released the port yet.
@@ -107,27 +31,6 @@ func relisten(t *testing.T, addr string) net.Listener {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// seedsOwnedBy hunts count distinct fake-job seeds whose keys land on
-// the wanted node.
-func seedsOwnedBy(t *testing.T, n *clusterNode, want string, count int) []uint64 {
-	t.Helper()
-	var out []uint64
-	for seed := uint64(1); seed < 1<<16 && len(out) < count; seed++ {
-		spec := JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: seed}
-		p, err := n.srv.resolve(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.srv.cl.c.Owner(p.key) == want {
-			out = append(out, seed)
-		}
-	}
-	if len(out) < count {
-		t.Fatalf("found only %d of %d seeds owned by %s", len(out), count, want)
-	}
-	return out
 }
 
 // waitMembership polls until every listed node's ring has the wanted
@@ -168,7 +71,7 @@ func waitMembership(t *testing.T, nodes []*clusterNode, size int, timeout time.D
 // TestGossipKillRejoinRepair is the gossip acceptance test, end to end
 // under -race:
 //
-//  1. a 3-node gossip cluster computes a sweep exactly once;
+//  1. a 3-node cluster computes a sweep exactly once;
 //  2. one node is killed: the survivors' SWIM detectors confirm it
 //     dead, both rebuild the same 2-node ring, and anti-entropy repair
 //     re-homes the dead node's key range so an identical sweep against
@@ -191,20 +94,10 @@ func TestGossipKillRejoinRepair(t *testing.T) {
 		return n
 	}
 
-	lns := make([]net.Listener, 3)
-	urls := make([]string, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
+	lns, urls := listenLoopback(t, 3)
 	nodes := make([]*clusterNode, 3)
 	for i := range nodes {
-		i := i
-		nodes[i] = startGossipNode(t, urls[i], urls, lns[i], testGossipOptions(urls),
+		nodes[i] = startNode(t, urls[i], urls, lns[i], testGossipOptions(urls),
 			func(cfg *Config) {
 				cfg.Run = pureRun(&sims[i], 0)
 				cfg.RemotePeerSlots = 2 * 3 * perOwner // eager remote dispatch
@@ -216,9 +109,7 @@ func TestGossipKillRejoinRepair(t *testing.T) {
 	// guaranteed a share of the key range.
 	var specs []JobSpec
 	for _, n := range nodes {
-		for _, seed := range seedsOwnedBy(t, a, n.url, perOwner) {
-			specs = append(specs, JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: seed})
-		}
+		specs = append(specs, specsOwnedBy(t, a, n.url, perOwner)...)
 	}
 	cells := len(specs)
 	keyOf := make(map[uint64]string, cells) // seed -> cache key
@@ -328,7 +219,7 @@ func TestGossipKillRejoinRepair(t *testing.T) {
 	// Phase 3: restart B on the same address with the same bootstrap
 	// flags. It must rejoin through gossip alone.
 	addr := strings.TrimPrefix(b.url, "http://")
-	b2 := startGossipNode(t, b.url, urls, relisten(t, addr), testGossipOptions(urls),
+	b2 := startNode(t, b.url, urls, relisten(t, addr), testGossipOptions(urls),
 		func(cfg *Config) {
 			cfg.Run = pureRun(&sims[3], 0)
 			cfg.RemotePeerSlots = 2 * 3 * perOwner
@@ -367,9 +258,8 @@ func TestGossipKillRejoinRepair(t *testing.T) {
 	if bcl.RepairPulled == 0 {
 		t.Error("rejoined node recorded no repair pulls")
 	}
-	if bcl.SelfIncarnation == 0 || !bcl.GossipEnabled {
-		t.Errorf("rejoined node stats: gossip_enabled=%v self_incarnation=%d",
-			bcl.GossipEnabled, bcl.SelfIncarnation)
+	if bcl.SelfIncarnation == 0 {
+		t.Error("rejoined node stats: self_incarnation = 0")
 	}
 
 	// A previously-warm, B-owned spec is an immediate cache hit on the
@@ -459,43 +349,181 @@ func TestStealBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestPrefetchSkipsOpenBreaker: sweep-admission batch prefetch must
-// not send cache lookups to a peer whose breaker is open, and must
-// resume once the cooldown admits a probe.
-func TestPrefetchSkipsOpenBreaker(t *testing.T) {
+// gossipHeader encodes membership claims as an X-Mama-Gossip value,
+// the way a peer that held them would piggyback them.
+func gossipHeader(from string, claims ...cluster.MemberUpdate) string {
+	b, _ := json.Marshal(struct {
+		From    string                 `json:"from"`
+		Updates []cluster.MemberUpdate `json:"updates"`
+	}{from, claims})
+	return base64.RawURLEncoding.EncodeToString(b)
+}
+
+// TestSuspectPeerIsSkipped: a peer the failure detector holds suspect
+// gets no routed traffic — proxySubmit, reserve, prefetchSweep,
+// writeBack and the stealer's nextPeer all pass it over, and
+// cluster.unhealthy names it — and every one of them uses it again as
+// soon as its refutation arrives. The member table moves only when this
+// test moves it: both detectors sleep (hour-long interval), and while
+// the peer is to stay suspect the gossip-partition fault keeps every
+// outbound header empty, so it cannot hear of the suspicion and refute
+// early (boot-time repair RPCs would otherwise carry the news). The
+// suspicion arrives as a gossiped claim; the refutation, once the fault
+// is lifted, over two ordinary B→A requests (the first answer tells B
+// it is suspected, the second request carries B's bumped incarnation).
+func TestSuspectPeerIsSkipped(t *testing.T) {
+	healGossip := enableFault(t, "cluster/gossip/partition", "always")
 	var sims [2]atomic.Int64
-	nodes := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.Run = pureRun(&sims[i], 0)
-	})
+	lns, urls := listenLoopback(t, 2)
+	nodes := make([]*clusterNode, 2)
+	for i := range nodes {
+		nodes[i] = startNode(t, urls[i], urls, lns[i],
+			cluster.GossipOptions{Interval: time.Hour, Seeds: urls},
+			func(cfg *Config) { cfg.Run = pureRun(&sims[i], 0) })
+	}
 	a, b := nodes[0], nodes[1]
+	acs, ctx := a.srv.cl, context.Background()
 
-	spec := specOwnedBy(t, a, b.url)
-	sp := sweep.Spec{Name: "prefetch-breaker", Cells: []sweep.Cell{{
-		Mix: spec.Mix, Controller: spec.Controller, Scale: spec.Scale, Seed: spec.Seed,
-	}}}
+	specs := specsOwnedBy(t, a, b.url, 3)
+	keys := make([]string, len(specs))
+	bodies := make([]string, len(specs))
+	for i, spec := range specs {
+		p, err := a.srv.resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(spec)
+		keys[i], bodies[i] = p.key, string(body)
+	}
+	sweepOf := func(spec JobSpec) sweep.Spec {
+		return sweep.Spec{Name: "prefetch", Cells: []sweep.Cell{{
+			Mix: spec.Mix, Controller: spec.Controller, Scale: spec.Scale, Seed: spec.Seed,
+		}}}
+	}
 
-	// Trip B's breaker (threshold 2 in startCluster).
-	a.srv.cl.c.ReportFailure(b.url)
-	a.srv.cl.c.ReportFailure(b.url)
-	if a.srv.cl.c.Healthy(b.url) {
-		t.Fatal("breaker did not open")
+	acs.c.ApplyGossipHeader(gossipHeader("http://third-party:1",
+		cluster.MemberUpdate{URL: b.url, Inc: 0, State: cluster.StateSuspect}))
+	if acs.c.Healthy(b.url) {
+		t.Fatal("a suspect peer reads healthy")
 	}
-	a.srv.cl.prefetchSweep(context.Background(), sp)
-	if _, acl := clusterStats(t, a); acl.RemoteCacheHits != 0 || acl.RemoteCacheMisses != 0 {
-		t.Fatalf("prefetch reached a breaker-open peer: hits=%d misses=%d",
-			acl.RemoteCacheHits, acl.RemoteCacheMisses)
+	if _, acl := clusterStats(t, a); len(acl.Unhealthy) != 1 || acl.Unhealthy[0] != b.url {
+		t.Errorf("cluster.unhealthy = %v, want [%s]", acl.Unhealthy, b.url)
 	}
 
-	// After the cooldown the half-open breaker admits the lookup; B is
-	// cold, so the probe lands as a recorded miss and (being an HTTP
-	// answer) closes the breaker.
-	time.Sleep(300 * time.Millisecond)
-	a.srv.cl.prefetchSweep(context.Background(), sp)
-	if _, acl := clusterStats(t, a); acl.RemoteCacheMisses == 0 {
-		t.Error("prefetch after cooldown never reached the peer")
+	// proxySubmit degrades to local compute, and writeBack (decided before
+	// the job reads done) does not push the result to the suspect owner.
+	resp, view := postJob(t, a.ts, bodies[0])
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with a suspect owner: HTTP %d", resp.StatusCode)
 	}
-	if !a.srv.cl.c.Healthy(b.url) {
-		t.Error("successful lookup did not close the breaker")
+	if done := waitDone(t, a.ts, view.ID, 10*time.Second); done.Status != StatusDone {
+		t.Fatalf("job with a suspect owner finished as %q: %s", done.Status, done.Error)
+	}
+	if sims[0].Load() != 1 || sims[1].Load() != 0 {
+		t.Errorf("simulations = [%d %d], want [1 0]: the suspect owner must be passed over", sims[0].Load(), sims[1].Load())
+	}
+	if slot := acs.reserve(keys[1]); slot != nil {
+		slot.release()
+		t.Error("reserve claimed a remote slot on a suspect owner")
+	}
+	acs.prefetchSweep(ctx, sweepOf(specs[1]))
+	if p, ok := acs.nextPeer(); ok {
+		t.Errorf("stealer picked suspect peer %s as its victim", p)
+	}
+	_, acl := clusterStats(t, a)
+	if acl.DegradedLocal != 1 || acl.Proxied != 0 || acl.Writebacks != 0 ||
+		acl.RemoteCacheHits != 0 || acl.RemoteCacheMisses != 0 {
+		t.Errorf("while suspect: degraded_local=%d proxied=%d writebacks=%d remote hits/misses=%d/%d, want 1 0 0 0/0",
+			acl.DegradedLocal, acl.Proxied, acl.Writebacks, acl.RemoteCacheHits, acl.RemoteCacheMisses)
+	}
+	if bst := getStats(t, b.ts); bst.Submitted != 0 || bst.CachedKeys != 0 {
+		t.Errorf("suspect peer saw traffic: submitted=%d cached_keys=%d", bst.Submitted, bst.CachedKeys)
+	}
+
+	healGossip()
+	for i := 0; i < 2; i++ {
+		if _, _, err := b.srv.cl.c.Do(ctx, a.url, http.MethodGet, "/healthz", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, bcl := clusterStats(t, b); bcl.Refutes != 1 || bcl.SelfIncarnation != 1 {
+		t.Fatalf("suspected node: refutes=%d self_incarnation=%d, want 1 and 1", bcl.Refutes, bcl.SelfIncarnation)
+	}
+	if !acs.c.Healthy(b.url) {
+		t.Fatal("peer still unhealthy after its refutation arrived")
+	}
+
+	// Every path uses the peer again: the submit is proxied and computed
+	// on its owner, prefetch fetches that result, a slot can be reserved,
+	// the stealer has a victim, and a result computed off-owner (a
+	// forwarded-marked submit is never proxied) is written back.
+	resp, view = postJob(t, a.ts, bodies[1])
+	if got := resp.Header.Get(cluster.HeaderOwner); got != b.url {
+		t.Fatalf("X-Mama-Owner = %q after refutation, want the owner %s", got, b.url)
+	}
+	if done := waitDone(t, a.ts, view.ID, 10*time.Second); done.Status != StatusDone {
+		t.Fatalf("proxied job finished as %q: %s", done.Status, done.Error)
+	}
+	if sims[0].Load() != 1 || sims[1].Load() != 1 {
+		t.Errorf("simulations = [%d %d], want [1 1]: the refuted owner computes again", sims[0].Load(), sims[1].Load())
+	}
+	acs.prefetchSweep(ctx, sweepOf(specs[1]))
+	if slot := acs.reserve(keys[2]); slot == nil {
+		t.Error("reserve still passes over the refuted owner")
+	} else {
+		slot.release()
+	}
+	if p, ok := acs.nextPeer(); !ok || p != b.url {
+		t.Errorf("stealer's next victim = %q, %v; want %s", p, ok, b.url)
+	}
+	if code, v := postForwarded(t, a, []byte(bodies[2])); code != http.StatusAccepted {
+		t.Fatalf("forwarded submit: HTTP %d", code)
+	} else if done := waitDone(t, a.ts, v.ID, 10*time.Second); done.Status != StatusDone {
+		t.Fatalf("forwarded job finished as %q: %s", done.Status, done.Error)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, acl = clusterStats(t, a)
+		if acl.Writebacks == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("result computed off-owner never written back to the refuted owner")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if acl.RemoteCacheHits != 1 || acl.Proxied == 0 || len(acl.Unhealthy) != 0 {
+		t.Errorf("after refutation: remote_cache_hits=%d proxied=%d unhealthy=%v, want 1, >0, none",
+			acl.RemoteCacheHits, acl.Proxied, acl.Unhealthy)
+	}
+}
+
+// TestClusterNewAloneGossips: there is no static mode to fall into. A
+// node built from cluster.New alone — no EnableGossip call, production
+// timings — and told only of one seed joins through it (its ring gains
+// a peer it was never configured with), and when that peer is killed it
+// confirms the death and drops it from its ring like everyone else.
+func TestClusterNewAloneGossips(t *testing.T) {
+	lns, urls := listenLoopback(t, 3)
+	a := startNode(t, urls[0], urls[:2], lns[0], testGossipOptions(urls[:2]), nil)
+	b := startNode(t, urls[1], urls[:2], lns[1], testGossipOptions(urls[:2]), nil)
+	cl, err := cluster.New(urls[2], []string{a.url}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serveNode(t, cl, lns[2], nil)
+
+	waitMembership(t, []*clusterNode{a, b, c}, 3, 10*time.Second, "after join")
+	if !cl.Contains(b.url) {
+		t.Fatalf("joined node never learned of %s: members %v", b.url, cl.Members())
+	}
+	b.kill()
+	waitMembership(t, []*clusterNode{a, c}, 2, 10*time.Second, "after kill")
+	if cl.Contains(b.url) {
+		t.Fatalf("dead node %s still in the joined node's ring", b.url)
+	}
+	if _, _, confirms := cl.GossipCounts(); confirms == 0 {
+		t.Error("joined node confirmed no peer dead")
 	}
 }
 
@@ -508,16 +536,7 @@ func TestGossipFlapChaos(t *testing.T) {
 	enableFault(t, "cluster/gossip/flap", "always")
 	const cells = 4
 	var sims [3]atomic.Int64
-	lns := make([]net.Listener, 3)
-	urls := make([]string, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
+	lns, urls := listenLoopback(t, 3)
 	opts := cluster.GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 30 * time.Second, // refutes must always win under -race load
@@ -526,8 +545,7 @@ func TestGossipFlapChaos(t *testing.T) {
 	}
 	nodes := make([]*clusterNode, 3)
 	for i := range nodes {
-		i := i
-		nodes[i] = startGossipNode(t, urls[i], urls, lns[i], opts, func(cfg *Config) {
+		nodes[i] = startNode(t, urls[i], urls, lns[i], opts, func(cfg *Config) {
 			cfg.Run = pureRun(&sims[i], 0)
 		})
 	}
@@ -581,16 +599,7 @@ func TestGossipFlapChaos(t *testing.T) {
 func TestGossipPartitionChaos(t *testing.T) {
 	enableFault(t, "cluster/gossip/partition", "always")
 	var sims [3]atomic.Int64
-	lns := make([]net.Listener, 3)
-	urls := make([]string, 3)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
+	lns, urls := listenLoopback(t, 3)
 	opts := cluster.GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 100 * time.Millisecond,
@@ -599,8 +608,7 @@ func TestGossipPartitionChaos(t *testing.T) {
 	}
 	nodes := make([]*clusterNode, 3)
 	for i := range nodes {
-		i := i
-		nodes[i] = startGossipNode(t, urls[i], urls, lns[i], opts, func(cfg *Config) {
+		nodes[i] = startNode(t, urls[i], urls, lns[i], opts, func(cfg *Config) {
 			cfg.Run = pureRun(&sims[i], 0)
 		})
 	}

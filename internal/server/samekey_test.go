@@ -407,6 +407,17 @@ func TestSameKeyLeaseExpiry(t *testing.T) {
 	nodes, sweepID, spec, unwedge := leasedCluster(t, &victimSims, 50*time.Millisecond, func(cfg *Config) {})
 	victim := nodes[0]
 
+	// A thief that does not say who it is gets nothing: its lease could
+	// never be matched against a confirmed-dead member.
+	anon, err := http.Post(victim.ts.URL+"/internal/steal", "application/json", strings.NewReader(`{"max":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon.Body.Close()
+	if anon.StatusCode != http.StatusBadRequest {
+		t.Fatalf("steal without a thief URL: HTTP %d, want 400", anon.StatusCode)
+	}
+
 	// The test is the thief: it takes the cell and goes silent.
 	steal, _ := json.Marshal(stealRequest{Max: 1, Thief: nodes[1].url})
 	resp, err := http.Post(victim.ts.URL+"/internal/steal", "application/json", bytes.NewReader(steal))

@@ -613,7 +613,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	if s.cl != nil && s.cl.c.GossipEnabled() {
+	if s.cl != nil {
 		return s.cl.gossipExchange(mux)
 	}
 	return mux

@@ -186,11 +186,10 @@ type Stats struct {
 type ClusterStats struct {
 	Self      string   `json:"self"`
 	Peers     []string `json:"peers"`
-	Unhealthy []string `json:"unhealthy,omitempty"` // peers with open breakers
+	Unhealthy []string `json:"unhealthy,omitempty"` // ring peers routing avoids right now (cluster.Healthy false)
 
 	// Gossip membership (see internal/cluster/gossip.go). RingHash is
 	// identical on every converged node; MembershipVersion is node-local.
-	GossipEnabled     bool                 `json:"gossip_enabled"`
 	Members           []cluster.MemberInfo `json:"members,omitempty"`
 	MembershipVersion uint64               `json:"membership_version"`
 	RingHash          uint64               `json:"ring_hash"`
