@@ -62,13 +62,18 @@ chaos:
 # loader (any bytes give an error or a faithful slab, never a panic or
 # a header-sized allocation); in the cluster layer the X-Mama-Gossip
 # header any client can send (it fails to decode or applies without a
-# panic, and the node stays alive in its own ring). `go test` alone
-# only replays the seed corpus. One target per invocation is a
-# `go test -fuzz` rule.
+# panic, and the node stays alive in its own ring); in the sweep layer
+# the POST /v1/sweeps body (Expand and ID never panic, stay inside the
+# cell budget and are deterministic); in the server the result stream's
+# spliced event encoder (byte for byte what json.Marshal would emit).
+# `go test` alone only replays the seed corpus. One target per
+# invocation is a `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadMaterialized$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/server
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
@@ -114,8 +119,9 @@ bench-check:
 # The default gate: compile everything, lint (vet + staticcheck when
 # available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
-# fuzz the trace packer, the trace loader and the gossip-header decoder
-# for ten seconds each, drive a real
+# fuzz the trace packer, the trace loader, the gossip-header decoder,
+# the sweep spec and the stream's event encoder for ten seconds each,
+# drive a real
 # sweep, the 3-node cluster, and the controller tournament
 # end to end, check the bench/ module against this tree, then make sure
 # the hot-path benchmarks still run and stay allocation-free (1
@@ -124,12 +130,13 @@ bench-check:
 check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
-# advance benchmarks, end-to-end simulator throughput, and two
+# advance benchmarks, end-to-end simulator throughput, and four
 # service-path benchmarks (one anti-entropy cache page; client
-# connection reuse), compared against the checked-in baseline (report
+# connection reuse; a fully cached 512-cell sweep's admission, and its
+# result stream), compared against the checked-in baseline (report
 # only: nothing here fails the build; bench-smoke is the gate).
 # Regenerate the baseline on a quiet machine with `make bench-baseline`.
-BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse
+BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkSweepSubmitWarm|BenchmarkSweepStream
 BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/server ./internal/client .
 
 bench:

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -162,12 +163,12 @@ func (c *Client) streamOnce(ctx context.Context, id string, seen map[int]bool, f
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes()) // no copy: Unmarshal copies what it keeps
+		if len(line) == 0 {
 			continue
 		}
 		var l streamLine
-		if jerr := json.Unmarshal([]byte(line), &l); jerr != nil {
+		if jerr := json.Unmarshal(line, &l); jerr != nil {
 			return view, false, progressed, fmt.Errorf("stream sweep %s: bad line: %w", id, jerr)
 		}
 		if l.End {

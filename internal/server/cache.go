@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 	"sync"
 )
@@ -9,35 +11,52 @@ import (
 // results keyed by the canonical job hash (see jobhash.go). Results are
 // immutable once stored, so a hit can be served without re-simulating —
 // the cache IS the service's memoization layer, and it is shared by
-// every worker. Entries are never evicted; a result is a few hundred
-// bytes and the key space is bounded by distinct (mix, config,
-// controller, scale) tuples actually requested.
+// every worker. Entries are never evicted; an entry is a result plus
+// its JSON (about 1.5 KB at four cores) and the key space is bounded by
+// distinct (mix, config, controller, scale) tuples actually requested.
 type resultCache struct {
 	mu sync.RWMutex
-	m  map[string]JobResult
+	m  map[string]cachedResult
+}
+
+// cachedResult is one entry: the result and its JSON, encoded once in
+// put. Sweep event logs, result streams and peer replies all hand out
+// raw itself, so nobody may write to it.
+type cachedResult struct {
+	res JobResult
+	raw json.RawMessage
 }
 
 func newResultCache() *resultCache {
-	return &resultCache{m: make(map[string]JobResult)}
+	return &resultCache{m: make(map[string]cachedResult)}
 }
 
-// get returns the cached result for key, if any.
-func (c *resultCache) get(key string) (JobResult, bool) {
+// get returns the cached entry for key, if any.
+func (c *resultCache) get(key string) (cachedResult, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	v, ok := c.m[key]
 	return v, ok
 }
 
-// put stores a completed result. First write wins: identical keys mean
-// identical simulations, so a concurrent duplicate (only possible after
-// a failed job was retried) carries the same payload.
-func (c *resultCache) put(key string, res JobResult) {
+// put stores a completed result and returns the entry's JSON. First
+// write wins: identical keys mean identical simulations, so a
+// concurrent duplicate (only possible after a failed job was retried)
+// carries the same payload. A result that does not encode (a NaN
+// metric) is not stored: it could be neither persisted nor served.
+func (c *resultCache) put(key string, res JobResult) (json.RawMessage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok {
-		c.m[key] = res
+	v, ok := c.m[key]
+	if !ok {
+		var err error
+		if v.raw, err = json.Marshal(res); err != nil {
+			return nil, fmt.Errorf("encode result: %w", err)
+		}
+		v.res = res
+		c.m[key] = v
 	}
+	return v.raw, nil
 }
 
 // size returns the number of distinct cached results.

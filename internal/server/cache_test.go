@@ -17,7 +17,7 @@ func pullKey(i int) string {
 
 // pullPage posts one /internal/cache/pull request straight at the
 // handler.
-func pullPage(tb testing.TB, h http.Handler, req cachePullRequest) cachePullResponse {
+func pullPage(tb testing.TB, h http.Handler, req cachePullRequest) cachePullResponse[JobResult] {
 	tb.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -28,7 +28,7 @@ func pullPage(tb testing.TB, h http.Handler, req cachePullRequest) cachePullResp
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("pull: HTTP %d: %s", rec.Code, rec.Body.String())
 	}
-	var out cachePullResponse
+	var out cachePullResponse[JobResult]
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		tb.Fatal(err)
 	}

@@ -410,8 +410,11 @@ type cacheLookupRequest struct {
 	Keys []string `json:"keys"`
 }
 
-type cacheLookupResponse struct {
-	Results map[string]JobResult `json:"results"`
+// The response types take the result's Go type as a parameter: one
+// wire shape, but the serving node answers with its cache entries' JSON
+// (json.RawMessage) and the asking node decodes into JobResult.
+type cacheLookupResponse[R any] struct {
+	Results map[string]R `json:"results"`
 }
 
 // prefetchSweep resolves a sweep spec's cells and batch-fetches every
@@ -454,12 +457,12 @@ func (cs *clusterState) prefetchSweep(ctx context.Context, spec sweep.Spec) {
 		if err != nil || code != http.StatusOK {
 			continue
 		}
-		var out cacheLookupResponse
+		var out cacheLookupResponse[JobResult]
 		if err := json.Unmarshal(resp, &out); err != nil {
 			continue
 		}
 		for key, res := range out.Results {
-			cs.s.storeResult(key, res)
+			_, _ = cs.s.storeResult(key, res) // decoded from JSON, so it encodes
 			cs.m.remoteHits.Inc()
 			cs.m.perPeer("mama_cluster_peer_remote_cache_hits_total",
 				"Results fetched from this peer's cache.", owner)
@@ -481,9 +484,9 @@ type cachePullRequest struct {
 	Max   int    `json:"max"`
 }
 
-type cachePullResponse struct {
-	Results map[string]JobResult `json:"results"`
-	Next    string               `json:"next,omitempty"`
+type cachePullResponse[R any] struct {
+	Results map[string]R `json:"results"`
+	Next    string       `json:"next,omitempty"`
 	// Member reports whether the serving node's ring contains the
 	// requester. False means the requester's (re)join has not reached
 	// this peer yet — nothing can match the ownership filter, so the
@@ -539,7 +542,7 @@ func (cs *clusterState) repairFrom(peer string) {
 			if err != nil || code != http.StatusOK {
 				return // peer down or refusing: best-effort, give up
 			}
-			var out cachePullResponse
+			var out cachePullResponse[JobResult]
 			if err := json.Unmarshal(resp, &out); err != nil {
 				return
 			}
@@ -550,7 +553,7 @@ func (cs *clusterState) repairFrom(peer string) {
 				if _, ok := cs.s.cache.get(key); ok {
 					continue
 				}
-				cs.s.storeResult(key, res)
+				_, _ = cs.s.storeResult(key, res) // decoded from JSON, so it encodes
 				cs.m.repairPulled.Inc()
 			}
 			if out.Next == "" {
@@ -584,7 +587,7 @@ func (cs *clusterState) handleCachePull(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "pull request needs owner and max"})
 		return
 	}
-	out := cachePullResponse{Results: make(map[string]JobResult), Member: cs.c.Contains(owner)}
+	out := cachePullResponse[json.RawMessage]{Results: make(map[string]json.RawMessage), Member: cs.c.Contains(owner)}
 	if !out.Member {
 		// Not in our ring (yet): the ownership filter below can never
 		// match, so skip the scan and let the puller retry after the
@@ -603,8 +606,8 @@ func (cs *clusterState) handleCachePull(w http.ResponseWriter, r *http.Request) 
 		if cs.c.Owner(key) != owner {
 			continue
 		}
-		if res, ok := cs.s.cache.get(key); ok {
-			out.Results[key] = res
+		if hit, ok := cs.s.cache.get(key); ok {
+			out.Results[key] = hit.raw
 			cs.m.cacheServed.Inc()
 			req.After = key
 		}
@@ -615,7 +618,7 @@ func (cs *clusterState) handleCachePull(w http.ResponseWriter, r *http.Request) 
 // writeBack pushes a locally computed result to its owning peer,
 // asynchronously and best-effort: the local copy already serves local
 // traffic, the owner copy makes the key findable cluster-wide.
-func (cs *clusterState) writeBack(key string, res JobResult) {
+func (cs *clusterState) writeBack(key string, body json.RawMessage) {
 	owner := cs.c.Owner(key)
 	if cs.c.IsSelf(owner) || !cs.c.Healthy(owner) {
 		return
@@ -623,10 +626,6 @@ func (cs *clusterState) writeBack(key string, res JobResult) {
 	cs.wg.Add(1)
 	go func() {
 		defer cs.wg.Done()
-		body, err := json.Marshal(res)
-		if err != nil {
-			return
-		}
 		code, _, err := cs.c.Do(cs.s.baseCtx, owner, http.MethodPut, "/internal/cache/"+key, body)
 		if err == nil && code < 300 {
 			cs.m.writebacks.Inc()
@@ -1014,12 +1013,8 @@ func (cs *clusterState) runStolen(victim string, sc stolenCellWire) {
 	case <-cs.s.baseCtx.Done():
 	}
 	report := stealDoneRequest{Sweep: sc.Sweep, Index: sc.Index, Key: sc.Key}
-	if res, ok := j.resultSnapshot(); ok {
-		raw, err := json.Marshal(res)
-		if err != nil {
-			report.Error = fmt.Sprintf("encode stolen result: %v", err)
-		}
-		report.Result = raw
+	if hit, ok := cs.s.cache.get(sc.Key); ok { // a done job's result is cached before it reads done
+		report.Result = hit.raw
 	} else if cs.s.baseCtx.Err() != nil {
 		// This thief is shutting down mid-cell: say nothing. The victim's
 		// lease janitor returns the cell to pending, and a live node
@@ -1093,7 +1088,7 @@ func (cs *clusterState) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad result: " + err.Error()})
 		return
 	}
-	cs.s.storeResult(r.PathValue("key"), res)
+	_, _ = cs.s.storeResult(r.PathValue("key"), res) // decoded from JSON, so it encodes
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1104,10 +1099,10 @@ func (cs *clusterState) handleCacheLookup(w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad lookup: " + err.Error()})
 		return
 	}
-	out := cacheLookupResponse{Results: make(map[string]JobResult)}
+	out := cacheLookupResponse[json.RawMessage]{Results: make(map[string]json.RawMessage)}
 	for _, key := range req.Keys {
-		if res, ok := cs.s.cache.get(key); ok {
-			out.Results[key] = res
+		if hit, ok := cs.s.cache.get(key); ok {
+			out.Results[key] = hit.raw
 			cs.m.cacheServed.Inc()
 		}
 	}
@@ -1191,7 +1186,7 @@ func (cs *clusterState) handleStealDone(w http.ResponseWriter, r *http.Request) 
 	cs.mu.Unlock()
 	if !ok {
 		if err == nil {
-			cs.s.storeResult(req.Key, res)
+			_, _ = cs.s.storeResult(req.Key, res) // decoded from JSON, so it encodes
 		}
 		writeJSON(w, http.StatusGone, errorBody{Error: "no such lease (expired or unknown)"})
 		return

@@ -1,8 +1,16 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"micromama/internal/experiment"
+	"micromama/internal/sim"
 )
 
 // newResolver returns a server usable only for resolve() (no workers).
@@ -100,6 +108,121 @@ func TestJobKeyPinned(t *testing.T) {
 	}
 }
 
+// canonicalKey is the key's definition: SHA-256 of the whole canonical
+// struct through one json.Marshal. It is what jobKey was before it
+// streamed memoised config bytes into the hash, and what it must equal
+// for ever: cache files, job IDs and ring placements are filed under it.
+func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.Scale) string {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Mix        []string
+		Seed       uint64
+		Controller string
+		Scale      experiment.Scale
+		Config     sim.Config
+	}{spec.Mix, spec.Seed, spec.Controller, scale, cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+// TestJobKeyMatchesCanonicalJSON holds the streamed key to its
+// definition over every system shape and scale, with overrides, and
+// with strings encoding/json escapes (HTML characters, quotes, control
+// bytes, U+2028, invalid UTF-8) — resolve would refuse those names, so
+// jobKey is called directly.
+func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
+	var memo configMemo
+	awkward := []string{"mumama", `a"b\c`, "<script>&amp;</script>", "tab\tnl\n\x00", "sep\u2028\u2029", "bad\xff\xfeutf8", "ünï.cödé"}
+	n := 0
+	for _, cores := range []int{1, 2, 4, 8} {
+		for _, dram := range [][2]int{{0, 0}, {1866, 2}, {3200, 0}, {0, 2}} {
+			rc, err := memo.resolve(cores, dram[0], dram[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scaleName := range []string{"tiny", "small", "default", "full"} {
+				for _, over := range [][2]uint64{{0, 0}, {100_000, 0}, {0, 75}, {123_456_789, 1}} {
+					scale, _ := scaleByName(scaleName)
+					if over[0] > 0 {
+						scale.Target = over[0]
+					}
+					if over[1] > 0 {
+						scale.Step = over[1]
+					}
+					for i, ctrl := range awkward {
+						mix := make([]string, cores)
+						for c := range mix {
+							mix[c] = awkward[(i+c)%len(awkward)]
+						}
+						spec := JobSpec{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}
+						got, err := jobKey(spec, rc.tail, scale)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := canonicalKey(t, spec, rc.cfg, scale); got != want {
+							t.Fatalf("%dc dram %v %s %v ctrl %q: streamed key %s, canonical %s",
+								cores, dram, scaleName, over, ctrl, got, want)
+						}
+						n++
+					}
+				}
+			}
+		}
+	}
+	// And through resolve, where the memo is the server's own.
+	s := newResolver(t)
+	for _, spec := range []JobSpec{
+		{Mix: []string{"spec06.mcf"}, Controller: "no", Scale: "tiny", Target: 20_000, Seed: 3},
+		{Mix: []string{"spec06.libquantum", "spec06.mcf", "ligra.BFS", "spec06.sphinx3"}, Controller: "mumama", DRAMMTps: 1866, DRAMChannels: 2},
+		{Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "bandit", DRAMChannels: 2, Step: 90},
+	} {
+		p, err := s.resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := canonicalKey(t, p.spec, p.cfg, p.scale); p.key != want {
+			t.Errorf("resolve(%+v): key %s, canonical %s", spec, p.key, want)
+		}
+	}
+}
+
+// TestConfigMemoConcurrent: resolve runs on every handler and worker
+// goroutine at once. Hammer one server's memo with a few shapes from
+// several goroutines (run under -race) and past its cap, where it
+// starts over: every answer is the config built from scratch.
+func TestConfigMemoConcurrent(t *testing.T) {
+	var memo configMemo
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2*configMemoCap; i++ {
+				cores, mtps := 1+(g+i)%4, 1600+(i%(configMemoCap+50))
+				rc, err := memo.resolve(cores, mtps, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := fmt.Sprintf("DDR4-%d x1ch", mtps)
+				if rc.cfg.Cores != cores || rc.cfg.DRAM.Name != want || !strings.Contains(string(rc.tail), want) {
+					t.Errorf("resolve(%d, %d, 0) = %d cores, DRAM %q", cores, mtps, rc.cfg.Cores, rc.cfg.DRAM.Name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	if len(memo.m) > configMemoCap {
+		t.Errorf("memo holds %d configs, cap %d", len(memo.m), configMemoCap)
+	}
+}
+
 func TestQueueBounds(t *testing.T) {
 	q := newQueue(2)
 	a, b, c := &job{id: "a"}, &job{id: "b"}, &job{id: "c"}
@@ -128,7 +251,7 @@ func TestResultCacheFirstWriteWins(t *testing.T) {
 	c.put("k", JobResult{WS: 1})
 	c.put("k", JobResult{WS: 2})
 	got, ok := c.get("k")
-	if !ok || got.WS != 1 {
+	if !ok || got.res.WS != 1 || string(got.raw) != `{"mix":"","controller":"","ws":1,"hs":0,"gm":0,"unfairness":0,"speedups":null,"ipc":null,"l2_mpki":null,"prefetches":0,"sim_ms":0}` {
 		t.Fatalf("got %+v, want first write (WS=1)", got)
 	}
 	if c.size() != 1 {

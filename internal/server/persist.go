@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+
 	"micromama/internal/faultinject"
 	"micromama/internal/persist"
 )
@@ -34,7 +36,7 @@ func (s *Server) openPersist() error {
 	if err != nil {
 		return err
 	}
-	st.Load(func(e persistEntry) { s.cache.put(e.Key, e.Result) })
+	st.Load(func(e persistEntry) { _, _ = s.cache.put(e.Key, e.Result) }) // decoded from JSON, so it encodes
 	s.persist = st
 	return nil
 }
@@ -43,8 +45,12 @@ func (s *Server) openPersist() error {
 // cache, then the write-behind mirror. finishJob calls it for every
 // execution; the fetch paths (sweep prefetch, anti-entropy repair, a
 // peer's write-back, a steal report that outlived its lease) call it
-// for results computed elsewhere.
-func (s *Server) storeResult(key string, res JobResult) {
-	s.cache.put(key, res)
-	s.persist.Save(persistEntry{Key: key, Result: res})
+// for results computed elsewhere. It returns the entry's JSON (shared,
+// read-only); a result that does not encode is an error, not stored.
+func (s *Server) storeResult(key string, res JobResult) (json.RawMessage, error) {
+	raw, err := s.cache.put(key, res)
+	if err == nil {
+		s.persist.Save(persistEntry{Key: key, Result: res})
+	}
+	return raw, err
 }

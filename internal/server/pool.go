@@ -83,12 +83,6 @@ func doneJob(id, key string, spec JobSpec, res JobResult) *job {
 	}
 }
 
-func (j *job) currentStatus() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
 // join reports the job's status and, if it is still queued or running,
 // adds t (when non-nil) to its riders. Status check and append share one
 // critical section with finish, so a rider is never added to a job that

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"micromama/internal/cluster"
-	"micromama/internal/dram"
 	"micromama/internal/experiment"
 	"micromama/internal/faultinject"
 	"micromama/internal/persist"
@@ -140,6 +139,10 @@ type Server struct {
 
 	runnersMu sync.Mutex
 	runners   map[experiment.Scale]*experiment.Runner
+
+	// configs memoises resolve's sim.Config per system shape, with the
+	// encoding jobKey hashes (see jobhash.go).
+	configs configMemo
 
 	// persist mirrors the result cache to disk; nil without CacheDir.
 	persist *persist.Store[persistEntry]
@@ -338,19 +341,11 @@ func (s *Server) resolve(spec JobSpec) (plan, error) {
 		}
 		specs[i] = ws
 	}
-	cfg := sim.DefaultConfig(len(specs))
-	if spec.DRAMMTps > 0 || spec.DRAMChannels > 0 {
-		mtps := spec.DRAMMTps
-		if mtps <= 0 {
-			mtps = 2400
-		}
-		ch := spec.DRAMChannels
-		if ch <= 0 {
-			ch = 1
-		}
-		cfg.DRAM = dram.DDR4(mtps, ch)
+	rc, err := s.configs.resolve(len(specs), spec.DRAMMTps, spec.DRAMChannels)
+	var key string
+	if err == nil {
+		key, err = jobKey(spec, rc.tail, scale)
 	}
-	key, err := jobKey(spec, cfg, scale)
 	if err != nil {
 		// The server's hashing contract is broken, not the request:
 		// answer 500, never panic the process on a hostile spec.
@@ -359,7 +354,7 @@ func (s *Server) resolve(spec JobSpec) (plan, error) {
 	return plan{
 		spec:  spec,
 		mix:   workload.Mix{ID: int(spec.Seed), Specs: specs},
-		cfg:   cfg,
+		cfg:   rc.cfg,
 		scale: scale,
 		key:   key,
 		id:    jobID(key),
@@ -431,13 +426,14 @@ func (s *Server) simulate(ctx context.Context, spec JobSpec) (JobResult, error) 
 // then is it pushed to the key's owner (a result that came from the
 // owner, or from a thief that has already written it back, is not).
 func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) {
+	var raw json.RawMessage
 	if err == nil {
-		s.storeResult(j.key, res)
-		if ranHere && s.cl != nil {
-			s.cl.writeBack(j.key, res)
+		raw, err = s.storeResult(j.key, res) // a result that does not encode fails its job
+		if err == nil && ranHere && s.cl != nil {
+			s.cl.writeBack(j.key, raw)
 		}
 	}
-	s.settle(j.cell, j.finish(res, err), res, err)
+	s.settle(j.cell, j.finish(res, err), raw, err)
 }
 
 // jobTimeout is the one rule for a job's execution deadline: the
@@ -477,9 +473,9 @@ func (s *Server) admitLocked(key string, spec JobSpec, reqID string, t *sweep.Ti
 			return j, admitAttached
 		}
 	}
-	if res, ok := s.cache.get(key); ok {
+	if hit, ok := s.cache.get(key); ok {
 		if st != StatusDone {
-			j = doneJob(id, key, spec, res)
+			j = doneJob(id, key, spec, hit.res)
 			s.jobs[id] = j
 		}
 		return j, admitHit

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -375,7 +377,9 @@ func recordingRun(d time.Duration) (runFunc, func() map[uint64]int) {
 		mu.Unlock()
 		select {
 		case <-time.After(d):
-			return JobResult{Mix: "fake", WS: 1}, nil
+			// Floats with long and exponent spellings: what a restart must
+			// bring back from disk byte for byte.
+			return JobResult{Mix: "fake", WS: 1, IPC: []float64{float64(spec.Seed) / 3, 1e-7, 1e21}}, nil
 		case <-ctx.Done():
 			return JobResult{}, ctx.Err()
 		}
@@ -417,6 +421,8 @@ func TestSweepRestartResume(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// What the filling server streamed for the cells it has finished.
+	streamed1, _ := readSweepEvents(t, ts1, sv.ID, "")
 	ts1.Close()
 	if err := srv1.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
@@ -480,6 +486,19 @@ func TestSweepRestartResume(t *testing.T) {
 	}
 	if len(cellsSeen) != cells {
 		t.Errorf("event log covers %d cells, want %d", len(cellsSeen), cells)
+	}
+
+	// An entry loaded from disk is re-encoded once, at load, and streams
+	// the bytes the filling server streamed for it.
+	if len(streamed1) < 8 {
+		t.Fatalf("first server streamed %d events, want >= 8", len(streamed1))
+	}
+	for _, ev1 := range streamed1 {
+		for _, ev2 := range events {
+			if ev2.Cell == ev1.Cell && !bytes.Equal(ev1.Result, ev2.Result) {
+				t.Errorf("cell %d: restarted server streams %s, filling server streamed %s", ev1.Cell, ev2.Result, ev1.Result)
+			}
+		}
 	}
 }
 
@@ -571,6 +590,97 @@ func TestSweepPersistReadFault(t *testing.T) {
 	}
 }
 
+// TestSweepDepthGaugeOnlyWhenQueued: a sweep gets its
+// mama_server_sweep_queue_depth series when it queues a cell, not
+// before — the registry never drops a series, and sweeps answered whole
+// from the cache at admission used to leave one behind each.
+func TestSweepDepthGaugeOnlyWhenQueued(t *testing.T) {
+	release := make(chan struct{})
+	run := func(ctx context.Context, spec JobSpec) (JobResult, error) {
+		select {
+		case <-release:
+			return JobResult{Mix: "fake", WS: 1}, nil
+		case <-ctx.Done():
+			return JobResult{}, ctx.Err()
+		}
+	}
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: run})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	depthSeries := func() int {
+		var buf bytes.Buffer
+		if err := srv.Registry().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), "\nmama_server_sweep_queue_depth{")
+	}
+
+	// Cold: the worker is held inside the first cell, the rest wait.
+	const cells = 6
+	_, cold := postSweep(t, ts, sweepGridJSON("cold", cells))
+	series := fmt.Sprintf(`mama_server_sweep_queue_depth{sweep=%q}`, cold.ID)
+	deadline := time.Now().Add(10 * time.Second)
+	for scrapeMetric(t, ts, series) != cells-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %v, want %d while one cell runs", series, scrapeMetric(t, ts, series), cells-1)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	waitSweepDone(t, ts, cold.ID, 10*time.Second)
+	if v := scrapeMetric(t, ts, series); v != 0 {
+		t.Errorf("%s = %v after the sweep finished, want 0", series, v)
+	}
+
+	// Warm: fifty sweeps over the same cells finish at admission and
+	// register nothing.
+	for i := 0; i < 50; i++ {
+		_, v := postSweep(t, ts, sweepGridJSON(fmt.Sprint("warm-", i), cells))
+		if v.Status != "done" || v.Deduped != cells {
+			t.Fatalf("warm sweep %d: %+v, want done at admission", i, v)
+		}
+	}
+	if n := depthSeries(); n != 1 {
+		t.Errorf("%d queue-depth series after 1 cold and 50 warm sweeps, want 1", n)
+	}
+}
+
+// TestUnencodableResultFails: a result json.Marshal refuses (a NaN
+// metric) is encoded once, on its way into the cache, and that is where
+// it stops: the job fails with the reason instead of reading done with
+// a body nobody can write, the sweep cell fails with it, and nothing is
+// cached or persisted.
+func TestUnencodableResultFails(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, CacheDir: t.TempDir(),
+		Run: func(context.Context, JobSpec) (JobResult, error) {
+			return JobResult{Mix: "fake", WS: math.NaN()}, nil
+		}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	_, view := postJob(t, ts, fakeSpec(1))
+	if body := waitDone(t, ts, view.ID, 10*time.Second); body.Status != StatusFailed ||
+		!strings.Contains(body.Error, "encode result") || body.Result != nil {
+		t.Errorf("job with a NaN result: %+v, want failed with an encode error", body.JobView)
+	}
+	_, sv := postSweep(t, ts, sweepGridJSON("nan", 2))
+	waitSweepDone(t, ts, sv.ID, 10*time.Second)
+	events, final := readSweepEvents(t, ts, sv.ID, "")
+	if final.Failed != 2 || len(events) != 2 {
+		t.Fatalf("sweep over NaN results: %+v with %d events, want 2 failed cells", final, len(events))
+	}
+	for _, ev := range events {
+		if ev.Status != sweep.CellFailed || !strings.Contains(ev.Error, "encode result") || len(ev.Result) != 0 {
+			t.Errorf("event %+v, want failed with an encode error and no result", ev)
+		}
+	}
+	if st := getStats(t, ts); st.CachedKeys != 0 {
+		t.Errorf("%d results cached, want 0", st.CachedKeys)
+	}
+}
+
 // TestSweepStreamSSE: the same result stream framed as server-sent
 // events when the client asks for it.
 func TestSweepStreamSSE(t *testing.T) {
@@ -603,6 +713,46 @@ func TestSweepStreamSSE(t *testing.T) {
 	}
 	if !strings.Contains(body, "event: end") {
 		t.Errorf("SSE stream missing the end frame:\n%s", body)
+	}
+}
+
+// failAfter is a ResponseWriter whose client goes away after n writes.
+type failAfter struct {
+	*httptest.ResponseRecorder
+	n int
+}
+
+func (w *failAfter) Write(b []byte) (int, error) {
+	if w.n == 0 {
+		return 0, io.ErrClosedPipe
+	}
+	w.n--
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestSweepStreamStopsAtUndeliveredEvent: an event that could not be
+// delivered ends the stream there — nothing after it goes out, least of
+// all the end frame that would tell the client it has seen everything —
+// so the client's reconnect re-reads it. (The handler used to skip an
+// event it could not encode and carry on past it.)
+func TestSweepStreamStopsAtUndeliveredEvent(t *testing.T) {
+	run, _ := countingRun()
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: run})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, sv := postSweep(t, ts, sweepGridJSON("gone", 5))
+	waitSweepDone(t, ts, sv.ID, 10*time.Second)
+
+	for _, accept := range []string{"", "text/event-stream"} {
+		w := &failAfter{httptest.NewRecorder(), 2}
+		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+sv.ID+"/results", nil)
+		req.Header.Set("Accept", accept)
+		srv.Handler().ServeHTTP(w, req)
+		body := w.Body.String()
+		if n := strings.Count(body, `"seq":`); n != 2 || strings.Contains(body, `"end":true`) {
+			t.Errorf("Accept %q: stream went on past the failed write (%d events):\n%s", accept, n, body)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -51,15 +50,8 @@ func (e sweepExec) ResolveCell(c sweep.Cell) (string, error) {
 }
 
 func (e sweepExec) CachedResult(key string) (json.RawMessage, bool) {
-	res, ok := e.s.cache.get(key)
-	if !ok {
-		return nil, false
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return nil, false
-	}
-	return raw, true
+	hit, ok := e.s.cache.get(key)
+	return hit.raw, ok
 }
 
 // runCell sees one dequeued ticket to an execution venue: this worker,
@@ -110,8 +102,8 @@ func (s *Server) admitCell(t sweep.Ticket) *job {
 	case admitNew:
 		return j
 	case admitHit:
-		res, _ := j.resultSnapshot()
-		s.settle(nil, []sweep.Ticket{t}, res, nil)
+		hit, _ := s.cache.get(t.Key)
+		s.settle(nil, []sweep.Ticket{t}, hit.raw, nil)
 	}
 	return nil
 }
@@ -119,24 +111,14 @@ func (s *Server) admitCell(t sweep.Ticket) *job {
 // settle reports one outcome to the sweep cells waiting on it: ran is
 // the ticket whose job executed (nil when an interactive job or the
 // cache produced the outcome), riders the tickets that joined it. On
-// success ran is done and the riders deduped, all carrying the same
-// bytes. A failure belongs to ran alone: the riders were never
-// attempted, so each goes back for its own run. Shutdown and a lost
-// peer are nobody's failure — ran goes back too and re-runs on the next
-// dispatch or after restart.
-func (s *Server) settle(ran *sweep.Ticket, riders []sweep.Ticket, res JobResult, err error) {
-	if ran == nil && len(riders) == 0 {
-		return
-	}
+// success ran is done and the riders deduped, all sharing raw, the
+// cache entry's JSON. A failure belongs to ran alone: the riders were
+// never attempted, so each goes back for its own run. Shutdown and a
+// lost peer are nobody's failure — ran goes back too and re-runs on the
+// next dispatch or after restart.
+func (s *Server) settle(ran *sweep.Ticket, riders []sweep.Ticket, raw json.RawMessage, err error) {
 	ranAs, rideAs, msg := sweep.CellDone, sweep.CellDeduped, ""
-	var raw json.RawMessage
-	if err == nil {
-		var merr error
-		if raw, merr = json.Marshal(res); merr != nil {
-			// Re-running cannot fix an unencodable result; fail everyone.
-			ranAs, rideAs, msg = sweep.CellFailed, sweep.CellFailed, "encode result: "+merr.Error()
-		}
-	} else {
+	if err != nil {
 		ranAs, rideAs, msg = sweep.CellFailed, sweep.CellPending, err.Error()
 		if errors.Is(err, context.Canceled) || errors.Is(err, errPeerUnavailable) {
 			ranAs = sweep.CellPending
@@ -234,42 +216,51 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
-	flusher, canFlush := w.(http.Flusher)
-	flush := func() {
-		if canFlush {
-			flusher.Flush()
-		}
+	rc := http.NewResponseController(w)
+	eol := "\n"
+	if sse {
+		eol = "\n\n"
 	}
-	writeEvent := func(ev sweep.Event) {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return
+	// Every frame is assembled in buf and written whole. writeEvents
+	// reports false when the stream cannot go on — the client is gone,
+	// or an event did not encode — leaving the cursor on the event that
+	// was not delivered, so a reconnect re-reads it.
+	var buf []byte
+	writeEvents := func(events []sweep.Event) bool {
+		for _, ev := range events {
+			if buf = buf[:0]; sse {
+				buf = append(strconv.AppendInt(append(buf, "id: "...), int64(ev.Seq), 10), "\ndata: "...)
+			}
+			var err error
+			if buf, err = appendEventJSON(buf, ev); err == nil {
+				buf = append(buf, eol...)
+				_, err = w.Write(buf)
+			}
+			if err != nil {
+				s.log.Debug("sweep stream ended early", "sweep", id, "seq", ev.Seq, "err", err)
+				return false
+			}
+			cursor = ev.Seq + 1
 		}
-		if sse {
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, b)
-		} else {
-			fmt.Fprintf(w, "%s\n", b)
-		}
+		_ = rc.Flush() // unsupported by w, or the client is gone: nothing to do about either
+		return true
 	}
 	writeEnd := func(v sweep.View) {
 		b, err := json.Marshal(sweepEnd{End: true, Sweep: v})
 		if err != nil {
 			return
 		}
-		if sse {
-			fmt.Fprintf(w, "event: end\ndata: %s\n\n", b)
-		} else {
-			fmt.Fprintf(w, "%s\n", b)
+		if buf = buf[:0]; sse {
+			buf = append(buf, "event: end\ndata: "...)
 		}
-		flush()
+		_, _ = w.Write(append(append(buf, b...), eol...)) // the last frame: a client that is gone misses nothing more
+		_ = rc.Flush()
 	}
 
 	for {
-		for _, ev := range events {
-			writeEvent(ev)
-			cursor = ev.Seq + 1
+		if !writeEvents(events) {
+			return
 		}
-		flush()
 		if view.Status == "done" || !follow {
 			writeEnd(view)
 			return
@@ -282,10 +273,7 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 			// Shutdown: hand the client its resume point; whatever is
 			// still pending completes on the restarted server.
 			events, view, _, ok = s.sweeps.EventsSince(id, cursor)
-			if ok {
-				for _, ev := range events {
-					writeEvent(ev)
-				}
+			if ok && writeEvents(events) {
 				writeEnd(view)
 			}
 			return
@@ -295,4 +283,26 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// appendEventJSON appends what json.Marshal(ev) would produce. Only the
+// envelope goes through encoding/json; the result — the cache entry's
+// JSON, compact already — is spliced in as it is, where json.Marshal
+// would parse and copy those bytes once more per event.
+func appendEventJSON(dst []byte, ev sweep.Event) ([]byte, error) {
+	result, errMsg := ev.Result, ev.Error
+	ev.Result, ev.Error = nil, "" // both omitempty: what is left is the envelope
+	head, err := json.Marshal(ev)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, head[:len(head)-1]...) // reopen the object: drop its "}"
+	if len(result) > 0 {
+		dst = append(append(dst, `,"result":`...), result...)
+	}
+	if errMsg != "" {
+		msg, _ := json.Marshal(errMsg) // a string always encodes
+		dst = append(append(dst, `,"error":`...), msg...)
+	}
+	return append(dst, '}'), nil
 }

@@ -67,7 +67,7 @@ type state struct {
 	keys      []string
 	status    []CellStatus
 	errors    map[int]string
-	events    []Event
+	events    []logged // terminal cells in completion order; position = Event.Seq
 	createdAt time.Time
 	finished  time.Time // zero while cells remain
 
@@ -75,6 +75,15 @@ type state struct {
 	done    int
 	failed  int
 	deduped int
+}
+
+// logged is one entry of a sweep's append-only result log: which cell
+// finished, and its result (the result cache's own bytes, read-only;
+// nil for a failed cell). The rest of an Event is held once, in the
+// per-cell slices — a terminal cell's status and error never change.
+type logged struct {
+	cell   int
+	result json.RawMessage
 }
 
 func (st *state) terminalCount() int { return st.done + st.failed + st.deduped }
@@ -135,7 +144,7 @@ func newMetrics(r *telemetry.Registry, mgr *Manager) *metrics {
 	}
 	r.GaugeFunc("mama_server_sweeps_active",
 		"Sweeps with cells still pending or running.",
-		func() float64 { return float64(mgr.activeCount()) })
+		func() float64 { return float64(mgr.Counts().Active) })
 	r.GaugeFunc("mama_server_sweep_cells_pending",
 		"Sweep cells waiting for dispatch across all sweeps.",
 		func() float64 { c := mgr.Counts(); return float64(c.CellsPending) })
@@ -243,65 +252,65 @@ func (mgr *Manager) clampPriority(p int) int {
 	return p
 }
 
+// newState expands a spec and resolves every cell into a sweep with all
+// of them pending, before any state is taken: a spec with one bad cell
+// is refused whole, so a partially admitted sweep never exists.
+func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state, error) {
+	cells, err := spec.Expand(mgr.maxCells)
+	if err != nil {
+		return nil, err
+	}
+	spec.Priority = mgr.clampPriority(spec.Priority)
+	st := &state{
+		id: id, spec: spec, priority: spec.Priority, createdAt: createdAt,
+		cells:  cells,
+		keys:   make([]string, len(cells)),
+		status: make([]CellStatus, len(cells)),
+		errors: make(map[int]string),
+		events: make([]logged, 0, len(cells)), // every cell is logged once
+	}
+	for i, c := range cells {
+		if st.keys[i], err = mgr.exec.ResolveCell(c); err != nil {
+			return nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+		st.status[i] = CellPending
+	}
+	return st, nil
+}
+
 // Submit admits a sweep: expansion, content addressing, cache dedupe,
 // and scheduling. Resubmitting an identical spec attaches to the
 // existing sweep (created=false) and only updates its priority —
 // submission is idempotent by construction, which is what lets clients
 // blindly retry over flaky links. Errors are client errors.
 func (mgr *Manager) Submit(spec Spec) (View, bool, error) {
-	cells, err := spec.Expand(mgr.maxCells)
-	if err != nil {
-		return View{}, false, err
-	}
 	id, err := spec.ID()
 	if err != nil {
 		return View{}, false, err
 	}
-	// Resolve every cell before taking any state: a sweep with one bad
-	// cell is rejected whole, so a partially admitted sweep never exists.
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		key, err := mgr.exec.ResolveCell(c)
-		if err != nil {
-			return View{}, false, fmt.Errorf("cell %d: %w", i, err)
-		}
-		keys[i] = key
+	st, err := mgr.newState(id, spec, time.Now().UTC())
+	if err != nil {
+		return View{}, false, err
 	}
-	priority := mgr.clampPriority(spec.Priority)
-	spec.Priority = priority
+	cells, keys, priority := st.cells, st.keys, st.priority
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	if mgr.draining {
 		return View{}, false, fmt.Errorf("server is draining; retry against a healthy instance")
 	}
-	if st, ok := mgr.sweeps[id]; ok {
-		if st.priority != priority {
-			st.priority = priority
-			st.spec.Priority = priority
+	if old, ok := mgr.sweeps[id]; ok {
+		if old.priority != priority {
+			old.priority = priority
+			old.spec.Priority = priority
 			mgr.sched.add(id, priority)
-			mgr.saveLocked(st)
+			mgr.saveLocked(old)
 		}
-		return st.view(), false, nil
-	}
-
-	st := &state{
-		id:        id,
-		spec:      spec,
-		priority:  priority,
-		cells:     cells,
-		keys:      keys,
-		status:    make([]CellStatus, len(cells)),
-		errors:    make(map[int]string),
-		createdAt: time.Now().UTC(),
-	}
-	for i := range st.status {
-		st.status[i] = CellPending
+		return old.view(), false, nil
 	}
 	mgr.sweeps[id] = st
 	mgr.m.submitted.Inc()
 	mgr.m.cellsExpanded.Add(uint64(len(cells)))
-	mgr.registerDepthGauge(id)
 
 	// Dedupe against the warm cache at admission: anything already
 	// simulated completes immediately without touching the scheduler.
@@ -317,6 +326,9 @@ func (mgr *Manager) Submit(spec Spec) (View, bool, error) {
 	}
 	if st.pendingCount() == 0 && st.running == 0 {
 		mgr.finishIfDoneLocked(st)
+	}
+	if enqueued > 0 {
+		mgr.registerDepthGauge(id)
 	}
 	mgr.saveLocked(st)
 	mgr.log.Info("sweep submitted", "sweep", id, "name", spec.Name,
@@ -334,39 +346,17 @@ func (mgr *Manager) Submit(spec Spec) (View, bool, error) {
 // cells return to pending (the process died under them), failed cells
 // stay failed with their stored error.
 func (mgr *Manager) resume(rec record) {
-	spec := rec.Spec
-	cells, err := spec.Expand(mgr.maxCells)
+	st, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
 	if err != nil {
-		mgr.log.Error("persisted sweep no longer expands; dropping", "sweep", rec.ID, "err", err)
+		mgr.log.Error("persisted sweep no longer expands and resolves; dropping", "sweep", rec.ID, "err", err)
 		return
 	}
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		key, rerr := mgr.exec.ResolveCell(c)
-		if rerr != nil {
-			mgr.log.Error("persisted sweep no longer resolves; dropping",
-				"sweep", rec.ID, "cell", i, "err", rerr)
-			return
-		}
-		keys[i] = key
-	}
-	priority := mgr.clampPriority(spec.Priority)
-	st := &state{
-		id:        rec.ID,
-		spec:      spec,
-		priority:  priority,
-		cells:     cells,
-		keys:      keys,
-		status:    make([]CellStatus, len(cells)),
-		errors:    make(map[int]string),
-		createdAt: rec.CreatedAt,
-	}
+	cells, keys, priority := st.cells, st.keys, st.priority
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	mgr.sweeps[st.id] = st
 	mgr.m.resumed.Inc()
-	mgr.registerDepthGauge(st.id)
 	mgr.sched.add(st.id, priority)
 	pending := 0
 	for i := range cells {
@@ -386,12 +376,14 @@ func (mgr *Manager) resume(rec record) {
 			mgr.completeLocked(st, i, CellFailed, nil, rec.Errors[i])
 			continue
 		}
-		st.status[i] = CellPending
 		mgr.sched.push(st.id, i)
 		pending++
 	}
 	if pending == 0 && st.running == 0 {
 		mgr.finishIfDoneLocked(st)
+	}
+	if pending > 0 {
+		mgr.registerDepthGauge(st.id)
 	}
 	mgr.saveLocked(st)
 	mgr.log.Info("sweep resumed", "sweep", st.id, "name", st.spec.Name,
@@ -400,8 +392,10 @@ func (mgr *Manager) resume(rec record) {
 }
 
 // registerDepthGauge exposes this sweep's live pending-queue depth as
-// mama_server_sweep_queue_depth{sweep="..."}. Registration is
-// idempotent; the series reads 0 once the sweep finishes.
+// mama_server_sweep_queue_depth{sweep="..."}; the series reads 0 once
+// the sweep finishes. The registry cannot drop a series and a scrape
+// takes mu once per series, so only a sweep that queued something gets
+// one: a sweep answered whole at admission never had a depth to show.
 func (mgr *Manager) registerDepthGauge(id string) {
 	mgr.reg.GaugeFunc("mama_server_sweep_queue_depth",
 		"Cells waiting for dispatch, per sweep.",
@@ -493,15 +487,7 @@ func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, raw js
 			st.errors[idx] = errMsg
 		}
 	}
-	st.events = append(st.events, Event{
-		Seq:    len(st.events),
-		Cell:   idx,
-		Status: status,
-		Key:    st.keys[idx],
-		Spec:   st.cells[idx],
-		Result: raw,
-		Error:  errMsg,
-	})
+	st.events = append(st.events, logged{idx, raw})
 	mgr.finishIfDoneLocked(st)
 }
 
@@ -604,22 +590,14 @@ func (mgr *Manager) EventsSince(id string, cursor int) (events []Event, v View, 
 		cursor = 0
 	}
 	if cursor < len(st.events) {
-		events = append([]Event(nil), st.events[cursor:]...)
-	}
-	return events, st.view(), mgr.notify, true
-}
-
-// activeCount reports sweeps that still have pending or running cells.
-func (mgr *Manager) activeCount() int {
-	mgr.mu.Lock()
-	defer mgr.mu.Unlock()
-	n := 0
-	for _, st := range mgr.sweeps {
-		if st.finished.IsZero() {
-			n++
+		events = make([]Event, 0, len(st.events)-cursor)
+		for seq, l := range st.events[cursor:] {
+			i := l.cell
+			events = append(events, Event{Seq: cursor + seq, Cell: i, Status: st.status[i],
+				Key: st.keys[i], Spec: st.cells[i], Result: l.result, Error: st.errors[i]})
 		}
 	}
-	return n
+	return events, st.view(), mgr.notify, true
 }
 
 // Counts snapshots the sweep block of /v1/stats.

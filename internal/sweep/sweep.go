@@ -182,15 +182,18 @@ func (s *Spec) Expand(maxCells int) ([]Cell, error) {
 		for _, mix := range g.Mixes {
 			for _, ctrl := range controllers {
 				for _, sc := range scales {
+					// normalize canonicalized the axes in place: all that is left
+					// of Cell.normalize is this, and a mix's cells share its slice.
+					if sc == "" {
+						sc = "default"
+					}
 					for _, seed := range seeds {
 						for _, d := range drams {
-							c := Cell{
+							out = append(out, Cell{
 								Mix: mix, Controller: ctrl, Scale: sc, Seed: seed,
 								Target: g.Target, Step: g.Step,
 								DRAMMTps: d.MTps, DRAMChannels: d.Channels,
-							}
-							c.normalize()
-							out = append(out, c)
+							})
 						}
 					}
 				}

@@ -147,3 +147,79 @@ func TestSpecID(t *testing.T) {
 		t.Errorf("equivalent spelling hashed differently: %s vs %s", idd, ida)
 	}
 }
+
+// paddedSpec spells a spec the way a hand-written request might:
+// stray whitespace, mixed case, empty scales.
+func paddedSpec() Spec {
+	return Spec{
+		Name: "  pad ",
+		Grid: &Grid{
+			Mixes:       [][]string{{" a", "b "}, {"\tc"}},
+			Controllers: []string{" MuMama ", "bandit"},
+			Scales:      []string{" TINY", "", "  "},
+			Seeds:       []uint64{0, 1},
+			DRAM:        []DRAM{{}, {MTps: 2400, Channels: 2}},
+			Target:      5,
+			Step:        6,
+		},
+		Cells: []Cell{
+			{Mix: []string{" d "}, Controller: " x", Scale: " Small "},
+			{Mix: []string{"e"}, Controller: "y"},
+		},
+	}
+}
+
+// TestExpandNormalizesWithoutCopying: grid cells share the grid's
+// (already normalized) mix slices instead of copying one per cell, and
+// that changes nothing a client can see — the padded spec expands to
+// the cells of its clean spelling and keeps the ID it had when every
+// cell was normalized on its own (the literal was computed there).
+func TestExpandNormalizesWithoutCopying(t *testing.T) {
+	padded := paddedSpec()
+	got, err := padded.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := Spec{
+		Name: "pad",
+		Grid: &Grid{
+			Mixes:       [][]string{{"a", "b"}, {"c"}},
+			Controllers: []string{"MuMama", "bandit"},
+			Scales:      []string{"tiny", "default", "default"},
+			Seeds:       []uint64{0, 1},
+			DRAM:        []DRAM{{}, {MTps: 2400, Channels: 2}},
+			Target:      5,
+			Step:        6,
+		},
+		Cells: []Cell{
+			{Mix: []string{"d"}, Controller: "x", Scale: "small"},
+			{Mix: []string{"e"}, Controller: "y", Scale: "default"},
+		},
+	}
+	want, err := clean.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2*2*3*2*2+2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("padded spec expands to\n%+v\nwant the clean spelling's\n%+v", got, want)
+	}
+	id, err := padded.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantID = "sbd5c5249f048cf6d"
+	if id != wantID {
+		t.Errorf("padded spec ID = %s, want %s (persisted sweeps would be orphaned)", id, wantID)
+	}
+
+	// The point of sharing: a grid's expansion allocates the cell slice,
+	// not a mix per cell.
+	big := Spec{Grid: &Grid{Mixes: [][]string{{"a"}, {"b"}}, Controllers: []string{"x", "y"}, Seeds: make([]uint64, 128)}}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if cells, err := big.Expand(0); err != nil || len(cells) != 512 {
+			t.Fatalf("expanded %d cells, err %v", len(cells), err)
+		}
+	}); allocs > 8 {
+		t.Errorf("expanding a 512-cell grid allocates %v times, want a handful", allocs)
+	}
+}
