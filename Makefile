@@ -48,8 +48,8 @@ race:
 # shake out drain/timeout races; counter- and PRNG-based rules are
 # deterministic, so a red run reproduces exactly from the same seed.
 # The second line repeats the same-key tests (one content key wanted by
-# two sweeps, an interactive job, a thief — see samekey_test.go) twenty
-# times: what they pin depends on the schedule, so one pass proves little.
+# two sweeps, an interactive job, a cell out on a peer — see
+# samekey_test.go) twenty times: what they pin depends on the schedule, so one pass proves little.
 chaos:
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
 		$(GO) test -race -count=1 ./internal/faultinject ./internal/cluster ./internal/server ./internal/client ./internal/sweep
@@ -93,7 +93,11 @@ sweep-smoke:
 # churn phase kills node B mid-sweep (confirm-dead + exactly-once
 # completion on the survivors) and restarts it (gossip rejoin with a
 # bumped incarnation, anti-entropy cache repair, warm resubmission
-# with zero new simulations). See scripts/clustersmoke.
+# with zero new simulations). Last, on a second trio with the default
+# per-peer slots, a sweep whose every cell is owned by the node that
+# receives it must put all three nodes to work (the per-node simulation
+# counts are printed and must add up to the cells). See
+# scripts/clustersmoke.
 cluster-smoke:
 	@$(GO) run ./scripts/clustersmoke > cluster-smoke.out 2>&1; st=$$?; \
 		cat cluster-smoke.out; exit $$st

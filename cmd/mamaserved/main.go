@@ -69,12 +69,11 @@ func main() {
 		// and -join only say where membership starts. The live member set
 		// is maintained by the SWIM failure detector, so a node can die,
 		// rejoin, or be added without restarting the rest.
-		advertise     = flag.String("advertise", "", "this node's URL as peers reach it (e.g. http://10.0.0.5:8077); setting it makes the node one member of a sharded cluster")
-		peers         = flag.String("peers", "", "comma-separated peer URLs assumed alive at boot (include or omit this node; it is added automatically); the live set evolves from there by gossip")
-		join          = flag.String("join", "", "comma-separated URLs of existing cluster nodes to join via gossip; unlike -peers they are contacted, not assumed — membership comes from what they answer")
-		stealInterval = flag.Duration("steal-interval", 0, "base interval for an idle node's steal polls; backs off exponentially while victims are empty (0 = 250ms; negative disables work stealing)")
-		gossipEvery   = flag.Duration("gossip-interval", time.Second, "SWIM probe interval (must be positive)")
-		suspectT      = flag.Duration("suspect-timeout", 0, "how long a suspected peer has to refute before it is confirmed dead (0 = 5x gossip-interval)")
+		advertise   = flag.String("advertise", "", "this node's URL as peers reach it (e.g. http://10.0.0.5:8077); setting it makes the node one member of a sharded cluster")
+		peers       = flag.String("peers", "", "comma-separated peer URLs assumed alive at boot (include or omit this node; it is added automatically); the live set evolves from there by gossip")
+		join        = flag.String("join", "", "comma-separated URLs of existing cluster nodes to join via gossip; unlike -peers they are contacted, not assumed — membership comes from what they answer")
+		gossipEvery = flag.Duration("gossip-interval", time.Second, "SWIM probe interval (must be positive)")
+		suspectT    = flag.Duration("suspect-timeout", 0, "how long a suspected peer has to refute before it is confirmed dead (0 = 5x gossip-interval)")
 	)
 	flag.Parse()
 
@@ -126,7 +125,6 @@ func main() {
 		CacheDir:       *cacheDir,
 		Logger:         logger,
 		Cluster:        cl,
-		StealInterval:  *stealInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mamaserved:", err)

@@ -1,8 +1,8 @@
 // Cluster integration: this file is everything mamaserved does when it
 // is one node of a sharded cluster (Config.Cluster != nil).
 //
-// Three mechanisms, all built on the consistent-hash ring in
-// internal/cluster and the content-addressed job key:
+// Two mechanisms and one dispatch rule, all built on the consistent-hash
+// ring in internal/cluster and the content-addressed job key:
 //
 //   - Routing. Any node accepts any request. Interactive submissions
 //     resolve the job key, look up the owning peer, and proxy there —
@@ -16,18 +16,18 @@
 //     a key's result. Sweep admission batch-fetches remote-owned keys
 //     from their owners (one RPC per peer), so a warm cluster dedupes
 //     a resubmitted sweep entirely at admission, no matter which node
-//     receives it. Nodes that compute a key they do not own (degraded
-//     or stolen work) push the result back to the owner best-effort.
+//     receives it. A node that computes a key it does not own (degraded
+//     or spilled work) pushes the result back to the owner best-effort.
 //
-//   - Work stealing. An idle node polls busy peers for queued sweep
-//     cells. The victim passes each dequeued ticket through the same
-//     admit step as its own workers — cached and in-flight keys never
-//     leave — and keeps the new job in its registry, running, under a
-//     lease: a submission of that key to the victim coalesces onto it.
-//     A thief that dies mid-cell simply lets the lease expire; the job
-//     fails and the cell returns to pending. Results are bit-identical
-//     wherever they run, so a late report after an expired lease is
-//     still a valid cache fill.
+//   - The dispatch rule. The node a sweep was submitted to is the only
+//     one that moves its cells: a dequeued cell goes to its owner when
+//     that is a healthy peer with a free slot; a self-owned cell, or
+//     any cell when no peer slot is free, runs on the worker that
+//     dequeued it; otherwise it goes to any other healthy peer with a
+//     free slot. The job stays in this node's registry, running, for as
+//     long as it is out, so a submission of that key here coalesces
+//     onto it, and a peer that dies holding it hands the cell back as
+//     pending (errPeerUnavailable).
 package server
 
 import (
@@ -35,9 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -47,9 +45,9 @@ import (
 )
 
 // errPeerUnavailable marks a job outcome caused by the peer executing
-// it (the key's owner, or a thief) being unreachable or gone, not by the
-// simulation: settle hands the cell back as pending and it re-runs —
-// locally, since the failed RPC has already marked the peer unhealthy.
+// it being unreachable or gone, not by the simulation: settle hands the
+// cell back as pending and it re-runs somewhere else, since the failed
+// RPC has already marked the peer unhealthy.
 var errPeerUnavailable = errors.New("cluster: executing peer unavailable")
 
 // clusterMetrics is the mama_cluster_* instrument set. Aggregate
@@ -66,14 +64,10 @@ type clusterMetrics struct {
 	degraded     *telemetry.Counter // owner down: computed locally instead
 	remoteHits   *telemetry.Counter // results fetched from owning peers
 	remoteMisses *telemetry.Counter // remote lookups that found nothing
-	remoteCells  *telemetry.Counter // sweep cells executed on their owner
+	remoteCells  *telemetry.Counter // sweep cells executed on a peer
 	cacheServed  *telemetry.Counter // cache entries served to peers
 	writebacks   *telemetry.Counter // non-owned results pushed to owners
-	stealsOut    *telemetry.Counter // cells this node stole from peers
-	stealsIn     *telemetry.Counter // cells peers stole from this node
-	stealExpired *telemetry.Counter // stolen-cell leases that expired
 	repairPulled *telemetry.Counter // cache entries pulled by anti-entropy repair
-	deadRequeued *telemetry.Counter // leases requeued because the thief was confirmed dead
 }
 
 func newClusterMetrics(r *telemetry.Registry, c *cluster.Cluster) *clusterMetrics {
@@ -105,21 +99,13 @@ func newClusterMetrics(r *telemetry.Registry, c *cluster.Cluster) *clusterMetric
 		remoteMisses: r.Counter("mama_cluster_remote_cache_misses_total",
 			"Remote cache lookups that found nothing."),
 		remoteCells: r.Counter("mama_cluster_remote_cells_total",
-			"Sweep cells executed on their owning peer instead of locally."),
+			"Sweep cells executed on a peer instead of locally."),
 		cacheServed: r.Counter("mama_cluster_cache_served_total",
 			"Cache entries this node served to peers."),
 		writebacks: r.Counter("mama_cluster_writebacks_total",
 			"Results computed off-owner and pushed back to the owning peer."),
-		stealsOut: r.Counter("mama_cluster_steals_out_total",
-			"Sweep cells this node stole from deep-queued peers."),
-		stealsIn: r.Counter("mama_cluster_steals_in_total",
-			"Sweep cells peers stole from this node's queue."),
-		stealExpired: r.Counter("mama_cluster_steal_leases_expired_total",
-			"Stolen-cell leases that expired without a report (thief died)."),
 		repairPulled: r.Counter("mama_cluster_repair_pulled_total",
 			"Cache entries pulled from previous owners by anti-entropy repair."),
-		deadRequeued: r.Counter("mama_cluster_dead_requeued_total",
-			"Stolen-cell leases requeued early because the thief was confirmed dead."),
 	}
 }
 
@@ -130,14 +116,7 @@ func (cm *clusterMetrics) perPeer(name, help, peer string) {
 	cm.reg.Counter(name, help, telemetry.L("peer", peer)).Inc()
 }
 
-// stolenLease is the victim-side record of a job handed to a thief.
-type stolenLease struct {
-	j       *job
-	peer    string
-	expires time.Time
-}
-
-// longPollWait is how long a remote-cell result wait asks the owner to
+// longPollWait is how long a remote-cell result wait asks the peer to
 // hold the request open (?wait=). Completions come back in one
 // round-trip; a cell slower than this is asked for again at once.
 var longPollWait = 2 * time.Second
@@ -149,24 +128,17 @@ var longPollWait = 2 * time.Second
 const earlyReleasePause = 100 * time.Millisecond
 
 // clusterState is the per-server cluster runtime: the ring and member
-// view, remote-execution slots, the stolen-cell lease table, and the
-// background stealer/janitor goroutines.
+// view and the remote-execution slots.
 type clusterState struct {
 	s *Server
 	c *cluster.Cluster
 	m *clusterMetrics
 
-	sem        chan struct{} // bounds concurrent remote cell executions
-	peerSlots  int           // capacity of each per-peer semaphore
-	stealEvery time.Duration // thief poll interval; <= 0 disables stealing
-	lease      time.Duration // stolen-cell lease duration
-	minPending int           // pending cells a victim keeps for itself
+	sem       chan struct{} // bounds concurrent remote cell executions
+	peerSlots int           // capacity of each per-peer semaphore
 
-	mu       sync.Mutex
-	peerSem  map[string]chan struct{} // per-peer in-flight bound, created on demand
-	leases   map[string]*stolenLease  // job key → the lease its job is out on
-	stealCur int                      // round-robin cursor over peers
-	stealRng *rand.Rand               // jitter source for steal backoff
+	mu      sync.Mutex
+	peerSem map[string]chan struct{} // per-peer in-flight bound, created on demand
 
 	wg sync.WaitGroup
 }
@@ -177,32 +149,13 @@ func newClusterState(s *Server) *clusterState {
 	if peerSlots <= 0 {
 		peerSlots = cfg.Workers
 	}
-	stealEvery := cfg.StealInterval
-	if stealEvery == 0 {
-		stealEvery = 250 * time.Millisecond
-	}
-	lease := cfg.StealLease
-	if lease <= 0 {
-		lease = cfg.DefaultTimeout + 30*time.Second
-	}
-	minPending := cfg.StealMinPending
-	if minPending == 0 {
-		minPending = cfg.Workers
-	} else if minPending < 0 {
-		minPending = 0 // negative: give away everything that is queued
-	}
 	cs := &clusterState{
-		s:          s,
-		c:          cfg.Cluster,
-		m:          newClusterMetrics(s.reg, cfg.Cluster),
-		sem:        make(chan struct{}, 4*cfg.Workers),
-		peerSlots:  peerSlots,
-		stealEvery: stealEvery,
-		lease:      lease,
-		minPending: minPending,
-		peerSem:    make(map[string]chan struct{}),
-		leases:     make(map[string]*stolenLease),
-		stealRng:   rand.New(rand.NewSource(time.Now().UnixNano())),
+		s:         s,
+		c:         cfg.Cluster,
+		m:         newClusterMetrics(s.reg, cfg.Cluster),
+		sem:       make(chan struct{}, 4*cfg.Workers),
+		peerSlots: peerSlots,
+		peerSem:   make(map[string]chan struct{}),
 	}
 	// The ring-change hook must be in place before gossip starts (see
 	// start()): a transition observed with no hook would skip repair.
@@ -224,19 +177,13 @@ func (cs *clusterState) peerSlot(peer string) chan struct{} {
 	return ps
 }
 
-// start launches the failure detector and the background goroutines:
-// the lease janitor, one boot-time repair and (unless disabled) the
-// stealer. They exit when the server's base context is cancelled;
-// wait() joins them and any in-flight remote executions.
+// start launches the failure detector and one boot-time repair, which
+// stops when the server's base context is cancelled; wait() joins it
+// and any write-back still in flight.
 func (cs *clusterState) start() {
 	// Gossip starts here, after newClusterState registered the ring-
 	// change hook, so no transition can be missed.
 	cs.c.StartGossip()
-	cs.wg.Add(1)
-	go func() {
-		defer cs.wg.Done()
-		cs.janitorLoop()
-	}()
 	// A node repairs itself once at boot: a restarted member pulls back
 	// the warm entries it owns from whoever kept serving while it was
 	// gone (join-only nodes with no bootstrap peers get the same effect
@@ -246,15 +193,6 @@ func (cs *clusterState) start() {
 		defer cs.wg.Done()
 		cs.repairOwned()
 	}()
-	// The peer set can grow from empty (a node started with only -join
-	// seeds), so the stealer runs whether or not bootstrap peers exist.
-	if cs.stealEvery > 0 {
-		cs.wg.Add(1)
-		go func() {
-			defer cs.wg.Done()
-			cs.stealLoop()
-		}()
-	}
 }
 
 func (cs *clusterState) wait() {
@@ -266,22 +204,16 @@ func (cs *clusterState) wait() {
 
 // onRingChange reacts to one atomic membership transition (fired
 // synchronously by the cluster layer, possibly from a gossip loop or
-// any request goroutine that merged a piggybacked delta):
-//
-//   - Leases held by a confirmed-dead thief are ended immediately
-//     instead of waiting out the lease clock (see endLeases).
-//
-//   - Anti-entropy repair runs in the background: every ring change
-//     moves some key ranges onto this node, so it batch-pulls the warm
-//     cache entries it now owns from the peers that held them. Results
-//     are immutable and content-addressed, which makes repair safe to
-//     run concurrently with anything.
+// any request goroutine that merged a piggybacked delta) with
+// anti-entropy repair in the background: every ring change moves some
+// key ranges onto this node, so it batch-pulls the warm cache entries it
+// now owns from the peers that held them. Results are immutable and
+// content-addressed, which makes repair safe to run concurrently with
+// anything.
 func (cs *clusterState) onRingChange(ev cluster.ChangeEvent) {
 	cs.s.log.Info("cluster: membership changed",
 		"version", ev.Version, "members", len(ev.Members),
 		"joined", ev.Joined, "dead", ev.Dead)
-	cs.endLeases(cs.m.deadRequeued, "thief confirmed dead",
-		func(l *stolenLease) bool { return slices.Contains(ev.Dead, l.peer) })
 	if cs.s.isDraining() || cs.s.baseCtx.Err() != nil {
 		return
 	}
@@ -290,28 +222,6 @@ func (cs *clusterState) onRingChange(ev cluster.ChangeEvent) {
 		defer cs.wg.Done()
 		cs.repairOwned()
 	}()
-}
-
-// endLeases ends every lease lost matches: the thief will not report,
-// so the leased job fails — waking anyone waiting on it — and its cell
-// returns to pending. Deleting the lease under cs.mu first keeps that
-// exactly-once: the janitor, a ring change and a late steal-done report
-// cannot all find the same entry.
-func (cs *clusterState) endLeases(counter *telemetry.Counter, why string, lost func(*stolenLease) bool) {
-	var ended []*stolenLease
-	cs.mu.Lock()
-	for k, l := range cs.leases {
-		if lost(l) {
-			delete(cs.leases, k)
-			ended = append(ended, l)
-		}
-	}
-	cs.mu.Unlock()
-	for _, l := range ended {
-		counter.Inc()
-		cs.s.log.Warn("cluster: "+why+"; re-queueing stolen cell", "job", l.j.id, "thief", l.peer)
-		cs.s.finishJob(l.j, JobResult{}, fmt.Errorf("%w: %s", errPeerUnavailable, why), false)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -639,11 +549,11 @@ func (cs *clusterState) writeBack(key string, body json.RawMessage) {
 // Remote cell execution (ring-aware sweep dispatch)
 // ---------------------------------------------------------------------
 
-// remoteSlot is a reservation to execute one job on the peer owning its
-// key: one of the node-wide slots and one of that peer's.
+// remoteSlot is a reservation to execute one job on a peer, the venue:
+// one of the node-wide slots and one of that peer's.
 type remoteSlot struct {
 	cs    *clusterState
-	owner string
+	venue string
 	peer  chan struct{}
 }
 
@@ -655,33 +565,55 @@ func (r *remoteSlot) release() {
 	}
 }
 
-// reserve claims a remote slot for key when a healthy peer owns it, or
-// returns nil when the cell should run here: we own the key, the owner
-// is down, or the slots are taken.
-func (cs *clusterState) reserve(key string) *remoteSlot {
+// reserve is the dispatch rule. It claims a slot on the peer owning key,
+// or failing that — the owner is this node, down, or already has its
+// share of our cells in flight — on any other healthy peer; nil means
+// the cell runs here. A self-owned cell held by a worker (onWorker)
+// stays with that worker: dispatchNext, which it calls before it starts
+// the run, is what fills the peers.
+func (cs *clusterState) reserve(key string, onWorker bool) *remoteSlot {
 	owner := cs.c.Owner(key)
-	if cs.c.IsSelf(owner) || !cs.c.Healthy(owner) {
+	if onWorker && cs.c.IsSelf(owner) {
 		return nil
 	}
-	ps := cs.peerSlot(owner)
 	select {
 	case cs.sem <- struct{}{}:
 	default:
 		return nil // all remote slots busy: local compute beats waiting
 	}
-	select {
-	case ps <- struct{}{}:
-	default:
-		// The owner already has a pool's worth of our cells in flight.
-		// Running this one locally (or leaving it for a thief) beats
-		// serializing it in the busiest shard's queue.
-		<-cs.sem
-		return nil
+	for _, venue := range append([]string{owner}, cs.c.Peers()...) {
+		if cs.c.IsSelf(venue) || !cs.c.Healthy(venue) {
+			continue
+		}
+		ps := cs.peerSlot(venue)
+		select {
+		case ps <- struct{}{}:
+			return &remoteSlot{cs: cs, venue: venue, peer: ps}
+		default:
+			// Late binding: a cell beyond a peer's share stays in this
+			// node's queue, where the next free slot anywhere takes it,
+			// instead of serializing in one busy peer's queue.
+		}
 	}
-	return &remoteSlot{cs: cs, owner: owner, peer: ps}
+	<-cs.sem
+	return nil
 }
 
-// runRemote executes a registered job on the owner that slot reserved.
+// spare reports whether reserve could place a cell on some peer right
+// now, so dispatchNext dequeues only what it can send.
+func (cs *clusterState) spare() bool {
+	if len(cs.sem) == cap(cs.sem) {
+		return false
+	}
+	for _, p := range cs.c.Peers() {
+		if len(cs.peerSlot(p)) < cs.peerSlots && cs.c.Healthy(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// runRemote executes a registered job on the peer that slot reserved.
 // The goroutine only waits on HTTP, so the pool worker that dequeued
 // the cell immediately moves on to other work — this is what lets one
 // receiving node drive a whole cluster's worth of compute.
@@ -694,46 +626,67 @@ func (cs *clusterState) runRemote(slot *remoteSlot, j *job) {
 	cs.s.pool.wg.Add(1)
 	go func() {
 		defer cs.s.pool.wg.Done()
-		res, err := cs.runRemoteCell(slot.owner, j)
+		res, err := cs.runRemoteCell(slot.venue, j)
 		cs.s.finishJob(j, res, err, false)
 		slot.release()
 		// Chain the next dispatch off this completion: local workers are
 		// typically mid-cell for tens of milliseconds, and waiting for
-		// one to come free would leave the owner's pool idle that long.
+		// one to come free would leave the peer's pool idle that long.
 		cs.dispatchNext()
 	}()
 }
 
-// dispatchNext pushes one more queued cell to its owning peer, called
-// when a remote slot frees up. A cell that is not remotely dispatchable
-// right now (self-owned, owner busy or unhealthy) never became a job:
-// its ticket goes straight back to pending for a local worker or a
-// thief. One that is already cached or running is settled by admitCell,
-// and the next is tried.
+// dispatchNext sends queued cells to peers until no slot or no ticket is
+// left. It runs whenever either may have appeared: a sweep was admitted,
+// a worker is about to block on a local run, a remote cell came back. A
+// ticket that lost its slot to a concurrent caller never became a job
+// and goes straight back to pending; one that is already cached or
+// running is settled by admitCell, and the next is tried.
 func (cs *clusterState) dispatchNext() {
-	for !cs.s.isDraining() && cs.s.baseCtx.Err() == nil {
+	for !cs.s.isDraining() && cs.s.baseCtx.Err() == nil && cs.spare() {
 		t, ok := cs.s.sweeps.TryDequeue()
 		if !ok {
 			return
 		}
-		slot := cs.reserve(t.Key)
+		slot := cs.reserve(t.Key, false)
 		if slot == nil {
 			cs.s.sweeps.CellDone(t, sweep.CellPending, nil, "")
 			return
 		}
-		if j := cs.s.admitCell(t); j != nil {
+		if j := cs.s.admitCell(t, true); j != nil {
 			cs.runRemote(slot, j)
-			return
+		} else {
+			slot.release()
 		}
-		slot.release()
 	}
 }
 
-// runRemoteCell executes one job on the peer owning its key: submit the
-// spec, wait for the result. Peer death at any point is reported as
-// errPeerUnavailable; the failed RPC has marked the owner unhealthy, so
-// the next dispatch of the cell runs locally.
-func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
+// dispatchAdmitted is dispatchNext for the request that admitted a
+// sweep: every local worker may be mid-run, and the peers need not wait
+// for one. The pool is not waiting for a request goroutine, so it joins
+// the pool's WaitGroup for the length of the call, under s.mu like
+// submit's push: beginDrain flips draining under that lock before
+// anyone waits.
+func (cs *clusterState) dispatchAdmitted() {
+	s := cs.s
+	s.mu.Lock()
+	open := !s.draining.Load()
+	if open {
+		s.pool.wg.Add(1)
+	}
+	s.mu.Unlock()
+	if open {
+		defer s.pool.wg.Done()
+		cs.dispatchNext()
+	}
+}
+
+// runRemoteCell executes one job on venue: submit the spec (marked
+// forwarded, so venue runs it whoever owns the key), wait for the
+// result. Peer death at any point is reported as errPeerUnavailable; the
+// failed RPC has marked venue unhealthy, so the next dispatch of the
+// cell goes elsewhere.
+func (cs *clusterState) runRemoteCell(venue string, j *job) (JobResult, error) {
 	fail := func(err error) (JobResult, error) {
 		if cs.s.baseCtx.Err() != nil {
 			err = context.Canceled // shutdown: the cell re-runs after restart
@@ -749,13 +702,13 @@ func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
 	ctx, cancel := context.WithTimeout(cs.s.baseCtx, j.timeout+30*time.Second)
 	defer cancel()
 
-	// Submit until admitted: 429/503 mean the owner is alive but
-	// saturated or restarting — waiting keeps the work on the node that
-	// owns the key, and the cluster is making progress meanwhile.
+	// Submit until admitted: 429/503 mean venue is alive but saturated
+	// or restarting — the slot stays taken, so later cells go elsewhere,
+	// and the cluster is making progress meanwhile.
 	for {
-		code, _, err := cs.c.Do(ctx, owner, http.MethodPost, "/v1/jobs", body)
+		code, _, err := cs.c.Do(ctx, venue, http.MethodPost, "/v1/jobs", body)
 		if err != nil {
-			return fail(fmt.Errorf("%w: submit to %s: %v", errPeerUnavailable, owner, err))
+			return fail(fmt.Errorf("%w: submit to %s: %v", errPeerUnavailable, venue, err))
 		}
 		if code == http.StatusOK || code == http.StatusAccepted {
 			break
@@ -763,15 +716,15 @@ func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			select {
 			case <-ctx.Done():
-				return fail(fmt.Errorf("%w: %s stayed saturated: %v", errPeerUnavailable, owner, ctx.Err()))
+				return fail(fmt.Errorf("%w: %s stayed saturated: %v", errPeerUnavailable, venue, ctx.Err()))
 			case <-time.After(500 * time.Millisecond):
 				continue
 			}
 		}
-		return fail(fmt.Errorf("owner %s refused cell job: HTTP %d", owner, code))
+		return fail(fmt.Errorf("peer %s refused cell job: HTTP %d", venue, code))
 	}
 
-	// Wait for the result as a held request: the owner keeps it open
+	// Wait for the result as a held request: venue keeps it open
 	// until the job completes or the wait elapses, so a finished cell
 	// comes back in one round-trip and a cell slower than longPollWait
 	// is asked for again at once.
@@ -779,14 +732,14 @@ func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
 	waitQ := "?wait=" + wait.String()
 	for {
 		asked := time.Now()
-		code, resp, err := cs.c.DoTimeout(ctx, owner, http.MethodGet,
+		code, resp, err := cs.c.DoTimeout(ctx, venue, http.MethodGet,
 			"/v1/jobs/"+j.id+"/result"+waitQ, nil, wait+10*time.Second)
 		if err != nil {
-			return fail(fmt.Errorf("%w: result wait on %s: %v", errPeerUnavailable, owner, err))
+			return fail(fmt.Errorf("%w: result wait on %s: %v", errPeerUnavailable, venue, err))
 		}
 		switch {
 		case code == http.StatusAccepted:
-			// Still queued/running on the owner.
+			// Still queued/running on venue.
 			if time.Since(asked) < wait {
 				select {
 				case <-ctx.Done():
@@ -796,258 +749,26 @@ func (cs *clusterState) runRemoteCell(owner string, j *job) (JobResult, error) {
 		case code == http.StatusOK:
 			var out resultBody
 			if err := json.Unmarshal(resp, &out); err != nil {
-				return fail(fmt.Errorf("decode result from %s: %w", owner, err))
+				return fail(fmt.Errorf("decode result from %s: %w", venue, err))
 			}
 			switch out.Status {
 			case StatusDone:
 				if out.Result == nil {
-					return fail(fmt.Errorf("owner %s reported done without a result", owner))
+					return fail(fmt.Errorf("peer %s reported done without a result", venue))
 				}
 				cs.m.remoteCells.Inc()
 				cs.m.perPeer("mama_cluster_peer_remote_cells_total",
-					"Sweep cells executed on this owning peer.", owner)
+					"Sweep cells executed on this peer.", venue)
 				return *out.Result, nil
 			case StatusFailed:
-				return JobResult{}, fmt.Errorf("remote cell failed on %s: %s", owner, out.Error)
+				return JobResult{}, fmt.Errorf("remote cell failed on %s: %s", venue, out.Error)
 			}
 		case code == http.StatusNotFound:
-			// The owner restarted without the job (no persistence there):
+			// venue restarted without the job (no persistence there):
 			// the next dispatch resubmits.
-			return fail(fmt.Errorf("%w: %s lost job %s", errPeerUnavailable, owner, j.id))
+			return fail(fmt.Errorf("%w: %s lost job %s", errPeerUnavailable, venue, j.id))
 		default:
-			return fail(fmt.Errorf("owner %s answered HTTP %d waiting for %s", owner, code, j.id))
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Work stealing
-// ---------------------------------------------------------------------
-
-// stolenCellWire is one leased cell on the steal protocol.
-type stolenCellWire struct {
-	Sweep     string     `json:"sweep"`
-	Index     int        `json:"index"`
-	Key       string     `json:"key"`
-	Cell      sweep.Cell `json:"cell"`
-	TimeoutMs int64      `json:"timeout_ms,omitempty"`
-}
-
-type stealRequest struct {
-	Max int `json:"max"`
-	// Thief is the thief's advertised URL, required. The victim records
-	// it on the lease so a ring transition that confirms the thief dead
-	// can match and requeue its leases immediately (RemoteAddr is an
-	// ephemeral client port, useless for that comparison).
-	Thief string `json:"thief"`
-}
-
-type stealResponse struct {
-	Cells []stolenCellWire `json:"cells"`
-}
-
-// stealDoneRequest reports a stolen cell's outcome back to the victim.
-// Result carries the raw JobResult on success; Error the failure.
-type stealDoneRequest struct {
-	Sweep  string          `json:"sweep"`
-	Index  int             `json:"index"`
-	Key    string          `json:"key"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// stealBackoffCap bounds the exponential steal backoff (as a multiple
-// of the base interval): an idle cluster polls lazily, but a fresh
-// burst of work is never more than this far from being noticed.
-const stealBackoffCap = 32
-
-// stealDelay computes the next steal poll delay: the base interval
-// after a successful steal, doubling per consecutive miss (victim had
-// no spare work, or no healthy victim at all) up to stealBackoffCap×
-// base, with ±25% jitter so a fleet of idle thieves does not hammer
-// the one busy victim in lockstep.
-func (cs *clusterState) stealDelay(misses int) time.Duration {
-	d := cs.stealEvery
-	if misses > 0 {
-		shift := misses
-		if shift > 10 {
-			shift = 10
-		}
-		mult := int64(1) << shift
-		if mult > stealBackoffCap {
-			mult = stealBackoffCap
-		}
-		d = cs.stealEvery * time.Duration(mult)
-	}
-	cs.mu.Lock()
-	jitter := cs.stealRng.Float64()
-	cs.mu.Unlock()
-	// jitter in [0.75, 1.25)
-	d = time.Duration(float64(d) * (0.75 + jitter/2))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
-}
-
-// stealLoop is the thief side: when this node is fully idle (no queued
-// jobs, no dispatchable sweep work, free workers) it asks peers — round
-// robin — for queued cells and executes them locally through the normal
-// job path. Polling backs off exponentially (with jitter) while
-// victims have nothing to give and snaps back to the base interval on
-// the first successful steal.
-func (cs *clusterState) stealLoop() {
-	misses := 0
-	timer := time.NewTimer(cs.stealDelay(0))
-	defer timer.Stop()
-	for {
-		select {
-		case <-cs.s.baseCtx.Done():
-			return
-		case <-timer.C:
-		}
-		if cs.s.isDraining() {
-			return
-		}
-		if !cs.idle() {
-			// Busy with our own work: not a miss (there is nothing to
-			// learn about the victims), poll again at the base cadence.
-			misses = 0
-			timer.Reset(cs.stealDelay(0))
-			continue
-		}
-		var cells []stolenCellWire
-		peer, ok := cs.nextPeer()
-		if ok {
-			cells = cs.stealFrom(peer, cs.s.cfg.Workers)
-		}
-		if len(cells) == 0 {
-			// No healthy victim, or the victim had no spare work: back off.
-			misses++
-			timer.Reset(cs.stealDelay(misses))
-			continue
-		}
-		misses = 0
-		// Run the batch concurrently — the node is idle, so the whole
-		// pool's width is available — but join it before the next poll
-		// so the idle() check stays honest.
-		var batch sync.WaitGroup
-		for _, sc := range cells {
-			batch.Add(1)
-			go func(sc stolenCellWire) {
-				defer batch.Done()
-				cs.runStolen(peer, sc)
-			}(sc)
-		}
-		batch.Wait()
-		if cs.s.isDraining() {
-			return
-		}
-		timer.Reset(cs.stealDelay(0))
-	}
-}
-
-// idle reports whether this node has nothing of its own to do.
-func (cs *clusterState) idle() bool {
-	if cs.s.q.depth() > 0 {
-		return false
-	}
-	if cs.s.metrics.workersBusy.Value() > 0 {
-		return false
-	}
-	counts := cs.s.sweeps.Counts()
-	return counts.CellsPending == 0 && counts.CellsRunning == 0
-}
-
-// nextPeer picks the next healthy peer round-robin.
-func (cs *clusterState) nextPeer() (string, bool) {
-	peers := cs.c.Peers()
-	if len(peers) == 0 {
-		return "", false
-	}
-	cs.mu.Lock()
-	start := cs.stealCur
-	cs.mu.Unlock()
-	for i := 0; i < len(peers); i++ {
-		p := peers[(start+i)%len(peers)]
-		if cs.c.Healthy(p) {
-			cs.mu.Lock()
-			cs.stealCur = (start + i + 1) % len(peers)
-			cs.mu.Unlock()
-			return p, true
-		}
-	}
-	return "", false
-}
-
-// stealFrom asks one victim for up to max queued cells.
-func (cs *clusterState) stealFrom(peer string, max int) []stolenCellWire {
-	body, err := json.Marshal(stealRequest{Max: max, Thief: cs.c.Self()})
-	if err != nil {
-		return nil
-	}
-	code, resp, err := cs.c.Do(cs.s.baseCtx, peer, http.MethodPost, "/internal/steal", body)
-	if err != nil || code != http.StatusOK {
-		return nil
-	}
-	var out stealResponse
-	if err := json.Unmarshal(resp, &out); err != nil {
-		return nil
-	}
-	return out.Cells
-}
-
-// runStolen executes one stolen cell here and reports the outcome to
-// the victim. The key goes through this node's own admit step (the
-// victim's ticket stays with the victim): a cached result is reported
-// without running, a key already in flight here is waited for, and a
-// new one runs through the normal job path — registry entry, panic
-// isolation, metrics, cache fill and write-back to the key's owner.
-func (cs *clusterState) runStolen(victim string, sc stolenCellWire) {
-	j, how := cs.s.admitKey(sc.Key, sc.Cell, sc.TimeoutMs, nil)
-	if how == admitNew {
-		cs.s.pool.execute(-1, j)
-	}
-	select {
-	case <-j.done:
-	case <-cs.s.baseCtx.Done():
-	}
-	report := stealDoneRequest{Sweep: sc.Sweep, Index: sc.Index, Key: sc.Key}
-	if hit, ok := cs.s.cache.get(sc.Key); ok { // a done job's result is cached before it reads done
-		report.Result = hit.raw
-	} else if cs.s.baseCtx.Err() != nil {
-		// This thief is shutting down mid-cell: say nothing. The victim's
-		// lease janitor returns the cell to pending, and a live node
-		// computes it — reporting an error here would fail the cell
-		// permanently for a fault that is ours, not the simulation's.
-		return
-	} else {
-		report.Error = j.view().Error
-	}
-	cs.m.stealsOut.Inc()
-	cs.m.perPeer("mama_cluster_peer_steals_out_total",
-		"Sweep cells stolen from this peer.", victim)
-	body, err := json.Marshal(report)
-	if err != nil {
-		return
-	}
-	// Best-effort: if the victim is gone, its lease janitor re-queues
-	// the cell; our local cache fill still counts.
-	_, _, _ = cs.c.Do(cs.s.baseCtx, victim, http.MethodPost, "/internal/steal/done", body)
-}
-
-// janitorLoop expires stolen-cell leases: a thief that died without
-// reporting returns its cells to pending, so no steal can lose work.
-func (cs *clusterState) janitorLoop() {
-	ticker := time.NewTicker(500 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-cs.s.baseCtx.Done():
-			return
-		case now := <-ticker.C:
-			cs.endLeases(cs.m.stealExpired, "steal lease expired",
-				func(l *stolenLease) bool { return now.After(l.expires) })
+			return fail(fmt.Errorf("peer %s answered HTTP %d waiting for %s", venue, code, j.id))
 		}
 	}
 }
@@ -1076,8 +797,6 @@ func (cs *clusterState) registerHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("PUT /internal/cache/{key}", cs.handleCachePut)
 	mux.HandleFunc("POST /internal/cache/lookup", cs.handleCacheLookup)
 	mux.HandleFunc("POST /internal/cache/pull", cs.handleCachePull)
-	mux.HandleFunc("POST /internal/steal", cs.handleSteal)
-	mux.HandleFunc("POST /internal/steal/done", cs.handleStealDone)
 	cs.c.RegisterGossipHandlers(mux)
 }
 
@@ -1109,92 +828,6 @@ func (cs *clusterState) handleCacheLookup(w http.ResponseWriter, r *http.Request
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleSteal is the victim side: hand out queued sweep cells when this
-// node has more pending work than its own pool will promptly absorb.
-// Every dequeued ticket passes the admit step first, so a thief only
-// receives keys that are neither cached nor in flight here, and what it
-// receives stays in this node's registry as a running job under a
-// lease — preserving the at-most-once compute guarantee against any
-// later submission of the same key.
-func (cs *clusterState) handleSteal(w http.ResponseWriter, r *http.Request) {
-	var req stealRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad steal request: " + err.Error()})
-		return
-	}
-	thief := cluster.NormalizePeer(req.Thief)
-	if thief == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "steal request needs thief"})
-		return
-	}
-	out := stealResponse{Cells: []stolenCellWire{}}
-	if cs.s.isDraining() || req.Max <= 0 {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	// Only give work away while there is more queued than the local pool
-	// is about to chew through; an almost-drained queue finishes faster
-	// locally than over two RPCs.
-	if pending := cs.s.sweeps.Counts().CellsPending; pending <= cs.minPending {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	for len(out.Cells) < req.Max {
-		t, ok := cs.s.sweeps.TryDequeue()
-		if !ok {
-			break
-		}
-		j := cs.s.admitCell(t)
-		if j == nil {
-			continue
-		}
-		j.markRunning()
-		cs.mu.Lock()
-		cs.leases[t.Key] = &stolenLease{j: j, peer: thief, expires: time.Now().Add(cs.lease)}
-		cs.mu.Unlock()
-		cs.m.stealsIn.Inc()
-		out.Cells = append(out.Cells, stolenCellWire{
-			Sweep: t.SweepID, Index: t.Index, Key: t.Key, Cell: t.Cell, TimeoutMs: t.TimeoutMs,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleStealDone finishes a leased job with the thief's outcome. A
-// report for an already-expired lease answers 410: the cell was
-// re-queued, but the attached result is still a valid cache fill
-// (results are bit-identical wherever computed), so it is kept — the
-// re-queued cell then completes as deduped without running.
-func (cs *clusterState) handleStealDone(w http.ResponseWriter, r *http.Request) {
-	var req stealDoneRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad steal report: " + err.Error()})
-		return
-	}
-	var res JobResult
-	var err error
-	if req.Error != "" {
-		err = errors.New(req.Error)
-	} else if uerr := json.Unmarshal(req.Result, &res); uerr != nil {
-		err = fmt.Errorf("decode stolen result: %w", uerr)
-	}
-	cs.mu.Lock()
-	lease, ok := cs.leases[req.Key]
-	delete(cs.leases, req.Key)
-	cs.mu.Unlock()
-	if !ok {
-		if err == nil {
-			_, _ = cs.s.storeResult(req.Key, res) // decoded from JSON, so it encodes
-		}
-		writeJSON(w, http.StatusGone, errorBody{Error: "no such lease (expired or unknown)"})
-		return
-	}
-	cs.s.finishJob(lease.j, res, err, false)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // clusterStats snapshots the cluster block of /v1/stats.
 func (cs *clusterState) stats() *ClusterStats {
 	suspects, refutes, confirms := cs.c.GossipCounts()
@@ -1217,7 +850,6 @@ func (cs *clusterState) stats() *ClusterStats {
 		Refutes:           refutes,
 		ConfirmedDead:     confirms,
 		RepairPulled:      cs.m.repairPulled.Value(),
-		DeadRequeued:      cs.m.deadRequeued.Value(),
 		Proxied:           cs.m.proxied.Value(),
 		ProxyErrors:       cs.m.proxyErrors.Value(),
 		DegradedLocal:     cs.m.degraded.Value(),
@@ -1226,8 +858,5 @@ func (cs *clusterState) stats() *ClusterStats {
 		RemoteCells:       cs.m.remoteCells.Value(),
 		CacheServed:       cs.m.cacheServed.Value(),
 		Writebacks:        cs.m.writebacks.Value(),
-		StolenFromPeers:   cs.m.stealsOut.Value(),
-		StolenByPeers:     cs.m.stealsIn.Value(),
-		StealExpired:      cs.m.stealExpired.Value(),
 	}
 }

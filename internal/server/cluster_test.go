@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"micromama/internal/cluster"
+	"micromama/internal/faultinject"
 )
 
 // clusterNode is one in-process member of a test cluster.
@@ -63,10 +64,9 @@ func listenLoopback(t testing.TB, n int) ([]net.Listener, []string) {
 func serveNode(t testing.TB, cl *cluster.Cluster, ln net.Listener, mut func(cfg *Config)) *clusterNode {
 	t.Helper()
 	cfg := Config{
-		Workers:       2,
-		QueueDepth:    64,
-		Cluster:       cl,
-		StealInterval: -1, // tests that want stealing opt in
+		Workers:    2,
+		QueueDepth: 64,
+		Cluster:    cl,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -153,7 +153,7 @@ func clusterStats(t *testing.T, n *clusterNode) (Stats, ClusterStats) {
 // completes with zero additional simulations anywhere — admission
 // prefetch pulls every remote-owned result from its owning shard.
 func TestClusterWarmSweepZeroRecompute(t *testing.T) {
-	const cells = 8
+	const cells = 9
 	sims := make([]atomic.Int64, 3)
 	nodes := startCluster(t, 3, func(i int, cfg *Config) {
 		cfg.Run = pureRun(&sims[i], 0)
@@ -163,6 +163,12 @@ func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 		cfg.RemotePeerSlots = 2 * cells
 	})
 	a, c := nodes[0], nodes[2]
+	// Every node owns a third of the cells, so whichever peer A's own
+	// cells were spilled to, C has B's left to fetch.
+	var specs []JobSpec
+	for _, n := range nodes {
+		specs = append(specs, specsOwnedBy(t, a, n.url, cells/3)...)
+	}
 
 	total := func() int64 {
 		var n int64
@@ -172,7 +178,7 @@ func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 		return n
 	}
 
-	resp, view := postSweep(t, a.ts, sweepGridJSON("cold", cells))
+	resp, view := postSweep(t, a.ts, cellsJSON("cold", specs))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("cold sweep: HTTP %d", resp.StatusCode)
 	}
@@ -184,7 +190,7 @@ func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 
 	// Same grid against a different node: every cell must dedupe at
 	// admission via the distributed cache.
-	resp2, view2 := postSweep(t, c.ts, sweepGridJSON("warm", cells))
+	resp2, view2 := postSweep(t, c.ts, cellsJSON("warm", specs))
 	if resp2.StatusCode != http.StatusCreated {
 		t.Fatalf("warm sweep: HTTP %d", resp2.StatusCode)
 	}
@@ -296,12 +302,46 @@ type goldenKey struct {
 // TestClusterGoldenRoutingPaths pins bit-identical results across the
 // three execution paths with real simulations: the same specs computed
 // locally on a standalone server, proxied to their cluster owner, and
-// stolen by an idle peer must produce byte-identical metrics.
+// spilled by a busy coordinator to a peer that does not own them must
+// produce byte-identical metrics.
 func TestClusterGoldenRoutingPaths(t *testing.T) {
-	specs := []JobSpec{
-		{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 1},
-		{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 2},
-		{Mix: []string{"spec06.libquantum"}, Controller: "bandit", Scale: "tiny", Seed: 3},
+	// The spill cluster boots first, because its ring picks the specs:
+	// all three are owned by the coordinator, whose only worker is wedged
+	// on an interactive job, so every cell of its sweep leaves for the
+	// peer — off-owner — and comes home by result wait and write-back.
+	release := make(chan struct{})
+	defer close(release)
+	var coord, peer *Server
+	var peerSims atomic.Int64
+	spilled := startCluster(t, 2, func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.Workers = 1
+			cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
+				if spec.Seed == 9999 { // the wedge job
+					select {
+					case <-release:
+					case <-ctx.Done():
+					}
+					return JobResult{Mix: "wedge"}, nil
+				}
+				return coord.simulate(ctx, spec)
+			}
+		} else {
+			cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
+				peerSims.Add(1)
+				return peer.simulate(ctx, spec)
+			}
+		}
+	})
+	coord, peer = spilled[0].srv, spilled[1].srv
+	specs := specsOwnedBy(t, spilled[0], spilled[0].url, 2)
+	for seed := uint64(1); len(specs) < 3; seed++ {
+		spec := JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "bandit", Scale: "tiny", Seed: seed}
+		if p, err := coord.resolve(spec); err != nil {
+			t.Fatal(err)
+		} else if coord.cl.c.Owner(p.key) == spilled[0].url {
+			specs = append(specs, spec)
+		}
 	}
 
 	// Golden: a standalone (non-clustered) server runs everything
@@ -355,79 +395,30 @@ func TestClusterGoldenRoutingPaths(t *testing.T) {
 		}
 	}
 
-	// Stolen: a victim whose only worker is wedged on an interactive
-	// job queues the cells; the idle peer steals them, runs real
-	// simulations, and reports the results back.
-	release := make(chan struct{})
-	defer close(release)
-	var victim, thief *Server
-	var thiefSims atomic.Int64
-	stolen := startCluster(t, 2, func(i int, cfg *Config) {
-		if i == 0 {
-			cfg.Workers = 1
-			cfg.StealMinPending = -1 // hand thieves everything
-			cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
-				if spec.Seed == 9999 { // the wedge job
-					select {
-					case <-release:
-					case <-ctx.Done():
-					}
-					return JobResult{Mix: "wedge"}, nil
-				}
-				return victim.simulate(ctx, spec)
-			}
-		} else {
-			cfg.StealInterval = 10 * time.Millisecond
-			cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
-				thiefSims.Add(1)
-				return thief.simulate(ctx, spec)
-			}
-		}
-	})
-	victim, thief = stolen[0].srv, stolen[1].srv
-
-	// Wedge the victim's single worker with a forwarded-marked (so
-	// never proxied) interactive job.
-	wedge, _ := json.Marshal(JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 9999})
-	req, _ := http.NewRequest(http.MethodPost, stolen[0].ts.URL+"/v1/jobs", bytes.NewReader(wedge))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.HeaderForwarded, "1")
-	wresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	// Spilled: wedge the coordinator's single worker with a
+	// forwarded-marked (so never proxied) interactive job, then hand it
+	// the golden cells. Nothing but the dispatch rule can move them.
+	if code, _ := postForwarded(t, spilled[0], []byte(fakeSpec(9999))); code != http.StatusAccepted {
+		t.Fatalf("wedge submit: HTTP %d", code)
 	}
-	wresp.Body.Close()
-	if wresp.StatusCode != http.StatusAccepted {
-		t.Fatalf("wedge submit: HTTP %d", wresp.StatusCode)
-	}
-
-	// The golden cells, all pending behind the wedge; only the thief
-	// can execute them.
-	cellsJSON, _ := json.Marshal(struct {
-		Name  string    `json:"name"`
-		Cells []JobSpec `json:"cells"`
-	}{Name: "steal-golden", Cells: specs})
-	resp, view := postSweep(t, stolen[0].ts, string(cellsJSON))
+	resp, view := postSweep(t, spilled[0].ts, cellsJSON("spill-golden", specs))
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("steal sweep: HTTP %d", resp.StatusCode)
+		t.Fatalf("spill sweep: HTTP %d", resp.StatusCode)
 	}
-	done := waitSweepDone(t, stolen[0].ts, view.ID, 60*time.Second)
+	done := waitSweepDone(t, spilled[0].ts, view.ID, 60*time.Second)
 	if done.Failed != 0 {
-		t.Fatalf("steal sweep finished with %d failed cells", done.Failed)
+		t.Fatalf("spill sweep finished with %d failed cells", done.Failed)
 	}
-	if thiefSims.Load() == 0 {
-		t.Fatal("thief ran no simulations; nothing was stolen")
+	if n := peerSims.Load(); n != int64(len(specs)) {
+		t.Fatalf("peer ran %d simulations, want all %d cells spilled to it", n, len(specs))
 	}
-	_, vcl := clusterStats(t, stolen[0])
-	_, tcl := clusterStats(t, stolen[1])
-	if vcl.StolenByPeers == 0 || tcl.StolenFromPeers == 0 {
-		t.Errorf("steal counters: victim stolen_by_peers=%d thief stolen_from_peers=%d, want both > 0",
-			vcl.StolenByPeers, tcl.StolenFromPeers)
+	if _, ccl := clusterStats(t, spilled[0]); ccl.RemoteCells != uint64(len(specs)) {
+		t.Errorf("coordinator remote_cells = %d, want %d", ccl.RemoteCells, len(specs))
 	}
 
-	// Every stolen cell's result must be byte-identical to the golden
+	// Every spilled cell's result must be byte-identical to the golden
 	// local run of the same spec.
-	events, _ := readSweepEvents(t, stolen[0].ts, view.ID, "")
+	events, _ := readSweepEvents(t, spilled[0].ts, view.ID, "")
 	compared := 0
 	for _, ev := range events {
 		want, ok := golden[goldenKey{ev.Spec.Seed, ev.Spec.Controller}]
@@ -436,13 +427,13 @@ func TestClusterGoldenRoutingPaths(t *testing.T) {
 			continue
 		}
 		if got := normalizeResult(t, ev.Result); got != want {
-			t.Errorf("stolen result for seed %d/%s differs from local:\n local: %s\nstolen: %s",
+			t.Errorf("spilled result for seed %d/%s differs from local:\n  local: %s\nspilled: %s",
 				ev.Spec.Seed, ev.Spec.Controller, want, got)
 		}
 		compared++
 	}
 	if compared != len(specs) {
-		t.Errorf("compared %d stolen results, want %d", compared, len(specs))
+		t.Errorf("compared %d spilled results, want %d", compared, len(specs))
 	}
 }
 
@@ -456,8 +447,6 @@ func TestClusterOwnerDeathMidSweep(t *testing.T) {
 	sims := make([]atomic.Int64, 3)
 	nodes := startCluster(t, 3, func(i int, cfg *Config) {
 		cfg.Run = pureRun(&sims[i], 30*time.Millisecond)
-		cfg.StealInterval = 20 * time.Millisecond
-		cfg.StealLease = time.Second // a dead thief must release fast
 	})
 	a, b := nodes[0], nodes[1]
 
@@ -484,7 +473,22 @@ func TestClusterOwnerDeathMidSweep(t *testing.T) {
 
 	// Exactly one terminal event per cell index: nothing lost, nothing
 	// double-counted.
-	events, _ := readSweepEvents(t, a.ts, view.ID, "")
+	exactlyOnce(t, a, view.ID, cells)
+}
+
+// cellsJSON is a sweep body listing specs as explicit cells.
+func cellsJSON(name string, specs []JobSpec) string {
+	body, _ := json.Marshal(struct {
+		Name  string    `json:"name"`
+		Cells []JobSpec `json:"cells"`
+	}{name, specs})
+	return string(body)
+}
+
+// exactlyOnce requires one terminal event per cell of a finished sweep.
+func exactlyOnce(t *testing.T, n *clusterNode, sweepID string, cells int) {
+	t.Helper()
+	events, _ := readSweepEvents(t, n.ts, sweepID, "")
 	seen := make(map[int]int)
 	for _, ev := range events {
 		seen[ev.Cell]++
@@ -492,9 +496,138 @@ func TestClusterOwnerDeathMidSweep(t *testing.T) {
 	if len(seen) != cells {
 		t.Errorf("events cover %d distinct cells, want %d", len(seen), cells)
 	}
-	for cell, n := range seen {
-		if n != 1 {
-			t.Errorf("cell %d has %d terminal events, want exactly 1", cell, n)
+	for cell, k := range seen {
+		if k != 1 {
+			t.Errorf("cell %d has %d terminal events, want exactly 1", cell, k)
+		}
+	}
+}
+
+// TestClusterDispatchFillsEveryPeer pins the dispatch rule's balance: a
+// sweep submitted to node A keeps all three nodes busy whoever owns its
+// cells — spread by the ring, all owned by one peer, or all owned by the
+// coordinator itself — so each simulates a third and the sweep takes a
+// third of the serial time. Nothing but the coordinator's own dispatch
+// (at admission, before each local run, after each remote completion)
+// moves a cell.
+func TestClusterDispatchFillsEveryPeer(t *testing.T) {
+	const (
+		cells = 48
+		delay = 50 * time.Millisecond
+		share = cells / 3
+	)
+	slow, _ := faultinject.Lookup("server/worker/slow")
+	for _, row := range []struct {
+		name  string
+		owner int // index of the node owning every cell; -1 spreads them by hash
+	}{{"hash-placed", -1}, {"all-owned-by-B", 1}, {"all-owned-by-A", 0}} {
+		t.Run(row.name, func(t *testing.T) {
+			stalls := slow.Fired()
+			sims := make([]atomic.Int64, 3)
+			nodes := startCluster(t, 3, func(i int, cfg *Config) {
+				cfg.Workers = 1
+				cfg.Run = pureRun(&sims[i], delay)
+			})
+			a := nodes[0]
+			body := sweepGridJSON("fill", cells)
+			if row.owner >= 0 {
+				body = cellsJSON("fill", specsOwnedBy(t, a, nodes[row.owner].url, cells))
+			}
+			resp, view := postSweep(t, a.ts, body)
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("sweep: HTTP %d", resp.StatusCode)
+			}
+			final := waitSweepDone(t, a.ts, view.ID, 60*time.Second)
+			if final.Done != cells {
+				t.Fatalf("sweep finished as %+v, want all %d cells done", final, cells)
+			}
+			got := []int64{sims[0].Load(), sims[1].Load(), sims[2].Load()}
+			if got[0]+got[1]+got[2] != cells {
+				t.Fatalf("simulations %v sum to %d, want exactly %d", got, got[0]+got[1]+got[2], cells)
+			}
+			if slow.Fired() != stalls {
+				// The chaos suite stretches every fifth run by twice a cell:
+				// balance and wall time are not this run's subject.
+				for i, n := range got {
+					if n == 0 {
+						t.Errorf("node %d simulated nothing: %v", i, got)
+					}
+				}
+				return
+			}
+			for i, n := range got {
+				if n < share-3 || n > share+3 {
+					t.Errorf("node %d ran %d simulations, want %d ± 3: %v", i, n, share, got)
+				}
+			}
+			wall, ideal := final.FinishedAt.Sub(final.CreatedAt), share*delay
+			if wall > ideal*13/10 {
+				t.Errorf("sweep took %v, want ≤ 1.3 × the ideal %v", wall, ideal)
+			}
+			t.Logf("simulations %v, wall %v (ideal %v)", got, wall, ideal)
+		})
+	}
+}
+
+// TestClusterSpillPeerDeath kills a peer while it holds cells it does
+// not own: every cell of the sweep is owned by coordinator A, so what C
+// is running when it dies was spilled there. The lost cells come back
+// as pending (errPeerUnavailable) and re-run on A or B; every cell is
+// terminal exactly once and none fails.
+func TestClusterSpillPeerDeath(t *testing.T) {
+	const cells = 12
+	sims := make([]atomic.Int64, 3)
+	holding := make(chan struct{}, cells)
+	nodes := startCluster(t, 3, func(i int, cfg *Config) {
+		cfg.Workers = 1
+		cfg.Run = pureRun(&sims[i], 10*time.Millisecond)
+		if i == 2 { // C takes cells and never finishes one
+			cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
+				holding <- struct{}{}
+				<-ctx.Done()
+				return JobResult{}, ctx.Err()
+			}
+		}
+	})
+	a, c := nodes[0], nodes[2]
+
+	resp, view := postSweep(t, a.ts, cellsJSON("spill-death", specsOwnedBy(t, a, a.url, cells)))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("sweep: HTTP %d", resp.StatusCode)
+	}
+	select {
+	case <-holding:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no cell was ever spilled to C")
+	}
+	c.kill()
+
+	done := waitSweepDone(t, a.ts, view.ID, 60*time.Second)
+	if done.Done+done.Deduped != cells || done.Failed != 0 {
+		t.Fatalf("after the spill peer died: done=%d deduped=%d failed=%d, want %d total done / 0 failed",
+			done.Done, done.Deduped, done.Failed, cells)
+	}
+	exactlyOnce(t, a, view.ID, cells)
+	if got := sims[0].Load() + sims[1].Load(); got != cells {
+		t.Errorf("survivors ran %d simulations, want exactly %d", got, cells)
+	}
+	if _, acl := clusterStats(t, a); acl.RemoteCells == 0 {
+		t.Error("coordinator recorded no remote cells; B never took a spilled one")
+	}
+}
+
+// TestStealEndpointsGone: the coordinator's dispatch is the only way a
+// cell changes nodes; the pull protocol's endpoints answer 404.
+func TestStealEndpointsGone(t *testing.T) {
+	n := startCluster(t, 1, nil)[0]
+	for _, path := range []string{"/internal/steal", "/internal/steal/done"} {
+		resp, err := http.Post(n.ts.URL+path, "application/json", strings.NewReader(`{"max":1,"thief":"http://127.0.0.1:1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

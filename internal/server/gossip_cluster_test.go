@@ -310,45 +310,6 @@ func TestGossipKillRejoinRepair(t *testing.T) {
 	}
 }
 
-// TestStealBackoffSchedule pins the thief's poll cadence: base interval
-// after success, doubling per consecutive miss up to the cap, always
-// inside the ±25% jitter window, and never below 1ms.
-func TestStealBackoffSchedule(t *testing.T) {
-	const base = 80 * time.Millisecond
-	nodes := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.StealInterval = base
-	})
-	cs := nodes[0].srv.cl
-
-	cases := []struct {
-		misses int
-		mult   int64
-	}{
-		{0, 1}, {1, 2}, {2, 4}, {3, 8}, {4, 16},
-		{5, 32}, {6, 32}, {10, 32}, {100, 32}, // capped at stealBackoffCap
-	}
-	for _, tc := range cases {
-		lo := time.Duration(float64(base) * float64(tc.mult) * 0.75)
-		hi := time.Duration(float64(base) * float64(tc.mult) * 1.25)
-		for i := 0; i < 64; i++ {
-			d := cs.stealDelay(tc.misses)
-			if d < lo || d >= hi {
-				t.Fatalf("stealDelay(%d) = %v, want in [%v, %v)", tc.misses, d, lo, hi)
-			}
-		}
-	}
-
-	// The jitter must actually vary, or a fleet of thieves stays in
-	// lockstep.
-	distinct := make(map[time.Duration]bool)
-	for i := 0; i < 64; i++ {
-		distinct[cs.stealDelay(0)] = true
-	}
-	if len(distinct) < 2 {
-		t.Error("stealDelay returned a constant; jitter is not applied")
-	}
-}
-
 // gossipHeader encodes membership claims as an X-Mama-Gossip value,
 // the way a peer that held them would piggyback them.
 func gossipHeader(from string, claims ...cluster.MemberUpdate) string {
@@ -360,9 +321,9 @@ func gossipHeader(from string, claims ...cluster.MemberUpdate) string {
 }
 
 // TestSuspectPeerIsSkipped: a peer the failure detector holds suspect
-// gets no routed traffic — proxySubmit, reserve, prefetchSweep,
-// writeBack and the stealer's nextPeer all pass it over, and
-// cluster.unhealthy names it — and every one of them uses it again as
+// gets no routed traffic — proxySubmit, reserve (for the cells it owns
+// and for spilled ones alike), prefetchSweep and writeBack all pass it
+// over, and cluster.unhealthy names it — and every one of them uses it again as
 // soon as its refutation arrives. The member table moves only when this
 // test moves it: both detectors sleep (hour-long interval), and while
 // the peer is to stay suspect the gossip-partition fault keeps every
@@ -385,6 +346,10 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	acs, ctx := a.srv.cl, context.Background()
 
 	specs := specsOwnedBy(t, a, b.url, 3)
+	own, err := a.srv.resolve(specOwnedBy(t, a, a.url)) // a cell A could only spill
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := make([]string, len(specs))
 	bodies := make([]string, len(specs))
 	for i, spec := range specs {
@@ -422,14 +387,16 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	if sims[0].Load() != 1 || sims[1].Load() != 0 {
 		t.Errorf("simulations = [%d %d], want [1 0]: the suspect owner must be passed over", sims[0].Load(), sims[1].Load())
 	}
-	if slot := acs.reserve(keys[1]); slot != nil {
-		slot.release()
-		t.Error("reserve claimed a remote slot on a suspect owner")
+	for _, key := range []string{keys[1], own.key} {
+		if slot := acs.reserve(key, false); slot != nil {
+			slot.release()
+			t.Errorf("reserve claimed a slot on a suspect peer (key owned by %s)", acs.c.Owner(key))
+		}
+	}
+	if acs.spare() {
+		t.Error("spare() counts a suspect peer's slots")
 	}
 	acs.prefetchSweep(ctx, sweepOf(specs[1]))
-	if p, ok := acs.nextPeer(); ok {
-		t.Errorf("stealer picked suspect peer %s as its victim", p)
-	}
 	_, acl := clusterStats(t, a)
 	if acl.DegradedLocal != 1 || acl.Proxied != 0 || acl.Writebacks != 0 ||
 		acl.RemoteCacheHits != 0 || acl.RemoteCacheMisses != 0 {
@@ -454,9 +421,10 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	}
 
 	// Every path uses the peer again: the submit is proxied and computed
-	// on its owner, prefetch fetches that result, a slot can be reserved,
-	// the stealer has a victim, and a result computed off-owner (a
-	// forwarded-marked submit is never proxied) is written back.
+	// on its owner, prefetch fetches that result, a slot can be reserved
+	// for an owned cell and for a spilled one, and a result computed
+	// off-owner (a forwarded-marked submit is never proxied) is written
+	// back.
 	resp, view = postJob(t, a.ts, bodies[1])
 	if got := resp.Header.Get(cluster.HeaderOwner); got != b.url {
 		t.Fatalf("X-Mama-Owner = %q after refutation, want the owner %s", got, b.url)
@@ -468,13 +436,12 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 		t.Errorf("simulations = [%d %d], want [1 1]: the refuted owner computes again", sims[0].Load(), sims[1].Load())
 	}
 	acs.prefetchSweep(ctx, sweepOf(specs[1]))
-	if slot := acs.reserve(keys[2]); slot == nil {
-		t.Error("reserve still passes over the refuted owner")
-	} else {
-		slot.release()
-	}
-	if p, ok := acs.nextPeer(); !ok || p != b.url {
-		t.Errorf("stealer's next victim = %q, %v; want %s", p, ok, b.url)
+	for _, key := range []string{keys[2], own.key} {
+		if slot := acs.reserve(key, false); slot == nil || slot.venue != b.url {
+			t.Errorf("reserve still passes over the refuted peer (key owned by %s)", acs.c.Owner(key))
+		} else {
+			slot.release()
+		}
 	}
 	if code, v := postForwarded(t, a, []byte(bodies[2])); code != http.StatusAccepted {
 		t.Fatalf("forwarded submit: HTTP %d", code)

@@ -44,8 +44,7 @@ func (s *Server) openPersist() error {
 // storeResult is the one way a result enters this node: the in-memory
 // cache, then the write-behind mirror. finishJob calls it for every
 // execution; the fetch paths (sweep prefetch, anti-entropy repair, a
-// peer's write-back, a steal report that outlived its lease) call it
-// for results computed elsewhere. It returns the entry's JSON (shared,
+// peer's write-back) call it for results computed elsewhere. It returns the entry's JSON (shared,
 // read-only); a result that does not encode is an error, not stored.
 func (s *Server) storeResult(key string, res JobResult) (json.RawMessage, error) {
 	raw, err := s.cache.put(key, res)

@@ -43,6 +43,9 @@ type job struct {
 	// cell is the sweep ticket this job was registered for — the cell
 	// that runs. nil when an interactive submission created the job.
 	cell *sweep.Ticket
+	// remote says the cell was dispatched to a peer rather than run here.
+	// Written at registration and read by admitLocked, under Server.mu.
+	remote bool
 
 	// done is closed when the job reaches a terminal status, letting
 	// long-poll result reads block on completion instead of re-reading
@@ -180,8 +183,9 @@ type runFunc func(ctx context.Context, spec JobSpec) (JobResult, error)
 type pool struct {
 	run     runFunc
 	baseCtx context.Context
-	// onFinish receives every local run's outcome (Server.finishJob).
-	onFinish func(*job, JobResult, error)
+	// onFinish receives every local run's outcome (Server.finishJob) and
+	// returns the job's: a result that cannot be stored fails it.
+	onFinish func(*job, JobResult, error) error
 	m        *serverMetrics
 	log      *slog.Logger
 	wg       sync.WaitGroup
@@ -240,7 +244,7 @@ func (p *pool) drainLoop(worker int, q *queue) {
 }
 
 // execute runs one registered job on this goroutine and hands the
-// outcome to onFinish.
+// outcome to onFinish, which decides and counts the job's.
 func (p *pool) execute(worker int, j *job) {
 	wait := j.markRunning()
 	p.m.waitSeconds.Observe(wait.Seconds())
@@ -259,22 +263,13 @@ func (p *pool) execute(worker int, j *job) {
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("job exceeded its %v timeout: %w", j.timeout, err)
 	}
-	if err != nil {
-		p.m.jobsFailed.Inc()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			p.m.jobsTimeout.Inc()
-		case errors.Is(err, context.Canceled):
-			p.m.jobsCancelled.Inc()
-		}
+	if err = p.onFinish(j, res, err); err != nil {
 		p.log.Warn("job failed", "req", j.reqID, "job", j.id, "worker", worker,
 			"ms", run.Milliseconds(), "err", err)
 	} else {
-		p.m.jobsCompleted.Inc()
 		p.log.Info("job finished", "req", j.reqID, "job", j.id, "worker", worker,
 			"ms", run.Milliseconds())
 	}
-	p.onFinish(j, res, err)
 }
 
 // runIsolated executes one job with panic isolation: a panic anywhere

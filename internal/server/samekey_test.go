@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,12 +66,15 @@ func (h *heldRun) awaitStart(t *testing.T) {
 	}
 }
 
+// heldSpec is the spec heldRun holds: sweepGridJSON's and fakeSpec's seed 1.
+var heldSpec = JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 1}
+
 // awaitRiders blocks until n sweep tickets ride on the registry's job
-// for seed 1 — the point after which releasing the run exercises the
+// for spec — the point after which releasing the run exercises the
 // attach path, not a cache hit.
-func awaitRiders(t *testing.T, srv *Server, n int) *job {
+func awaitRiders(t *testing.T, srv *Server, spec JobSpec, n int) *job {
 	t.Helper()
-	p, err := srv.resolve(JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 1})
+	p, err := srv.resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +117,7 @@ func TestSameKeyRunsOnce(t *testing.T) {
 	_, a := postSweep(t, ts, sweepGridJSON("a", 1))
 	h.awaitStart(t)
 	_, b := postSweep(t, ts, sweepGridJSON("b", 1))
-	awaitRiders(t, srv, 1)
+	awaitRiders(t, srv, heldSpec, 1)
 	resp, jv := postJob(t, ts, fakeSpec(1))
 	if resp.StatusCode != http.StatusAccepted || jv.Status != StatusRunning {
 		t.Fatalf("interactive submit: HTTP %d status %q, want 202 running", resp.StatusCode, jv.Status)
@@ -172,7 +175,7 @@ func TestSameKeyFailureIsTheRunnersAlone(t *testing.T) {
 	_, a := postSweep(t, ts, sweepGridJSON("a", 1))
 	h.awaitStart(t)
 	_, b := postSweep(t, ts, sweepGridJSON("b", 1))
-	shared := awaitRiders(t, srv, 1)
+	shared := awaitRiders(t, srv, heldSpec, 1)
 	if resp, jv := postJob(t, ts, fakeSpec(1)); resp.StatusCode != http.StatusAccepted || jv.ID != shared.id {
 		t.Fatalf("interactive submit: HTTP %d job %s, want 202 on the shared job %s", resp.StatusCode, jv.ID, shared.id)
 	}
@@ -214,7 +217,7 @@ func TestSameKeyDrainMidRun(t *testing.T) {
 	_, a := postSweep(t, ts1, sweepGridJSON("a", 1))
 	h.awaitStart(t)
 	_, b := postSweep(t, ts1, sweepGridJSON("b", 1))
-	awaitRiders(t, srv1, 1)
+	awaitRiders(t, srv1, heldSpec, 1)
 	ts1.Close()
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -298,47 +301,6 @@ func TestSameKeyCacheFillsBeforeDispatch(t *testing.T) {
 	}
 }
 
-// leasedCluster boots a victim whose only worker is wedged behind an
-// interactive job and which gives thieves everything, plus a second
-// node configured by thief. It returns the nodes, a one-cell sweep on
-// the victim whose cell (seed owned by the victim) only a thief can
-// take, that cell's spec as JSON, and the wedge's release.
-func leasedCluster(t *testing.T, victimSims *atomic.Int64, lease time.Duration, thief func(cfg *Config)) (nodes []*clusterNode, sweepID string, spec []byte, unwedge func()) {
-	t.Helper()
-	wedged, release := make(chan struct{}), make(chan struct{})
-	nodes = startCluster(t, 2, func(i int, cfg *Config) {
-		if i == 1 {
-			thief(cfg)
-			return
-		}
-		cfg.Workers = 1
-		cfg.StealMinPending = -1
-		cfg.StealLease = lease
-		cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
-			if spec.Seed == 9999 {
-				close(wedged)
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
-				return JobResult{Mix: "wedge"}, nil
-			}
-			return pureRun(victimSims, 0)(ctx, spec)
-		}
-	})
-	victim := nodes[0]
-	postForwarded(t, victim, []byte(fakeSpec(9999)))
-	<-wedged
-	cell := specOwnedBy(t, victim, victim.url)
-	spec, _ = json.Marshal(cell)
-	resp, view := postSweep(t, victim.ts, fmt.Sprintf(
-		`{"name":"leased","grid":{"mixes":[["spec06.libquantum"]],"controllers":["no"],"scales":["tiny"],"seeds":[%d]}}`, cell.Seed))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("sweep: HTTP %d", resp.StatusCode)
-	}
-	return nodes, view.ID, spec, func() { close(release) }
-}
-
 // postForwarded submits a job to n marked as already routed, so n
 // handles it itself whoever owns the key.
 func postForwarded(t *testing.T, n *clusterNode, spec []byte) (int, JobView) {
@@ -357,98 +319,146 @@ func postForwarded(t *testing.T, n *clusterNode, spec []byte) (int, JobView) {
 	return resp.StatusCode, view
 }
 
-// TestSameKeyLeasedToThief: a cell is out on a steal lease when a
-// forwarded POST of the same key reaches the victim. The submission
-// coalesces onto the leased job — the victim does not start a second
-// simulation — and reads the thief's result.
-func TestSameKeyLeasedToThief(t *testing.T) {
-	var victimSims, thiefSims atomic.Int64
-	stolen, finish := make(chan struct{}), make(chan struct{})
-	nodes, sweepID, spec, unwedge := leasedCluster(t, &victimSims, 0, func(cfg *Config) {
-		cfg.StealInterval = 5 * time.Millisecond
-		cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
-			close(stolen)
-			select {
-			case <-finish:
-			case <-ctx.Done():
+// wedgedCluster boots a coordinator whose only worker is wedged behind
+// an interactive job, so every cell it admits leaves for the one peer,
+// whose runs signal started and wait for finish. unwedge releases the
+// coordinator's worker.
+func wedgedCluster(t *testing.T, coordSims, peerSims *atomic.Int64) (coord, peer *clusterNode, started, finish chan struct{}, unwedge func()) {
+	t.Helper()
+	wedged, release := make(chan struct{}), make(chan struct{})
+	started, finish = make(chan struct{}, 8), make(chan struct{})
+	nodes := startCluster(t, 2, func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
+				started <- struct{}{}
+				select {
+				case <-finish:
+				case <-ctx.Done():
+				}
+				return pureRun(peerSims, 0)(ctx, spec)
 			}
-			return pureRun(&thiefSims, 0)(ctx, spec)
+			return
+		}
+		cfg.Workers = 1
+		cfg.RemotePeerSlots = 2 // room to dequeue the second sweep's cell while the first is out
+		cfg.Run = func(ctx context.Context, spec JobSpec) (JobResult, error) {
+			if spec.Seed == 9999 {
+				close(wedged)
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				return JobResult{Mix: "wedge"}, nil
+			}
+			return pureRun(coordSims, 0)(ctx, spec)
 		}
 	})
-	defer unwedge()
-	victim := nodes[0]
-	<-stolen
+	postForwarded(t, nodes[0], []byte(fakeSpec(9999)))
+	<-wedged
+	return nodes[0], nodes[1], started, finish, sync.OnceFunc(func() { close(release) })
+}
 
-	code, jv := postForwarded(t, victim, spec)
-	if code != http.StatusAccepted || jv.Status != StatusRunning {
-		t.Fatalf("forwarded submit of a leased key: HTTP %d status %q, want 202 running", code, jv.Status)
-	}
-	if st := getStats(t, victim.ts); st.DedupHits != 1 {
-		t.Fatalf("victim dedup_hits = %d, want 1 (the submission must coalesce onto the lease)", st.DedupHits)
-	}
-	close(finish)
-	body := waitDone(t, victim.ts, jv.ID, 10*time.Second)
-	if body.Status != StatusDone || body.Result == nil {
-		t.Fatalf("waiter on the leased job read %q (%s), want done", body.Status, body.Error)
-	}
-	if final := waitSweepDone(t, victim.ts, sweepID, 10*time.Second); final.Done != 1 {
-		t.Errorf("sweep finished as %+v, want its cell done", final)
-	}
-	if v, th := victimSims.Load(), thiefSims.Load(); v != 0 || th != 1 {
-		t.Errorf("simulations victim/thief = %d/%d, want 0/1", v, th)
+// awaitPeerStart blocks until the wedged cluster's peer has begun a run.
+func awaitPeerStart(t *testing.T, started chan struct{}) {
+	t.Helper()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cell never reached the peer")
 	}
 }
 
-// TestSameKeyLeaseExpiry: the thief never reports. When the lease runs
-// out the leased job fails — waking the waiter coalesced onto it — and
-// the cell goes back to pending and runs on the victim.
-func TestSameKeyLeaseExpiry(t *testing.T) {
-	var victimSims atomic.Int64
-	nodes, sweepID, spec, unwedge := leasedCluster(t, &victimSims, 50*time.Millisecond, func(cfg *Config) {})
-	victim := nodes[0]
+// TestSameKeySpilledToPeer: a coordinator-owned cell is out on a peer —
+// spilled there because the coordinator's only worker is wedged — when
+// a second sweep, an interactive POST and a request forwarded by a peer
+// want its key on the coordinator. All attach to the registry's running
+// job: one simulation cluster-wide, on the peer; the first sweep's cell
+// is done, the second's deduped with the same bytes, and the waiters
+// read the peer's result.
+func TestSameKeySpilledToPeer(t *testing.T) {
+	var coordSims, peerSims atomic.Int64
+	coord, _, started, finish, unwedge := wedgedCluster(t, &coordSims, &peerSims)
+	defer unwedge()
+	cell := specOwnedBy(t, coord, coord.url)
+	spec, _ := json.Marshal(cell)
 
-	// A thief that does not say who it is gets nothing: its lease could
-	// never be matched against a confirmed-dead member.
-	anon, err := http.Post(victim.ts.URL+"/internal/steal", "application/json", strings.NewReader(`{"max":1}`))
-	if err != nil {
-		t.Fatal(err)
+	_, a := postSweep(t, coord.ts, cellsJSON("a", []JobSpec{cell}))
+	awaitPeerStart(t, started)
+	_, b := postSweep(t, coord.ts, cellsJSON("b", []JobSpec{cell}))
+	awaitRiders(t, coord.srv, cell, 1)
+	resp, jv := postJob(t, coord.ts, string(spec))
+	if resp.StatusCode != http.StatusAccepted || jv.Status != StatusRunning {
+		t.Fatalf("interactive submit of a spilled key: HTTP %d status %q, want 202 running", resp.StatusCode, jv.Status)
 	}
-	anon.Body.Close()
-	if anon.StatusCode != http.StatusBadRequest {
-		t.Fatalf("steal without a thief URL: HTTP %d, want 400", anon.StatusCode)
+	// The key's owner is where a peer's request may wait on a spilled cell.
+	if code, fv := postForwarded(t, coord, spec); code != http.StatusAccepted || fv.Status != StatusRunning {
+		t.Fatalf("forwarded submit of a spilled key at its owner: HTTP %d status %q, want 202 running", code, fv.Status)
+	}
+	if st := getStats(t, coord.ts); st.DedupHits != 2 {
+		t.Fatalf("coordinator dedup_hits = %d, want 2 (both submissions must coalesce onto the spilled job)", st.DedupHits)
 	}
 
-	// The test is the thief: it takes the cell and goes silent.
-	steal, _ := json.Marshal(stealRequest{Max: 1, Thief: nodes[1].url})
-	resp, err := http.Post(victim.ts.URL+"/internal/steal", "application/json", bytes.NewReader(steal))
-	if err != nil {
-		t.Fatal(err)
+	close(finish)
+	fa := waitSweepDone(t, coord.ts, a.ID, 10*time.Second)
+	fb := waitSweepDone(t, coord.ts, b.ID, 10*time.Second)
+	body := waitDone(t, coord.ts, jv.ID, 10*time.Second)
+	if fa.Done != 1 || fb.Deduped != 1 {
+		t.Errorf("sweeps finished as %+v / %+v, want the first done and the second deduped", fa, fb)
 	}
-	var got stealResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || len(got.Cells) != 1 {
-		t.Fatalf("steal answered %+v (err %v), want the one cell", got, err)
+	evA, evB := onlyEvent(t, coord.ts, a.ID), onlyEvent(t, coord.ts, b.ID)
+	if !bytes.Equal(evA.Result, evB.Result) || len(evA.Result) == 0 {
+		t.Errorf("results differ: %s vs %s", evA.Result, evB.Result)
 	}
-	resp.Body.Close()
+	if body.Status != StatusDone || body.Result == nil {
+		t.Fatalf("waiter on the spilled job read %q (%s), want done", body.Status, body.Error)
+	}
+	if got, _ := json.Marshal(body.Result); !bytes.Equal(got, evA.Result) {
+		t.Errorf("interactive result %s differs from the sweeps' %s", got, evA.Result)
+	}
+	if c, p := coordSims.Load(), peerSims.Load(); c != 0 || p != 1 {
+		t.Errorf("simulations coordinator/peer = %d/%d, want 0/1", c, p)
+	}
+}
 
-	code, jv := postForwarded(t, victim, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("forwarded submit of a leased key: HTTP %d, want 202", code)
+// TestSameKeyPeerRequestRunsHere: a cell is out on its owner when some
+// other node spills the same key to this coordinator, which does not own
+// it. Riding on the job that is out would make a wait that crosses two
+// nodes — a cycle, if the sender is the node that job is out on — so the
+// request becomes a job of its own here, and both executions end with
+// the same bytes.
+func TestSameKeyPeerRequestRunsHere(t *testing.T) {
+	var coordSims, peerSims atomic.Int64
+	coord, peer, started, finish, unwedge := wedgedCluster(t, &coordSims, &peerSims)
+	defer unwedge()
+	cell := specOwnedBy(t, coord, peer.url)
+	spec, _ := json.Marshal(cell)
+
+	_, sv := postSweep(t, coord.ts, cellsJSON("out-on-owner", []JobSpec{cell}))
+	awaitPeerStart(t, started)
+	code, jv := postForwarded(t, coord, spec)
+	if code != http.StatusAccepted || jv.Status != StatusQueued {
+		t.Fatalf("forwarded submit of a key that is out on a peer: HTTP %d status %q, want 202 queued (its own job, behind the wedge)", code, jv.Status)
 	}
-	body := waitDone(t, victim.ts, jv.ID, 10*time.Second)
-	if body.Status != StatusFailed || !strings.Contains(body.Error, "steal lease expired") {
-		t.Fatalf("waiter on the expired lease read %q (%q), want failed: steal lease expired", body.Status, body.Error)
+	if st := getStats(t, coord.ts); st.DedupHits != 0 {
+		t.Fatalf("coordinator dedup_hits = %d, want 0: a peer's request must not wait on another peer", st.DedupHits)
 	}
-	if v := getSweepView(t, victim.ts, sweepID); v.Pending != 1 || v.Failed != 0 {
-		t.Errorf("after expiry the sweep reads %+v, want its cell pending again", v)
+
+	unwedge() // the coordinator's worker runs the request while the cell is still out
+	body := waitDone(t, coord.ts, jv.ID, 10*time.Second)
+	if body.Status != StatusDone || body.Result == nil {
+		t.Fatalf("the peer's request read %q (%s), want done", body.Status, body.Error)
 	}
-	unwedge()
-	if final := waitSweepDone(t, victim.ts, sweepID, 10*time.Second); final.Done != 1 {
+	if v := getSweepView(t, coord.ts, sv.ID); v.Running != 1 {
+		t.Fatalf("sweep reads %+v, want its cell still running on the owner", v)
+	}
+	close(finish)
+	if final := waitSweepDone(t, coord.ts, sv.ID, 10*time.Second); final.Done != 1 {
 		t.Errorf("sweep finished as %+v, want its cell done", final)
 	}
-	if n := victimSims.Load(); n != 1 {
-		t.Errorf("victim ran the requeued cell %d times, want 1", n)
+	if got, _ := json.Marshal(body.Result); !bytes.Equal(got, onlyEvent(t, coord.ts, sv.ID).Result) {
+		t.Errorf("the request's result %s differs from the cell's %s", got, onlyEvent(t, coord.ts, sv.ID).Result)
 	}
-	if _, cl := clusterStats(t, victim); cl.StealExpired != 1 {
-		t.Errorf("steal_expired = %d, want 1", cl.StealExpired)
+	if c, p := coordSims.Load(), peerSims.Load(); c != 1 || p != 1 {
+		t.Errorf("simulations coordinator/peer = %d/%d, want 1/1", c, p)
 	}
 }

@@ -71,24 +71,15 @@ type Config struct {
 
 	// Cluster, when non-nil, makes this server one node of a sharded
 	// cluster: requests route to key owners over the consistent-hash
-	// ring, sweep admission prefetches remote-owned results, and idle
-	// nodes steal queued cells from deep-queued peers. See cluster.go.
+	// ring, sweep admission prefetches remote-owned results, and a
+	// sweep's cells are dispatched to every peer with a free slot, owner
+	// first. See cluster.go.
 	Cluster *cluster.Cluster
-	// StealInterval is how often an idle node polls peers for stealable
-	// cells (default 250ms; negative disables stealing).
-	StealInterval time.Duration
-	// StealLease bounds how long a stolen cell may stay unreported
-	// before the victim re-queues it (default DefaultTimeout + 30s).
-	StealLease time.Duration
-	// StealMinPending is how many pending cells a node keeps for its own
-	// pool before handing work to thieves (default Workers; negative
-	// means hand out everything that is queued).
-	StealMinPending int
-	// RemotePeerSlots bounds in-flight remote executions per owning
-	// peer (default Workers). Keeping it near the peers' own pool width
-	// is deliberate late binding: cells beyond it stay in this node's
-	// queue where a local worker or an idle thief can still claim them,
-	// instead of serializing in one busy owner's queue.
+	// RemotePeerSlots bounds in-flight remote executions per peer
+	// (default Workers). Keeping it near the peers' own pool width is
+	// deliberate late binding: cells beyond it stay in this node's queue
+	// where a local worker or the next free slot on any peer can still
+	// claim them, instead of serializing in one busy peer's queue.
 	RemotePeerSlots int
 }
 
@@ -107,6 +98,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCores <= 0 {
 		c.MaxCores = 16
+	}
+	if c.MaxSweepCells <= 0 {
+		c.MaxSweepCells = 4096 // prefetchSweep expands a spec before the manager does
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -131,9 +125,9 @@ type Server struct {
 
 	// jobs is the registry and the one keyed in-flight table: job ID
 	// (content-derived) → job. A key that is queued or running anywhere
-	// on this node's behalf — a local worker, the key's owner, a thief —
-	// has an entry here before its simulation starts, and admitLocked is
-	// the only way in.
+	// on this node's behalf — a local worker, or the peer a cell was
+	// dispatched to — has an entry here before its simulation starts, and
+	// admitLocked is the only way in.
 	mu   sync.Mutex
 	jobs map[string]*job
 
@@ -151,7 +145,7 @@ type Server struct {
 	// worker pool (see internal/sweep); always non-nil.
 	sweeps *sweep.Manager
 
-	// cl is the cluster runtime (routing, distributed cache, stealing);
+	// cl is the cluster runtime (routing, distributed cache, dispatch);
 	// nil when this server runs standalone. See cluster.go.
 	cl *clusterState
 
@@ -221,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pool = &pool{
 		run: run, baseCtx: ctx, m: s.metrics, log: s.log, mgr: mgr, runCell: s.runCell,
-		onFinish: func(j *job, res JobResult, err error) { s.finishJob(j, res, err, true) },
+		onFinish: func(j *job, res JobResult, err error) error { return s.finishJob(j, res, err, true) },
 	}
 	s.pool.start(cfg.Workers, s.q)
 	if s.cl != nil {
@@ -281,9 +275,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.cancel()
 	if s.cl != nil {
-		// Cluster background goroutines (stealer, lease janitor,
-		// write-backs) exit on the cancelled base context; remote cell
-		// executions already drained with the pool.
+		// Cluster background goroutines (repair, write-backs) exit on the
+		// cancelled base context; remote cell executions already drained
+		// with the pool.
 		s.cl.wait()
 	}
 	s.persist.Close()
@@ -417,15 +411,17 @@ func (s *Server) simulate(ctx context.Context, spec JobSpec) (JobResult, error) 
 }
 
 // finishJob is where every execution ends, wherever it ran: a local
-// worker, the key's owner, a thief reporting back, or a lease that
-// expired. A successful result enters the content-addressed cache
-// before the job flips to done, so a cache miss followed by a registry
-// hit can never observe a done job without a cached result; held
-// ?wait= requests are released; then every sweep cell waiting on the
-// job is settled. ranHere says this node simulated the result: only
-// then is it pushed to the key's owner (a result that came from the
-// owner, or from a thief that has already written it back, is not).
-func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) {
+// worker, or the peer a cell was dispatched to. A successful result
+// enters the content-addressed cache before the job flips to done, so a
+// cache miss followed by a registry hit can never observe a done job
+// without a cached result; held ?wait= requests are released; then
+// every sweep cell waiting on the job is settled. ranHere says this node
+// simulated the result: only then is the run counted, once its outcome
+// is final and before anyone can read it, and the result pushed to the
+// key's owner (a result that came from a peer is the owner's own, or
+// that peer has already written it back). It returns the job's final
+// error: the run's, or that its result does not encode.
+func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) error {
 	var raw json.RawMessage
 	if err == nil {
 		raw, err = s.storeResult(j.key, res) // a result that does not encode fails its job
@@ -433,7 +429,21 @@ func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) {
 			s.cl.writeBack(j.key, raw)
 		}
 	}
+	if m := s.metrics; ranHere {
+		switch {
+		case err == nil:
+			m.jobsCompleted.Inc()
+		case errors.Is(err, context.DeadlineExceeded):
+			m.jobsTimeout.Inc()
+		case errors.Is(err, context.Canceled):
+			m.jobsCancelled.Inc()
+		}
+		if err != nil {
+			m.jobsFailed.Inc()
+		}
+	}
 	s.settle(j.cell, j.finish(res, err), raw, err)
+	return err
 }
 
 // jobTimeout is the one rule for a job's execution deadline: the
@@ -464,12 +474,22 @@ const (
 // no key can be seen as neither. With enqueue the new job goes onto the
 // interactive queue (or is refused when that is full); without, the
 // caller executes it.
-func (s *Server) admitLocked(key string, spec JobSpec, reqID string, t *sweep.Ticket, enqueue bool) (*job, admission) {
+//
+// One exception to attaching, for a request fromPeer — a cell some
+// other node dispatched here: unless this node owns the key, it does
+// not ride on a job that is itself out on a peer, it runs here (the
+// registry entry is replaced, as a failed job's is; the job that is out
+// still settles its own tickets). So a wait that crosses nodes ends in
+// a local run after at most two hops — requester → owner → the venue
+// the owner spilled to — and two nodes that sent each other the same
+// key in the same instant cannot wait on each other.
+func (s *Server) admitLocked(key string, spec JobSpec, reqID string, t *sweep.Ticket, enqueue, fromPeer bool) (*job, admission) {
 	id := jobID(key)
 	j, known := s.jobs[id]
 	var st JobStatus
 	if known {
-		if st = j.join(t); st == StatusQueued || st == StatusRunning {
+		mayRide := !(fromPeer && j.remote && !s.cl.c.IsSelf(s.cl.c.Owner(key)))
+		if st = j.join(t); (st == StatusQueued || st == StatusRunning) && mayRide {
 			return j, admitAttached
 		}
 	}
@@ -492,8 +512,8 @@ func (s *Server) admitLocked(key string, spec JobSpec, reqID string, t *sweep.Ti
 // submit admits one interactive job: cache hit → done immediately;
 // identical job already queued or running → coalesce onto it; queue
 // full or draining → reject. Returns the job and the HTTP status to
-// answer with.
-func (s *Server) submit(spec JobSpec) (*job, int, error) {
+// answer with. fromPeer marks a submission another node forwarded.
+func (s *Server) submit(spec JobSpec, fromPeer bool) (*job, int, error) {
 	p, err := s.resolve(spec)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -516,7 +536,7 @@ func (s *Server) submit(spec JobSpec) (*job, int, error) {
 			fmt.Errorf("server is draining; retry against a healthy instance")
 	}
 
-	j, how := s.admitLocked(p.key, p.spec, reqID, nil, true)
+	j, how := s.admitLocked(p.key, p.spec, reqID, nil, true, fromPeer)
 	status, outcome := http.StatusAccepted, "queued"
 	switch how {
 	case admitRefused:
@@ -668,12 +688,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// peer, whose cache and singleflight see every copy of this key.
 	// Falls through to the local path when we own the key or the owner
 	// is unreachable (degrade to local compute, never to an error).
-	if s.cl != nil && r.Header.Get(cluster.HeaderForwarded) == "" && !s.isDraining() {
+	forwarded := r.Header.Get(cluster.HeaderForwarded) != ""
+	if s.cl != nil && !forwarded && !s.isDraining() {
 		if s.cl.proxySubmit(w, r, spec) {
 			return
 		}
 	}
-	j, status, err := s.submit(spec)
+	j, status, err := s.submit(spec, forwarded)
 	if err != nil {
 		switch status {
 		case http.StatusTooManyRequests:

@@ -649,8 +649,9 @@ func TestSweepDepthGaugeOnlyWhenQueued(t *testing.T) {
 // TestUnencodableResultFails: a result json.Marshal refuses (a NaN
 // metric) is encoded once, on its way into the cache, and that is where
 // it stops: the job fails with the reason instead of reading done with
-// a body nobody can write, the sweep cell fails with it, and nothing is
-// cached or persisted.
+// a body nobody can write, the sweep cell fails with it, nothing is
+// cached or persisted, and every run counts as failed, none as
+// completed.
 func TestUnencodableResultFails(t *testing.T) {
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, CacheDir: t.TempDir(),
 		Run: func(context.Context, JobSpec) (JobResult, error) {
@@ -676,8 +677,12 @@ func TestUnencodableResultFails(t *testing.T) {
 			t.Errorf("event %+v, want failed with an encode error and no result", ev)
 		}
 	}
-	if st := getStats(t, ts); st.CachedKeys != 0 {
+	st := getStats(t, ts)
+	if st.CachedKeys != 0 {
 		t.Errorf("%d results cached, want 0", st.CachedKeys)
+	}
+	if st.Completed != 0 || st.Failed != 3 { // the job, then both cells (seed 1 is retried)
+		t.Errorf("completed %d failed %d, want 0/3: a run counts once its job's outcome is final", st.Completed, st.Failed)
 	}
 }
 

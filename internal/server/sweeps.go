@@ -55,9 +55,10 @@ func (e sweepExec) CachedResult(key string) (json.RawMessage, bool) {
 }
 
 // runCell sees one dequeued ticket to an execution venue: this worker,
-// or (clustered) the peer that owns its key, in which case the worker
-// moves on at once. A ticket whose key is already cached or running
-// never gets that far — admitCell answers or attaches it.
+// or (clustered) the peer the dispatch rule picks — see reserve — in
+// which case the worker moves on at once. A ticket whose key is already
+// cached or running never gets that far — admitCell answers or attaches
+// it.
 func (s *Server) runCell(worker int, t sweep.Ticket) {
 	if faultSweepWorkerKill.Fire() {
 		s.log.Warn("sweep cell abandoned: injected worker death",
@@ -67,37 +68,37 @@ func (s *Server) runCell(worker int, t sweep.Ticket) {
 	}
 	var slot *remoteSlot
 	if s.cl != nil {
-		slot = s.cl.reserve(t.Key)
+		slot = s.cl.reserve(t.Key, true)
 	}
-	switch j := s.admitCell(t); {
+	switch j := s.admitCell(t, slot != nil); {
 	case j == nil:
 		slot.release()
 	case slot != nil:
 		s.cl.runRemote(slot, j)
 	default:
+		if s.cl != nil {
+			s.cl.dispatchNext() // this worker is about to be busy: keep the peers full meanwhile
+		}
 		s.pool.execute(worker, j)
 	}
 }
 
-// admitKey runs the admit step for a sweep cell's key — t is the ticket
-// to attach, nil when the cell is another node's (a stolen one) — so the
-// key is in the job registry before its simulation starts anywhere.
-func (s *Server) admitKey(key string, c sweep.Cell, timeoutMs int64, t *sweep.Ticket) (*job, admission) {
-	spec := specFromCell(c)
-	spec.TimeoutMs = timeoutMs
+// admitCell runs the admit step for a dequeued ticket, so its key is in
+// the job registry before its simulation starts anywhere — on a peer,
+// when remote is set. It returns the new job the caller now owes an
+// execution, or nil when there is nothing to run: the result was cached
+// (the cell completes as deduped here) or an identical job is queued or
+// running (the ticket rides on it and finishJob settles it).
+func (s *Server) admitCell(t sweep.Ticket, remote bool) *job {
+	spec := specFromCell(t.Cell)
+	spec.TimeoutMs = t.TimeoutMs
 	spec.normalize()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.admitLocked(key, spec, telemetry.NewRequestID(jobID(key)), t, false)
-}
-
-// admitCell admits a dequeued ticket. It returns the new job the caller
-// now owes an execution, or nil when there is nothing to run: the
-// result was cached (the cell completes as deduped here) or an
-// identical job is queued or running (the ticket rides on it and
-// finishJob settles it).
-func (s *Server) admitCell(t sweep.Ticket) *job {
-	j, how := s.admitKey(t.Key, t.Cell, t.TimeoutMs, &t)
+	j, how := s.admitLocked(t.Key, spec, telemetry.NewRequestID(jobID(t.Key)), &t, false, false)
+	if how == admitNew {
+		j.remote = remote
+	}
+	s.mu.Unlock()
 	switch how {
 	case admitNew:
 		return j
@@ -161,6 +162,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if created {
 		status = http.StatusCreated
+		if s.cl != nil {
+			s.cl.dispatchAdmitted()
+		}
 	}
 	writeJSON(w, status, view)
 }

@@ -198,17 +198,17 @@ type ClusterStats struct {
 	Refutes           uint64               `json:"refutes"`
 	ConfirmedDead     uint64               `json:"confirmed_dead"`
 	RepairPulled      uint64               `json:"repair_pulled"`
-	DeadRequeued      uint64               `json:"dead_requeued"`
 
 	Proxied           uint64 `json:"proxied"`             // requests forwarded to owners
 	ProxyErrors       uint64 `json:"proxy_errors"`        // forwards that failed in transport
 	DegradedLocal     uint64 `json:"degraded_local"`      // owner down: computed locally
 	RemoteCacheHits   uint64 `json:"remote_cache_hits"`   // results fetched from owners (cross-shard hits)
 	RemoteCacheMisses uint64 `json:"remote_cache_misses"` // remote lookups that found nothing
-	RemoteCells       uint64 `json:"remote_cells"`        // sweep cells executed on their owner
+	RemoteCells       uint64 `json:"remote_cells"`        // sweep cells executed on a peer
 	CacheServed       uint64 `json:"cache_served"`        // cache entries served to peers
 	Writebacks        uint64 `json:"writebacks"`          // off-owner results pushed to owners
-	StolenFromPeers   uint64 `json:"stolen_from_peers"`   // cells this node stole
-	StolenByPeers     uint64 `json:"stolen_by_peers"`     // cells peers stole from here
-	StealExpired      uint64 `json:"steal_leases_expired"`
+	// StolenFromPeers is always 0: nothing sets it since work stealing
+	// went. bench/mamaload still reads it for its cluster.stolen_cells
+	// row; it goes when the [benchmark] PR of ROADMAP item 7 drops that row.
+	StolenFromPeers uint64 `json:"stolen_from_peers"`
 }

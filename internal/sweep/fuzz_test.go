@@ -17,6 +17,14 @@ func FuzzSweepSpec(f *testing.F) {
 	f.Add([]byte(`{"grid":{"controllers":["x"]}}`))
 	f.Add([]byte(`{"grid":{"mixes":[[]],"controllers":[""],"seeds":[0,0,0]},"cells":[{}]}`))
 	f.Add([]byte(`{}`))
+	// TestExpandErrors' two grids whose cell count wraps an int.
+	for _, spec := range []Spec{axesSpec(13, 13, 13, 12, 12, 0), axesSpec(13, 13, 13, 13, 12, 1)} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	const budget = 64
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var a, b Spec

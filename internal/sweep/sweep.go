@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -173,10 +174,24 @@ func (s *Spec) Expand(maxCells int) ([]Cell, error) {
 		if len(drams) == 0 {
 			drams = []DRAM{{}}
 		}
-		n := len(g.Mixes) * len(controllers) * len(scales) * len(seeds) * len(drams)
-		if maxCells > 0 && n+len(s.Cells) > maxCells {
+		// The product is taken axis by axis against the budget: an axis is
+		// bounded by the request body and the running product by the
+		// budget, so a hostile grid cannot wrap it into something make
+		// accepts. "Unlimited" still has to fit a slice.
+		budget := maxCells
+		if budget <= 0 {
+			budget = math.MaxInt32
+		}
+		axes := [...]int{len(g.Mixes), len(controllers), len(scales), len(seeds), len(drams)}
+		n := 1
+		for i, axis := range axes {
+			if n *= axis; n > budget && i < len(axes)-1 {
+				return nil, fmt.Errorf("sweep expands to at least %d cells; server accepts at most %d", n, budget)
+			}
+		}
+		if n+len(s.Cells) > budget {
 			return nil, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
-				n+len(s.Cells), maxCells)
+				n+len(s.Cells), budget)
 		}
 		out = make([]Cell, 0, n+len(s.Cells))
 		for _, mix := range g.Mixes {

@@ -81,6 +81,21 @@ func TestExpandExplicitCellsAppend(t *testing.T) {
 	}
 }
 
+// axesSpec is a grid whose five axes hold 2^mixes, 2^controllers, …
+// empty elements — a ~100 KB request body — plus cells explicit cells.
+func axesSpec(mixes, controllers, scales, seeds, drams, cells int) Spec {
+	return Spec{
+		Grid: &Grid{
+			Mixes:       make([][]string, 1<<mixes),
+			Controllers: make([]string, 1<<controllers),
+			Scales:      make([]string, 1<<scales),
+			Seeds:       make([]uint64, 1<<seeds),
+			DRAM:        make([]DRAM, 1<<drams),
+		},
+		Cells: make([]Cell, cells),
+	}
+}
+
 // TestExpandErrors covers the rejection paths: empty specs, axes
 // without mixes, mixes without controllers, and the cell budget —
 // which must error, never truncate.
@@ -98,11 +113,18 @@ func TestExpandErrors(t *testing.T) {
 			{Mix: []string{"a"}, Controller: "x"},
 			{Mix: []string{"b"}, Controller: "x"},
 		}}, 1},
+		// Five axes whose product does not fit an int: 2^63 reads negative
+		// (make would panic), 2^64 reads 0 and with one explicit cell 1,
+		// inside any budget (the loops would append until memory ran out).
+		{"product wraps negative", axesSpec(13, 13, 13, 12, 12, 0), 4096},
+		{"product wraps negative, unlimited", axesSpec(13, 13, 13, 12, 12, 0), 0},
+		{"product wraps to one", axesSpec(13, 13, 13, 13, 12, 1), 4096},
+		{"product wraps to one, unlimited", axesSpec(13, 13, 13, 13, 12, 1), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := tc.spec.Expand(tc.max); err == nil {
-				t.Errorf("Expand(%d) accepted %+v", tc.max, tc.spec)
+				t.Errorf("Expand(%d) accepted the spec", tc.max)
 			}
 		})
 	}

@@ -9,10 +9,13 @@
 // detector must confirm it dead and the sweep must still finish every
 // cell exactly once), then restarts it and asserts it rejoins by
 // gossip alone — bumped incarnation, repaired cache — until a warm
-// resubmission against the rejoined node costs zero new simulations.
-// It exercises the whole cluster surface (ring routing, remote
-// execution, distributed cache lookup, failure detection, anti-entropy
-// repair) in-process in a few seconds.
+// resubmission against the rejoined node costs zero new simulations. A
+// last phase boots a second trio with the default per-peer slots and
+// gives node A a sweep whose every cell A itself owns: the dispatch
+// rule must still put all three nodes to work, each cell simulated
+// once. It exercises the whole cluster surface (ring routing, remote
+// execution, spilling to non-owners, distributed cache lookup, failure
+// detection, anti-entropy repair) in-process in a few seconds.
 package main
 
 import (
@@ -60,6 +63,7 @@ func gossipOpts(urls []string) cluster.GossipOptions {
 }
 
 type node struct {
+	cl  *cluster.Cluster
 	srv *server.Server
 	ts  *httptest.Server
 	url string
@@ -70,21 +74,17 @@ type node struct {
 // already-bound listener. The same constructor serves initial boot and
 // the churn-phase restart, so a restarted node differs only by what
 // gossip teaches it (its own tombstone, hence the incarnation bump).
-func startNode(ln net.Listener, self string, urls []string) (*node, error) {
+func startNode(ln net.Listener, self string, urls []string, peerSlots int) (*node, error) {
 	cl, err := cluster.New(self, urls, cluster.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster %s: %w", self, err)
 	}
 	cl.EnableGossip(gossipOpts(urls))
 	srv, err := server.New(server.Config{
-		Workers:    2,
-		QueueDepth: 64,
-		Cluster:    cl,
-		// Eager owner dispatch: every cell runs on the node owning
-		// its key, so the warm pass finds each result exactly where
-		// the ring says it lives (no async write-back to wait on).
-		RemotePeerSlots: 32,
-		StealInterval:   -1, // stealing off: determinism over latency here
+		Workers:         2,
+		QueueDepth:      64,
+		Cluster:         cl,
+		RemotePeerSlots: peerSlots,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server %s: %w", self, err)
@@ -93,14 +93,14 @@ func startNode(ln net.Listener, self string, urls []string) (*node, error) {
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
-	return &node{srv: srv, ts: ts, url: self,
+	return &node{cl: cl, srv: srv, ts: ts, url: self,
 		c: client.New(self, client.Options{Timeout: 2 * time.Minute})}, nil
 }
 
 // startCluster binds n loopback listeners first so every node knows the
 // full bootstrap peer list before any server starts; from there on
 // membership is maintained by gossip, not the static list.
-func startCluster(n int) ([]*node, []string, error) {
+func startCluster(n, peerSlots int) ([]*node, []string, error) {
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
 	for i := range lns {
@@ -113,7 +113,7 @@ func startCluster(n int) ([]*node, []string, error) {
 	}
 	nodes := make([]*node, n)
 	for i := range nodes {
-		nd, err := startNode(lns[i], urls[i], urls)
+		nd, err := startNode(lns[i], urls[i], urls, peerSlots)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -217,17 +217,25 @@ func waitCluster(ctx context.Context, nodes []*node, size int, timeout time.Dura
 	}
 }
 
+// eagerSlots makes owner dispatch eager: a peer-owned cell always finds
+// a slot on its owner, and a spilled self-owned one comes home with the
+// result wait, so the warm passes find each result exactly where the
+// ring says it lives (no async write-back to wait on).
+const eagerSlots = 32
+
+func stopAll(nodes []*node) {
+	for _, nd := range nodes {
+		nd.ts.Close()
+		nd.srv.Close()
+	}
+}
+
 func run() error {
-	nodes, urls, err := startCluster(3)
+	nodes, urls, err := startCluster(3, eagerSlots)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.ts.Close()
-			nd.srv.Close()
-		}
-	}()
+	defer func() { stopAll(nodes) }()
 	a, c := nodes[0], nodes[2]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -389,7 +397,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	nb, err := startNode(ln, b.url, urls)
+	nb, err := startNode(ln, b.url, urls, eagerSlots)
 	if err != nil {
 		return fmt.Errorf("restart B: %w", err)
 	}
@@ -447,7 +455,108 @@ func run() error {
 	}
 	fmt.Printf("cluster-smoke: warm resubmission to rejoined B deduped %d cells with 0 new simulations\n",
 		rewarm.Deduped)
+	return skewPhase(ctx)
+}
+
+// skewPhase is the dispatch rule's worst placement, on a fresh trio with
+// the default per-peer slots (= workers): every cell of the sweep is
+// owned by the node that receives it. All three nodes must simulate,
+// and the per-node counts must add up to the cells — each ran once.
+func skewPhase(ctx context.Context) error {
+	const cells = 12
+	nodes, _, err := startCluster(3, 0)
+	if err != nil {
+		return err
+	}
+	defer stopAll(nodes)
+	if err := waitCluster(ctx, nodes, 3, 10*time.Second, "skew bootstrap"); err != nil {
+		return err
+	}
+	a := nodes[0]
+	own, err := seedsOwnedBy(ctx, a, cells)
+	if err != nil {
+		return err
+	}
+	v, err := a.c.SubmitSweep(ctx, skewSpec("cluster-smoke-skew", own))
+	if err != nil {
+		return fmt.Errorf("skew submit: %w", err)
+	}
+	final, err := a.c.StreamSweepResults(ctx, v.ID, func(ev sweep.Event) error { return nil })
+	if err != nil {
+		return fmt.Errorf("skew stream: %w", err)
+	}
+	if final.Done != cells || final.Failed != 0 {
+		return fmt.Errorf("skew sweep: done %d failed %d, want %d/0", final.Done, final.Failed, cells)
+	}
+	var per [3]uint64
+	var sum uint64
+	for i, nd := range nodes {
+		st, err := getStats(ctx, nd)
+		if err != nil {
+			return err
+		}
+		per[i] = st.Simulations
+		sum += per[i]
+	}
+	fmt.Printf("cluster-smoke: skewed sweep (%d cells, all owned by node A) simulated A=%d B=%d C=%d\n",
+		cells, per[0], per[1], per[2])
+	if sum != cells {
+		return fmt.Errorf("skewed sweep ran %d simulations cluster-wide, want exactly %d", sum, cells)
+	}
+	for i, n := range per {
+		if n == 0 {
+			return fmt.Errorf("node %c simulated nothing: a free peer slot was left empty", 'A'+i)
+		}
+	}
 	return nil
+}
+
+// skewSpec is the skew phase's sweep over the given seeds.
+func skewSpec(name string, seeds []uint64) sweep.Spec {
+	return sweep.Spec{Name: name, Grid: &sweep.Grid{
+		Mixes: [][]string{{"spec06.libquantum"}}, Controllers: []string{"no"},
+		Seeds: seeds, Scales: []string{"tiny"}, Target: 60_000,
+	}}
+}
+
+// seedsOwnedBy hunts for n seeds whose skewSpec cells land on nd. Job
+// keys are content addresses, the same on every server, so a throwaway
+// standalone one with a no-op run function names every candidate's key
+// without a clustered node seeing any of them; nd's ring says who owns
+// each.
+func seedsOwnedBy(ctx context.Context, nd *node, n int) ([]uint64, error) {
+	probe, err := server.New(server.Config{Workers: 1,
+		Run: func(context.Context, server.JobSpec) (server.JobResult, error) { return server.JobResult{}, nil }})
+	if err != nil {
+		return nil, err
+	}
+	ts := httptest.NewServer(probe.Handler())
+	defer func() {
+		ts.Close()
+		probe.Close()
+	}()
+	pc := client.New(ts.URL, client.Options{Timeout: time.Minute})
+	candidates := make([]uint64, 8*n)
+	for i := range candidates {
+		candidates[i] = uint64(1000 + i)
+	}
+	v, err := pc.SubmitSweep(ctx, skewSpec("probe", candidates))
+	if err != nil {
+		return nil, fmt.Errorf("probe submit: %w", err)
+	}
+	var own []uint64
+	if _, err := pc.StreamSweepResults(ctx, v.ID, func(ev sweep.Event) error {
+		if len(own) < n && nd.cl.Owner(ev.Key) == nd.url {
+			own = append(own, ev.Spec.Seed)
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("probe stream: %w", err)
+	}
+	if len(own) < n {
+		return nil, fmt.Errorf("only %d of %d candidate seeds are owned by %s, want %d", len(own), len(candidates), nd.url, n)
+	}
+	return own, nil
 }
 
 func main() {
