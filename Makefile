@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
+.PHONY: all build vet fmt fmt-check lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
 
 all: check
 
@@ -111,6 +111,26 @@ tournament-smoke:
 	@$(GO) run ./scripts/tournamentsmoke > tournament-smoke.out 2>&1; st=$$?; \
 		cat tournament-smoke.out; exit $$st
 
+# Every experiment id through the real binary at the tiny scale:
+# `mamabench -scale tiny -json <tmp> all` must exit 0, write one JSON
+# file per emitting id (a report holding a NaN does not encode, so its
+# file goes missing), and print no NaN. The cell figures among them run
+# through the same registry, Executor and reducers as at any scale, so
+# this is the end-to-end guard of `make figures`.
+FIGURE_JSON = fig2 fig3 fig4 fig9 fig10-WS-4C fig10-HS-4C fig10-WS-8C fig10-HS-8C \
+	fig11 fig12 fig13 fig14 fig15a fig15b fig16 sec63
+
+figures-smoke:
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/mamabench -scale tiny -json $$tmp all > figures-smoke.out 2>&1; st=$$?; \
+	for id in $(FIGURE_JSON); do \
+		test -s $$tmp/$$id.json || { echo "figures-smoke: FAIL: no $$id.json written" >> figures-smoke.out; st=1; }; \
+	done; \
+	rm -rf $$tmp; \
+	if grep -q NaN figures-smoke.out; then echo "figures-smoke: FAIL: NaN in a report" >> figures-smoke.out; st=1; fi; \
+	[ $$st -ne 0 ] || echo "figures-smoke: PASS" >> figures-smoke.out; \
+	cat figures-smoke.out; exit $$st
+
 # The repository benchmark (bench/, a Go module of its own that tier-1
 # `go build ./... && go test ./...` does not reach) still compiles
 # against this tree and passes its own tests: unit tests plus a
@@ -126,12 +146,12 @@ bench-check:
 # fuzz the trace packer, the trace loader, the gossip-header decoder,
 # the sweep spec and the stream's event encoder for ten seconds each,
 # drive a real
-# sweep, the 3-node cluster, and the controller tournament
-# end to end, check the bench/ module against this tree, then make sure
+# sweep, the 3-node cluster, the controller tournament and every
+# figure id end to end, check the bench/ module against this tree, then make sure
 # the hot-path benchmarks still run and stay allocation-free (1
 # iteration; catches bit-rot and alloc regressions, not timing
 # regressions).
-check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke bench-check bench-smoke
+check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
 # advance benchmarks, end-to-end simulator throughput, and four
@@ -185,4 +205,4 @@ examples:
 clean:
 	rm -f fig2_bandit.svg fig4_shared.svg fig12_mumama.svg
 	rm -f bench.out bench-smoke.out micromama.test *.test
-	rm -f sweep-smoke.out cluster-smoke.out tournament-smoke.out
+	rm -f sweep-smoke.out cluster-smoke.out tournament-smoke.out figures-smoke.out

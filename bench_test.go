@@ -12,13 +12,13 @@
 package micromama_bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 
 	"micromama/internal/core"
-	"micromama/internal/dram"
 	"micromama/internal/experiment"
 	"micromama/internal/prefetch"
 	"micromama/internal/sim"
@@ -34,22 +34,40 @@ var (
 	cacheInflight = map[string]chan struct{}{}
 )
 
-func benchScale() experiment.Scale {
-	switch os.Getenv("MAMA_BENCH_SCALE") {
-	case "small":
-		return experiment.ScaleSmall
-	case "default":
-		return experiment.ScaleDefault
-	case "full":
-		return experiment.ScaleFull
-	default:
-		return experiment.ScaleTiny
+// benchScaleName is MAMA_BENCH_SCALE, or "tiny" when that names no
+// scale.
+func benchScaleName() string {
+	name := os.Getenv("MAMA_BENCH_SCALE")
+	if _, err := experiment.ScaleByName(name); err != nil {
+		return "tiny"
 	}
+	return name
 }
 
 func getRunner() *experiment.Runner {
-	runnerOnce.Do(func() { runner = experiment.NewRunner(benchScale()) })
+	runnerOnce.Do(func() {
+		scale, _ := experiment.ScaleByName(benchScaleName())
+		runner = experiment.NewRunner(scale)
+	})
 	return runner
+}
+
+// figure draws one registry figure (experiment.Figures) on the shared
+// runner's RunCells.
+func figure[T fmt.Stringer](b *testing.B, id string) T {
+	b.Helper()
+	return cached(b, id, func() (T, error) {
+		var zero T
+		figs := experiment.FiguresByID(id)
+		if len(figs) != 1 {
+			return zero, fmt.Errorf("%q names %d registry figures", id, len(figs))
+		}
+		rep, err := figs[0].Run(context.Background(), getRunner().RunCells, benchScaleName(), 0, 0)
+		if err != nil {
+			return zero, err
+		}
+		return rep.(T), nil
+	})
 }
 
 // cached memoizes an experiment across benchmark iterations and
@@ -177,9 +195,7 @@ func BenchmarkFig4SharedReward(b *testing.B) {
 // µMama +1.9%/+2.1% at 4/8 cores).
 func BenchmarkFig9Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := cached(b, "fig9", func() (*experiment.ThroughputReport, error) {
-			return getRunner().Fig9Throughput([]int{1, 4, 8})
-		})
+		rep := figure[*experiment.ThroughputReport](b, "fig9")
 		b.ReportMetric(rep.NormWS[4]["mumama"]*100, "mumama-4C-pct")
 		b.ReportMetric(rep.NormWS[8]["mumama"]*100, "mumama-8C-pct")
 	}
@@ -189,12 +205,8 @@ func BenchmarkFig9Throughput(b *testing.B) {
 // normalized to Bandit.
 func BenchmarkFig10PerWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ws := cached(b, "fig10-ws4", func() (*experiment.PerWorkloadReport, error) {
-			return getRunner().FigPerWorkload(4, "mumama", false)
-		})
-		hs := cached(b, "fig10-hs4", func() (*experiment.PerWorkloadReport, error) {
-			return getRunner().FigPerWorkload(4, "mumama-fair", true)
-		})
+		ws := figure[*experiment.PerWorkloadReport](b, "fig10-WS-4C")
+		hs := figure[*experiment.PerWorkloadReport](b, "fig10-HS-4C")
 		b.ReportMetric(ws.Average*100, "ws-avg-pct")
 		b.ReportMetric(hs.Average*100, "hs-avg-pct")
 	}
@@ -204,18 +216,10 @@ func BenchmarkFig10PerWorkload(b *testing.B) {
 // (paper: µMama's edge grows when bandwidth shrinks).
 func BenchmarkFig11Bandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := cached(b, "fig11", func() (*experiment.BandwidthReport, error) {
-			var drams []sim.Config
-			for _, d := range []dram.Config{dram.DDR4(1866, 1), dram.DDR4(2400, 1), dram.DDR4(2400, 2)} {
-				cfg := sim.DefaultConfig(4)
-				cfg.DRAM = d
-				drams = append(drams, cfg)
-			}
-			return getRunner().Fig11Bandwidth([]int{4}, drams)
-		})
-		// Metric: µMama's gain at the most constrained point.
+		rep := figure[*experiment.BandwidthReport](b, "fig11")
+		// Metric: µMama's gain at the most constrained 4-core point.
 		for _, p := range rep.Points {
-			if p.Controller == "mumama" && p.PeakGBps < 16 {
+			if p.Controller == "mumama" && p.Cores == 4 && p.PeakGBps < 16 {
 				b.ReportMetric(p.NormWS*100, "mumama-lowbw-pct")
 			}
 		}
@@ -237,9 +241,7 @@ func BenchmarkFig12MuMamaTimeline(b *testing.B) {
 // µMama-Fair ~-30% unfairness, +9.4/+10.4% HS vs Bandit).
 func BenchmarkFig13Fairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := cached(b, "fig13", func() (*experiment.FairnessReport, error) {
-			return getRunner().Fig13Fairness([]int{4, 8})
-		})
+		rep := figure[*experiment.FairnessReport](b, "fig13")
 		b.ReportMetric(rep.NormHS[4]["mumama-fair"]*100, "fair-hs-4C-pct")
 		b.ReportMetric(rep.Unfairness[4]["mumama-fair"]/rep.Unfairness[4]["bandit"], "unfair-ratio-4C")
 	}
@@ -249,9 +251,7 @@ func BenchmarkFig13Fairness(b *testing.B) {
 // (paper: µMama variants form the frontier; Bandit is non-Pareto).
 func BenchmarkFig14Frontier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := cached(b, "fig14", func() (*experiment.FrontierReport, error) {
-			return getRunner().Fig14Frontier(4)
-		})
+		rep := figure[*experiment.FrontierReport](b, "fig14")
 		var banditDominated bool
 		var bp experiment.FrontierPoint
 		for _, p := range rep.Points {
@@ -276,9 +276,7 @@ func BenchmarkFig14Frontier(b *testing.B) {
 // profiled) at 8 cores.
 func BenchmarkFig15aAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := cached(b, "fig15a", func() (*experiment.AblationReport, error) {
-			return getRunner().Fig15aAblation(8)
-		})
+		rep := figure[*experiment.AblationReport](b, "fig15a")
 		b.ReportMetric(rep.NormWS["mumama"]*100, "mumama-pct")
 		b.ReportMetric(rep.NormWS["mumama-profiled"]*100, "profiled-pct")
 	}
@@ -298,9 +296,7 @@ func BenchmarkFig15bJAVSize(b *testing.B) {
 // cores (paper: +3.06% average, fewer slowdown mixes).
 func BenchmarkFig16Profiled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := cached(b, "fig16", func() (*experiment.PerWorkloadReport, error) {
-			return getRunner().FigPerWorkload(8, "mumama-profiled", false)
-		})
+		rep := figure[*experiment.PerWorkloadReport](b, "fig16")
 		b.ReportMetric(rep.Average*100, "avg-pct")
 	}
 }
@@ -313,7 +309,7 @@ func BenchmarkAblationThetaSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws := cached(b, "ablation-theta", func() ([]float64, error) {
 			r := getRunner()
-			mixes := r.MixesFor(4)
+			mixes := r.Scale.MixesFor(4)
 			cfg := sim.DefaultConfig(4)
 			var out []float64
 			for _, theta := range []float64{0.3, 0.65, 0.9} {
@@ -335,7 +331,7 @@ func BenchmarkAblationTarbit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws := cached(b, "ablation-tarbit", func() ([]float64, error) {
 			r := getRunner()
-			mixes := r.MixesFor(4)
+			mixes := r.Scale.MixesFor(4)
 			cfg := sim.DefaultConfig(4)
 			var out []float64
 			for _, ta := range []int{2, 5, 10} {
@@ -358,7 +354,7 @@ func BenchmarkAblationJAVLCB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws := cached(b, "ablation-lcb", func() ([]float64, error) {
 			r := getRunner()
-			mixes := r.MixesFor(4)
+			mixes := r.Scale.MixesFor(4)
 			cfg := sim.DefaultConfig(4)
 			var out []float64
 			for _, lcb := range []float64{-1, 0.2} { // -1 => raw argmax
@@ -388,7 +384,7 @@ func BenchmarkAblationSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws := cached(b, "ablation-sync", func() ([]float64, error) {
 			r := getRunner()
-			mixes := r.MixesFor(4)
+			mixes := r.Scale.MixesFor(4)
 			cfg := sim.DefaultConfig(4)
 			var out []float64
 			for _, kstep := range []int{2, 5, 20} {

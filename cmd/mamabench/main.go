@@ -6,15 +6,21 @@
 //	mamabench -scale small fig9 fig13
 //	mamabench -scale default all
 //	mamabench tab2 overheads fig1
-//	mamabench -server http://localhost:8077 fig11 fig13
-//
-// With -server, supported figures run as server-side sweeps (see
-// internal/sweep): the driver expands the same deterministic cells the
-// local path would simulate, submits them once, and streams results —
-// so a warm server answers a repeated figure without re-simulating.
+//	mamabench -server http://localhost:8077 all
 //
 // Experiment ids: tab1 tab2 tab3 fig1 fig2 fig3 fig4 fig9 fig10 fig11
-// fig12 fig13 fig14 fig15a fig15b fig16 overheads tournament, or "all".
+// fig12 fig13 fig14 fig15a fig15b fig16 overheads sec63 tournament, or
+// "all" (everything but the tournament).
+//
+// fig9, fig10, fig11, fig13, fig14, fig15a, fig16, sec63 and tournament
+// are cell figures (experiment.Figures): sweep cells in, a reducer out.
+// With -server their cells run as one server-side sweep each (see
+// internal/sweep) instead of in this process — the same cells either
+// way, so a warm server answers a repeated figure without
+// re-simulating, and the report is the same. The other ids run locally
+// under -server too: tab1–tab3, overheads and fig1 simulate nothing,
+// and fig2/fig4/fig12, fig3 and fig15b are probes of state no job
+// result carries (a policy timeline, a chosen arm degree, a JAV size).
 //
 // The tournament id races controller families head-to-head over the
 // workload catalog (see internal/tournament):
@@ -39,21 +45,14 @@ import (
 
 	"micromama/internal/client"
 	"micromama/internal/core"
-	"micromama/internal/dram"
 	"micromama/internal/experiment"
 	"micromama/internal/prefetch"
 	"micromama/internal/profiling"
 	"micromama/internal/sim"
+	"micromama/internal/sweep"
 	"micromama/internal/telemetry"
 	"micromama/internal/tournament"
 )
-
-var scales = map[string]experiment.Scale{
-	"tiny":    experiment.ScaleTiny,
-	"small":   experiment.ScaleSmall,
-	"default": experiment.ScaleDefault,
-	"full":    experiment.ScaleFull,
-}
 
 var (
 	svgDir  string
@@ -63,7 +62,6 @@ var (
 	tournamentCtrls string
 	tournamentCores string
 	tournamentSeeds int
-	curScaleName    string
 )
 
 // defaultTournamentControllers races one representative of every
@@ -72,7 +70,7 @@ var (
 const defaultTournamentControllers = "no,ip_stride,bingo,pythia,spp,bandit,mumama,phase-select,coord-rl"
 
 // buildTournamentSpec resolves the tournament flags into a spec.
-func buildTournamentSpec(scale experiment.Scale, scaleName string) (tournament.Spec, error) {
+func buildTournamentSpec() (tournament.Spec, error) {
 	ctrls := tournamentCtrls
 	if ctrls == "all" {
 		keys := make([]string, 0, len(experiment.ControllerKeys))
@@ -95,8 +93,6 @@ func buildTournamentSpec(scale experiment.Scale, scaleName string) (tournament.S
 		Controllers: strings.Split(ctrls, ","),
 		CoreCounts:  cores,
 		Seeds:       tournamentSeeds,
-		ScaleName:   scaleName,
-		Scale:       scale,
 	}
 	for i := range spec.Controllers {
 		spec.Controllers[i] = strings.TrimSpace(spec.Controllers[i])
@@ -105,10 +101,10 @@ func buildTournamentSpec(scale experiment.Scale, scaleName string) (tournament.S
 }
 
 func main() {
-	scaleName := flag.String("scale", "small", "tiny | small | default | full")
+	scaleName := flag.String("scale", "small", strings.Join(experiment.ScaleNames(), " | "))
 	flag.StringVar(&svgDir, "svg", "", "also write figures as SVG files into this directory")
 	flag.StringVar(&jsonDir, "json", "", "also write report data as JSON files into this directory")
-	server := flag.String("server", "", "run experiments remotely as sweeps against this mamaserved URL (fig11, fig13, tournament)")
+	server := flag.String("server", "", "run the cells of every cell figure (fig9 fig10 fig11 fig13 fig14 fig15a fig16 sec63 tournament) as sweeps against this mamaserved URL; other ids still run locally")
 	flag.StringVar(&tournamentCtrls, "controllers", defaultTournamentControllers,
 		"comma-separated controller keys for the tournament id (\"all\" = every registry key)")
 	flag.StringVar(&tournamentCores, "tournament-cores", "4",
@@ -145,10 +141,9 @@ func main() {
 		}
 	}
 
-	curScaleName = *scaleName
-	scale, ok := scales[*scaleName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mamabench: unknown scale %q\n", *scaleName)
+	scale, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mamabench:", err)
 		stopProf()
 		os.Exit(2)
 	}
@@ -169,24 +164,14 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	r := experiment.NewRunner(scale)
-	r.BaseCtx = ctx
-	var rr *remoteRunner
+	d := &driver{ctx: ctx, r: experiment.NewRunner(scale), scaleName: *scaleName}
+	d.r.BaseCtx = ctx
 	if *server != "" {
-		rr = &remoteRunner{
-			ctx:       ctx,
-			c:         client.New(*server, client.Options{}),
-			scale:     scale,
-			scaleName: *scaleName,
-		}
+		d.remote = client.New(*server, client.Options{})
 	}
 	for _, id := range ids {
 		fmt.Printf("==== %s (scale %s) ====\n", id, *scaleName)
-		exec := func() error { return run(r, id) }
-		if rr != nil {
-			exec = func() error { return rr.run(id) }
-		}
-		if err := exec(); err != nil {
+		if err := d.run(id); err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "mamabench: interrupted")
 			} else {
@@ -229,126 +214,85 @@ func emit(id string, rep fmt.Stringer) {
 	}
 }
 
-func run(r *experiment.Runner, id string) error {
-	switch id {
-	case "tab1":
-		printTable1()
-	case "tab2":
-		printTable2()
-	case "tab3":
-		printTable3()
-	case "overheads":
-		printOverheads()
-	case "fig1":
-		fmt.Print(experiment.PlayGame(4000, 11))
-	case "fig2":
-		rep, err := r.FigTimeline("bandit")
+// driver runs experiment ids: cell figures through one Executor — the
+// local Runner's, or with -server a sweep client's — and everything
+// else in this process.
+type driver struct {
+	ctx       context.Context
+	r         *experiment.Runner
+	remote    *client.Client // nil without -server
+	scaleName string
+}
+
+// tables are the ids that print configuration and simulate nothing.
+var tables = map[string]func(){
+	"tab1":      printTable1,
+	"tab2":      printTable2,
+	"tab3":      printTable3,
+	"overheads": printOverheads,
+	"fig1":      func() { fmt.Print(experiment.PlayGame(4000, 11)) },
+}
+
+// probes are the simulating ids that cannot be cells (see
+// experiment.Figures): they always run on the local Runner.
+var probes = map[string]func(*experiment.Runner) (fmt.Stringer, error){
+	"fig2":   func(r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline("bandit") },
+	"fig4":   func(r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline("bandit-shared") },
+	"fig12":  func(r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline("mumama") },
+	"fig3":   func(r *experiment.Runner) (fmt.Stringer, error) { return r.Fig3PrefetchScaling([]int{1, 4, 8}) },
+	"fig15b": func(r *experiment.Runner) (fmt.Stringer, error) { return r.Fig15bJAVSweep(4, []int{1, 2, 4, 8, 16}) },
+}
+
+// executor is the seam a figure's cells go through: the Runner's worker
+// pool, or one named sweep on the server.
+func (d *driver) executor(sweepName string) experiment.Executor {
+	if d.remote == nil {
+		return d.r.RunCells
+	}
+	return func(ctx context.Context, cells []sweep.Cell) ([]experiment.CellResult, error) {
+		results, view, err := d.remote.RunSweep(ctx, sweep.Spec{Name: sweepName, Cells: cells})
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "mamabench: sweep %s: %d cells (%d answered without simulating)\n",
+			view.ID, view.Cells, view.Deduped)
+		return results, nil
+	}
+}
+
+func (d *driver) run(id string) error {
+	if table, ok := tables[id]; ok {
+		table()
+		return nil
+	}
+	if probe, ok := probes[id]; ok {
+		if d.remote != nil {
+			fmt.Fprintf(os.Stderr, "mamabench: %s is a local probe, not a cell figure; running it in this process despite -server\n", id)
+		}
+		rep, err := probe(d.r)
 		if err != nil {
 			return err
 		}
-		emit("fig2", rep)
-	case "fig3":
-		rep, err := r.Fig3PrefetchScaling([]int{1, 4, 8})
+		emit(id, rep)
+		return nil
+	}
+	figs := experiment.FiguresByID(id)
+	if id == "tournament" {
+		spec, err := buildTournamentSpec()
 		if err != nil {
 			return err
 		}
-		emit("fig3", rep)
-	case "fig4":
-		rep, err := r.FigTimeline("bandit-shared")
-		if err != nil {
-			return err
-		}
-		emit("fig4", rep)
-	case "fig9":
-		rep, err := r.Fig9Throughput([]int{1, 4, 8})
-		if err != nil {
-			return err
-		}
-		emit("fig9", rep)
-	case "fig10":
-		for _, c := range []int{4, 8} {
-			for _, hs := range []bool{false, true} {
-				key := "mumama"
-				if hs {
-					key = "mumama-fair"
-				}
-				rep, err := r.FigPerWorkload(c, key, hs)
-				if err != nil {
-					return err
-				}
-				emit(fmt.Sprintf("fig10-%s-%dC", rep.MetricName, c), rep)
-			}
-		}
-	case "fig11":
-		drams := []sim.Config{}
-		for _, d := range []dram.Config{dram.DDR4(1866, 1), dram.DDR4(2400, 1), dram.DDR4(1866, 2), dram.DDR4(2400, 2)} {
-			cfg := sim.DefaultConfig(4)
-			cfg.DRAM = d
-			drams = append(drams, cfg)
-		}
-		rep, err := r.Fig11Bandwidth([]int{4, 8}, drams)
-		if err != nil {
-			return err
-		}
-		emit("fig11", rep)
-	case "fig12":
-		rep, err := r.FigTimeline("mumama")
-		if err != nil {
-			return err
-		}
-		emit("fig12", rep)
-	case "fig13":
-		rep, err := r.Fig13Fairness([]int{4, 8})
-		if err != nil {
-			return err
-		}
-		emit("fig13", rep)
-	case "fig14":
-		rep, err := r.Fig14Frontier(4)
-		if err != nil {
-			return err
-		}
-		emit("fig14", rep)
-	case "fig15a":
-		rep, err := r.Fig15aAblation(8)
-		if err != nil {
-			return err
-		}
-		emit("fig15a", rep)
-	case "fig15b":
-		rep, err := r.Fig15bJAVSweep(4, []int{1, 2, 4, 8, 16})
-		if err != nil {
-			return err
-		}
-		emit("fig15b", rep)
-	case "fig16":
-		rep, err := r.FigPerWorkload(8, "mumama-profiled", false)
-		if err != nil {
-			return err
-		}
-		emit("fig16", rep)
-	case "sec63":
-		rep, err := r.Fig63Characteristics(4, 2.5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-	case "tournament":
-		spec, err := buildTournamentSpec(r.Scale, curScaleName)
-		if err != nil {
-			return err
-		}
-		ctx := r.BaseCtx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		rep, err := tournament.Run(ctx, r, spec)
-		if err != nil {
-			return err
-		}
-		emit("tournament", rep)
-	default:
+		figs = []experiment.Figure{spec.Figure()}
+	}
+	if len(figs) == 0 {
 		return fmt.Errorf("unknown experiment id %q", id)
+	}
+	for _, fig := range figs {
+		rep, err := fig.Run(d.ctx, d.executor(fig.ID+"-"+d.scaleName), d.scaleName, 0, 0)
+		if err != nil {
+			return err
+		}
+		emit(fig.ID, rep)
 	}
 	return nil
 }

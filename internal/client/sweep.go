@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 
+	"micromama/internal/experiment"
 	"micromama/internal/sweep"
 )
 
@@ -126,6 +127,49 @@ func (c *Client) StreamSweepResults(ctx context.Context, id string, fn func(swee
 			return sweep.View{}, serr
 		}
 	}
+}
+
+// RunSweep submits the spec, follows its result stream to the end and
+// returns one result per cell, index-aligned with the spec's expansion,
+// plus the sweep's final view. Any failed cell fails the call: a mean
+// over a partial sample is not the figure. Bound to a sweep name it is
+// the remote experiment.Executor.
+func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) ([]experiment.CellResult, sweep.View, error) {
+	view, err := c.SubmitSweep(ctx, spec)
+	if err != nil {
+		return nil, sweep.View{}, err
+	}
+	results := make([]experiment.CellResult, view.Cells)
+	delivered := 0
+	var failures []string
+	final, err := c.StreamSweepResults(ctx, view.ID, func(ev sweep.Event) error {
+		if ev.Cell < 0 || ev.Cell >= len(results) {
+			return fmt.Errorf("event for cell %d of a %d-cell sweep", ev.Cell, len(results))
+		}
+		switch ev.Status {
+		case sweep.CellDone, sweep.CellDeduped:
+			if jerr := json.Unmarshal(ev.Result, &results[ev.Cell]); jerr != nil {
+				return fmt.Errorf("cell %d: bad result payload: %w", ev.Cell, jerr)
+			}
+			delivered++
+		case sweep.CellFailed:
+			failures = append(failures, fmt.Sprintf("cell %d [%s %s]: %s",
+				ev.Cell, strings.Join(ev.Spec.Mix, ","), ev.Spec.Controller, ev.Error))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, final, fmt.Errorf("sweep %s: %w", view.ID, err)
+	}
+	if len(failures) > 0 {
+		return nil, final, fmt.Errorf("sweep %s: %d cells failed:\n  %s",
+			view.ID, len(failures), strings.Join(failures, "\n  "))
+	}
+	if delivered != len(results) {
+		return nil, final, fmt.Errorf("sweep %s: stream delivered %d of %d cell results",
+			view.ID, delivered, len(results))
+	}
+	return results, final, nil
 }
 
 // streamAbort wraps an error returned by the caller's fn: it must stop

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"micromama/internal/sim"
 )
 
 // CharacteristicsReport reproduces §6.3's workload-characteristics
@@ -29,61 +27,51 @@ type CharacteristicsReport struct {
 	FilteredN   int
 }
 
-// Fig63Characteristics measures per-mix no-prefetch MPKI statistics and
-// correlates them with µMama's speedup over Bandit.
-func (r *Runner) Fig63Characteristics(cores int, threshold float64) (*CharacteristicsReport, error) {
-	cfg := sim.DefaultConfig(cores)
-	mixes := r.mixesFor(cores)
-	rep := &CharacteristicsReport{Cores: cores, Threshold: threshold}
+// sec63 measures per-mix no-prefetch MPKI statistics at 4 cores and
+// correlates them with µMama's speedup over Bandit, filtering at the
+// paper's µ − σ < 2.5 MPKI.
+func sec63() Figure {
+	const cores, threshold = 4, 2.5
+	return armFigure("sec63", defaultArms([]int{cores}, "bandit", "mumama", "no"),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			bandit := byArm[arm{cores: cores, controller: "bandit"}]
+			mama := byArm[arm{cores: cores, controller: "mumama"}]
+			rep := &CharacteristicsReport{Cores: cores, Threshold: threshold}
+			var sumAll, sumFiltered float64
+			// The no-prefetch multicore run characterizes each mix's MPKI.
+			for i, noPref := range byArm[arm{cores: cores, controller: "no"}] {
+				var mu, sigma float64
+				for _, mpki := range noPref.L2MPKI {
+					mu += mpki
+				}
+				mu /= float64(len(noPref.L2MPKI))
+				for _, mpki := range noPref.L2MPKI {
+					d := mpki - mu
+					sigma += d * d
+				}
+				sigma = math.Sqrt(sigma / float64(len(noPref.L2MPKI)))
 
-	banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
-	if err != nil {
-		return nil, err
-	}
-	mamaRes, err := r.RunMixes(mixes, cfg, "mumama", Options{})
-	if err != nil {
-		return nil, err
-	}
+				ratio := 0.0
+				if bandit[i].WS > 0 {
+					ratio = mama[i].WS / bandit[i].WS
+				}
+				rep.MixNames = append(rep.MixNames, noPref.Mix)
+				rep.MeanMPKI = append(rep.MeanMPKI, mu)
+				rep.SigmaMPKI = append(rep.SigmaMPKI, sigma)
+				rep.Ratio = append(rep.Ratio, ratio)
 
-	var sumAll, sumFiltered float64
-	for i, mix := range mixes {
-		// No-prefetch multicore run for the MPKI characterization
-		// (shared with the profiled mode's cache).
-		noPref, err := r.RunMix(mix, cfg, "no", Options{})
-		if err != nil {
-			return nil, err
-		}
-		var mu, sigma float64
-		for _, c := range noPref.Result.Cores {
-			mu += c.L2MPKI()
-		}
-		mu /= float64(len(noPref.Result.Cores))
-		for _, c := range noPref.Result.Cores {
-			d := c.L2MPKI() - mu
-			sigma += d * d
-		}
-		sigma = math.Sqrt(sigma / float64(len(noPref.Result.Cores)))
-
-		ratio := 0.0
-		if banditRes[i].WS > 0 {
-			ratio = mamaRes[i].WS / banditRes[i].WS
-		}
-		rep.MixNames = append(rep.MixNames, mix.Name())
-		rep.MeanMPKI = append(rep.MeanMPKI, mu)
-		rep.SigmaMPKI = append(rep.SigmaMPKI, sigma)
-		rep.Ratio = append(rep.Ratio, ratio)
-
-		sumAll += ratio
-		if mu-sigma < threshold {
-			sumFiltered += ratio
-			rep.FilteredN++
-		}
-	}
-	rep.AvgAll = sumAll/float64(len(mixes)) - 1
-	if rep.FilteredN > 0 {
-		rep.AvgFiltered = sumFiltered/float64(rep.FilteredN) - 1
-	}
-	return rep, nil
+				sumAll += ratio
+				if mu-sigma < threshold {
+					sumFiltered += ratio
+					rep.FilteredN++
+				}
+			}
+			rep.AvgAll = sumAll/float64(len(rep.Ratio)) - 1
+			if rep.FilteredN > 0 {
+				rep.AvgFiltered = sumFiltered/float64(rep.FilteredN) - 1
+			}
+			return rep
+		})
 }
 
 // String renders the report.

@@ -9,9 +9,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"micromama/internal/core"
+	"micromama/internal/dram"
 	"micromama/internal/prefetch"
 	"micromama/internal/sim"
 	"micromama/internal/workload"
@@ -52,6 +54,47 @@ var (
 // MaxCycles returns the cycle guard for this scale.
 func (s Scale) MaxCycles() uint64 { return s.Target * s.MaxCyclesFactor }
 
+// ScaleNames lists the named scales, smallest budget first. With
+// ScaleByName it is the one scale table: mamabench's -scale, a job's or
+// cell's "scale" field and GET /v1/catalog all read it.
+func ScaleNames() []string { return []string{"tiny", "small", "default", "full"} }
+
+// ScaleByName resolves a scale name exactly as written (callers that
+// accept aliases — case, an empty name — canonicalize first); the
+// error names the known set.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
+	case "default":
+		return ScaleDefault, nil
+	case "full":
+		return ScaleFull, nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (%s)", name, strings.Join(ScaleNames(), "|"))
+}
+
+// SystemConfig is the simulated system of a job or sweep cell: the
+// default configuration at that core count, with the memory system
+// replaced by DDR4 when either override is set (an unset half
+// defaulting to 2400 MT/s or one channel). mamaserved hashes this
+// value into every job key, so the rule may never change.
+func SystemConfig(cores, dramMTps, dramChannels int) sim.Config {
+	cfg := sim.DefaultConfig(cores)
+	if dramMTps > 0 || dramChannels > 0 {
+		if dramMTps <= 0 {
+			dramMTps = 2400
+		}
+		if dramChannels <= 0 {
+			dramChannels = 1
+		}
+		cfg.DRAM = dram.DDR4(dramMTps, dramChannels)
+	}
+	return cfg
+}
+
 // Options tune controller construction.
 type Options struct {
 	// Profiles supplies per-core S^MP values (µMama-Profiled).
@@ -77,6 +120,17 @@ var ControllerKeys = []string{
 	"mumama", "mumama-fair", "mumama-25", "mumama-50", "mumama-75", "mumama-gm",
 	"mumama-profiled", "mumama-jav-only", "mumama-grw-only", "mumama-l1l2",
 	"phase-select", "coord-rl",
+}
+
+// CheckController reports whether key is in the controller registry;
+// the error names the known set so a caller can correct itself.
+func CheckController(key string) error {
+	for _, k := range ControllerKeys {
+		if k == key {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown controller %q (known: %s)", key, strings.Join(ControllerKeys, ", "))
 }
 
 // MakeController builds a prefetch controller by key.
@@ -196,8 +250,51 @@ type MixResult struct {
 	Unfairness float64
 }
 
+// CellResult is the one projection of a MixResult that leaves the
+// process: a finished job's result on mamaserved's wire and in its
+// cache files (so the fields, tags and order are fixed), and what a
+// figure's reducer is given per cell.
+type CellResult struct {
+	Mix        string    `json:"mix"`
+	Controller string    `json:"controller"`
+	WS         float64   `json:"ws"`
+	HS         float64   `json:"hs"`
+	GM         float64   `json:"gm"`
+	Unfairness float64   `json:"unfairness"`
+	Speedups   []float64 `json:"speedups"`
+	IPC        []float64 `json:"ipc"`
+	L2MPKI     []float64 `json:"l2_mpki"`
+	Prefetches uint64    `json:"prefetches"`
+	// SimMs is the wall-clock simulation time; 0 for cache hits.
+	SimMs int64 `json:"sim_ms"`
+	// Sim is the full simulator result. Only Runner.RunCells sets it:
+	// a result that crossed the wire, or sits in a server's cache, has
+	// nil here.
+	Sim *sim.Result `json:"-"`
+}
+
+// Summarize projects a measurement onto the job-result fields. SimMs
+// and Sim are the caller's to fill.
+func Summarize(res MixResult) CellResult {
+	out := CellResult{
+		Mix:        res.Mix.Name(),
+		Controller: res.Controller,
+		WS:         res.WS,
+		HS:         res.HS,
+		GM:         res.GM,
+		Unfairness: res.Unfairness,
+		Speedups:   res.Speedups,
+		Prefetches: res.Result.TotalPrefetches(),
+	}
+	for _, cr := range res.Result.Cores {
+		out.IPC = append(out.IPC, cr.IPC)
+		out.L2MPKI = append(out.L2MPKI, cr.L2MPKI())
+	}
+	return out
+}
+
 // Runner executes experiments at a given scale, caching single-core
-// baselines and no-prefetch multicore profiles.
+// baselines, no-prefetch multicore profiles and RunCells results.
 type Runner struct {
 	Scale   Scale
 	Workers int
@@ -212,6 +309,7 @@ type Runner struct {
 	mu       sync.Mutex
 	baseline map[string]float64       // baseline|trace|cfgFingerprint -> alone no-L2-pref IPC
 	profiles map[string][]float64     // profile|mixKey|cfgFingerprint -> S^MP per core
+	cells    map[string]CellResult    // cell|controller|mix|step|cfgFingerprint -> RunCells result
 	inflight map[string]chan struct{} // singleflight: closed when the keyed computation ends
 }
 
@@ -222,6 +320,7 @@ func NewRunner(scale Scale) *Runner {
 		Workers:  runtime.GOMAXPROCS(0),
 		baseline: make(map[string]float64),
 		profiles: make(map[string][]float64),
+		cells:    make(map[string]CellResult),
 		inflight: make(map[string]chan struct{}),
 	}
 }

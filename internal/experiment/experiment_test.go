@@ -135,8 +135,11 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestMeanHelpers(t *testing.T) {
-	rs := []MixResult{{WS: 1, HS: 0.4, Unfairness: 2}, {WS: 3, HS: 0.6, Unfairness: 4}}
-	if MeanWS(rs) != 2 || MeanHS(rs) != 0.5 || MeanUnfairness(rs) != 3 {
+	if MeanWS([]MixResult{{WS: 1}, {WS: 3}}) != 2 {
+		t.Error("MeanWS wrong")
+	}
+	rs := []CellResult{{WS: 1, HS: 0.4, Unfairness: 2}, {WS: 3, HS: 0.6, Unfairness: 4}}
+	if mean(rs, cellWS) != 2 || mean(rs, cellHS) != 0.5 || mean(rs, cellUnfairness) != 3 {
 		t.Error("mean helpers wrong")
 	}
 	if MeanWS(nil) != 0 {
@@ -163,8 +166,7 @@ func TestFig15bSmall(t *testing.T) {
 }
 
 func TestSingleMixesInterleaveClasses(t *testing.T) {
-	r := NewRunner(Scale{MixCount: 4, Seed: 7})
-	mixes := r.singleMixes()
+	mixes := Scale{MixCount: 4, Seed: 7}.singleMixes()
 	if len(mixes) != 4 {
 		t.Fatalf("got %d single mixes", len(mixes))
 	}

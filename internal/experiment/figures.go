@@ -10,51 +10,6 @@ import (
 	"micromama/internal/workload"
 )
 
-// singleMixes builds one-core "mixes", one per sensitive trace, capped
-// at the scale's mix count. Traces are taken round-robin across suite
-// classes so a small cap still samples diverse behaviours.
-func (r *Runner) singleMixes() []workload.Mix {
-	byClass := map[workload.Class][]workload.Spec{}
-	var order []workload.Class
-	for _, sp := range workload.Sensitive() {
-		if _, ok := byClass[sp.Class]; !ok {
-			order = append(order, sp.Class)
-		}
-		byClass[sp.Class] = append(byClass[sp.Class], sp)
-	}
-	var specs []workload.Spec
-	for len(specs) < len(workload.Sensitive()) {
-		progressed := false
-		for _, c := range order {
-			if len(byClass[c]) > 0 {
-				specs = append(specs, byClass[c][0])
-				byClass[c] = byClass[c][1:]
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
-	n := len(specs)
-	if r.Scale.MixCount < n {
-		n = r.Scale.MixCount
-	}
-	mixes := make([]workload.Mix, n)
-	for i := 0; i < n; i++ {
-		mixes[i] = workload.Mix{ID: i, Specs: []workload.Spec{specs[i]}}
-	}
-	return mixes
-}
-
-// mixesFor samples the scale's mixes for a core count.
-func (r *Runner) mixesFor(cores int) []workload.Mix {
-	if cores == 1 {
-		return r.singleMixes()
-	}
-	return workload.Mixes(cores, r.Scale.MixCount, r.Scale.Seed)
-}
-
 // ThroughputReport reproduces Figure 9 (average WS of ip_stride, bingo,
 // pythia, and µMama normalized to Bandit at 1/4/8 cores) plus the §6.1
 // side statistics (prefetch-traffic reduction and per-core
@@ -73,48 +28,48 @@ type ThroughputReport struct {
 	MoreAggressive map[int]float64
 }
 
-// Fig9Throughput runs the throughput comparison.
-func (r *Runner) Fig9Throughput(coreCounts []int) (*ThroughputReport, error) {
-	rep := &ThroughputReport{
-		CoreCounts:        coreCounts,
-		Controllers:       []string{"ip_stride", "bingo", "pythia", "mumama"},
-		NormWS:            map[int]map[string]float64{},
-		PrefetchReduction: map[int]float64{},
-		MoreAggressive:    map[int]float64{},
-	}
-	for _, n := range coreCounts {
-		cfg := sim.DefaultConfig(n)
-		mixes := r.mixesFor(n)
-		banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
-		if err != nil {
-			return nil, err
-		}
-		banditWS := MeanWS(banditRes)
-		rep.NormWS[n] = map[string]float64{"bandit": 0}
-		for _, key := range rep.Controllers {
-			rs, err := r.RunMixes(mixes, cfg, key, Options{})
-			if err != nil {
-				return nil, err
+// fig9 is the throughput comparison at 1/4/8 cores.
+func fig9() Figure {
+	coreCounts := []int{1, 4, 8}
+	controllers := []string{"ip_stride", "bingo", "pythia", "mumama"}
+	return armFigure("fig9", defaultArms(coreCounts, append([]string{"bandit"}, controllers...)...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			rep := &ThroughputReport{
+				CoreCounts:        coreCounts,
+				Controllers:       controllers,
+				NormWS:            map[int]map[string]float64{},
+				PrefetchReduction: map[int]float64{},
+				MoreAggressive:    map[int]float64{},
 			}
-			rep.NormWS[n][key] = ratioPct(MeanWS(rs), banditWS)
-			if key == "mumama" {
+			for _, n := range coreCounts {
+				bandit := byArm[arm{cores: n, controller: "bandit"}]
+				banditWS := mean(bandit, cellWS)
+				rep.NormWS[n] = map[string]float64{"bandit": 0}
+				for _, key := range controllers {
+					rep.NormWS[n][key] = ratioPct(mean(byArm[arm{cores: n, controller: key}], cellWS), banditWS)
+				}
+				mama := byArm[arm{cores: n, controller: "mumama"}]
+				// Every result of an Executor carries Sim (RunCells) or none
+				// does (the wire); without it String notes the missing lines.
+				if len(mama) == 0 || mama[0].Sim == nil || bandit[0].Sim == nil {
+					continue
+				}
 				var bPF, mPF uint64
 				var moreAgg float64
-				for i := range rs {
-					bPF += banditRes[i].Result.TotalL2Prefetches()
-					mPF += rs[i].Result.TotalL2Prefetches()
-					for c := range rs[i].Result.Cores {
-						if rs[i].Result.Cores[c].L2PrefIssued > banditRes[i].Result.Cores[c].L2PrefIssued {
+				for i := range mama {
+					bPF += bandit[i].Sim.TotalL2Prefetches()
+					mPF += mama[i].Sim.TotalL2Prefetches()
+					for c := range mama[i].Sim.Cores {
+						if mama[i].Sim.Cores[c].L2PrefIssued > bandit[i].Sim.Cores[c].L2PrefIssued {
 							moreAgg++
 						}
 					}
 				}
 				rep.PrefetchReduction[n] = ratioPct(float64(mPF), float64(bPF))
-				rep.MoreAggressive[n] = moreAgg / float64(len(rs))
+				rep.MoreAggressive[n] = moreAgg / float64(len(mama))
 			}
-		}
-	}
-	return rep, nil
+			return rep
+		})
 }
 
 // String renders the report.
@@ -131,12 +86,20 @@ func (t *ThroughputReport) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 9: average Weighted Speedup normalized to Bandit\n")
 	b.WriteString(table(headers, rows))
+	omitted := false
 	for _, n := range t.CoreCounts {
 		if n == 1 {
 			continue
 		}
+		if _, ok := t.PrefetchReduction[n]; !ok {
+			omitted = true
+			continue
+		}
 		fmt.Fprintf(&b, "§6.1 (%d cores): µMama L2-prefetch traffic vs Bandit: %s; cores more aggressive under µMama: %.1f\n",
 			n, pct(t.PrefetchReduction[n]), t.MoreAggressive[n])
+	}
+	if omitted {
+		b.WriteString("§6.1 traffic lines omitted: a job result that crossed the wire carries no per-core L2-prefetch counts\n")
 	}
 	return b.String()
 }
@@ -152,39 +115,32 @@ type PerWorkloadReport struct {
 	Average    float64
 }
 
-// FigPerWorkload computes per-mix normalized speedups. metricHS selects
-// harmonic speedup (Figures 10c/d) instead of weighted (10a/b, 16).
-func (r *Runner) FigPerWorkload(cores int, key string, metricHS bool) (*PerWorkloadReport, error) {
-	cfg := sim.DefaultConfig(cores)
-	mixes := r.mixesFor(cores)
-	banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
-	if err != nil {
-		return nil, err
-	}
-	rs, err := r.RunMixes(mixes, cfg, key, Options{})
-	if err != nil {
-		return nil, err
-	}
-	rep := &PerWorkloadReport{Cores: cores, Controller: key, MetricName: "WS"}
-	if metricHS {
-		rep.MetricName = "HS"
-	}
-	var sum float64
-	for i := range rs {
-		a, b := rs[i].WS, banditRes[i].WS
-		if metricHS {
-			a, b = rs[i].HS, banditRes[i].HS
-		}
-		ratio := 0.0
-		if b > 0 {
-			ratio = a / b
-		}
-		rep.Ratios = append(rep.Ratios, ratio)
-		rep.MixNames = append(rep.MixNames, mixes[i].Name())
-		sum += ratio
-	}
-	rep.Average = sum/float64(len(rs)) - 1
-	return rep, nil
+// perWorkload is the per-mix speedup of one µMama variant normalized
+// to Bandit. metricHS selects harmonic speedup (Figures 10c/d) instead
+// of weighted (10a/b, 16).
+func perWorkload(id string, cores int, key string, metricHS bool) Figure {
+	return armFigure(id, defaultArms([]int{cores}, "bandit", key),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			bandit := byArm[arm{cores: cores, controller: "bandit"}]
+			rs := byArm[arm{cores: cores, controller: key}]
+			rep := &PerWorkloadReport{Cores: cores, Controller: key, MetricName: "WS"}
+			metric := cellWS
+			if metricHS {
+				rep.MetricName, metric = "HS", cellHS
+			}
+			var sum float64
+			for i := range rs {
+				ratio := 0.0
+				if metric(bandit[i]) > 0 {
+					ratio = metric(rs[i]) / metric(bandit[i])
+				}
+				rep.Ratios = append(rep.Ratios, ratio)
+				rep.MixNames = append(rep.MixNames, rs[i].Mix)
+				sum += ratio
+			}
+			rep.Average = sum/float64(len(rs)) - 1
+			return rep
+		})
 }
 
 // String renders the report.
@@ -234,36 +190,36 @@ func (r *Runner) Fig3PrefetchScaling(coreCounts []int) (*PrefetchScalingReport, 
 	totals := map[string][]float64{}
 	for _, n := range coreCounts {
 		cfg := sim.DefaultConfig(n)
-		mixes := r.mixesFor(n)
+		mixes := r.Scale.MixesFor(n)
 		for _, key := range rep.Controllers {
+			run := func(i int) (MixResult, error) { return r.RunMix(mixes[i], cfg, key, Options{}) }
+			// Bandit runs with retained controllers, to collect the
+			// policy-level aggressiveness alongside the counts.
+			var bandits []*core.Bandit
 			if key == "bandit" {
-				// Run with retained controllers to collect the
-				// policy-level aggressiveness alongside the counts.
-				var pf, degSum float64
-				for _, mix := range mixes {
+				bandits = make([]*core.Bandit, len(mixes))
+				run = func(i int) (MixResult, error) {
 					bc := core.DefaultBanditConfig()
 					bc.Step = r.Scale.Step
-					ctrl := core.NewBandit(bc)
-					res, err := r.RunMixWith(mix, cfg, ctrl)
-					if err != nil {
-						return nil, err
-					}
-					pf += float64(res.Result.TotalPrefetches())
-					degSum += ctrl.MeanChosenDegree()
+					bandits[i] = core.NewBandit(bc)
+					return r.RunMixWith(mixes[i], cfg, bandits[i])
 				}
-				totals[key] = append(totals[key], pf/float64(len(mixes)))
-				rep.BanditMeanDegree = append(rep.BanditMeanDegree, degSum/float64(len(mixes)))
-				continue
 			}
-			rs, err := r.RunMixes(mixes, cfg, key, Options{})
+			rs, err := r.runMixes(mixes, cfg, run)
 			if err != nil {
 				return nil, err
 			}
-			var pf float64
-			for _, x := range rs {
+			var pf, degSum float64
+			for i, x := range rs {
 				pf += float64(x.Result.TotalPrefetches())
+				if bandits != nil {
+					degSum += bandits[i].MeanChosenDegree()
+				}
 			}
 			totals[key] = append(totals[key], pf/float64(len(rs)))
+			if bandits != nil {
+				rep.BanditMeanDegree = append(rep.BanditMeanDegree, degSum/float64(len(rs)))
+			}
 		}
 	}
 	for _, key := range rep.Controllers {
@@ -317,46 +273,48 @@ type BandwidthPoint struct {
 // BandwidthReport reproduces Figure 11.
 type BandwidthReport struct{ Points []BandwidthPoint }
 
-// Fig11Bandwidth sweeps memory configurations (DDR4-1866/2400 × 1/2
-// channels) for µMama and Pythia at the given core counts.
-func (r *Runner) Fig11Bandwidth(coreCounts []int, drams []sim.Config) (*BandwidthReport, error) {
-	rep := &BandwidthReport{}
-	for _, base := range drams {
+// fig11 sweeps memory configurations (DDR4-1866/2400 × 1/2 channels)
+// for µMama and Pythia at 4 and 8 cores.
+func fig11() Figure {
+	systems := [][2]int{{1866, 1}, {2400, 1}, {1866, 2}, {2400, 2}} // MT/s, channels
+	coreCounts := []int{4, 8}
+	var all []arm
+	for _, sys := range systems {
 		for _, n := range coreCounts {
-			cfg := base
-			cfg.Cores = n
-			mixes := r.mixesFor(n)
-			banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
-			if err != nil {
-				return nil, err
-			}
-			bws := MeanWS(banditRes)
-			for _, key := range []string{"mumama", "pythia"} {
-				rs, err := r.RunMixes(mixes, cfg, key, Options{})
-				if err != nil {
-					return nil, err
-				}
-				rep.Points = append(rep.Points, BandwidthPoint{
-					DRAMName:   cfg.DRAM.Name,
-					PeakGBps:   cfg.DRAM.PeakGBps(),
-					Cores:      n,
-					Controller: key,
-					NormWS:     ratioPct(MeanWS(rs), bws),
-				})
+			for _, key := range []string{"bandit", "mumama", "pythia"} {
+				all = append(all, arm{n, key, sys[0], sys[1]})
 			}
 		}
 	}
-	sort.Slice(rep.Points, func(i, j int) bool {
-		a, b := rep.Points[i], rep.Points[j]
-		if a.Controller != b.Controller {
-			return a.Controller < b.Controller
+	return armFigure("fig11", all, func(byArm map[arm][]CellResult) fmt.Stringer {
+		rep := &BandwidthReport{}
+		for _, sys := range systems {
+			d := SystemConfig(1, sys[0], sys[1]).DRAM
+			for _, n := range coreCounts {
+				bws := mean(byArm[arm{n, "bandit", sys[0], sys[1]}], cellWS)
+				for _, key := range []string{"mumama", "pythia"} {
+					rep.Points = append(rep.Points, BandwidthPoint{
+						DRAMName:   d.Name,
+						PeakGBps:   d.PeakGBps(),
+						Cores:      n,
+						Controller: key,
+						NormWS:     ratioPct(mean(byArm[arm{n, key, sys[0], sys[1]}], cellWS), bws),
+					})
+				}
+			}
 		}
-		if a.Cores != b.Cores {
-			return a.Cores < b.Cores
-		}
-		return a.PeakGBps < b.PeakGBps
+		sort.Slice(rep.Points, func(i, j int) bool {
+			a, b := rep.Points[i], rep.Points[j]
+			if a.Controller != b.Controller {
+				return a.Controller < b.Controller
+			}
+			if a.Cores != b.Cores {
+				return a.Cores < b.Cores
+			}
+			return a.PeakGBps < b.PeakGBps
+		})
+		return rep
 	})
-	return rep, nil
 }
 
 // String renders the report.
@@ -380,37 +338,30 @@ type FairnessReport struct {
 	NormHS      map[int]map[string]float64 // cores -> controller -> mean HS vs bandit
 }
 
-// Fig13Fairness runs the fairness comparison.
-func (r *Runner) Fig13Fairness(coreCounts []int) (*FairnessReport, error) {
-	rep := &FairnessReport{
-		CoreCounts:  coreCounts,
-		Controllers: []string{"no", "bandit", "bingo", "pythia", "mumama", "mumama-fair"},
-		Unfairness:  map[int]map[string]float64{},
-		NormHS:      map[int]map[string]float64{},
-	}
-	for _, n := range coreCounts {
-		cfg := sim.DefaultConfig(n)
-		mixes := r.mixesFor(n)
-		rep.Unfairness[n] = map[string]float64{}
-		rep.NormHS[n] = map[string]float64{}
-		var banditHS float64
-		results := map[string][]MixResult{}
-		for _, key := range rep.Controllers {
-			rs, err := r.RunMixes(mixes, cfg, key, Options{})
-			if err != nil {
-				return nil, err
+// fig13 is the fairness comparison at 4 and 8 cores.
+func fig13() Figure {
+	coreCounts := []int{4, 8}
+	controllers := []string{"no", "bandit", "bingo", "pythia", "mumama", "mumama-fair"}
+	return armFigure("fig13", defaultArms(coreCounts, controllers...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			rep := &FairnessReport{
+				CoreCounts:  coreCounts,
+				Controllers: controllers,
+				Unfairness:  map[int]map[string]float64{},
+				NormHS:      map[int]map[string]float64{},
 			}
-			results[key] = rs
-			if key == "bandit" {
-				banditHS = MeanHS(rs)
+			for _, n := range coreCounts {
+				rep.Unfairness[n] = map[string]float64{}
+				rep.NormHS[n] = map[string]float64{}
+				banditHS := mean(byArm[arm{cores: n, controller: "bandit"}], cellHS)
+				for _, key := range controllers {
+					rs := byArm[arm{cores: n, controller: key}]
+					rep.Unfairness[n][key] = mean(rs, cellUnfairness)
+					rep.NormHS[n][key] = ratioPct(mean(rs, cellHS), banditHS)
+				}
 			}
-		}
-		for _, key := range rep.Controllers {
-			rep.Unfairness[n][key] = MeanUnfairness(results[key])
-			rep.NormHS[n][key] = ratioPct(MeanHS(results[key]), banditHS)
-		}
-	}
-	return rep, nil
+			return rep
+		})
 }
 
 // String renders the report.
@@ -454,24 +405,23 @@ type FrontierReport struct {
 	Points []FrontierPoint
 }
 
-// Fig14Frontier runs the tradeoff study.
-func (r *Runner) Fig14Frontier(cores int) (*FrontierReport, error) {
-	cfg := sim.DefaultConfig(cores)
-	mixes := r.mixesFor(cores)
+// fig14 is the tradeoff study at 4 cores.
+func fig14() Figure {
+	const cores = 4
 	keys := []string{"mumama", "mumama-25", "mumama-50", "mumama-75", "mumama-fair", "mumama-gm", "pythia", "bingo", "bandit"}
-	rep := &FrontierReport{Cores: cores}
-	for _, key := range keys {
-		rs, err := r.RunMixes(mixes, cfg, key, Options{})
-		if err != nil {
-			return nil, err
-		}
-		rep.Points = append(rep.Points, FrontierPoint{
-			Controller: key,
-			WS:         MeanWS(rs),
-			Fairness:   1 - MeanUnfairness(rs),
+	return armFigure("fig14", defaultArms([]int{cores}, keys...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			rep := &FrontierReport{Cores: cores}
+			for _, key := range keys {
+				rs := byArm[arm{cores: cores, controller: key}]
+				rep.Points = append(rep.Points, FrontierPoint{
+					Controller: key,
+					WS:         mean(rs, cellWS),
+					Fairness:   1 - mean(rs, cellUnfairness),
+				})
+			}
+			return rep
 		})
-	}
-	return rep, nil
 }
 
 // String renders the report.
@@ -492,28 +442,19 @@ type AblationReport struct {
 	Order  []string
 }
 
-// Fig15aAblation runs the component breakdown.
-func (r *Runner) Fig15aAblation(cores int) (*AblationReport, error) {
-	cfg := sim.DefaultConfig(cores)
-	mixes := r.mixesFor(cores)
-	banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
-	if err != nil {
-		return nil, err
-	}
-	bws := MeanWS(banditRes)
-	rep := &AblationReport{
-		Cores:  cores,
-		NormWS: map[string]float64{},
-		Order:  []string{"mumama-grw-only", "mumama-jav-only", "mumama", "mumama-profiled"},
-	}
-	for _, key := range rep.Order {
-		rs, err := r.RunMixes(mixes, cfg, key, Options{})
-		if err != nil {
-			return nil, err
-		}
-		rep.NormWS[key] = ratioPct(MeanWS(rs), bws)
-	}
-	return rep, nil
+// fig15a is the component breakdown at 8 cores.
+func fig15a() Figure {
+	const cores = 8
+	order := []string{"mumama-grw-only", "mumama-jav-only", "mumama", "mumama-profiled"}
+	return armFigure("fig15a", defaultArms([]int{cores}, append([]string{"bandit"}, order...)...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			bws := mean(byArm[arm{cores: cores, controller: "bandit"}], cellWS)
+			rep := &AblationReport{Cores: cores, NormWS: map[string]float64{}, Order: order}
+			for _, key := range order {
+				rep.NormWS[key] = ratioPct(mean(byArm[arm{cores: cores, controller: key}], cellWS), bws)
+			}
+			return rep
+		})
 }
 
 // String renders the report.
@@ -541,7 +482,7 @@ type JAVSweepReport struct {
 // Fig15bJAVSweep runs the JAV-size sensitivity study.
 func (r *Runner) Fig15bJAVSweep(cores int, sizes []int) (*JAVSweepReport, error) {
 	cfg := sim.DefaultConfig(cores)
-	mixes := r.mixesFor(cores)
+	mixes := r.Scale.MixesFor(cores)
 	banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
 	if err != nil {
 		return nil, err

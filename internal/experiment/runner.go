@@ -3,10 +3,12 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"micromama/internal/metrics"
 	"micromama/internal/sim"
+	"micromama/internal/sweep"
 	"micromama/internal/workload"
 )
 
@@ -17,8 +19,7 @@ import (
 // published by compute itself (under r.mu, via the cached closure's
 // backing map); failed computations are not cached, so a later caller
 // retries with its own context.
-func (r *Runner) singleflight(ctx context.Context, key string, cached func() (any, bool), compute func() (any, error)) (any, error) {
-	hits, misses, merges := cacheCounters(key)
+func (r *Runner) singleflight(ctx context.Context, stats cacheStats, key string, cached func() (any, bool), compute func() (any, error)) (any, error) {
 	first := true
 	for {
 		r.mu.Lock()
@@ -27,14 +28,14 @@ func (r *Runner) singleflight(ctx context.Context, key string, cached func() (an
 			if first {
 				// Waiters already counted as merges; don't double-count
 				// their post-wait cache read.
-				hits.Inc()
+				stats.hits.Inc()
 			}
 			return v, nil
 		}
 		ch, inflight := r.inflight[key]
 		if inflight {
 			if first {
-				merges.Inc()
+				stats.merges.Inc()
 				first = false
 			}
 			r.mu.Unlock()
@@ -48,7 +49,7 @@ func (r *Runner) singleflight(ctx context.Context, key string, cached func() (an
 		ch = make(chan struct{})
 		r.inflight[key] = ch
 		r.mu.Unlock()
-		misses.Inc()
+		stats.misses.Inc()
 
 		v, err := compute()
 
@@ -81,7 +82,7 @@ func (r *Runner) BaselineIPCContext(ctx context.Context, spec workload.Spec, cfg
 	c := cfg
 	c.Cores = 1
 	key := "baseline|" + spec.Name + "|" + c.Fingerprint()
-	v, err := r.singleflight(ctx, key,
+	v, err := r.singleflight(ctx, baselineStats, key,
 		func() (any, bool) { v, ok := r.baseline[key]; return v, ok },
 		func() (any, error) {
 			mix := workload.Mix{Specs: []workload.Spec{spec}}
@@ -124,7 +125,7 @@ func (r *Runner) ProfilesContext(ctx context.Context, mix workload.Mix, cfg sim.
 	c := cfg
 	c.Cores = len(mix.Specs)
 	key := "profile|" + mix.Name() + "|" + c.Fingerprint()
-	v, err := r.singleflight(ctx, key,
+	v, err := r.singleflight(ctx, profileStats, key,
 		func() (any, bool) { v, ok := r.profiles[key]; return v, ok },
 		func() (any, error) {
 			sys, err := sim.New(c, mix.Traces(), sim.NoPrefetchController())
@@ -230,106 +231,205 @@ func (r *Runner) RunMixWithContext(ctx context.Context, mix workload.Mix, cfg si
 	}, nil
 }
 
-// MixesFor returns the scale's workload mixes for a core count (single
-// traces at 1 core, sampled mixes otherwise).
-func (r *Runner) MixesFor(cores int) []workload.Mix { return r.mixesFor(cores) }
-
-// RunMixes runs every mix under the named controller, in parallel
-// across r.Workers goroutines. Results are index-aligned with mixes.
-func (r *Runner) RunMixes(mixes []workload.Mix, cfg sim.Config, key string, opt Options) ([]MixResult, error) {
-	return r.RunMixesContext(r.baseCtx(), mixes, cfg, key, opt)
-}
-
-// RunMixesContext is RunMixes with cancellation: once ctx is done,
-// in-flight simulations stop at their next epoch boundary, queued mixes
-// are not started, and ctx's error is returned.
-func (r *Runner) RunMixesContext(ctx context.Context, mixes []workload.Mix, cfg sim.Config, key string, opt Options) ([]MixResult, error) {
-	// Warm the baseline cache first so the mix workers start from hits.
-	// Each distinct trace is a full single-core simulation, so the
-	// warming runs span the worker pool too; duplicate keys coalesce via
-	// the runner's singleflight.
-	seen := map[string]bool{}
-	var specs []workload.Spec
-	for _, m := range mixes {
-		for _, sp := range m.Specs {
-			if !seen[sp.Name] {
-				seen[sp.Name] = true
-				specs = append(specs, sp)
-			}
-		}
-	}
-	var wg sync.WaitGroup
+// forEach calls fn(0) … fn(n-1) on at most r.Workers goroutines and
+// returns the lowest-index error. Once ctx is done, calls not yet
+// started are skipped and report ctx's error.
+func (r *Runner) forEach(ctx context.Context, n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	sem := make(chan struct{}, max(1, r.Workers))
-	for _, sp := range specs {
-		wg.Add(1)
-		go func(sp workload.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			r.BaselineIPCContext(ctx, sp, cfg)
-		}(sp)
-	}
-	wg.Wait()
-
-	out := make([]MixResult, len(mixes))
-	errs := make([]error, len(mixes))
-	for i := range mixes {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				errs[i] = fn(i)
 			}
-			out[i], errs[i] = r.RunMixContext(ctx, mixes[i], cfg, key, opt)
 		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// warmBaselines fills the baseline cache for runs 0 … n-1 before their
+// mix workers start, so those start from hits. Each distinct (trace,
+// system) is a full single-core simulation, so the warming spans the
+// worker pool too. A failure is left for the run that needs the
+// baseline to report.
+func (r *Runner) warmBaselines(ctx context.Context, n int, run func(i int) (workload.Mix, sim.Config)) {
+	type job struct {
+		spec workload.Spec
+		cfg  sim.Config
+	}
+	seen := map[string]bool{}
+	var jobs []job
+	for i := 0; i < n; i++ {
+		mix, cfg := run(i)
+		cfg.Cores = 1
+		sys := cfg.Fingerprint()
+		for _, sp := range mix.Specs {
+			if k := sp.Name + "|" + sys; !seen[k] {
+				seen[k] = true
+				jobs = append(jobs, job{sp, cfg})
+			}
+		}
+	}
+	r.forEach(ctx, len(jobs), func(i int) error {
+		r.BaselineIPCContext(ctx, jobs[i].spec, jobs[i].cfg)
+		return nil
+	})
+}
+
+// RunMixes runs every mix under the named controller, in parallel
+// across r.Workers goroutines. Results are index-aligned with mixes.
+// Once the runner's base context is done, in-flight simulations stop at
+// their next epoch boundary, queued mixes are not started, and the
+// context's error is returned.
+func (r *Runner) RunMixes(mixes []workload.Mix, cfg sim.Config, key string, opt Options) ([]MixResult, error) {
+	return r.runMixes(mixes, cfg, func(i int) (MixResult, error) { return r.RunMix(mixes[i], cfg, key, opt) })
+}
+
+// runMixes warms the baselines of mixes on cfg, then calls run(i) for
+// every mix on the worker pool.
+func (r *Runner) runMixes(mixes []workload.Mix, cfg sim.Config, run func(i int) (MixResult, error)) ([]MixResult, error) {
+	ctx := r.baseCtx()
+	r.warmBaselines(ctx, len(mixes), func(i int) (workload.Mix, sim.Config) { return mixes[i], cfg })
+	out := make([]MixResult, len(mixes))
+	err := r.forEach(ctx, len(mixes), func(i int) (err error) {
+		out[i], err = run(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// cellPlan is a sweep cell resolved the way mamaserved resolves it.
+type cellPlan struct {
+	mix        workload.Mix
+	cfg        sim.Config
+	controller string
+	step       uint64
+}
+
+// planCell resolves a cell with the two helpers mamaserved's resolver
+// uses (ScaleByName, SystemConfig), so a cell names the same
+// simulation on both sides of the Executor seam.
+func (r *Runner) planCell(c sweep.Cell) (cellPlan, error) {
+	name := c.Scale
+	if name == "" {
+		name = "default"
+	}
+	scale, err := ScaleByName(name)
+	if err != nil {
+		return cellPlan{}, err
+	}
+	if c.Target > 0 {
+		scale.Target = c.Target
+	}
+	if c.Step > 0 {
+		scale.Step = c.Step
+	}
+	if scale.Target != r.Scale.Target || scale.MaxCyclesFactor != r.Scale.MaxCyclesFactor {
+		// The baseline memo is not keyed by budget: one Runner, one budget.
+		return cellPlan{}, fmt.Errorf("cell runs %d instructions/core (cycle guard ×%d); this runner simulates %d (×%d)",
+			scale.Target, scale.MaxCyclesFactor, r.Scale.Target, r.Scale.MaxCyclesFactor)
+	}
+	if err := CheckController(c.Controller); err != nil {
+		return cellPlan{}, err
+	}
+	if len(c.Mix) == 0 {
+		return cellPlan{}, fmt.Errorf("mix must name at least one trace")
+	}
+	specs := make([]workload.Spec, len(c.Mix))
+	for i, trace := range c.Mix {
+		sp, err := workload.ByName(trace)
+		if err != nil {
+			return cellPlan{}, err
+		}
+		specs[i] = sp
+	}
+	return cellPlan{
+		mix:        workload.Mix{ID: int(c.Seed), Specs: specs},
+		cfg:        SystemConfig(len(specs), c.DRAMMTps, c.DRAMChannels),
+		controller: c.Controller,
+		step:       scale.Step,
+	}, nil
+}
+
+// RunCells is the in-process Executor: every cell simulated on the
+// worker pool after one baseline warm-up, results index-aligned with
+// cells, the first failed cell failing the call. A Runner never
+// simulates the same cell twice — figures that share a column (every
+// one of them normalises to Bandit) share its results — so results
+// must be treated as read-only.
+func (r *Runner) RunCells(ctx context.Context, cells []sweep.Cell) ([]CellResult, error) {
+	plans := make([]cellPlan, len(cells))
+	for i, c := range cells {
+		var err error
+		if plans[i], err = r.planCell(c); err != nil {
+			return nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+	}
+	r.warmBaselines(ctx, len(plans), func(i int) (workload.Mix, sim.Config) { return plans[i].mix, plans[i].cfg })
+	out := make([]CellResult, len(cells))
+	err := r.forEach(ctx, len(plans), func(i int) (err error) {
+		if out[i], err = r.runCell(ctx, plans[i]); err != nil {
+			err = fmt.Errorf("cell %d [%s %s]: %w", i, strings.Join(cells[i].Mix, ","), cells[i].Controller, err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runCell simulates one resolved cell, or returns what this Runner
+// measured for it before.
+func (r *Runner) runCell(ctx context.Context, p cellPlan) (CellResult, error) {
+	key := fmt.Sprintf("cell|%s|%s|%d|%s", p.controller, p.mix.Name(), p.step, p.cfg.Fingerprint())
+	v, err := r.singleflight(ctx, cellStats, key,
+		func() (any, bool) { v, ok := r.cells[key]; return v, ok },
+		func() (any, error) {
+			res, err := r.RunMixContext(ctx, p.mix, p.cfg, p.controller, Options{Step: p.step})
+			if err != nil {
+				return CellResult{}, err
+			}
+			out := Summarize(res)
+			out.Sim = &res.Result
+			r.mu.Lock()
+			r.cells[key] = out
+			r.mu.Unlock()
+			return out, nil
+		})
+	if err != nil {
+		return CellResult{}, err
+	}
+	return v.(CellResult), nil
+}
+
+// mean averages f over xs (0 for none).
+func mean[T any](xs []T, f func(T) float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var t float64
+	for _, x := range xs {
+		t += f(x)
+	}
+	return t / float64(len(xs))
+}
+
 // MeanWS returns the average Weighted Speedup across results.
 func MeanWS(rs []MixResult) float64 {
-	if len(rs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, r := range rs {
-		t += r.WS
-	}
-	return t / float64(len(rs))
-}
-
-// MeanHS returns the average Harmonic-mean Speedup across results.
-func MeanHS(rs []MixResult) float64 {
-	if len(rs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, r := range rs {
-		t += r.HS
-	}
-	return t / float64(len(rs))
-}
-
-// MeanUnfairness returns the average Unfairness across results.
-func MeanUnfairness(rs []MixResult) float64 {
-	if len(rs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, r := range rs {
-		t += r.Unfairness
-	}
-	return t / float64(len(rs))
+	return mean(rs, func(r MixResult) float64 { return r.WS })
 }

@@ -1,41 +1,23 @@
 package experiment
 
-import (
-	"strings"
+import "micromama/internal/telemetry"
 
-	"micromama/internal/telemetry"
-)
+// cacheStats is one Runner cache's counter trio.
+type cacheStats struct{ hits, misses, merges *telemetry.Counter }
 
-// Baseline-IPC and S^MP-profile cache telemetry, shared by every Runner
-// in the process (mamaserved keeps one Runner per scale; the cache
-// counters aggregate across them).
-var (
-	expBaselineHits = telemetry.Default().Counter("mama_experiment_cache_hits_total",
-		"Runner cache lookups served without simulating, by cache.",
-		telemetry.L("cache", "baseline"))
-	expProfileHits = telemetry.Default().Counter("mama_experiment_cache_hits_total",
-		"Runner cache lookups served without simulating, by cache.",
-		telemetry.L("cache", "profile"))
-	expBaselineMisses = telemetry.Default().Counter("mama_experiment_cache_misses_total",
-		"Runner cache computations actually executed, by cache.",
-		telemetry.L("cache", "baseline"))
-	expProfileMisses = telemetry.Default().Counter("mama_experiment_cache_misses_total",
-		"Runner cache computations actually executed, by cache.",
-		telemetry.L("cache", "profile"))
-	expBaselineMerges = telemetry.Default().Counter("mama_experiment_singleflight_merges_total",
-		"Concurrent callers coalesced onto an in-flight computation, by cache.",
-		telemetry.L("cache", "baseline"))
-	expProfileMerges = telemetry.Default().Counter("mama_experiment_singleflight_merges_total",
-		"Concurrent callers coalesced onto an in-flight computation, by cache.",
-		telemetry.L("cache", "profile"))
-)
-
-// cacheCounters resolves the counter trio for a singleflight key; keys
-// are "baseline|..." or "profile|..." (see BaselineIPCContext and
-// ProfilesContext).
-func cacheCounters(key string) (hits, misses, merges *telemetry.Counter) {
-	if strings.HasPrefix(key, "profile|") {
-		return expProfileHits, expProfileMisses, expProfileMerges
+func newCacheStats(cache string) cacheStats {
+	l := telemetry.L("cache", cache)
+	return cacheStats{
+		hits: telemetry.Default().Counter("mama_experiment_cache_hits_total",
+			"Runner cache lookups served without simulating, by cache.", l),
+		misses: telemetry.Default().Counter("mama_experiment_cache_misses_total",
+			"Runner cache computations actually executed, by cache.", l),
+		merges: telemetry.Default().Counter("mama_experiment_singleflight_merges_total",
+			"Concurrent callers coalesced onto an in-flight computation, by cache.", l),
 	}
-	return expBaselineHits, expBaselineMisses, expBaselineMerges
 }
+
+// Baseline-IPC, S^MP-profile and RunCells-result cache telemetry,
+// shared by every Runner in the process (mamaserved keeps one Runner
+// per scale; the cache counters aggregate across them).
+var baselineStats, profileStats, cellStats = newCacheStats("baseline"), newCacheStats("profile"), newCacheStats("cell")

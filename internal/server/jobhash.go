@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"micromama/internal/dram"
 	"micromama/internal/experiment"
 	"micromama/internal/sim"
 )
@@ -80,16 +79,7 @@ func (m *configMemo) resolve(cores, mtps, channels int) (*resolvedConfig, error)
 	if rc, ok := m.m[shape]; ok {
 		return rc, nil
 	}
-	rc := &resolvedConfig{cfg: sim.DefaultConfig(cores)}
-	if mtps > 0 || channels > 0 {
-		if mtps <= 0 {
-			mtps = 2400
-		}
-		if channels <= 0 {
-			channels = 1
-		}
-		rc.cfg.DRAM = dram.DDR4(mtps, channels)
-	}
+	rc := &resolvedConfig{cfg: experiment.SystemConfig(cores, mtps, channels)}
 	b, err := json.Marshal(rc.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("canonical config encoding: %w", err)

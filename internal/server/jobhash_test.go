@@ -108,6 +108,37 @@ func TestJobKeyPinned(t *testing.T) {
 	}
 }
 
+// TestJobResultBytesPinned: a job result's JSON is what every cache
+// file holds, what peers exchange and what clients parse, and the type
+// is now an alias of experiment.CellResult — so a field added, renamed,
+// reordered or given omitempty over there would move it. The literals
+// were produced by the commit before the alias; Sim, the one field
+// added since, must never reach the wire.
+func TestJobResultBytesPinned(t *testing.T) {
+	full := JobResult{
+		Mix: "mix07{spec06.libquantum,spec06.mcf}", Controller: "mumama",
+		WS: 1.625, HS: 0.75, GM: 0.8125, Unfairness: 1.5,
+		Speedups: []float64{0.5, 1.125}, IPC: []float64{0.25, 1.5}, L2MPKI: []float64{12.5, 0},
+		Prefetches: 4242, SimMs: 31,
+		Sim: &sim.Result{Controller: "mumama"},
+	}
+	for _, tc := range []struct {
+		res  JobResult
+		want string
+	}{
+		{full, `{"mix":"mix07{spec06.libquantum,spec06.mcf}","controller":"mumama","ws":1.625,"hs":0.75,"gm":0.8125,"unfairness":1.5,"speedups":[0.5,1.125],"ipc":[0.25,1.5],"l2_mpki":[12.5,0],"prefetches":4242,"sim_ms":31}`},
+		{JobResult{}, `{"mix":"","controller":"","ws":0,"hs":0,"gm":0,"unfairness":0,"speedups":null,"ipc":null,"l2_mpki":null,"prefetches":0,"sim_ms":0}`},
+	} {
+		got, err := json.Marshal(tc.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("job result encodes as\n%s\nwant\n%s", got, tc.want)
+		}
+	}
+}
+
 // canonicalKey is the key's definition: SHA-256 of the whole canonical
 // struct through one json.Marshal. It is what jobKey was before it
 // streamed memoised config bytes into the hash, and what it must equal
@@ -145,7 +176,7 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 			}
 			for _, scaleName := range []string{"tiny", "small", "default", "full"} {
 				for _, over := range [][2]uint64{{0, 0}, {100_000, 0}, {0, 75}, {123_456_789, 1}} {
-					scale, _ := scaleByName(scaleName)
+					scale, _ := experiment.ScaleByName(scaleName)
 					if over[0] > 0 {
 						scale.Target = over[0]
 					}

@@ -320,7 +320,7 @@ func (s *Server) resolve(spec JobSpec) (plan, error) {
 	if err := spec.validate(s.cfg.MaxCores); err != nil {
 		return plan{}, err
 	}
-	scale, _ := scaleByName(spec.Scale)
+	scale, _ := experiment.ScaleByName(spec.Scale)
 	if spec.Target > 0 {
 		scale.Target = spec.Target
 	}
@@ -392,21 +392,8 @@ func (s *Server) simulate(ctx context.Context, spec JobSpec) (JobResult, error) 
 	s.log.Debug("simulation finished",
 		"req", telemetry.RequestID(ctx), "job", p.id,
 		"ms", time.Since(start).Milliseconds(), "ws", res.WS)
-	out := JobResult{
-		Mix:        p.mix.Name(),
-		Controller: res.Controller,
-		WS:         res.WS,
-		HS:         res.HS,
-		GM:         res.GM,
-		Unfairness: res.Unfairness,
-		Speedups:   res.Speedups,
-		Prefetches: res.Result.TotalPrefetches(),
-		SimMs:      time.Since(start).Milliseconds(),
-	}
-	for _, cr := range res.Result.Cores {
-		out.IPC = append(out.IPC, cr.IPC)
-		out.L2MPKI = append(out.L2MPKI, cr.L2MPKI())
-	}
+	out := experiment.Summarize(res)
+	out.SimMs = time.Since(start).Milliseconds()
 	return out, nil
 }
 
@@ -824,7 +811,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 		Scales      []string       `json:"scales"`
 	}{
 		Controllers: experiment.ControllerKeys,
-		Scales:      []string{"tiny", "small", "default", "full"},
+		Scales:      experiment.ScaleNames(),
 	}
 	for _, sp := range specs {
 		out.Traces = append(out.Traces, catalogEntry{

@@ -61,21 +61,6 @@ func (s *JobSpec) normalize() {
 	s.Mix = mix
 }
 
-// scaleByName maps API scale names to experiment scales.
-func scaleByName(name string) (experiment.Scale, bool) {
-	switch name {
-	case "tiny":
-		return experiment.ScaleTiny, true
-	case "small":
-		return experiment.ScaleSmall, true
-	case "default":
-		return experiment.ScaleDefault, true
-	case "full":
-		return experiment.ScaleFull, true
-	}
-	return experiment.Scale{}, false
-}
-
 // validate checks the spec against the catalog and controller registry.
 func (s *JobSpec) validate(maxCores int) error {
 	if len(s.Mix) == 0 {
@@ -92,21 +77,13 @@ func (s *JobSpec) validate(maxCores int) error {
 	if s.Controller == "" {
 		return fmt.Errorf("controller is required")
 	}
-	found := false
-	for _, k := range experiment.ControllerKeys {
-		if k == s.Controller {
-			found = true
-			break
-		}
+	// The error names the known set so tournament clients can
+	// self-correct without a second round trip to /v1/catalog.
+	if err := experiment.CheckController(s.Controller); err != nil {
+		return err
 	}
-	if !found {
-		// Name the known set so tournament clients can self-correct
-		// without a second round trip to /v1/catalog.
-		return fmt.Errorf("unknown controller %q (known: %s)",
-			s.Controller, strings.Join(experiment.ControllerKeys, ", "))
-	}
-	if _, ok := scaleByName(s.Scale); !ok {
-		return fmt.Errorf("unknown scale %q (tiny|small|default|full)", s.Scale)
+	if _, err := experiment.ScaleByName(s.Scale); err != nil {
+		return err
 	}
 	if s.TimeoutMs < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0")
@@ -124,21 +101,12 @@ const (
 	StatusFailed  JobStatus = "failed"
 )
 
-// JobResult is the metrics payload of a finished job.
-type JobResult struct {
-	Mix        string    `json:"mix"`
-	Controller string    `json:"controller"`
-	WS         float64   `json:"ws"`
-	HS         float64   `json:"hs"`
-	GM         float64   `json:"gm"`
-	Unfairness float64   `json:"unfairness"`
-	Speedups   []float64 `json:"speedups"`
-	IPC        []float64 `json:"ipc"`
-	L2MPKI     []float64 `json:"l2_mpki"`
-	Prefetches uint64    `json:"prefetches"`
-	// SimMs is the wall-clock simulation time; 0 for cache hits.
-	SimMs int64 `json:"sim_ms"`
-}
+// JobResult is the metrics payload of a finished job: the experiment
+// package's one projection of a measurement, so a figure's reducer
+// reads the same value whether its cells ran in-process or here. Its
+// Sim pointer stays nil on this side of the wire (simulate never sets
+// it), so the result cache retains the encoded fields and nothing else.
+type JobResult = experiment.CellResult
 
 // JobView is the API representation of a job.
 type JobView struct {

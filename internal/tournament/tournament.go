@@ -1,29 +1,28 @@
 // Package tournament races every prefetch-coordination family in the
 // repo head-to-head over the workload catalog and ranks them. A
-// tournament is just a deterministic sweep: (controllers × core counts
-// × seed replicas × sampled mixes) expands to the exact cells the sweep
-// API schedules, so running one against a warm mamaserved answers
-// entirely from the content-addressed result cache. Aggregation
-// produces WS/HS/GM/fairness leaderboards plus a per-pair win/loss
-// matrix on per-cell weighted speedup, and renders via internal/plot —
-// the ROADMAP's "Fig-9/10-style wins against new baselines" table.
+// tournament is an experiment.Figure like the paper's: (controllers ×
+// core counts × seed replicas × sampled mixes) expands to sweep cells,
+// any experiment.Executor turns them into results — so running one
+// against a warm mamaserved answers entirely from the content-addressed
+// result cache — and Aggregate reduces those to WS/HS/GM/fairness
+// leaderboards plus a per-pair win/loss matrix on per-cell weighted
+// speedup, rendered via internal/plot: the ROADMAP's "Fig-9/10-style
+// wins against new baselines" table.
 package tournament
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"micromama/internal/experiment"
 	"micromama/internal/plot"
-	"micromama/internal/sim"
 	"micromama/internal/sweep"
 	"micromama/internal/workload"
 )
 
-// Spec describes a tournament. The zero value is unusable; fill
-// Controllers and use a named scale.
+// Spec describes a tournament. The zero value is unusable; fill every
+// field.
 type Spec struct {
 	// Controllers are the experiment controller keys racing each other.
 	Controllers []string
@@ -31,59 +30,21 @@ type Spec struct {
 	// mixes from the catalog).
 	CoreCounts []int
 	// Seeds is the number of seed replicas: replica i samples mixes
-	// with Scale.Seed+i, so Seeds>1 widens the sample without
+	// with the scale's seed + i, so Seeds>1 widens the sample without
 	// re-running identical cells.
 	Seeds int
-	// ScaleName and Scale set the per-cell simulation budget.
-	ScaleName string
-	Scale     experiment.Scale
-	// Target/Step override the scale's per-cell budget (0 = keep).
-	Target uint64
-	Step   uint64
-}
-
-// CellMeta locates one expanded cell in the tournament's aggregation
-// space. Group() identifies the arena (everything but the controller):
-// cells in the same group raced the same workload under the same
-// conditions and are comparable pairwise.
-type CellMeta struct {
-	Cores      int
-	SeedIdx    int
-	Controller string
-	Mix        string
-}
-
-// Group returns the arena key shared by all controllers racing this
-// cell's workload.
-func (m CellMeta) Group() string {
-	return fmt.Sprintf("%dc/s%d/%s", m.Cores, m.SeedIdx, m.Mix)
-}
-
-// CellResult is the per-cell metric slice the aggregation consumes —
-// the same fields whether the cells ran locally or came back from a
-// sweep stream.
-type CellResult struct {
-	WS         float64 `json:"ws"`
-	HS         float64 `json:"hs"`
-	GM         float64 `json:"gm"`
-	Unfairness float64 `json:"unfairness"`
 }
 
 // Validate checks the spec against the controller registry, mirroring
 // the server-side 400: an unknown controller fails fast with the known
 // set instead of failing mid-sweep.
-func (s *Spec) Validate() error {
+func (s Spec) Validate() error {
 	if len(s.Controllers) == 0 {
 		return fmt.Errorf("tournament: no controllers")
 	}
-	known := map[string]bool{}
-	for _, k := range experiment.ControllerKeys {
-		known[k] = true
-	}
 	for _, c := range s.Controllers {
-		if !known[c] {
-			return fmt.Errorf("tournament: unknown controller %q (known: %s)",
-				c, strings.Join(experiment.ControllerKeys, ", "))
+		if err := experiment.CheckController(c); err != nil {
+			return fmt.Errorf("tournament: %w", err)
 		}
 	}
 	if len(s.CoreCounts) == 0 {
@@ -95,56 +56,50 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Cells expands the tournament deterministically into sweep cells and
-// their aggregation metadata, in a fixed nesting order (cores → seed
-// replica → controller → mix). The same spec always yields the same
-// cells in the same order, which is what makes a warm resubmission a
-// pure cache read.
-func (s *Spec) Cells() ([]sweep.Cell, []CellMeta, error) {
+// Figure is the tournament as cells plus a reducer, for any Executor.
+func (s Spec) Figure() experiment.Figure {
+	return experiment.Figure{
+		ID:    "tournament",
+		Cells: s.Cells,
+		Reduce: func(cells []sweep.Cell, results []experiment.CellResult) fmt.Stringer {
+			return s.Aggregate(cells, results)
+		},
+	}
+}
+
+// Cells expands the tournament deterministically into sweep cells at a
+// named scale, in a fixed nesting order (cores → seed replica →
+// controller → mix). target and step, when non-zero, override the
+// scale's per-cell budget. The same spec always yields the same cells
+// in the same order, which is what makes a warm resubmission a pure
+// cache read.
+func (s Spec) Cells(scale string, target, step uint64) ([]sweep.Cell, error) {
 	if err := s.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	sc, err := experiment.ScaleByName(scale)
+	if err != nil {
+		return nil, fmt.Errorf("tournament: %w", err)
 	}
 	var cells []sweep.Cell
-	var metas []CellMeta
 	for _, cores := range s.CoreCounts {
 		for seedIdx := 0; seedIdx < s.Seeds; seedIdx++ {
-			mixes := workload.Mixes(cores, s.Scale.MixCount, s.Scale.Seed+uint64(seedIdx))
+			mixes := workload.Mixes(cores, sc.MixCount, sc.Seed+uint64(seedIdx))
 			for _, key := range s.Controllers {
 				for _, mix := range mixes {
-					names := make([]string, len(mix.Specs))
-					for i, sp := range mix.Specs {
-						names[i] = sp.Name
-					}
-					cells = append(cells, sweep.Cell{
-						Mix:        names,
-						Controller: key,
-						Scale:      s.ScaleName,
-						Seed:       uint64(mix.ID),
-						Target:     s.Target,
-						Step:       s.Step,
-					})
-					metas = append(metas, CellMeta{
-						Cores:      cores,
-						SeedIdx:    seedIdx,
-						Controller: key,
-						Mix:        strings.Join(names, "+"),
-					})
+					cells = append(cells, experiment.CellFor(mix, key, scale, target, step))
 				}
 			}
 		}
 	}
-	return cells, metas, nil
+	return cells, nil
 }
 
-// SweepSpec wraps the expanded cells as a named sweep for the remote
-// path.
-func (s *Spec) SweepSpec() (sweep.Spec, []CellMeta, error) {
-	cells, metas, err := s.Cells()
-	if err != nil {
-		return sweep.Spec{}, nil, err
-	}
-	name := fmt.Sprintf("tournament-%s-%dx%d", s.ScaleName, len(s.Controllers), s.Seeds)
-	return sweep.Spec{Name: name, Cells: cells}, metas, nil
+// arena identifies the race a cell ran in: everything but the
+// controller. Cells in the same arena raced the same workload under
+// the same conditions and are comparable pairwise.
+func arena(c sweep.Cell) string {
+	return fmt.Sprintf("%dc/%d/%s", len(c.Mix), c.Seed, strings.Join(c.Mix, "+"))
 }
 
 // Row is one leaderboard line.
@@ -174,11 +129,9 @@ type Report struct {
 	Wins [][]int `json:"wins"`
 }
 
-// Aggregate folds per-cell results into the tournament report. results
-// is keyed by cell index into metas; every index must be present
-// (partial tournaments are an error at the driver layer, not here — a
-// missing index simply contributes nothing).
-func (s *Spec) Aggregate(metas []CellMeta, results map[int]CellResult) *Report {
+// Aggregate folds per-cell results, index-aligned with cells, into the
+// tournament report.
+func (s Spec) Aggregate(cells []sweep.Cell, results []experiment.CellResult) *Report {
 	type acc struct {
 		ws, hs, gm, unfair float64
 		n                  int
@@ -189,19 +142,21 @@ func (s *Spec) Aggregate(metas []CellMeta, results map[int]CellResult) *Report {
 	}
 	// Arena → controller → WS, for the pairwise matrix.
 	arenas := map[string]map[string]float64{}
-	for idx, res := range results {
-		m := metas[idx]
-		a := byCtrl[m.Controller]
+	scale := ""
+	for i, c := range cells {
+		res := results[i]
+		a := byCtrl[c.Controller]
 		a.ws += res.WS
 		a.hs += res.HS
 		a.gm += res.GM
 		a.unfair += res.Unfairness
 		a.n++
-		g := m.Group()
+		g := arena(c)
 		if arenas[g] == nil {
 			arenas[g] = map[string]float64{}
 		}
-		arenas[g][m.Controller] = res.WS
+		arenas[g][c.Controller] = res.WS
+		scale = c.Scale
 	}
 
 	rows := make([]Row, 0, len(s.Controllers))
@@ -268,7 +223,7 @@ func (s *Spec) Aggregate(metas []CellMeta, results map[int]CellResult) *Report {
 	}
 
 	return &Report{
-		ScaleName:  s.ScaleName,
+		ScaleName:  scale,
 		CoreCounts: s.CoreCounts,
 		Seeds:      s.Seeds,
 		Rows:       rows,
@@ -320,50 +275,4 @@ func (r *Report) SVG() string {
 	}
 	title := fmt.Sprintf("Controller tournament (scale %s)", r.ScaleName)
 	return plot.Bar(title, "mean speedup", []string{"WS", "HS"}, groups)
-}
-
-// Run executes the tournament locally through an experiment.Runner,
-// grouping cells so each (cores, seed, controller) batch shares the
-// runner's baseline warming and worker pool. The aggregation consumes
-// exactly the per-cell metrics the sweep path streams, so local and
-// remote tournaments over the same cells produce the same report.
-func Run(ctx context.Context, r *experiment.Runner, spec Spec) (*Report, error) {
-	_, metas, err := spec.Cells()
-	if err != nil {
-		return nil, err
-	}
-	if spec.Target > 0 && spec.Target != r.Scale.Target {
-		// A Target override changes the budget of every cell, which is
-		// part of the runner's baseline cache keys — stand up a fresh
-		// runner at the overridden scale rather than mutating the
-		// caller's (Runner holds a mutex; it must not be copied).
-		scale := r.Scale
-		scale.Target = spec.Target
-		nr := experiment.NewRunner(scale)
-		nr.Workers = r.Workers
-		nr.BaseCtx = r.BaseCtx
-		r = nr
-	}
-	results := make(map[int]CellResult, len(metas))
-	idx := 0
-	for _, cores := range spec.CoreCounts {
-		for seedIdx := 0; seedIdx < spec.Seeds; seedIdx++ {
-			mixes := workload.Mixes(cores, spec.Scale.MixCount, spec.Scale.Seed+uint64(seedIdx))
-			for _, key := range spec.Controllers {
-				cfg := sim.DefaultConfig(cores)
-				opt := experiment.Options{Step: spec.Step}
-				rs, err := r.RunMixesContext(ctx, mixes, cfg, key, opt)
-				if err != nil {
-					return nil, fmt.Errorf("tournament: %dc seed %d %s: %w", cores, seedIdx, key, err)
-				}
-				for _, res := range rs {
-					results[idx] = CellResult{
-						WS: res.WS, HS: res.HS, GM: res.GM, Unfairness: res.Unfairness,
-					}
-					idx++
-				}
-			}
-		}
-	}
-	return spec.Aggregate(metas, results), nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"micromama/internal/experiment"
+	"micromama/internal/sweep"
 )
 
 func tinySpec() Spec {
@@ -15,35 +16,36 @@ func tinySpec() Spec {
 		Controllers: []string{"no", "bandit", "phase-select"},
 		CoreCounts:  []int{2},
 		Seeds:       1,
-		ScaleName:   "tiny",
-		Scale:       experiment.ScaleTiny,
 	}
+}
+
+// tinyCells expands tinySpec at the tiny scale.
+func tinyCells(t *testing.T) []sweep.Cell {
+	t.Helper()
+	cells, err := tinySpec().Cells("tiny", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
 }
 
 func TestCellsDeterministicAndOrdered(t *testing.T) {
 	s := tinySpec()
-	cells1, metas1, err := s.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells2, metas2, err := s.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cells1, cells2) || !reflect.DeepEqual(metas1, metas2) {
+	cells1, cells2 := tinyCells(t), tinyCells(t)
+	if !reflect.DeepEqual(cells1, cells2) {
 		t.Fatal("expansion not deterministic")
 	}
-	wantCells := len(s.Controllers) * s.Scale.MixCount
+	wantCells := len(s.Controllers) * experiment.ScaleTiny.MixCount
 	if len(cells1) != wantCells {
 		t.Fatalf("expanded %d cells, want %d", len(cells1), wantCells)
 	}
 	// Every controller must race the same arenas.
 	arenas := map[string]map[string]bool{}
-	for _, m := range metas1 {
-		if arenas[m.Group()] == nil {
-			arenas[m.Group()] = map[string]bool{}
+	for _, c := range cells1 {
+		if arenas[arena(c)] == nil {
+			arenas[arena(c)] = map[string]bool{}
 		}
-		arenas[m.Group()][m.Controller] = true
+		arenas[arena(c)][c.Controller] = true
 	}
 	for g, ctrls := range arenas {
 		if len(ctrls) != len(s.Controllers) {
@@ -55,7 +57,7 @@ func TestCellsDeterministicAndOrdered(t *testing.T) {
 func TestValidateRejectsUnknownController(t *testing.T) {
 	s := tinySpec()
 	s.Controllers = append(s.Controllers, "phase-selekt")
-	_, _, err := s.Cells()
+	_, err := s.Cells("tiny", 0, 0)
 	if err == nil {
 		t.Fatal("unknown controller accepted")
 	}
@@ -66,18 +68,15 @@ func TestValidateRejectsUnknownController(t *testing.T) {
 
 func TestAggregateRanksAndPairwise(t *testing.T) {
 	s := tinySpec()
-	_, metas, err := s.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := tinyCells(t)
 	// Synthetic results: "bandit" always best, "no" always worst.
 	score := map[string]float64{"no": 1.0, "phase-select": 1.2, "bandit": 1.5}
-	results := map[int]CellResult{}
-	for i, m := range metas {
-		ws := score[m.Controller]
-		results[i] = CellResult{WS: ws, HS: ws * 0.9, GM: ws * 0.95, Unfairness: 1.1}
+	results := make([]experiment.CellResult, len(cells))
+	for i, c := range cells {
+		ws := score[c.Controller]
+		results[i] = experiment.CellResult{WS: ws, HS: ws * 0.9, GM: ws * 0.95, Unfairness: 1.1}
 	}
-	rep := s.Aggregate(metas, results)
+	rep := s.Aggregate(cells, results)
 	wantOrder := []string{"bandit", "phase-select", "no"}
 	for i, w := range wantOrder {
 		if rep.Rows[i].Controller != w {
@@ -87,7 +86,7 @@ func TestAggregateRanksAndPairwise(t *testing.T) {
 			t.Errorf("row %d Rank = %d", i, rep.Rows[i].Rank)
 		}
 	}
-	arenaCount := s.Scale.MixCount // one arena per mix here
+	arenaCount := experiment.ScaleTiny.MixCount // one arena per mix here
 	top := rep.Rows[0]
 	if top.Wins != 2*arenaCount || top.Losses != 0 {
 		t.Errorf("top W-L = %d-%d, want %d-0", top.Wins, top.Losses, 2*arenaCount)
@@ -112,17 +111,13 @@ func TestAggregateRanksAndPairwise(t *testing.T) {
 }
 
 func TestAggregateTies(t *testing.T) {
-	s := tinySpec()
-	_, metas, err := s.Cells()
-	if err != nil {
-		t.Fatal(err)
+	cells := tinyCells(t)
+	results := make([]experiment.CellResult, len(cells))
+	for i := range results {
+		results[i].WS = 1.0
 	}
-	results := map[int]CellResult{}
-	for i := range metas {
-		results[i] = CellResult{WS: 1.0}
-	}
-	rep := s.Aggregate(metas, results)
-	arenaCount := s.Scale.MixCount
+	rep := tinySpec().Aggregate(cells, results)
+	arenaCount := experiment.ScaleTiny.MixCount
 	for _, row := range rep.Rows {
 		if row.Wins != 0 || row.Losses != 0 {
 			t.Errorf("%s W-L = %d-%d on all-equal results", row.Controller, row.Wins, row.Losses)
@@ -134,34 +129,30 @@ func TestAggregateTies(t *testing.T) {
 }
 
 // TestLocalRunDeterministicLeaderboard runs a microscopic tournament
-// twice end to end and demands the identical report — the acceptance
-// criterion "same cells → same ranking across two runs".
+// twice end to end, each time on a fresh Runner's RunCells, and demands
+// the identical report — the acceptance criterion "same cells → same
+// ranking across two runs".
 func TestLocalRunDeterministicLeaderboard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations")
 	}
-	spec := Spec{
-		Controllers: []string{"no", "bandit"},
-		CoreCounts:  []int{2},
-		Seeds:       1,
-		ScaleName:   "tiny",
-		Scale:       experiment.Scale{Target: 120_000, MaxCyclesFactor: 12, MixCount: 1, Seed: 7, Step: 150},
-	}
+	spec := Spec{Controllers: []string{"no", "bandit"}, CoreCounts: []int{2}, Seeds: 1}
+	scale := experiment.ScaleTiny
+	scale.Target = 120_000
 	run := func() *Report {
-		r := experiment.NewRunner(spec.Scale)
-		rep, err := Run(context.Background(), r, spec)
+		rep, err := spec.Figure().Run(context.Background(), experiment.NewRunner(scale).RunCells, "tiny", scale.Target, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return rep.(*Report)
 	}
 	a, b := run(), run()
 	if a.String() != b.String() {
 		t.Fatalf("tournament not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
 	}
 	for _, row := range a.Rows {
-		if row.Cells != 1 {
-			t.Errorf("%s aggregated %d cells, want 1", row.Controller, row.Cells)
+		if row.Cells != scale.MixCount {
+			t.Errorf("%s aggregated %d cells, want %d", row.Controller, row.Cells, scale.MixCount)
 		}
 		if row.MeanWS <= 0 {
 			t.Errorf("%s mean WS = %g", row.Controller, row.MeanWS)

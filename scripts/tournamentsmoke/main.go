@@ -26,62 +26,27 @@ import (
 	"micromama/internal/tournament"
 )
 
-// tournamentSpec is the 3×2×1 tournament: a per-core family
-// (phase-select), a cross-core family (coord-rl), and the paper's
-// bandit as the incumbent, over two tiny 2-core mixes.
-func tournamentSpec() tournament.Spec {
-	scale := experiment.ScaleTiny
-	scale.MixCount = 2
-	return tournament.Spec{
-		Controllers: []string{"bandit", "phase-select", "coord-rl"},
-		CoreCounts:  []int{2},
-		Seeds:       1,
-		ScaleName:   "tiny",
-		Scale:       scale,
-		Target:      60_000,
-	}
+// The 3×2×1 tournament: a per-core family (phase-select), a cross-core
+// family (coord-rl), and the paper's bandit as the incumbent, over the
+// tiny scale's two 2-core mixes at a 60k-instruction budget.
+var spec = tournament.Spec{
+	Controllers: []string{"bandit", "phase-select", "coord-rl"},
+	CoreCounts:  []int{2},
+	Seeds:       1,
 }
 
-// runTournament submits the tournament's cells as a sweep and returns
-// the streamed per-cell results.
-func runTournament(ctx context.Context, c *client.Client, spec sweep.Spec, cellCount int) (map[int]tournament.CellResult, sweep.View, error) {
-	v, err := c.SubmitSweep(ctx, spec)
-	if err != nil {
-		return nil, sweep.View{}, fmt.Errorf("submit: %w", err)
-	}
-	if v.Cells != cellCount {
-		return nil, sweep.View{}, fmt.Errorf("sweep has %d cells, want %d", v.Cells, cellCount)
-	}
-	results := make(map[int]tournament.CellResult)
-	final, err := c.StreamSweepResults(ctx, v.ID, func(ev sweep.Event) error {
-		switch ev.Status {
-		case sweep.CellDone, sweep.CellDeduped:
-			var res tournament.CellResult
-			if jerr := json.Unmarshal(ev.Result, &res); jerr != nil {
-				return fmt.Errorf("cell %d: %w", ev.Cell, jerr)
-			}
-			results[ev.Cell] = res
-		case sweep.CellFailed:
-			return fmt.Errorf("cell %d failed: %s", ev.Cell, ev.Error)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, sweep.View{}, fmt.Errorf("stream: %w", err)
-	}
-	if len(results) != cellCount {
-		return nil, sweep.View{}, fmt.Errorf("streamed %d of %d cell results", len(results), cellCount)
-	}
-	return results, final, nil
-}
+const (
+	scaleName = "tiny"
+	target    = 60_000
+)
 
 // checkReport asserts the leaderboard is complete: every controller
 // present, ranked, with the full cell count aggregated.
-func checkReport(rep *tournament.Report, spec tournament.Spec) error {
+func checkReport(rep *tournament.Report) error {
 	if len(rep.Rows) != len(spec.Controllers) {
 		return fmt.Errorf("leaderboard has %d rows, want %d", len(rep.Rows), len(spec.Controllers))
 	}
-	cellsPer := spec.Scale.MixCount * len(spec.CoreCounts) * spec.Seeds
+	cellsPer := experiment.ScaleTiny.MixCount * len(spec.CoreCounts) * spec.Seeds
 	for _, row := range rep.Rows {
 		if row.Cells != cellsPer {
 			return fmt.Errorf("%s aggregated %d cells, want %d", row.Controller, row.Cells, cellsPer)
@@ -94,11 +59,11 @@ func checkReport(rep *tournament.Report, spec tournament.Spec) error {
 }
 
 func run() error {
-	spec := tournamentSpec()
-	sweepSpec, metas, err := spec.SweepSpec()
+	cells, err := spec.Cells(scaleName, target, 0)
 	if err != nil {
 		return err
 	}
+	sweepSpec := sweep.Spec{Name: "tournament-smoke", Cells: cells}
 
 	dir, err := os.MkdirTemp("", "tournamentsmoke")
 	if err != nil {
@@ -117,17 +82,17 @@ func run() error {
 	ts1 := httptest.NewServer(srv1.Handler())
 	c1 := client.New(ts1.URL, client.Options{Timeout: 2 * time.Minute})
 
-	results, final, err := runTournament(ctx, c1, sweepSpec, len(metas))
+	results, final, err := c1.RunSweep(ctx, sweepSpec)
 	if err != nil {
 		return fmt.Errorf("cold tournament: %w", err)
 	}
-	rep := spec.Aggregate(metas, results)
-	if err := checkReport(rep, spec); err != nil {
+	rep := spec.Aggregate(cells, results)
+	if err := checkReport(rep); err != nil {
 		return fmt.Errorf("cold leaderboard: %w", err)
 	}
 	// Deterministic leaderboard: aggregating the same cells again must
 	// reproduce the identical report (ranking, metrics, win matrix).
-	if again := spec.Aggregate(metas, results); again.String() != rep.String() {
+	if again := spec.Aggregate(cells, results); again.String() != rep.String() {
 		return fmt.Errorf("aggregation not deterministic:\n%s\nvs\n%s", rep, again)
 	}
 	fmt.Printf("tournament-smoke: cold tournament done (%d cells, winner %s)\n",
@@ -152,12 +117,12 @@ func run() error {
 
 	warmSpec := sweepSpec
 	warmSpec.Name += "-warm"
-	warmResults, warmFinal, err := runTournament(ctx, c2, warmSpec, len(metas))
+	warmResults, warmFinal, err := c2.RunSweep(ctx, warmSpec)
 	if err != nil {
 		return fmt.Errorf("warm tournament: %w", err)
 	}
-	if warmFinal.Deduped != len(metas) {
-		return fmt.Errorf("warm tournament deduped %d of %d cells", warmFinal.Deduped, len(metas))
+	if warmFinal.Deduped != len(cells) {
+		return fmt.Errorf("warm tournament deduped %d of %d cells", warmFinal.Deduped, len(cells))
 	}
 	resp, err := c2.Get(ctx, "/v1/stats")
 	if err != nil {
@@ -172,7 +137,7 @@ func run() error {
 	if st.Simulations != 0 {
 		return fmt.Errorf("restarted server ran %d simulations for a warm tournament, want 0", st.Simulations)
 	}
-	warmRep := spec.Aggregate(metas, warmResults)
+	warmRep := spec.Aggregate(cells, warmResults)
 	if warmRep.String() != rep.String() {
 		return fmt.Errorf("warm leaderboard diverged from cold:\n%s\nvs\n%s", rep, warmRep)
 	}
