@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
+.PHONY: all build vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
 
 all: check
 
@@ -21,6 +21,16 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# Non-test Go lines per internal/ package and for cmd/: the size the
+# "small" aim of ROADMAP.md is measured in (item 3 quotes it). CI prints
+# it in the build job so a PR's line delta is read off two logs, not
+# counted by hand.
+loc:
+	@for d in internal/*/ cmd/; do \
+		printf '%7d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done; \
+	printf '%7d  total\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # Lint gate: go vet always, plus staticcheck (configured by
 # staticcheck.conf) when the binary is available. CI installs
@@ -116,7 +126,13 @@ tournament-smoke:
 # file per emitting id (a report holding a NaN does not encode, so its
 # file goes missing), and print no NaN. The cell figures among them run
 # through the same registry, Executor and reducers as at any scale, so
-# this is the end-to-end guard of `make figures`.
+# this is the end-to-end guard of `make figures`. A second pass over the
+# eight cell-figure ids alone reads the Runner's books from
+# -metrics-dump: every simulation started is a baseline miss or a cell
+# miss of its one memo (nothing is simulated twice, nothing off the
+# books), and no profile is ever simulated, because each profiled mix's
+# "no" cell is among the figures' own cells.
+CELL_FIGURES = fig9 fig10 fig11 fig13 fig14 fig15a fig16 sec63
 FIGURE_JSON = fig2 fig3 fig4 fig9 fig10-WS-4C fig10-HS-4C fig10-WS-8C fig10-HS-8C \
 	fig11 fig12 fig13 fig14 fig15a fig15b fig16 sec63
 
@@ -126,6 +142,16 @@ figures-smoke:
 	for id in $(FIGURE_JSON); do \
 		test -s $$tmp/$$id.json || { echo "figures-smoke: FAIL: no $$id.json written" >> figures-smoke.out; st=1; }; \
 	done; \
+	$(GO) run ./cmd/mamabench -scale tiny -metrics-dump $$tmp/metrics $(CELL_FIGURES) > /dev/null 2>> figures-smoke.out || st=1; \
+	series() { awk -v s="$$1" '$$1 == s { print $$2; found = 1 } END { if (!found) print -1 }' $$tmp/metrics; }; \
+	runs=$$(series mama_sim_runs_total); \
+	bases=$$(series 'mama_experiment_cache_misses_total{cache="baseline"}'); \
+	cells=$$(series 'mama_experiment_cache_misses_total{cache="cell"}'); \
+	profiles=$$(series 'mama_experiment_cache_misses_total{cache="profile"}'); \
+	echo "figures-smoke: cell figures started $$runs simulations = $$bases baselines + $$cells cells; $$profiles profile runs" >> figures-smoke.out; \
+	if [ "$$runs" -lt 1 ] || [ "$$runs" -ne $$((bases + cells)) ] || [ "$$profiles" -ne 0 ]; then \
+		echo "figures-smoke: FAIL: want simulations = baseline misses + cell misses > 0, and 0 profile misses" >> figures-smoke.out; st=1; \
+	fi; \
 	rm -rf $$tmp; \
 	if grep -q NaN figures-smoke.out; then echo "figures-smoke: FAIL: NaN in a report" >> figures-smoke.out; st=1; fi; \
 	[ $$st -ne 0 ] || echo "figures-smoke: PASS" >> figures-smoke.out; \

@@ -160,7 +160,7 @@ func BenchmarkFig1Game(b *testing.B) {
 func BenchmarkFig2Timeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep := cached(b, "fig2", func() (*experiment.TimelineReport, error) {
-			return getRunner().FigTimeline("bandit")
+			return getRunner().FigTimeline(context.Background(), "bandit")
 		})
 		b.ReportMetric(float64(len(rep.Samples)), "policy-changes")
 	}
@@ -172,7 +172,7 @@ func BenchmarkFig2Timeline(b *testing.B) {
 func BenchmarkFig3PrefetchScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep := cached(b, "fig3", func() (*experiment.PrefetchScalingReport, error) {
-			return getRunner().Fig3PrefetchScaling([]int{1, 4, 8})
+			return getRunner().Fig3PrefetchScaling(context.Background(), []int{1, 4, 8})
 		})
 		n := len(rep.CoreCounts) - 1
 		b.ReportMetric(rep.Normalized["bandit"][n], "bandit-8C-x")
@@ -185,7 +185,7 @@ func BenchmarkFig3PrefetchScaling(b *testing.B) {
 func BenchmarkFig4SharedReward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep := cached(b, "fig4", func() (*experiment.TimelineReport, error) {
-			return getRunner().FigTimeline("bandit-shared")
+			return getRunner().FigTimeline(context.Background(), "bandit-shared")
 		})
 		b.ReportMetric(float64(len(rep.Samples)), "policy-changes")
 	}
@@ -231,7 +231,7 @@ func BenchmarkFig11Bandwidth(b *testing.B) {
 func BenchmarkFig12MuMamaTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep := cached(b, "fig12", func() (*experiment.TimelineReport, error) {
-			return getRunner().FigTimeline("mumama")
+			return getRunner().FigTimeline(context.Background(), "mumama")
 		})
 		b.ReportMetric(rep.JointFraction*100, "jav-dictated-pct")
 	}
@@ -286,7 +286,7 @@ func BenchmarkFig15aAblation(b *testing.B) {
 func BenchmarkFig15bJAVSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep := cached(b, "fig15b", func() (*experiment.JAVSweepReport, error) {
-			return getRunner().Fig15bJAVSweep(4, []int{1, 2, 4, 8, 16})
+			return getRunner().Fig15bJAVSweep(context.Background(), 4, []int{1, 2, 4, 8, 16})
 		})
 		b.ReportMetric(rep.NormWS[1]*100, "jav2-pct")
 	}
@@ -313,7 +313,7 @@ func BenchmarkAblationThetaSweep(b *testing.B) {
 			cfg := sim.DefaultConfig(4)
 			var out []float64
 			for _, theta := range []float64{0.3, 0.65, 0.9} {
-				rs, err := r.RunMixes(mixes, cfg, "mumama", experiment.Options{Theta: theta})
+				rs, err := r.RunMixesContext(context.Background(), mixes, cfg, "mumama", experiment.Options{Theta: theta})
 				if err != nil {
 					return nil, err
 				}
@@ -335,7 +335,7 @@ func BenchmarkAblationTarbit(b *testing.B) {
 			cfg := sim.DefaultConfig(4)
 			var out []float64
 			for _, ta := range []int{2, 5, 10} {
-				rs, err := r.RunMixes(mixes, cfg, "mumama", experiment.Options{TArbit: ta})
+				rs, err := r.RunMixesContext(context.Background(), mixes, cfg, "mumama", experiment.Options{TArbit: ta})
 				if err != nil {
 					return nil, err
 				}
@@ -363,7 +363,7 @@ func BenchmarkAblationJAVLCB(b *testing.B) {
 					c := core.DefaultMuMamaConfig()
 					c.Step = r.Scale.Step
 					c.JAVLCB = lcb
-					res, err := r.RunMixWith(mix, cfg, core.NewMuMama(c))
+					res, err := r.RunMixWithContext(context.Background(), mix, cfg, core.NewMuMama(c))
 					if err != nil {
 						return nil, err
 					}
@@ -393,7 +393,7 @@ func BenchmarkAblationSync(b *testing.B) {
 					c := core.DefaultMuMamaConfig()
 					c.Step = r.Scale.Step
 					c.KStep = kstep
-					res, err := r.RunMixWith(mix, cfg, core.NewMuMama(c))
+					res, err := r.RunMixWithContext(context.Background(), mix, cfg, core.NewMuMama(c))
 					if err != nil {
 						return nil, err
 					}

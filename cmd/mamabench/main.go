@@ -165,7 +165,6 @@ func main() {
 	defer stopSignals()
 
 	d := &driver{ctx: ctx, r: experiment.NewRunner(scale), scaleName: *scaleName}
-	d.r.BaseCtx = ctx
 	if *server != "" {
 		d.remote = client.New(*server, client.Options{})
 	}
@@ -235,12 +234,22 @@ var tables = map[string]func(){
 
 // probes are the simulating ids that cannot be cells (see
 // experiment.Figures): they always run on the local Runner.
-var probes = map[string]func(*experiment.Runner) (fmt.Stringer, error){
-	"fig2":   func(r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline("bandit") },
-	"fig4":   func(r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline("bandit-shared") },
-	"fig12":  func(r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline("mumama") },
-	"fig3":   func(r *experiment.Runner) (fmt.Stringer, error) { return r.Fig3PrefetchScaling([]int{1, 4, 8}) },
-	"fig15b": func(r *experiment.Runner) (fmt.Stringer, error) { return r.Fig15bJAVSweep(4, []int{1, 2, 4, 8, 16}) },
+var probes = map[string]probe{
+	"fig2":  timeline("bandit"),
+	"fig4":  timeline("bandit-shared"),
+	"fig12": timeline("mumama"),
+	"fig3": func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) {
+		return r.Fig3PrefetchScaling(ctx, []int{1, 4, 8})
+	},
+	"fig15b": func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) {
+		return r.Fig15bJAVSweep(ctx, 4, []int{1, 2, 4, 8, 16})
+	},
+}
+
+type probe func(context.Context, *experiment.Runner) (fmt.Stringer, error)
+
+func timeline(key string) probe {
+	return func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline(ctx, key) }
 }
 
 // executor is the seam a figure's cells go through: the Runner's worker
@@ -269,7 +278,7 @@ func (d *driver) run(id string) error {
 		if d.remote != nil {
 			fmt.Fprintf(os.Stderr, "mamabench: %s is a local probe, not a cell figure; running it in this process despite -server\n", id)
 		}
-		rep, err := probe(d.r)
+		rep, err := probe(d.ctx, d.r)
 		if err != nil {
 			return err
 		}

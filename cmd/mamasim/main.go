@@ -10,10 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"micromama/internal/dram"
 	"micromama/internal/experiment"
@@ -103,6 +106,11 @@ func main() {
 	}
 	cfg.WarmupInstructions = *warmup
 
+	// Ctrl-C stops the simulation at its next epoch boundary, so the
+	// profiles and metrics requested above are still flushed.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	scale := experiment.Scale{Target: *instr, MaxCyclesFactor: *maxFactor, MixCount: 1, Seed: 7, Step: *step}
 	runner := experiment.NewRunner(scale)
 
@@ -112,7 +120,7 @@ func main() {
 		fmt.Printf("system: %d cores, %s (%.1f GB/s)\n\n", cfg.Cores, cfg.DRAM.Name, cfg.DRAM.PeakGBps())
 		fmt.Printf("%-16s %8s %8s %8s %10s %12s\n", "controller", "WS", "HS", "GM", "unfairness", "L2 prefetches")
 		for _, key := range keys {
-			res, err := runner.RunMix(mix, cfg, strings.TrimSpace(key), experiment.Options{})
+			res, err := runner.RunMixContext(ctx, mix, cfg, strings.TrimSpace(key), experiment.Options{})
 			if err != nil {
 				fatal(1, "mamasim:", err)
 			}
@@ -123,7 +131,7 @@ func main() {
 		return
 	}
 
-	res, err := runner.RunMix(mix, cfg, *controller, experiment.Options{})
+	res, err := runner.RunMixContext(ctx, mix, cfg, *controller, experiment.Options{})
 	if err != nil {
 		fatal(1, "mamasim:", err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"micromama/internal/experiment"
@@ -29,7 +30,7 @@ func main() {
 
 	fmt.Printf("%-14s %8s %8s %12s\n", "config", "WS", "HS", "unfairness")
 	for _, key := range []string{"bandit", "mumama", "mumama-50", "mumama-fair"} {
-		res, err := runner.RunMix(mix, cfg, key, experiment.Options{})
+		res, err := runner.RunMixContext(context.Background(), mix, cfg, key, experiment.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -23,7 +24,7 @@ func main() {
 		{"bandit-shared", "Figure 4 (shared reward)", "fig4_shared.svg"},
 		{"mumama", "Figure 12 (µMama; * = JAV-dictated)", "fig12_mumama.svg"},
 	} {
-		rep, err := runner.FigTimeline(cfg.key)
+		rep, err := runner.FigTimeline(context.Background(), cfg.key)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "policytrace:", err)
 			os.Exit(1)

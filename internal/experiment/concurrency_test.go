@@ -37,7 +37,7 @@ func TestRunMixConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(ki, g int) {
 				defer wg.Done()
-				res, err := r.RunMix(mix, cfg, keys[ki], Options{})
+				res, err := r.RunMixContext(context.Background(), mix, cfg, keys[ki], Options{})
 				out[ki][g] = slot{res, err}
 			}(ki, g)
 		}
@@ -80,7 +80,7 @@ func TestProfilesConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			profs[i], errs[i] = r.Profiles(mix, cfg)
+			profs[i], errs[i] = r.ProfilesContext(context.Background(), mix, cfg)
 		}(i)
 	}
 	wg.Wait()
@@ -113,7 +113,7 @@ func TestRunMixContextCancelled(t *testing.T) {
 		t.Fatal("cancelled RunMixContext returned nil error")
 	}
 
-	res, err := r.RunMix(mix, cfg, "no", Options{})
+	res, err := r.RunMixContext(context.Background(), mix, cfg, "no", Options{})
 	if err != nil {
 		t.Fatalf("post-cancel RunMix: %v", err)
 	}

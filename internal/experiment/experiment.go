@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -59,8 +58,8 @@ func (s Scale) MaxCycles() uint64 { return s.Target * s.MaxCyclesFactor }
 // cell's "scale" field and GET /v1/catalog all read it.
 func ScaleNames() []string { return []string{"tiny", "small", "default", "full"} }
 
-// ScaleByName resolves a scale name exactly as written (callers that
-// accept aliases — case, an empty name — canonicalize first); the
+// ScaleByName resolves a scale name exactly as written (Resolve, which
+// accepts aliases — case, an empty name — canonicalizes first); the
 // error names the known set.
 func ScaleByName(name string) (Scale, error) {
 	switch name {
@@ -293,24 +292,18 @@ func Summarize(res MixResult) CellResult {
 	return out
 }
 
-// Runner executes experiments at a given scale, caching single-core
-// baselines, no-prefetch multicore profiles and RunCells results.
+// Runner executes experiments, remembering what it has measured: one
+// memo of CellResult keyed by plan (budget included) holds single-core
+// baselines, no-prefetch multicore profiles and RunCells results alike,
+// so one Runner serves any mixture of budgets. Scale is the budget of
+// the entry points that take a mix rather than a plan.
 type Runner struct {
 	Scale   Scale
 	Workers int
 
-	// BaseCtx, when non-nil, is the context used by the non-Context
-	// entry points (RunMix, RunMixes, Profiles, ...): drivers like
-	// cmd/mamabench set it once (e.g. to a signal-cancelled context)
-	// so every experiment they trigger honors cancellation without
-	// threading a context through each figure helper.
-	BaseCtx context.Context
-
 	mu       sync.Mutex
-	baseline map[string]float64       // baseline|trace|cfgFingerprint -> alone no-L2-pref IPC
-	profiles map[string][]float64     // profile|mixKey|cfgFingerprint -> S^MP per core
-	cells    map[string]CellResult    // cell|controller|mix|step|cfgFingerprint -> RunCells result
-	inflight map[string]chan struct{} // singleflight: closed when the keyed computation ends
+	memo     map[string]CellResult    // Plan.key() -> what the plan measured; read-only once stored
+	inflight map[string]chan struct{} // Plan.key() -> closed when the keyed simulation ends
 }
 
 // NewRunner constructs a Runner with sensible worker parallelism.
@@ -318,17 +311,7 @@ func NewRunner(scale Scale) *Runner {
 	return &Runner{
 		Scale:    scale,
 		Workers:  runtime.GOMAXPROCS(0),
-		baseline: make(map[string]float64),
-		profiles: make(map[string][]float64),
-		cells:    make(map[string]CellResult),
+		memo:     make(map[string]CellResult),
 		inflight: make(map[string]chan struct{}),
 	}
-}
-
-// baseCtx resolves the context for non-Context entry points.
-func (r *Runner) baseCtx() context.Context {
-	if r.BaseCtx != nil {
-		return r.BaseCtx
-	}
-	return context.Background()
 }

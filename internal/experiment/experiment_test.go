@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,11 +39,11 @@ func TestBaselineCaching(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	spec, _ := workload.ByName("spec06.povray")
 	cfg := sim.DefaultConfig(1)
-	a := r.BaselineIPC(spec, cfg)
-	if a <= 0 {
-		t.Fatalf("baseline IPC = %g", a)
+	a, err := r.BaselineIPCContext(context.Background(), spec, cfg)
+	if err != nil || a <= 0 {
+		t.Fatalf("baseline IPC = %g, %v", a, err)
 	}
-	b := r.BaselineIPC(spec, cfg)
+	b, _ := r.BaselineIPCContext(context.Background(), spec, cfg)
 	if a != b {
 		t.Error("cached baseline differs")
 	}
@@ -51,7 +52,7 @@ func TestBaselineCaching(t *testing.T) {
 func TestRunMixProducesMetrics(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	mixes := workload.Mixes(2, 1, 3)
-	res, err := r.RunMix(mixes[0], sim.DefaultConfig(2), "bandit", Options{})
+	res, err := r.RunMixContext(context.Background(), mixes[0], sim.DefaultConfig(2), "bandit", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func TestRunMixesParallelMatchesSerial(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	mixes := workload.Mixes(2, 2, 3)
 	cfg := sim.DefaultConfig(2)
-	par, err := r.RunMixes(mixes, cfg, "no", Options{})
+	par, err := r.RunMixesContext(context.Background(), mixes, cfg, "no", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range mixes {
-		ser, err := r.RunMix(mixes[i], cfg, "no", Options{})
+		ser, err := r.RunMixContext(context.Background(), mixes[i], cfg, "no", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestProfiles(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	mix := workload.Mixes(2, 1, 3)[0]
 	cfg := sim.DefaultConfig(2)
-	p, err := r.Profiles(mix, cfg)
+	p, err := r.ProfilesContext(context.Background(), mix, cfg)
 	if err != nil {
 		t.Fatalf("Profiles: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestProfiles(t *testing.T) {
 func TestFigTimelineBanditAndMuMama(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	for _, key := range []string{"bandit", "mumama"} {
-		rep, err := r.FigTimeline(key)
+		rep, err := r.FigTimeline(context.Background(), key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestFig15bSmall(t *testing.T) {
 		t.Skip("multi-run figure driver")
 	}
 	r := NewRunner(ScaleTiny)
-	rep, err := r.Fig15bJAVSweep(2, []int{1, 2})
+	rep, err := r.Fig15bJAVSweep(context.Background(), 2, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

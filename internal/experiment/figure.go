@@ -50,7 +50,7 @@ func (f Figure) Run(ctx context.Context, exec Executor, scale string, target, st
 // policy timeline, MeanChosenDegree) that no job result carries, and
 // fig15b because it varies JAVSize, which is not a cell field and must
 // not become one (job keys are pinned); those three stay probes on
-// RunMixWith/RunMixes.
+// RunMixWithContext/RunMixesContext.
 var Figures = []Figure{
 	fig9(),
 	perWorkload("fig10-WS-4C", 4, "mumama", false),

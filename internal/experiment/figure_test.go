@@ -11,7 +11,6 @@ import (
 
 	"micromama/internal/sim"
 	"micromama/internal/sweep"
-	"micromama/internal/telemetry"
 )
 
 // reduce draws registry figure id from hand-made results: its cells at
@@ -306,18 +305,18 @@ func TestSec63Reducer(t *testing.T) {
 // TestRunCellsSimulatesDistinctCellsOnce: the union of every registry
 // figure's cells holds each Bandit, µMama, … column several times over
 // (and fig11's DDR4-2400×1 spelling of the default memory system); one
-// Runner simulates each distinct cell once, in one call or across
-// calls, and hands every duplicate the same result.
+// Runner starts exactly one simulation per distinct cell plus one per
+// distinct baseline, in one call or across calls, hands every duplicate
+// the same result, and never runs a profile: fig15a's and fig16's
+// µMama-Profiled cells read the Speedups of fig13's 8-core "no" cells.
 func TestRunCellsSimulatesDistinctCellsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations")
 	}
 	const target = 30_000
-	scale := ScaleTiny
-	scale.Target = target
-	r := NewRunner(scale)
+	r := NewRunner(ScaleTiny)
 	var union []sweep.Cell
-	distinct := map[string]bool{}
+	cellKeys, baseKeys := map[string]bool{}, map[string]bool{}
 	for _, fig := range Figures {
 		cells, err := fig.Cells("tiny", target, 0)
 		if err != nil {
@@ -325,32 +324,43 @@ func TestRunCellsSimulatesDistinctCellsOnce(t *testing.T) {
 		}
 		union = append(union, cells...)
 		for _, c := range cells {
-			p, err := r.planCell(c)
+			p, err := Resolve(&c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			distinct[fmt.Sprint(c.Controller, c.Mix, c.Seed, p.cfg.DRAM.Name)] = true
+			cellKeys[p.key()] = true
+			for _, sp := range p.Mix.Specs {
+				baseKeys[baselinePlan(sp, p.Config, p.Scale).key()] = true
+			}
 		}
 	}
-	if len(distinct) >= len(union) {
-		t.Fatalf("the figures share no cells (%d of %d distinct): nothing to dedupe", len(distinct), len(union))
+	if len(cellKeys) >= len(union) {
+		t.Fatalf("the figures share no cells (%d of %d distinct): nothing to dedupe", len(cellKeys), len(union))
+	}
+	for k := range cellKeys {
+		if baseKeys[k] {
+			t.Fatalf("cell %s is also a baseline: the counts below would overlap", k)
+		}
 	}
 
-	misses := cellStats.misses
-	runs := telemetry.Default().Counter("mama_sim_runs_total", "Simulations started (System.RunContext entries).")
-	missesBefore, runsBefore := misses.Value(), runs.Value()
+	runs := simRuns()
+	cellsBefore, basesBefore, profilesBefore := cellStats.misses.Value(), baselineStats.misses.Value(), profileStats.misses.Value()
+	runsBefore := runs.Value()
 	first, err := r.RunCells(context.Background(), union)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := misses.Value() - missesBefore; got != uint64(len(distinct)) {
-		t.Errorf("RunCells simulated %d cells for %d distinct of %d", got, len(distinct), len(union))
+	if got := cellStats.misses.Value() - cellsBefore; got != uint64(len(cellKeys)) {
+		t.Errorf("RunCells simulated %d cells for %d distinct of %d", got, len(cellKeys), len(union))
 	}
-	// Every other simulation is a single-core baseline or an S^MP
-	// profile, which the cell memo does not count.
-	cellRuns := runs.Value() - runsBefore
-	if cellRuns < uint64(len(distinct)) || cellRuns >= uint64(len(union)) {
-		t.Errorf("mama_sim_runs_total moved by %d; want at least the %d distinct cells and fewer than all %d", cellRuns, len(distinct), len(union))
+	if got := baselineStats.misses.Value() - basesBefore; got != uint64(len(baseKeys)) {
+		t.Errorf("RunCells simulated %d baselines for %d distinct (trace, system) pairs", got, len(baseKeys))
+	}
+	if got := profileStats.misses.Value() - profilesBefore; got != 0 {
+		t.Errorf("RunCells ran %d profiles although every profiled mix has a \"no\" cell", got)
+	}
+	if got, want := runs.Value()-runsBefore, uint64(len(cellKeys)+len(baseKeys)); got != want {
+		t.Errorf("mama_sim_runs_total moved by %d; want %d distinct cells + %d distinct baselines", got, len(cellKeys), len(baseKeys))
 	}
 
 	runsBefore = runs.Value()
@@ -368,20 +378,25 @@ func TestRunCellsSimulatesDistinctCellsOnce(t *testing.T) {
 	}
 }
 
-// TestRunCellsRejects: a cell the runner cannot honour fails the call
+// TestRunCellsRejects: a cell that does not resolve fails the call
 // before anything is simulated.
 func TestRunCellsRejects(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	good := sweep.Cell{Mix: []string{"spec06.mcf"}, Controller: "no", Scale: "tiny"}
+	runs := simRuns()
+	before := runs.Value()
 	for name, bad := range map[string]sweep.Cell{
 		"unknown controller": {Mix: good.Mix, Controller: "mumamma", Scale: "tiny"},
+		"no controller":      {Mix: good.Mix, Scale: "tiny"},
 		"unknown trace":      {Mix: []string{"spec06.nope"}, Controller: "no", Scale: "tiny"},
 		"unknown scale":      {Mix: good.Mix, Controller: "no", Scale: "huge"},
-		"another budget":     {Mix: good.Mix, Controller: "no", Scale: "small"},
 		"empty mix":          {Controller: "no", Scale: "tiny"},
 	} {
 		if _, err := r.RunCells(context.Background(), []sweep.Cell{good, bad}); err == nil || !strings.Contains(err.Error(), "cell 1") {
 			t.Errorf("%s: err = %v, want one naming cell 1", name, err)
 		}
+	}
+	if got := runs.Value() - before; got != 0 {
+		t.Errorf("rejected calls started %d simulations", got)
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -181,7 +182,7 @@ type PrefetchScalingReport struct {
 }
 
 // Fig3PrefetchScaling runs the prefetch-traffic scaling study.
-func (r *Runner) Fig3PrefetchScaling(coreCounts []int) (*PrefetchScalingReport, error) {
+func (r *Runner) Fig3PrefetchScaling(ctx context.Context, coreCounts []int) (*PrefetchScalingReport, error) {
 	rep := &PrefetchScalingReport{
 		CoreCounts:  coreCounts,
 		Controllers: []string{"bandit", "no", "pythia", "bingo"},
@@ -192,7 +193,7 @@ func (r *Runner) Fig3PrefetchScaling(coreCounts []int) (*PrefetchScalingReport, 
 		cfg := sim.DefaultConfig(n)
 		mixes := r.Scale.MixesFor(n)
 		for _, key := range rep.Controllers {
-			run := func(i int) (MixResult, error) { return r.RunMix(mixes[i], cfg, key, Options{}) }
+			run := func(i int) (MixResult, error) { return r.RunMixContext(ctx, mixes[i], cfg, key, Options{}) }
 			// Bandit runs with retained controllers, to collect the
 			// policy-level aggressiveness alongside the counts.
 			var bandits []*core.Bandit
@@ -202,10 +203,10 @@ func (r *Runner) Fig3PrefetchScaling(coreCounts []int) (*PrefetchScalingReport, 
 					bc := core.DefaultBanditConfig()
 					bc.Step = r.Scale.Step
 					bandits[i] = core.NewBandit(bc)
-					return r.RunMixWith(mixes[i], cfg, bandits[i])
+					return r.RunMixWithContext(ctx, mixes[i], cfg, bandits[i])
 				}
 			}
-			rs, err := r.runMixes(mixes, cfg, run)
+			rs, err := r.runMixes(ctx, mixes, cfg, run)
 			if err != nil {
 				return nil, err
 			}
@@ -480,17 +481,17 @@ type JAVSweepReport struct {
 }
 
 // Fig15bJAVSweep runs the JAV-size sensitivity study.
-func (r *Runner) Fig15bJAVSweep(cores int, sizes []int) (*JAVSweepReport, error) {
+func (r *Runner) Fig15bJAVSweep(ctx context.Context, cores int, sizes []int) (*JAVSweepReport, error) {
 	cfg := sim.DefaultConfig(cores)
 	mixes := r.Scale.MixesFor(cores)
-	banditRes, err := r.RunMixes(mixes, cfg, "bandit", Options{})
+	banditRes, err := r.RunMixesContext(ctx, mixes, cfg, "bandit", Options{})
 	if err != nil {
 		return nil, err
 	}
 	bws := MeanWS(banditRes)
 	rep := &JAVSweepReport{Cores: cores, Sizes: sizes}
 	for _, sz := range sizes {
-		rs, err := r.RunMixes(mixes, cfg, "mumama", Options{JAVSize: sz})
+		rs, err := r.RunMixesContext(ctx, mixes, cfg, "mumama", Options{JAVSize: sz})
 		if err != nil {
 			return nil, err
 		}
@@ -539,7 +540,7 @@ func MotivatingMix() workload.Mix {
 // FigTimeline runs the motivating mix under the given controller with
 // policy-timeline recording ("bandit" → Figure 2, "bandit-shared" →
 // Figure 4, "mumama" → Figure 12).
-func (r *Runner) FigTimeline(key string) (*TimelineReport, error) {
+func (r *Runner) FigTimeline(ctx context.Context, key string) (*TimelineReport, error) {
 	mix := MotivatingMix()
 	cfg := sim.DefaultConfig(len(mix.Specs))
 	ctrl, err := MakeController(key, Options{Timeline: true, Step: r.Scale.Step})
@@ -550,8 +551,11 @@ func (r *Runner) FigTimeline(key string) (*TimelineReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Run(r.Scale.Target, r.Scale.MaxCycles())
+	_, err = sys.RunContext(ctx, r.Scale.Target, r.Scale.MaxCycles())
 	sys.Close()
+	if err != nil {
+		return nil, err
+	}
 	rep := &TimelineReport{Controller: key, Mix: mix}
 	if tr, ok := ctrl.(core.TimelineRecorder); ok {
 		rep.Samples = tr.Timeline()

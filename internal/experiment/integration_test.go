@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"micromama/internal/sim"
@@ -19,20 +20,20 @@ func TestIntegrationStreamPrefetchSensitive(t *testing.T) {
 	sp, _ := workload.ByName("spec06.libquantum")
 	mix := workload.Mix{Specs: []workload.Spec{sp}}
 	cfg := sim.DefaultConfig(1)
-	noPref, err := r.RunMix(mix, cfg, "no", Options{})
+	noPref, err := r.RunMixContext(context.Background(), mix, cfg, "no", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A fixed aggressive streamer should beat no-prefetching by >10%
 	// (the paper's prefetch-sensitivity criterion).
-	pref, err := r.RunMix(mix, cfg, "bandit", Options{})
+	pref, err := r.RunMixContext(context.Background(), mix, cfg, "bandit", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = pref
 	bestIPC := 0.0
 	for _, key := range []string{"bingo", "pythia", "bandit"} {
-		res, err := r.RunMix(mix, cfg, key, Options{})
+		res, err := r.RunMixContext(context.Background(), mix, cfg, key, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +63,11 @@ func TestIntegrationFairRewardImprovesFairness(t *testing.T) {
 	r := NewRunner(Scale{Target: 1_200_000, MaxCyclesFactor: 14, MixCount: 1, Seed: 7, Step: 200})
 	cfg := sim.DefaultConfig(4)
 
-	bandit, err := r.RunMix(mix, cfg, "bandit", Options{})
+	bandit, err := r.RunMixContext(context.Background(), mix, cfg, "bandit", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair, err := r.RunMix(mix, cfg, "mumama-fair", Options{})
+	fair, err := r.RunMixContext(context.Background(), mix, cfg, "mumama-fair", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestIntegrationRunsDeterministic(t *testing.T) {
 	r2 := NewRunner(ScaleTiny)
 	mix := workload.Mixes(2, 1, 9)[0]
 	cfg := sim.DefaultConfig(2)
-	a, err := r1.RunMix(mix, cfg, "mumama", Options{})
+	a, err := r1.RunMixContext(context.Background(), mix, cfg, "mumama", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r2.RunMix(mix, cfg, "mumama", Options{})
+	b, err := r2.RunMixContext(context.Background(), mix, cfg, "mumama", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestIntegrationDualControllerRuns(t *testing.T) {
 	}
 	r := NewRunner(ScaleTiny)
 	mix := workload.Mixes(2, 1, 5)[0]
-	res, err := r.RunMix(mix, sim.DefaultConfig(2), "mumama-l1l2", Options{})
+	res, err := r.RunMixContext(context.Background(), mix, sim.DefaultConfig(2), "mumama-l1l2", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

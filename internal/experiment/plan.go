@@ -1,0 +1,98 @@
+package experiment
+
+import (
+	"fmt"
+
+	"micromama/internal/sim"
+	"micromama/internal/sweep"
+	"micromama/internal/workload"
+)
+
+// Plan is one simulation, resolved: the traces, the system, the
+// controller key and the budget. Everything a Runner measures is a
+// plan's result — a sweep cell, a job, and also Equation 2's two
+// normalisers: a trace's baseline IPC^{base,SP} is IPC[0] of its
+// one-core "no" plan, and a mix's S^MP profile (§6.6.3) is the
+// Speedups of its n-core "no" plan.
+type Plan struct {
+	Mix workload.Mix
+	// Config is the simulated system; Config.Cores == len(Mix.Specs).
+	Config     sim.Config
+	Controller string
+	// Scale is the resolved budget (Target, MaxCyclesFactor) and agent
+	// timestep (Step). MixCount and Seed ride along from the named
+	// scale: mamaserved hashes the whole value into the job key.
+	Scale Scale
+}
+
+// newPlan is the plan that runs mix under controller on cfg's system at
+// scale's budget.
+func newPlan(mix workload.Mix, cfg sim.Config, controller string, scale Scale) Plan {
+	cfg.Cores = len(mix.Specs)
+	return Plan{Mix: mix, Config: cfg, Controller: controller, Scale: scale}
+}
+
+// Resolve is the one way a cell becomes a plan — mamaserved's resolver
+// and Runner.RunCells both call it, so a cell names the same simulation
+// on both sides of the Executor seam however it is spelled. It
+// normalizes c in place, checks it against the catalog, the controller
+// registry and the scale table, and applies the Target/Step overrides.
+func Resolve(c *sweep.Cell) (Plan, error) {
+	c.Normalize()
+	if len(c.Mix) == 0 {
+		return Plan{}, fmt.Errorf("mix must name at least one trace")
+	}
+	specs := make([]workload.Spec, len(c.Mix))
+	for i, name := range c.Mix {
+		sp, err := workload.ByName(name)
+		if err != nil {
+			return Plan{}, fmt.Errorf("unknown trace %q (see GET /v1/catalog)", name)
+		}
+		specs[i] = sp
+	}
+	if c.Controller == "" {
+		return Plan{}, fmt.Errorf("controller is required")
+	}
+	// The error names the known set so tournament clients can
+	// self-correct without a second round trip to /v1/catalog.
+	if err := CheckController(c.Controller); err != nil {
+		return Plan{}, err
+	}
+	scale, err := ScaleByName(c.Scale)
+	if err != nil {
+		return Plan{}, err
+	}
+	if c.Target > 0 {
+		scale.Target = c.Target
+	}
+	if c.Step > 0 {
+		scale.Step = c.Step
+	}
+	mix := workload.Mix{ID: int(c.Seed), Specs: specs}
+	return newPlan(mix, SystemConfig(len(specs), c.DRAMMTps, c.DRAMChannels), c.Controller, scale), nil
+}
+
+// key is the plan's memo key: what decides the simulation's outcome,
+// budget included, plus the mix label its result carries.
+func (p Plan) key() string {
+	step := p.Scale.Step
+	if p.Controller == "no" {
+		step = 0 // no agent, so no timestep: baselines and profiles are shared across steps
+	}
+	return fmt.Sprintf("%s|%s|%d|%d|%d|%s", p.Controller, p.Mix.Name(),
+		p.Scale.Target, p.Scale.MaxCyclesFactor, step, p.Config.Fingerprint())
+}
+
+// baselinePlan is the plan whose IPC[0] normalises spec's speedups on
+// cfg's system (at any core count) at scale's budget: the trace alone,
+// without L2 prefetching. Its mix label is always 0, so every mix and
+// seed shares it.
+func baselinePlan(spec workload.Spec, cfg sim.Config, scale Scale) Plan {
+	return newPlan(workload.Mix{Specs: []workload.Spec{spec}}, cfg, "no", scale)
+}
+
+// selfBaseline reports whether p is a one-core "no" run: the same
+// simulation as its own baseline, so its speedup needs no second run.
+func (p Plan) selfBaseline() bool {
+	return p.Controller == "no" && len(p.Mix.Specs) == 1
+}

@@ -2,7 +2,7 @@ package experiment
 
 import "micromama/internal/telemetry"
 
-// cacheStats is one Runner cache's counter trio.
+// cacheStats is the counter trio of one kind of memo lookup.
 type cacheStats struct{ hits, misses, merges *telemetry.Counter }
 
 func newCacheStats(cache string) cacheStats {
@@ -17,7 +17,8 @@ func newCacheStats(cache string) cacheStats {
 	}
 }
 
-// Baseline-IPC, S^MP-profile and RunCells-result cache telemetry,
-// shared by every Runner in the process (mamaserved keeps one Runner
-// per scale; the cache counters aggregate across them).
+// A Runner has one memo; the cache label says what a lookup was for —
+// a baseline IPC, an S^MP profile or a RunCells result — whichever kind
+// of caller simulated the plan first. Shared by every Runner in the
+// process.
 var baselineStats, profileStats, cellStats = newCacheStats("baseline"), newCacheStats("profile"), newCacheStats("cell")

@@ -342,7 +342,7 @@ func (cs *clusterState) prefetchSweep(ctx context.Context, spec sweep.Spec) {
 	}
 	byOwner := make(map[string][]string)
 	for _, c := range cells {
-		p, err := cs.s.resolve(specFromCell(c))
+		p, err := cs.s.resolve(JobSpec{Cell: c})
 		if err != nil {
 			continue
 		}

@@ -14,6 +14,7 @@ import (
 
 	"micromama/internal/cluster"
 	"micromama/internal/faultinject"
+	"micromama/internal/sweep"
 )
 
 // clusterNode is one in-process member of a test cluster.
@@ -212,7 +213,7 @@ func specsOwnedBy(t *testing.T, n *clusterNode, want string, count int) []JobSpe
 	t.Helper()
 	var out []JobSpec
 	for seed := uint64(1); seed < 4096 && len(out) < count; seed++ {
-		spec := JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: seed}
+		spec := JobSpec{Cell: sweep.Cell{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: seed}}
 		p, err := n.srv.resolve(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +337,7 @@ func TestClusterGoldenRoutingPaths(t *testing.T) {
 	coord, peer = spilled[0].srv, spilled[1].srv
 	specs := specsOwnedBy(t, spilled[0], spilled[0].url, 2)
 	for seed := uint64(1); len(specs) < 3; seed++ {
-		spec := JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "bandit", Scale: "tiny", Seed: seed}
+		spec := JobSpec{Cell: sweep.Cell{Mix: []string{"spec06.libquantum"}, Controller: "bandit", Scale: "tiny", Seed: seed}}
 		if p, err := coord.resolve(spec); err != nil {
 			t.Fatal(err)
 		} else if coord.cl.c.Owner(p.key) == spilled[0].url {

@@ -11,6 +11,7 @@ import (
 
 	"micromama/internal/experiment"
 	"micromama/internal/sim"
+	"micromama/internal/sweep"
 )
 
 // newResolver returns a server usable only for resolve() (no workers).
@@ -26,7 +27,7 @@ func newResolver(t *testing.T) *Server {
 
 func TestJobKeyDeterministicAndCanonical(t *testing.T) {
 	s := newResolver(t)
-	base := JobSpec{Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "mumama"}
+	base := JobSpec{Cell: sweep.Cell{Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "mumama"}}
 
 	p1, err := s.resolve(base)
 	if err != nil {
@@ -55,7 +56,7 @@ func TestJobKeyDeterministicAndCanonical(t *testing.T) {
 	}
 
 	// Every result-determining field must move the key.
-	variants := []JobSpec{
+	variants := []sweep.Cell{
 		{Mix: []string{"spec06.mcf", "spec06.libquantum"}, Controller: "mumama"}, // order matters
 		{Mix: base.Mix, Controller: "bandit"},
 		{Mix: base.Mix, Controller: "mumama", Scale: "tiny"},
@@ -67,7 +68,7 @@ func TestJobKeyDeterministicAndCanonical(t *testing.T) {
 	}
 	seen := map[string]int{p1.key: -1}
 	for i, v := range variants {
-		p, err := s.resolve(v)
+		p, err := s.resolve(JobSpec{Cell: v})
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -95,10 +96,10 @@ func TestJobKeyDeterministicAndCanonical(t *testing.T) {
 // or renamed) that moves it orphans every stored result. A deliberate
 // model change re-pins the literal and says so.
 func TestJobKeyPinned(t *testing.T) {
-	p, err := newResolver(t).resolve(JobSpec{
+	p, err := newResolver(t).resolve(JobSpec{Cell: sweep.Cell{
 		Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "mumama",
 		Scale: "tiny", Seed: 7, Target: 100_000,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 						for c := range mix {
 							mix[c] = awkward[(i+c)%len(awkward)]
 						}
-						spec := JobSpec{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}
+						spec := JobSpec{Cell: sweep.Cell{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}}
 						got, err := jobKey(spec, rc.tail, scale)
 						if err != nil {
 							t.Fatal(err)
@@ -205,17 +206,17 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 	}
 	// And through resolve, where the memo is the server's own.
 	s := newResolver(t)
-	for _, spec := range []JobSpec{
+	for _, cell := range []sweep.Cell{
 		{Mix: []string{"spec06.mcf"}, Controller: "no", Scale: "tiny", Target: 20_000, Seed: 3},
 		{Mix: []string{"spec06.libquantum", "spec06.mcf", "ligra.BFS", "spec06.sphinx3"}, Controller: "mumama", DRAMMTps: 1866, DRAMChannels: 2},
 		{Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "bandit", DRAMChannels: 2, Step: 90},
 	} {
-		p, err := s.resolve(spec)
+		p, err := s.resolve(JobSpec{Cell: cell})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := canonicalKey(t, p.spec, p.cfg, p.scale); p.key != want {
-			t.Errorf("resolve(%+v): key %s, canonical %s", spec, p.key, want)
+		if want := canonicalKey(t, p.spec, p.Config, p.Scale); p.key != want {
+			t.Errorf("resolve(%+v): key %s, canonical %s", cell, p.key, want)
 		}
 	}
 }

@@ -1,0 +1,127 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"micromama/internal/experiment"
+	"micromama/internal/sweep"
+)
+
+// TestResolveIsExperimentResolve: however a cell is spelled, the
+// server's resolver and the in-process one (experiment.Resolve, which
+// Runner.RunCells calls) name the same simulation — same mix, system,
+// controller and budget — and every spelling files under one job key.
+// Only the server's own two limits differ.
+func TestResolveIsExperimentResolve(t *testing.T) {
+	s := newResolver(t)
+	groups := [][]sweep.Cell{
+		{
+			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: "mumama", Scale: "tiny"},
+			{Mix: []string{" spec06.mcf", "ligra.BFS "}, Controller: "\tmumama", Scale: "Tiny"},
+			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: "mumama", Scale: " TINY ",
+				Target: experiment.ScaleTiny.Target, Step: experiment.ScaleTiny.Step},
+		},
+		{
+			{Mix: []string{"spec06.libquantum"}, Controller: "no"},
+			{Mix: []string{"spec06.libquantum\n"}, Controller: "no ", Scale: "DEFAULT"},
+		},
+		{
+			{Mix: []string{"spec06.mcf", "spec06.mcf"}, Controller: "bandit", Scale: "small", Seed: 3, DRAMChannels: 2, Step: 90},
+			{Mix: []string{"spec06.mcf", "spec06.mcf"}, Controller: "bandit", Scale: "small", Seed: 3, DRAMMTps: 2400, DRAMChannels: 2, Step: 90},
+		},
+	}
+	keys := map[string]int{}
+	for g, group := range groups {
+		var key string
+		for _, c := range group {
+			local := c
+			want, err := experiment.Resolve(&local)
+			if err != nil {
+				t.Fatalf("experiment.Resolve(%+v): %v", c, err)
+			}
+			got, err := s.resolve(JobSpec{Cell: c})
+			if err != nil {
+				t.Fatalf("Server.resolve(%+v): %v", c, err)
+			}
+			// (workload.Spec holds a func, so the mixes are compared by name.)
+			if got.Mix.Name() != want.Mix.Name() || got.Config != want.Config ||
+				got.Controller != want.Controller || got.Scale != want.Scale {
+				t.Errorf("%+v: the server plans %s under %s on %+v at %+v, experiment.Resolve %s under %s on %+v at %+v",
+					c, got.Mix.Name(), got.Controller, got.Config, got.Scale, want.Mix.Name(), want.Controller, want.Config, want.Scale)
+			}
+			if strings.Join(got.spec.Mix, ",") != strings.Join(local.Mix, ",") || got.spec.Controller != local.Controller || got.spec.Scale != local.Scale {
+				t.Errorf("%+v: normalized to %+v by the server, %+v locally", c, got.spec.Cell, local)
+			}
+			if key == "" {
+				key = got.key
+			} else if got.key != key {
+				t.Errorf("group %d: %+v files under %s, its other spellings under %s", g, c, got.key, key)
+			}
+		}
+		if prev, dup := keys[key]; dup {
+			t.Errorf("groups %d and %d share key %s", prev, g, key)
+		}
+		keys[key] = g
+	}
+
+	// What one resolver refuses, so does the other, in the same words.
+	for _, c := range []sweep.Cell{
+		{Controller: "no"},
+		{Mix: []string{"Spec06.mcf"}, Controller: "no"}, // trace names are case-sensitive
+		{Mix: []string{"spec06.mcf"}},
+		{Mix: []string{"spec06.mcf"}, Controller: "NO"},
+		{Mix: []string{"spec06.mcf"}, Controller: "no", Scale: "huge"},
+	} {
+		local := c
+		_, want := experiment.Resolve(&local)
+		_, got := s.resolve(JobSpec{Cell: c})
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%+v: server says %v, experiment.Resolve %v", c, got, want)
+		}
+	}
+
+	// The core limit and the timeout check stay on the server.
+	wide := sweep.Cell{Mix: make([]string, 17), Controller: "no", Scale: "tiny"}
+	for i := range wide.Mix {
+		wide.Mix[i] = "spec06.mcf"
+	}
+	if _, err := experiment.Resolve(&wide); err != nil {
+		t.Errorf("experiment.Resolve refuses 17 cores: %v", err)
+	}
+	if _, err := s.resolve(JobSpec{Cell: wide}); err == nil || !strings.Contains(err.Error(), "at most 16 cores") {
+		t.Errorf("Server.resolve of 17 cores: %v, want the MaxCores error", err)
+	}
+	if _, err := s.resolve(JobSpec{Cell: groups[1][0], TimeoutMs: -1}); err == nil || !strings.Contains(err.Error(), "timeout_ms") {
+		t.Errorf("Server.resolve of a negative timeout: %v", err)
+	}
+}
+
+// TestOneCoreNoJobSimulatesOnce: a one-core "no" job is its own
+// baseline — one simulation, speedup 1 — where it used to run the same
+// simulation twice to divide it by itself.
+func TestOneCoreNoJobSimulatesOnce(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	before := scrapeMetric(t, ts, "mama_sim_runs_total")
+	resp, view := postJob(t, ts, `{"mix":["spec06.libquantum"],"controller":"no","scale":"tiny","target":60000}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, want 202", resp.StatusCode)
+	}
+	body := waitDone(t, ts, view.ID, 60*time.Second)
+	if body.Status != StatusDone || body.Result == nil {
+		t.Fatalf("job finished as %q (error %q)", body.Status, body.Error)
+	}
+	if got := scrapeMetric(t, ts, "mama_sim_runs_total") - before; got != 1 {
+		t.Errorf("mama_sim_runs_total moved by %v, want 1", got)
+	}
+	if r := body.Result; len(r.Speedups) != 1 || r.Speedups[0] != 1 || r.WS != 1 || r.IPC[0] <= 0 {
+		t.Errorf("result %+v, want speedup 1 at a positive IPC", r)
+	}
+}

@@ -67,7 +67,7 @@ func (h *heldRun) awaitStart(t *testing.T) {
 }
 
 // heldSpec is the spec heldRun holds: sweepGridJSON's and fakeSpec's seed 1.
-var heldSpec = JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 1}
+var heldSpec = JobSpec{Cell: sweep.Cell{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 1}}
 
 // awaitRiders blocks until n sweep tickets ride on the registry's job
 // for spec — the point after which releasing the run exercises the
@@ -281,7 +281,7 @@ func TestSameKeyCacheFillsBeforeDispatch(t *testing.T) {
 	if sv.Pending != 1 {
 		t.Fatalf("cold cell admitted as %+v, want pending", sv)
 	}
-	p, err := srv.resolve(JobSpec{Mix: []string{"spec06.libquantum"}, Controller: "no", Scale: "tiny", Seed: 1})
+	p, err := srv.resolve(heldSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

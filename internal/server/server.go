@@ -21,7 +21,6 @@ import (
 	"micromama/internal/experiment"
 	"micromama/internal/faultinject"
 	"micromama/internal/persist"
-	"micromama/internal/sim"
 	"micromama/internal/sweep"
 	"micromama/internal/telemetry"
 	"micromama/internal/trace"
@@ -66,7 +65,7 @@ type Config struct {
 	// MaxSweepCells bounds a single sweep's expansion (default 4096).
 	MaxSweepCells int
 	// Run overrides the execution function (tests only); nil runs real
-	// simulations through a shared experiment.Runner per scale.
+	// simulations through the one shared experiment.Runner.
 	Run runFunc
 
 	// Cluster, when non-nil, makes this server one node of a sharded
@@ -131,11 +130,13 @@ type Server struct {
 	mu   sync.Mutex
 	jobs map[string]*job
 
-	runnersMu sync.Mutex
-	runners   map[experiment.Scale]*experiment.Runner
+	// runner simulates every job, whatever its budget: its memo of
+	// single-core baselines and S^MP profiles is keyed by plan, budget
+	// included, and shared by all workers.
+	runner *experiment.Runner
 
-	// configs memoises resolve's sim.Config per system shape, with the
-	// encoding jobKey hashes (see jobhash.go).
+	// configs memoises, per system shape, the sim.Config encoding jobKey
+	// hashes (see jobhash.go).
 	configs configMemo
 
 	// persist mirrors the result cache to disk; nil without CacheDir.
@@ -172,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 		reg:     telemetry.NewRegistry(),
 		jobs:    make(map[string]*job),
-		runners: make(map[experiment.Scale]*experiment.Runner),
+		runner:  experiment.NewRunner(experiment.ScaleDefault),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
@@ -303,85 +304,54 @@ func (s *Server) Close() {
 	s.sweeps.CloseStore()
 }
 
-// plan is a fully resolved job: the canonical config, scale, and mix
-// the hash and the simulation both derive from.
+// plan is a fully resolved job: the normalized spec, the simulation it
+// names, and the content address both derive from.
 type plan struct {
-	spec  JobSpec
-	mix   workload.Mix
-	cfg   sim.Config
-	scale experiment.Scale
-	key   string
-	id    string
+	experiment.Plan
+	spec JobSpec
+	key  string
+	id   string
 }
 
-// resolve validates a spec and computes its canonical plan.
+// resolve validates a spec and computes its canonical plan:
+// experiment.Resolve (normalize, catalog and registry checks, budget
+// overrides) inside this server's own two limits.
 func (s *Server) resolve(spec JobSpec) (plan, error) {
-	spec.normalize()
-	if err := spec.validate(s.cfg.MaxCores); err != nil {
+	if s.cfg.MaxCores > 0 && len(spec.Mix) > s.cfg.MaxCores {
+		return plan{}, fmt.Errorf("mix has %d traces; server accepts at most %d cores", len(spec.Mix), s.cfg.MaxCores)
+	}
+	p, err := experiment.Resolve(&spec.Cell)
+	if err != nil {
 		return plan{}, err
 	}
-	scale, _ := experiment.ScaleByName(spec.Scale)
-	if spec.Target > 0 {
-		scale.Target = spec.Target
+	if spec.TimeoutMs < 0 {
+		return plan{}, fmt.Errorf("timeout_ms must be >= 0")
 	}
-	if spec.Step > 0 {
-		scale.Step = spec.Step
-	}
-	specs := make([]workload.Spec, len(spec.Mix))
-	for i, name := range spec.Mix {
-		ws, err := workload.ByName(name)
-		if err != nil {
-			return plan{}, err
-		}
-		specs[i] = ws
-	}
-	rc, err := s.configs.resolve(len(specs), spec.DRAMMTps, spec.DRAMChannels)
+	rc, err := s.configs.resolve(len(spec.Mix), spec.DRAMMTps, spec.DRAMChannels)
 	var key string
 	if err == nil {
-		key, err = jobKey(spec, rc.tail, scale)
+		key, err = jobKey(spec, rc.tail, p.Scale)
 	}
 	if err != nil {
 		// The server's hashing contract is broken, not the request:
 		// answer 500, never panic the process on a hostile spec.
 		return plan{}, fmt.Errorf("%w: %v", errInternal, err)
 	}
-	return plan{
-		spec:  spec,
-		mix:   workload.Mix{ID: int(spec.Seed), Specs: specs},
-		cfg:   rc.cfg,
-		scale: scale,
-		key:   key,
-		id:    jobID(key),
-	}, nil
+	return plan{Plan: p, spec: spec, key: key, id: jobID(key)}, nil
 }
 
-// runnerFor returns the shared experiment.Runner for a resolved scale.
-// One runner per scale means every worker shares the same baseline-IPC
-// and S^MP-profile caches (safe: the runner singleflights both).
-func (s *Server) runnerFor(scale experiment.Scale) *experiment.Runner {
-	s.runnersMu.Lock()
-	defer s.runnersMu.Unlock()
-	r, ok := s.runners[scale]
-	if !ok {
-		r = experiment.NewRunner(scale)
-		s.runners[scale] = r
-	}
-	return r
-}
-
-// simulate is the production runFunc: one RunMix under the job's
-// context on the scale's shared runner.
+// simulate is the production runFunc: the job's plan, simulated under
+// the job's context on the shared runner.
 func (s *Server) simulate(ctx context.Context, spec JobSpec) (JobResult, error) {
 	p, err := s.resolve(spec)
 	if err != nil {
 		return JobResult{}, err
 	}
-	runner := s.runnerFor(p.scale)
 	start := time.Now()
 	s.log.Debug("simulation starting",
 		"req", telemetry.RequestID(ctx), "job", p.id,
-		"mix", p.mix.Name(), "ctrl", p.spec.Controller, "scale", p.spec.Scale)
-	res, err := runner.RunMixContext(ctx, p.mix, p.cfg, p.spec.Controller, experiment.Options{})
+		"mix", p.Mix.Name(), "ctrl", p.Controller, "scale", p.spec.Scale)
+	res, err := s.runner.Run(ctx, p.Plan)
 	if err != nil {
 		s.log.Warn("simulation failed",
 			"req", telemetry.RequestID(ctx), "job", p.id,

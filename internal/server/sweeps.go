@@ -19,30 +19,13 @@ import (
 // the same path a real crash exercises through persistence and resume.
 var faultSweepWorkerKill = faultinject.New("server/sweep/worker-kill")
 
-// specFromCell maps a sweep cell onto the interactive job spec it is
-// equivalent to. The mapping is field-for-field, which is what makes a
-// sweep cell and a POST /v1/jobs submission of the same parameters hash
-// to the same content address — the whole dedupe story rests on it.
-func specFromCell(c sweep.Cell) JobSpec {
-	return JobSpec{
-		Mix:          c.Mix,
-		Controller:   c.Controller,
-		Scale:        c.Scale,
-		Seed:         c.Seed,
-		Target:       c.Target,
-		Step:         c.Step,
-		DRAMMTps:     c.DRAMMTps,
-		DRAMChannels: c.DRAMChannels,
-	}
-}
-
 // sweepExec adapts the Server into the sweep manager's execution
 // backend: cell resolution through the canonical job hash and result
 // lookups against the content-addressed cache.
 type sweepExec struct{ s *Server }
 
 func (e sweepExec) ResolveCell(c sweep.Cell) (string, error) {
-	p, err := e.s.resolve(specFromCell(c))
+	p, err := e.s.resolve(JobSpec{Cell: c})
 	if err != nil {
 		return "", err
 	}
@@ -90,9 +73,8 @@ func (s *Server) runCell(worker int, t sweep.Ticket) {
 // (the cell completes as deduped here) or an identical job is queued or
 // running (the ticket rides on it and finishJob settles it).
 func (s *Server) admitCell(t sweep.Ticket, remote bool) *job {
-	spec := specFromCell(t.Cell)
-	spec.TimeoutMs = t.TimeoutMs
-	spec.normalize()
+	spec := JobSpec{Cell: t.Cell, TimeoutMs: t.TimeoutMs}
+	spec.Normalize()
 	s.mu.Lock()
 	j, how := s.admitLocked(t.Key, spec, telemetry.NewRequestID(jobID(t.Key)), &t, false, false)
 	if how == admitNew {

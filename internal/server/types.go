@@ -7,88 +7,22 @@
 package server
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"micromama/internal/cluster"
 	"micromama/internal/experiment"
 	"micromama/internal/sweep"
-	"micromama/internal/workload"
 )
 
-// JobSpec is the client-supplied description of one simulation job.
-// The zero values of optional fields mean "use the scale's default".
+// JobSpec is the client-supplied description of one simulation job: a
+// sweep cell — the same fields in the same order, so a job and a cell
+// of the same parameters are one content address — plus the one
+// execution-only knob.
 type JobSpec struct {
-	// Mix lists catalog trace names, one per core (see workload.Catalog
-	// or GET /v1/catalog).
-	Mix []string `json:"mix"`
-	// Controller is one of experiment.ControllerKeys.
-	Controller string `json:"controller"`
-	// Scale names the simulation budget: tiny, small, default, or full.
-	// Empty means "default".
-	Scale string `json:"scale,omitempty"`
-	// Seed labels the mix (workload.Mix.ID) and namespaces the cache
-	// key; jobs differing only in Seed are distinct cache entries.
-	Seed uint64 `json:"seed,omitempty"`
-	// Target overrides the scale's instruction-retirement goal per core.
-	Target uint64 `json:"target,omitempty"`
-	// Step overrides the scale's agent timestep (L2 demand accesses).
-	Step uint64 `json:"step,omitempty"`
-	// DRAMMTps and DRAMChannels override the memory system
-	// (DDR4 speed grade and channel count).
-	DRAMMTps     int `json:"dram_mtps,omitempty"`
-	DRAMChannels int `json:"dram_channels,omitempty"`
+	sweep.Cell
 	// TimeoutMs bounds the job's wall-clock execution; 0 uses the
 	// server default. Values above the server maximum are clamped.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// normalize canonicalizes fields that admit aliases so that equivalent
-// specs hash identically. Mix is rewritten into a fresh slice so the
-// normalized spec never aliases caller-held memory (specs are
-// re-resolved on worker goroutines while handlers serialize views).
-func (s *JobSpec) normalize() {
-	s.Controller = strings.TrimSpace(s.Controller)
-	s.Scale = strings.ToLower(strings.TrimSpace(s.Scale))
-	if s.Scale == "" {
-		s.Scale = "default"
-	}
-	mix := make([]string, len(s.Mix))
-	for i := range s.Mix {
-		mix[i] = strings.TrimSpace(s.Mix[i])
-	}
-	s.Mix = mix
-}
-
-// validate checks the spec against the catalog and controller registry.
-func (s *JobSpec) validate(maxCores int) error {
-	if len(s.Mix) == 0 {
-		return fmt.Errorf("mix must name at least one trace")
-	}
-	if maxCores > 0 && len(s.Mix) > maxCores {
-		return fmt.Errorf("mix has %d traces; server accepts at most %d cores", len(s.Mix), maxCores)
-	}
-	for _, name := range s.Mix {
-		if _, err := workload.ByName(name); err != nil {
-			return fmt.Errorf("unknown trace %q (see GET /v1/catalog)", name)
-		}
-	}
-	if s.Controller == "" {
-		return fmt.Errorf("controller is required")
-	}
-	// The error names the known set so tournament clients can
-	// self-correct without a second round trip to /v1/catalog.
-	if err := experiment.CheckController(s.Controller); err != nil {
-		return err
-	}
-	if _, err := experiment.ScaleByName(s.Scale); err != nil {
-		return err
-	}
-	if s.TimeoutMs < 0 {
-		return fmt.Errorf("timeout_ms must be >= 0")
-	}
-	return nil
 }
 
 // JobStatus is a job's lifecycle state: queued → running → done|failed.
@@ -132,7 +66,7 @@ type Stats struct {
 	Rejected    uint64 `json:"rejected"`     // 429s from queue overflow
 	CacheHits   uint64 `json:"cache_hits"`   // submissions satisfied by the result cache
 	DedupHits   uint64 `json:"dedup_hits"`   // submissions coalesced onto an in-flight job
-	Simulations uint64 `json:"simulations"`  // RunMix executions actually performed
+	Simulations uint64 `json:"simulations"`  // job simulations actually performed
 	QueueDepth  int    `json:"queue_depth"`  // jobs currently waiting
 	QueueCap    int    `json:"queue_cap"`    // queue capacity
 	Workers     int    `json:"workers"`      // worker-pool size

@@ -60,6 +60,10 @@ type Config struct {
 	WarmupInstructions uint64 `json:",omitempty"`
 }
 
+// table3DRAM is Table 3's memory system, built once: DefaultConfig is on
+// mamaserved's per-cell resolve path, and dram.DDR4 formats a name.
+var table3DRAM = dram.DDR4(2400, 1)
+
 // DefaultConfig returns the paper's Table 3 system with the given core
 // count: 4 GHz CPU, 48 KB L1D (5 cyc), 1 MB L2 (10 cyc), 6 MB shared
 // LLC (40 cyc), one channel of DDR4-2400.
@@ -74,7 +78,7 @@ func DefaultConfig(cores int) Config {
 		L1D:            cache.Config{Name: "L1D", Sets: 64, Ways: 12, LineBytes: 64, HitLatency: 5, MSHRs: 8},
 		L2:             cache.Config{Name: "L2", Sets: 1024, Ways: 16, LineBytes: 64, HitLatency: 10, MSHRs: 16},
 		LLC:            cache.Config{Name: "LLC", Sets: 8192, Ways: 12, LineBytes: 64, HitLatency: 40, MSHRs: 64},
-		DRAM:           dram.DDR4(2400, 1),
+		DRAM:           table3DRAM,
 		NoC:            noc.DefaultConfig(),
 		Epoch:          64,
 		AddrSpaceShift: 44,

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"micromama/internal/dram"
 	"micromama/internal/prefetch"
 	"micromama/internal/trace"
 	"micromama/internal/workload"
@@ -27,6 +28,19 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("bad L2 validated")
 	}
+}
+
+// DefaultConfig is called once per cell by mamaserved's resolver: it
+// must stay a plain value copy, and still Table 3's DDR4-2400 x1.
+func TestDefaultConfigDoesNotAllocate(t *testing.T) {
+	if got, want := DefaultConfig(4).DRAM, dram.DDR4(2400, 1); got != want {
+		t.Errorf("default DRAM = %+v, want %+v", got, want)
+	}
+	var c Config
+	if allocs := testing.AllocsPerRun(100, func() { c = DefaultConfig(4) }); allocs != 0 {
+		t.Errorf("DefaultConfig allocates %v times, want 0", allocs)
+	}
+	_ = c
 }
 
 func TestNewRejectsTraceMismatch(t *testing.T) {

@@ -40,10 +40,11 @@ type DRAM struct {
 	Channels int `json:"channels,omitempty"`
 }
 
-// Cell is one fully specified simulation of a sweep: the same shape as
-// the server's interactive job spec minus execution-only knobs. Cells
-// are the unit of expansion, content addressing, scheduling, and
-// result streaming.
+// Cell is one fully specified simulation: the unit of sweep expansion,
+// content addressing, scheduling and result streaming, the body of the
+// server's interactive job spec (which adds only a timeout), and what
+// experiment.Resolve turns into a plan. The zero values of optional
+// fields mean "use the scale's default".
 type Cell struct {
 	// Mix lists catalog trace names, one per core.
 	Mix []string `json:"mix"`
@@ -63,10 +64,11 @@ type Cell struct {
 	DRAMChannels int `json:"dram_channels,omitempty"`
 }
 
-// normalize canonicalizes a cell the same way the server canonicalizes
-// job specs, so equivalent spellings expand to identical cells (and
-// therefore identical content addresses).
-func (c *Cell) normalize() {
+// Normalize canonicalizes the fields that admit aliases, so equivalent
+// spellings are identical cells (and therefore identical content
+// addresses). Mix is rewritten into a fresh slice: a normalized cell
+// never aliases caller-held memory.
+func (c *Cell) Normalize() {
 	mix := make([]string, len(c.Mix))
 	for i := range c.Mix {
 		mix[i] = strings.TrimSpace(c.Mix[i])
@@ -139,7 +141,7 @@ func (s *Spec) normalize() {
 		}
 	}
 	for i := range s.Cells {
-		s.Cells[i].normalize()
+		s.Cells[i].Normalize()
 	}
 }
 
@@ -198,7 +200,7 @@ func (s *Spec) Expand(maxCells int) ([]Cell, error) {
 			for _, ctrl := range controllers {
 				for _, sc := range scales {
 					// normalize canonicalized the axes in place: all that is left
-					// of Cell.normalize is this, and a mix's cells share its slice.
+					// of Cell.Normalize is this, and a mix's cells share its slice.
 					if sc == "" {
 						sc = "default"
 					}
