@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline bench-paper figures examples clean
+.PHONY: all build vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline figures examples clean
 
 all: check
 
@@ -75,7 +75,10 @@ chaos:
 # panic, and the node stays alive in its own ring); in the sweep layer
 # the POST /v1/sweeps body (Expand and ID never panic, stay inside the
 # cell budget and are deterministic); in the server the result stream's
-# spliced event encoder (byte for byte what json.Marshal would emit).
+# spliced event encoder (byte for byte what json.Marshal would emit); in
+# the experiment layer the controller key any cell carries (parse then
+# canonicalise is a fixed point inside the length bound, and what parses
+# builds).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -84,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s ./internal/experiment
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
@@ -127,14 +131,16 @@ tournament-smoke:
 # file goes missing), and print no NaN. The cell figures among them run
 # through the same registry, Executor and reducers as at any scale, so
 # this is the end-to-end guard of `make figures`. A second pass over the
-# eight cell-figure ids alone reads the Runner's books from
+# cell-figure ids alone reads the Runner's books from
 # -metrics-dump: every simulation started is a baseline miss or a cell
 # miss of its one memo (nothing is simulated twice, nothing off the
 # books), and no profile is ever simulated, because each profiled mix's
 # "no" cell is among the figures' own cells.
-CELL_FIGURES = fig9 fig10 fig11 fig13 fig14 fig15a fig16 sec63
+CELL_FIGURES = fig9 fig10 fig11 fig13 fig14 fig15a fig15b fig16 sec63 \
+	abl-theta abl-tarbit abl-lcb abl-kstep
 FIGURE_JSON = fig2 fig3 fig4 fig9 fig10-WS-4C fig10-HS-4C fig10-WS-8C fig10-HS-8C \
-	fig11 fig12 fig13 fig14 fig15a fig15b fig16 sec63
+	fig11 fig12 fig13 fig14 fig15a fig15b fig16 sec63 \
+	abl-theta abl-tarbit abl-lcb abl-kstep
 
 figures-smoke:
 	@tmp=$$(mktemp -d); \
@@ -170,7 +176,8 @@ bench-check:
 # available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
 # fuzz the trace packer, the trace loader, the gossip-header decoder,
-# the sweep spec and the stream's event encoder for ten seconds each,
+# the sweep spec, the stream's event encoder and the controller key for
+# ten seconds each,
 # drive a real
 # sweep, the 3-node cluster, the controller tournament and every
 # figure id end to end, check the bench/ module against this tree, then make sure
@@ -212,10 +219,6 @@ bench-smoke:
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=3 $(BENCH_PKGS) | tee bench.out
 	$(GO) run ./scripts/benchdiff -update bench.out
-
-# Tiny-scale benchmark sweep over every paper table/figure.
-bench-paper:
-	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # Regenerate the paper's figures (text + SVG + JSON) at default scale.
 figures:

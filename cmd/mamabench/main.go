@@ -9,18 +9,24 @@
 //	mamabench -server http://localhost:8077 all
 //
 // Experiment ids: tab1 tab2 tab3 fig1 fig2 fig3 fig4 fig9 fig10 fig11
-// fig12 fig13 fig14 fig15a fig15b fig16 overheads sec63 tournament, or
-// "all" (everything but the tournament).
+// fig12 fig13 fig14 fig15a fig15b fig16 overheads sec63 abl-theta
+// abl-tarbit abl-lcb abl-kstep tournament, or "all" (everything but the
+// tournament).
 //
-// fig9, fig10, fig11, fig13, fig14, fig15a, fig16, sec63 and tournament
-// are cell figures (experiment.Figures): sweep cells in, a reducer out.
-// With -server their cells run as one server-side sweep each (see
-// internal/sweep) instead of in this process — the same cells either
-// way, so a warm server answers a repeated figure without
-// re-simulating, and the report is the same. The other ids run locally
-// under -server too: tab1–tab3, overheads and fig1 simulate nothing,
-// and fig2/fig4/fig12, fig3 and fig15b are probes of state no job
-// result carries (a policy timeline, a chosen arm degree, a JAV size).
+// fig9, fig10, fig11, fig13, fig14, fig15a, fig15b, fig16, sec63, the
+// four abl-* parameter ablations and tournament are cell figures
+// (experiment.Figures): sweep cells in, a reducer out. With -server
+// their cells run as one server-side sweep each (see internal/sweep)
+// instead of in this process — the same cells either way, so a warm
+// server answers a repeated figure without re-simulating, and the report
+// is the same. The other ids run locally under -server too: tab1–tab3,
+// overheads and fig1 simulate nothing, and fig2/fig4/fig12 and fig3 are
+// probes of state no job result carries (a policy timeline, a chosen arm
+// degree).
+//
+// A controller key is name[@param=value[@param=value…]]: fig15b's arms
+// are mumama@jav=1 … mumama@jav=16 (mamasim -controllers lists each
+// controller's parameters).
 //
 // The tournament id races controller families head-to-head over the
 // workload catalog (see internal/tournament):
@@ -65,21 +71,14 @@ var (
 )
 
 // defaultTournamentControllers races one representative of every
-// coordination family; "all" expands to every registry key that needs
-// no extra options.
+// coordination family; "all" expands to every registry key.
 const defaultTournamentControllers = "no,ip_stride,bingo,pythia,spp,bandit,mumama,phase-select,coord-rl"
 
 // buildTournamentSpec resolves the tournament flags into a spec.
 func buildTournamentSpec() (tournament.Spec, error) {
 	ctrls := tournamentCtrls
 	if ctrls == "all" {
-		keys := make([]string, 0, len(experiment.ControllerKeys))
-		for _, k := range experiment.ControllerKeys {
-			if k != "mumama-profiled" { // requires per-core profiles
-				keys = append(keys, k)
-			}
-		}
-		ctrls = strings.Join(keys, ",")
+		ctrls = strings.Join(experiment.ControllerKeys, ",")
 	}
 	var cores []int
 	for _, f := range strings.Split(tournamentCores, ",") {
@@ -104,7 +103,7 @@ func main() {
 	scaleName := flag.String("scale", "small", strings.Join(experiment.ScaleNames(), " | "))
 	flag.StringVar(&svgDir, "svg", "", "also write figures as SVG files into this directory")
 	flag.StringVar(&jsonDir, "json", "", "also write report data as JSON files into this directory")
-	server := flag.String("server", "", "run the cells of every cell figure (fig9 fig10 fig11 fig13 fig14 fig15a fig16 sec63 tournament) as sweeps against this mamaserved URL; other ids still run locally")
+	server := flag.String("server", "", "run the cells of every cell figure (fig9 fig10 fig11 fig13 fig14 fig15a fig15b fig16 sec63 abl-* tournament) as sweeps against this mamaserved URL; other ids still run locally")
 	flag.StringVar(&tournamentCtrls, "controllers", defaultTournamentControllers,
 		"comma-separated controller keys for the tournament id (\"all\" = every registry key)")
 	flag.StringVar(&tournamentCores, "tournament-cores", "4",
@@ -155,7 +154,8 @@ func main() {
 	}
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = []string{"tab1", "tab2", "tab3", "overheads", "fig1", "fig2", "fig3", "fig4",
-			"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15a", "fig15b", "fig16", "sec63"}
+			"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15a", "fig15b", "fig16", "sec63",
+			"abl-theta", "abl-tarbit", "abl-lcb", "abl-kstep"}
 	}
 
 	// Ctrl-C cancels in-flight simulations at their next epoch boundary
@@ -240,9 +240,6 @@ var probes = map[string]probe{
 	"fig12": timeline("mumama"),
 	"fig3": func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) {
 		return r.Fig3PrefetchScaling(ctx, []int{1, 4, 8})
-	},
-	"fig15b": func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) {
-		return r.Fig15bJAVSweep(ctx, 4, []int{1, 2, 4, 8, 16})
 	},
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"micromama/internal/client"
@@ -125,5 +126,19 @@ func TestRunUnknownID(t *testing.T) {
 	}
 	if len(experiment.FiguresByID("fig1")) != 0 {
 		t.Error(`"fig1" is a table, but matched registry figures (fig10…fig16 must not prefix-match it)`)
+	}
+}
+
+// TestControllersAllIsTheRegistry: "-controllers all" races every
+// registry key — mumama-profiled too, whose profile the Runner (or the
+// server's) measures itself.
+func TestControllersAllIsTheRegistry(t *testing.T) {
+	tournamentCtrls, tournamentCores, tournamentSeeds = "all", "4", 1
+	spec, err := buildTournamentSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(spec.Controllers, experiment.ControllerKeys) || !slices.Contains(spec.Controllers, "mumama-profiled") {
+		t.Errorf("all = %v, want %v", spec.Controllers, experiment.ControllerKeys)
 	}
 }

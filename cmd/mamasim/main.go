@@ -5,8 +5,9 @@
 //
 //	mamasim -controller mumama -traces spec06.libquantum,spec06.mcf \
 //	        -instructions 2000000
+//	mamasim -controller mumama@jav=4,mumama,bandit -traces ...   # compare
 //	mamasim -list                # list catalog traces
-//	mamasim -controllers         # list controllers
+//	mamasim -controllers         # list controllers and their key parameters
 package main
 
 import (
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	var (
-		controller = flag.String("controller", "mumama", "prefetch controller, or a comma-separated list to compare (see -controllers)")
+		controller = flag.String("controller", "mumama", "prefetch controller key, name[@param=value…], or a comma-separated list to compare (see -controllers)")
 		traces     = flag.String("traces", "", "comma-separated trace names, one per core (see -list)")
 		instr      = flag.Uint64("instructions", 2_000_000, "instruction target per core")
 		step       = flag.Uint64("step", 250, "agent timestep in L2 demand accesses")
@@ -37,7 +38,7 @@ func main() {
 		dramMTps   = flag.Int("dram", 2400, "DDR4 speed grade (MT/s)")
 		channels   = flag.Int("channels", 1, "DRAM channels")
 		list       = flag.Bool("list", false, "list catalog traces and exit")
-		ctrls      = flag.Bool("controllers", false, "list controllers and exit")
+		ctrls      = flag.Bool("controllers", false, "list controllers with the parameters their keys accept and exit")
 		warmup     = flag.Uint64("warmup", 0, "functional-warmup instructions per core (caches populated, no timing) before the measured run")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -82,6 +83,9 @@ func main() {
 	if *ctrls {
 		for _, k := range experiment.ControllerKeys {
 			fmt.Println(k)
+			for _, p := range experiment.ControllerParams[k] {
+				fmt.Printf("    @%s\n", p)
+			}
 		}
 		return
 	}
@@ -115,17 +119,22 @@ func main() {
 	runner := experiment.NewRunner(scale)
 
 	keys := strings.Split(*controller, ",")
+	for _, key := range keys {
+		if err := experiment.CheckController(key); err != nil {
+			fatal(2, "mamasim:", err)
+		}
+	}
 	if len(keys) > 1 {
 		// Comparison mode: one summary row per controller.
 		fmt.Printf("system: %d cores, %s (%.1f GB/s)\n\n", cfg.Cores, cfg.DRAM.Name, cfg.DRAM.PeakGBps())
 		fmt.Printf("%-16s %8s %8s %8s %10s %12s\n", "controller", "WS", "HS", "GM", "unfairness", "L2 prefetches")
 		for _, key := range keys {
-			res, err := runner.RunMixContext(ctx, mix, cfg, strings.TrimSpace(key), experiment.Options{})
+			res, err := runner.RunMixContext(ctx, mix, cfg, key, experiment.Options{})
 			if err != nil {
 				fatal(1, "mamasim:", err)
 			}
 			fmt.Printf("%-16s %8.3f %8.3f %8.3f %10.2f %12d\n",
-				key, res.WS, res.HS, metrics.GM(res.Speedups), res.Unfairness,
+				res.Controller, res.WS, res.HS, metrics.GM(res.Speedups), res.Unfairness,
 				res.Result.TotalL2Prefetches())
 		}
 		return

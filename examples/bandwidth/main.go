@@ -9,30 +9,36 @@ import (
 
 	"micromama/internal/dram"
 	"micromama/internal/experiment"
-	"micromama/internal/sim"
+	"micromama/internal/sweep"
 	"micromama/internal/workload"
 )
 
 func main() {
-	scale := experiment.Scale{Target: 1_500_000, MaxCyclesFactor: 14, MixCount: 3, Seed: 7, Step: 250}
-	runner := experiment.NewRunner(scale)
-	ctx := context.Background()
-	mixes := workload.Mixes(4, scale.MixCount, scale.Seed)
+	runner := experiment.NewRunner(experiment.ScaleSmall)
+	mixes := workload.Mixes(4, 3, experiment.ScaleSmall.Seed)
 
 	fmt.Printf("%-20s %10s %12s %12s %10s\n", "memory", "GB/s", "bandit WS", "µmama WS", "delta")
-	for _, d := range []dram.Config{dram.DDR4(1866, 1), dram.DDR4(2400, 1), dram.DDR4(1866, 2), dram.DDR4(2400, 2)} {
-		cfg := sim.DefaultConfig(4)
-		cfg.DRAM = d
-		bandit, err := runner.RunMixesContext(ctx, mixes, cfg, "bandit", experiment.Options{})
+	for _, sys := range [][2]int{{1866, 1}, {2400, 1}, {1866, 2}, {2400, 2}} { // MT/s, channels
+		var cells []sweep.Cell
+		for _, key := range []string{"bandit", "mumama"} {
+			for _, mix := range mixes {
+				c := experiment.CellFor(mix, key, "small", 0, 0)
+				c.DRAMMTps, c.DRAMChannels = sys[0], sys[1]
+				cells = append(cells, c)
+			}
+		}
+		results, err := runner.RunCells(context.Background(), cells)
 		if err != nil {
 			panic(err)
 		}
-		mama, err := runner.RunMixesContext(ctx, mixes, cfg, "mumama", experiment.Options{})
-		if err != nil {
-			panic(err)
+		var bws, mws float64
+		for i := range mixes {
+			bws += results[i].WS
+			mws += results[len(mixes)+i].WS
 		}
-		bws, mws := experiment.MeanWS(bandit), experiment.MeanWS(mama)
+		n := float64(len(mixes))
+		d := dram.DDR4(sys[0], sys[1])
 		fmt.Printf("%-20s %10.1f %12.3f %12.3f %+9.2f%%\n",
-			d.Name, d.PeakGBps(), bws, mws, (mws/bws-1)*100)
+			d.Name, d.PeakGBps(), bws/n, mws/n, (mws/bws-1)*100)
 	}
 }

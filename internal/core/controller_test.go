@@ -71,6 +71,13 @@ func TestSharedRewardBanditRuns(t *testing.T) {
 	}
 }
 
+// TestTable1Defaults pins the paper's Table 1 hyperparameters.
+func TestTable1Defaults(t *testing.T) {
+	if cfg := DefaultMuMamaConfig(); cfg.Step != 800 || cfg.TArbit != 5 || cfg.KStep != 5 || cfg.JAVSize != 2 {
+		t.Errorf("Table 1 defaults drifted: %+v", cfg)
+	}
+}
+
 func TestMuMamaAdvancesGlobalTimesteps(t *testing.T) {
 	cfg := DefaultMuMamaConfig()
 	cfg.Step = 100

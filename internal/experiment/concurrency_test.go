@@ -14,7 +14,7 @@ import (
 var concurrencyScale = Scale{Target: 60_000, MaxCyclesFactor: 12, MixCount: 2, Seed: 7, Step: 100}
 
 // TestRunMixConcurrent hammers one Runner from many goroutines —
-// including the profile path, which layers ProfilesContext on top of
+// including the profile path, which layers profiles on top of
 // BaselineIPCContext — and checks that (a) nothing races (run with
 // -race), and (b) every goroutine sees identical, deterministic
 // metrics for its controller.
@@ -80,7 +80,7 @@ func TestProfilesConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			profs[i], errs[i] = r.ProfilesContext(context.Background(), mix, cfg)
+			profs[i], errs[i] = r.profiles(context.Background(), mix, cfg, r.Scale)
 		}(i)
 	}
 	wg.Wait()

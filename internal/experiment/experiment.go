@@ -11,9 +11,7 @@ import (
 	"strings"
 	"sync"
 
-	"micromama/internal/core"
 	"micromama/internal/dram"
-	"micromama/internal/prefetch"
 	"micromama/internal/sim"
 	"micromama/internal/workload"
 )
@@ -92,147 +90,6 @@ func SystemConfig(cores, dramMTps, dramChannels int) sim.Config {
 		cfg.DRAM = dram.DDR4(dramMTps, dramChannels)
 	}
 	return cfg
-}
-
-// Options tune controller construction.
-type Options struct {
-	// Profiles supplies per-core S^MP values (µMama-Profiled).
-	Profiles []float64
-	// JAVSize overrides the JAV capacity (0 = paper default of 2).
-	JAVSize int
-	// Timeline enables policy-timeline recording.
-	Timeline bool
-	// Theta overrides θ_global (0 = paper formula).
-	Theta float64
-	// TArbit overrides the arbiter period (0 = paper default of 5).
-	TArbit int
-	// Step overrides the timestep threshold in L2 demand accesses
-	// (0 = paper default of 800). Scaled-down simulations scale the
-	// step so agents complete a paper-like number of timesteps.
-	Step uint64
-}
-
-// ControllerKeys lists every controller the harness can build.
-var ControllerKeys = []string{
-	"no", "ip_stride", "bingo", "pythia", "spp",
-	"bandit", "bandit-shared",
-	"mumama", "mumama-fair", "mumama-25", "mumama-50", "mumama-75", "mumama-gm",
-	"mumama-profiled", "mumama-jav-only", "mumama-grw-only", "mumama-l1l2",
-	"phase-select", "coord-rl",
-}
-
-// CheckController reports whether key is in the controller registry;
-// the error names the known set so a caller can correct itself.
-func CheckController(key string) error {
-	for _, k := range ControllerKeys {
-		if k == key {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown controller %q (known: %s)", key, strings.Join(ControllerKeys, ", "))
-}
-
-// MakeController builds a prefetch controller by key.
-func MakeController(key string, opt Options) (sim.Controller, error) {
-	mm := func(metric core.Metric, mutate func(*core.MuMamaConfig)) sim.Controller {
-		cfg := core.DefaultMuMamaConfig()
-		cfg.Metric = metric
-		if opt.JAVSize > 0 {
-			cfg.JAVSize = opt.JAVSize
-		}
-		if opt.Theta > 0 {
-			cfg.ThetaGlobal = opt.Theta
-		}
-		if opt.TArbit > 0 {
-			cfg.TArbit = opt.TArbit
-		}
-		if opt.Step > 0 {
-			cfg.Step = opt.Step
-		}
-		cfg.RecordTimeline = opt.Timeline
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		return core.NewMuMama(cfg)
-	}
-	bandit := func(shared bool) sim.Controller {
-		cfg := core.DefaultBanditConfig()
-		cfg.SharedReward = shared
-		if opt.Step > 0 {
-			cfg.Step = opt.Step
-		}
-		cfg.RecordTimeline = opt.Timeline
-		return core.NewBandit(cfg)
-	}
-	switch key {
-	case "no":
-		return sim.NoPrefetchController(), nil
-	case "ip_stride":
-		return sim.NewFixedController("ip_stride", func(int) prefetch.Prefetcher {
-			return prefetch.NewStride("l2_stride", 64, 2)
-		}), nil
-	case "bingo":
-		return sim.NewFixedController("bingo", func(int) prefetch.Prefetcher {
-			return prefetch.NewBingo()
-		}), nil
-	case "pythia":
-		return sim.NewFixedController("pythia", func(c int) prefetch.Prefetcher {
-			return prefetch.NewPythia(uint64(c) + 12345)
-		}), nil
-	case "spp":
-		return sim.NewFixedController("spp", func(int) prefetch.Prefetcher {
-			return prefetch.NewSPP()
-		}), nil
-	case "bandit":
-		return bandit(false), nil
-	case "bandit-shared":
-		return bandit(true), nil
-	case "mumama":
-		return mm(core.MetricWS(), nil), nil
-	case "mumama-fair":
-		return mm(core.MetricHS(), nil), nil
-	case "mumama-25":
-		return mm(core.MetricBlend(0.25), nil), nil
-	case "mumama-50":
-		return mm(core.MetricBlend(0.50), nil), nil
-	case "mumama-75":
-		return mm(core.MetricBlend(0.75), nil), nil
-	case "mumama-gm":
-		return mm(core.MetricGM(), nil), nil
-	case "mumama-profiled":
-		if opt.Profiles == nil {
-			return nil, fmt.Errorf("experiment: mumama-profiled requires Options.Profiles")
-		}
-		return mm(core.MetricWS(), func(c *core.MuMamaConfig) { c.Profiles = opt.Profiles }), nil
-	case "mumama-jav-only":
-		return mm(core.MetricWS(), func(c *core.MuMamaConfig) { c.DisableGRW = true }), nil
-	case "mumama-grw-only":
-		return mm(core.MetricWS(), func(c *core.MuMamaConfig) { c.DisableJAV = true }), nil
-	case "phase-select":
-		cfg := core.DefaultPhaseSelectConfig()
-		if opt.Step > 0 {
-			cfg.Step = opt.Step
-		}
-		cfg.Seed = 12345
-		return core.NewPhaseSelect(cfg), nil
-	case "coord-rl":
-		cfg := core.DefaultCoordRLConfig()
-		if opt.Step > 0 {
-			cfg.Step = opt.Step
-		}
-		return core.NewCoordRL(cfg), nil
-	case "mumama-l1l2":
-		cfg := core.DefaultMuMamaConfig()
-		if opt.Step > 0 {
-			cfg.Step = opt.Step
-		}
-		if opt.JAVSize > 0 {
-			cfg.JAVSize = opt.JAVSize
-		}
-		return core.NewDualMuMama(cfg), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown controller %q", key)
-	}
 }
 
 // MixResult is one (mix, controller) measurement.

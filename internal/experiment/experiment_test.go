@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"micromama/internal/sim"
+	"micromama/internal/sweep"
 	"micromama/internal/workload"
 )
 
@@ -67,13 +68,16 @@ func TestRunMixProducesMetrics(t *testing.T) {
 func TestRunMixesParallelMatchesSerial(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	mixes := workload.Mixes(2, 2, 3)
-	cfg := sim.DefaultConfig(2)
-	par, err := r.RunMixesContext(context.Background(), mixes, cfg, "no", Options{})
+	cells := make([]sweep.Cell, len(mixes))
+	for i, mix := range mixes {
+		cells[i] = CellFor(mix, "no", "tiny", 0, 0)
+	}
+	par, err := r.RunCells(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range mixes {
-		ser, err := r.RunMixContext(context.Background(), mixes[i], cfg, "no", Options{})
+		ser, err := r.RunMixContext(context.Background(), mixes[i], sim.DefaultConfig(2), "no", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +91,7 @@ func TestProfiles(t *testing.T) {
 	r := NewRunner(ScaleTiny)
 	mix := workload.Mixes(2, 1, 3)[0]
 	cfg := sim.DefaultConfig(2)
-	p, err := r.ProfilesContext(context.Background(), mix, cfg)
+	p, err := r.profiles(context.Background(), mix, cfg, r.Scale)
 	if err != nil {
 		t.Fatalf("Profiles: %v", err)
 	}
@@ -136,30 +140,26 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestMeanHelpers(t *testing.T) {
-	if MeanWS([]MixResult{{WS: 1}, {WS: 3}}) != 2 {
-		t.Error("MeanWS wrong")
-	}
 	rs := []CellResult{{WS: 1, HS: 0.4, Unfairness: 2}, {WS: 3, HS: 0.6, Unfairness: 4}}
 	if mean(rs, cellWS) != 2 || mean(rs, cellHS) != 0.5 || mean(rs, cellUnfairness) != 3 {
 		t.Error("mean helpers wrong")
 	}
-	if MeanWS(nil) != 0 {
-		t.Error("MeanWS(nil)")
+	if mean(nil, cellWS) != 0 {
+		t.Error("mean of nothing")
 	}
 }
 
-// TestFig15bSmall exercises a real (tiny) figure driver end to end.
+// TestFig15bSmall draws a real (tiny) registry figure end to end.
 func TestFig15bSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run figure driver")
 	}
-	r := NewRunner(ScaleTiny)
-	rep, err := r.Fig15bJAVSweep(context.Background(), 2, []int{1, 2})
+	rep, err := FiguresByID("fig15b")[0].Run(context.Background(), NewRunner(ScaleTiny).RunCells, "tiny", 60_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.NormWS) != 2 {
-		t.Fatalf("sweep returned %d points", len(rep.NormWS))
+	if sweep := rep.(*JAVSweepReport); len(sweep.NormWS) != len(sweep.Sizes) {
+		t.Fatalf("sweep returned %d points for %d sizes", len(sweep.NormWS), len(sweep.Sizes))
 	}
 	if !strings.Contains(rep.String(), "JAV") {
 		t.Error("rendering incomplete")

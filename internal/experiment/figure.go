@@ -45,12 +45,11 @@ func (f Figure) Run(ctx context.Context, exec Executor, scale string, target, st
 	return f.Reduce(cells, results), nil
 }
 
-// Figures is the registry, in the paper's order. fig2/4/12 and fig3
-// are not in it because they read controller-internal state (the
-// policy timeline, MeanChosenDegree) that no job result carries, and
-// fig15b because it varies JAVSize, which is not a cell field and must
-// not become one (job keys are pinned); those three stay probes on
-// RunMixWithContext/RunMixesContext.
+// Figures is the registry: the paper's figures in its order, then
+// DESIGN.md's four parameter ablations. fig2/4/12 and fig3 are not in
+// it because they read controller-internal state (the policy timeline,
+// MeanChosenDegree) that no job result carries; they stay probes on the
+// local Runner.
 var Figures = []Figure{
 	fig9(),
 	perWorkload("fig10-WS-4C", 4, "mumama", false),
@@ -61,8 +60,13 @@ var Figures = []Figure{
 	fig13(),
 	fig14(),
 	fig15a(),
+	fig15b(),
 	perWorkload("fig16", 8, "mumama-profiled", false),
 	sec63(),
+	sensitivity("abl-theta", "theta", "mumama@theta=0.3", "mumama", "mumama@theta=0.9"),
+	sensitivity("abl-tarbit", "tarbit", "mumama@tarbit=2", "mumama", "mumama@tarbit=10"),
+	sensitivity("abl-lcb", "lcb", "mumama@lcb=0", "mumama"),
+	sensitivity("abl-kstep", "kstep", "mumama@kstep=2", "mumama", "mumama@kstep=20"),
 }
 
 // FiguresByID returns the registry entries an experiment id names:

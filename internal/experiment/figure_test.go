@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -256,6 +258,49 @@ func TestFig15aReducer(t *testing.T) {
 	}
 	if _, ok := rep.NormWS["bandit"]; ok {
 		t.Error("bandit is the baseline, not a row")
+	}
+}
+
+// TestParameterSweepReducers: fig15b and the four ablations. Bandit's
+// WS is 2, plain µMama's (every sweep's default point) 2.2, and an arm
+// whose key sets a parameter to v has 2·(1 + v/100).
+func TestParameterSweepReducers(t *testing.T) {
+	result := func(c sweep.Cell, mix int) CellResult {
+		_, value, set := strings.Cut(c.Controller, "=")
+		switch v, err := strconv.ParseFloat(value, 64); {
+		case c.Controller == "bandit":
+			return CellResult{WS: 2}
+		case c.Controller == "mumama":
+			return CellResult{WS: 2.2}
+		case set && err == nil && len(c.Mix) == 4:
+			return CellResult{WS: 2 * (1 + v/100)}
+		}
+		t.Errorf("unexpected cell %+v", c)
+		return CellResult{}
+	}
+	jav := reduce(t, "fig15b", result).(*JAVSweepReport)
+	if jav.Cores != 4 || fmt.Sprint(jav.Sizes) != "[1 2 4 8 16]" || !slices.EqualFunc(jav.NormWS, []float64{0.01, 0.1, 0.04, 0.08, 0.16}, near) {
+		t.Errorf("fig15b: %+v", jav)
+	}
+	if data, _ := json.Marshal(jav); !strings.HasPrefix(string(data), `{"Cores":4,"Sizes":[1,2,4,8,16],"NormWS":[`) {
+		t.Errorf("fig15b.json moved: %s", data)
+	}
+	for _, tc := range []struct {
+		id, param, keys string
+		normWS          []float64
+	}{
+		{"abl-theta", "theta", "[mumama@theta=0.3 mumama mumama@theta=0.9]", []float64{0.003, 0.1, 0.009}},
+		{"abl-tarbit", "tarbit", "[mumama@tarbit=2 mumama mumama@tarbit=10]", []float64{0.02, 0.1, 0.1}},
+		{"abl-lcb", "lcb", "[mumama@lcb=0 mumama]", []float64{0, 0.1}},
+		{"abl-kstep", "kstep", "[mumama@kstep=2 mumama mumama@kstep=20]", []float64{0.02, 0.1, 0.2}},
+	} {
+		rep := reduce(t, tc.id, result).(*SensitivityReport)
+		if rep.Param != tc.param || rep.Cores != 4 || fmt.Sprint(rep.Keys) != tc.keys || !slices.EqualFunc(rep.NormWS, tc.normWS, near) {
+			t.Errorf("%s: %+v", tc.id, rep)
+		}
+		if s := rep.String(); !strings.Contains(s, tc.param+" (4 cores)") || strings.Count(s, "\n") != 3+len(tc.normWS) {
+			t.Errorf("%s renders as:\n%s", tc.id, s)
+		}
 	}
 }
 

@@ -193,33 +193,35 @@ func (r *Runner) Fig3PrefetchScaling(ctx context.Context, coreCounts []int) (*Pr
 		cfg := sim.DefaultConfig(n)
 		mixes := r.Scale.MixesFor(n)
 		for _, key := range rep.Controllers {
-			run := func(i int) (MixResult, error) { return r.RunMixContext(ctx, mixes[i], cfg, key, Options{}) }
-			// Bandit runs with retained controllers, to collect the
-			// policy-level aggressiveness alongside the counts.
-			var bandits []*core.Bandit
-			if key == "bandit" {
-				bandits = make([]*core.Bandit, len(mixes))
-				run = func(i int) (MixResult, error) {
-					bc := core.DefaultBanditConfig()
-					bc.Step = r.Scale.Step
-					bandits[i] = core.NewBandit(bc)
-					return r.RunMixWithContext(ctx, mixes[i], cfg, bandits[i])
-				}
+			plans := make([]Plan, len(mixes))
+			for i, mix := range mixes {
+				plans[i] = newPlan(mix, cfg, key, r.Scale)
 			}
-			rs, err := r.runMixes(ctx, mixes, cfg, run)
+			// Each run keeps its controller: a Bandit's chosen arms are the
+			// policy-level aggressiveness reported alongside the counts.
+			pf, degree := make([]float64, len(mixes)), make([]float64, len(mixes))
+			err := r.forEachPlan(ctx, plans, func(i int) error {
+				ctrl, err := MakeController(key, Options{Step: r.Scale.Step})
+				if err != nil {
+					return err
+				}
+				res, err := r.simulate(ctx, plans[i], ctrl)
+				if err != nil {
+					return err
+				}
+				pf[i] = float64(res.Result.TotalPrefetches())
+				if b, ok := ctrl.(*core.Bandit); ok {
+					degree[i] = b.MeanChosenDegree()
+				}
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			var pf, degSum float64
-			for i, x := range rs {
-				pf += float64(x.Result.TotalPrefetches())
-				if bandits != nil {
-					degSum += bandits[i].MeanChosenDegree()
-				}
-			}
-			totals[key] = append(totals[key], pf/float64(len(rs)))
-			if bandits != nil {
-				rep.BanditMeanDegree = append(rep.BanditMeanDegree, degSum/float64(len(rs)))
+			self := func(x float64) float64 { return x }
+			totals[key] = append(totals[key], mean(pf, self))
+			if key == "bandit" {
+				rep.BanditMeanDegree = append(rep.BanditMeanDegree, mean(degree, self))
 			}
 		}
 	}
@@ -480,24 +482,27 @@ type JAVSweepReport struct {
 	NormWS []float64
 }
 
-// Fig15bJAVSweep runs the JAV-size sensitivity study.
-func (r *Runner) Fig15bJAVSweep(ctx context.Context, cores int, sizes []int) (*JAVSweepReport, error) {
-	cfg := sim.DefaultConfig(cores)
-	mixes := r.Scale.MixesFor(cores)
-	banditRes, err := r.RunMixesContext(ctx, mixes, cfg, "bandit", Options{})
-	if err != nil {
-		return nil, err
+// fig15b is the JAV-size sensitivity study at 4 cores; the paper's
+// 2-entry point is plain µMama.
+func fig15b() Figure {
+	const cores = 4
+	sizes := []int{1, 2, 4, 8, 16}
+	keys := []string{"mumama@jav=1", "mumama", "mumama@jav=4", "mumama@jav=8", "mumama@jav=16"}
+	return armFigure("fig15b", defaultArms([]int{cores}, append([]string{"bandit"}, keys...)...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			return &JAVSweepReport{Cores: cores, Sizes: sizes, NormWS: normWS(byArm, cores, keys)}
+		})
+}
+
+// normWS is each key's mean WS over Bandit's on the default system at
+// one core count.
+func normWS(byArm map[arm][]CellResult, cores int, keys []string) []float64 {
+	bws := mean(byArm[arm{cores: cores, controller: "bandit"}], cellWS)
+	out := make([]float64, len(keys))
+	for i, key := range keys {
+		out[i] = ratioPct(mean(byArm[arm{cores: cores, controller: key}], cellWS), bws)
 	}
-	bws := MeanWS(banditRes)
-	rep := &JAVSweepReport{Cores: cores, Sizes: sizes}
-	for _, sz := range sizes {
-		rs, err := r.RunMixesContext(ctx, mixes, cfg, "mumama", Options{JAVSize: sz})
-		if err != nil {
-			return nil, err
-		}
-		rep.NormWS = append(rep.NormWS, ratioPct(MeanWS(rs), bws))
-	}
-	return rep, nil
+	return out
 }
 
 // String renders the report.
@@ -508,6 +513,36 @@ func (j *JAVSweepReport) String() string {
 	}
 	return fmt.Sprintf("Figure 15b: WS vs Bandit by JAV cache size (%d cores)\n", j.Cores) +
 		table([]string{"JAV entries", "WS vs bandit"}, rows)
+}
+
+// SensitivityReport is one of DESIGN.md's ablations: µMama's WS over
+// Bandit's at 4 cores as one Table 1 parameter moves off its default.
+type SensitivityReport struct {
+	Param  string
+	Cores  int
+	Keys   []string
+	NormWS []float64
+}
+
+// sensitivity is the ablation of one µMama parameter over keys, each
+// "mumama@param=value" or, for the default point, plain "mumama" —
+// fig9's cell.
+func sensitivity(id, param string, keys ...string) Figure {
+	const cores = 4
+	return armFigure(id, defaultArms([]int{cores}, append([]string{"bandit"}, keys...)...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			return &SensitivityReport{Param: param, Cores: cores, Keys: keys, NormWS: normWS(byArm, cores, keys)}
+		})
+}
+
+// String renders the report.
+func (s *SensitivityReport) String() string {
+	var rows [][]string
+	for i, key := range s.Keys {
+		rows = append(rows, []string{key, pct(s.NormWS[i])})
+	}
+	return fmt.Sprintf("Ablation: µMama WS vs Bandit by %s (%d cores)\n", s.Param, s.Cores) +
+		table([]string{"controller", "WS vs bandit"}, rows)
 }
 
 // TimelineReport reproduces Figures 2, 4, and 12: the policy choices of

@@ -60,7 +60,7 @@ func TestBaselineAndProfileAreNoCells(t *testing.T) {
 	cfg := sim.DefaultConfig(2)
 
 	r := NewRunner(concurrencyScale)
-	prof, err := r.ProfilesContext(ctx, mix, cfg)
+	prof, err := r.profiles(ctx, mix, cfg, r.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBaselineAndProfileAreNoCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(prof, no.Speedups) {
-		t.Errorf("ProfilesContext = %v, the \"no\" run's Speedups = %v", prof, no.Speedups)
+		t.Errorf("profiles = %v, the \"no\" run's Speedups = %v", prof, no.Speedups)
 	}
 	multi := directIPC(t, mix, cfg, concurrencyScale)
 	for i, sp := range mix.Specs {
@@ -110,7 +110,7 @@ func TestBaselineAndProfileAreNoCells(t *testing.T) {
 	r.Scale = ScaleTiny
 	r.Scale.Target = concurrencyScale.Target
 	before := simRuns().Value()
-	prof2, err := r.ProfilesContext(ctx, mix, cfg)
+	prof2, err := r.profiles(ctx, mix, cfg, r.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,9 @@ func newPlan(mix workload.Mix, cfg sim.Config, controller string, scale Scale) P
 // Resolve is the one way a cell becomes a plan — mamaserved's resolver
 // and Runner.RunCells both call it, so a cell names the same simulation
 // on both sides of the Executor seam however it is spelled. It
-// normalizes c in place, checks it against the catalog, the controller
-// registry and the scale table, and applies the Target/Step overrides.
+// normalizes c in place (its controller key to canonical form), checks
+// it against the catalog, the controller registry and the scale table,
+// and applies the Target/Step overrides.
 func Resolve(c *sweep.Cell) (Plan, error) {
 	c.Normalize()
 	if len(c.Mix) == 0 {
@@ -53,11 +54,13 @@ func Resolve(c *sweep.Cell) (Plan, error) {
 	if c.Controller == "" {
 		return Plan{}, fmt.Errorf("controller is required")
 	}
-	// The error names the known set so tournament clients can
+	// The error names what is accepted so tournament clients can
 	// self-correct without a second round trip to /v1/catalog.
-	if err := CheckController(c.Controller); err != nil {
+	key, err := parseController(c.Controller)
+	if err != nil {
 		return Plan{}, err
 	}
+	c.Controller = key.canonical
 	scale, err := ScaleByName(c.Scale)
 	if err != nil {
 		return Plan{}, err

@@ -87,15 +87,10 @@ func (r *Runner) baselineIPC(ctx context.Context, base Plan) (float64, error) {
 	return res.IPC[0], nil
 }
 
-// ProfilesContext returns the per-core S^MP profile for a mix on cfg's
-// system (§6.6.3's offline profiling run): the Speedups of the mix's
-// "no" plan — each core's IPC in the loaded multicore without L2
-// prefetching over its single-core baseline — simulated on first use.
-func (r *Runner) ProfilesContext(ctx context.Context, mix workload.Mix, cfg sim.Config) ([]float64, error) {
-	return r.profiles(ctx, mix, cfg, r.Scale)
-}
-
-// profiles is ProfilesContext at any budget.
+// profiles returns the per-core S^MP profile for a mix on cfg's system
+// (§6.6.3's offline profiling run): the Speedups of the mix's "no" plan
+// — each core's IPC in the loaded multicore without L2 prefetching over
+// its single-core baseline — simulated on first use.
 func (r *Runner) profiles(ctx context.Context, mix workload.Mix, cfg sim.Config, scale Scale) ([]float64, error) {
 	res, err := r.cell(ctx, profileStats, newPlan(mix, cfg, "no", scale))
 	if err != nil {
@@ -124,15 +119,18 @@ func (r *Runner) Run(ctx context.Context, p Plan) (MixResult, error) {
 }
 
 func (r *Runner) run(ctx context.Context, p Plan, opt Options) (MixResult, error) {
+	key, err := parseController(p.Controller)
+	if err != nil {
+		return MixResult{}, err
+	}
+	p.Controller = key.canonical
 	opt.Step = p.Scale.Step
-	if p.Controller == "mumama-profiled" && opt.Profiles == nil {
-		prof, err := r.profiles(ctx, p.Mix, p.Config, p.Scale)
-		if err != nil {
+	if key.row.name == "mumama-profiled" && opt.Profiles == nil {
+		if opt.Profiles, err = r.profiles(ctx, p.Mix, p.Config, p.Scale); err != nil {
 			return MixResult{}, err
 		}
-		opt.Profiles = prof
 	}
-	ctrl, err := MakeController(p.Controller, opt)
+	ctrl, err := key.row.build(opt, key.settings)
 	if err != nil {
 		return MixResult{}, err
 	}
@@ -142,12 +140,6 @@ func (r *Runner) run(ctx context.Context, p Plan, opt Options) (MixResult, error
 	}
 	res.Controller = p.Controller
 	return res, nil
-}
-
-// RunMixWithContext runs one mix under a caller-constructed controller
-// (for custom configurations the key-based factory cannot express).
-func (r *Runner) RunMixWithContext(ctx context.Context, mix workload.Mix, cfg sim.Config, ctrl sim.Controller) (MixResult, error) {
-	return r.simulate(ctx, newPlan(mix, cfg, "", r.Scale), ctrl)
 }
 
 // simulate runs p's mix on p's system under ctrl for p's budget and
@@ -244,33 +236,6 @@ func (r *Runner) forEachPlan(ctx context.Context, plans []Plan, fn func(i int) e
 	})
 }
 
-// RunMixesContext runs every mix under the named controller, in
-// parallel across r.Workers goroutines. Results are index-aligned with
-// mixes. Once ctx is done, in-flight simulations stop at their next
-// epoch boundary, queued mixes are not started, and ctx's error is
-// returned.
-func (r *Runner) RunMixesContext(ctx context.Context, mixes []workload.Mix, cfg sim.Config, key string, opt Options) ([]MixResult, error) {
-	return r.runMixes(ctx, mixes, cfg, func(i int) (MixResult, error) { return r.RunMixContext(ctx, mixes[i], cfg, key, opt) })
-}
-
-// runMixes calls run(i) for every mix on the worker pool, behind the
-// baselines of mixes on cfg.
-func (r *Runner) runMixes(ctx context.Context, mixes []workload.Mix, cfg sim.Config, run func(i int) (MixResult, error)) ([]MixResult, error) {
-	plans := make([]Plan, len(mixes))
-	for i, mix := range mixes {
-		plans[i] = newPlan(mix, cfg, "", r.Scale)
-	}
-	out := make([]MixResult, len(mixes))
-	err := r.forEachPlan(ctx, plans, func(i int) (err error) {
-		out[i], err = run(i)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RunCells is the in-process Executor: every cell resolved, then
 // simulated on the worker pool, results index-aligned with cells, the
 // first failed cell failing the call. A Runner never simulates the
@@ -309,9 +274,4 @@ func mean[T any](xs []T, f func(T) float64) float64 {
 		t += f(x)
 	}
 	return t / float64(len(xs))
-}
-
-// MeanWS returns the average Weighted Speedup across results.
-func MeanWS(rs []MixResult) float64 {
-	return mean(rs, func(r MixResult) float64 { return r.WS })
 }

@@ -94,18 +94,25 @@ func TestJobKeyDeterministicAndCanonical(t *testing.T) {
 // and every cluster ring placement is filed under, so a change to the
 // hashed structs (a sim.Config or experiment.Scale field added, removed
 // or renamed) that moves it orphans every stored result. A deliberate
-// model change re-pins the literal and says so.
+// model change re-pins the literal and says so. A controller key with
+// parameters is hashed in its canonical form, so that form — the order,
+// the number formatting, which defaults are dropped — is as fixed.
 func TestJobKeyPinned(t *testing.T) {
-	p, err := newResolver(t).resolve(JobSpec{Cell: sweep.Cell{
-		Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: "mumama",
-		Scale: "tiny", Seed: 7, Target: 100_000,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "1802f64ccf4c8f942a4d74e025debb24f87bf3715db96b6b5f144491d87b8d4b"
-	if p.key != want {
-		t.Errorf("job key = %s, want %s (persisted cache entries would be orphaned)", p.key, want)
+	for controller, want := range map[string]string{
+		"mumama":                "1802f64ccf4c8f942a4d74e025debb24f87bf3715db96b6b5f144491d87b8d4b",
+		"mumama@jav=4":          "f299333196ce040d16032ac0e666b3c4b09f1b011900516f2eab3b7e3e433c6b",
+		"mumama@kstep=5@jav=04": "f299333196ce040d16032ac0e666b3c4b09f1b011900516f2eab3b7e3e433c6b",
+	} {
+		p, err := newResolver(t).resolve(JobSpec{Cell: sweep.Cell{
+			Mix: []string{"spec06.libquantum", "spec06.mcf"}, Controller: controller,
+			Scale: "tiny", Seed: 7, Target: 100_000,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.key != want {
+			t.Errorf("%s: job key = %s, want %s (persisted cache entries would be orphaned)", controller, p.key, want)
+		}
 	}
 }
 

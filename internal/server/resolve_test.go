@@ -24,10 +24,16 @@ func TestResolveIsExperimentResolve(t *testing.T) {
 			{Mix: []string{" spec06.mcf", "ligra.BFS "}, Controller: "\tmumama", Scale: "Tiny"},
 			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: "mumama", Scale: " TINY ",
 				Target: experiment.ScaleTiny.Target, Step: experiment.ScaleTiny.Step},
+			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: "mumama@jav=2", Scale: "tiny"}, // a spelled-out default
 		},
 		{
 			{Mix: []string{"spec06.libquantum"}, Controller: "no"},
 			{Mix: []string{"spec06.libquantum\n"}, Controller: "no ", Scale: "DEFAULT"},
+		},
+		{
+			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: "mumama@jav=4@lcb=0.5", Scale: "tiny"},
+			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: "mumama@jav=04@lcb=0.50", Scale: "tiny"},
+			{Mix: []string{"spec06.mcf", "ligra.BFS"}, Controller: " mumama@lcb=.5@jav=4@tarbit=5", Scale: "tiny"},
 		},
 		{
 			{Mix: []string{"spec06.mcf", "spec06.mcf"}, Controller: "bandit", Scale: "small", Seed: 3, DRAMChannels: 2, Step: 90},
@@ -75,6 +81,8 @@ func TestResolveIsExperimentResolve(t *testing.T) {
 		{Mix: []string{"spec06.mcf"}},
 		{Mix: []string{"spec06.mcf"}, Controller: "NO"},
 		{Mix: []string{"spec06.mcf"}, Controller: "no", Scale: "huge"},
+		{Mix: []string{"spec06.mcf"}, Controller: "mumama@jav=0"},
+		{Mix: []string{"spec06.mcf"}, Controller: "no@jav=2"},
 	} {
 		local := c
 		_, want := experiment.Resolve(&local)

@@ -778,10 +778,14 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		Traces      []catalogEntry `json:"traces"`
 		Controllers []string       `json:"controllers"`
-		Scales      []string       `json:"scales"`
+		// ControllerParams lists, per controller whose key takes any, what
+		// may follow the name as @param=value.
+		ControllerParams map[string][]experiment.Param `json:"controller_params"`
+		Scales           []string                      `json:"scales"`
 	}{
-		Controllers: experiment.ControllerKeys,
-		Scales:      experiment.ScaleNames(),
+		Controllers:      experiment.ControllerKeys,
+		ControllerParams: experiment.ControllerParams,
+		Scales:           experiment.ScaleNames(),
 	}
 	for _, sp := range specs {
 		out.Traces = append(out.Traces, catalogEntry{

@@ -440,13 +440,59 @@ func TestCatalogListsControllers(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var cat struct {
-		Controllers []string `json:"controllers"`
+		Controllers      []string                      `json:"controllers"`
+		ControllerParams map[string][]experiment.Param `json:"controller_params"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := strings.Join(cat.Controllers, ","), strings.Join(experiment.ControllerKeys, ","); got != want {
 		t.Errorf("catalog controllers = %s, want %s", got, want)
+	}
+	// Parameters are listed for exactly the controllers whose keys take
+	// them, with range and default.
+	if len(cat.ControllerParams["mumama-fair"]) != 5 {
+		t.Fatalf("catalog parameters of mumama-fair: %+v", cat.ControllerParams["mumama-fair"])
+	}
+	jav := cat.ControllerParams["mumama-fair"][0]
+	if _, listed := cat.ControllerParams["bandit"]; listed || len(cat.ControllerParams) != 9 ||
+		jav.Name != "jav" || !jav.Integer || jav.Min != 1 || jav.Max != 64 || jav.Default != "2" {
+		t.Errorf("catalog lists parameters for %d controllers (bandit: %v), mumama-fair's first as %+v", len(cat.ControllerParams), listed, jav)
+	}
+}
+
+// TestControllerKeyRefusedAtAdmission: a controller key no worker could
+// build is a 400 carrying the parser's own refusal, on both submission
+// endpoints, before anything is queued.
+func TestControllerKeyRefusedAtAdmission(t *testing.T) {
+	run, calls := countingRun()
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2, Run: run})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, key := range []string{
+		"mumama@jav=0", "mumama@javv=4", "bandit@jav=4", "coord-rl@theta=0.5", "mumama@jav=4@jav=8", "mumama@",
+		"mumama@jav=" + strings.Repeat("0", experiment.MaxControllerKey) + "4",
+	} {
+		for path, body := range map[string]string{
+			"/v1/jobs":   `{"mix":["spec06.libquantum"],"controller":"` + key + `","scale":"tiny"}`,
+			"/v1/sweeps": `{"grid":{"mixes":[["spec06.libquantum"]],"controllers":["no","` + key + `"],"scales":["tiny"]}}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refusal struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&refusal)
+			resp.Body.Close()
+			if want := experiment.CheckController(key).Error(); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasSuffix(refusal.Error, want) {
+				t.Errorf("POST %s with %.40q: HTTP %d %q; want 400 %q", path, key, resp.StatusCode, refusal.Error, want)
+			}
+		}
+	}
+	if st := srv.Stats(); calls.Load() != 0 || st.Submitted != 0 || st.Sweeps.Total != 0 {
+		t.Errorf("refused keys left %d runs, %d jobs, %d sweeps", calls.Load(), st.Submitted, st.Sweeps.Total)
 	}
 }
 

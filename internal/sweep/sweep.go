@@ -48,7 +48,10 @@ type DRAM struct {
 type Cell struct {
 	// Mix lists catalog trace names, one per core.
 	Mix []string `json:"mix"`
-	// Controller is one of the server's controller keys.
+	// Controller is a controller key: a registry name, optionally
+	// followed by parameters, name[@param=value[@param=value…]]
+	// ("mumama@jav=4@theta=0.5"). experiment.Resolve rewrites it to its
+	// one canonical spelling, which is what the cell is hashed under.
 	Controller string `json:"controller"`
 	// Scale names the simulation budget (tiny|small|default|full);
 	// empty means "default".
