@@ -74,8 +74,9 @@ chaos:
 # header any client can send (it fails to decode or applies without a
 # panic, and the node stays alive in its own ring); in the sweep layer
 # the POST /v1/sweeps body (Expand and ID never panic, stay inside the
-# cell budget and are deterministic); in the server the result stream's
-# spliced event encoder (byte for byte what json.Marshal would emit); in
+# cell budget and are deterministic) and the result stream's line codec
+# (the encoder byte for byte what json.Marshal would emit, the parser
+# accepting what json.Unmarshal accepts, with the same value); in
 # the experiment layer the controller key any cell carries (parse then
 # canonicalise is a fixed point inside the length bound, and what parses
 # builds).
@@ -86,7 +87,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadMaterialized$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s ./internal/experiment
 
 # Tiny real sweep driven end to end against an in-process server:
@@ -176,8 +178,8 @@ bench-check:
 # available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
 # fuzz the trace packer, the trace loader, the gossip-header decoder,
-# the sweep spec, the stream's event encoder and the controller key for
-# ten seconds each,
+# the sweep spec, the stream's line encoder and parser and the controller
+# key for ten seconds each,
 # drive a real
 # sweep, the 3-node cluster, the controller tournament and every
 # figure id end to end, check the bench/ module against this tree, then make sure
@@ -190,11 +192,13 @@ check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke
 # advance benchmarks, end-to-end simulator throughput, and four
 # service-path benchmarks (one anti-entropy cache page; client
 # connection reuse; a fully cached 512-cell sweep's admission, and its
-# result stream), compared against the checked-in baseline (report
+# result stream) with the stream's two codec halves on one line
+# (BenchmarkEventAppend, BenchmarkParseLine), compared against the
+# checked-in baseline (report
 # only: nothing here fails the build; bench-smoke is the gate).
 # Regenerate the baseline on a quiet machine with `make bench-baseline`.
-BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkSweepSubmitWarm|BenchmarkSweepStream
-BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/server ./internal/client .
+BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine
+BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/sweep ./internal/server ./internal/client .
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | tee bench.out

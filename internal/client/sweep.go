@@ -73,14 +73,6 @@ func (c *Client) Sweeps(ctx context.Context) ([]sweep.View, error) {
 	return body.Sweeps, nil
 }
 
-// streamLine is one NDJSON line of a result stream: either an event or
-// the terminal {"end":true,"sweep":…} marker.
-type streamLine struct {
-	End   bool        `json:"end"`
-	Sweep *sweep.View `json:"sweep"`
-	sweep.Event
-}
-
 // StreamSweepResults follows a sweep's result stream until the sweep
 // completes, calling fn once per distinct cell event. Delivery from the
 // server is at-least-once (a restart rebuilds the event log), so the
@@ -89,14 +81,14 @@ type streamLine struct {
 // usual backoff policy, making the whole call resumable end to end. A
 // non-nil error from fn aborts the stream.
 func (c *Client) StreamSweepResults(ctx context.Context, id string, fn func(sweep.Event) error) (sweep.View, error) {
-	seen := make(map[int]bool)
+	var seen seenCells
 	attempts := 0
 	var lastErr error
 	for {
 		if err := ctx.Err(); err != nil {
 			return sweep.View{}, err
 		}
-		view, done, progressed, err := c.streamOnce(ctx, id, seen, fn)
+		view, done, progressed, err := c.streamOnce(ctx, id, &seen, fn)
 		if err != nil {
 			if ctx.Err() != nil {
 				return sweep.View{}, ctx.Err()
@@ -172,8 +164,9 @@ func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) ([]experiment.Ce
 	return results, final, nil
 }
 
-// streamAbort wraps an error returned by the caller's fn: it must stop
-// the stream instead of triggering a reconnect.
+// streamAbort wraps an error that must stop the stream instead of
+// triggering a reconnect: one the caller's fn returned, or an event for
+// a cell no sweep has.
 type streamAbort struct{ cause error }
 
 func (e *streamAbort) Error() string { return e.cause.Error() }
@@ -187,10 +180,30 @@ func (c *Client) streamClient() *http.Client {
 	return &http.Client{Transport: c.hc.Transport}
 }
 
+// maxStreamCell bounds the cell index a stream line may carry: far past
+// any sweep a server admits (its -max-sweep-cells defaults to 4096), and
+// small enough that a hostile line cannot size an allocation that hurts.
+const maxStreamCell = 1 << 24
+
+// seenCells is a stream's dedupe set: seen[i] once cell i was delivered,
+// grown to the highest index seen.
+type seenCells []bool
+
+// add records cell and reports whether it was new. The caller has
+// checked 0 <= cell <= maxStreamCell.
+func (s *seenCells) add(cell int) bool {
+	if cell >= len(*s) {
+		*s = append(*s, make([]bool, cell+1-len(*s))...)
+	}
+	was := (*s)[cell]
+	(*s)[cell] = true
+	return !was
+}
+
 // streamOnce consumes one connection's worth of the result stream.
 // Returns the latest view (zero until an end marker arrives), whether
 // the sweep is finished, and whether any event arrived.
-func (c *Client) streamOnce(ctx context.Context, id string, seen map[int]bool, fn func(sweep.Event) error) (view sweep.View, done, progressed bool, err error) {
+func (c *Client) streamOnce(ctx context.Context, id string, seen *seenCells, fn func(sweep.Event) error) (view sweep.View, done, progressed bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/sweeps/"+id+"/results", nil)
 	if err != nil {
@@ -207,13 +220,13 @@ func (c *Client) streamOnce(ctx context.Context, id string, seen map[int]bool, f
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes()) // no copy: Unmarshal copies what it keeps
+		line := bytes.TrimSpace(sc.Bytes()) // no copy: ParseLine copies what it keeps
 		if len(line) == 0 {
 			continue
 		}
-		var l streamLine
-		if jerr := json.Unmarshal(line, &l); jerr != nil {
-			return view, false, progressed, fmt.Errorf("stream sweep %s: bad line: %w", id, jerr)
+		l, perr := sweep.ParseLine(line)
+		if perr != nil {
+			return view, false, progressed, fmt.Errorf("stream sweep %s: bad line: %w", id, perr)
 		}
 		if l.End {
 			if l.Sweep != nil {
@@ -222,10 +235,14 @@ func (c *Client) streamOnce(ctx context.Context, id string, seen map[int]bool, f
 			return view, view.Status == "done", progressed, nil
 		}
 		progressed = true
-		if seen[l.Event.Cell] {
+		if cell := l.Event.Cell; cell < 0 || cell > maxStreamCell {
+			// Not a line to retry past, and not an index to size the set by.
+			return view, false, progressed, &streamAbort{cause: fmt.Errorf(
+				"stream sweep %s: event %d names cell %d, outside [0, %d]", id, l.Event.Seq, cell, maxStreamCell)}
+		}
+		if !seen.add(l.Event.Cell) {
 			continue
 		}
-		seen[l.Event.Cell] = true
 		if ferr := fn(l.Event); ferr != nil {
 			return view, false, progressed, &streamAbort{cause: ferr}
 		}

@@ -1,12 +1,14 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -121,5 +123,69 @@ func TestStreamSweepResultsGivesUp(t *testing.T) {
 	_, err := c.StreamSweepResults(context.Background(), "s1", func(sweep.Event) error { return nil })
 	if err == nil {
 		t.Fatal("stream against a never-finishing sweep returned nil")
+	}
+}
+
+// TestStreamSweepResultsRefusesWildCell: an event naming a cell no sweep
+// has — negative, or far past any admitted size — stops the stream with
+// an error at once: the index is never used to size or index the dedupe
+// set, the caller's fn never sees the event, and a reconnect would only
+// read the same line again.
+func TestStreamSweepResultsRefusesWildCell(t *testing.T) {
+	for _, cell := range []int{-1, maxStreamCell + 1, 1 << 62} {
+		var conns atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conns.Add(1)
+			fmt.Fprint(w, sweepEventLine(0, 0))
+			fmt.Fprint(w, sweepEventLine(1, cell))
+			fmt.Fprint(w, sweepEndLine("done", 2))
+		}))
+		c, _ := newTestClient(ts, Options{})
+		var got []int
+		_, err := c.StreamSweepResults(context.Background(), "s1", func(ev sweep.Event) error {
+			got = append(got, ev.Cell)
+			return nil
+		})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cell %d", cell)) {
+			t.Errorf("cell %d: err = %v, want one naming the cell", cell, err)
+		}
+		if len(got) != 1 || got[0] != 0 || conns.Load() != 1 {
+			t.Errorf("cell %d: caller saw cells %v over %d connections, want [0] over 1", cell, got, conns.Load())
+		}
+	}
+}
+
+// TestStreamSweepResultsBadLines: a line the codec refuses, and one past
+// the scanner's 8 MiB limit, are stream errors like a dropped
+// connection — the client reconnects under the retry policy and reports
+// the cause when it gives up.
+func TestStreamSweepResultsBadLines(t *testing.T) {
+	for name, tc := range map[string]struct {
+		line string
+		want error
+	}{
+		"truncated":   {line: `{"seq":0,"cell":0,"status":"done","result":{"ws":1` + "\n"},
+		"wrong type":  {line: `{"seq":0,"cell":"0"}` + "\n"},
+		"9 MiB event": {line: `{"seq":0,"cell":0,"result":"` + strings.Repeat("x", 9<<20) + `"}` + "\n", want: bufio.ErrTooLong},
+	} {
+		var conns atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conns.Add(1)
+			fmt.Fprint(w, tc.line)
+			fmt.Fprint(w, sweepEndLine("done", 1))
+		}))
+		c, _ := newTestClient(ts, Options{MaxRetries: 1})
+		_, err := c.StreamSweepResults(context.Background(), "s1", func(ev sweep.Event) error {
+			t.Errorf("%s: the caller was handed %+v", name, ev)
+			return nil
+		})
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), "giving up after 2 attempts") || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: err = %v, want a give-up after a retry wrapping %v", name, err, tc.want)
+		}
+		if conns.Load() != 2 {
+			t.Errorf("%s: %d connections, want 2 (the line is retried once)", name, conns.Load())
+		}
 	}
 }

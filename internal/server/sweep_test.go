@@ -721,13 +721,15 @@ func TestSweepStreamSSE(t *testing.T) {
 	}
 }
 
-// failAfter is a ResponseWriter whose client goes away after n writes.
+// failAfter is a ResponseWriter whose client goes away after n writes;
+// largest is the longest write it was handed.
 type failAfter struct {
 	*httptest.ResponseRecorder
-	n int
+	n, largest int
 }
 
 func (w *failAfter) Write(b []byte) (int, error) {
+	w.largest = max(w.largest, len(b))
 	if w.n == 0 {
 		return 0, io.ErrClosedPipe
 	}
@@ -735,28 +737,39 @@ func (w *failAfter) Write(b []byte) (int, error) {
 	return w.ResponseRecorder.Write(b)
 }
 
-// TestSweepStreamStopsAtUndeliveredEvent: an event that could not be
-// delivered ends the stream there — nothing after it goes out, least of
-// all the end frame that would tell the client it has seen everything —
-// so the client's reconnect re-reads it. (The handler used to skip an
-// event it could not encode and carry on past it.)
+// TestSweepStreamStopsAtUndeliveredEvent: a write that fails ends the
+// stream there — nothing after it goes out, least of all the end frame
+// that would tell the client it has seen everything — so the client's
+// reconnect re-reads from the first event it missed. A batch goes out a
+// chunk of whole frames at a time, so the log here is long enough for
+// three chunks; the client takes two and is gone. No write is a whole
+// long log: each stays within streamChunk plus the frame that filled it.
 func TestSweepStreamStopsAtUndeliveredEvent(t *testing.T) {
 	run, _ := countingRun()
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: run})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	_, sv := postSweep(t, ts, sweepGridJSON("gone", 5))
-	waitSweepDone(t, ts, sv.ID, 10*time.Second)
+	const cells = 600
+	_, sv := postSweep(t, ts, sweepGridJSON("gone", cells))
+	waitSweepDone(t, ts, sv.ID, 30*time.Second)
 
-	for _, accept := range []string{"", "text/event-stream"} {
-		w := &failAfter{httptest.NewRecorder(), 2}
+	for accept, eol := range map[string]string{"": "\n", "text/event-stream": "\n\n"} {
+		w := &failAfter{ResponseRecorder: httptest.NewRecorder(), n: 2}
 		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+sv.ID+"/results", nil)
 		req.Header.Set("Accept", accept)
 		srv.Handler().ServeHTTP(w, req)
 		body := w.Body.String()
-		if n := strings.Count(body, `"seq":`); n != 2 || strings.Contains(body, `"end":true`) {
-			t.Errorf("Accept %q: stream went on past the failed write (%d events):\n%s", accept, n, body)
+		n := strings.Count(body, `"seq":`)
+		if n == 0 || n >= cells || strings.Contains(body, `"end":true`) {
+			t.Errorf("Accept %q: %d of %d events and the end frame's absence expected from two chunks of three:\n%.400s", accept, n, cells, body)
+		}
+		if len(body) < 2*streamChunk || !strings.HasSuffix(body, "}"+eol) ||
+			!strings.Contains(body, fmt.Sprintf(`"seq":%d,`, n-1)) || strings.Contains(body, fmt.Sprintf(`"seq":%d,`, n)) {
+			t.Errorf("Accept %q: the %d bytes delivered are not whole frames 0..%d", accept, len(body), n-1)
+		}
+		if w.largest < streamChunk || w.largest > streamChunk+1024 {
+			t.Errorf("Accept %q: largest write was %d bytes, want one chunk (%d) and at most a frame over", accept, w.largest, streamChunk)
 		}
 	}
 }
