@@ -189,15 +189,15 @@ bench-check:
 check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
-# advance benchmarks, end-to-end simulator throughput, and four
+# advance benchmarks, end-to-end simulator throughput, and five
 # service-path benchmarks (one anti-entropy cache page; client
-# connection reuse; a fully cached 512-cell sweep's admission, and its
-# result stream) with the stream's two codec halves on one line
+# connection reuse; one job key's hash; a fully cached 512-cell sweep's
+# admission, and its result stream) with the stream's two codec halves on one line
 # (BenchmarkEventAppend, BenchmarkParseLine), compared against the
 # checked-in baseline (report
 # only: nothing here fails the build; bench-smoke is the gate).
 # Regenerate the baseline on a quiet machine with `make bench-baseline`.
-BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine
+BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkJobKey|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine
 BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/sweep ./internal/server ./internal/client .
 
 bench:

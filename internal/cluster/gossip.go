@@ -213,7 +213,7 @@ func decodeGossip(v string) (gossipMsg, bool) {
 		return msg, false
 	}
 	if err := json.Unmarshal(b, &msg); err != nil {
-		return msg, false
+		return gossipMsg{}, false // not the members Unmarshal filled in before it gave up
 	}
 	return msg, true
 }

@@ -215,7 +215,7 @@ func TestResolveSpellings(t *testing.T) {
 		{Mix: []string{" spec06.mcf", "ligra.BFS\t"}, Controller: " mumama ", Scale: "Tiny", Seed: 2},
 		{Mix: canon.Mix, Controller: "mumama", Scale: " TINY ", Seed: 2, Target: ScaleTiny.Target, Step: ScaleTiny.Step},
 	} {
-		written := c.Mix
+		written, spelled := c.Mix, c.Mix[0]
 		got, err := Resolve(&c)
 		if err != nil {
 			t.Errorf("%+v: %v", c, err)
@@ -229,8 +229,9 @@ func TestResolveSpellings(t *testing.T) {
 		if !reflect.DeepEqual(c.Mix, canon.Mix) || c.Controller != "mumama" || c.Scale != "tiny" {
 			t.Errorf("cell left as %+v", c)
 		}
-		if &written[0] == &c.Mix[0] {
-			t.Error("normalized mix aliases the caller's slice")
+		// A mix that needed trimming is a fresh slice; a clean one is kept.
+		if written[0] != spelled || (spelled != canon.Mix[0]) == (&written[0] == &c.Mix[0]) {
+			t.Errorf("mix %q normalized through the caller's slice, or a clean one copied", written)
 		}
 	}
 	def := sweep.Cell{Mix: canon.Mix, Controller: "mumama"}

@@ -32,38 +32,35 @@ func newPlan(mix workload.Mix, cfg sim.Config, controller string, scale Scale) P
 	return Plan{Mix: mix, Config: cfg, Controller: controller, Scale: scale}
 }
 
-// Resolve is the one way a cell becomes a plan — mamaserved's resolver
-// and Runner.RunCells both call it, so a cell names the same simulation
-// on both sides of the Executor seam however it is spelled. It
-// normalizes c in place (its controller key to canonical form), checks
-// it against the catalog, the controller registry and the scale table,
-// and applies the Target/Step overrides.
-func Resolve(c *sweep.Cell) (Plan, error) {
+// CheckCell is the validating half of Resolve, for a caller that needs
+// a cell's identity and not its simulation (mamaserved keying a sweep):
+// it normalizes c in place (its controller key to canonical form),
+// checks it against the catalog, the controller registry and the scale
+// table, and returns the scale with the Target/Step overrides applied.
+// A cell in canonical form costs no allocation.
+func CheckCell(c *sweep.Cell) (Scale, error) {
 	c.Normalize()
 	if len(c.Mix) == 0 {
-		return Plan{}, fmt.Errorf("mix must name at least one trace")
+		return Scale{}, fmt.Errorf("mix must name at least one trace")
 	}
-	specs := make([]workload.Spec, len(c.Mix))
-	for i, name := range c.Mix {
-		sp, err := workload.ByName(name)
-		if err != nil {
-			return Plan{}, fmt.Errorf("unknown trace %q (see GET /v1/catalog)", name)
+	for _, name := range c.Mix {
+		if !workload.Known(name) {
+			return Scale{}, fmt.Errorf("unknown trace %q (see GET /v1/catalog)", name)
 		}
-		specs[i] = sp
 	}
 	if c.Controller == "" {
-		return Plan{}, fmt.Errorf("controller is required")
+		return Scale{}, fmt.Errorf("controller is required")
 	}
 	// The error names what is accepted so tournament clients can
 	// self-correct without a second round trip to /v1/catalog.
 	key, err := parseController(c.Controller)
 	if err != nil {
-		return Plan{}, err
+		return Scale{}, err
 	}
 	c.Controller = key.canonical
 	scale, err := ScaleByName(c.Scale)
 	if err != nil {
-		return Plan{}, err
+		return Scale{}, err
 	}
 	if c.Target > 0 {
 		scale.Target = c.Target
@@ -71,8 +68,31 @@ func Resolve(c *sweep.Cell) (Plan, error) {
 	if c.Step > 0 {
 		scale.Step = c.Step
 	}
+	return scale, nil
+}
+
+// Resolve is the one way a cell becomes a plan — mamaserved's resolver
+// and Runner.RunCells both go through its two halves, so a cell names
+// the same simulation on both sides of the Executor seam however it is
+// spelled: CheckCell, then PlanOf.
+func Resolve(c *sweep.Cell) (Plan, error) {
+	scale, err := CheckCell(c)
+	if err != nil {
+		return Plan{}, err
+	}
+	return PlanOf(c, scale), nil
+}
+
+// PlanOf is the plan-building half of Resolve: the traces and the
+// system a cell names, for a cell CheckCell accepted at the scale it
+// returned.
+func PlanOf(c *sweep.Cell, scale Scale) Plan {
+	specs := make([]workload.Spec, len(c.Mix))
+	for i, name := range c.Mix {
+		specs[i], _ = workload.ByName(name) // CheckCell found it
+	}
 	mix := workload.Mix{ID: int(c.Seed), Specs: specs}
-	return newPlan(mix, SystemConfig(len(specs), c.DRAMMTps, c.DRAMChannels), c.Controller, scale), nil
+	return newPlan(mix, SystemConfig(len(specs), c.DRAMMTps, c.DRAMChannels), c.Controller, scale)
 }
 
 // key is the plan's memo key: what decides the simulation's outcome,

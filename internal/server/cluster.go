@@ -327,33 +327,26 @@ type cacheLookupResponse[R any] struct {
 	Results map[string]R `json:"results"`
 }
 
-// prefetchSweep resolves a sweep spec's cells and batch-fetches every
-// remote-owned key from its owner before admission, one RPC per peer.
-// Hits land in the local cache, so the sweep manager's admission-time
-// dedupe marks those cells complete without dispatching anything: a
-// warm cluster serves a resubmitted sweep with zero recomputation no
-// matter which node receives it. Failures are ignored — a missed
-// prefetch only costs a recompute.
-func (cs *clusterState) prefetchSweep(ctx context.Context, spec sweep.Spec) {
-	sp := spec
-	cells, err := sp.Expand(cs.s.cfg.MaxSweepCells)
-	if err != nil {
-		return // Submit will report the real error
-	}
+// prefetch is handed the keys of a sweep about to be admitted
+// (sweep.Exec.Prefetch: sweep.KeyLen bytes each, back to back) and
+// batch-fetches every remote-owned one this node lacks from its owner,
+// one RPC per peer. Hits land in the local cache, so the sweep manager's
+// admission-time dedupe marks those cells complete without dispatching
+// anything: a warm cluster serves a resubmitted sweep with zero
+// recomputation no matter which node receives it. Failures are ignored
+// — a missed prefetch only costs a recompute.
+func (cs *clusterState) prefetch(ctx context.Context, keys string) {
 	byOwner := make(map[string][]string)
-	for _, c := range cells {
-		p, err := cs.s.resolve(JobSpec{Cell: c})
-		if err != nil {
+	for ; len(keys) >= sweep.KeyLen; keys = keys[sweep.KeyLen:] {
+		key := keys[:sweep.KeyLen]
+		if _, ok := cs.s.cache.get(key); ok {
 			continue
 		}
-		if _, ok := cs.s.cache.get(p.key); ok {
-			continue
-		}
-		owner := cs.c.Owner(p.key)
+		owner := cs.c.Owner(key)
 		if cs.c.IsSelf(owner) {
 			continue
 		}
-		byOwner[owner] = append(byOwner[owner], p.key)
+		byOwner[owner] = append(byOwner[owner], key)
 	}
 	for owner, keys := range byOwner {
 		if !cs.c.Healthy(owner) {

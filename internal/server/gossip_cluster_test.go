@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"micromama/internal/cluster"
-	"micromama/internal/sweep"
 )
 
 // relisten rebinds a specific address, retrying briefly: the previous
@@ -322,7 +321,7 @@ func gossipHeader(from string, claims ...cluster.MemberUpdate) string {
 
 // TestSuspectPeerIsSkipped: a peer the failure detector holds suspect
 // gets no routed traffic — proxySubmit, reserve (for the cells it owns
-// and for spilled ones alike), prefetchSweep and writeBack all pass it
+// and for spilled ones alike), prefetch and writeBack all pass it
 // over, and cluster.unhealthy names it — and every one of them uses it again as
 // soon as its refutation arrives. The member table moves only when this
 // test moves it: both detectors sleep (hour-long interval), and while
@@ -360,11 +359,6 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 		body, _ := json.Marshal(spec)
 		keys[i], bodies[i] = p.key, string(body)
 	}
-	sweepOf := func(spec JobSpec) sweep.Spec {
-		return sweep.Spec{Name: "prefetch", Cells: []sweep.Cell{{
-			Mix: spec.Mix, Controller: spec.Controller, Scale: spec.Scale, Seed: spec.Seed,
-		}}}
-	}
 
 	acs.c.ApplyGossipHeader(gossipHeader("http://third-party:1",
 		cluster.MemberUpdate{URL: b.url, Inc: 0, State: cluster.StateSuspect}))
@@ -396,7 +390,7 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	if acs.spare() {
 		t.Error("spare() counts a suspect peer's slots")
 	}
-	acs.prefetchSweep(ctx, sweepOf(specs[1]))
+	acs.prefetch(ctx, keys[1])
 	_, acl := clusterStats(t, a)
 	if acl.DegradedLocal != 1 || acl.Proxied != 0 || acl.Writebacks != 0 ||
 		acl.RemoteCacheHits != 0 || acl.RemoteCacheMisses != 0 {
@@ -435,7 +429,7 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	if sims[0].Load() != 1 || sims[1].Load() != 1 {
 		t.Errorf("simulations = [%d %d], want [1 1]: the refuted owner computes again", sims[0].Load(), sims[1].Load())
 	}
-	acs.prefetchSweep(ctx, sweepOf(specs[1]))
+	acs.prefetch(ctx, keys[1])
 	for _, key := range []string{keys[2], own.key} {
 		if slot := acs.reserve(key, false); slot == nil || slot.venue != b.url {
 			t.Errorf("reserve still passes over the refuted peer (key owned by %s)", acs.c.Owner(key))

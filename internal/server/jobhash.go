@@ -5,48 +5,65 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"micromama/internal/experiment"
 	"micromama/internal/sim"
+	"micromama/internal/sweep"
 )
 
-// jobKey derives the content address of a job: the SHA-256 of a
-// canonical JSON encoding of everything that determines the simulation
-// outcome — mix (ordered trace names), seed, the fully resolved
-// sim.Config, the controller key, and the resolved experiment.Scale.
-// Two specs that resolve to the same simulation hash identically even
-// if they spelled defaults differently; TimeoutMs is deliberately
-// excluded because it bounds execution without changing the result.
+// appendJobKey derives the content address of a job and appends it, as
+// sweep.KeyLen hex digits, to dst: the SHA-256 of a canonical JSON
+// encoding of everything that determines the simulation outcome — mix
+// (ordered trace names), seed, the controller key, the resolved
+// experiment.Scale and the fully resolved sim.Config. Two specs that
+// resolve to the same simulation hash identically even if they spelled
+// defaults differently; TimeoutMs is deliberately excluded because it
+// bounds execution without changing the result.
 //
 // The hashed bytes are exactly json.Marshal(struct{Mix; Seed;
 // Controller; Scale; Config}) — every cache file, job ID and ring
-// placement derives from them, so they may never change — but Config,
-// the last member and 1.2 KB of the encoding's 1.4, arrives already
-// encoded (configTail, from configMemo: a grid has one or two distinct
-// configs), so only the head is marshalled per call.
-//
-// Determinism: all hashed types are flat exported-field structs, and
-// encoding/json emits struct fields in declaration order, so the
-// encoding is canonical without map-ordering concerns. A marshal
-// failure (an unmarshalable value sneaking into the hashed structs)
-// is returned as an error — never a panic — so a hostile or buggy
-// spec degrades to an HTTP error instead of taking the process down.
-func jobKey(spec JobSpec, configTail []byte, scale experiment.Scale) (string, error) {
-	head, err := json.Marshal(struct {
-		Mix        []string
-		Seed       uint64
-		Controller string
-		Scale      experiment.Scale
-	}{spec.Mix, spec.Seed, spec.Controller, scale})
-	if err != nil {
-		return "", fmt.Errorf("canonical job encoding: %w", err)
+// placement derives from them, so they may never change
+// (TestJobKeyMatchesCanonicalJSON holds them to that definition) — but
+// nothing is marshalled per call. Config, the last member and 1.2 KB of
+// the encoding's 1.4, arrives already encoded (configTail, from
+// configMemo: a grid has one or two distinct configs), and the head is
+// appended member by member: the integers through strconv, a string
+// directly unless encoding/json would escape it (sweep.AppendString).
+func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment.Scale) []byte {
+	var buf [2048]byte // the encoding is 1.4 KB; a longer one moves to the heap
+	b := append(buf[:0], `{"Mix":`...)
+	if c.Mix == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, name := range c.Mix {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = sweep.AppendString(b, name)
+		}
+		b = append(b, ']')
 	}
-	h := sha256.New()
-	h.Write(head[:len(head)-1]) // reopen the object: drop its "}"
-	h.Write(configTail)
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0])), nil
+	b = strconv.AppendUint(append(b, `,"Seed":`...), c.Seed, 10)
+	b = sweep.AppendString(append(b, `,"Controller":`...), c.Controller)
+	b = strconv.AppendUint(append(b, `,"Scale":{"Target":`...), scale.Target, 10)
+	b = strconv.AppendUint(append(b, `,"MaxCyclesFactor":`...), scale.MaxCyclesFactor, 10)
+	b = strconv.AppendInt(append(b, `,"MixCount":`...), int64(scale.MixCount), 10)
+	b = strconv.AppendUint(append(b, `,"Seed":`...), scale.Seed, 10)
+	b = strconv.AppendUint(append(b, `,"Step":`...), scale.Step, 10)
+	b = append(append(b, '}'), configTail...)
+	sum := sha256.Sum256(b)
+	return hex.AppendEncode(dst, sum[:])
+}
+
+// jobKey is appendJobKey as a string, the form the pinning tests and
+// BenchmarkJobKey hash through; the resolver itself appends. Nothing in
+// it can fail: every hashed member is a string or an integer.
+func jobKey(spec JobSpec, configTail []byte, scale experiment.Scale) (string, error) {
+	var key [sweep.KeyLen]byte
+	return string(appendJobKey(key[:0], &spec.Cell, configTail, scale)), nil
 }
 
 // jobID renders the short job identifier clients see: the first 16 hex

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -228,4 +232,103 @@ func TestCorruptFileNamesAreSafe(t *testing.T) {
 	if len(files) != 1 || !strings.HasSuffix(files[0], ".quarantine") {
 		t.Errorf("cache dir files = %v, want just the quarantined file", files)
 	}
+}
+
+// TestParentStateResumes: a -cache-dir written by the commit before
+// cells were read off the spec (d769a7f: its mamaserved, three sweeps
+// submitted with its mamactl, SIGTERM in the middle of the third)
+// resumes here as it resumed there. testdata/resume-d769a7f/cache is
+// that directory — eight results; fixture-a finished (a grid plus an
+// explicit cell in a padded spelling), fixture-c failed on its timeout,
+// fixture-b with four cells deduped, three done and three pending — and
+// resumed.<id>.ndjson what that commit's own restart over it streamed
+// for each sweep before any pending cell finished. Sweep IDs, job keys
+// (they are the cache's file names) and every event line must be the
+// same bytes: a persisted record does not move.
+func TestParentStateResumes(t *testing.T) {
+	const fixture = "testdata/resume-d769a7f"
+	dir := t.TempDir()
+	src := filepath.Join(fixture, "cache")
+	if err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path) // path is under src
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), b, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	run, calls := countingRun()
+	release := make(chan struct{})
+	held := func(ctx context.Context, spec JobSpec) (JobResult, error) {
+		select {
+		case <-release:
+			return run(ctx, spec)
+		case <-ctx.Done():
+			return JobResult{}, ctx.Err()
+		}
+	}
+	srv := mustNew(t, Config{Workers: 2, QueueDepth: 4, CacheDir: dir, Run: held})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if st := getStats(t, ts); st.CacheLoaded != 8 || st.CacheQuarantined != 0 || st.Sweeps.Resumed != 3 || st.Sweeps.CellsPending+st.Sweeps.CellsRunning != 3 {
+		t.Fatalf("restored cache_loaded=%d quarantined=%d sweeps=%+v, want 8 results, 3 sweeps, 3 cells left to run",
+			st.CacheLoaded, st.CacheQuarantined, st.Sweeps)
+	}
+	// While the three pending cells are held at the door, each sweep's
+	// stream is what the parent's restart streamed, line for line.
+	streams, err := filepath.Glob(filepath.Join(fixture, "resumed.*.ndjson"))
+	if err != nil || len(streams) != 3 {
+		t.Fatalf("fixture streams: %v, %v", streams, err)
+	}
+	for _, path := range streams {
+		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "resumed."), ".ndjson")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/results?follow=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %s: HTTP %d, %v", id, resp.StatusCode, err)
+		}
+		gotLines, wantLines := eventLines(got), eventLines(want)
+		if len(gotLines) == 0 || !reflect.DeepEqual(gotLines, wantLines) {
+			t.Errorf("sweep %s resumes as\n%s\nthe parent resumed it as\n%s", id, got, want)
+		}
+	}
+
+	close(release)
+	const fixtureB = "s5aed207891b499ef"
+	final := waitSweepDone(t, ts, fixtureB, 15*time.Second)
+	if final.Deduped != 4 || final.Done != 6 || final.Failed != 0 || calls.Load() != 3 {
+		t.Errorf("fixture-b finished as %+v after %d runs, want 4 deduped + 6 done after 3", final, calls.Load())
+	}
+}
+
+// eventLines is a result stream without its end marker (which carries
+// the time the sweep finished on the server that streams it).
+func eventLines(stream []byte) []string {
+	var lines []string
+	sc := bufio.NewScanner(bytes.NewReader(stream))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if !strings.HasPrefix(sc.Text(), `{"end":true`) {
+			lines = append(lines, sc.Text())
+		}
+	}
+	return lines
 }

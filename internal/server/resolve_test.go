@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -131,5 +133,73 @@ func TestOneCoreNoJobSimulatesOnce(t *testing.T) {
 	}
 	if r := body.Result; len(r.Speedups) != 1 || r.Speedups[0] != 1 || r.WS != 1 || r.IPC[0] <= 0 {
 		t.Errorf("result %+v, want speedup 1 at a positive IPC", r)
+	}
+}
+
+// TestAppendKeyMatchesResolve: resolve is appendKey plus the plan, so
+// the two cannot key a cell differently; what is left to hold is the
+// contract a sweep leans on. The key lands after whatever dst already
+// held and the cell is normalized in place, as resolve leaves its spec;
+// what resolve refuses appendKey refuses in the same words — a request
+// error, never errInternal — leaving dst as it got it; and a cell in
+// canonical form is keyed with no allocation, which is the point of it.
+func TestAppendKeyMatchesResolve(t *testing.T) {
+	s := newResolver(t)
+	traces := []string{"spec06.libquantum", "spec06.mcf", "ligra.BFS", "spec06.sphinx3"}
+	const prefix = "held:"
+	for _, c := range []sweep.Cell{
+		{Mix: traces[:1], Controller: "no"},
+		{Mix: traces[:2], Controller: " mumama@jav=04", Scale: " Small", Seed: 3, DRAMMTps: 1866, DRAMChannels: 2},
+		{Mix: traces, Controller: "mumama@theta=0.5@kstep=5", Scale: "full", Target: 123_456_789, Step: 1},
+		{Mix: []string{" spec06.mcf", "ligra.BFS"}, Controller: "pythia\t", Scale: "tiny", Step: 75, DRAMChannels: 2},
+	} {
+		want, err := s.resolve(JobSpec{Cell: c})
+		if err != nil {
+			t.Fatalf("resolve(%+v): %v", c, err)
+		}
+		got, scale, err := s.appendKey([]byte(prefix), &c)
+		if err != nil || string(got) != prefix+want.key || scale != want.Scale {
+			t.Fatalf("appendKey(%+v) = %q at %+v, %v; resolve files it under %s at %+v", c, got, scale, err, want.key, want.Scale)
+		}
+		if !reflect.DeepEqual(c, want.spec.Cell) {
+			t.Fatalf("appendKey left the cell as %+v, resolve as %+v", c, want.spec.Cell)
+		}
+	}
+
+	wide := make([]string, 17)
+	for i := range wide {
+		wide[i] = "spec06.mcf"
+	}
+	for _, c := range []sweep.Cell{
+		{Mix: []string{"spec06.mcf", "spec06.nope"}, Controller: "no"}, // unknown trace
+		{Mix: []string{"spec06.mcf"}, Controller: "nope"},              // unknown controller
+		{Mix: []string{"spec06.mcf"}, Controller: "mumama@jav=0"},      // bad parameter value
+		{Mix: []string{"spec06.mcf"}, Controller: "mumama@javv=1"},     // unknown parameter
+		{Mix: []string{"spec06.mcf"}, Controller: "no", Scale: "huge"}, // bad scale
+		{Controller: "no"},                                                // empty mix
+		{Mix: []string{"spec06.mcf"}},                                     // no controller
+		{Mix: wide, Controller: "no"},                                     // too many cores
+		{Mix: append(wide[:16:16], "spec06.nope"), Controller: "no"},      // too many cores wins over a bad trace
+		{Mix: []string{"spec06.nope"}, Controller: "nope", Scale: "huge"}, // the trace is reported first
+		{Mix: []string{"spec06.mcf"}, Controller: "nope", Scale: "huge"},  // then the controller
+	} {
+		_, want := s.resolve(JobSpec{Cell: c})
+		got, _, err := s.appendKey([]byte(prefix), &c)
+		if want == nil || err == nil || err.Error() != want.Error() || errors.Is(err, errInternal) {
+			t.Errorf("%+v: appendKey says %v, resolve %v", c, err, want)
+		}
+		if string(got) != prefix {
+			t.Errorf("%+v: a refused cell left dst as %q", c, got)
+		}
+	}
+
+	clean := sweep.Cell{Mix: traces, Controller: "mumama", Scale: "tiny", Seed: 9, Target: 20_000}
+	dst := make([]byte, 0, sweep.KeyLen)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := s.appendKey(dst, &clean); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("keying a cell in canonical form allocates %v times, want 0: no plan, no marshal", allocs)
 	}
 }

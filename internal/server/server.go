@@ -98,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxCores <= 0 {
 		c.MaxCores = 16
 	}
-	if c.MaxSweepCells <= 0 {
-		c.MaxSweepCells = 4096 // prefetchSweep expands a spec before the manager does
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -313,31 +310,42 @@ type plan struct {
 	id   string
 }
 
-// resolve validates a spec and computes its canonical plan:
-// experiment.Resolve (normalize, catalog and registry checks, budget
-// overrides) inside this server's own two limits.
+// resolve validates a spec and computes its canonical plan: appendKey's
+// checks and key, then the plan the checked cell names.
 func (s *Server) resolve(spec JobSpec) (plan, error) {
-	if s.cfg.MaxCores > 0 && len(spec.Mix) > s.cfg.MaxCores {
-		return plan{}, fmt.Errorf("mix has %d traces; server accepts at most %d cores", len(spec.Mix), s.cfg.MaxCores)
-	}
-	p, err := experiment.Resolve(&spec.Cell)
+	var buf [sweep.KeyLen]byte
+	hexKey, scale, err := s.appendKey(buf[:0], &spec.Cell)
 	if err != nil {
 		return plan{}, err
 	}
 	if spec.TimeoutMs < 0 {
 		return plan{}, fmt.Errorf("timeout_ms must be >= 0")
 	}
-	rc, err := s.configs.resolve(len(spec.Mix), spec.DRAMMTps, spec.DRAMChannels)
-	var key string
-	if err == nil {
-		key, err = jobKey(spec, rc.tail, p.Scale)
+	key := string(hexKey)
+	return plan{Plan: experiment.PlanOf(&spec.Cell, scale), spec: spec, key: key, id: jobID(key)}, nil
+}
+
+// appendKey is the resolver at the depth a sweep needs — it keys every
+// cell at admission and plans only the ones it dispatches: c checked
+// inside this server's core limit (experiment.CheckCell: normalized in
+// place, catalog, registry, scale and budget overrides) and its content
+// address appended to dst, with no trace looked up and no sim.Config
+// copied. On an error dst comes back as it was given.
+func (s *Server) appendKey(dst []byte, c *sweep.Cell) ([]byte, experiment.Scale, error) {
+	if s.cfg.MaxCores > 0 && len(c.Mix) > s.cfg.MaxCores {
+		return dst, experiment.Scale{}, fmt.Errorf("mix has %d traces; server accepts at most %d cores", len(c.Mix), s.cfg.MaxCores)
 	}
+	scale, err := experiment.CheckCell(c)
+	if err != nil {
+		return dst, scale, err
+	}
+	rc, err := s.configs.resolve(len(c.Mix), c.DRAMMTps, c.DRAMChannels)
 	if err != nil {
 		// The server's hashing contract is broken, not the request:
 		// answer 500, never panic the process on a hostile spec.
-		return plan{}, fmt.Errorf("%w: %v", errInternal, err)
+		return dst, scale, fmt.Errorf("%w: %v", errInternal, err)
 	}
-	return plan{Plan: p, spec: spec, key: key, id: jobID(key)}, nil
+	return appendJobKey(dst, c, rc.tail, scale), scale, nil
 }
 
 // simulate is the production runFunc: the job's plan, simulated under

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -227,9 +228,11 @@ func TestSweepKeyDeterminism(t *testing.T) {
 		}
 		keys := make([]string, len(cells))
 		for i, c := range cells {
-			if keys[i], err = exec.ResolveCell(c); err != nil {
+			key, err := exec.AppendKey(nil, c)
+			if err != nil {
 				t.Fatalf("resolve cell %d: %v", i, err)
 			}
+			keys[i] = string(key)
 		}
 		return keys
 	}
@@ -317,6 +320,36 @@ func TestSweepWarmCacheDedupe(t *testing.T) {
 	}
 	if v := scrapeMetric(t, ts, "mama_server_sweep_cells_deduped_total"); v != float64(v3.Cells) {
 		t.Errorf("mama_server_sweep_cells_deduped_total = %v, want %d", v, v3.Cells)
+	}
+}
+
+// TestFinishedSweepFootprint: what the manager keeps of a sweep it has
+// finished is its spec, one key blob, a status byte and a log entry per
+// cell — 64 + 1 + 32 bytes — not the cells, a string per key and a
+// status string apiece (235 B per cell before cells were read off the
+// spec). 200 warm 512-cell sweeps through Manager.Submit with the real
+// sweepExec, then the heap that survives a collection.
+func TestFinishedSweepFootprint(t *testing.T) {
+	srv, _ := warmBenchServer(t)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the first empties sync.Pools into the second
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const sweeps, cells = 200, 512
+	before := heap()
+	for i := 0; i < sweeps; i++ {
+		v, created, err := srv.sweeps.Submit(context.Background(), sweep.Spec{Name: fmt.Sprint("held-", i), Grid: warmBenchGrid()})
+		if err != nil || !created || v.Deduped != cells || v.Status != "done" {
+			t.Fatalf("warm submit: %+v created=%v err=%v", v, created, err)
+		}
+	}
+	perCell := float64(int64(heap()-before)) / (sweeps * cells)
+	t.Logf("%d finished %d-cell sweeps retain %.1f B per cell", sweeps, cells, perCell)
+	if perCell > 112 {
+		t.Errorf("a finished sweep retains %.1f B per cell, want <= 112", perCell)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"micromama/internal/client"
+	"micromama/internal/experiment"
 	"micromama/internal/sweep"
 )
 
@@ -29,7 +30,7 @@ func warmBenchGrid() *sweep.Grid {
 // warmBenchServer returns a server whose cache already holds every cell
 // of warmBenchGrid (a fake run fills it with results of a real one's
 // size), and the finished sweep that filled it.
-func warmBenchServer(b *testing.B) (*Server, sweep.View) {
+func warmBenchServer(b testing.TB) (*Server, sweep.View) {
 	b.Helper()
 	run := func(_ context.Context, spec JobSpec) (JobResult, error) {
 		x := float64(spec.Seed) / 3
@@ -45,7 +46,7 @@ func warmBenchServer(b *testing.B) (*Server, sweep.View) {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Close)
-	v, _, err := srv.sweeps.Submit(sweep.Spec{Name: "fill", Grid: warmBenchGrid()})
+	v, _, err := srv.sweeps.Submit(context.Background(), sweep.Spec{Name: "fill", Grid: warmBenchGrid()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,9 +60,32 @@ func warmBenchServer(b *testing.B) (*Server, sweep.View) {
 	}
 }
 
+// BenchmarkJobKey is the hash of one 4-core cell, as resolve takes it:
+// 1.4 KB of canonical encoding appended and SHA-256'd. The one
+// allocation is the string it returns.
+func BenchmarkJobKey(b *testing.B) {
+	var memo configMemo
+	rc, err := memo.resolve(4, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := JobSpec{Cell: sweep.Cell{
+		Mix:        []string{"spec06.libquantum", "spec06.mcf", "spec06.sphinx3", "ligra.BFS"},
+		Controller: "mumama", Scale: "tiny", Seed: 7,
+	}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key, err := jobKey(spec, rc.tail, experiment.ScaleTiny)
+		if err != nil || len(key) != sweep.KeyLen {
+			b.Fatalf("jobKey = %q, %v", key, err)
+		}
+	}
+}
+
 // BenchmarkSweepSubmitWarm is the admission half of a warm sweep: a
 // 512-cell grid whose every cell is cached, through Manager.Submit with
-// the real sweepExec — expand, resolve + hash each cell, dedupe against
+// the real sweepExec — lay out, check + hash each cell, dedupe against
 // the cache, log. allocs/op ÷ 512 is the allocation bill of one warm
 // cell.
 func BenchmarkSweepSubmitWarm(b *testing.B) {
@@ -69,7 +93,7 @@ func BenchmarkSweepSubmitWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, created, err := srv.sweeps.Submit(sweep.Spec{Name: fmt.Sprint("warm-", i), Grid: warmBenchGrid()})
+		v, created, err := srv.sweeps.Submit(context.Background(), sweep.Spec{Name: fmt.Sprint("warm-", i), Grid: warmBenchGrid()})
 		if err != nil || !created || v.Deduped != 512 || v.Status != "done" {
 			b.Fatalf("warm submit: %+v created=%v err=%v", v, created, err)
 		}

@@ -8,17 +8,26 @@ import (
 	"testing"
 )
 
+// fuzzSpecCorpus seeds FuzzSweepSpec, and TestLayoutMatchesReference
+// runs it under more budgets than the fuzzer's one.
+var fuzzSpecCorpus = []string{
+	`{"name":"a","grid":{"mixes":[["x","y"],["z"]],"controllers":["no","mumama"],"scales":["tiny",""],"seeds":[1,2],"dram":[{},{"mtps":2400,"channels":2}],"target":5}}`,
+	`{"cells":[{"mix":[" a "],"controller":" x","scale":"TINY","seed":18446744073709551615}],"timeout_ms":-1,"priority":99}`,
+	`{"grid":{"controllers":["x"]}}`,
+	`{"grid":{"mixes":[[]],"controllers":[""],"seeds":[0,0,0]},"cells":[{}]}`,
+	`{}`,
+}
+
 // FuzzSweepSpec feeds POST /v1/sweeps bodies — the one untrusted shape
 // this package parses — through what admission does with them: Expand
 // and ID never panic, give the same answer on a second decode of the
-// same bytes and on a second call (normalization is idempotent), and
-// never return more cells than the budget.
+// same bytes and on a second call (normalization is idempotent), never
+// return more cells than the budget, and the cells read off the layout
+// are the nested loops' (referenceExpand), refusals text for text.
 func FuzzSweepSpec(f *testing.F) {
-	f.Add([]byte(`{"name":"a","grid":{"mixes":[["x","y"],["z"]],"controllers":["no","mumama"],"scales":["tiny",""],"seeds":[1,2],"dram":[{},{"mtps":2400,"channels":2}],"target":5}}`))
-	f.Add([]byte(`{"cells":[{"mix":[" a "],"controller":" x","scale":"TINY","seed":18446744073709551615}],"timeout_ms":-1,"priority":99}`))
-	f.Add([]byte(`{"grid":{"controllers":["x"]}}`))
-	f.Add([]byte(`{"grid":{"mixes":[[]],"controllers":[""],"seeds":[0,0,0]},"cells":[{}]}`))
-	f.Add([]byte(`{}`))
+	for _, body := range fuzzSpecCorpus {
+		f.Add([]byte(body))
+	}
 	// TestExpandErrors' two grids whose cell count wraps an int.
 	for _, spec := range []Spec{axesSpec(13, 13, 13, 12, 12, 0), axesSpec(13, 13, 13, 13, 12, 1)} {
 		body, err := json.Marshal(spec)
@@ -38,6 +47,7 @@ func FuzzSweepSpec(f *testing.F) {
 		if (errA == nil) != (errB == nil) || !reflect.DeepEqual(cellsA, cellsB) {
 			t.Fatalf("two decodes of %s expand differently: %v / %v", body, errA, errB)
 		}
+		checkLayout(t, &a, budget)
 		if errA == nil && (len(cellsA) == 0 || len(cellsA) > budget) {
 			t.Fatalf("expanded %d cells under a budget of %d", len(cellsA), budget)
 		}

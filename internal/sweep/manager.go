@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -13,16 +15,26 @@ import (
 	"micromama/internal/telemetry"
 )
 
+// KeyLen is the length of a job key: the hex digits of a SHA-256.
+const KeyLen = 64
+
 // Exec is what the manager needs from its execution backend (the
 // server): canonical cell resolution — validation plus the
 // content-addressed job key — and result-cache lookups. Abstracting
-// these two calls keeps internal/sweep free of the server's types (the
+// these calls keeps internal/sweep free of the server's types (the
 // server imports sweep, not the reverse).
 type Exec interface {
-	// ResolveCell validates a cell and returns its content-addressed job
-	// key. The error, if any, is a client error (bad trace name, too many
-	// cores, unknown controller).
-	ResolveCell(c Cell) (key string, err error)
+	// AppendKey validates a cell and appends its content-addressed job
+	// key, KeyLen bytes, to dst. The error, if any, is a client error
+	// (bad trace name, too many cores, unknown controller), and dst comes
+	// back as it was given.
+	AppendKey(dst []byte, c Cell) ([]byte, error)
+	// Prefetch is handed the keys of a sweep that is about to be
+	// admitted — KeyLen bytes each, back to back — before admission looks
+	// any of them up: a backend whose results may sit elsewhere (a
+	// cluster peer's cache) fetches what it can now, under the submitting
+	// request's context. Best effort: a result it misses is recomputed.
+	Prefetch(ctx context.Context, keys string)
 	// CachedResult returns the cached result for a job key, encoded as
 	// the API's JSON result object.
 	CachedResult(key string) (json.RawMessage, bool)
@@ -58,14 +70,16 @@ type Ticket struct {
 	TimeoutMs int64
 }
 
-// state is the in-memory authority for one sweep.
+// state is the in-memory authority for one sweep. Per cell it holds a
+// key, a status byte and, once the cell is terminal, a log entry; the
+// cell itself is read off the spec.
 type state struct {
 	id        string
 	spec      Spec // normalized; includes priority for persistence
 	priority  int
-	cells     []Cell
-	keys      []string
-	status    []CellStatus
+	cells     layout  // over spec's own grid and cells
+	keys      string  // KeyLen bytes per cell: one pointer-free allocation
+	status    []uint8 // a statusNames index per cell
 	errors    map[int]string
 	events    []logged // terminal cells in completion order; position = Event.Seq
 	createdAt time.Time
@@ -86,10 +100,13 @@ type logged struct {
 	result json.RawMessage
 }
 
+// key is cell i's job key: a substring of keys, no allocation.
+func (st *state) key(i int) string { return st.keys[i*KeyLen : (i+1)*KeyLen] }
+
 func (st *state) terminalCount() int { return st.done + st.failed + st.deduped }
 
 func (st *state) pendingCount() int {
-	return len(st.cells) - st.running - st.terminalCount()
+	return st.cells.len() - st.running - st.terminalCount()
 }
 
 func (st *state) view() View {
@@ -98,7 +115,7 @@ func (st *state) view() View {
 		Name:      st.spec.Name,
 		Status:    "running",
 		Priority:  st.priority,
-		Cells:     len(st.cells),
+		Cells:     st.cells.len(),
 		Pending:   st.pendingCount(),
 		Running:   st.running,
 		Done:      st.done,
@@ -252,72 +269,80 @@ func (mgr *Manager) clampPriority(p int) int {
 	return p
 }
 
-// newState expands a spec and resolves every cell into a sweep with all
-// of them pending, before any state is taken: a spec with one bad cell
-// is refused whole, so a partially admitted sweep never exists.
+// newState lays a spec out and keys every cell into a sweep with all of
+// them pending, before any state is taken: a spec with one bad cell is
+// refused whole, so a partially admitted sweep never exists.
 func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state, error) {
-	cells, err := spec.Expand(mgr.maxCells)
+	cells, err := spec.layout(mgr.maxCells)
 	if err != nil {
 		return nil, err
 	}
 	spec.Priority = mgr.clampPriority(spec.Priority)
-	st := &state{
-		id: id, spec: spec, priority: spec.Priority, createdAt: createdAt,
-		cells:  cells,
-		keys:   make([]string, len(cells)),
-		status: make([]CellStatus, len(cells)),
-		errors: make(map[int]string),
-		events: make([]logged, 0, len(cells)), // every cell is logged once
-	}
-	for i, c := range cells {
-		if st.keys[i], err = mgr.exec.ResolveCell(c); err != nil {
+	n := cells.len()
+	var keys strings.Builder
+	keys.Grow(n * KeyLen)
+	key := make([]byte, 0, KeyLen)
+	for i := 0; i < n; i++ {
+		if key, err = mgr.exec.AppendKey(key[:0], cells.at(i)); err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
-		st.status[i] = CellPending
+		if len(key) != KeyLen { // key(i) slices the blob at fixed strides
+			return nil, fmt.Errorf("cell %d: backend returned a %d-byte key", i, len(key))
+		}
+		keys.Write(key)
 	}
-	return st, nil
+	return &state{
+		id: id, spec: spec, priority: spec.Priority, createdAt: createdAt,
+		cells:  cells,
+		keys:   keys.String(),
+		status: make([]uint8, n), // codePending
+		errors: make(map[int]string),
+		events: make([]logged, 0, n), // every cell is logged once
+	}, nil
 }
 
-// Submit admits a sweep: expansion, content addressing, cache dedupe,
-// and scheduling. Resubmitting an identical spec attaches to the
-// existing sweep (created=false) and only updates its priority —
-// submission is idempotent by construction, which is what lets clients
-// blindly retry over flaky links. Errors are client errors.
-func (mgr *Manager) Submit(spec Spec) (View, bool, error) {
+// Submit admits a sweep: layout, content addressing, cache dedupe, and
+// scheduling. Resubmitting an identical spec attaches to the existing
+// sweep (created=false) and only updates its priority — submission is
+// idempotent by construction, which is what lets clients blindly retry
+// over flaky links — and costs a map lookup: an equal ID is an equal
+// normalized spec, validated when it was admitted. ctx is the
+// submitting request's, for Exec.Prefetch. Errors are client errors.
+func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 	id, err := spec.ID()
 	if err != nil {
 		return View{}, false, err
 	}
+	priority := mgr.clampPriority(spec.Priority)
+	mgr.mu.Lock()
+	v, held, err := mgr.attachLocked(id, priority)
+	mgr.mu.Unlock()
+	if held || err != nil {
+		return v, false, err
+	}
+	// Keying a big sweep and fetching for it take a while: outside the lock.
 	st, err := mgr.newState(id, spec, time.Now().UTC())
 	if err != nil {
 		return View{}, false, err
 	}
-	cells, keys, priority := st.cells, st.keys, st.priority
+	mgr.exec.Prefetch(ctx, st.keys)
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	if mgr.draining {
-		return View{}, false, fmt.Errorf("server is draining; retry against a healthy instance")
+	if v, held, err := mgr.attachLocked(id, priority); held || err != nil {
+		return v, false, err // a twin submission won the race
 	}
-	if old, ok := mgr.sweeps[id]; ok {
-		if old.priority != priority {
-			old.priority = priority
-			old.spec.Priority = priority
-			mgr.sched.add(id, priority)
-			mgr.saveLocked(old)
-		}
-		return old.view(), false, nil
-	}
+	n := st.cells.len()
 	mgr.sweeps[id] = st
 	mgr.m.submitted.Inc()
-	mgr.m.cellsExpanded.Add(uint64(len(cells)))
+	mgr.m.cellsExpanded.Add(uint64(n))
 
 	// Dedupe against the warm cache at admission: anything already
 	// simulated completes immediately without touching the scheduler.
 	mgr.sched.add(id, priority)
 	enqueued := 0
-	for i, key := range keys {
-		if raw, ok := mgr.exec.CachedResult(key); ok {
+	for i := 0; i < n; i++ {
+		if raw, ok := mgr.exec.CachedResult(st.key(i)); ok {
 			mgr.completeLocked(st, i, CellDeduped, raw, "")
 			continue
 		}
@@ -332,15 +357,34 @@ func (mgr *Manager) Submit(spec Spec) (View, bool, error) {
 	}
 	mgr.saveLocked(st)
 	mgr.log.Info("sweep submitted", "sweep", id, "name", spec.Name,
-		"cells", len(cells), "deduped", st.deduped, "enqueued", enqueued,
+		"cells", n, "deduped", st.deduped, "enqueued", enqueued,
 		"priority", priority)
 	mgr.pokeLocked()
 	mgr.broadcastLocked()
 	return st.view(), true, nil
 }
 
-// resume restores one persisted sweep. The spec re-expands
-// deterministically; stored statuses are reconciled against the
+// attachLocked is Submit for a sweep the manager already holds
+// (held=true): its view, after taking the resubmission's priority.
+func (mgr *Manager) attachLocked(id string, priority int) (v View, held bool, err error) {
+	if mgr.draining {
+		return View{}, false, fmt.Errorf("server is draining; retry against a healthy instance")
+	}
+	old, held := mgr.sweeps[id]
+	if !held {
+		return View{}, false, nil
+	}
+	if old.priority != priority {
+		old.priority = priority
+		old.spec.Priority = priority
+		mgr.sched.add(id, priority)
+		mgr.saveLocked(old)
+	}
+	return old.view(), true, nil
+}
+
+// resume restores one persisted sweep. The spec lays out the same cells
+// again; stored statuses are reconciled against the
 // restored result cache: done/deduped cells keep their status only if
 // the cached result is still present (otherwise they re-run), running
 // cells return to pending (the process died under them), failed cells
@@ -351,22 +395,22 @@ func (mgr *Manager) resume(rec record) {
 		mgr.log.Error("persisted sweep no longer expands and resolves; dropping", "sweep", rec.ID, "err", err)
 		return
 	}
-	cells, keys, priority := st.cells, st.keys, st.priority
+	n := st.cells.len()
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	mgr.sweeps[st.id] = st
 	mgr.m.resumed.Inc()
-	mgr.sched.add(st.id, priority)
+	mgr.sched.add(st.id, st.priority)
 	pending := 0
-	for i := range cells {
+	for i := 0; i < n; i++ {
 		prev := CellPending
 		if i < len(rec.Status) {
 			prev = rec.Status[i]
 		}
 		switch prev {
 		case CellDone, CellDeduped:
-			if raw, ok := mgr.exec.CachedResult(keys[i]); ok {
+			if raw, ok := mgr.exec.CachedResult(st.key(i)); ok {
 				mgr.completeLocked(st, i, prev, raw, "")
 				continue
 			}
@@ -387,7 +431,7 @@ func (mgr *Manager) resume(rec record) {
 	}
 	mgr.saveLocked(st)
 	mgr.log.Info("sweep resumed", "sweep", st.id, "name", st.spec.Name,
-		"cells", len(cells), "finished", st.terminalCount(), "pending", pending)
+		"cells", n, "finished", st.terminalCount(), "pending", pending)
 	mgr.pokeLocked()
 }
 
@@ -427,7 +471,7 @@ func (mgr *Manager) TryDequeue() (Ticket, bool) {
 		return Ticket{}, false
 	}
 	st := mgr.sweeps[id]
-	st.status[idx] = CellRunning
+	st.status[idx] = codeRunning
 	st.running++
 	// Cascade the wake: this call consumed at most one wake token but
 	// may leave more dispatchable cells behind it, and other workers
@@ -438,8 +482,8 @@ func (mgr *Manager) TryDequeue() (Ticket, bool) {
 	return Ticket{
 		SweepID:   id,
 		Index:     idx,
-		Cell:      st.cells[idx],
-		Key:       st.keys[idx],
+		Cell:      st.cells.at(idx),
+		Key:       st.key(idx),
 		TimeoutMs: st.spec.TimeoutMs,
 	}, true
 }
@@ -455,12 +499,12 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, raw json.RawMessage, e
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	st := mgr.sweeps[t.SweepID]
-	if st == nil || st.status[t.Index] != CellRunning {
+	if st == nil || st.status[t.Index] != codeRunning {
 		return
 	}
 	st.running--
 	if status == CellPending {
-		st.status[t.Index] = CellPending
+		st.status[t.Index] = codePending
 		mgr.sched.pushFront(st.id, t.Index)
 	} else {
 		mgr.completeLocked(st, t.Index, status, raw, errMsg)
@@ -472,15 +516,17 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, raw json.RawMessage, e
 
 // completeLocked finishes one cell and appends its event.
 func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, raw json.RawMessage, errMsg string) {
-	st.status[idx] = status
 	switch status {
 	case CellDone:
+		st.status[idx] = codeDone
 		st.done++
 		mgr.m.cellsDone.Inc()
 	case CellDeduped:
+		st.status[idx] = codeDeduped
 		st.deduped++
 		mgr.m.cellsDeduped.Inc()
 	case CellFailed:
+		st.status[idx] = codeFailed
 		st.failed++
 		mgr.m.cellsFailed.Inc()
 		if errMsg != "" {
@@ -494,7 +540,7 @@ func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, raw js
 // finishIfDoneLocked marks the sweep finished once every cell is
 // terminal and retires it from the scheduler ring.
 func (mgr *Manager) finishIfDoneLocked(st *state) {
-	if st.terminalCount() != len(st.cells) || !st.finished.IsZero() {
+	if st.terminalCount() != st.cells.len() || !st.finished.IsZero() {
 		return
 	}
 	st.finished = time.Now().UTC()
@@ -511,8 +557,11 @@ func (mgr *Manager) saveLocked(st *state) {
 	rec := record{
 		ID:        st.id,
 		Spec:      st.spec,
-		Status:    append([]CellStatus(nil), st.status...),
+		Status:    make([]CellStatus, len(st.status)),
 		CreatedAt: st.createdAt,
+	}
+	for i, code := range st.status {
+		rec.Status[i] = statusNames[code]
 	}
 	if len(st.errors) > 0 {
 		rec.Errors = make(map[int]string, len(st.errors))
@@ -575,29 +624,29 @@ func (mgr *Manager) List() []View {
 	return out
 }
 
-// EventsSince returns the sweep's events after cursor, the current view
-// (so callers can tell whether the log is final), and a channel that
-// closes when any event log grows (re-check the cursor then). ok=false
-// for an unknown sweep.
-func (mgr *Manager) EventsSince(id string, cursor int) (events []Event, v View, changed <-chan struct{}, ok bool) {
+// EventsSince appends the sweep's events after cursor to dst — a stream
+// hands back the slice it has just written out — and returns them with
+// the current view (so callers can tell whether the log is final) and a
+// channel that closes when any event log grows (re-check the cursor
+// then). ok=false for an unknown sweep.
+func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Event, v View, changed <-chan struct{}, ok bool) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	st, found := mgr.sweeps[id]
 	if !found {
-		return nil, View{}, nil, false
+		return dst, View{}, nil, false
 	}
 	if cursor < 0 {
 		cursor = 0
 	}
 	if cursor < len(st.events) {
-		events = make([]Event, 0, len(st.events)-cursor)
 		for seq, l := range st.events[cursor:] {
 			i := l.cell
-			events = append(events, Event{Seq: cursor + seq, Cell: i, Status: st.status[i],
-				Key: st.keys[i], Spec: st.cells[i], Result: l.result, Error: st.errors[i]})
+			dst = append(dst, Event{Seq: cursor + seq, Cell: i, Status: statusNames[st.status[i]],
+				Key: st.key(i), Spec: st.cells.at(i), Result: l.result, Error: st.errors[i]})
 		}
 	}
-	return events, st.view(), mgr.notify, true
+	return dst, st.view(), mgr.notify, true
 }
 
 // Counts snapshots the sweep block of /v1/stats.

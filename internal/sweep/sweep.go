@@ -69,14 +69,22 @@ type Cell struct {
 
 // Normalize canonicalizes the fields that admit aliases, so equivalent
 // spellings are identical cells (and therefore identical content
-// addresses). Mix is rewritten into a fresh slice: a normalized cell
-// never aliases caller-held memory.
+// addresses). A cell already in canonical form is left as it is, at no
+// allocation; a mix that needs trimming is rewritten into a fresh
+// slice, never through the caller's.
 func (c *Cell) Normalize() {
-	mix := make([]string, len(c.Mix))
-	for i := range c.Mix {
-		mix[i] = strings.TrimSpace(c.Mix[i])
+	for i, name := range c.Mix {
+		if strings.TrimSpace(name) == name {
+			continue
+		}
+		mix := make([]string, len(c.Mix))
+		copy(mix, c.Mix[:i])
+		for j := i; j < len(mix); j++ {
+			mix[j] = strings.TrimSpace(c.Mix[j])
+		}
+		c.Mix = mix
+		break
 	}
-	c.Mix = mix
 	c.Controller = strings.TrimSpace(c.Controller)
 	c.Scale = strings.ToLower(strings.TrimSpace(c.Scale))
 	if c.Scale == "" {
@@ -126,7 +134,7 @@ type Spec struct {
 }
 
 // normalize canonicalizes the spec in place (trimmed names, defaulted
-// axes are NOT materialized here — Expand applies defaults — but all
+// axes are NOT materialized here — layout applies defaults — but all
 // string fields are brought to canonical form so hashing is stable).
 func (s *Spec) normalize() {
 	s.Name = strings.TrimSpace(s.Name)
@@ -148,85 +156,118 @@ func (s *Spec) normalize() {
 	}
 }
 
-// Expand materializes the spec's ordered cell list: the grid's
+// layout is a spec's ordered cell list, unmaterialized: the grid's
 // cartesian product first (nesting order mix → controller → scale →
 // seed → DRAM, so the workload axis varies slowest), then the explicit
-// cells. Expansion is deterministic: the same spec always yields the
-// same cells in the same order. maxCells bounds the expansion (0 means
-// unlimited); exceeding it is an error, not a truncation.
-func (s *Spec) Expand(maxCells int) ([]Cell, error) {
+// cells. It holds the spec's own grid and slices — the optional axes
+// after defaulting — and computes cell i from them, so a sweep of any
+// size costs what its request body cost. The same spec always lays out
+// the same cells in the same order.
+type layout struct {
+	g      *Grid // nil, or empty, when grid is 0
+	scales []string
+	seeds  []uint64
+	drams  []DRAM
+	grid   int    // cells the axes produce
+	cells  []Cell // the explicit cells, normalized, after them
+}
+
+// An empty axis is one neutral entry. Read-only.
+var (
+	defaultScales = []string{"default"}
+	defaultSeeds  = []uint64{0}
+	defaultDRAMs  = []DRAM{{}}
+)
+
+// layout normalizes the spec and lays its cells out. maxCells bounds the
+// count (0 means unlimited); exceeding it is an error, not a truncation.
+func (s *Spec) layout(maxCells int) (layout, error) {
 	s.normalize()
-	var out []Cell
-	if s.Grid != nil {
-		g := s.Grid
+	l := layout{cells: s.Cells}
+	if g := s.Grid; g != nil {
 		if len(g.Mixes) == 0 && (len(g.Controllers) > 0 || len(g.Scales) > 0 ||
 			len(g.Seeds) > 0 || len(g.DRAM) > 0) {
-			return nil, fmt.Errorf("sweep grid has axes but no mixes")
+			return layout{}, fmt.Errorf("sweep grid has axes but no mixes")
 		}
-		controllers := g.Controllers
-		if len(controllers) == 0 && len(g.Mixes) > 0 {
-			return nil, fmt.Errorf("sweep grid has mixes but no controllers")
+		if len(g.Controllers) == 0 && len(g.Mixes) > 0 {
+			return layout{}, fmt.Errorf("sweep grid has mixes but no controllers")
 		}
-		scales := g.Scales
-		if len(scales) == 0 {
-			scales = []string{"default"}
+		l.g = g
+		if l.scales = g.Scales; len(l.scales) == 0 {
+			l.scales = defaultScales
 		}
-		seeds := g.Seeds
-		if len(seeds) == 0 {
-			seeds = []uint64{0}
+		if l.seeds = g.Seeds; len(l.seeds) == 0 {
+			l.seeds = defaultSeeds
 		}
-		drams := g.DRAM
-		if len(drams) == 0 {
-			drams = []DRAM{{}}
+		if l.drams = g.DRAM; len(l.drams) == 0 {
+			l.drams = defaultDRAMs
 		}
 		// The product is taken axis by axis against the budget: an axis is
 		// bounded by the request body and the running product by the
-		// budget, so a hostile grid cannot wrap it into something make
-		// accepts. "Unlimited" still has to fit a slice.
+		// budget, so a hostile grid cannot wrap it into a count that passes.
+		// "Unlimited" still has to fit a slice.
 		budget := maxCells
 		if budget <= 0 {
 			budget = math.MaxInt32
 		}
-		axes := [...]int{len(g.Mixes), len(controllers), len(scales), len(seeds), len(drams)}
+		axes := [...]int{len(g.Mixes), len(g.Controllers), len(l.scales), len(l.seeds), len(l.drams)}
 		n := 1
 		for i, axis := range axes {
 			if n *= axis; n > budget && i < len(axes)-1 {
-				return nil, fmt.Errorf("sweep expands to at least %d cells; server accepts at most %d", n, budget)
+				return layout{}, fmt.Errorf("sweep expands to at least %d cells; server accepts at most %d", n, budget)
 			}
 		}
 		if n+len(s.Cells) > budget {
-			return nil, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
+			return layout{}, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
 				n+len(s.Cells), budget)
 		}
-		out = make([]Cell, 0, n+len(s.Cells))
-		for _, mix := range g.Mixes {
-			for _, ctrl := range controllers {
-				for _, sc := range scales {
-					// normalize canonicalized the axes in place: all that is left
-					// of Cell.Normalize is this, and a mix's cells share its slice.
-					if sc == "" {
-						sc = "default"
-					}
-					for _, seed := range seeds {
-						for _, d := range drams {
-							out = append(out, Cell{
-								Mix: mix, Controller: ctrl, Scale: sc, Seed: seed,
-								Target: g.Target, Step: g.Step,
-								DRAMMTps: d.MTps, DRAMChannels: d.Channels,
-							})
-						}
-					}
-				}
-			}
-		}
+		l.grid = n
 	}
-	out = append(out, s.Cells...)
-	if len(out) == 0 {
-		return nil, fmt.Errorf("sweep expands to zero cells (empty grid and no explicit cells)")
+	if l.len() == 0 {
+		return layout{}, fmt.Errorf("sweep expands to zero cells (empty grid and no explicit cells)")
 	}
-	if maxCells > 0 && len(out) > maxCells {
-		return nil, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
-			len(out), maxCells)
+	if maxCells > 0 && l.len() > maxCells {
+		return layout{}, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
+			l.len(), maxCells)
+	}
+	return l, nil
+}
+
+func (l *layout) len() int { return l.grid + len(l.cells) }
+
+// at returns cell i, 0 <= i < len(). A grid cell shares its mix's slice
+// with every other cell of that mix; normalize canonicalized the axes
+// in place, so all that is left of Cell.Normalize is the empty scale.
+func (l *layout) at(i int) Cell {
+	if i >= l.grid {
+		return l.cells[i-l.grid]
+	}
+	d := l.drams[i%len(l.drams)]
+	i /= len(l.drams)
+	seed := l.seeds[i%len(l.seeds)]
+	i /= len(l.seeds)
+	sc := l.scales[i%len(l.scales)]
+	i /= len(l.scales)
+	if sc == "" {
+		sc = "default"
+	}
+	g := l.g
+	return Cell{
+		Mix: g.Mixes[i/len(g.Controllers)], Controller: g.Controllers[i%len(g.Controllers)],
+		Scale: sc, Seed: seed, Target: g.Target, Step: g.Step,
+		DRAMMTps: d.MTps, DRAMChannels: d.Channels,
+	}
+}
+
+// Expand materializes the spec's ordered cell list (see layout).
+func (s *Spec) Expand(maxCells int) ([]Cell, error) {
+	l, err := s.layout(maxCells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Cell, l.len())
+	for i := range out {
+		out[i] = l.at(i)
 	}
 	return out, nil
 }
@@ -271,9 +312,20 @@ const (
 	CellDeduped CellStatus = "deduped"
 )
 
-// terminal reports whether a status is final.
-func (s CellStatus) terminal() bool {
-	return s == CellDone || s == CellFailed || s == CellDeduped
+// The manager keeps a cell's status as a one-byte code; statusNames is
+// the CellStatus each stands for wherever a status leaves the manager:
+// an Event, the persisted record.
+const (
+	codePending uint8 = iota
+	codeRunning
+	codeDone
+	codeFailed
+	codeDeduped
+)
+
+var statusNames = [...]CellStatus{
+	codePending: CellPending, codeRunning: CellRunning,
+	codeDone: CellDone, codeFailed: CellFailed, codeDeduped: CellDeduped,
 }
 
 // Event is one entry of a sweep's append-only result log: a cell

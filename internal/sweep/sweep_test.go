@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -243,5 +246,160 @@ func TestExpandNormalizesWithoutCopying(t *testing.T) {
 		}
 	}); allocs > 8 {
 		t.Errorf("expanding a 512-cell grid allocates %v times, want a handful", allocs)
+	}
+}
+
+// referenceExpand is the expansion Expand performed before cells were
+// read off a layout: the five nested loops, kept as the referee for
+// layout.at. It assumes a normalized spec (Expand normalizes in place,
+// and normalizing is idempotent).
+func referenceExpand(s *Spec, maxCells int) ([]Cell, error) {
+	var out []Cell
+	if s.Grid != nil {
+		g := s.Grid
+		if len(g.Mixes) == 0 && (len(g.Controllers) > 0 || len(g.Scales) > 0 ||
+			len(g.Seeds) > 0 || len(g.DRAM) > 0) {
+			return nil, fmt.Errorf("sweep grid has axes but no mixes")
+		}
+		controllers := g.Controllers
+		if len(controllers) == 0 && len(g.Mixes) > 0 {
+			return nil, fmt.Errorf("sweep grid has mixes but no controllers")
+		}
+		scales := g.Scales
+		if len(scales) == 0 {
+			scales = []string{"default"}
+		}
+		seeds := g.Seeds
+		if len(seeds) == 0 {
+			seeds = []uint64{0}
+		}
+		drams := g.DRAM
+		if len(drams) == 0 {
+			drams = []DRAM{{}}
+		}
+		budget := maxCells
+		if budget <= 0 {
+			budget = math.MaxInt32
+		}
+		axes := [...]int{len(g.Mixes), len(controllers), len(scales), len(seeds), len(drams)}
+		n := 1
+		for i, axis := range axes {
+			if n *= axis; n > budget && i < len(axes)-1 {
+				return nil, fmt.Errorf("sweep expands to at least %d cells; server accepts at most %d", n, budget)
+			}
+		}
+		if n+len(s.Cells) > budget {
+			return nil, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
+				n+len(s.Cells), budget)
+		}
+		for _, mix := range g.Mixes {
+			for _, ctrl := range controllers {
+				for _, sc := range scales {
+					if sc == "" {
+						sc = "default"
+					}
+					for _, seed := range seeds {
+						for _, d := range drams {
+							out = append(out, Cell{
+								Mix: mix, Controller: ctrl, Scale: sc, Seed: seed,
+								Target: g.Target, Step: g.Step,
+								DRAMMTps: d.MTps, DRAMChannels: d.Channels,
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+	out = append(out, s.Cells...)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("sweep expands to zero cells (empty grid and no explicit cells)")
+	}
+	if maxCells > 0 && len(out) > maxCells {
+		return nil, fmt.Errorf("sweep expands to %d cells; server accepts at most %d",
+			len(out), maxCells)
+	}
+	return out, nil
+}
+
+// checkLayout holds one spec's layout to the referee under one budget:
+// the same cells in the same order, or the same error text.
+func checkLayout(t *testing.T, s *Spec, maxCells int) {
+	t.Helper()
+	l, err := s.layout(maxCells)
+	want, wantErr := referenceExpand(s, maxCells)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("layout(%d) of %+v: error %v, referee %v", maxCells, s, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if l.len() != len(want) {
+		t.Fatalf("layout(%d) of %+v has %d cells, referee %d", maxCells, s, l.len(), len(want))
+	}
+	for i := range want {
+		if got := l.at(i); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("layout(%d) of %+v: cell %d is %+v, referee %+v", maxCells, s, i, got, want[i])
+		}
+	}
+}
+
+// TestLayoutMatchesReference: cell i read off the axes is cell i of the
+// nested loops, and every refusal reads the same, over the fuzz corpus
+// and the shapes that exercise each branch.
+func TestLayoutMatchesReference(t *testing.T) {
+	specs := []Spec{
+		{},
+		{Grid: &Grid{}},
+		{Grid: &Grid{}, Cells: []Cell{{Mix: []string{"a"}, Controller: "x"}}},
+		{Grid: &Grid{Controllers: []string{"x"}}},
+		{Grid: &Grid{Scales: []string{""}}},
+		{Grid: &Grid{Mixes: [][]string{{"a"}}}},
+		{Grid: &Grid{Mixes: [][]string{{"a"}, {"b", "c"}}, Controllers: []string{"x", "y", "z"}}},
+		{Grid: &Grid{Mixes: [][]string{{"a"}}, Controllers: []string{"x"}, Scales: []string{"", "Tiny ", ""}, Target: 9, Step: 3}},
+		{Cells: []Cell{{Mix: []string{" a "}, Controller: "x ", Scale: "TINY"}, {}}},
+		gridSpec(),
+		paddedSpec(),
+		axesSpec(13, 13, 13, 12, 12, 0),
+		axesSpec(13, 13, 13, 13, 12, 1),
+		axesSpec(2, 2, 2, 2, 2, 3),
+	}
+	for _, body := range fuzzSpecCorpus {
+		var s Spec
+		if err := json.Unmarshal([]byte(body), &s); err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	for i := range specs {
+		// 0 is unlimited; 15, 16 and 35 sit on either side of gridSpec's 16
+		// cells and axesSpec(2,…)'s 32 + 3.
+		for _, maxCells := range []int{0, 1, 2, 15, 16, 34, 35, 4096} {
+			checkLayout(t, &specs[i], maxCells)
+		}
+	}
+}
+
+// TestNormalizeAllocatesOnlyOnChange: a cell in canonical form is left
+// alone, slice and all; one that is not gets a fresh mix and the
+// caller's slice keeps its spelling.
+func TestNormalizeAllocatesOnlyOnChange(t *testing.T) {
+	clean := Cell{Mix: []string{"a", "b"}, Controller: "x", Scale: "tiny"}
+	mix := clean.Mix
+	if allocs := testing.AllocsPerRun(100, clean.Normalize); allocs != 0 {
+		t.Errorf("normalizing a clean cell allocates %v times", allocs)
+	}
+	if &clean.Mix[0] != &mix[0] || !reflect.DeepEqual(clean, Cell{Mix: []string{"a", "b"}, Controller: "x", Scale: "tiny"}) {
+		t.Errorf("a clean cell came back as %+v", clean)
+	}
+
+	written := []string{"a", " b", "c\t"}
+	c := Cell{Mix: written, Controller: " x ", Scale: " TINY"}
+	c.Normalize()
+	if want := (Cell{Mix: []string{"a", "b", "c"}, Controller: "x", Scale: "tiny"}); !reflect.DeepEqual(c, want) {
+		t.Errorf("normalized to %+v, want %+v", c, want)
+	}
+	if &c.Mix[0] == &written[0] || !reflect.DeepEqual(written, []string{"a", " b", "c\t"}) {
+		t.Errorf("normalized through the caller's slice: it now reads %q", written)
 	}
 }

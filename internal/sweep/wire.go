@@ -21,14 +21,14 @@ import (
 func AppendEvent(dst []byte, ev Event) []byte {
 	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(ev.Seq), 10)
 	dst = strconv.AppendInt(append(dst, `,"cell":`...), int64(ev.Cell), 10)
-	dst = appendString(append(dst, `,"status":`...), string(ev.Status))
-	dst = appendString(append(dst, `,"key":`...), ev.Key)
+	dst = AppendString(append(dst, `,"status":`...), string(ev.Status))
+	dst = AppendString(append(dst, `,"key":`...), ev.Key)
 	dst = appendCell(append(dst, `,"spec":`...), ev.Spec)
 	if len(ev.Result) > 0 {
 		dst = append(append(dst, `,"result":`...), ev.Result...)
 	}
 	if ev.Error != "" {
-		dst = appendString(append(dst, `,"error":`...), ev.Error)
+		dst = AppendString(append(dst, `,"error":`...), ev.Error)
 	}
 	return append(dst, '}')
 }
@@ -45,13 +45,13 @@ func appendCell(dst []byte, c Cell) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, name)
+			dst = AppendString(dst, name)
 		}
 		dst = append(dst, ']')
 	}
-	dst = appendString(append(dst, `,"controller":`...), c.Controller)
+	dst = AppendString(append(dst, `,"controller":`...), c.Controller)
 	if c.Scale != "" {
-		dst = appendString(append(dst, `,"scale":`...), c.Scale)
+		dst = AppendString(append(dst, `,"scale":`...), c.Scale)
 	}
 	if c.Seed != 0 {
 		dst = strconv.AppendUint(append(dst, `,"seed":`...), c.Seed, 10)
@@ -71,11 +71,11 @@ func appendCell(dst []byte, c Cell) []byte {
 	return append(dst, '}')
 }
 
-// appendString appends s as a JSON string. Printable ASCII that
+// AppendString appends s as a JSON string. Printable ASCII that
 // json.Marshal passes through goes in directly; a string holding
 // anything else (an escape, HTML's <>&, a non-ASCII rune, a broken
 // UTF-8 byte) is json.Marshal's to spell.
-func appendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':

@@ -304,6 +304,9 @@ func ByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workload: unknown trace %q", name)
 }
 
+// Known reports whether the catalog has a trace of that name.
+func Known(name string) bool { _, err := ByName(name); return err == nil }
+
 // Mix is one multicore workload: an ordered list of trace specs, one
 // per core.
 type Mix struct {
