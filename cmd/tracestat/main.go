@@ -19,6 +19,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"micromama/internal/trace"
 	"micromama/internal/workload"
@@ -34,11 +35,12 @@ func main() {
 	name := flag.Arg(0)
 
 	var r trace.Reader
+	var ft *trace.FileTrace
 	if sp, err := workload.ByName(name); err == nil {
 		r = sp.New()
 	} else {
-		ft, ferr := trace.OpenFile(name)
-		if ferr != nil {
+		var ferr error
+		if ft, ferr = trace.OpenFile(name); ferr != nil {
 			fmt.Fprintf(os.Stderr, "tracestat: %q is neither a catalog trace (%v) nor a trace file (%v)\n",
 				name, err, ferr)
 			os.Exit(2)
@@ -48,6 +50,10 @@ func main() {
 	}
 
 	st := Analyze(r, *n)
+	if ft != nil && ft.Err() != nil {
+		fmt.Fprintf(os.Stderr, "tracestat: %s: %v\n", name, ft.Err())
+		os.Exit(1)
+	}
 	st.Print(os.Stdout)
 }
 
@@ -75,13 +81,13 @@ type Stats struct {
 
 	// Runs describes the prefix as the trace pool holds it: a run is a
 	// maximal stretch of byte-identical non-memory instructions, one
-	// packed record.
+	// packed record (a stretch longer than a record holds is several).
 	Runs           uint64
 	RunMean        float64
 	RunP50, RunP99 uint32
 	RunMax         uint32
 	// PackedBytesPerInstr is the packed slab's size over Instructions
-	// (an unpacked record is 24 bytes).
+	// (an unpacked record is 16 bytes).
 	PackedBytesPerInstr float64
 }
 
@@ -106,8 +112,8 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	recent := map[uint64]uint64{} // line -> last access index
 	var misses uint64
 
-	lastByPC := map[uint64]uint64{}
-	strideByPC := map[uint64]int64{}
+	lastByPC := map[uint32]uint64{}
+	strideByPC := map[uint32]int64{}
 	strideHist := map[int64]uint64{}
 	var strideRepeats, strideSamples uint64
 
@@ -120,7 +126,7 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	var accessIdx uint64
 	for _, ins := range m.Replay().NextPacked(m.Len()) {
 		if ins.Kind == trace.Other {
-			runs = append(runs, ins.Run+1)
+			runs = append(runs, uint32(ins.Run)+1)
 			continue
 		}
 		if ins.Kind == trace.Load {
@@ -192,7 +198,7 @@ func (st Stats) Print(w *os.File) {
 		100*float64(mem)/float64(st.Instructions), st.Loads, st.Stores, st.Dependent)
 	fmt.Fprintf(w, "non-memory share:  %.1f%% in %d runs (length mean %.1f, p50 %d, p99 %d, max %d)\n",
 		100*float64(st.Instructions-mem)/float64(st.Instructions), st.Runs, st.RunMean, st.RunP50, st.RunP99, st.RunMax)
-	fmt.Fprintf(w, "packed slab:       %.2f bytes/instruction (24 unpacked)\n", st.PackedBytesPerInstr)
+	fmt.Fprintf(w, "packed slab:       %.2f bytes/instruction (%d unpacked)\n", st.PackedBytesPerInstr, unsafe.Sizeof(trace.Instr{}))
 	fmt.Fprintf(w, "footprint:         %.1f MB (%d distinct lines)\n", st.FootprintMB, st.DistinctLines)
 	fmt.Fprintf(w, "est. L2 MPKI:      %.1f (no prefetching)\n", st.EstMPKI)
 	fmt.Fprintf(w, "stride regularity: %.0f%%\n", st.StrideRegularity*100)

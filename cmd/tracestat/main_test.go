@@ -59,7 +59,8 @@ func TestAnalyzeStopsAtN(t *testing.T) {
 }
 
 // Run statistics are of the packed records: nine runs of 1..9 and a
-// tenth of 91 between ten loads, 146 instructions in 20 records.
+// tenth of 91 between ten loads, 146 instructions in 20 records of 16
+// bytes.
 func TestAnalyzeRuns(t *testing.T) {
 	var ins []trace.Instr
 	for _, run := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 91} {
@@ -75,7 +76,7 @@ func TestAnalyzeRuns(t *testing.T) {
 	if st.RunMean != 13.6 || st.RunP50 != 5 || st.RunP99 != 91 || st.RunMax != 91 {
 		t.Errorf("run mean/p50/p99/max = %v/%d/%d/%d, want 13.6/5/91/91", st.RunMean, st.RunP50, st.RunP99, st.RunMax)
 	}
-	if want := 20 * 24.0 / 146; st.PackedBytesPerInstr != want {
+	if want := 20 * 16.0 / 146; st.PackedBytesPerInstr != want {
 		t.Errorf("packed bytes per instruction = %v, want %v", st.PackedBytesPerInstr, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -99,7 +98,7 @@ func (c Config) withDefaults() Config {
 		c.MaxCores = 16
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = telemetry.DiscardLogger()
 	}
 	return c
 }

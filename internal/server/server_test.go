@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -23,6 +24,16 @@ func mustNew(t *testing.T, cfg Config) *Server {
 		t.Fatalf("New: %v", err)
 	}
 	return srv
+}
+
+// A server given no Logger renders no records to throw away: its logger,
+// which its sweep manager shares, is disabled at every level.
+func TestNilLoggerIsDisabled(t *testing.T) {
+	srv := mustNew(t, Config{Workers: 1})
+	defer srv.Close()
+	if srv.log.Enabled(context.Background(), slog.LevelError) {
+		t.Error("a nil Config.Logger left a logger enabled at Error")
+	}
 }
 
 func postJob(t *testing.T, ts *httptest.Server, spec string) (*http.Response, JobView) {

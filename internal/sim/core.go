@@ -183,14 +183,15 @@ func (c *Core) advance(epochEnd, target uint64) {
 		}
 		// Fetch fast path inlined: the L1I is only consulted when fetch
 		// crosses a line boundary, which straight-line code rarely does.
-		if ins.PC&c.fetchLineMask != c.lastFetchLine {
-			c.doFetch(ins.PC)
+		pc := uint64(ins.PC)
+		if pc&c.fetchLineMask != c.lastFetchLine {
+			c.doFetch(pc)
 		}
 		switch ins.Kind {
 		case trace.Load:
-			c.doLoad(ins.PC, ins.Addr, ins.Flags)
+			c.doLoad(pc, ins.Addr, ins.Flags)
 		case trace.Store:
-			c.doStore(ins.PC, ins.Addr)
+			c.doStore(pc, ins.Addr)
 		}
 		if c.instr == target && c.frozenAt == 0 {
 			c.freeze()
@@ -535,8 +536,8 @@ func (c *Core) warmupAdvance(n uint64) {
 		c.batchPos++
 		c.runLeft = uint64(ins.Run)
 		n--
-		if ins.PC&c.fetchLineMask != c.lastFetchLine {
-			c.warmFetch(ins.PC)
+		if pc := uint64(ins.PC); pc&c.fetchLineMask != c.lastFetchLine {
+			c.warmFetch(pc)
 		}
 		switch ins.Kind {
 		case trace.Load:

@@ -3,7 +3,9 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"micromama/internal/prefetch"
 	"micromama/internal/sim"
@@ -30,7 +32,7 @@ func materialized(core int, ins []trace.Instr) trace.Reader {
 func pooledCapped(recs int64) packedOf {
 	return func(core int, ins []trace.Instr) trace.Reader {
 		name := fmt.Sprintf("core%d", core)
-		pool := trace.NewPool(1<<20, recs*24)
+		pool := trace.NewPool(1<<20, recs*int64(unsafe.Sizeof(trace.Instr{})))
 		return pool.Shared(name, func() trace.Reader { return trace.NewSlice(name, ins) })
 	}
 }
@@ -86,9 +88,11 @@ func diffRun(t *testing.T, what string, cfg sim.Config, target, maxEpochs uint64
 // runnyStream is a random stream shaped like the catalog's: mostly
 // runs of one non-memory record, of every length, between loads (some
 // dependent), stores, and non-memory instructions on other fetch lines.
+// One stream in eight also holds, at a random place, a run longer than
+// one packed record stands for, which the packer splits.
 func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 	ins := make([]trace.Instr, 0, n)
-	other := func(pc uint64, k int) {
+	other := func(pc uint32, k int) {
 		for ; k > 0; k-- {
 			ins = append(ins, trace.Instr{PC: pc})
 		}
@@ -96,13 +100,13 @@ func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 	for len(ins) < n {
 		switch r.Intn(8) {
 		case 0, 1:
-			load := trace.Instr{PC: uint64(0x2000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Load}
+			load := trace.Instr{PC: uint32(0x2000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Load}
 			if r.Intn(4) == 0 {
 				load.Flags = trace.DependsPrev
 			}
 			ins = append(ins, load)
 		case 2:
-			ins = append(ins, trace.Instr{PC: uint64(0x3000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Store})
+			ins = append(ins, trace.Instr{PC: uint32(0x3000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Store})
 		case 3:
 			other(0x1000, 1)
 		case 4, 5:
@@ -110,10 +114,18 @@ func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 		case 6:
 			other(0x1000, 100+r.Intn(2000))
 		case 7:
-			other(uint64(0x8000+r.Intn(64)*64), 1+r.Intn(20)) // another fetch line
+			other(uint32(0x8000+r.Intn(64)*64), 1+r.Intn(20)) // another fetch line
 		}
 	}
-	return ins[:n]
+	ins = ins[:n]
+	if r.Intn(8) == 0 {
+		long := make([]trace.Instr, 1<<16+r.Intn(1<<12))
+		for i := range long {
+			long[i] = trace.Instr{PC: 0x1000}
+		}
+		ins = slices.Insert(ins, r.Intn(n+1), long...)
+	}
+	return ins
 }
 
 func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
@@ -140,6 +152,9 @@ func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
 		streams := make([][]trace.Instr, cores)
 		for i := range streams {
 			streams[i] = runnyStream(&r, 200+r.Intn(5000)) // most are shorter than the target and wrap
+			if len(streams[i]) > 1<<16 {
+				target += uint64(len(streams[i])) // through the split run, guard permitting
+			}
 		}
 		what := fmt.Sprintf("seed %d (cores %d, width %d, epoch %d, warmup %d, target %d, max epochs %d)",
 			seed, cores, cfg.CommitWidth, cfg.Epoch, cfg.WarmupInstructions, target, maxEpochs)

@@ -16,9 +16,9 @@ func randomTrace(seed uint64, n int) trace.Reader {
 	for i := range ins {
 		switch r.Intn(4) {
 		case 0:
-			ins[i] = trace.Instr{PC: uint64(0x1000 + r.Intn(64)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Load}
+			ins[i] = trace.Instr{PC: uint32(0x1000 + r.Intn(64)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Load}
 		case 1:
-			ins[i] = trace.Instr{PC: uint64(0x2000 + r.Intn(64)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Store}
+			ins[i] = trace.Instr{PC: uint32(0x2000 + r.Intn(64)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Store}
 		default:
 			ins[i] = trace.Instr{PC: 0x3000, Kind: trace.Other}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"sort"
 	"strings"
@@ -221,7 +220,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg.MaxPriority = 8
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		cfg.Logger = telemetry.DiscardLogger()
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,17 @@ func (e *recordingExec) Prefetch(_ context.Context, keys string) {
 func (e *recordingExec) CachedResult(string) (json.RawMessage, bool) {
 	e.calls = append(e.calls, "lookup")
 	return nil, false
+}
+
+// A manager given no Logger renders no records to throw away.
+func TestNilLoggerIsDisabled(t *testing.T) {
+	mgr, err := New(Config{Exec: &recordingExec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mgr.log.Enabled(context.Background(), slog.LevelError) {
+		t.Error("a nil Config.Logger left a logger enabled at Error")
+	}
 }
 
 // TestSubmitKeysOncePrefetchesThenLooksUp pins what admission asks of

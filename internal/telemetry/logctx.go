@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"context"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -47,6 +49,14 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 func RequestID(ctx context.Context) string {
 	id, _ := ctx.Value(ctxKey{}).(string)
 	return id
+}
+
+// DiscardLogger returns a logger that is disabled at every level, the
+// default of a component given none: a log call costs its arguments and
+// nothing else. (A handler that writes to io.Discard is enabled at Info,
+// so it builds and formats every record before throwing it away.)
+func DiscardLogger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 }
 
 // NewLogger builds a slog.Logger writing to stderr at the given level

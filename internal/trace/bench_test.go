@@ -67,7 +67,8 @@ func BenchmarkTraceReplayBlock(b *testing.B) {
 
 // BenchmarkTraceReplayPacked measures the zero-copy packed path the
 // simulator core uses, per instruction the records stand for; 0
-// allocs/op.
+// allocs/op. It also reports the slab's density, bytes held per
+// instruction.
 func BenchmarkTraceReplayPacked(b *testing.B) {
 	m := Materialize(benchStreamGen(), 0)
 	r := m.Replay()
@@ -85,6 +86,7 @@ func BenchmarkTraceReplayPacked(b *testing.B) {
 			n += int(rec.Run) + 1
 		}
 	}
+	b.ReportMetric(float64(m.Footprint())/float64(m.Len()), "B/instr")
 }
 
 var sink uint64

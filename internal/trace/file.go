@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -18,7 +19,11 @@ import (
 //	records count × {PC uint64, Addr uint64, Kind uint8, Flags uint8}
 //
 // The format is deliberately simple; cmd/tracegen materializes synthetic
-// traces into it and FileTrace plays them back.
+// traces into it and FileTrace plays them back. A reader checks every
+// record before handing it on (decodeRecord): a PC of 2^32 or more
+// (Instr.PC is 32 bits), a Kind other than Other, Load or Store, or a
+// Flags bit other than DependsPrev ends the trace there, and Err says
+// which record and why.
 
 var magic = [4]byte{'M', 'M', 'T', '1'}
 
@@ -66,7 +71,7 @@ func WriteFile(path string, r Reader, max uint64) (uint64, error) {
 		if !ok {
 			break
 		}
-		binary.LittleEndian.PutUint64(rec[0:8], ins.PC)
+		binary.LittleEndian.PutUint64(rec[0:8], uint64(ins.PC))
 		binary.LittleEndian.PutUint64(rec[8:16], ins.Addr)
 		rec[16] = byte(ins.Kind)
 		rec[17] = byte(ins.Flags)
@@ -95,6 +100,7 @@ type FileTrace struct {
 	count   uint64
 	dataOff int64
 	read    uint64
+	err     error // the first record refused, if any
 }
 
 // OpenFile opens an MMT1 trace file for replay.
@@ -147,24 +153,12 @@ func (t *FileTrace) Len() uint64 { return t.count }
 
 // Next implements Reader.
 func (t *FileTrace) Next() (Instr, bool) {
-	if t.read >= t.count {
-		return Instr{}, false
-	}
-	var rec [recordBytes]byte
-	if _, err := io.ReadFull(t.r, rec[:]); err != nil {
-		return Instr{}, false
-	}
-	t.read++
-	return Instr{
-		PC:    binary.LittleEndian.Uint64(rec[0:8]),
-		Addr:  binary.LittleEndian.Uint64(rec[8:16]),
-		Kind:  Kind(rec[16]),
-		Flags: Flags(rec[17]),
-	}, true
+	var ins [1]Instr
+	return ins[0], t.ReadBatch(ins[:]) == 1
 }
 
 // ReadBatch implements BatchReader: it decodes up to len(dst) records
-// in one pass over the buffered file.
+// in one pass over the buffered file, stopping at the first it refuses.
 func (t *FileTrace) ReadBatch(dst []Instr) int {
 	n := 0
 	var rec [recordBytes]byte
@@ -172,17 +166,45 @@ func (t *FileTrace) ReadBatch(dst []Instr) int {
 		if _, err := io.ReadFull(t.r, rec[:]); err != nil {
 			break
 		}
-		dst[n] = Instr{
-			PC:    binary.LittleEndian.Uint64(rec[0:8]),
-			Addr:  binary.LittleEndian.Uint64(rec[8:16]),
-			Kind:  Kind(rec[16]),
-			Flags: Flags(rec[17]),
+		ins, err := decodeRecord(&rec)
+		if err != nil {
+			if t.err == nil {
+				t.err = fmt.Errorf("record %d: %w", t.read, err)
+			}
+			t.read = t.count // the trace ends here until Reset
+			break
 		}
+		dst[n] = ins
 		t.read++
 		n++
 	}
 	return n
 }
+
+// decodeRecord checks one MMT1 record and decodes it.
+func decodeRecord(rec *[recordBytes]byte) (Instr, error) {
+	pc := binary.LittleEndian.Uint64(rec[0:8])
+	kind, flags := Kind(rec[16]), Flags(rec[17])
+	switch {
+	case pc > math.MaxUint32:
+		return Instr{}, fmt.Errorf("PC %#x does not fit in 32 bits", pc)
+	case kind > Store:
+		return Instr{}, fmt.Errorf("unknown kind %d", kind)
+	case flags&^DependsPrev != 0:
+		return Instr{}, fmt.Errorf("unknown flags %#x", flags)
+	}
+	return Instr{
+		Addr:  binary.LittleEndian.Uint64(rec[8:16]),
+		PC:    uint32(pc),
+		Kind:  kind,
+		Flags: flags,
+	}, nil
+}
+
+// Err returns the first record the trace refused (see decodeRecord),
+// or nil. A refused record ends the trace as the end of the file does;
+// Reset rewinds to the first record and keeps the error.
+func (t *FileTrace) Err() error { return t.err }
 
 // Reset implements Reader by seeking back to the first record.
 func (t *FileTrace) Reset() {
@@ -214,6 +236,9 @@ func LoadMaterialized(path string) (*Materialized, error) {
 	}
 	defer ft.Close()
 	m := Materialize(ft, 0)
+	if err := ft.Err(); err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
 	if uint64(m.n) != ft.Len() {
 		return nil, fmt.Errorf("trace: %s: truncated after %d of %d records", path, m.n, ft.Len())
 	}

@@ -43,16 +43,22 @@ type PackedReader interface {
 	NextPacked(max int) []Instr
 }
 
+// maxRun is the largest Run a packed record carries: a record stands
+// for at most 65 535 instructions, so Run+1 fits the field's width too.
+const maxRun = math.MaxUint16 - 1
+
 // appendPacked appends one instruction (ins.Run == 0) to a packed slab:
 // it lengthens the last record's run when ins is of Kind Other and
-// byte-identical to it, and adds a record otherwise. Records below
-// floor are never touched, so a caller that has already published
-// recs[:floor] to lock-free readers may keep appending.
+// byte-identical to it, and adds a record otherwise. A run that has
+// reached maxRun ends and the next instruction opens a record; the core
+// retires the two exactly like one longer run. Records below floor are
+// never touched, so a caller that has already published recs[:floor] to
+// lock-free readers may keep appending.
 func appendPacked(recs []Instr, floor int, ins Instr) []Instr {
 	if n := len(recs); n > floor && ins.Kind == Other {
 		last := &recs[n-1]
 		if last.Kind == Other && last.PC == ins.PC && last.Addr == ins.Addr &&
-			last.Flags == ins.Flags && last.Run < math.MaxUint32 {
+			last.Flags == ins.Flags && last.Run < maxRun {
 			last.Run++
 			return recs
 		}
@@ -66,7 +72,7 @@ func appendPacked(recs []Instr, floor int, ins Instr) []Instr {
 // the cursor never change).
 type packedCursor struct {
 	idx  int
-	off  uint32
+	off  uint16
 	part [1]Instr // the rest of a partly delivered record, for packed
 }
 
@@ -101,7 +107,7 @@ func (c *packedCursor) expand(recs []Instr, dst []Instr) int {
 			c.idx++
 			c.off = 0
 		} else {
-			c.off += uint32(len(out))
+			c.off += uint16(len(out))
 		}
 	}
 	return n

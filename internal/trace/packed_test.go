@@ -22,12 +22,13 @@ func equalInstrs(t *testing.T, what string, got, want []Instr) {
 	}
 }
 
-// The run count lives in what was padding: slab budgets, the 18-byte
-// file record and every benchmark figure quoted per instruction assume
-// a 24-byte record.
+// A record is 16 bytes with no padding: every slab, batch and reader
+// holds records, so a field added to Instr regrows all of them, and
+// slab budgets and every benchmark figure quoted per instruction assume
+// this size.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Instr{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 16", got)
 	}
 }
 
@@ -144,10 +145,15 @@ func TestPackedSurfacesMatchGenerator(t *testing.T) {
 	}
 }
 
-// The packing rule: only byte-identical Kind Other neighbours merge.
+// The packing rule: only byte-identical Kind Other neighbours merge,
+// and a record stands for at most 65 535 of them.
 func TestPackRule(t *testing.T) {
 	other := Instr{PC: 0x1000}
 	load := Instr{PC: 0x2000, Addr: 0x40, Kind: Load}
+	long := make([]Instr, 70_000)
+	for i := range long {
+		long[i] = other
+	}
 	cases := []struct {
 		name string
 		in   []Instr
@@ -161,13 +167,14 @@ func TestPackRule(t *testing.T) {
 		{"differing Addr", []Instr{other, {PC: 0x1000, Addr: 8}}, []Instr{other, {PC: 0x1000, Addr: 8}}},
 		{"differing Flags", []Instr{other, {PC: 0x1000, Flags: DependsPrev}}, []Instr{other, {PC: 0x1000, Flags: DependsPrev}}},
 		{"load then identical-PC other", []Instr{{PC: 0x1000, Kind: Load}, other}, []Instr{{PC: 0x1000, Kind: Load}, other}},
+		{"run longer than a record holds", long, []Instr{{PC: 0x1000, Run: 65_534}, {PC: 0x1000, Run: 4_464}}},
 	}
 	for _, tc := range cases {
 		m := NewMaterialized(tc.name, tc.in)
 		if fmt.Sprint(m.recs) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: packed %+v, want %+v", tc.name, m.recs, tc.want)
 		}
-		equalInstrs(t, tc.name, drain(m.Replay()), tc.in)
+		checkSurfaces(t, tc.name, m.Replay(), tc.in)
 	}
 }
 
@@ -304,7 +311,7 @@ func fuzzInstrs(data []byte) []Instr {
 	ins := make([]Instr, len(data))
 	for i, b := range data {
 		ins[i] = Instr{
-			PC:    0x1000 + uint64(b>>2&1)*4,
+			PC:    0x1000 + uint32(b>>2&1)*4,
 			Addr:  uint64(b >> 3 & 1),
 			Kind:  Kind(b & 3 % 3),
 			Flags: Flags(b >> 4 & 1),
@@ -358,7 +365,10 @@ func FuzzLoadMaterialized(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	f.Add(raw[:len(raw)-7])                                                               // truncated mid-record
+	f.Add(raw[:len(raw)-7]) // truncated mid-record
+	for _, bad := range refusedRecords {
+		f.Add(patchRecord(raw, 2, bad.patch))
+	}
 	f.Add(append([]byte("MMT1\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)) // 2^63 records claimed
 	f.Add([]byte("MMT1\xff\xffshort name"))
 	f.Add([]byte("not a trace"))
@@ -370,6 +380,11 @@ func FuzzLoadMaterialized(f *testing.F) {
 		m, err := LoadMaterialized(path)
 		if err != nil {
 			return
+		}
+		for i, rec := range m.recs {
+			if rec.Kind > Store || rec.Flags&^DependsPrev != 0 {
+				t.Fatalf("record %d %+v was loaded, not refused", i, rec)
+			}
 		}
 		header := 4 + 2 + len(m.Name()) + 8
 		if want := binary.LittleEndian.Uint64(data[header-8:]); uint64(m.Len()) != want || len(data) < header+recordBytes*m.Len() {

@@ -94,7 +94,7 @@ func (s *Stream) Next() (Instr, bool) {
 	if s.r.Float64() < s.cfg.StoreRatio {
 		kind = Store
 	}
-	return Instr{PC: 0x2000 + uint64(i)*4, Addr: addr, Kind: kind}, true
+	return Instr{PC: 0x2000 + uint32(i)*4, Addr: addr, Kind: kind}, true
 }
 
 // StrideConfig parameterizes a multi-stride array-walk generator
@@ -176,7 +176,7 @@ func (s *Stride) Next() (Instr, bool) {
 	if s.r.Float64() < s.cfg.StoreRatio {
 		kind = Store
 	}
-	return Instr{PC: 0x3000 + uint64(i)*4, Addr: addr, Kind: kind}, true
+	return Instr{PC: 0x3000 + uint32(i)*4, Addr: addr, Kind: kind}, true
 }
 
 // ChaseConfig parameterizes a pointer-chasing generator (mcf-like:

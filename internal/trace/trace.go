@@ -53,23 +53,29 @@ const (
 
 // Instr is one record of an instruction trace. For non-memory
 // instructions Addr is meaningless and should be zero.
+//
+// The fields are as wide as the model uses and no wider, so that a
+// record is 16 bytes with no padding: every slab, batch and reader
+// holds records, and the trace pool's footprint is their size. A PC is
+// 32 bits: the generators' PCs sit below 0x7000, and an MMT1 file,
+// whose records keep 64 bits for it, has a record whose PC does not fit
+// refused.
 type Instr struct {
-	PC    uint64
-	Addr  uint64
-	Kind  Kind
-	Flags Flags
+	Addr uint64
+	PC   uint32
 	// Run is how many further instructions, byte-identical to this one
 	// and of Kind Other, the record stands for: a record is Run+1
-	// instructions. It is zero in every record Next, ReadBatch and
-	// NextBlock deliver (one record per instruction); only the packed
-	// view (PackedReader) carries runs. It lives in what used to be
-	// padding, so the record is still 24 bytes.
-	Run uint32
+	// instructions, at most 65 535 (longer runs take several records).
+	// It is zero in every record Next, ReadBatch and NextBlock deliver
+	// (one record per instruction); only the packed view (PackedReader)
+	// carries runs.
+	Run   uint16
+	Kind  Kind
+	Flags Flags
 }
 
-// instrFootprint is the in-memory size of one Instr (24 bytes: two
-// words, two bytes, and the run count in the rest of the third word),
-// used for store budgeting.
+// instrFootprint is the in-memory size of one Instr (16 bytes: Addr,
+// PC, Run, Kind and Flags back to back), used for store budgeting.
 const instrFootprint = int64(unsafe.Sizeof(Instr{}))
 
 // Reader is a resettable instruction stream.

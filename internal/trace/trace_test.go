@@ -183,7 +183,7 @@ func TestMixedRotatesPhases(t *testing.T) {
 	a := NewStream("a", StreamConfig{Seed: 1, MemRatio: 1, Length: 1 << 62})
 	b := NewCompute("b", ComputeConfig{Seed: 2, MemRatio: 1, Length: 1 << 62})
 	m := NewMixed("m", 10, 40, a, b)
-	pcs := map[uint64]int{}
+	pcs := map[uint32]int{}
 	for _, ins := range drain(m) {
 		pcs[ins.PC]++
 	}
