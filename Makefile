@@ -2,12 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline figures examples clean
+.PHONY: all build cross vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline figures examples clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Keep the builds that take no Linux-only path compiling: a trace slab
+# is an anonymous mapping on Linux and ordinary heap everywhere else
+# (internal/trace/slab_*.go).
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -174,8 +181,8 @@ figures-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The default gate: compile everything, lint (vet + staticcheck when
-# available), check formatting, run the test suite, re-run it under the
+# The default gate: compile everything (for Windows and macOS too),
+# lint (vet + staticcheck when available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
 # fuzz the trace packer, the trace loader, the gossip-header decoder,
 # the sweep spec, the stream's line encoder and parser and the controller
@@ -186,7 +193,7 @@ bench-check:
 # the hot-path benchmarks still run and stay allocation-free (1
 # iteration; catches bit-rot and alloc regressions, not timing
 # regressions).
-check: build lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check bench-smoke
+check: build cross lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
 # advance benchmarks, end-to-end simulator throughput, and five

@@ -51,7 +51,7 @@ type pythiaEQEntry struct {
 
 // Pythia is the RL offset prefetcher.
 type Pythia struct {
-	q1, q2 [][]float32 // vaults: state hash -> action -> Q
+	q1, q2 []float32 // vaults: Q of (state hash h, action a) at h*len(pythiaActions)+a
 	eq     []pythiaEQEntry
 	eqHead int
 	eqLen  int
@@ -71,18 +71,16 @@ type Pythia struct {
 // NewPythia constructs a Pythia prefetcher. seed drives its ε-greedy
 // exploration deterministically.
 func NewPythia(seed uint64) *Pythia {
-	p := &Pythia{rng: xrand.New(seed)}
-	p.q1 = make([][]float32, pythiaVaultSize)
-	p.q2 = make([][]float32, pythiaVaultSize)
-	flat1 := make([]float32, pythiaVaultSize*len(pythiaActions))
-	flat2 := make([]float32, pythiaVaultSize*len(pythiaActions))
-	for i := 0; i < pythiaVaultSize; i++ {
-		p.q1[i] = flat1[i*len(pythiaActions) : (i+1)*len(pythiaActions)]
-		p.q2[i] = flat2[i*len(pythiaActions) : (i+1)*len(pythiaActions)]
+	return &Pythia{
+		rng: xrand.New(seed),
+		q1:  make([]float32, pythiaVaultSize*len(pythiaActions)),
+		q2:  make([]float32, pythiaVaultSize*len(pythiaActions)),
+		eq:  make([]pythiaEQEntry, pythiaEQDepth),
 	}
-	p.eq = make([]pythiaEQEntry, pythiaEQDepth)
-	return p
 }
+
+// qIdx is the vault index of (state hash h, action a).
+func qIdx(h uint32, a int) int { return int(h)*len(pythiaActions) + a }
 
 // Name implements Prefetcher.
 func (p *Pythia) Name() string { return "pythia" }
@@ -117,7 +115,7 @@ func (p *Pythia) features(pc, addr uint64) (uint32, uint32) {
 }
 
 func (p *Pythia) qVal(h1, h2 uint32, a int) float64 {
-	return float64(p.q1[h1][a]) + float64(p.q2[h2][a])
+	return float64(p.q1[qIdx(h1, a)]) + float64(p.q2[qIdx(h2, a)])
 }
 
 func (p *Pythia) maxQ(h1, h2 uint32) float64 {
@@ -140,8 +138,8 @@ func (p *Pythia) update(e *pythiaEQEntry, reward float64) {
 		target += pythiaGamma * p.maxQ(e.nh1, e.nh2)
 	}
 	td := target - p.qVal(e.h1, e.h2, e.action)
-	p.q1[e.h1][e.action] += float32(pythiaAlpha * td / 2)
-	p.q2[e.h2][e.action] += float32(pythiaAlpha * td / 2)
+	p.q1[qIdx(e.h1, e.action)] += float32(pythiaAlpha * td / 2)
+	p.q2[qIdx(e.h2, e.action)] += float32(pythiaAlpha * td / 2)
 }
 
 func (p *Pythia) inaccurateReward() float64 {

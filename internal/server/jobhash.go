@@ -58,14 +58,6 @@ func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment
 	return hex.AppendEncode(dst, sum[:])
 }
 
-// jobKey is appendJobKey as a string, the form the pinning tests and
-// BenchmarkJobKey hash through; the resolver itself appends. Nothing in
-// it can fail: every hashed member is a string or an integer.
-func jobKey(spec JobSpec, configTail []byte, scale experiment.Scale) (string, error) {
-	var key [sweep.KeyLen]byte
-	return string(appendJobKey(key[:0], &spec.Cell, configTail, scale)), nil
-}
-
 // jobID renders the short job identifier clients see: the first 16 hex
 // digits of the content hash, prefixed for greppability. Identical
 // submissions therefore share a job ID by construction.

@@ -148,7 +148,7 @@ func TestJobResultBytesPinned(t *testing.T) {
 }
 
 // canonicalKey is the key's definition: SHA-256 of the whole canonical
-// struct through one json.Marshal. It is what jobKey was before it
+// struct through one json.Marshal. It is what the job key was before it
 // streamed memoised config bytes into the hash, and what it must equal
 // for ever: cache files, job IDs and ring placements are filed under it.
 func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.Scale) string {
@@ -171,7 +171,7 @@ func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.S
 // definition over every system shape and scale, with overrides, and
 // with strings encoding/json escapes (HTML characters, quotes, control
 // bytes, U+2028, invalid UTF-8) — resolve would refuse those names, so
-// jobKey is called directly.
+// appendJobKey is called directly.
 func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 	var memo configMemo
 	awkward := []string{"mumama", `a"b\c`, "<script>&amp;</script>", "tab\tnl\n\x00", "sep\u2028\u2029", "bad\xff\xfeutf8", "ünï.cödé"}
@@ -197,10 +197,7 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 							mix[c] = awkward[(i+c)%len(awkward)]
 						}
 						spec := JobSpec{Cell: sweep.Cell{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}}
-						got, err := jobKey(spec, rc.tail, scale)
-						if err != nil {
-							t.Fatal(err)
-						}
+						got := string(appendJobKey(nil, &spec.Cell, rc.tail, scale))
 						if want := canonicalKey(t, spec, rc.cfg, scale); got != want {
 							t.Fatalf("%dc dram %v %s %v ctrl %q: streamed key %s, canonical %s",
 								cores, dram, scaleName, over, ctrl, got, want)

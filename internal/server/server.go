@@ -131,8 +131,8 @@ type Server struct {
 	// included, and shared by all workers.
 	runner *experiment.Runner
 
-	// configs memoises, per system shape, the sim.Config encoding jobKey
-	// hashes (see jobhash.go).
+	// configs memoises, per system shape, the sim.Config encoding
+	// appendJobKey hashes (see jobhash.go).
 	configs configMemo
 
 	// persist mirrors the result cache to disk; nil without CacheDir.

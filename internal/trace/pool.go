@@ -206,7 +206,8 @@ func (s *Pool) Preload(key string, m *Materialized) {
 
 // traceSnap is one published state of a shared slab. Snapshots are
 // immutable: extension builds a new one and swaps the pointer, so
-// readers never lock.
+// readers never lock. Records below len(recs) never change; extension
+// only writes past them.
 type traceSnap struct {
 	recs []Instr // packed
 	n    int     // instructions recs stands for
@@ -242,6 +243,12 @@ func (e *sharedTrace) ensure(n int) *traceSnap {
 		return snap
 	}
 	next := &traceSnap{recs: snap.recs, n: snap.n}
+	if next.recs == nil {
+		// The first extension reserves the entry's whole cap (reserve
+		// never grants past it), so the slab grows in place. On nil,
+		// append grows it on the heap.
+		next.recs = newSlab(int(e.store.per / instrFootprint))
+	}
 	for next.n < n && !next.done {
 		// One chunk: extendChunk instructions, or as many as fit in the
 		// records the budget grants. Published records are below floor.

@@ -3,8 +3,13 @@ package trace
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func poolGen() Reader {
@@ -147,6 +152,68 @@ func TestPoolConcurrentReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// On Linux outside race builds a slab lives outside the collected heap
+// and never moves: materializing it leaves the live heap where it was,
+// and a view taken early reads the same bytes at the same address after
+// the slab has grown by many chunks. Race builds keep slabs on the heap,
+// where the detector sees every write.
+func TestPoolSlabOffHeap(t *testing.T) {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		t.Fatal("no build info")
+	}
+	race := false
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			race = s.Value == "true"
+		}
+	}
+	if want := runtime.GOOS == "linux" && !race; slabOffHeap != want {
+		t.Fatalf("slabOffHeap = %v on %s with race=%v, want %v", slabOffHeap, runtime.GOOS, race, want)
+	}
+	if !slabOffHeap {
+		t.Skip("this build grows slabs on the heap")
+	}
+
+	live := func() uint64 {
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		return s[0].Value.Uint64()
+	}
+	const chunks = 24
+	gen := func() Reader {
+		return NewStream("mem", StreamConfig{Seed: 3, MemRatio: 0.5, StoreRatio: 0.2, Length: chunks * extendChunk})
+	}
+	pool := NewPool(1<<30, 0)
+	before := live()
+
+	a := pool.Shared("mem", gen).(*sharedReplay)
+	view := a.NextPacked(256)
+	if a.sh.snap.Load().n != extendChunk {
+		t.Fatalf("first read extended the slab to %d instructions, want one chunk", a.sh.snap.Load().n)
+	}
+	want := slices.Clone(view)
+
+	b := pool.Shared("mem", gen).(PackedReader)
+	for len(b.NextPacked(256)) > 0 {
+	}
+	snap := a.sh.snap.Load()
+	if !snap.done || snap.n != chunks*extendChunk {
+		t.Fatalf("slab holds %d instructions (done=%v), want %d", snap.n, snap.done, chunks*extendChunk)
+	}
+	slab := int64(len(snap.recs)) * instrFootprint
+	if slab < 8<<20 {
+		t.Fatalf("slab is %d bytes, want at least 8 MiB", slab)
+	}
+	if grew := int64(live()) - int64(before); grew >= 1<<20 {
+		t.Errorf("a %d-byte slab grew the live heap by %d bytes", slab, grew)
+	}
+	if unsafe.SliceData(view) != unsafe.SliceData(snap.recs) || !slices.Equal(view, want) {
+		t.Errorf("the first view moved or changed after %d further chunks", chunks-1)
 	}
 }
 
