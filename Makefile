@@ -211,11 +211,12 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | tee bench.out
 	$(GO) run ./scripts/benchdiff bench.out
 
-# One iteration of every hot-path benchmark, gated on allocs/op only:
-# allocation counts are deterministic even at -benchtime=1x, while
-# ns/op at one iteration is noise — so this stays green on busy
+# One iteration of every hot-path benchmark, gated on allocs/op and on
+# BenchmarkTraceReplayPacked's B/instr (the trace slab's density, which
+# must not grow at all): both are deterministic even at -benchtime=1x,
+# while ns/op at one iteration is noise — so this stays green on busy
 # machines and CI runners but still fails if the allocation-free
-# invariant breaks. Zero-baseline benches are strict regardless of
+# invariant or the packing breaks. Zero-baseline benches are strict regardless of
 # tolerance (0 -> any alloc fails); the generous -tol only gives slack
 # to benches that legitimately allocate, whose per-op counts are
 # setup-dominated at a single iteration (SimulatorThroughput reads

@@ -14,7 +14,7 @@
 //	POST /v1/sweeps              submit an experiment sweep (grid and/or cells)
 //	GET  /v1/sweeps              list sweeps
 //	GET  /v1/sweeps/{id}         sweep status
-//	GET  /v1/sweeps/{id}/results stream cell results (NDJSON or SSE, cursor resume)
+//	GET  /v1/sweeps/{id}/results stream cell results (NDJSON, cursor resume)
 //	GET  /v1/stats               service counters
 //	GET  /v1/catalog             traces, controllers, scales
 //	GET  /metrics                Prometheus text-format telemetry

@@ -3,7 +3,7 @@
 // methodology cares about: memory-instruction ratio, load/store split,
 // working-set footprint, stride regularity, an estimated no-prefetch L2
 // MPKI (distinct lines touched outside a recent-reuse window), and what
-// the trace costs held in memory: the lengths of its runs of identical
+// the trace costs held in memory: the lengths of its runs of idle
 // non-memory instructions and the bytes per instruction of the
 // run-length packed slab the simulator replays.
 //
@@ -79,9 +79,10 @@ type Stats struct {
 	// repeats the previous one.
 	StrideRegularity float64
 
-	// Runs describes the prefix as the trace pool holds it: a run is a
-	// maximal stretch of byte-identical non-memory instructions, one
-	// packed record (a stretch longer than a record holds is several).
+	// Runs describes the prefix as the trace pool holds it: a run is the
+	// non-memory instructions one packed record stands for — the idle
+	// run after a memory record, or an Other record and its idle run (a
+	// stretch longer than a record holds is several).
 	Runs           uint64
 	RunMean        float64
 	RunP50, RunP99 uint32
@@ -128,6 +129,9 @@ func Analyze(r trace.Reader, n uint64) Stats {
 		if ins.Kind == trace.Other {
 			runs = append(runs, uint32(ins.Run)+1)
 			continue
+		}
+		if ins.Run > 0 {
+			runs = append(runs, uint32(ins.Run))
 		}
 		if ins.Kind == trace.Load {
 			st.Loads++

@@ -719,41 +719,6 @@ func TestUnencodableResultFails(t *testing.T) {
 	}
 }
 
-// TestSweepStreamSSE: the same result stream framed as server-sent
-// events when the client asks for it.
-func TestSweepStreamSSE(t *testing.T) {
-	run, _ := countingRun()
-	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: run})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	_, sv := postSweep(t, ts, sweepGridJSON("sse", 2))
-	waitSweepDone(t, ts, sv.ID, 10*time.Second)
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/sweeps/"+sv.ID+"/results?follow=0", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	if strings.Count(body, "id: ") != 2 {
-		t.Errorf("SSE stream has %d id: frames, want 2:\n%s", strings.Count(body, "id: "), body)
-	}
-	if !strings.Contains(body, "event: end") {
-		t.Errorf("SSE stream missing the end frame:\n%s", body)
-	}
-}
-
 // failAfter is a ResponseWriter whose client goes away after n writes;
 // largest is the longest write it was handed.
 type failAfter struct {
@@ -787,23 +752,19 @@ func TestSweepStreamStopsAtUndeliveredEvent(t *testing.T) {
 	_, sv := postSweep(t, ts, sweepGridJSON("gone", cells))
 	waitSweepDone(t, ts, sv.ID, 30*time.Second)
 
-	for accept, eol := range map[string]string{"": "\n", "text/event-stream": "\n\n"} {
-		w := &failAfter{ResponseRecorder: httptest.NewRecorder(), n: 2}
-		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+sv.ID+"/results", nil)
-		req.Header.Set("Accept", accept)
-		srv.Handler().ServeHTTP(w, req)
-		body := w.Body.String()
-		n := strings.Count(body, `"seq":`)
-		if n == 0 || n >= cells || strings.Contains(body, `"end":true`) {
-			t.Errorf("Accept %q: %d of %d events and the end frame's absence expected from two chunks of three:\n%.400s", accept, n, cells, body)
-		}
-		if len(body) < 2*streamChunk || !strings.HasSuffix(body, "}"+eol) ||
-			!strings.Contains(body, fmt.Sprintf(`"seq":%d,`, n-1)) || strings.Contains(body, fmt.Sprintf(`"seq":%d,`, n)) {
-			t.Errorf("Accept %q: the %d bytes delivered are not whole frames 0..%d", accept, len(body), n-1)
-		}
-		if w.largest < streamChunk || w.largest > streamChunk+1024 {
-			t.Errorf("Accept %q: largest write was %d bytes, want one chunk (%d) and at most a frame over", accept, w.largest, streamChunk)
-		}
+	w := &failAfter{ResponseRecorder: httptest.NewRecorder(), n: 2}
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+sv.ID+"/results", nil))
+	body := w.Body.String()
+	n := strings.Count(body, `"seq":`)
+	if n == 0 || n >= cells || strings.Contains(body, `"end":true`) {
+		t.Errorf("%d of %d events and the end frame's absence expected from two chunks of three:\n%.400s", n, cells, body)
+	}
+	if len(body) < 2*streamChunk || !strings.HasSuffix(body, "}\n") ||
+		!strings.Contains(body, fmt.Sprintf(`"seq":%d,`, n-1)) || strings.Contains(body, fmt.Sprintf(`"seq":%d,`, n)) {
+		t.Errorf("the %d bytes delivered are not whole frames 0..%d", len(body), n-1)
+	}
+	if w.largest < streamChunk || w.largest > streamChunk+1024 {
+		t.Errorf("largest write was %d bytes, want one chunk (%d) and at most a frame over", w.largest, streamChunk)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"micromama/internal/faultinject"
@@ -193,17 +192,15 @@ var streamBufs = sync.Pool{New: func() any { return new(streamBuf) }}
 //
 //	GET /v1/sweeps/{id}/results?cursor=N&follow=0|1
 //
-// Default framing is NDJSON — one Event object per line, then one
-// {"end":true,"sweep":…} line. With Accept: text/event-stream the same
-// payloads go out as SSE (`id:` carries the cursor, the terminal frame
-// is `event: end`). cursor resumes after the N'th event; delivery is
-// at-least-once across server restarts, so consumers dedupe on the
-// event's cell index. follow=0 dumps what exists and ends immediately.
+// The framing is NDJSON — one Event object per line, then one
+// {"end":true,"sweep":…} line. cursor resumes after the N'th event;
+// delivery is at-least-once across server restarts, so consumers dedupe
+// on the event's cell index. follow=0 dumps what exists and ends
+// immediately.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	cursor, _ := strconv.Atoi(r.URL.Query().Get("cursor"))
 	follow := r.URL.Query().Get("follow") != "0"
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 
 	sb := streamBufs.Get().(*streamBuf)
 	events, view, changed, ok := s.sweeps.EventsSince(id, cursor, sb.events[:0])
@@ -213,29 +210,17 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown sweep"})
 		return
 	}
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	eol := "\n"
-	if sse {
-		eol = "\n\n"
-	}
-	// Frames are assembled in buf and go out whole, a batch in one Write
+	// Lines are assembled in buf and go out whole, a batch in one Write
 	// (or one per streamChunk of it: a long log never becomes one
 	// buffer). writeEvents reports false when the client is gone, with
 	// the cursor still on the first event of the chunk that was not
 	// delivered, so a reconnect re-reads from there.
 	writeEvents := func(events []sweep.Event) bool {
 		for i, ev := range events {
-			if sse {
-				buf = append(strconv.AppendInt(append(buf, "id: "...), int64(ev.Seq), 10), "\ndata: "...)
-			}
-			buf = append(sweep.AppendEvent(buf, ev), eol...)
+			buf = append(sweep.AppendEvent(buf, ev), '\n')
 			if len(buf) < streamChunk && i < len(events)-1 {
 				continue
 			}
@@ -253,10 +238,7 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return
 		}
-		if buf = buf[:0]; sse {
-			buf = append(buf, "event: end\ndata: "...)
-		}
-		_, _ = w.Write(append(append(buf, b...), eol...)) // the last frame: a client that is gone misses nothing more
+		_, _ = w.Write(append(append(buf[:0], b...), '\n')) // the last line: a client that is gone misses nothing more
 		_ = rc.Flush()
 	}
 

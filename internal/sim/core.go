@@ -26,9 +26,10 @@ type Core struct {
 	// records instead of one virtual Next() per instruction: packedSrc
 	// (if the reader serves zero-copy, run-length packed views) or
 	// batchSrc/src refill batch, and the inner loop indexes it directly.
-	// A record stands for Run+1 instructions; runLeft is how many of the
-	// current record's are still to retire. Exhaustion wraps the trace
-	// (Reset + refill), matching the paper's trace-restart methodology.
+	// A record stands for itself and then Run idle instructions; runLeft
+	// is how many of the current record's are still to retire.
+	// Exhaustion wraps the trace (Reset + refill), matching the paper's
+	// trace-restart methodology.
 	src       trace.Reader
 	packedSrc trace.PackedReader // src, when it serves direct slices
 	batchSrc  trace.BatchReader  // src, when it serves bulk copies
@@ -160,8 +161,8 @@ func (c *Core) refill() bool {
 
 // advance executes instructions until the core's local clock reaches
 // epochEnd, freezing stats the moment the instruction target is
-// crossed. The first instruction of a record takes the full path here;
-// the rest of its run retire in retireRun.
+// crossed. A record's head takes the full path here; its run retires
+// in retireRun.
 func (c *Core) advance(epochEnd, target uint64) {
 	commitWidth := c.sys.cfg.CommitWidth
 	c.retireRun(epochEnd, target) // what the last epoch left of a run
@@ -204,17 +205,33 @@ func (c *Core) advance(epochEnd, target uint64) {
 }
 
 // retireRun retires what is left of the current record's run, as far as
-// the epoch allows. Those instructions are non-memory and at the PC of
-// the record's first, which advance just executed: the fetch check
-// (same line as lastFetchLine) sends none of them to the L1I, and they
-// touch nothing else, so each only retires — one more instruction, one
-// more commit slot. Retiring k of them at once is therefore the same
-// arithmetic done k times, provided k stops where advance's loop would
-// have: at the epoch boundary (the loop runs an instruction only while
-// cycle < epochEnd, i.e. for (epochEnd−cycle)·CommitWidth − subCycle
-// more commit slots) and on the instruction target, where stats freeze.
+// the epoch allows. Those instructions are idle: non-memory, at
+// trace.IdlePC. When the record's head sat on another fetch line, the
+// run's first instruction crosses onto IdlePC's line and takes advance's
+// path (a commit slot, the L1I, the freeze check). After it the fetch
+// check (same line as lastFetchLine) sends none of them to the L1I, and
+// they touch nothing else, so each only retires — one more instruction,
+// one more commit slot. Retiring k of them at once is therefore the
+// same arithmetic done k times, provided k stops where advance's loop
+// would have: at the epoch boundary (the loop runs an instruction only
+// while cycle < epochEnd, i.e. for (epochEnd−cycle)·CommitWidth −
+// subCycle more commit slots) and on the instruction target, where
+// stats freeze.
 func (c *Core) retireRun(epochEnd, target uint64) {
 	commitWidth := uint64(c.sys.cfg.CommitWidth)
+	if c.runLeft > 0 && c.cycle < epochEnd && trace.IdlePC&c.fetchLineMask != c.lastFetchLine {
+		c.runLeft--
+		c.instr++
+		c.subCycle++
+		if c.subCycle >= int(commitWidth) {
+			c.cycle++
+			c.subCycle = 0
+		}
+		c.doFetch(trace.IdlePC)
+		if c.instr == target && c.frozenAt == 0 {
+			c.freeze()
+		}
+	}
 	for c.runLeft > 0 && c.cycle < epochEnd {
 		k := min(c.runLeft, (epochEnd-c.cycle)*commitWidth-uint64(c.subCycle))
 		if c.instr < target {
@@ -520,8 +537,15 @@ func (c *Core) issueL1Prefetches(now uint64) {
 func (c *Core) warmupAdvance(n uint64) {
 	for n > 0 {
 		if c.runLeft > 0 {
-			// The rest of a run installs nothing (see retireRun); a run
-			// that outlasts the warmup retires its remainder timed.
+			// A run installs at most IdlePC's fetch line, on its first
+			// instruction (see retireRun); a run that outlasts the
+			// warmup retires its remainder timed.
+			if trace.IdlePC&c.fetchLineMask != c.lastFetchLine {
+				c.warmFetch(trace.IdlePC)
+				c.runLeft--
+				n--
+				continue
+			}
 			k := min(c.runLeft, n)
 			c.runLeft -= k
 			n -= k

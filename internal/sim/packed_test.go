@@ -194,11 +194,31 @@ func group(addr uint64, run int) []trace.Instr {
 	return ins
 }
 
+// evictingStream is groups of nine loads at PCs 0x2000, 0x3000, …
+// 0xA000, then an idle run. With IdlePC those are ten lines of one
+// 8-way L1I set, so by the time a run starts the loads have evicted its
+// line, and the run's first fetch misses. The loads rotate, so each PC
+// is in turn the one a run follows.
+func evictingStream(groups int) []trace.Instr {
+	var ins []trace.Instr
+	for g := 0; g < groups; g++ {
+		for k := 0; k < 9; k++ {
+			pc := uint32(0x2000 + (g+k)%9*0x1000)
+			ins = append(ins, trace.Instr{PC: pc, Addr: uint64(g*9+k) * 64, Kind: trace.Load})
+		}
+		for i := 1 + g*37%200; i > 0; i-- {
+			ins = append(ins, trace.Instr{PC: trace.IdlePC})
+		}
+	}
+	return ins
+}
+
 func TestPackedStepCases(t *testing.T) {
 	var long []trace.Instr
 	for g := 0; g < 30; g++ {
 		long = append(long, group(uint64(g)*4096, 100)...)
 	}
+	evicting := evictingStream(40)
 	cases := []struct {
 		name   string
 		stream []trace.Instr
@@ -224,6 +244,11 @@ func TestPackedStepCases(t *testing.T) {
 		// budget no longer admits — they and everything after are streamed.
 		{name: "capped slab whose frontier falls inside a run", stream: long, target: 2 * uint64(len(long)), packed: pooledCapped(2)},
 		{name: "capped slab whose frontier falls on a load", stream: long, target: 2 * uint64(len(long)), packed: pooledCapped(3)},
+		// An L1I miss is at least 14 cycles, two epochs of 7.
+		{name: "run whose first fetch misses the L1I", stream: evicting, target: 3000,
+			tune: func(c *sim.Config) { c.CommitWidth, c.Epoch = 3, 7 }},
+		{name: "run whose first fetch misses the L1I, after warmup", stream: evicting, target: 3000,
+			tune: func(c *sim.Config) { c.CommitWidth, c.Epoch, c.WarmupInstructions = 3, 7, 1500 }},
 	}
 	for _, tc := range cases {
 		for _, cores := range []int{1, 2} {

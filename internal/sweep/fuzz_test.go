@@ -63,13 +63,13 @@ func FuzzSweepSpec(f *testing.F) {
 	})
 }
 
-// FuzzEventLine holds AppendEvent — the payload of an NDJSON line and
-// of an SSE data field alike — to encoding/json: for any envelope
+// FuzzEventLine holds AppendEvent — the payload of an NDJSON line — to
+// encoding/json: for any envelope
 // strings and any result in the form the cache hands out (what
 // json.Marshal emits: compact, HTML-escaped) it is exactly
 // json.Marshal(ev); for a result that is merely valid compact JSON it
 // is still one line of valid JSON that decodes to the same event. And
-// it holds the round trip: ParseLine reads either payload back as
+// it holds the round trip: ParseLine reads either form back as
 // json.Unmarshal does.
 func FuzzEventLine(f *testing.F) {
 	f.Add(0, 0, "done", "k", "spec06.mcf", "mumama", "tiny", uint64(7), "", []byte(`{"mix":"a","ws":1.5,"ipc":[0.1,2e-7]}`))
@@ -104,8 +104,8 @@ func FuzzEventLine(f *testing.F) {
 			strict bool // bytes must match json.Marshal's
 		}{{ev.Result, true}, {compact.Bytes(), false}} {
 			ev.Result = form.res
-			const prefix = "id: 7\ndata: "
-			scratch := []byte(prefix + "left over from the previous frame")
+			const prefix = "{\"seq\":6}\n"
+			scratch := []byte(prefix + "left over from the previous batch")
 			framed := AppendEvent(scratch[:len(prefix)], ev)
 			payload := framed[len(prefix):]
 			if string(framed[:len(prefix)]) != prefix || bytes.ContainsAny(payload, "\n\r") {
@@ -150,8 +150,9 @@ func FuzzEventLine(f *testing.F) {
 // comparing with encoding/json's reading of the line with those members
 // renamed out of the way.
 func FuzzParseLine(f *testing.F) {
-	for _, payload := range streamFixture(f) { // a real stream: events, a failed cell's escaped error, the end marker, NDJSON and SSE
+	for _, payload := range streamFixture(f) { // a real stream: events, a failed cell's escaped error, the end marker
 		f.Add(payload)
+		f.Add(append(payload[:len(payload):len(payload)], '\n')) // as read off the wire, terminator and all
 	}
 	f.Add([]byte(`{"result":null,"Cell":3,"cell":1,"spec":{"mix":["a",null],"MIX":[],"seed":18446744073709551615},"spec":{"mix":[null,"b","c"]}}`))
 	f.Add([]byte(`{"cell":-0,"end":false,"sweep":{"id":"s"},"sweep":{"name":"n"},"x":[{"y":"😀"}]}`))

@@ -11,7 +11,7 @@
 // against other sweeps.
 //
 // Completed cells append to a per-sweep event log that clients stream
-// incrementally (NDJSON or SSE) with cursor-based resume. Sweep state
+// incrementally (NDJSON) with cursor-based resume. Sweep state
 // persists through the same crash-safe layer as the result cache:
 // a restarted server reloads incomplete sweeps, re-admits only the
 // cells whose results are not already in the restored cache, and

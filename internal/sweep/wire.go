@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the one codec of a result stream's lines: AppendEvent
-// writes what the server sends (the NDJSON line and the SSE data field
-// alike) and ParseLine reads what the client receives. Both agree with
+// writes what the server sends (one NDJSON line) and ParseLine reads
+// what the client receives. Both agree with
 // encoding/json on the Event, Cell and View declarations in sweep.go —
 // AppendEvent byte for byte with json.Marshal, ParseLine value for value
 // with json.Unmarshal, which FuzzEventLine and FuzzParseLine hold them

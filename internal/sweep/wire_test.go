@@ -97,28 +97,18 @@ func checkAgainstReference(t *testing.T, line []byte) {
 	}
 }
 
-// streamFixture returns the payloads of testdata/stream.ndjson and
-// testdata/stream.sse: a finished four-cell sweep, one cell failed with
-// a panic's multi-line error, captured from the server of the commit
-// before AppendEvent existed (NDJSON lines, and the data fields of the
-// SSE frames of the same stream).
+// streamFixture returns the lines of testdata/stream.ndjson: a finished
+// four-cell sweep, one cell failed with a panic's multi-line error,
+// captured from the server of the commit before AppendEvent existed.
 func streamFixture(t testing.TB) [][]byte {
 	t.Helper()
-	var payloads [][]byte
-	for _, name := range []string{"testdata/stream.ndjson", "testdata/stream.sse"} {
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range bytes.Split(raw, []byte("\n")) {
-			l, isData := bytes.CutPrefix(l, []byte("data: "))
-			if isData || (strings.HasSuffix(name, ".ndjson") && len(l) > 0) {
-				payloads = append(payloads, l)
-			}
-		}
+	raw, err := os.ReadFile("testdata/stream.ndjson")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(payloads) != 10 {
-		t.Fatalf("fixture holds %d payloads, want 2 × (4 events + end)", len(payloads))
+	payloads := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	if len(payloads) != 5 {
+		t.Fatalf("fixture holds %d lines, want 4 events + end", len(payloads))
 	}
 	return payloads
 }
@@ -146,8 +136,8 @@ func TestWireBytesDoNotMove(t *testing.T) {
 			t.Errorf("AppendEvent moved the wire bytes:\n got %s\nwant %s", got, payload)
 		}
 	}
-	if events != 8 || ends != 2 {
-		t.Errorf("fixture gave %d events and %d end markers, want 8 and 2", events, ends)
+	if events != 4 || ends != 1 {
+		t.Errorf("fixture gave %d events and %d end markers, want 4 and 1", events, ends)
 	}
 }
 

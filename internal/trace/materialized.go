@@ -6,8 +6,9 @@ import "math"
 // run-length packed []Instr slab that any number of readers can replay
 // concurrently. The slab replaces per-instruction generator work (PRNG
 // draws, modulo arithmetic, interface dispatch) with an array read, and
-// a run of identical non-memory instructions with one record — see the
-// "Trace materialization & replay" section of docs/ARCHITECTURE.md.
+// an instruction and the run of idle instructions after it with one
+// record — see the "Trace materialization & replay" section of
+// docs/ARCHITECTURE.md.
 
 // BatchReader is a Reader that can fill a caller-owned buffer in bulk,
 // amortizing per-instruction dispatch across a whole batch.
@@ -31,10 +32,10 @@ type BlockReader interface {
 }
 
 // PackedReader is a Reader that can expose its records run-length
-// packed: a record stands for Instr.Run+1 instructions. It is the
-// simulator's surface; a consumer that wants one record per instruction
-// uses Next, ReadBatch or NextBlock. The same retention rule as
-// BlockReader applies.
+// packed: a record stands for itself and then Instr.Run idle
+// instructions. It is the simulator's surface; a consumer that wants
+// one record per instruction uses Next, ReadBatch or NextBlock. The
+// same retention rule as BlockReader applies.
 type PackedReader interface {
 	Reader
 	// NextPacked returns a view of up to max upcoming records, advancing
@@ -47,29 +48,28 @@ type PackedReader interface {
 // for at most 65 535 instructions, so Run+1 fits the field's width too.
 const maxRun = math.MaxUint16 - 1
 
+// idle is the instruction a record's run repeats.
+var idle = Instr{PC: IdlePC, Kind: Other}
+
 // appendPacked appends one instruction (ins.Run == 0) to a packed slab:
-// it lengthens the last record's run when ins is of Kind Other and
-// byte-identical to it, and adds a record otherwise. A run that has
-// reached maxRun ends and the next instruction opens a record; the core
-// retires the two exactly like one longer run. Records below floor are
-// never touched, so a caller that has already published recs[:floor] to
-// lock-free readers may keep appending.
+// an idle instruction lengthens the last record's run, whatever that
+// record is, and any other instruction adds a record. A run that has
+// reached maxRun ends and the next idle instruction opens a record; the
+// core retires the two exactly like one longer run. Records below floor
+// are never touched, so a caller that has already published
+// recs[:floor] to lock-free readers may keep appending.
 func appendPacked(recs []Instr, floor int, ins Instr) []Instr {
-	if n := len(recs); n > floor && ins.Kind == Other {
-		last := &recs[n-1]
-		if last.Kind == Other && last.PC == ins.PC && last.Addr == ins.Addr &&
-			last.Flags == ins.Flags && last.Run < maxRun {
-			last.Run++
-			return recs
-		}
+	if n := len(recs); n > floor && ins == idle && recs[n-1].Run < maxRun {
+		recs[n-1].Run++
+		return recs
 	}
 	return append(recs, ins)
 }
 
 // packedCursor is a position in a packed slab: record idx, off
-// instructions of it already delivered. The slab is passed to every
-// call, because a shared slab grows between calls (records at and below
-// the cursor never change).
+// instructions of it already delivered (the head, then off-1 of its
+// run). The slab is passed to every call, because a shared slab grows
+// between calls (records at and below the cursor never change).
 type packedCursor struct {
 	idx  int
 	off  uint16
@@ -82,13 +82,16 @@ func (c *packedCursor) next(recs []Instr) (Instr, bool) {
 		return Instr{}, false
 	}
 	rec := &recs[c.idx]
-	if c.off < rec.Run {
-		c.off++
-	} else {
+	ins := *rec
+	ins.Run = 0
+	if c.off != 0 {
+		ins = idle
+	}
+	if c.off++; c.off > rec.Run {
 		c.idx++
 		c.off = 0
 	}
-	return Instr{PC: rec.PC, Addr: rec.Addr, Kind: rec.Kind, Flags: rec.Flags}, true
+	return ins, true
 }
 
 // expand fills dst with upcoming instructions, one record each, and
@@ -97,10 +100,22 @@ func (c *packedCursor) expand(recs []Instr, dst []Instr) int {
 	n := 0
 	for n < len(dst) && c.idx < len(recs) {
 		rec := &recs[c.idx]
+		if c.off == 0 {
+			dst[n] = *rec
+			dst[n].Run = 0
+			n++
+			if rec.Run == 0 {
+				c.idx++
+			} else {
+				c.off = 1
+			}
+			continue
+		}
+		// The head and off-1 of the run are delivered.
 		left := int(rec.Run-c.off) + 1
 		out := dst[n:min(n+left, len(dst))]
 		for i := range out {
-			out[i] = Instr{PC: rec.PC, Addr: rec.Addr, Kind: rec.Kind, Flags: rec.Flags}
+			out[i] = idle
 		}
 		n += len(out)
 		if len(out) == left {
@@ -114,12 +129,12 @@ func (c *packedCursor) expand(recs []Instr, dst []Instr) int {
 }
 
 // packed returns a view of up to max upcoming records. A record that
-// next or expand left partly delivered comes back alone, as a copy
-// holding the rest of its run.
+// next or expand left partly delivered comes back alone, as an idle
+// record holding the rest of its run.
 func (c *packedCursor) packed(recs []Instr, max int) []Instr {
 	if c.off > 0 {
-		c.part[0] = recs[c.idx]
-		c.part[0].Run -= c.off
+		c.part[0] = idle
+		c.part[0].Run = recs[c.idx].Run - c.off
 		c.idx++
 		c.off = 0
 		return c.part[:]

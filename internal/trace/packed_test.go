@@ -32,13 +32,15 @@ func TestInstrSize(t *testing.T) {
 	}
 }
 
-// appendExpanded appends every record of a packed block Run+1 times.
+// appendExpanded appends every record of a packed block as its head and
+// then Run idle instructions.
 func appendExpanded(out, blk []Instr) []Instr {
 	for _, rec := range blk {
-		n := int(rec.Run) + 1
+		run := rec.Run
 		rec.Run = 0
-		for i := 0; i < n; i++ {
-			out = append(out, rec)
+		out = append(out, rec)
+		for i := uint16(0); i < run; i++ {
+			out = append(out, idle)
 		}
 	}
 	return out
@@ -145,32 +147,65 @@ func TestPackedSurfacesMatchGenerator(t *testing.T) {
 	}
 }
 
-// The packing rule: only byte-identical Kind Other neighbours merge,
-// and a record stands for at most 65 535 of them.
+// packChunked packs ins the way a pool entry grows: the floor rises to
+// the slab's end every `every` instructions (never when every is 0). It
+// also returns which records open a chunk.
+func packChunked(ins []Instr, every int) (*Materialized, map[int]bool) {
+	m := &Materialized{name: "chunked"}
+	floors := map[int]bool{}
+	floor := 0
+	for i, in := range ins {
+		if every > 0 && i%every == 0 {
+			floor = len(m.recs)
+			floors[floor] = true
+		}
+		m.recs = appendPacked(m.recs, floor, in)
+		m.n++
+	}
+	return m, floors
+}
+
+// The packing rule: an idle instruction joins the run of the record
+// before it, whatever that record is, a record stands for at most
+// 65 535 instructions, and a run never reaches below a chunk floor.
 func TestPackRule(t *testing.T) {
-	other := Instr{PC: 0x1000}
 	load := Instr{PC: 0x2000, Addr: 0x40, Kind: Load}
-	long := make([]Instr, 70_000)
-	for i := range long {
-		long[i] = other
+	elsewhere := Instr{PC: 0x1004}
+	idles := func(n int) []Instr {
+		ins := make([]Instr, n)
+		for i := range ins {
+			ins[i] = idle
+		}
+		return ins
 	}
 	cases := []struct {
-		name string
-		in   []Instr
-		want []Instr
+		name  string
+		in    []Instr
+		every int // chunk length, 0 for one chunk
+		want  []Instr
 	}{
-		{"run", []Instr{other, other, other}, []Instr{{PC: 0x1000, Run: 2}}},
-		{"loads never merge", []Instr{load, load}, []Instr{load, load}},
-		{"stores never merge", []Instr{{PC: 1, Kind: Store}, {PC: 1, Kind: Store}}, []Instr{{PC: 1, Kind: Store}, {PC: 1, Kind: Store}}},
-		{"split by a load", []Instr{other, other, load, other}, []Instr{{PC: 0x1000, Run: 1}, load, other}},
-		{"differing PC", []Instr{other, {PC: 0x1004}}, []Instr{other, {PC: 0x1004}}},
-		{"differing Addr", []Instr{other, {PC: 0x1000, Addr: 8}}, []Instr{other, {PC: 0x1000, Addr: 8}}},
-		{"differing Flags", []Instr{other, {PC: 0x1000, Flags: DependsPrev}}, []Instr{other, {PC: 0x1000, Flags: DependsPrev}}},
-		{"load then identical-PC other", []Instr{{PC: 0x1000, Kind: Load}, other}, []Instr{{PC: 0x1000, Kind: Load}, other}},
-		{"run longer than a record holds", long, []Instr{{PC: 0x1000, Run: 65_534}, {PC: 0x1000, Run: 4_464}}},
+		{"run", idles(3), 0, []Instr{{PC: IdlePC, Run: 2}}},
+		{"loads never merge", []Instr{load, load}, 0, []Instr{load, load}},
+		{"stores never merge", []Instr{{PC: 1, Kind: Store}, {PC: 1, Kind: Store}}, 0, []Instr{{PC: 1, Kind: Store}, {PC: 1, Kind: Store}}},
+		{"a load absorbs the idle run after it", append([]Instr{load}, idles(3)...), 0, []Instr{{PC: 0x2000, Addr: 0x40, Kind: Load, Run: 3}}},
+		{"split by a load", []Instr{idle, idle, load, idle}, 0, []Instr{{PC: IdlePC, Run: 1}, {PC: 0x2000, Addr: 0x40, Kind: Load, Run: 1}}},
+		{"a store absorbs the idle run after it", []Instr{{PC: 1, Kind: Store}, idle}, 0, []Instr{{PC: 1, Kind: Store, Run: 1}}},
+		{"Others elsewhere than IdlePC stay one record each", []Instr{elsewhere, elsewhere, elsewhere}, 0, []Instr{elsewhere, elsewhere, elsewhere}},
+		{"an Other elsewhere absorbs the idle run after it", []Instr{elsewhere, idle, idle}, 0, []Instr{{PC: 0x1004, Run: 2}}},
+		{"differing Addr", []Instr{idle, {PC: IdlePC, Addr: 8}}, 0, []Instr{idle, {PC: IdlePC, Addr: 8}}},
+		{"differing Flags", []Instr{idle, {PC: IdlePC, Flags: DependsPrev}}, 0, []Instr{idle, {PC: IdlePC, Flags: DependsPrev}}},
+		{"load at IdlePC then idle", []Instr{{PC: IdlePC, Kind: Load}, idle}, 0, []Instr{{PC: IdlePC, Kind: Load, Run: 1}}},
+		{"run longer than a record holds", idles(70_000), 0, []Instr{{PC: IdlePC, Run: 65_534}, {PC: IdlePC, Run: 4_464}}},
+		{"a load's run longer than a record holds", append([]Instr{load}, idles(70_000)...), 0,
+			[]Instr{{PC: 0x2000, Addr: 0x40, Kind: Load, Run: 65_534}, {PC: IdlePC, Run: 4_465}}},
+		{"an idle run is cut at a chunk floor", append([]Instr{load}, idles(4)...), 3,
+			[]Instr{{PC: 0x2000, Addr: 0x40, Kind: Load, Run: 2}, {PC: IdlePC, Run: 1}}},
 	}
 	for _, tc := range cases {
 		m := NewMaterialized(tc.name, tc.in)
+		if tc.every > 0 {
+			m, _ = packChunked(tc.in, tc.every)
+		}
 		if fmt.Sprint(m.recs) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: packed %+v, want %+v", tc.name, m.recs, tc.want)
 		}
@@ -179,13 +214,13 @@ func TestPackRule(t *testing.T) {
 }
 
 // runTrace is a trace whose slab frontier is easy to place: a load,
-// then run non-memory instructions, repeated.
+// then run idle instructions, repeated.
 func runTrace(groups, run int) []Instr {
 	var ins []Instr
 	for g := 0; g < groups; g++ {
 		ins = append(ins, Instr{PC: 0x2000, Addr: uint64(g) * 64, Kind: Load})
 		for i := 0; i < run; i++ {
-			ins = append(ins, Instr{PC: 0x1000})
+			ins = append(ins, Instr{PC: IdlePC})
 		}
 	}
 	return ins
@@ -201,30 +236,32 @@ func TestPoolChunksCountInstructions(t *testing.T) {
 
 	r.Next()
 	snap := r.sh.snap.Load()
+	// The load and 65 534 of its run; the chunk's last instruction opens
+	// an idle record, because the load's run is full.
 	if snap.n != extendChunk || len(snap.recs) != 2 {
 		t.Fatalf("after one read the slab holds %d instructions in %d records, want %d in 2", snap.n, len(snap.recs), extendChunk)
 	}
 	r.Reset()
 	equalInstrs(t, "chunked", drain(r), want)
 	snap = r.sh.snap.Load()
-	// Per chunk boundary one cut; the three loads; the three run heads.
-	if !snap.done || snap.n != len(want) || len(snap.recs) != 9 {
-		t.Fatalf("whole slab: done=%v, %d instructions in %d records, want %d in 9", snap.done, snap.n, len(snap.recs), len(want))
+	// The three loads, an idle record at each of the three chunk floors
+	// (every run crosses one), and the one the first load's full run
+	// opened.
+	if !snap.done || snap.n != len(want) || len(snap.recs) != 7 {
+		t.Fatalf("whole slab: done=%v, %d instructions in %d records, want %d in 7", snap.done, snap.n, len(snap.recs), len(want))
 	}
-	if st := pool.Stats(); st.UsedBytes != 9*instrFootprint || st.Instructions != int64(len(want)) {
-		t.Fatalf("stats %+v, want %d bytes, %d instructions", st, 9*instrFootprint, len(want))
+	if st := pool.Stats(); st.UsedBytes != 7*instrFootprint || st.Instructions != int64(len(want)) {
+		t.Fatalf("stats %+v, want %d bytes, %d instructions", st, 7*instrFootprint, len(want))
 	}
 }
 
-// A cap that falls inside a run: the slab ends on a record that stands
-// for part of the run, and tail streaming resumes at exactly the next
-// instruction, for the reader that inherits the generator and for one
-// that rebuilds it.
+// A cap that falls inside a run: the slab ends on a load whose run the
+// budget no longer admits, and tail streaming resumes at exactly the
+// next instruction, the run's first, for the reader that inherits the
+// generator and for one that rebuilds it.
 func TestPoolCapInsideRun(t *testing.T) {
 	want := runTrace(40, 100)
 	for _, recs := range []int64{1, 2, 3, 7} {
-		// An odd cap ends the slab on a load; an even one on a run head
-		// whose followers the budget no longer admits.
 		pool := NewPool(1<<30, recs*instrFootprint)
 		factory := func() Reader { return NewSlice("runs", want) }
 		a, b := pool.Shared("runs", factory), pool.Shared("runs", factory)
@@ -306,43 +343,42 @@ func TestMaterializedFileFormatUnchanged(t *testing.T) {
 }
 
 // fuzzInstrs decodes fuzz bytes into a sequence over a small alphabet,
-// so that runs, near-runs and memory records all occur.
+// so that idle runs, near-idle instructions and memory records all
+// occur: a byte with its top bit set is idle.
 func fuzzInstrs(data []byte) []Instr {
 	ins := make([]Instr, len(data))
 	for i, b := range data {
-		ins[i] = Instr{
-			PC:    0x1000 + uint32(b>>2&1)*4,
-			Addr:  uint64(b >> 3 & 1),
-			Kind:  Kind(b & 3 % 3),
-			Flags: Flags(b >> 4 & 1),
+		ins[i] = idle
+		if b < 0x80 {
+			ins[i] = Instr{
+				PC:    IdlePC + uint32(b>>2&1)*4,
+				Addr:  uint64(b >> 3 & 1),
+				Kind:  Kind(b & 3 % 3),
+				Flags: Flags(b >> 4 & 1),
+			}
 		}
 	}
 	return ins
 }
 
 // FuzzPackRoundTrip: packing then expanding is the identity on any
-// sequence, through every surface, and the packed form is canonical —
-// runs hold only Kind Other, and no two neighbours could have merged.
+// sequence, cut into chunks of any length, through every surface, and
+// the packed form is canonical — no record is followed by a bare idle
+// record while its run has room, unless a chunk floor sits between them.
 func FuzzPackRoundTrip(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 0, 0})
-	f.Add([]byte{0, 4, 0, 8, 0, 16, 0, 2, 2})
-	f.Add([]byte{1, 1, 2, 2, 3, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0}, uint8(0))
+	f.Add([]byte{0, 4, 0, 8, 0, 16, 0, 2, 2}, uint8(0))
+	f.Add([]byte{1, 1, 2, 2, 3, 3}, uint8(0))
+	f.Add([]byte{1, 0x80, 0x80, 0x80, 4, 0x80, 2, 0x80, 0x80}, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, every uint8) {
 		want := fuzzInstrs(data)
-		m := NewMaterialized("fuzz", want)
+		m, floors := packChunked(want, int(every))
 		checkSurfaces(t, "fuzz", m.Replay(), want)
 		total := 0
 		for i, rec := range m.recs {
 			total += int(rec.Run) + 1
-			if rec.Run > 0 && rec.Kind != Other {
-				t.Fatalf("record %d %+v: a run of memory instructions", i, rec)
-			}
-			if i > 0 && rec.Kind == Other {
-				prev := m.recs[i-1]
-				prev.Run, rec.Run = 0, 0
-				if prev == rec {
-					t.Fatalf("records %d and %d are identical and were not merged", i-1, i)
-				}
+			if rec.Run = 0; i > 0 && rec == idle && !floors[i] && m.recs[i-1].Run < maxRun {
+				t.Fatalf("record %d %+v is a bare idle record after %+v, whose run had room", i, m.recs[i], m.recs[i-1])
 			}
 		}
 		if total != len(want) || m.Len() != len(want) {

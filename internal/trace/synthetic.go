@@ -84,7 +84,7 @@ func (s *Stream) Next() (Instr, bool) {
 	}
 	s.count++
 	if s.r.Float64() >= s.cfg.MemRatio {
-		return Instr{PC: 0x1000, Kind: Other}, true
+		return Instr{PC: IdlePC, Kind: Other}, true
 	}
 	i := s.next
 	s.next = (s.next + 1) % s.cfg.Streams
@@ -161,7 +161,7 @@ func (s *Stride) Next() (Instr, bool) {
 	}
 	s.count++
 	if s.r.Float64() >= s.cfg.MemRatio {
-		return Instr{PC: 0x1000, Kind: Other}, true
+		return Instr{PC: IdlePC, Kind: Other}, true
 	}
 	i := s.next
 	s.next = (s.next + 1) % len(s.cfg.Strides)
@@ -229,7 +229,7 @@ func (c *Chase) Next() (Instr, bool) {
 	}
 	c.count++
 	if c.r.Float64() >= c.cfg.MemRatio {
-		return Instr{PC: 0x1000, Kind: Other}, true
+		return Instr{PC: IdlePC, Kind: Other}, true
 	}
 	if c.r.Float64() < c.cfg.LocalRatio {
 		// Field access near the current node: same page, likely a hit.
@@ -330,7 +330,7 @@ func (g *Graph) Next() (Instr, bool) {
 		ratio = g.cfg.GatherMemRatio
 	}
 	if g.r.Float64() >= ratio {
-		return Instr{PC: 0x1000, Kind: Other}, true
+		return Instr{PC: IdlePC, Kind: Other}, true
 	}
 	if g.inGather {
 		// Neighbor gather: random vertex property access.
@@ -385,7 +385,7 @@ func (c *Compute) Next() (Instr, bool) {
 	}
 	c.count++
 	if c.r.Float64() >= c.cfg.MemRatio {
-		return Instr{PC: 0x1000, Kind: Other}, true
+		return Instr{PC: IdlePC, Kind: Other}, true
 	}
 	addr := 0xE0000000 + c.r.Uint64()%c.cfg.WorkingSet
 	return Instr{PC: 0x6000, Addr: addr, Kind: Load}, true

@@ -51,6 +51,11 @@ const (
 	DependsPrev Flags = 1 << iota
 )
 
+// IdlePC is the PC of every non-memory instruction the generators emit.
+// Instr{PC: IdlePC, Kind: Other} is the idle instruction: a packed
+// record carries a run of them after itself (Instr.Run).
+const IdlePC = 0x1000
+
 // Instr is one record of an instruction trace. For non-memory
 // instructions Addr is meaningless and should be zero.
 //
@@ -63,12 +68,12 @@ const (
 type Instr struct {
 	Addr uint64
 	PC   uint32
-	// Run is how many further instructions, byte-identical to this one
-	// and of Kind Other, the record stands for: a record is Run+1
-	// instructions, at most 65 535 (longer runs take several records).
-	// It is zero in every record Next, ReadBatch and NextBlock deliver
-	// (one record per instruction); only the packed view (PackedReader)
-	// carries runs.
+	// Run is how many idle instructions (Instr{PC: IdlePC, Kind:
+	// Other}) follow this one: a record is itself and then Run idle
+	// copies, Run+1 instructions, at most 65 535 (a longer idle run
+	// takes several records). It is zero in every record Next,
+	// ReadBatch and NextBlock deliver (one record per instruction);
+	// only the packed view (PackedReader) carries runs.
 	Run   uint16
 	Kind  Kind
 	Flags Flags

@@ -45,6 +45,26 @@ func TestCatalogIntegrity(t *testing.T) {
 	}
 }
 
+// Every non-memory instruction a catalog trace emits is the idle
+// instruction, the one a packed record's run repeats: an Other at any
+// other PC, address or flags takes a record of its own, and a generator
+// that emitted one would silently double the trace pool.
+func TestCatalogOthersAreIdle(t *testing.T) {
+	for _, s := range Catalog() {
+		r := s.New()
+		for i := 0; i < 200_000; i++ {
+			ins, ok := r.Next()
+			if !ok {
+				break
+			}
+			if ins.Kind == trace.Other && ins != (trace.Instr{PC: trace.IdlePC, Kind: trace.Other}) {
+				t.Errorf("%s: instruction %d is %+v, a non-memory instruction that is not idle", s.Name, i, ins)
+				break
+			}
+		}
+	}
+}
+
 func TestSensitiveInsensitivePartition(t *testing.T) {
 	total := len(Catalog())
 	if len(Sensitive())+len(Insensitive()) != total {

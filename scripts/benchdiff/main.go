@@ -12,8 +12,9 @@
 // The baseline (BENCH_baseline.json by default) maps fully-qualified
 // benchmark names to their metrics. With -tol > 0, the command exits
 // non-zero when allocs/op regresses by more than the given fraction, or
-// is non-zero where the baseline has none — the `make bench-smoke`
-// gate. allocs/op is the one gated metric: it is deterministic even at
+// is non-zero where the baseline has none, and when B/instr (a trace
+// slab's bytes per instruction) grows at all — the `make bench-smoke`
+// gate. Those two are the gated metrics: both are deterministic even at
 // -benchtime=1x on noisy runners. Timings are report-only; `mamaload
 // -compare` (bench/) is the tool that judges them.
 package main
@@ -90,7 +91,7 @@ func main() {
 
 	regressed := compare(os.Stdout, base.Benchmarks, run, *tol)
 	if *tol > 0 && regressed {
-		fmt.Fprintf(os.Stderr, "benchdiff: regression beyond %.0f%% tolerance\n", *tol*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: regression (allocs/op beyond %.0f%% tolerance, or B/instr grew): see the ! rows\n", *tol*100)
 		os.Exit(1)
 	}
 }
@@ -158,7 +159,7 @@ func parseBench(r io.Reader) (map[string]sample, error) {
 }
 
 // compare prints old vs new per benchmark metric and reports whether
-// allocs/op regressed beyond tol.
+// allocs/op regressed beyond tol or B/instr grew (checked when tol > 0).
 func compare(w io.Writer, base, run map[string]sample, tol float64) (regressed bool) {
 	names := make([]string, 0, len(run))
 	for name := range run {
@@ -186,11 +187,15 @@ func compare(w io.Writer, base, run map[string]sample, tol float64) (regressed b
 				continue
 			}
 			delta := "~"
-			gated := tol > 0 && unit == "allocs/op"
+			gated := tol > 0 && (unit == "allocs/op" || unit == "B/instr")
+			slack := tol
+			if unit == "B/instr" {
+				slack = 0 // a slab's density repeats exactly: any growth is a regression
+			}
 			if ov != 0 {
 				d := (nv - ov) / ov
 				delta = fmt.Sprintf("%+.1f%%", d*100)
-				if gated && d > tol {
+				if gated && d > slack {
 					delta += " !"
 					regressed = true
 				}
