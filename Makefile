@@ -86,7 +86,10 @@ chaos:
 # accepting what json.Unmarshal accepts, with the same value); in
 # the experiment layer the controller key any cell carries (parse then
 # canonicalise is a fixed point inside the length bound, and what parses
-# builds).
+# builds); in the cache layer the set-associative cache against its
+# timestamp-LRU reference model (every lookup, victim, MSHR count and
+# counter equal, over geometries from 1 to 16 ways and 8- to 128-byte
+# lines).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -97,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s ./internal/experiment
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 10s ./internal/cache
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
@@ -185,8 +189,8 @@ bench-check:
 # lint (vet + staticcheck when available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
 # fuzz the trace packer, the trace loader, the gossip-header decoder,
-# the sweep spec, the stream's line encoder and parser and the controller
-# key for ten seconds each,
+# the sweep spec, the stream's line encoder and parser, the controller
+# key and the cache against its reference for ten seconds each,
 # drive a real
 # sweep, the 3-node cluster, the controller tournament and every
 # figure id end to end, check the bench/ module against this tree, then make sure
@@ -195,7 +199,8 @@ bench-check:
 # regressions).
 check: build cross lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check bench-smoke
 
-# Hot-path benchmark suite: cache/MSHR microbenchmarks, the per-core
+# Hot-path benchmark suite: cache/MSHR microbenchmarks (one at the
+# Table 3 LLC geometry over twice its capacity), the per-core
 # advance benchmarks, end-to-end simulator throughput, and five
 # service-path benchmarks (one anti-entropy cache page; client
 # connection reuse; one job key's hash; a fully cached 512-cell sweep's
@@ -204,7 +209,7 @@ check: build cross lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster
 # checked-in baseline (report
 # only: nothing here fails the build; bench-smoke is the gate).
 # Regenerate the baseline on a quiet machine with `make bench-baseline`.
-BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkJobKey|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine
+BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkLLCWorkingSet|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkJobKey|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine
 BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/sweep ./internal/server ./internal/client .
 
 bench:

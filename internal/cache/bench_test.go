@@ -63,6 +63,33 @@ func BenchmarkFillEvict(b *testing.B) {
 	}
 }
 
+// BenchmarkLLCWorkingSet is the set walk out of the host's caches: the
+// Table 3 LLC geometry (8192 sets × 12 ways, an 832 KB array) under
+// demand lookups to a pseudo-random working set of twice its capacity,
+// filling on every miss (untracked, so the MSHR scan stays out of it).
+func BenchmarkLLCWorkingSet(b *testing.B) {
+	cfg := Config{Name: "LLC", Sets: 8192, Ways: 12, LineBytes: 64, HitLatency: 40, MSHRs: 64}
+	c := New(cfg)
+	lines := uint64(2 * cfg.Sets * cfg.Ways)
+	x := uint64(1)
+	next := func() uint64 {
+		x = x*6364136223846793005 + 1442695040888963407
+		return (x >> 32) % lines * cfg.LineBytes
+	}
+	for i := uint64(0); i < lines; i++ {
+		if a := next(); !c.Lookup(a, 0, true).Hit {
+			c.Fill(a, 0, false, false)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := next(); !c.Lookup(a, uint64(i), true).Hit {
+			c.Fill(a, 0, false, false)
+		}
+	}
+}
+
 func BenchmarkMarkDirty(b *testing.B) {
 	c := New(benchCfg())
 	const lines = 32

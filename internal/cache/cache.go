@@ -13,10 +13,35 @@
 // the way it resolved — the matched way on a hit, the victim Fill would
 // choose on a miss — so the Lookup-then-Fill and Lookup-then-MarkDirty
 // patterns of the hierarchy walk touch each set exactly once.
+//
+// # Layout
+//
+// A way is one word, lineNo<<3 | prefetched | dirty | valid, where
+// lineNo is the address shifted right by log2(LineBytes); LineBytes ≥ 8
+// keeps lineNo below 2⁶¹, so the shift loses nothing. A zero word is an
+// invalid way. Recency lives outside the ways, in one rank word per
+// set, and a set is ways+1 contiguous words: the rank word, then the
+// ways. The rank word holds 4 bits per way (way i in bits 4i..4i+3),
+// the way's recency rank with 0 the most recently used; the live ranks
+// are always a permutation of 0..ways-1 and the nibbles of ways that do
+// not exist are parked at 15, which is why Ways ≤ 16. Nothing
+// invalidates a way once filled, so the valid ways of a set are always
+// a prefix of it and a walk stops at the first invalid one.
+//
+// A touch moves the way to the front: it gets rank 0 and every way
+// ranked below its old rank moves down one. The victim is the first
+// invalid way, else the way ranked ways-1. That is exactly least
+// recently used by timestamp, the model this replaced (refCache in the
+// tests): every timestamp write (demand hit, fill, refill of a present
+// line) is a touch, and timestamps are unique, so the rank order of
+// the ways touched so far is their timestamp order; a set with no
+// invalid way has had every way filled, hence touched, so the way
+// ranked last is the one with the oldest timestamp.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -35,11 +60,14 @@ func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache %s: Sets must be a positive power of two, got %d", c.Name, c.Sets)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: Ways must be positive, got %d", c.Name, c.Ways)
+	if c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("cache %s: Ways must be 1..%d (one 4-bit recency rank per way in a set's rank word), got %d", c.Name, maxWays, c.Ways)
 	}
 	if c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %s: LineBytes must be a positive power of two, got %d", c.Name, c.LineBytes)
+	}
+	if c.LineBytes < minLineBytes {
+		return fmt.Errorf("cache %s: LineBytes must be at least %d (a way word keeps its 3 state bits below the line number), got %d", c.Name, minLineBytes, c.LineBytes)
 	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: MSHRs must be positive, got %d", c.Name, c.MSHRs)
@@ -65,37 +93,60 @@ type Stats struct {
 	PrefetchUnused uint64 // prefetched lines evicted untouched
 }
 
-// Delta returns s - prev, counter-wise.
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Accesses:       s.Accesses - prev.Accesses,
-		Hits:           s.Hits - prev.Hits,
-		Misses:         s.Misses - prev.Misses,
-		Evictions:      s.Evictions - prev.Evictions,
-		Writebacks:     s.Writebacks - prev.Writebacks,
-		PrefetchFills:  s.PrefetchFills - prev.PrefetchFills,
-		PrefetchUseful: s.PrefetchUseful - prev.PrefetchUseful,
-		PrefetchLate:   s.PrefetchLate - prev.PrefetchLate,
-		PrefetchUnused: s.PrefetchUnused - prev.PrefetchUnused,
-	}
-}
-
-// line is one way of a set, packed into 16 bytes so a set walk streams
-// through 2–4 host cache lines instead of 6: the tag word plus a meta
-// word holding the LRU timestamp in the high bits and the state flags
-// in the low three. The timestamp never overflows its 61 bits (that
-// would take ~2e18 cache touches).
-type line struct {
-	tag  uint64
-	meta uint64 // lastUse<<lineUseShift | flag bits
-}
-
+// The way word and the rank word (see the package doc).
 const (
 	lineValid      = 1 << 0
 	lineDirty      = 1 << 1
 	linePrefetched = 1 << 2
-	lineUseShift   = 3
+	lineFlagBits   = 3
+	lineState      = lineDirty | linePrefetched // the bits a tag match ignores
+
+	maxWays      = 16
+	minLineBytes = 1 << lineFlagBits
+
+	nibbleOnes = 0x1111111111111111 // 1 in every nibble
+	lowNibbles = 0x0F0F0F0F0F0F0F0F // the even nibbles, one per byte lane
+	byteOnes   = 0x0101010101010101
+	byteTops   = 0x8080808080808080
 )
+
+// identityRanks is the rank word of a set no way of which has been
+// touched: way i ranked i, the nibbles past the last way parked at 15.
+func identityRanks(ways int) uint64 {
+	r := ^uint64(0)
+	for i := 0; i < ways; i++ {
+		r = r&^(15<<(4*i)) | uint64(i)<<(4*i)
+	}
+	return r
+}
+
+// touch moves way to the front of the rank word: the way gets rank 0
+// and every nibble below its old rank r gains one. A parked nibble (15)
+// is never below r, so it stays put. The nibbles are compared in two
+// halves, even and odd, each spread one per byte lane, so that a lane
+// computes (x | 0x80) - r without borrowing from its neighbour; the
+// lane's top bit is then clear exactly when x < r.
+func touch(ranks uint64, way int) uint64 {
+	sh := uint(way) * 4
+	r := ranks >> sh & 15
+	if r == 0 {
+		return ranks
+	}
+	rs := r * byteOnes
+	even, odd := ranks&lowNibbles, ranks>>4&lowNibbles
+	even += (^((even | byteTops) - rs) & byteTops) >> 7
+	odd += (^((odd | byteTops) - rs) & byteTops) >> 7
+	return (even | odd<<4) &^ (15 << sh)
+}
+
+// lastWay returns the way ranked last. last holds ways-1 in every
+// nibble, so XOR leaves exactly one zero nibble among the live ones
+// (parked nibbles are 15, and ways-1 = 15 only when there are none);
+// the borrow of x-1 marks the lowest zero nibble exactly.
+func lastWay(ranks, last uint64) int {
+	x := ranks ^ last
+	return bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3)) >> 2
+}
 
 // Victim describes a line displaced by a Fill.
 type Victim struct {
@@ -119,11 +170,12 @@ type mshr struct {
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg       Config
-	lines     []line // sets*ways, row-major by set
+	words     []uint64 // sets*(ways+1), row-major by set: rank word, then ways
 	setMask   uint64
 	ways      int // copy of cfg.Ways, hot in setFor
 	lineShift uint
-	stamp     uint64
+	lastRank  uint64 // ways-1 in every nibble, lastWay's key
+	stamp     uint64 // advances with every Fill and demand hit; dates the way memo
 	stats     Stats
 
 	// Way memo from the most recent Lookup: the matched way on a hit,
@@ -143,38 +195,50 @@ type Cache struct {
 	inflight []mshr
 }
 
-// lineArrays recycles line arrays between caches of the same geometry:
-// a sync.Pool of *[]line per array length. A simulation's arrays are
-// its only large allocation (1.8 MB for one core, 2.7 MB for four) and
-// short sweep cells build hundreds of systems a second, so without
-// reuse the collector runs every simulation or two (ARCHITECTURE.md,
-// "Cache-array recycling"). The collector still trims arrays no one
-// has taken for two cycles, so an odd geometry does not stay resident.
-var lineArrays sync.Map // int -> *sync.Pool
+// wordArrays recycles set arrays between caches: a sync.Pool of
+// *[]uint64 per array length. A simulation's arrays are its only large
+// allocation (0.98 MB for one core, 1.42 MB for four) and short sweep
+// cells build hundreds of systems a second, so without reuse the
+// collector runs every simulation or two (ARCHITECTURE.md, "Cache-array
+// recycling"). The collector still trims arrays no one has taken for
+// two cycles, so an odd geometry does not stay resident.
+var wordArrays sync.Map // int -> *sync.Pool
 
-// takeLines returns a zeroed line array of length n.
-func takeLines(n int) []line {
-	if p, ok := lineArrays.Load(n); ok {
-		if a, ok := p.(*sync.Pool).Get().(*[]line); ok {
-			clear(*a)
-			return *a
+// takeWords returns the set array of a sets×ways cache: every way
+// invalid and every rank word the identity permutation. A recycled
+// array needs both steps, since a cleared rank word is no permutation,
+// and the array may come from another way count of the same length.
+func takeWords(sets, ways int) []uint64 {
+	n := sets * (ways + 1)
+	var a []uint64
+	if p, ok := wordArrays.Load(n); ok {
+		if pa, ok := p.(*sync.Pool).Get().(*[]uint64); ok {
+			a = *pa
+			clear(a)
 		}
 	}
-	return make([]line, n)
+	if a == nil {
+		a = make([]uint64, n)
+	}
+	ranks := identityRanks(ways)
+	for i := 0; i < n; i += ways + 1 {
+		a[i] = ranks
+	}
+	return a
 }
 
-// Release returns the cache's line array for reuse by a later New of
-// the same geometry. The cache must not be used afterwards except for
-// Stats and Config: any lookup or fill panics on the nil array instead
-// of corrupting whichever cache took the array over. Releasing twice
-// is harmless.
+// Release returns the cache's set array for reuse by a later New of
+// the same array length. The cache must not be used afterwards except
+// for Stats and Config: any lookup or fill panics on the nil array
+// instead of corrupting whichever cache took the array over. Releasing
+// twice is harmless.
 func (c *Cache) Release() {
-	if c.lines == nil {
+	if c.words == nil {
 		return
 	}
-	a := c.lines
-	c.lines = nil
-	p, _ := lineArrays.LoadOrStore(len(a), new(sync.Pool))
+	a := c.words
+	c.words = nil
+	p, _ := wordArrays.LoadOrStore(len(a), new(sync.Pool))
 	p.(*sync.Pool).Put(&a)
 }
 
@@ -190,10 +254,11 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:       cfg,
-		lines:     takeLines(cfg.Sets * cfg.Ways),
+		words:     takeWords(cfg.Sets, cfg.Ways),
 		setMask:   uint64(cfg.Sets - 1),
 		ways:      cfg.Ways,
 		lineShift: shift,
+		lastRank:  uint64(cfg.Ways-1) * nibbleOnes,
 		memoWay:   -1,
 		// One slot of slack: a fill whose completion precedes every
 		// tracked entry is still recorded at capacity (see pruneInflight),
@@ -213,15 +278,17 @@ func (c *Cache) Stats() Stats { return c.stats }
 // the timed region starts from warm arrays but counts from zero.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// LineAddr aligns addr down to its cache line.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift << c.lineShift }
-
-// setFor returns the ways of addr's set. lineNo is addr >> lineShift;
-// it doubles as the tag, so callers compute the shift once.
-func (c *Cache) setFor(lineNo uint64) []line {
-	base := int(lineNo&c.setMask) * c.ways
-	return c.lines[base : base+c.ways]
+// setFor returns the rank word and the ways of lineNo's set. lineNo is
+// addr >> lineShift; it doubles as the tag, so callers compute the
+// shift once.
+func (c *Cache) setFor(lineNo uint64) (ranks *uint64, ways []uint64) {
+	base := int(lineNo&c.setMask) * (c.ways + 1)
+	return &c.words[base], c.words[base+1 : base+1+c.ways]
 }
+
+// tagKey is lineNo's way word with valid set and neither state bit: a
+// way holds lineNo iff its word with lineState masked off equals it.
+func tagKey(lineNo uint64) uint64 { return lineNo<<lineFlagBits | lineValid }
 
 // memoFor reports whether the way memo applies to lineNo right now.
 func (c *Cache) memoFor(lineNo uint64) bool {
@@ -246,62 +313,54 @@ type LookupResult struct {
 // entries are retired either way).
 func (c *Cache) Lookup(addr uint64, now uint64, demand bool) LookupResult {
 	lineNo := addr >> c.lineShift
-	set := c.setFor(lineNo)
-	// Victim selection is fused into the tag walk so a miss costs one
-	// pass over the set instead of two: track the first invalid way and
-	// the LRU valid way as we search. The choice is identical to a
-	// separate victimWay scan (first invalid, else lowest lastUse with
-	// lowest index breaking ties).
-	invalid, lru := -1, -1
-	var minUse uint64
-	for i := range set {
-		m := set[i].meta
-		if m&lineValid == 0 {
-			if invalid < 0 {
-				invalid = i
-			}
+	ranks, set := c.setFor(lineNo)
+	key := tagKey(lineNo)
+	// The walk also resolves the victim a miss would fill: the first
+	// invalid way ends it, and a full set asks the rank word.
+	victim := -1
+	for i, w := range set {
+		if w&lineValid == 0 {
+			victim = i
+			break
+		}
+		if w&^lineState != key {
 			continue
 		}
-		if set[i].tag == lineNo {
-			var res LookupResult
-			res.Hit = true
-			if demand {
-				c.stamp++
-				c.stats.Accesses++
-				c.stats.Hits++
-				if m&linePrefetched != 0 {
-					res.WasPrefetched = true
-					c.stats.PrefetchUseful++
-				}
-				// Refresh LRU; a demand touch clears the prefetched bit.
-				set[i].meta = c.stamp<<lineUseShift | lineValid | (m & lineDirty)
+		var res LookupResult
+		res.Hit = true
+		if demand {
+			c.stamp++
+			c.stats.Accesses++
+			c.stats.Hits++
+			if w&linePrefetched != 0 {
+				// A demand touch clears the prefetched bit.
+				res.WasPrefetched = true
+				c.stats.PrefetchUseful++
+				set[i] = w &^ linePrefetched
 			}
-			if len(c.inflight) != 0 {
-				if j := c.findInflight(lineNo << c.lineShift); j >= 0 {
-					if ready := c.inflight[j].ready; ready > now {
-						res.ReadyAt = ready
-						if demand && res.WasPrefetched {
-							c.stats.PrefetchLate++
-						}
-					} else {
-						c.removeInflightAt(j)
+			*ranks = touch(*ranks, i)
+		}
+		if len(c.inflight) != 0 {
+			if j := c.findInflight(lineNo << c.lineShift); j >= 0 {
+				if ready := c.inflight[j].ready; ready > now {
+					res.ReadyAt = ready
+					if demand && res.WasPrefetched {
+						c.stats.PrefetchLate++
 					}
+				} else {
+					c.removeInflightAt(j)
 				}
 			}
-			c.memoLine, c.memoStamp, c.memoWay, c.memoHit = lineNo, c.stamp, int32(i), true
-			return res
 		}
-		if use := m >> lineUseShift; lru < 0 || use < minUse {
-			lru, minUse = i, use
-		}
+		c.memoLine, c.memoStamp, c.memoWay, c.memoHit = lineNo, c.stamp, int32(i), true
+		return res
 	}
 	if demand {
 		c.stats.Accesses++
 		c.stats.Misses++
 	}
-	victim := invalid
 	if victim < 0 {
-		victim = lru
+		victim = lastWay(*ranks, c.lastRank)
 	}
 	c.memoLine, c.memoStamp, c.memoWay, c.memoHit = lineNo, c.stamp, int32(victim), false
 	return LookupResult{}
@@ -310,9 +369,13 @@ func (c *Cache) Lookup(addr uint64, now uint64, demand bool) LookupResult {
 // Contains reports whether addr's line is present (no side effects).
 func (c *Cache) Contains(addr uint64) bool {
 	lineNo := addr >> c.lineShift
-	set := c.setFor(lineNo)
-	for i := range set {
-		if set[i].meta&lineValid != 0 && set[i].tag == lineNo {
+	_, set := c.setFor(lineNo)
+	key := tagKey(lineNo)
+	for _, w := range set {
+		if w&lineValid == 0 {
+			return false
+		}
+		if w&^lineState == key {
 			return true
 		}
 	}
@@ -327,80 +390,69 @@ func (c *Cache) Contains(addr uint64) bool {
 // and victim selection share one walk of the set.
 func (c *Cache) Fill(addr uint64, readyAt uint64, prefetched, dirty bool) Victim {
 	lineNo := addr >> c.lineShift
-	set := c.setFor(lineNo)
+	ranks, set := c.setFor(lineNo)
 	c.stamp++
+	var d uint64
+	if dirty {
+		d = lineDirty
+	}
 	if c.memoStamp == c.stamp-1 && c.memoLine == lineNo && c.memoWay >= 0 {
+		way := int(c.memoWay)
 		if c.memoHit {
 			// Already present (e.g. racing prefetch and demand): refresh.
-			m := set[c.memoWay].meta
-			nm := c.stamp<<lineUseShift | (m & (lineValid | lineDirty | linePrefetched))
-			if dirty {
-				nm |= lineDirty
-			}
-			set[c.memoWay].meta = nm
+			set[way] |= d
+			*ranks = touch(*ranks, way)
 			return Victim{}
 		}
-		return c.fillAt(set, int(c.memoWay), lineNo, readyAt, prefetched, dirty)
+		return c.fillAt(ranks, set, way, lineNo, readyAt, prefetched, dirty)
 	}
 
-	firstInvalid, lru := -1, -1
-	var minUse uint64
-	for i := range set {
-		m := set[i].meta
-		if m&lineValid == 0 {
-			if firstInvalid < 0 {
-				firstInvalid = i
-			}
-			continue
+	key := tagKey(lineNo)
+	victim := -1
+	for i, w := range set {
+		if w&lineValid == 0 {
+			victim = i
+			break
 		}
-		if set[i].tag == lineNo {
+		if w&^lineState == key {
 			// Already present: refresh.
-			nm := c.stamp<<lineUseShift | (m & (lineValid | lineDirty | linePrefetched))
-			if dirty {
-				nm |= lineDirty
-			}
-			set[i].meta = nm
+			set[i] = w | d
+			*ranks = touch(*ranks, i)
 			return Victim{}
 		}
-		if use := m >> lineUseShift; lru < 0 || use < minUse {
-			lru, minUse = i, use
-		}
 	}
-	victimIdx := firstInvalid
-	if victimIdx < 0 {
-		victimIdx = lru
+	if victim < 0 {
+		victim = lastWay(*ranks, c.lastRank)
 	}
-	return c.fillAt(set, victimIdx, lineNo, readyAt, prefetched, dirty)
+	return c.fillAt(ranks, set, victim, lineNo, readyAt, prefetched, dirty)
 }
 
-// fillAt installs lineNo at victimIdx (accounting any eviction) and
-// tracks the fill in flight. The caller has already bumped the stamp
-// and established that lineNo is absent from the set.
-func (c *Cache) fillAt(set []line, victimIdx int, lineNo, readyAt uint64, prefetched, dirty bool) Victim {
+// fillAt installs lineNo at way (accounting any eviction), moves it to
+// the front, and tracks the fill in flight. The caller has already
+// bumped the stamp and established that lineNo is absent from the set.
+func (c *Cache) fillAt(ranks *uint64, set []uint64, way int, lineNo, readyAt uint64, prefetched, dirty bool) Victim {
 	var v Victim
-	old := &set[victimIdx]
-	if om := old.meta; om&lineValid != 0 {
-		v = Victim{Addr: old.tag << c.lineShift, Dirty: om&lineDirty != 0, Valid: true, Prefetched: om&linePrefetched != 0}
+	if old := set[way]; old&lineValid != 0 {
+		v = Victim{Addr: old >> lineFlagBits << c.lineShift, Dirty: old&lineDirty != 0, Valid: true, Prefetched: old&linePrefetched != 0}
 		c.stats.Evictions++
-		if om&lineDirty != 0 {
+		if v.Dirty {
 			c.stats.Writebacks++
 		}
-		if om&linePrefetched != 0 {
+		if v.Prefetched {
 			c.stats.PrefetchUnused++
 		}
 		c.dropInflight(v.Addr)
 	}
-	nm := c.stamp<<lineUseShift | lineValid
+	w := tagKey(lineNo)
 	if dirty {
-		nm |= lineDirty
+		w |= lineDirty
 	}
 	if prefetched {
-		nm |= linePrefetched
-	}
-	*old = line{tag: lineNo, meta: nm}
-	if prefetched {
+		w |= linePrefetched
 		c.stats.PrefetchFills++
 	}
+	set[way] = w
+	*ranks = touch(*ranks, way)
 	if readyAt > 0 {
 		c.pruneInflight(readyAt)
 		c.inflight = append(c.inflight, mshr{addr: lineNo << c.lineShift, ready: readyAt})
@@ -412,16 +464,20 @@ func (c *Cache) fillAt(set []line, victimIdx int, lineNo, readyAt uint64, prefet
 // A valid hit memo from a preceding Lookup resolves the way directly.
 func (c *Cache) MarkDirty(addr uint64) {
 	lineNo := addr >> c.lineShift
-	set := c.setFor(lineNo)
+	_, set := c.setFor(lineNo)
 	if c.memoFor(lineNo) {
 		if c.memoHit {
-			set[c.memoWay].meta |= lineDirty
+			set[c.memoWay] |= lineDirty
 		}
 		return
 	}
-	for i := range set {
-		if set[i].meta&lineValid != 0 && set[i].tag == lineNo {
-			set[i].meta |= lineDirty
+	key := tagKey(lineNo)
+	for i, w := range set {
+		if w&lineValid == 0 {
+			return
+		}
+		if w&^lineState == key {
+			set[i] = w | lineDirty
 			return
 		}
 	}
@@ -454,19 +510,6 @@ func (c *Cache) dropInflight(la uint64) {
 	}
 }
 
-// InflightCount returns the number of tracked outstanding fills (after
-// pruning entries that have completed by now).
-func (c *Cache) InflightCount(now uint64) int {
-	c.pruneInflight(now)
-	return len(c.inflight)
-}
-
-// MSHRFull reports whether a new distinct miss can be tracked at cycle
-// now.
-func (c *Cache) MSHRFull(now uint64) bool {
-	return c.InflightCount(now) >= c.cfg.MSHRs
-}
-
 // pruneInflight drops inflight entries that completed at or before now,
 // but only once the tracker is at capacity — matching the lazy pruning
 // the timing model was validated with.
@@ -481,22 +524,4 @@ func (c *Cache) pruneInflight(now uint64) {
 			i++
 		}
 	}
-}
-
-// Invalidate drops addr's line if present, returning whether it was
-// dirty (caller may need to write it back). Invalidation advances the
-// LRU stamp so a stale way memo cannot resolve against the changed set.
-func (c *Cache) Invalidate(addr uint64) (wasDirty, wasValid bool) {
-	lineNo := addr >> c.lineShift
-	set := c.setFor(lineNo)
-	for i := range set {
-		if set[i].meta&lineValid != 0 && set[i].tag == lineNo {
-			c.stamp++
-			wasDirty = set[i].meta&lineDirty != 0
-			set[i] = line{}
-			c.dropInflight(lineNo << c.lineShift)
-			return wasDirty, true
-		}
-	}
-	return false, false
 }

@@ -20,13 +20,23 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "sets0", Sets: 0, Ways: 1, LineBytes: 64, MSHRs: 1},
 		{Name: "setsNP2", Sets: 3, Ways: 1, LineBytes: 64, MSHRs: 1},
 		{Name: "ways0", Sets: 2, Ways: 0, LineBytes: 64, MSHRs: 1},
+		{Name: "ways17", Sets: 2, Ways: 17, LineBytes: 64, MSHRs: 1},
 		{Name: "line0", Sets: 2, Ways: 1, LineBytes: 0, MSHRs: 1},
 		{Name: "lineNP2", Sets: 2, Ways: 1, LineBytes: 48, MSHRs: 1},
+		{Name: "line4", Sets: 2, Ways: 1, LineBytes: 4, MSHRs: 1},
 		{Name: "mshr0", Sets: 2, Ways: 1, LineBytes: 64, MSHRs: 0},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q validated but should not", c.Name)
+		}
+	}
+	for _, c := range []Config{
+		{Name: "ways16", Sets: 2, Ways: 16, LineBytes: 64, MSHRs: 1},
+		{Name: "line8", Sets: 2, Ways: 1, LineBytes: 8, MSHRs: 1},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %q: %v", c.Name, err)
 		}
 	}
 }
@@ -167,21 +177,6 @@ func TestProbeLookupIsSideEffectFree(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(testCfg(16, 2))
-	c.Fill(0x1000, 0, false, true)
-	dirty, valid := c.Invalidate(0x1000)
-	if !dirty || !valid {
-		t.Errorf("Invalidate = (%v, %v), want dirty valid", dirty, valid)
-	}
-	if c.Contains(0x1000) {
-		t.Error("line present after Invalidate")
-	}
-	if _, valid := c.Invalidate(0x9999000); valid {
-		t.Error("Invalidate of absent line reported valid")
-	}
-}
-
 func TestFillExistingRefreshes(t *testing.T) {
 	c := New(testCfg(1, 2))
 	c.Fill(0x0, 0, false, false)
@@ -194,15 +189,6 @@ func TestFillExistingRefreshes(t *testing.T) {
 	v := c.Fill(0x80, 0, false, false)
 	if v.Addr != 0x40 {
 		t.Errorf("evicted %#x, want 0x40", v.Addr)
-	}
-}
-
-func TestStatsDelta(t *testing.T) {
-	a := Stats{Accesses: 10, Hits: 6, Misses: 4}
-	b := Stats{Accesses: 25, Hits: 15, Misses: 10}
-	d := b.Delta(a)
-	if d.Accesses != 15 || d.Hits != 9 || d.Misses != 6 {
-		t.Errorf("Delta = %+v", d)
 	}
 }
 
@@ -229,8 +215,9 @@ func TestQuickAgainstReferenceModel(t *testing.T) {
 					return false
 				}
 			default:
-				c.Invalidate(addr)
-				delete(resident, addr)
+				if c.Contains(addr) != resident[addr] {
+					return false
+				}
 			}
 			if len(resident) > cfg.Sets*cfg.Ways {
 				return false
@@ -264,47 +251,105 @@ func TestQuickStatsConsistent(t *testing.T) {
 	}
 }
 
-// A released line array comes back to the next cache of the same
-// geometry, cleared; the cache that gave it up panics when used instead
-// of writing into its successor; stats outlive the release.
-func TestReleaseRecyclesLineArray(t *testing.T) {
-	cfg := testCfg(32, 3) // a geometry no other test in the package uses
-	reused := false
-	for round := 0; round < 100 && !reused; round++ {
-		old := New(cfg)
-		for a := uint64(0); a < 32*3*64; a += 64 {
-			old.Lookup(a, 0, true)
-			old.Fill(a, 0, false, true)
+// The rank word against a recency list: after every touch, nibble i is
+// way i's position in the list (parked nibbles stay 15), and lastWay
+// names the list's tail.
+func TestRankWordIsRecencyOrder(t *testing.T) {
+	if got := identityRanks(3); got != 0xFFFFFFFFFFFFF210 {
+		t.Errorf("identityRanks(3) = %#x", got)
+	}
+	if got := identityRanks(16); got != 0xFEDCBA9876543210 {
+		t.Errorf("identityRanks(16) = %#x", got)
+	}
+	r := xrand.New(7)
+	for ways := 1; ways <= maxWays; ways++ {
+		ranks, last := identityRanks(ways), uint64(ways-1)*nibbleOnes
+		order := make([]int, ways) // MRU first
+		for i := range order {
+			order[i] = i
 		}
-		array := &old.lines[0]
-		old.Release()
-		old.Release() // harmless
-		if st := old.Stats(); st.Misses != 32*3 {
-			t.Fatalf("stats after Release: %+v, want %d misses", st, 32*3)
-		}
-
-		next := New(cfg)
-		reused = &next.lines[0] == array
-		for i, l := range next.lines {
-			if l != (line{}) {
-				t.Fatalf("round %d: line %d of a new cache is %+v, want zero (reused=%v)", round, i, l, reused)
+		for step := 0; step < 500; step++ {
+			way := r.Intn(ways)
+			ranks = touch(ranks, way)
+			for i, w := range order {
+				if w == way {
+					copy(order[1:i+1], order[:i])
+					order[0] = way
+					break
+				}
+			}
+			for i := 0; i < 16; i++ {
+				want := uint64(15)
+				if i < ways {
+					for pos, w := range order {
+						if w == i {
+							want = uint64(pos)
+						}
+					}
+				}
+				if got := ranks >> (4 * i) & 15; got != want {
+					t.Fatalf("%d ways, step %d (touched %d): way %d ranked %d, want %d (ranks %#x)", ways, step, way, i, got, want, ranks)
+				}
+			}
+			if got := lastWay(ranks, last); got != order[ways-1] {
+				t.Fatalf("%d ways, step %d: lastWay = %d, want %d (ranks %#x)", ways, step, got, order[ways-1], ranks)
 			}
 		}
-		if reused {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("Lookup on a released cache did not panic")
-					}
-				}()
-				old.Lookup(0, 0, true)
-			}()
-		}
-		// next is dropped, not released: the pool holds at most one array.
 	}
-	// sync.Pool may drop an array (it does so at random under -race, and
-	// at a collection), but not a hundred times running.
-	if !reused {
-		t.Error("no line array was reused in 100 New/Release rounds")
+}
+
+// A released array comes back to the next cache of the same array
+// length indistinguishable from a new one — every way word zero, every
+// rank word the identity permutation — whether or not that cache has
+// the same way count; the cache that gave it up panics when used
+// instead of writing into its successor; stats outlive the release.
+func TestReleaseRecyclesLineArray(t *testing.T) {
+	// Geometries no other test in the package uses, whose arrays have
+	// one length (32×(3+1) = 16×(7+1) words).
+	from := testCfg(32, 3)
+	for _, to := range []Config{from, testCfg(16, 7)} {
+		reused := false
+		for round := 0; round < 100 && !reused; round++ {
+			old := New(from)
+			for a := uint64(0); a < 32*3*64; a += 64 {
+				old.Lookup(a, 0, true)
+				old.Fill(a, 0, false, true)
+			}
+			array := &old.words[0]
+			old.Release()
+			old.Release() // harmless
+			if st := old.Stats(); st.Misses != 32*3 {
+				t.Fatalf("stats after Release: %+v, want %d misses", st, 32*3)
+			}
+
+			next := New(to)
+			reused = &next.words[0] == array
+			identity := identityRanks(to.Ways)
+			for i, w := range next.words {
+				want := uint64(0)
+				if i%(to.Ways+1) == 0 {
+					want = identity
+				}
+				if w != want {
+					t.Fatalf("%d×%d round %d: word %d of a new cache is %#x, want %#x (reused=%v)", to.Sets, to.Ways, round, i, w, want, reused)
+				}
+			}
+			if reused {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("Lookup on a released cache did not panic")
+						}
+					}()
+					old.Lookup(0, 0, true)
+				}()
+			}
+			// next is dropped, not released: the pool holds at most one array.
+		}
+		// sync.Pool may drop an array (it does so at random under -race, and
+		// at a collection), but not a hundred times running.
+		if !reused {
+			t.Errorf("no %d×%d array was reused by a %d×%d cache in 100 New/Release rounds", from.Sets, from.Ways, to.Sets, to.Ways)
+		}
 	}
 }

@@ -16,16 +16,16 @@ func TestMSHRFullAtExactlyConfigured(t *testing.T) {
 	for i := 0; i < mshrs; i++ {
 		c.Fill(uint64(i)*64, 1000+uint64(i), false, false)
 		wantFull := i == mshrs-1
-		if got := c.MSHRFull(0); got != wantFull {
-			t.Fatalf("after %d fills: MSHRFull = %v, want %v", i+1, got, wantFull)
+		if got := c.mshrFull(0); got != wantFull {
+			t.Fatalf("after %d fills: mshrFull = %v, want %v", i+1, got, wantFull)
 		}
 	}
-	if got := c.InflightCount(0); got != mshrs {
-		t.Fatalf("InflightCount = %d, want %d", got, mshrs)
+	if got := c.inflightCount(0); got != mshrs {
+		t.Fatalf("inflightCount = %d, want %d", got, mshrs)
 	}
 	// Once the earliest fill lands, the tracker frees a slot.
-	if c.MSHRFull(1000) {
-		t.Error("MSHRFull after the first fill completed")
+	if c.mshrFull(1000) {
+		t.Error("mshrFull after the first fill completed")
 	}
 }
 
@@ -35,16 +35,16 @@ func TestMSHRInflightEntryEvictedByFill(t *testing.T) {
 	cfg := Config{Name: "tiny", Sets: 1, Ways: 1, LineBytes: 64, HitLatency: 4, MSHRs: 8}
 	c := New(cfg)
 	c.Fill(0x000, 500, false, false) // line A, in flight until 500
-	if got := c.InflightCount(0); got != 1 {
-		t.Fatalf("InflightCount = %d, want 1", got)
+	if got := c.inflightCount(0); got != 1 {
+		t.Fatalf("inflightCount = %d, want 1", got)
 	}
 	v := c.Fill(0x040, 600, false, false) // line B evicts A
 	if !v.Valid || v.Addr != 0x000 {
 		t.Fatalf("victim = %+v, want line A", v)
 	}
 	// Only B's entry remains; A's tracked fill went with the eviction.
-	if got := c.InflightCount(0); got != 1 {
-		t.Errorf("InflightCount = %d after eviction, want 1 (B only)", got)
+	if got := c.inflightCount(0); got != 1 {
+		t.Errorf("inflightCount = %d after eviction, want 1 (B only)", got)
 	}
 	if r := c.Lookup(0x040, 100, true); r.ReadyAt != 600 {
 		t.Errorf("B ReadyAt = %d, want 600", r.ReadyAt)
@@ -56,27 +56,6 @@ func TestMSHRInflightEntryEvictedByFill(t *testing.T) {
 	}
 }
 
-func TestMSHRInvalidateInflightLine(t *testing.T) {
-	c := New(mshrCfg(4))
-	c.Fill(0x1000, 500, false, true)
-	if got := c.InflightCount(0); got != 1 {
-		t.Fatalf("InflightCount = %d, want 1", got)
-	}
-	dirty, valid := c.Invalidate(0x1000)
-	if !dirty || !valid {
-		t.Fatalf("Invalidate = (%v, %v), want dirty valid", dirty, valid)
-	}
-	if got := c.InflightCount(0); got != 0 {
-		t.Errorf("InflightCount = %d after Invalidate, want 0", got)
-	}
-	// A subsequent lookup of a refilled line must not inherit the old
-	// in-flight completion time.
-	c.Fill(0x1000, 0, false, false)
-	if r := c.Lookup(0x1000, 100, true); r.ReadyAt != 0 {
-		t.Errorf("ReadyAt = %d after invalidate+refill, want 0", r.ReadyAt)
-	}
-}
-
 func TestMSHRLookupClearsCompletedEntry(t *testing.T) {
 	c := New(mshrCfg(4))
 	c.Fill(0x2000, 50, false, false)
@@ -84,8 +63,8 @@ func TestMSHRLookupClearsCompletedEntry(t *testing.T) {
 	if r := c.Lookup(0x2000, 50, true); r.ReadyAt != 0 {
 		t.Errorf("ReadyAt = %d at completion cycle, want 0", r.ReadyAt)
 	}
-	if got := c.InflightCount(0); got != 0 {
-		t.Errorf("InflightCount = %d, want 0 after completed lookup", got)
+	if got := c.inflightCount(0); got != 0 {
+		t.Errorf("inflightCount = %d, want 0 after completed lookup", got)
 	}
 }
 
@@ -94,8 +73,8 @@ func TestMSHRZeroReadyFillNotTracked(t *testing.T) {
 	// readyAt == 0 means "instantly present" (e.g. a dirty writeback
 	// merge) and must not occupy a tracker slot.
 	c.Fill(0x3000, 0, false, false)
-	if got := c.InflightCount(0); got != 0 {
-		t.Errorf("InflightCount = %d, want 0", got)
+	if got := c.inflightCount(0); got != 0 {
+		t.Errorf("inflightCount = %d, want 0", got)
 	}
 }
 
@@ -109,11 +88,11 @@ func TestMSHRTrackerOverflowBeyondConfigured(t *testing.T) {
 	c.Fill(0x000, 1000, false, false)
 	c.Fill(0x040, 1000, false, false)
 	c.Fill(0x080, 900, false, false) // earlier than both tracked entries
-	if got := c.InflightCount(0); got != 3 {
-		t.Errorf("InflightCount = %d, want 3 (overflow preserved)", got)
+	if got := c.inflightCount(0); got != 3 {
+		t.Errorf("inflightCount = %d, want 3 (overflow preserved)", got)
 	}
 	// Pruning at a later cycle collapses it back under the cap.
-	if got := c.InflightCount(950); got != 2 {
-		t.Errorf("InflightCount(950) = %d, want 2", got)
+	if got := c.inflightCount(950); got != 2 {
+		t.Errorf("inflightCount(950) = %d, want 2", got)
 	}
 }

@@ -1,7 +1,7 @@
 package cache
 
-// refCache is the pre-optimization cache model, kept verbatim as the
-// reference for the differential tests in diff_test.go: LRU state in a
+// refCache is the pre-optimization cache model, kept as the reference
+// for the differential tests in diff_test.go: LRU by timestamp in a
 // flat line array walked once per operation, and the in-flight (MSHR)
 // tracker as a map from line address to completion cycle. It is
 // deliberately simple and obviously-correct; the optimized Cache must
@@ -168,13 +168,13 @@ func (c *refCache) MarkDirty(addr uint64) {
 	}
 }
 
-func (c *refCache) InflightCount(now uint64) int {
+func (c *refCache) inflightCount(now uint64) int {
 	c.pruneInflight(now)
 	return len(c.inflight)
 }
 
-func (c *refCache) MSHRFull(now uint64) bool {
-	return c.InflightCount(now) >= c.cfg.MSHRs
+func (c *refCache) mshrFull(now uint64) bool {
+	return c.inflightCount(now) >= c.cfg.MSHRs
 }
 
 func (c *refCache) pruneInflight(now uint64) {
@@ -186,19 +186,4 @@ func (c *refCache) pruneInflight(now uint64) {
 			delete(c.inflight, a)
 		}
 	}
-}
-
-func (c *refCache) Invalidate(addr uint64) (wasDirty, wasValid bool) {
-	la := c.LineAddr(addr)
-	tag := la >> c.lineShift
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			wasDirty = set[i].dirty
-			set[i] = refLine{}
-			delete(c.inflight, la)
-			return wasDirty, true
-		}
-	}
-	return false, false
 }
