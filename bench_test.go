@@ -35,8 +35,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // simulation speed at 1/2/4/8 simulated cores. The system is built and
 // warmed outside the timed loop and stepped with the chunked Advance
 // API, so steady-state allocs/op must be 0. The per-core workloads are
-// compute-bound, so instr/s here is the simulator's ceiling at each
-// core count, before shared-LLC and DRAM contention.
+// compute-bound generators, which each core reads through trace.Packed,
+// so instr/s here is the simulator's ceiling at each core count, before
+// shared-LLC and DRAM contention.
 func BenchmarkSimulatorThroughputCores(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
@@ -59,9 +60,10 @@ func BenchmarkSimulatorThroughputCores(b *testing.B) {
 				}
 				return t
 			}
-			// Warm: runs past cold-start growth of the pending-miss FIFOs
-			// and cache arrays. The infinite traces and max target mean
-			// no core ever freezes.
+			// Warm: runs past cold-start growth of the caches' in-flight
+			// lists and the trace adapters' buffers (the pending-miss
+			// FIFOs are sized at their bound). The infinite traces and
+			// max target mean no core ever freezes.
 			const never, chunk = ^uint64(0), 64
 			sys.Advance(never, 512)
 			start := total()

@@ -88,7 +88,7 @@ type Stats struct {
 	RunP50, RunP99 uint32
 	RunMax         uint32
 	// PackedBytesPerInstr is the packed slab's size over Instructions
-	// (an unpacked record is 16 bytes).
+	// (one record per instruction would be 8 bytes).
 	PackedBytesPerInstr float64
 }
 
@@ -113,8 +113,8 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	recent := map[uint64]uint64{} // line -> last access index
 	var misses uint64
 
-	lastByPC := map[uint32]uint64{}
-	strideByPC := map[uint32]int64{}
+	lastByPC := map[uint16]uint64{}
+	strideByPC := map[uint16]int64{}
 	strideHist := map[int64]uint64{}
 	var strideRepeats, strideSamples uint64
 
@@ -125,13 +125,14 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	}
 	var runs []uint32
 	var accessIdx uint64
-	for _, ins := range m.Replay().NextPacked(m.Len()) {
+	for _, rec := range m.Replay().NextPacked(m.Len()) {
+		ins := rec.Instr()
 		if ins.Kind == trace.Other {
-			runs = append(runs, uint32(ins.Run)+1)
+			runs = append(runs, uint32(rec.Run())+1)
 			continue
 		}
-		if ins.Run > 0 {
-			runs = append(runs, uint32(ins.Run))
+		if rec.Run() > 0 {
+			runs = append(runs, uint32(rec.Run()))
 		}
 		if ins.Kind == trace.Load {
 			st.Loads++
@@ -202,7 +203,7 @@ func (st Stats) Print(w *os.File) {
 		100*float64(mem)/float64(st.Instructions), st.Loads, st.Stores, st.Dependent)
 	fmt.Fprintf(w, "non-memory share:  %.1f%% in %d runs (length mean %.1f, p50 %d, p99 %d, max %d)\n",
 		100*float64(st.Instructions-mem)/float64(st.Instructions), st.Runs, st.RunMean, st.RunP50, st.RunP99, st.RunMax)
-	fmt.Fprintf(w, "packed slab:       %.2f bytes/instruction (%d unpacked)\n", st.PackedBytesPerInstr, unsafe.Sizeof(trace.Instr{}))
+	fmt.Fprintf(w, "packed slab:       %.2f bytes/instruction (%d unpacked)\n", st.PackedBytesPerInstr, unsafe.Sizeof(trace.Rec{}))
 	fmt.Fprintf(w, "footprint:         %.1f MB (%d distinct lines)\n", st.FootprintMB, st.DistinctLines)
 	fmt.Fprintf(w, "est. L2 MPKI:      %.1f (no prefetching)\n", st.EstMPKI)
 	fmt.Fprintf(w, "stride regularity: %.0f%%\n", st.StrideRegularity*100)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"testing"
+	"unsafe"
 
 	"micromama/internal/trace"
 )
@@ -60,7 +61,7 @@ func TestAnalyzeStopsAtN(t *testing.T) {
 
 // Run statistics are of the packed records: nine runs of 1..9 and a
 // tenth of 91, each after one of ten loads, 146 instructions in 10
-// records of 16 bytes (a load carries the run after it).
+// records (a load carries the run after it).
 func TestAnalyzeRuns(t *testing.T) {
 	var ins []trace.Instr
 	for _, run := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 91} {
@@ -76,7 +77,7 @@ func TestAnalyzeRuns(t *testing.T) {
 	if st.RunMean != 13.6 || st.RunP50 != 5 || st.RunP99 != 91 || st.RunMax != 91 {
 		t.Errorf("run mean/p50/p99/max = %v/%d/%d/%d, want 13.6/5/91/91", st.RunMean, st.RunP50, st.RunP99, st.RunMax)
 	}
-	if want := 10 * 16.0 / 146; st.PackedBytesPerInstr != want {
+	if want := 10 * float64(unsafe.Sizeof(trace.Rec{})) / 146; st.PackedBytesPerInstr != want {
 		t.Errorf("packed bytes per instruction = %v, want %v", st.PackedBytesPerInstr, want)
 	}
 }

@@ -22,21 +22,17 @@ type Core struct {
 	traceName string
 	base      uint64 // per-core address-space offset
 
-	// Instruction supply. The core consumes fixed-size batches of
-	// records instead of one virtual Next() per instruction: packedSrc
-	// (if the reader serves zero-copy, run-length packed views) or
-	// batchSrc/src refill batch, and the inner loop indexes it directly.
-	// A record stands for itself and then Run idle instructions; runLeft
-	// is how many of the current record's are still to retire.
-	// Exhaustion wraps the trace (Reset + refill), matching the paper's
-	// trace-restart methodology.
-	src       trace.Reader
-	packedSrc trace.PackedReader // src, when it serves direct slices
-	batchSrc  trace.BatchReader  // src, when it serves bulk copies
-	batch     []trace.Instr      // current window; persists across epochs
-	batchPos  int
-	runLeft   uint64
-	fillBuf   []trace.Instr // private refill buffer for non-packed readers
+	// Instruction supply. The core reads run-length packed records in
+	// fixed-size batches, one interface call per batch, and the inner
+	// loop indexes the batch in place: a slab's records directly, any
+	// other reader's through trace.Packed. A record stands for its head
+	// and then Run idle instructions; runLeft is how many of the current
+	// record's are still to retire. Exhaustion wraps the trace (Reset +
+	// refill), matching the paper's trace-restart methodology.
+	src      trace.PackedReader
+	batch    []trace.Rec // current window; persists across epochs
+	batchPos int
+	runLeft  uint64
 
 	cycle    uint64
 	subCycle int
@@ -49,7 +45,7 @@ type Core struct {
 	l2Engine prefetch.Prefetcher
 	feedback prefetch.Feedback // l2Engine's feedback hooks, if any
 
-	pending []pendingMiss // FIFO of outstanding demand misses
+	pending []pendingMiss // FIFO of outstanding demand misses, pending[pHead:]
 	pHead   int
 
 	// Front-end: the last instruction-fetch line, so the L1I is only
@@ -91,14 +87,14 @@ func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *
 		sys:           sys,
 		id:            id,
 		traceName:     tr.Name(),
-		src:           tr,
+		src:           trace.Packed(tr),
 		base:          uint64(id+1) << sys.cfg.AddrSpaceShift,
 		l1i:           cache.New(sys.cfg.L1I),
 		l1d:           cache.New(sys.cfg.L1D),
 		l2:            cache.New(sys.cfg.L2),
 		l1Engine:      l1Engine,
 		l2Engine:      engine,
-		pending:       make([]pendingMiss, 0, sys.cfg.MLP+1),
+		pending:       make([]pendingMiss, 0, pendingCompact+1+sys.cfg.MLP),
 		fetchLineMask: ^(sys.cfg.L1I.LineBytes - 1),
 		loadLineMask:  ^(sys.cfg.L1D.LineBytes - 1),
 		pfL1:          newPFRing(8),
@@ -109,14 +105,6 @@ func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *
 	if fb, ok := engine.(prefetch.Feedback); ok {
 		c.feedback = fb
 	}
-	if ps, ok := tr.(trace.PackedReader); ok {
-		c.packedSrc = ps
-	} else {
-		if br, ok := tr.(trace.BatchReader); ok {
-			c.batchSrc = br
-		}
-		c.fillBuf = make([]trace.Instr, coreBatch)
-	}
 	return c
 }
 
@@ -125,34 +113,20 @@ func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *
 // window stays cache-resident.
 const coreBatch = 256
 
+// pendingCompact is how far pHead may advance before pushMiss compacts
+// the FIFO. pushMiss leaves pHead ≤ pendingCompact and at most MLP
+// entries live, so it enters with at most pendingCompact+MLP entries
+// and appends one: a FIFO of capacity pendingCompact+1+MLP never grows.
+const pendingCompact = 64
+
 // refill replaces the exhausted batch window with the next one, wrapping
 // the trace like trace.Looping did (Reset and retry once). It returns
 // false only for an empty trace.
 func (c *Core) refill() bool {
 	for attempt := 0; attempt < 2; attempt++ {
-		if c.packedSrc != nil {
-			if blk := c.packedSrc.NextPacked(coreBatch); len(blk) > 0 {
-				c.batch, c.batchPos = blk, 0
-				return true
-			}
-		} else {
-			n := 0
-			if c.batchSrc != nil {
-				n = c.batchSrc.ReadBatch(c.fillBuf)
-			} else {
-				for n < len(c.fillBuf) {
-					ins, ok := c.src.Next()
-					if !ok {
-						break
-					}
-					c.fillBuf[n] = ins
-					n++
-				}
-			}
-			if n > 0 {
-				c.batch, c.batchPos = c.fillBuf[:n], 0
-				return true
-			}
+		if blk := c.src.NextPacked(coreBatch); len(blk) > 0 {
+			c.batch, c.batchPos = blk, 0
+			return true
 		}
 		c.src.Reset()
 	}
@@ -174,7 +148,7 @@ func (c *Core) advance(epochEnd, target uint64) {
 				return
 			}
 		}
-		ins := &c.batch[c.batchPos]
+		rec := c.batch[c.batchPos]
 		c.batchPos++
 		c.instr++
 		c.subCycle++
@@ -184,21 +158,21 @@ func (c *Core) advance(epochEnd, target uint64) {
 		}
 		// Fetch fast path inlined: the L1I is only consulted when fetch
 		// crosses a line boundary, which straight-line code rarely does.
-		pc := uint64(ins.PC)
+		pc := uint64(rec.PC())
 		if pc&c.fetchLineMask != c.lastFetchLine {
 			c.doFetch(pc)
 		}
-		switch ins.Kind {
+		switch rec.Kind() {
 		case trace.Load:
-			c.doLoad(pc, ins.Addr, ins.Flags)
+			c.doLoad(pc, rec.Addr(), rec.Flags())
 		case trace.Store:
-			c.doStore(pc, ins.Addr)
+			c.doStore(pc, rec.Addr())
 		}
 		if c.instr == target && c.frozenAt == 0 {
 			c.freeze()
 		}
-		if ins.Run != 0 {
-			c.runLeft = uint64(ins.Run)
+		if run := rec.Run(); run != 0 {
+			c.runLeft = uint64(run)
 			c.retireRun(epochEnd, target)
 		}
 	}
@@ -358,7 +332,7 @@ func (c *Core) pushMiss(done, line uint64) {
 		c.pHead++
 	}
 	// Compact the FIFO occasionally.
-	if c.pHead > 64 {
+	if c.pHead > pendingCompact {
 		c.pending = append(c.pending[:0], c.pending[c.pHead:]...)
 		c.pHead = 0
 	}
@@ -556,18 +530,18 @@ func (c *Core) warmupAdvance(n uint64) {
 				return // empty trace
 			}
 		}
-		ins := &c.batch[c.batchPos]
+		rec := c.batch[c.batchPos]
 		c.batchPos++
-		c.runLeft = uint64(ins.Run)
+		c.runLeft = uint64(rec.Run())
 		n--
-		if pc := uint64(ins.PC); pc&c.fetchLineMask != c.lastFetchLine {
+		if pc := uint64(rec.PC()); pc&c.fetchLineMask != c.lastFetchLine {
 			c.warmFetch(pc)
 		}
-		switch ins.Kind {
+		switch rec.Kind() {
 		case trace.Load:
-			c.warmAccess(ins.Addr|c.base, false)
+			c.warmAccess(rec.Addr()|c.base, false)
 		case trace.Store:
-			c.warmAccess(ins.Addr|c.base, true)
+			c.warmAccess(rec.Addr()|c.base, true)
 		}
 	}
 }

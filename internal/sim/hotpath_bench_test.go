@@ -8,9 +8,10 @@ import (
 )
 
 // Core hot-path microbenchmarks: steady-state per-instruction cost of
-// Core.advance (trace decode, front end, hierarchy walk, prefetch
-// issue) with the system constructed once outside the timed loop, so
-// allocs/op reflects the per-instruction path only and must be 0.
+// Core.advance (the generator packed on the fly by trace.Packed, front
+// end, hierarchy walk, prefetch issue) with the system constructed once
+// outside the timed loop, so allocs/op reflects the per-instruction path
+// only and must be 0.
 
 func benchSystem(b *testing.B, tr trace.Reader, ctrl Controller) *System {
 	b.Helper()
@@ -18,8 +19,8 @@ func benchSystem(b *testing.B, tr trace.Reader, ctrl Controller) *System {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm up: run past cold-start growth of the pending-miss FIFO and
-	// any lazily sized buffers.
+	// Warm up: run past cold-start growth of the caches' in-flight lists
+	// and the trace adapter's buffer, sized on first use.
 	advanceInstrs(sys, 20_000)
 	return sys
 }

@@ -15,10 +15,12 @@ import (
 
 // The run-length step of Core.advance and warmupAdvance is checked
 // against the loop it replaces: the same instruction stream is given to
-// one system a record per instruction (trace.Slice, Run == 0 throughout)
-// and to another run-length packed, both are stepped one epoch at a
-// time, and every core's (Instructions, Cycles) must agree after every
-// epoch, and the Result at the end.
+// one system a record per instruction (trace.Slice, no runs) and to
+// another run-length packed, both are stepped one epoch at a time, and
+// every core's (Instructions, Cycles) must agree after every epoch, and
+// the Result at the end. The packed side is a slab read in place, or a
+// stream packed on the fly by trace.Packed: a bare generator's, or the
+// tail past a capped slab.
 
 // packedOf is how a test case turns a stream into the packed reader.
 type packedOf func(core int, ins []trace.Instr) trace.Reader
@@ -28,13 +30,28 @@ func materialized(core int, ins []trace.Instr) trace.Reader {
 }
 
 // pooledCapped serves the stream from a pool whose per-trace cap is
-// recs records, so that all but a short prefix is tail-streamed.
+// recs records, so that all but a prefix is packed on the fly.
 func pooledCapped(recs int64) packedOf {
 	return func(core int, ins []trace.Instr) trace.Reader {
 		name := fmt.Sprintf("core%d", core)
-		pool := trace.NewPool(1<<20, recs*int64(unsafe.Sizeof(trace.Instr{})))
+		pool := trace.NewPool(1<<20, recs*int64(unsafe.Sizeof(trace.Rec{})))
 		return pool.Shared(name, func() trace.Reader { return trace.NewSlice(name, ins) })
 	}
+}
+
+// generator hides every surface of the stream but Next, Reset and Name,
+// as a synthetic generator or a trace file has them.
+type generator struct{ trace.Reader }
+
+// unbudgeted serves the stream from a pool with no budget: Shared
+// returns the generator itself, and the core packs it on the fly.
+func unbudgeted(core int, ins []trace.Instr) trace.Reader {
+	name := fmt.Sprintf("core%d", core)
+	r := trace.NewPool(0, 0).Shared(name, func() trace.Reader { return generator{trace.NewSlice(name, ins)} })
+	if _, ok := r.(generator); !ok {
+		panic(fmt.Sprintf("a pool with no budget returned a %T, not the generator", r))
+	}
+	return r
 }
 
 func strideController() sim.Controller {
@@ -92,7 +109,7 @@ func diffRun(t *testing.T, what string, cfg sim.Config, target, maxEpochs uint64
 // one packed record stands for, which the packer splits.
 func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 	ins := make([]trace.Instr, 0, n)
-	other := func(pc uint32, k int) {
+	other := func(pc uint16, k int) {
 		for ; k > 0; k-- {
 			ins = append(ins, trace.Instr{PC: pc})
 		}
@@ -100,13 +117,13 @@ func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 	for len(ins) < n {
 		switch r.Intn(8) {
 		case 0, 1:
-			load := trace.Instr{PC: uint32(0x2000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Load}
+			load := trace.Instr{PC: uint16(0x2000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Load}
 			if r.Intn(4) == 0 {
 				load.Flags = trace.DependsPrev
 			}
 			ins = append(ins, load)
 		case 2:
-			ins = append(ins, trace.Instr{PC: uint32(0x3000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Store})
+			ins = append(ins, trace.Instr{PC: uint16(0x3000 + r.Intn(16)*4), Addr: uint64(r.Intn(1 << 22)), Kind: trace.Store})
 		case 3:
 			other(0x1000, 1)
 		case 4, 5:
@@ -114,7 +131,7 @@ func runnyStream(r *xrand.RNG, n int) []trace.Instr {
 		case 6:
 			other(0x1000, 100+r.Intn(2000))
 		case 7:
-			other(uint32(0x8000+r.Intn(64)*64), 1+r.Intn(20)) // another fetch line
+			other(uint16(0x8000+r.Intn(64)*64), 1+r.Intn(20)) // another fetch line
 		}
 	}
 	ins = ins[:n]
@@ -203,7 +220,7 @@ func evictingStream(groups int) []trace.Instr {
 	var ins []trace.Instr
 	for g := 0; g < groups; g++ {
 		for k := 0; k < 9; k++ {
-			pc := uint32(0x2000 + (g+k)%9*0x1000)
+			pc := uint16(0x2000 + (g+k)%9*0x1000)
 			ins = append(ins, trace.Instr{PC: pc, Addr: uint64(g*9+k) * 64, Kind: trace.Load})
 		}
 		for i := 1 + g*37%200; i > 0; i-- {
@@ -267,5 +284,38 @@ func TestPackedStepCases(t *testing.T) {
 				t.Errorf("%s: core 0 froze at %d instructions, want %d", what, got, tc.target)
 			}
 		}
+	}
+}
+
+// The core's read path through trace.Packed: a pool with no budget hands
+// the core a bare generator, and a per-trace cap of one chunk (65 536
+// records; every instruction of the first chunk is a load, so the first
+// chunk fills it) leaves the rest of the trace to the capped tail. Both
+// must step exactly like the unpacked stream, through a trace wrap; the
+// capped one into its tail a second time, which rebuilds the generator
+// and skips the slab's prefix.
+func TestPackedAdapterMatchesUnpacked(t *testing.T) {
+	const chunk = 1 << 16
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := xrand.New(seed)
+		cfg := sim.DefaultConfig(1 + r.Intn(2))
+		cfg.CommitWidth = 1 + r.Intn(8)
+		cfg.Epoch = uint64(1 + r.Intn(256))
+		streams := make([][]trace.Instr, cfg.Cores)
+		for i := range streams {
+			streams[i] = runnyStream(&r, 200+r.Intn(5000))
+		}
+		what := fmt.Sprintf("seed %d, no budget (cores %d, width %d, epoch %d)", seed, cfg.Cores, cfg.CommitWidth, cfg.Epoch)
+		diffRun(t, what, cfg, 20_000, 1<<20, streams, unbudgeted)
+
+		dense := make([]trace.Instr, chunk, chunk+20_000)
+		for i := range dense {
+			dense[i] = trace.Instr{PC: 0x2000, Addr: uint64(i%4096) * 64, Kind: trace.Load}
+		}
+		streams = [][]trace.Instr{append(dense, runnyStream(&r, 20_000)...)}
+		cfg = sim.DefaultConfig(1)
+		cfg.Epoch = uint64(1 + r.Intn(256))
+		what = fmt.Sprintf("seed %d, cap of one chunk (epoch %d)", seed, cfg.Epoch)
+		diffRun(t, what, cfg, 2*uint64(len(streams[0]))+5_000, 1<<20, streams, pooledCapped(chunk))
 	}
 }

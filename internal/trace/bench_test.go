@@ -82,8 +82,8 @@ func BenchmarkTraceReplayPacked(b *testing.B) {
 			continue
 		}
 		for _, rec := range blk {
-			sink += rec.Addr
-			n += int(rec.Run) + 1
+			sink += rec.Addr()
+			n += int(rec.Run()) + 1
 		}
 	}
 	b.ReportMetric(float64(m.Footprint())/float64(m.Len()), "B/instr")

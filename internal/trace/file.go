@@ -20,10 +20,11 @@ import (
 //
 // The format is deliberately simple; cmd/tracegen materializes synthetic
 // traces into it and FileTrace plays them back. A reader checks every
-// record before handing it on (decodeRecord): a PC of 2^32 or more
-// (Instr.PC is 32 bits), a Kind other than Other, Load or Store, or a
-// Flags bit other than DependsPrev ends the trace there, and Err says
-// which record and why.
+// record before handing it on (decodeRecord): a PC of 2^16 or more
+// (Instr.PC is 16 bits), an address of 2^32 or more (a packed Rec holds
+// 32 bits), a Kind other than Other, Load or Store, or a Flags bit
+// other than DependsPrev ends the trace there, and Err says which
+// record and why.
 
 var magic = [4]byte{'M', 'M', 'T', '1'}
 
@@ -157,8 +158,9 @@ func (t *FileTrace) Next() (Instr, bool) {
 	return ins[0], t.ReadBatch(ins[:]) == 1
 }
 
-// ReadBatch implements BatchReader: it decodes up to len(dst) records
-// in one pass over the buffered file, stopping at the first it refuses.
+// ReadBatch decodes up to len(dst) records in one pass over the
+// buffered file, stopping at the first it refuses, and returns how many
+// it wrote; 0 means the trace is exhausted until Reset.
 func (t *FileTrace) ReadBatch(dst []Instr) int {
 	n := 0
 	var rec [recordBytes]byte
@@ -184,18 +186,21 @@ func (t *FileTrace) ReadBatch(dst []Instr) int {
 // decodeRecord checks one MMT1 record and decodes it.
 func decodeRecord(rec *[recordBytes]byte) (Instr, error) {
 	pc := binary.LittleEndian.Uint64(rec[0:8])
+	addr := binary.LittleEndian.Uint64(rec[8:16])
 	kind, flags := Kind(rec[16]), Flags(rec[17])
 	switch {
-	case pc > math.MaxUint32:
-		return Instr{}, fmt.Errorf("PC %#x does not fit in 32 bits", pc)
+	case pc > math.MaxUint16:
+		return Instr{}, fmt.Errorf("PC %#x does not fit in 16 bits", pc)
+	case addr > math.MaxUint32:
+		return Instr{}, fmt.Errorf("address %#x does not fit in 32 bits", addr)
 	case kind > Store:
 		return Instr{}, fmt.Errorf("unknown kind %d", kind)
 	case flags&^DependsPrev != 0:
 		return Instr{}, fmt.Errorf("unknown flags %#x", flags)
 	}
 	return Instr{
-		Addr:  binary.LittleEndian.Uint64(rec[8:16]),
-		PC:    uint32(pc),
+		Addr:  addr,
+		PC:    uint16(pc),
 		Kind:  kind,
 		Flags: flags,
 	}, nil

@@ -95,7 +95,9 @@ var refusedRecords = []struct {
 	name, want string
 	patch      func(rec []byte)
 }{
-	{"PC of 2^32 or more", "PC 0x100002000 does not fit in 32 bits", func(rec []byte) { rec[4] = 1 }},
+	{"PC of 2^32 or more", "PC 0x100002000 does not fit in 16 bits", func(rec []byte) { rec[4] = 1 }},
+	{"PC of 2^16", "PC 0x10000 does not fit in 16 bits", func(rec []byte) { binary.LittleEndian.PutUint64(rec[0:8], 0x10000) }},
+	{"address of 2^32", "address 0x100000000 does not fit in 32 bits", func(rec []byte) { binary.LittleEndian.PutUint64(rec[8:16], 1<<32) }},
 	{"kind 7", "unknown kind 7", func(rec []byte) { rec[16] = 7 }},
 	{"unknown flag bit", "unknown flags 0x3", func(rec []byte) { rec[17] = 3 }},
 }
@@ -152,7 +154,8 @@ func TestFileRefusesRecords(t *testing.T) {
 	}
 
 	edge := patchRecord(raw, 5, func(rec []byte) {
-		copy(rec[:4], []byte{0xff, 0xff, 0xff, 0xff}) // PC 2^32-1
+		binary.LittleEndian.PutUint64(rec[0:8], 0xffff)      // PC 2^16-1
+		binary.LittleEndian.PutUint64(rec[8:16], 0xffffffff) // address 2^32-1
 		rec[16], rec[17] = byte(Store), byte(DependsPrev)
 	})
 	path := filepath.Join(dir, "bad.mmt")
@@ -163,7 +166,7 @@ func TestFileRefusesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drain(m.Replay())[5]; got != (Instr{Addr: 64, PC: 0xffffffff, Kind: Store, Flags: DependsPrev}) {
+	if got := drain(m.Replay())[5]; got != (Instr{Addr: 0xffffffff, PC: 0xffff, Kind: Store, Flags: DependsPrev}) {
 		t.Errorf("record 5 loaded as %+v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 )
@@ -42,48 +43,19 @@ func TestMaterializeTruncates(t *testing.T) {
 	}
 }
 
-// ReadBatch and NextBlock must walk the same sequence as Next, in any
-// interleaving of batch sizes, and report exhaustion as 0/empty.
+// NextBlock must walk the same sequence as Next, in any block size,
+// and report exhaustion as an empty block.
 func TestReplayBatchForms(t *testing.T) {
 	g := NewStride("st", StrideConfig{Seed: 2, Strides: []uint64{128, 384}, MemRatio: 0.3, Length: 777})
 	want := drain(g)
-	m := NewMaterialized("st", want)
-
-	r := m.Replay()
-	var got []Instr
-	buf := make([]Instr, 64)
-	for {
-		n := r.ReadBatch(buf)
-		if n == 0 {
-			break
+	r := NewMaterialized("st", want).Replay()
+	for _, max := range []int{1, 7, 100, 1000} {
+		var got []Instr
+		for blk := r.NextBlock(max); len(blk) > 0; blk = r.NextBlock(max) {
+			got = append(got, blk...)
 		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ReadBatch total %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ReadBatch record %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	r.Reset()
-	got = got[:0]
-	for {
-		blk := r.NextBlock(100)
-		if len(blk) == 0 {
-			break
-		}
-		got = append(got, blk...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("NextBlock total %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("NextBlock record %d = %+v, want %+v", i, got[i], want[i])
-		}
+		equalInstrs(t, fmt.Sprintf("NextBlock(%d)", max), got, want)
+		r.Reset()
 	}
 }
 

@@ -21,14 +21,15 @@ import (
 // Replay is bit-identical to streaming generation by construction: the
 // slab holds exactly the instructions the generator emits, run-length
 // packed (see appendPacked), and a reader that runs past what the
-// budget allows degrades transparently to streaming from its own
-// generator instance positioned at the frontier.
+// budget allows degrades transparently to packing the tail on the fly
+// (Packed) from its own generator instance positioned at the frontier.
 //
 // Budgeting is in bytes actually held: TotalBudget bounds the bytes of
 // all slabs combined; PerTraceBudget bounds one entry. When a trace
-// would exceed its cap, the slab stops growing (readers stream the
-// tail); when the store is full, Shared hands out plain streaming
-// generators. Both fallbacks preserve the generated sequence exactly.
+// would exceed its cap, the slab stops growing (readers pack the tail
+// on the fly); when the store is full, Shared hands out plain streaming
+// generators, which the simulator packs the same way (Packed). Both
+// fallbacks preserve the generated sequence exactly.
 type Pool struct {
 	mu      sync.Mutex
 	total   int64
@@ -195,7 +196,7 @@ func (s *Pool) Preload(key string, m *Materialized) {
 		old.mu.Lock()
 		snap := old.snap.Load()
 		old.mu.Unlock()
-		s.used -= int64(len(snap.recs)) * instrFootprint
+		s.used -= int64(len(snap.recs)) * recBytes
 		s.instrs -= int64(snap.n)
 	}
 	s.entries[key] = e
@@ -209,8 +210,8 @@ func (s *Pool) Preload(key string, m *Materialized) {
 // readers never lock. Records below len(recs) never change; extension
 // only writes past them.
 type traceSnap struct {
-	recs []Instr // packed
-	n    int     // instructions recs stands for
+	recs []Rec
+	n    int // instructions recs stands for
 	// done: the generator ended; recs is the complete trace.
 	done bool
 	// capped: the budget stops further growth; readers needing more
@@ -247,7 +248,7 @@ func (e *sharedTrace) ensure(n int) *traceSnap {
 		// The first extension reserves the entry's whole cap (reserve
 		// never grants past it), so the slab grows in place. On nil,
 		// append grows it on the heap.
-		next.recs = newSlab(int(e.store.per / instrFootprint))
+		next.recs = newSlab(int(e.store.per / recBytes))
 	}
 	for next.n < n && !next.done {
 		// One chunk: extendChunk instructions, or as many as fit in the
@@ -311,16 +312,16 @@ func (s *Pool) reserve(have int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	grant := int64(extendChunk)
-	if perLeft := s.per/instrFootprint - int64(have); perLeft < grant {
+	if perLeft := s.per/recBytes - int64(have); perLeft < grant {
 		grant = perLeft
 	}
-	if totalLeft := (s.total - s.used) / instrFootprint; totalLeft < grant {
+	if totalLeft := (s.total - s.used) / recBytes; totalLeft < grant {
 		grant = totalLeft
 	}
 	if grant <= 0 {
 		return 0
 	}
-	s.used += grant * instrFootprint
+	s.used += grant * recBytes
 	return int(grant)
 }
 
@@ -328,22 +329,22 @@ func (s *Pool) reserve(have int) int {
 // the chunk did not need and counts the instructions it added.
 func (s *Pool) settle(unusedRecs, instrs int) {
 	s.mu.Lock()
-	s.used -= int64(unusedRecs) * instrFootprint
+	s.used -= int64(unusedRecs) * recBytes
 	s.instrs += int64(instrs)
 	s.mu.Unlock()
 }
 
 // sharedReplay is a cursor over a sharedTrace. It implements Reader,
-// BatchReader, BlockReader and PackedReader. Replays are independent
-// and safe to use from different goroutines (one goroutine per replay).
+// BlockReader and PackedReader. Replays are independent and safe to use
+// from different goroutines (one goroutine per replay).
 type sharedReplay struct {
 	sh  *sharedTrace
 	cur packedCursor
 
-	// tail streams instructions past the slab cap; non-nil once this
-	// replay crossed the frontier of a capped entry.
-	tail Reader
-	buf  []Instr // NextBlock's expansion, and every tail block
+	// tail packs the instructions past the slab cap (Packed); non-nil
+	// once this replay crossed the frontier of a capped entry.
+	tail *packer
+	buf  []Instr // NextBlock's expansion
 }
 
 // Name implements Reader.
@@ -359,16 +360,16 @@ func (r *sharedReplay) Reset() {
 // slab returns the packed records published so far, extended by a
 // chunk when the cursor has consumed them all. If the cursor is still
 // at their end afterwards, the trace is over (r.tail == nil; callers
-// Reset to loop) or this replay now streams the tail of a capped entry
+// Reset to loop) or this replay now packs the tail of a capped entry
 // (r.tail != nil).
-func (r *sharedReplay) slab() []Instr {
+func (r *sharedReplay) slab() []Rec {
 	snap := r.sh.snap.Load()
 	if r.cur.idx >= len(snap.recs) && !snap.done && !snap.capped {
 		snap = r.sh.ensure(snap.n + 1)
 	}
 	if r.cur.idx >= len(snap.recs) && !snap.done {
 		// Capped, and the cursor has consumed all snap.n instructions.
-		r.tail = r.sh.tailReader(snap.n)
+		r.tail = &packer{r: r.sh.tailReader(snap.n)}
 	}
 	return snap.recs
 }
@@ -383,44 +384,34 @@ func (r *sharedReplay) Next() (Instr, bool) {
 	return r.tail.Next()
 }
 
-// ReadBatch implements BatchReader.
-func (r *sharedReplay) ReadBatch(dst []Instr) int {
-	if r.tail == nil {
-		if n := r.cur.expand(r.slab(), dst); n > 0 || r.tail == nil {
-			return n
-		}
-	}
-	return r.readTail(dst)
-}
-
 // NextBlock implements BlockReader.
 func (r *sharedReplay) NextBlock(max int) []Instr {
 	r.buf = grow(r.buf, max)
-	return r.buf[:r.ReadBatch(r.buf[:max])]
-}
-
-// NextPacked implements PackedReader. Within the materialized prefix
-// the returned slice aliases the shared slab (zero copy); past a capped
-// frontier it is served from this replay's private streaming tail, one
-// record per instruction.
-func (r *sharedReplay) NextPacked(max int) []Instr {
+	dst := r.buf[:max]
 	if r.tail == nil {
-		if blk := r.cur.packed(r.slab(), max); len(blk) > 0 || r.tail == nil {
-			return blk
+		if n := r.cur.expand(r.slab(), dst); n > 0 || r.tail == nil {
+			return dst[:n]
 		}
 	}
-	return r.NextBlock(max)
-}
-
-func (r *sharedReplay) readTail(dst []Instr) int {
 	n := 0
-	for n < len(dst) {
+	for ; n < len(dst); n++ {
 		ins, ok := r.tail.Next()
 		if !ok {
 			break
 		}
 		dst[n] = ins
-		n++
 	}
-	return n
+	return dst[:n]
+}
+
+// NextPacked implements PackedReader. Within the materialized prefix
+// the returned slice aliases the shared slab (zero copy); past a capped
+// frontier it is this replay's tail, packed on the fly the same way.
+func (r *sharedReplay) NextPacked(max int) []Rec {
+	if r.tail == nil {
+		if blk := r.cur.packed(r.slab(), max); len(blk) > 0 || r.tail == nil {
+			return blk
+		}
+	}
+	return r.tail.NextPacked(max)
 }

@@ -84,7 +84,7 @@ func TestPoolPerTraceCapDegrade(t *testing.T) {
 	want := drain(g)
 
 	// Cap the slab below the trace length: 1000 instructions worth.
-	pool := NewPool(1<<30, 1000*instrFootprint)
+	pool := NewPool(1<<30, 1000*recBytes)
 	a := pool.Shared("s", poolGen)
 	got := drain(a)
 	if len(got) != len(want) {
@@ -205,9 +205,9 @@ func TestPoolSlabOffHeap(t *testing.T) {
 	if !snap.done || snap.n != chunks*extendChunk {
 		t.Fatalf("slab holds %d instructions (done=%v), want %d", snap.n, snap.done, chunks*extendChunk)
 	}
-	slab := int64(len(snap.recs)) * instrFootprint
-	if slab < 8<<20 {
-		t.Fatalf("slab is %d bytes, want at least 8 MiB", slab)
+	slab := int64(len(snap.recs)) * recBytes
+	if slab < 4<<20 {
+		t.Fatalf("slab is %d bytes, want at least 4 MiB", slab)
 	}
 	if grew := int64(live()) - int64(before); grew >= 1<<20 {
 		t.Errorf("a %d-byte slab grew the live heap by %d bytes", slab, grew)

@@ -20,11 +20,11 @@ const slabOffHeap = true
 // pointer-free records, so the collector neither scans it nor counts it
 // towards its heap target. nil means the mapping failed; the caller then
 // grows its slab on the heap.
-func newSlab(maxRecords int) []Instr {
-	b, err := syscall.Mmap(-1, 0, maxRecords*int(instrFootprint),
+func newSlab(maxRecords int) []Rec {
+	b, err := syscall.Mmap(-1, 0, maxRecords*int(recBytes),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_NORESERVE)
 	if err != nil {
 		return nil
 	}
-	return unsafe.Slice((*Instr)(unsafe.Pointer(unsafe.SliceData(b))), maxRecords)[:0]
+	return unsafe.Slice((*Rec)(unsafe.Pointer(unsafe.SliceData(b))), maxRecords)[:0]
 }

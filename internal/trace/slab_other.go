@@ -9,4 +9,4 @@ package trace
 const slabOffHeap = false
 
 // newSlab returns nil: the caller grows its slab on the heap.
-func newSlab(int) []Instr { return nil }
+func newSlab(int) []Rec { return nil }

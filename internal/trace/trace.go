@@ -7,6 +7,11 @@
 // returns records until the trace is exhausted; Reset rewinds to the
 // beginning so the simulator can restart traces that end before the
 // simulation does, exactly as the paper's methodology prescribes.
+//
+// The simulator reads one surface, PackedReader: 8-byte Rec records,
+// each an instruction and the idle run after it. A materialized slab
+// (Materialized, Pool) is that surface in place; Packed packs any other
+// Reader on the fly into the same records.
 package trace
 
 import (
@@ -53,35 +58,67 @@ const (
 
 // IdlePC is the PC of every non-memory instruction the generators emit.
 // Instr{PC: IdlePC, Kind: Other} is the idle instruction: a packed
-// record carries a run of them after itself (Instr.Run).
+// record carries a run of them after itself (Rec.Run).
 const IdlePC = 0x1000
 
-// Instr is one record of an instruction trace. For non-memory
-// instructions Addr is meaningless and should be zero.
+// Instr is one instruction of a trace, the unit every Reader delivers.
+// For non-memory instructions Addr is meaningless and should be zero.
 //
-// The fields are as wide as the model uses and no wider, so that a
-// record is 16 bytes with no padding: every slab, batch and reader
-// holds records, and the trace pool's footprint is their size. A PC is
-// 32 bits: the generators' PCs sit below 0x7000, and an MMT1 file,
-// whose records keep 64 bits for it, has a record whose PC does not fit
-// refused.
+// A PC is 16 bits: the generators' PCs sit below 0x7000, and an MMT1
+// file, whose records keep 64 bits for it, has a record whose PC does
+// not fit refused. An address must also fit in 32 bits to be packed
+// (see Rec); it stays 64 bits wide here, as wide as the simulator's
+// address arithmetic.
 type Instr struct {
-	Addr uint64
-	PC   uint32
-	// Run is how many idle instructions (Instr{PC: IdlePC, Kind:
-	// Other}) follow this one: a record is itself and then Run idle
-	// copies, Run+1 instructions, at most 65 535 (a longer idle run
-	// takes several records). It is zero in every record Next,
-	// ReadBatch and NextBlock deliver (one record per instruction);
-	// only the packed view (PackedReader) carries runs.
-	Run   uint16
+	Addr  uint64
+	PC    uint16
 	Kind  Kind
 	Flags Flags
 }
 
-// instrFootprint is the in-memory size of one Instr (16 bytes: Addr,
-// PC, Run, Kind and Flags back to back), used for store budgeting.
-const instrFootprint = int64(unsafe.Sizeof(Instr{}))
+// Rec is one run-length packed record: an instruction, then Run idle
+// instructions (Instr{PC: IdlePC, Kind: Other}) after it. It is what a
+// trace slab holds and what the simulator reads in place, so it is as
+// narrow as the model allows: 8 bytes, an address of 32 bits, a PC of
+// 16, and one 16-bit word holding the run in its low 13 bits, the kind
+// in the next 2 and DependsPrev in the top one. Decoding a field is a
+// shift and a mask.
+type Rec struct {
+	addr uint32
+	pc   uint16
+	bits uint16 // run | kind<<kindShift | DependsPrev<<flagShift
+}
+
+const (
+	runMask   = 1<<13 - 1
+	kindShift = 13
+	flagShift = 15
+)
+
+// recBytes is the in-memory size of one Rec (8 bytes), used for store
+// budgeting.
+const recBytes = int64(unsafe.Sizeof(Rec{}))
+
+// Addr is the head instruction's address.
+func (r Rec) Addr() uint64 { return uint64(r.addr) }
+
+// PC is the head instruction's PC.
+func (r Rec) PC() uint16 { return r.pc }
+
+// Kind is the head instruction's kind.
+func (r Rec) Kind() Kind { return Kind(r.bits >> kindShift & 3) }
+
+// Flags are the head instruction's flags.
+func (r Rec) Flags() Flags { return Flags(r.bits >> flagShift) }
+
+// Run is how many idle instructions follow the head: the record stands
+// for Run+1 instructions.
+func (r Rec) Run() uint16 { return r.bits & runMask }
+
+// Instr is the record's head instruction.
+func (r Rec) Instr() Instr {
+	return Instr{Addr: r.Addr(), PC: r.pc, Kind: r.Kind(), Flags: r.Flags()}
+}
 
 // Reader is a resettable instruction stream.
 type Reader interface {
@@ -96,11 +133,14 @@ type Reader interface {
 }
 
 // Slice is an in-memory trace, useful in tests. It delivers its records
-// as they are, through every surface.
+// as they are, through every surface: NextPacked gives one record per
+// instruction, with no runs, so a simulator fed a Slice retires every
+// instruction through its per-instruction path.
 type Slice struct {
 	Instrs []Instr
 	Label  string
 	pos    int
+	buf    []Rec
 }
 
 // NewSlice wraps records in a Reader.
@@ -124,26 +164,14 @@ func (s *Slice) Reset() { s.pos = 0 }
 // Name implements Reader.
 func (s *Slice) Name() string { return s.Label }
 
-// ReadBatch implements BatchReader.
-func (s *Slice) ReadBatch(dst []Instr) int {
-	n := copy(dst, s.Instrs[s.pos:])
-	s.pos += n
-	return n
-}
-
-// NextBlock implements BlockReader.
-func (s *Slice) NextBlock(max int) []Instr {
-	end := s.pos + max
-	if end > len(s.Instrs) {
-		end = len(s.Instrs)
+// NextPacked implements PackedReader, one record per instruction.
+func (s *Slice) NextPacked(max int) []Rec {
+	s.buf = s.buf[:0]
+	for ; s.pos < len(s.Instrs) && len(s.buf) < max; s.pos++ {
+		s.buf = appendPacked(s.buf, len(s.buf), s.Instrs[s.pos])
 	}
-	blk := s.Instrs[s.pos:end]
-	s.pos = end
-	return blk
+	return s.buf
 }
-
-// NextPacked implements PackedReader.
-func (s *Slice) NextPacked(max int) []Instr { return s.NextBlock(max) }
 
 // Looping wraps a Reader so it never ends: when the inner trace is
 // exhausted it is Reset and restarted, matching the paper's methodology

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"micromama/internal/trace"
@@ -59,6 +60,36 @@ func TestCatalogOthersAreIdle(t *testing.T) {
 			}
 			if ins.Kind == trace.Other && ins != (trace.Instr{PC: trace.IdlePC, Kind: trace.Other}) {
 				t.Errorf("%s: instruction %d is %+v, a non-memory instruction that is not idle", s.Name, i, ins)
+				break
+			}
+		}
+	}
+}
+
+// Every instruction a catalog trace emits fits a packed record and
+// comes back from one unchanged: the simulator reads every trace as
+// trace.Rec records, and packing an instruction that does not fit
+// panics. A PC fits by its type; an address must be below 2^32. The
+// catalog holds the sensitive, the insensitive and the Mixed traces.
+func TestCatalogFitsRec(t *testing.T) {
+	const n = 200_000
+	for _, s := range Catalog() {
+		r := s.New()
+		want := make([]trace.Instr, 0, n)
+		for len(want) < n {
+			ins, ok := r.Next()
+			if !ok {
+				break
+			}
+			if ins.Addr > math.MaxUint32 {
+				t.Fatalf("%s: instruction %d is %+v, whose address a record cannot hold", s.Name, len(want), ins)
+			}
+			want = append(want, ins)
+		}
+		replay := trace.NewMaterialized(s.Name, want).Replay()
+		for i, ins := range want {
+			if got, _ := replay.Next(); got != ins {
+				t.Errorf("%s: instruction %d is %+v, packed and read back as %+v", s.Name, i, ins, got)
 				break
 			}
 		}
