@@ -46,7 +46,6 @@ import (
 	"micromama/internal/cluster"
 	"micromama/internal/server"
 	"micromama/internal/telemetry"
-	"micromama/internal/trace"
 )
 
 func main() {
@@ -58,7 +57,6 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", 30*time.Minute, "upper bound on client-requested timeouts")
 		maxCores   = flag.Int("max-cores", 16, "largest mix a job may request")
 		maxCells   = flag.Int("max-sweep-cells", 0, "largest expansion a single sweep may request (0 = 4096)")
-		traceCache = flag.String("trace-cache", "", "directory of MMT1 trace files (from tracegen) preloaded into the shared trace pool; cached traces loop at their recorded length")
 		cacheDir   = flag.String("cache-dir", "", "directory for crash-safe result-cache persistence (restored on startup; corrupt entries quarantined)")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight jobs before cancelling them")
 		logLevel   = flag.String("log-level", "info", "structured-log level: debug|info|warn|error")
@@ -105,14 +103,6 @@ func main() {
 	} else if *peers != "" || *join != "" {
 		fmt.Fprintln(os.Stderr, "mamaserved: -advertise is required with -peers/-join")
 		os.Exit(2)
-	}
-
-	if *traceCache != "" {
-		n, errs := trace.DefaultPool().PreloadDir(*traceCache)
-		for _, err := range errs {
-			logger.Warn("trace-cache preload", "err", err)
-		}
-		logger.Info("trace cache preloaded", "traces", n, "dir", *traceCache)
 	}
 
 	svc, err := server.New(server.Config{

@@ -39,7 +39,6 @@ func main() {
 		channels   = flag.Int("channels", 1, "DRAM channels")
 		list       = flag.Bool("list", false, "list catalog traces and exit")
 		ctrls      = flag.Bool("controllers", false, "list controllers with the parameters their keys accept and exit")
-		warmup     = flag.Uint64("warmup", 0, "functional-warmup instructions per core (caches populated, no timing) before the measured run")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		metricsOut = flag.String("metrics-dump", "", "write telemetry in Prometheus text format to this file at exit (\"-\" for stdout)")
@@ -108,7 +107,6 @@ func main() {
 	if *dramMTps != 2400 || *channels != 1 {
 		cfg.DRAM = dram.DDR4(*dramMTps, *channels)
 	}
-	cfg.WarmupInstructions = *warmup
 
 	// Ctrl-C stops the simulation at its next epoch boundary, so the
 	// profiles and metrics requested above are still flushed.

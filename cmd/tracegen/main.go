@@ -1,5 +1,5 @@
 // Command tracegen materializes catalog traces into binary MMT1 files
-// that the simulator (and external tools) can replay.
+// that tracestat (and external tools) can read.
 //
 // Usage:
 //

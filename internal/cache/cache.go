@@ -273,11 +273,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters while leaving array contents, recency
-// state, and in-flight fills untouched — the end-of-warmup transition:
-// the timed region starts from warm arrays but counts from zero.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // setFor returns the rank word and the ways of lineNo's set. lineNo is
 // addr >> lineShift; it doubles as the tag, so callers compute the
 // shift once.

@@ -109,9 +109,6 @@ type GossipOptions struct {
 	// SuspectTimeout is how long a suspected peer has to refute before
 	// it is confirmed dead (default 5×Interval).
 	SuspectTimeout time.Duration
-	// IndirectProbes is k, the number of relays asked to ping-req a
-	// peer that failed its direct probe (default 2).
-	IndirectProbes int
 	// SyncInterval is the full-state anti-entropy cadence (default
 	// 10×Interval). Full syncs repair any deltas lost to piggyback
 	// budget exhaustion and are how an isolated node finds its seeds.
@@ -120,10 +117,15 @@ type GossipOptions struct {
 	// the node finds itself alone. Seeds are not assumed to be members;
 	// membership comes from what they answer.
 	Seeds []string
-	// MaxPiggyback bounds the membership deltas attached to one message
-	// (default 8).
-	MaxPiggyback int
 }
+
+const (
+	// indirectProbes is k, the number of relays asked to ping-req a
+	// peer that failed its direct probe.
+	indirectProbes = 2
+	// maxPiggyback bounds the membership deltas attached to one message.
+	maxPiggyback = 8
+)
 
 func (o GossipOptions) withDefaults() GossipOptions {
 	if o.Interval <= 0 {
@@ -132,14 +134,8 @@ func (o GossipOptions) withDefaults() GossipOptions {
 	if o.SuspectTimeout <= 0 {
 		o.SuspectTimeout = 5 * o.Interval
 	}
-	if o.IndirectProbes <= 0 {
-		o.IndirectProbes = 2
-	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 10 * o.Interval
-	}
-	if o.MaxPiggyback <= 0 {
-		o.MaxPiggyback = 8
 	}
 	return o
 }
@@ -387,7 +383,7 @@ func (g *gossipState) nextTarget() string {
 	}
 }
 
-// relays picks up to IndirectProbes ring members (excluding self and
+// relays picks up to indirectProbes ring members (excluding self and
 // the target) to ask for an indirect probe.
 func (g *gossipState) relays(target string) []string {
 	peers := g.c.Peers()
@@ -400,8 +396,8 @@ func (g *gossipState) relays(target string) []string {
 	g.mu.Lock()
 	g.rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
 	g.mu.Unlock()
-	if len(cand) > g.opts.IndirectProbes {
-		cand = cand[:g.opts.IndirectProbes]
+	if len(cand) > indirectProbes {
+		cand = cand[:indirectProbes]
 	}
 	return cand
 }
@@ -618,12 +614,11 @@ type queuedUpdate struct {
 }
 
 // outMsg builds one outbound gossip envelope: the node's own alive
-// claim plus up to MaxPiggyback queued deltas (deterministic order,
+// claim plus up to maxPiggyback queued deltas (deterministic order,
 // budgets decremented).
 func (c *Cluster) outMsg() gossipMsg {
-	max := c.gossip.opts.MaxPiggyback
 	c.memMu.Lock()
-	ups := make([]MemberUpdate, 0, max+1)
+	ups := make([]MemberUpdate, 0, maxPiggyback+1)
 	ups = append(ups, MemberUpdate{URL: c.self, Inc: c.selfInc, State: StateAlive})
 	if len(c.queue) > 0 {
 		keys := make([]string, 0, len(c.queue))
@@ -632,7 +627,7 @@ func (c *Cluster) outMsg() gossipMsg {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if len(ups) > max {
+			if len(ups) > maxPiggyback {
 				break
 			}
 			q := c.queue[k]

@@ -8,7 +8,8 @@ import (
 
 // PolicySample records which arm a core's prefetcher used from a given
 // point in time — the data behind the paper's policy-timeline figures
-// (2, 4, and 12).
+// (2, 4, and 12). A controller records one on each change of a core's
+// arm, so consecutive samples of one core never share an arm.
 type PolicySample struct {
 	Cycle uint64 // core-local cycle when the policy took effect
 	Core  int
@@ -201,12 +202,12 @@ func (b *Bandit) OnL2Demand(core int, now uint64) {
 	if next != a.curArm {
 		a.curArm = next
 		a.engine.SetArm(next)
+		if b.cfg.RecordTimeline {
+			b.timeline = append(b.timeline, PolicySample{Cycle: now, Core: core, Arm: next})
+		}
 	}
 	b.degreeSum += uint64(prefetch.Arms[next].TotalDegree())
 	b.degreeSteps++
-	if b.cfg.RecordTimeline {
-		b.timeline = append(b.timeline, PolicySample{Cycle: now, Core: core, Arm: next})
-	}
 }
 
 // sharedReward computes the mean normalized IPC of all cores over this

@@ -121,6 +121,29 @@ func TestFigTimelineBanditAndMuMama(t *testing.T) {
 	}
 }
 
+// TestTimelineSamplesAreChanges: a timeline sample marks a change of a
+// core's arm, so no two consecutive samples of one core share an arm,
+// under every controller the timeline figures run.
+func TestTimelineSamplesAreChanges(t *testing.T) {
+	r := NewRunner(ScaleTiny)
+	for _, key := range []string{"bandit", "bandit-shared", "mumama"} {
+		rep, err := r.FigTimeline(context.Background(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := map[int]int{}
+		for i, s := range rep.Samples {
+			if arm, ok := last[s.Core]; ok && arm == s.Arm {
+				t.Fatalf("%s: sample %d repeats core %d's arm %d", key, i, s.Core, arm)
+			}
+			last[s.Core] = s.Arm
+		}
+		if len(rep.Samples) == 0 || rep.Cycles < rep.Samples[len(rep.Samples)-1].Cycle {
+			t.Errorf("%s: %d samples, the last past the run's %d cycles", key, len(rep.Samples), rep.Cycles)
+		}
+	}
+}
+
 func TestMotivatingMixShape(t *testing.T) {
 	m := MotivatingMix()
 	if len(m.Specs) != 4 {

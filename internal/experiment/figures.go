@@ -550,7 +550,11 @@ func (s *SensitivityReport) String() string {
 type TimelineReport struct {
 	Controller string
 	Mix        workload.Mix
-	Samples    []core.PolicySample
+	// Samples holds one entry per change of a core's arm.
+	Samples []core.PolicySample
+	// Cycles is how long the run lasted (the furthest core clock): each
+	// core's last sample holds its arm until then.
+	Cycles uint64
 	// JointFraction is the share of timesteps dictated from the JAV
 	// (µMama only; §6.5 reports 64–67%).
 	JointFraction float64
@@ -587,11 +591,14 @@ func (r *Runner) FigTimeline(ctx context.Context, key string) (*TimelineReport, 
 		return nil, err
 	}
 	_, err = sys.RunContext(ctx, r.Scale.Target, r.Scale.MaxCycles())
+	rep := &TimelineReport{Controller: key, Mix: mix}
+	for c := range mix.Specs {
+		rep.Cycles = max(rep.Cycles, sys.Cycles(c))
+	}
 	sys.Close()
 	if err != nil {
 		return nil, err
 	}
-	rep := &TimelineReport{Controller: key, Mix: mix}
 	if tr, ok := ctrl.(core.TimelineRecorder); ok {
 		rep.Samples = tr.Timeline()
 	}
@@ -601,8 +608,8 @@ func (r *Runner) FigTimeline(ctx context.Context, key string) (*TimelineReport, 
 	return rep, nil
 }
 
-// String renders a compact view: per core, the most-used arms and the
-// tail of the policy sequence.
+// String renders a compact view: per core, the arm held for the most
+// cycles and the tail of the policy sequence.
 func (t *TimelineReport) String() string {
 	perCore := map[int][]core.PolicySample{}
 	for _, s := range t.Samples {
@@ -620,14 +627,20 @@ func (t *TimelineReport) String() string {
 	sort.Ints(cores)
 	for _, c := range cores {
 		ss := perCore[c]
-		counts := map[int]int{}
-		for _, s := range ss {
-			counts[s.Arm]++
+		held := map[int]uint64{}
+		for i, s := range ss {
+			end := t.Cycles
+			if i+1 < len(ss) {
+				end = ss[i+1].Cycle
+			}
+			if end > s.Cycle {
+				held[s.Arm] += end - s.Cycle
+			}
 		}
-		best, bestN := 0, 0
-		for arm, n := range counts {
-			if n > bestN {
-				best, bestN = arm, n
+		best := ss[len(ss)-1].Arm
+		for arm, n := range held {
+			if n > held[best] || n == held[best] && arm < best {
+				best = arm
 			}
 		}
 		tail := ss

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"micromama/internal/experiment"
-	"micromama/internal/sim"
 	"micromama/internal/sweep"
 )
 
@@ -63,40 +62,34 @@ func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment
 // submissions therefore share a job ID by construction.
 func jobID(key string) string { return "j" + key[:16] }
 
-// resolvedConfig is a system shape's sim.Config and the end of its jobs'
-// canonical encoding: `,"Config":` + json.Marshal(cfg) + `}`. Read-only.
-type resolvedConfig struct {
-	cfg  sim.Config
-	tail []byte
-}
-
-// configMemo builds the resolvedConfig of each (cores, DRAM MT/s,
-// channels) once. The DRAM numbers are whatever integers a client
-// sends, so the memo starts over when it holds configMemoCap shapes;
-// real traffic (1–16 cores × a few speed grades) never gets there.
+// configMemo maps each (cores, DRAM MT/s, channels) to the end of its
+// jobs' canonical encoding, `,"Config":` + json.Marshal(cfg) + `}`,
+// built once and read-only after. The DRAM numbers are whatever
+// integers a client sends, so the memo starts over when it holds
+// configMemoCap shapes; real traffic (1–16 cores × a few speed grades)
+// never gets there.
 type configMemo struct {
 	mu sync.Mutex
-	m  map[[3]int]*resolvedConfig
+	m  map[[3]int][]byte
 }
 
 const configMemoCap = 256
 
-func (m *configMemo) resolve(cores, mtps, channels int) (*resolvedConfig, error) {
+func (m *configMemo) resolve(cores, mtps, channels int) ([]byte, error) {
 	shape := [3]int{cores, mtps, channels}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if rc, ok := m.m[shape]; ok {
-		return rc, nil
+	if tail, ok := m.m[shape]; ok {
+		return tail, nil
 	}
-	rc := &resolvedConfig{cfg: experiment.SystemConfig(cores, mtps, channels)}
-	b, err := json.Marshal(rc.cfg)
+	b, err := json.Marshal(experiment.SystemConfig(cores, mtps, channels))
 	if err != nil {
 		return nil, fmt.Errorf("canonical config encoding: %w", err)
 	}
-	rc.tail = append(append([]byte(`,"Config":`), b...), '}')
+	tail := append(append([]byte(`,"Config":`), b...), '}')
 	if m.m == nil || len(m.m) >= configMemoCap {
-		m.m = make(map[[3]int]*resolvedConfig)
+		m.m = make(map[[3]int][]byte)
 	}
-	m.m[shape] = rc
-	return rc, nil
+	m.m[shape] = tail
+	return tail, nil
 }

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -178,10 +178,11 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 	n := 0
 	for _, cores := range []int{1, 2, 4, 8} {
 		for _, dram := range [][2]int{{0, 0}, {1866, 2}, {3200, 0}, {0, 2}} {
-			rc, err := memo.resolve(cores, dram[0], dram[1])
+			tail, err := memo.resolve(cores, dram[0], dram[1])
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg := experiment.SystemConfig(cores, dram[0], dram[1])
 			for _, scaleName := range []string{"tiny", "small", "default", "full"} {
 				for _, over := range [][2]uint64{{0, 0}, {100_000, 0}, {0, 75}, {123_456_789, 1}} {
 					scale, _ := experiment.ScaleByName(scaleName)
@@ -197,8 +198,8 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 							mix[c] = awkward[(i+c)%len(awkward)]
 						}
 						spec := JobSpec{Cell: sweep.Cell{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}}
-						got := string(appendJobKey(nil, &spec.Cell, rc.tail, scale))
-						if want := canonicalKey(t, spec, rc.cfg, scale); got != want {
+						got := string(appendJobKey(nil, &spec.Cell, tail, scale))
+						if want := canonicalKey(t, spec, cfg, scale); got != want {
 							t.Fatalf("%dc dram %v %s %v ctrl %q: streamed key %s, canonical %s",
 								cores, dram, scaleName, over, ctrl, got, want)
 						}
@@ -238,14 +239,18 @@ func TestConfigMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2*configMemoCap; i++ {
 				cores, mtps := 1+(g+i)%4, 1600+(i%(configMemoCap+50))
-				rc, err := memo.resolve(cores, mtps, 0)
+				tail, err := memo.resolve(cores, mtps, 0)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				want := fmt.Sprintf("DDR4-%d x1ch", mtps)
-				if rc.cfg.Cores != cores || rc.cfg.DRAM.Name != want || !strings.Contains(string(rc.tail), want) {
-					t.Errorf("resolve(%d, %d, 0) = %d cores, DRAM %q", cores, mtps, rc.cfg.Cores, rc.cfg.DRAM.Name)
+				want, err := json.Marshal(experiment.SystemConfig(cores, mtps, 0))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(tail, append(append([]byte(`,"Config":`), want...), '}')) {
+					t.Errorf("resolve(%d, %d, 0) = %s, want the encoding of %s", cores, mtps, tail, want)
 					return
 				}
 			}

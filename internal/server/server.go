@@ -338,13 +338,13 @@ func (s *Server) appendKey(dst []byte, c *sweep.Cell) ([]byte, experiment.Scale,
 	if err != nil {
 		return dst, scale, err
 	}
-	rc, err := s.configs.resolve(len(c.Mix), c.DRAMMTps, c.DRAMChannels)
+	tail, err := s.configs.resolve(len(c.Mix), c.DRAMMTps, c.DRAMChannels)
 	if err != nil {
 		// The server's hashing contract is broken, not the request:
 		// answer 500, never panic the process on a hostile spec.
 		return dst, scale, fmt.Errorf("%w: %v", errInternal, err)
 	}
-	return appendJobKey(dst, c, rc.tail, scale), scale, nil
+	return appendJobKey(dst, c, tail, scale), scale, nil
 }
 
 // simulate is the production runFunc: the job's plan, simulated under

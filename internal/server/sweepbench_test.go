@@ -65,7 +65,7 @@ func warmBenchServer(b testing.TB) (*Server, sweep.View) {
 // buffer, with no allocation.
 func BenchmarkJobKey(b *testing.B) {
 	var memo configMemo
-	rc, err := memo.resolve(4, 0, 0)
+	tail, err := memo.resolve(4, 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkJobKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if key := appendJobKey(buf[:0], &spec.Cell, rc.tail, experiment.ScaleTiny); len(key) != sweep.KeyLen {
+		if key := appendJobKey(buf[:0], &spec.Cell, tail, experiment.ScaleTiny); len(key) != sweep.KeyLen {
 			b.Fatalf("appendJobKey = %q", key)
 		}
 	}

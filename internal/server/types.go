@@ -111,6 +111,6 @@ type ClusterStats struct {
 	Writebacks        uint64 `json:"writebacks"`          // off-owner results pushed to owners
 	// StolenFromPeers is always 0: nothing sets it since work stealing
 	// went. bench/mamaload still reads it for its cluster.stolen_cells
-	// row; it goes when the [benchmark] PR of ROADMAP item 7 drops that row.
+	// row; it goes when the [benchmark] PR of ROADMAP item 14 drops that row.
 	StolenFromPeers uint64 `json:"stolen_from_peers"`
 }

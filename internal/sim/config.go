@@ -48,16 +48,6 @@ type Config struct {
 	// address spaces of distinct programs) by ORing (core+1) at this bit
 	// position.
 	AddrSpaceShift uint
-
-	// WarmupInstructions, when non-zero, fast-forwards each core's
-	// trace by this many instructions in functional-warmup mode before
-	// timing starts: caches (L1I/L1D/L2/LLC) are populated content-only
-	// — no cycle accounting, no prefetching, no DRAM traffic — and all
-	// cache counters are reset afterwards, the ChampSim-style warmup
-	// that skips cold-start effects on long trace prefixes. It changes
-	// simulated results, so it participates in Fingerprint (omitted
-	// when zero to keep existing fingerprints stable).
-	WarmupInstructions uint64 `json:",omitempty"`
 }
 
 // table3DRAM is Table 3's memory system, built once: DefaultConfig is on

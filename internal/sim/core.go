@@ -500,96 +500,6 @@ func (c *Core) issueL1Prefetches(now uint64) {
 	c.l1Buf = c.l1Buf[:0]
 }
 
-// warmupAdvance fast-forwards the core through n trace instructions in
-// functional mode: cache contents and recency state update (dirty
-// victims propagate so warmed dirty lines stay dirty) but no cycles are
-// accounted and no prefetcher, controller, or DRAM state is touched.
-// The instruction counter stays at zero — warmup instructions do not
-// count toward the run target; they only consume trace prefix, the
-// ChampSim-style warmup. Cache hit/miss counters are reset by the
-// caller afterwards.
-func (c *Core) warmupAdvance(n uint64) {
-	for n > 0 {
-		if c.runLeft > 0 {
-			// A run installs at most IdlePC's fetch line, on its first
-			// instruction (see retireRun); a run that outlasts the
-			// warmup retires its remainder timed.
-			if trace.IdlePC&c.fetchLineMask != c.lastFetchLine {
-				c.warmFetch(trace.IdlePC)
-				c.runLeft--
-				n--
-				continue
-			}
-			k := min(c.runLeft, n)
-			c.runLeft -= k
-			n -= k
-			continue
-		}
-		if c.batchPos >= len(c.batch) {
-			if !c.refill() {
-				return // empty trace
-			}
-		}
-		rec := c.batch[c.batchPos]
-		c.batchPos++
-		c.runLeft = uint64(rec.Run())
-		n--
-		if pc := uint64(rec.PC()); pc&c.fetchLineMask != c.lastFetchLine {
-			c.warmFetch(pc)
-		}
-		switch rec.Kind() {
-		case trace.Load:
-			c.warmAccess(rec.Addr()|c.base, false)
-		case trace.Store:
-			c.warmAccess(rec.Addr()|c.base, true)
-		}
-	}
-}
-
-// warmFetch is doFetch without timing: install the fetch line in L1I
-// (and below on a miss).
-func (c *Core) warmFetch(pc uint64) {
-	line := pc & c.fetchLineMask
-	c.lastFetchLine = line
-	addr := line | c.base | 1<<(c.sys.cfg.AddrSpaceShift-1)
-	if r := c.l1i.Lookup(addr, 0, true); r.Hit {
-		return
-	}
-	if r2 := c.l2.Lookup(addr, 0, true); !r2.Hit {
-		c.warmFill(addr)
-	}
-	c.l1i.Fill(addr, 0, false, false)
-}
-
-// warmAccess is access without timing: walk the hierarchy, install the
-// line, propagate dirtiness.
-func (c *Core) warmAccess(addr uint64, store bool) {
-	if r1 := c.l1d.Lookup(addr, 0, true); r1.Hit {
-		if store {
-			c.l1d.MarkDirty(addr)
-		}
-		return
-	}
-	if r2 := c.l2.Lookup(addr, 0, true); !r2.Hit {
-		c.warmFill(addr)
-	}
-	if v := c.l1d.Fill(addr, 0, false, store); v.Valid && v.Dirty {
-		c.l2.MarkDirty(v.Addr)
-	}
-}
-
-// warmFill installs addr in the LLC and L2 content-only; dirty L2
-// victims move to the LLC as in the timed path, but dirty LLC victims
-// vanish (the DRAM model is not involved during warmup).
-func (c *Core) warmFill(addr uint64) {
-	if r3 := c.sys.llc.Lookup(addr, 0, true); !r3.Hit {
-		c.sys.llc.Fill(addr, 0, false, false)
-	}
-	if v := c.l2.Fill(addr, 0, false, false); v.Valid && v.Dirty {
-		c.sys.llc.Fill(v.Addr, 0, false, true)
-	}
-}
-
 // pfRing tracks outstanding prefetches at one level as a ring of
 // completion times. The physical ring is rounded up to a power of two
 // so index wrap is a mask instead of a modulo; limit keeps the logical

@@ -13,7 +13,7 @@ import (
 	"micromama/internal/xrand"
 )
 
-// The run-length step of Core.advance and warmupAdvance is checked
+// The run-length step of Core.advance is checked
 // against the loop it replaces: the same instruction stream is given to
 // one system a record per instruction (trace.Slice, no runs) and to
 // another run-length packed, both are stepped one epoch at a time, and
@@ -156,9 +156,6 @@ func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
 		cfg := sim.DefaultConfig(cores)
 		cfg.CommitWidth = 1 + r.Intn(8)
 		cfg.Epoch = uint64(1 + r.Intn(256))
-		if r.Intn(2) == 0 {
-			cfg.WarmupInstructions = uint64(r.Intn(4000))
-		}
 		target := uint64(1 + r.Intn(15000))
 		// The guard: sometimes far too few epochs for the target, so
 		// that cores stop mid-run, unfrozen.
@@ -173,8 +170,8 @@ func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
 				target += uint64(len(streams[i])) // through the split run, guard permitting
 			}
 		}
-		what := fmt.Sprintf("seed %d (cores %d, width %d, epoch %d, warmup %d, target %d, max epochs %d)",
-			seed, cores, cfg.CommitWidth, cfg.Epoch, cfg.WarmupInstructions, target, maxEpochs)
+		what := fmt.Sprintf("seed %d (cores %d, width %d, epoch %d, target %d, max epochs %d)",
+			seed, cores, cfg.CommitWidth, cfg.Epoch, target, maxEpochs)
 		diffRun(t, what, cfg, target, maxEpochs, streams, materialized)
 	}
 }
@@ -251,10 +248,6 @@ func TestPackedStepCases(t *testing.T) {
 		{name: "target strictly inside a run", stream: group(0x40, 1000), target: 500},
 		{name: "run ending exactly on the target", stream: append(group(0x40, 499), group(0x80, 10)...), target: 500},
 		{name: "target on the head of a run", stream: group(0x40, 1000), target: 2},
-		{name: "warmup ending inside a run", stream: group(0x40, 1000), target: 1500,
-			tune: func(c *sim.Config) { c.WarmupInstructions = 300 }},
-		{name: "warmup ending exactly on a run's end", stream: group(0x40, 299), target: 700,
-			tune: func(c *sim.Config) { c.WarmupInstructions = 300 }},
 		{name: "trace wrap directly after a run", stream: group(0x40, 50), target: 1000},
 		{name: "trace that is one run", stream: group(0x40, 50)[1:], target: 1000},
 		// Two records fit: the load, and a run head whose 99 followers the
@@ -264,8 +257,6 @@ func TestPackedStepCases(t *testing.T) {
 		// An L1I miss is at least 14 cycles, two epochs of 7.
 		{name: "run whose first fetch misses the L1I", stream: evicting, target: 3000,
 			tune: func(c *sim.Config) { c.CommitWidth, c.Epoch = 3, 7 }},
-		{name: "run whose first fetch misses the L1I, after warmup", stream: evicting, target: 3000,
-			tune: func(c *sim.Config) { c.CommitWidth, c.Epoch, c.WarmupInstructions = 3, 7, 1500 }},
 	}
 	for _, tc := range cases {
 		for _, cores := range []int{1, 2} {

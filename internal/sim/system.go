@@ -36,7 +36,6 @@ type System struct {
 	// and the chunked Advance API share one clock.
 	epochEnd uint64 // upper cycle bound of the next epoch to run
 	epochs   uint64 // epochs completed
-	warmed   bool   // functional warmup already performed
 
 	pubInstr  uint64 // totals already published to telemetry
 	pubEpochs uint64
@@ -131,7 +130,6 @@ func (s *System) RunContext(ctx context.Context, target uint64, maxCycles uint64
 	simRunsTotal.Inc()
 	simRunsActive.Add(1)
 	defer simRunsActive.Add(-1)
-	s.functionalWarmup()
 	// Telemetry publication rides the existing context-poll cadence: a
 	// handful of atomic adds every ctxCheckEpochs epochs, nothing inside
 	// Core.advance itself.
@@ -156,10 +154,8 @@ func (s *System) RunContext(ctx context.Context, target uint64, maxCycles uint64
 // Advance is the chunked stepping API: it runs at most epochs further
 // simulation epochs toward target and reports whether every core has
 // now reached it. Unlike RunContext it publishes no run telemetry, and
-// steady-state stepping is allocation-free. The first call performs
-// functional warmup.
+// steady-state stepping is allocation-free.
 func (s *System) Advance(target uint64, epochs uint64) bool {
-	s.functionalWarmup()
 	for i := uint64(0); i < epochs; i++ {
 		if s.frozen >= len(s.cores) {
 			return true
@@ -193,26 +189,6 @@ func (s *System) Close() {
 		c.l2.Release()
 	}
 	s.llc.Release()
-}
-
-// functionalWarmup fast-forwards every core through
-// Config.WarmupInstructions in content-only mode, then clears the cache
-// counters so the timed region starts from warm arrays but zeroed
-// stats. Runs once, in core order.
-func (s *System) functionalWarmup() {
-	if s.warmed || s.cfg.WarmupInstructions == 0 {
-		return
-	}
-	s.warmed = true
-	for _, c := range s.cores {
-		c.warmupAdvance(s.cfg.WarmupInstructions)
-	}
-	for _, c := range s.cores {
-		c.l1i.ResetStats()
-		c.l1d.ResetStats()
-		c.l2.ResetStats()
-	}
-	s.llc.ResetStats()
 }
 
 func (s *System) sampleBandwidth(now uint64) {

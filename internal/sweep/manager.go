@@ -45,8 +45,6 @@ type Config struct {
 	Exec Exec
 	// MaxCells bounds a single sweep's expansion (default 4096).
 	MaxCells int
-	// MaxPriority clamps per-sweep priorities (default 8).
-	MaxPriority int
 	// Dir, when non-empty, persists sweep state (one JSON file per
 	// sweep) so a restarted server resumes incomplete sweeps.
 	Dir string
@@ -186,12 +184,11 @@ type Counts struct {
 // serialized under mu; dispatch is pull-based (the server's dispatcher
 // calls TryDequeue when a worker is free, woken through WakeCh).
 type Manager struct {
-	exec        Exec
-	maxCells    int
-	maxPriority int
-	log         *slog.Logger
-	reg         *telemetry.Registry
-	m           *metrics
+	exec     Exec
+	maxCells int
+	log      *slog.Logger
+	reg      *telemetry.Registry
+	m        *metrics
 
 	mu       sync.Mutex
 	sweeps   map[string]*state
@@ -216,9 +213,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.MaxCells <= 0 {
 		cfg.MaxCells = 4096
 	}
-	if cfg.MaxPriority <= 0 {
-		cfg.MaxPriority = 8
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.DiscardLogger()
 	}
@@ -226,16 +220,15 @@ func New(cfg Config) (*Manager, error) {
 		cfg.Registry = telemetry.NewRegistry()
 	}
 	mgr := &Manager{
-		exec:        cfg.Exec,
-		maxCells:    cfg.MaxCells,
-		maxPriority: cfg.MaxPriority,
-		log:         cfg.Logger,
-		reg:         cfg.Registry,
-		sweeps:      make(map[string]*state),
-		sched:       newSched(),
-		notify:      make(chan struct{}),
-		wake:        make(chan struct{}, 1),
-		drainCh:     make(chan struct{}),
+		exec:     cfg.Exec,
+		maxCells: cfg.MaxCells,
+		log:      cfg.Logger,
+		reg:      cfg.Registry,
+		sweeps:   make(map[string]*state),
+		sched:    newSched(),
+		notify:   make(chan struct{}),
+		wake:     make(chan struct{}, 1),
+		drainCh:  make(chan struct{}),
 	}
 	mgr.m = newMetrics(cfg.Registry, mgr)
 	if cfg.Dir != "" {
@@ -257,15 +250,12 @@ func New(cfg Config) (*Manager, error) {
 	return mgr, nil
 }
 
-// clampPriority normalizes a requested priority into [1, MaxPriority].
-func (mgr *Manager) clampPriority(p int) int {
-	if p < 1 {
-		return 1
-	}
-	if p > mgr.maxPriority {
-		return mgr.maxPriority
-	}
-	return p
+// maxPriority is the largest per-sweep priority the scheduler honours.
+const maxPriority = 8
+
+// clampPriority normalizes a requested priority into [1, maxPriority].
+func clampPriority(p int) int {
+	return min(max(p, 1), maxPriority)
 }
 
 // newState lays a spec out and keys every cell into a sweep with all of
@@ -276,7 +266,7 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 	if err != nil {
 		return nil, err
 	}
-	spec.Priority = mgr.clampPriority(spec.Priority)
+	spec.Priority = clampPriority(spec.Priority)
 	n := cells.len()
 	var keys strings.Builder
 	keys.Grow(n * KeyLen)
@@ -312,7 +302,7 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 	if err != nil {
 		return View{}, false, err
 	}
-	priority := mgr.clampPriority(spec.Priority)
+	priority := clampPriority(spec.Priority)
 	mgr.mu.Lock()
 	v, held, err := mgr.attachLocked(id, priority)
 	mgr.mu.Unlock()

@@ -119,7 +119,7 @@ type Spec struct {
 	// Name labels the sweep and namespaces its identity: two specs that
 	// differ only in Name are distinct sweeps.
 	Name string `json:"name,omitempty"`
-	// Priority weights this sweep in the fair scheduler (1..MaxPriority,
+	// Priority weights this sweep in the fair scheduler (1..8,
 	// default 1): a priority-3 sweep receives three cell dispatches per
 	// round for every one a priority-1 sweep receives. Priority does not
 	// contribute to the sweep's identity, so resubmitting a running

@@ -28,9 +28,6 @@ import (
 
 var magic = [4]byte{'M', 'M', 'T', '1'}
 
-// errBadMagic reports a file that is not a trace file.
-var errBadMagic = errors.New("trace: bad magic (not an MMT1 trace file)")
-
 const recordBytes = 18
 
 // WriteFile materializes up to max records of r into path. If max is 0
@@ -124,7 +121,7 @@ func (t *FileTrace) readHeader() error {
 		return err
 	}
 	if hdr != magic {
-		return errBadMagic
+		return errors.New("trace: bad magic (not an MMT1 trace file)")
 	}
 	var nameLen [2]byte
 	if _, err := io.ReadFull(t.r, nameLen[:]); err != nil {
@@ -222,61 +219,3 @@ func (t *FileTrace) Reset() {
 
 // Close releases the underlying file.
 func (t *FileTrace) Close() error { return t.f.Close() }
-
-// SaveMaterialized writes a materialized trace to path in MMT1 format,
-// so it can be reloaded (LoadMaterialized, Pool.PreloadDir) instead of
-// regenerated in later processes.
-func SaveMaterialized(path string, m *Materialized) error {
-	_, err := WriteFile(path, m.Replay(), 0)
-	return err
-}
-
-// LoadMaterialized decodes a whole MMT1 trace file into a Materialized
-// slab. The file's record count is checked against the records actually
-// read, never trusted for an allocation.
-func LoadMaterialized(path string) (*Materialized, error) {
-	ft, err := OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer ft.Close()
-	m := Materialize(ft, 0)
-	if err := ft.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
-	}
-	if uint64(m.n) != ft.Len() {
-		return nil, fmt.Errorf("trace: %s: truncated after %d of %d records", path, m.n, ft.Len())
-	}
-	return m, nil
-}
-
-// PreloadDir loads every MMT1 file in dir into the pool, keyed by the
-// trace name recorded in the file (the catalog spec name when written
-// by cmd/tracegen). Preloaded traces are complete as stored: a reader
-// loops at the file's record count, which must match how the trace was
-// generated for behavior to be comparable with streaming runs. Files
-// that fail to parse are skipped and reported in the returned error
-// list; n is the number of traces loaded.
-func (s *Pool) PreloadDir(dir string) (n int, errs []error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, []error{err}
-	}
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		path := dir + string(os.PathSeparator) + de.Name()
-		m, err := LoadMaterialized(path)
-		if err != nil {
-			if errors.Is(err, errBadMagic) {
-				continue // not a trace file
-			}
-			errs = append(errs, fmt.Errorf("%s: %w", path, err))
-			continue
-		}
-		s.Preload(m.Name(), m)
-		n++
-	}
-	return n, errs
-}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -111,13 +112,13 @@ func patchRecord(raw []byte, i int, patch func(rec []byte)) []byte {
 }
 
 // A record the model cannot represent is refused where it stands: the
-// trace ends before it, Err names it, and the loaders report it rather
-// than a truncation. The largest values that fit still load.
+// trace ends before it, Err names it, and Reset keeps it so. The
+// largest values that fit still load.
 func TestFileRefusesRecords(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.mmt")
 	want := runTrace(3, 4)
-	if err := SaveMaterialized(good, NewMaterialized("seed", want)); err != nil {
+	if _, err := WriteFile(good, NewSlice("seed", want), 0); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(good)
@@ -142,15 +143,10 @@ func TestFileRefusesRecords(t *testing.T) {
 		}
 		ft.Reset()
 		equalInstrs(t, tc.name+" after Reset", drain(ft), want[:5])
+		if err := ft.Err(); err == nil || err.Error() != "record 5: "+tc.want {
+			t.Errorf("%s: after Reset, Err() = %v, want record 5: %s", tc.name, err, tc.want)
+		}
 		ft.Close()
-
-		if _, err := LoadMaterialized(path); err == nil || !strings.HasSuffix(err.Error(), "record 5: "+tc.want) {
-			t.Errorf("%s: LoadMaterialized error %v, want it to end in record 5: %s", tc.name, err, tc.want)
-		}
-		n, errs := NewPool(1<<20, 0).PreloadDir(dir)
-		if n != 1 || len(errs) != 1 || !strings.Contains(errs[0].Error(), "record 5: "+tc.want) {
-			t.Errorf("%s: PreloadDir loaded %d with errors %v, want the good file and record 5's error", tc.name, n, errs)
-		}
 	}
 
 	edge := patchRecord(raw, 5, func(rec []byte) {
@@ -162,11 +158,91 @@ func TestFileRefusesRecords(t *testing.T) {
 	if err := os.WriteFile(path, edge, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadMaterialized(path)
+	if got := drain(loadFile(t, path).Replay())[5]; got != (Instr{Addr: 0xffffffff, PC: 0xffff, Kind: Store, Flags: DependsPrev}) {
+		t.Errorf("record 5 loaded as %+v", got)
+	}
+}
+
+// loadFile reads a whole MMT1 file through OpenFile into a slab, as
+// tracestat does, and fails the test on a refused record or a file
+// shorter than its header says.
+func loadFile(t *testing.T, path string) *Materialized {
+	t.Helper()
+	ft, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drain(m.Replay())[5]; got != (Instr{Addr: 0xffffffff, PC: 0xffff, Kind: Store, Flags: DependsPrev}) {
-		t.Errorf("record 5 loaded as %+v", got)
+	defer ft.Close()
+	m := Materialize(ft, 0)
+	if err := ft.Err(); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
+	if uint64(m.Len()) != ft.Len() {
+		t.Fatalf("%s: read %d of the %d records the header counts", path, m.Len(), ft.Len())
+	}
+	return m
+}
+
+// FuzzOpenFile: on any bytes, the MMT1 reader refuses the header or
+// yields, in batches, records a Rec holds — never more than the header
+// counts or the bytes hold. It stops early only at a record it refuses,
+// which Err names, and Reset replays the same records. What it yields
+// survives WriteFile and a second read.
+func FuzzOpenFile(f *testing.F) {
+	good := filepath.Join(f.TempDir(), "good.mmt")
+	if _, err := WriteFile(good, NewSlice("seed", runTrace(3, 4)), 0); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)-7]) // truncated mid-record
+	for _, bad := range refusedRecords {
+		f.Add(patchRecord(raw, 2, bad.patch))
+	}
+	f.Add(append([]byte("MMT1\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)) // 2^63 records claimed
+	f.Add([]byte("MMT1\xff\xffshort name"))
+	f.Add([]byte("not a trace"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "in.mmt")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		ft, err := OpenFile(path)
+		if err != nil {
+			return
+		}
+		defer ft.Close()
+		buf := make([]Instr, 7)
+		read := func() []Instr {
+			var got []Instr
+			for n := ft.ReadBatch(buf); n > 0; n = ft.ReadBatch(buf) {
+				got = append(got, buf[:n]...)
+			}
+			return got
+		}
+		got := read()
+		header := 4 + 2 + len(ft.Name()) + 8
+		held := min(ft.Len(), uint64(len(data)-header)/recordBytes)
+		if err := ft.Err(); err != nil {
+			if want := fmt.Sprintf("record %d: ", len(got)); uint64(len(got)) >= held || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("read %d of %d records, then Err() = %v", len(got), held, err)
+			}
+		} else if uint64(len(got)) != held {
+			t.Fatalf("read %d records from %d bytes whose header counts %d", len(got), len(data), ft.Len())
+		}
+		ft.Reset()
+		equalInstrs(t, "after Reset", read(), got)
+
+		// A record the reader let through that no Rec holds would panic
+		// in appendPacked.
+		m := NewMaterialized(ft.Name(), got)
+		again := filepath.Join(t.TempDir(), "again.mmt")
+		if _, err := WriteFile(again, m.Replay(), 0); err != nil {
+			t.Fatal(err)
+		}
+		equalInstrs(t, "second read", drain(loadFile(t, again).Replay()), got)
+	})
 }

@@ -379,8 +379,8 @@ func TestPoolConcurrentGrowth(t *testing.T) {
 	}
 }
 
-// SaveMaterialized writes a packed slab as plain MMT1: one 18-byte
-// record per instruction, the same header, no version bump.
+// WriteFile writes a packed slab as plain MMT1: one 18-byte record per
+// instruction, the same header, no version bump.
 func TestMaterializedFileFormatUnchanged(t *testing.T) {
 	want := runTrace(5, 50)
 	m := NewMaterialized("fmt", want)
@@ -388,7 +388,7 @@ func TestMaterializedFileFormatUnchanged(t *testing.T) {
 		t.Fatalf("slab of %d records for %d instructions is not packed", len(m.recs), len(want))
 	}
 	path := filepath.Join(t.TempDir(), "fmt.mmt")
-	if err := SaveMaterialized(path, m); err != nil {
+	if _, err := WriteFile(path, m.Replay(), 0); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -402,10 +402,7 @@ func TestMaterializedFileFormatUnchanged(t *testing.T) {
 	if n := binary.LittleEndian.Uint64(raw[header-8:]); n != uint64(len(want)) {
 		t.Fatalf("header counts %d records, want %d", n, len(want))
 	}
-	got, err := LoadMaterialized(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := loadFile(t, path)
 	equalInstrs(t, "reloaded", drain(got.Replay()), want)
 	if !slices.Equal(got.recs, m.recs) {
 		t.Fatal("a reloaded slab packs differently from the one saved")
@@ -465,54 +462,5 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if total != len(want) || m.Len() != len(want) {
 			t.Fatalf("slab stands for %d instructions, Len %d, want %d", total, m.Len(), len(want))
 		}
-	})
-}
-
-// FuzzLoadMaterialized: the MMT1 loader returns an error or a slab that
-// holds exactly the records the header counted, on any bytes — it never
-// panics and never sizes an allocation from the header.
-func FuzzLoadMaterialized(f *testing.F) {
-	dir := f.TempDir()
-	good := filepath.Join(dir, "good.mmt")
-	if err := SaveMaterialized(good, NewMaterialized("seed", runTrace(3, 4))); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(good)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-	f.Add(raw[:len(raw)-7]) // truncated mid-record
-	for _, bad := range refusedRecords {
-		f.Add(patchRecord(raw, 2, bad.patch))
-	}
-	f.Add(append([]byte("MMT1\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)) // 2^63 records claimed
-	f.Add([]byte("MMT1\xff\xffshort name"))
-	f.Add([]byte("not a trace"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "in.mmt")
-		if err := os.WriteFile(path, data, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		// A record the decoder let through that no Rec holds would
-		// panic in appendPacked.
-		m, err := LoadMaterialized(path)
-		if err != nil {
-			return
-		}
-		header := 4 + 2 + len(m.Name()) + 8
-		if want := binary.LittleEndian.Uint64(data[header-8:]); uint64(m.Len()) != want || len(data) < header+recordBytes*m.Len() {
-			t.Fatalf("loaded %d instructions from %d bytes whose header counts %d", m.Len(), len(data), want)
-		}
-		// What was loaded survives a save and a second load.
-		again := filepath.Join(t.TempDir(), "again.mmt")
-		if err := SaveMaterialized(again, m); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := LoadMaterialized(again)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalInstrs(t, "second load", drain(m2.Replay()), drain(m.Replay()))
 	})
 }

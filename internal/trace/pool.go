@@ -185,26 +185,6 @@ func (s *Pool) Shared(key string, factory func() Reader) Reader {
 	return e.newReader()
 }
 
-// Preload registers an already-complete materialized trace under key
-// (an on-disk trace cache loaded at startup, for example). The slab is
-// final: readers loop at its end exactly like a trace-file replay.
-func (s *Pool) Preload(key string, m *Materialized) {
-	e := &sharedTrace{store: s, name: m.Name()}
-	e.snap.Store(&traceSnap{recs: m.recs, n: m.n, done: true})
-	s.mu.Lock()
-	if old, ok := s.entries[key]; ok {
-		old.mu.Lock()
-		snap := old.snap.Load()
-		old.mu.Unlock()
-		s.used -= int64(len(snap.recs)) * recBytes
-		s.instrs -= int64(snap.n)
-	}
-	s.entries[key] = e
-	s.used += m.Footprint()
-	s.instrs += int64(m.n)
-	s.mu.Unlock()
-}
-
 // traceSnap is one published state of a shared slab. Snapshots are
 // immutable: extension builds a new one and swaps the pointer, so
 // readers never lock. Records below len(recs) never change; extension

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
@@ -227,29 +226,4 @@ func TestPoolEmptyTrace(t *testing.T) {
 	if _, ok := r.Next(); ok {
 		t.Fatal("empty trace returned a record after Reset")
 	}
-}
-
-// PreloadDir must pick up tracegen-style MMT1 files and serve them
-// through Shared without invoking the factory.
-func TestPoolPreloadDir(t *testing.T) {
-	g := poolGen()
-	m := Materialize(g, 0)
-	dir := t.TempDir()
-	if err := SaveMaterialized(filepath.Join(dir, "s.mmt"), m); err != nil {
-		t.Fatalf("SaveMaterialized: %v", err)
-	}
-
-	pool := NewPool(1<<30, 0)
-	n, errs := pool.PreloadDir(dir)
-	if len(errs) > 0 {
-		t.Fatalf("PreloadDir errors: %v", errs)
-	}
-	if n != 1 {
-		t.Fatalf("preloaded %d traces, want 1", n)
-	}
-	r := pool.Shared("s", func() Reader {
-		t.Fatal("factory invoked for a preloaded trace")
-		return nil
-	})
-	equalInstrs(t, "preloaded replay", drain(r), drain(m.Replay()))
 }

@@ -16,10 +16,9 @@ const slabOffHeap = true
 // record is first written to it, so resident bytes follow the records
 // held, not the reservation. The mapping is never unmapped: a pool entry
 // lives as long as the process, and any reader may alias any prefix of
-// it, including one of an entry that Preload replaced. It holds only
-// pointer-free records, so the collector neither scans it nor counts it
-// towards its heap target. nil means the mapping failed; the caller then
-// grows its slab on the heap.
+// it. It holds only pointer-free records, so the collector neither scans
+// it nor counts it towards its heap target. nil means the mapping
+// failed; the caller then grows its slab on the heap.
 func newSlab(maxRecords int) []Rec {
 	b, err := syscall.Mmap(-1, 0, maxRecords*int(recBytes),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_NORESERVE)
