@@ -66,12 +66,14 @@ race:
 # deterministic, so a red run reproduces exactly from the same seed.
 # The second line repeats the same-key tests (one content key wanted by
 # two sweeps, an interactive job, a cell out on a peer — see
-# samekey_test.go) twenty times: what they pin depends on the schedule, so one pass proves little.
+# samekey_test.go) and the suspect-peer routing test (a late boot-time
+# repair goroutine races it) twenty times: what they pin depends on the
+# schedule, so one pass proves little.
 chaos:
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
 		$(GO) test -race -count=1 ./internal/faultinject ./internal/cluster ./internal/server ./internal/client ./internal/sweep
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
-		$(GO) test -race -count=20 -run '^TestSameKey' ./internal/server
+		$(GO) test -race -count=20 -run '^(TestSameKey.*|TestSuspectPeerIsSkipped)$$' ./internal/server
 
 # Ten seconds of coverage-guided fuzzing per target on the parsers of
 # untrusted shape: in the trace layer the run-length packer (pack then

@@ -232,22 +232,24 @@ var tables = map[string]func(){
 	"fig1":      func() { fmt.Print(experiment.PlayGame(4000, 11)) },
 }
 
+// timelines maps each policy-timeline probe to the controller it traces.
+var timelines = map[string]string{"fig2": "bandit", "fig4": "bandit-shared", "fig12": "mumama"}
+
 // probes are the simulating ids that cannot be cells (see
 // experiment.Figures): they always run on the local Runner.
-var probes = map[string]probe{
-	"fig2":  timeline("bandit"),
-	"fig4":  timeline("bandit-shared"),
-	"fig12": timeline("mumama"),
-	"fig3": func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) {
-		return r.Fig3PrefetchScaling(ctx, []int{1, 4, 8})
-	},
-}
+var probes = func() map[string]probe {
+	p := map[string]probe{
+		"fig3": func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) {
+			return r.Fig3PrefetchScaling(ctx, []int{1, 4, 8})
+		},
+	}
+	for id, key := range timelines {
+		p[id] = func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline(ctx, key) }
+	}
+	return p
+}()
 
 type probe func(context.Context, *experiment.Runner) (fmt.Stringer, error)
-
-func timeline(key string) probe {
-	return func(ctx context.Context, r *experiment.Runner) (fmt.Stringer, error) { return r.FigTimeline(ctx, key) }
-}
 
 // executor is the seam a figure's cells go through: the Runner's worker
 // pool, or one named sweep on the server.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"micromama/internal/client"
@@ -140,5 +141,33 @@ func TestControllersAllIsTheRegistry(t *testing.T) {
 	}
 	if !slices.Equal(spec.Controllers, experiment.ControllerKeys) || !slices.Contains(spec.Controllers, "mumama-profiled") {
 		t.Errorf("all = %v, want %v", spec.Controllers, experiment.ControllerKeys)
+	}
+}
+
+// TestEveryControllerKeyIsUsed: a registry key no figure cell at tiny,
+// timeline probe or default tournament runs is a controller nothing
+// reproduces; it earns a use or leaves the registry.
+func TestEveryControllerKeyIsUsed(t *testing.T) {
+	used := map[string]bool{}
+	mark := func(key string) { name, _, _ := strings.Cut(key, "@"); used[name] = true }
+	for _, f := range experiment.Figures {
+		cells, err := f.Cells("tiny", 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		for _, c := range cells {
+			mark(c.Controller)
+		}
+	}
+	for _, key := range timelines {
+		mark(key)
+	}
+	for _, key := range strings.Split(defaultTournamentControllers, ",") {
+		mark(key)
+	}
+	for _, key := range experiment.ControllerKeys {
+		if !used[key] {
+			t.Errorf("controller %q is in no figure cell at tiny, timeline probe or default tournament", key)
+		}
 	}
 }

@@ -195,21 +195,6 @@ func TestMuMamaKStepForcesAdvance(t *testing.T) {
 	}
 }
 
-func TestMuMamaLimitMode(t *testing.T) {
-	cfg := DefaultMuMamaConfig()
-	cfg.Step = 100
-	cfg.LimitMode = true
-	m := NewMuMama(cfg)
-	runTiny(t, m, 2, 400_000)
-	if m.GlobalSteps() < 10 {
-		t.Fatalf("only %d global steps", m.GlobalSteps())
-	}
-	// Limit mode must still dictate sometimes or fall back cleanly.
-	if jf := m.JointFraction(); jf < 0 || jf > 1 {
-		t.Errorf("JointFraction = %g", jf)
-	}
-}
-
 func TestMuMamaSingleCoreSMPGuard(t *testing.T) {
 	// Equation 5 degenerates at n = 1 (S^MP would be 0 and every system
 	// reward 0, letting the JAV dictate arbitrary arms). The guard pins
@@ -224,23 +209,5 @@ func TestMuMamaSingleCoreSMPGuard(t *testing.T) {
 	if m.JAVCache().BestReward() <= 0 {
 		t.Errorf("single-core JAV best reward = %g; the S^MP guard is broken",
 			m.JAVCache().BestReward())
-	}
-}
-
-func TestMuMamaWithSetAssociativeJAV(t *testing.T) {
-	cfg := DefaultMuMamaConfig()
-	cfg.Step = 100
-	cfg.JAVSets = 4
-	cfg.JAVWays = 2
-	m := NewMuMama(cfg)
-	runTiny(t, m, 2, 400_000)
-	if m.JAVCache() != nil {
-		t.Error("JAVCache should be nil under the set-associative organization")
-	}
-	if m.JAVStore().Len() == 0 {
-		t.Error("set-associative JAV never populated")
-	}
-	if m.GlobalSteps() < 10 {
-		t.Errorf("only %d steps", m.GlobalSteps())
 	}
 }

@@ -40,26 +40,6 @@ func (j JointAction) String() string {
 	return s + "]"
 }
 
-// JAVStore is the interface the µMama controller needs from a JAV
-// organization; both the fully associative JAV (the paper's evaluated
-// design) and the set-associative SetAssocJAV (§4.2.3's scaled-up
-// variant) implement it.
-type JAVStore interface {
-	// Update records one timestep of action with its system reward.
-	Update(action JointAction, reward float64)
-	// Best returns the highest-scoring resident action (nil if empty).
-	Best() JointAction
-	// BestReward returns the best entry's selection score.
-	BestReward() float64
-	// Len returns the number of resident entries.
-	Len() int
-}
-
-var (
-	_ JAVStore = (*JAV)(nil)
-	_ JAVStore = (*SetAssocJAV)(nil)
-)
-
 // javEntry is one JAV cache entry: the joint action (aField), its
 // discounted play count (nField), and discounted reward sum (whose
 // ratio is the rField of the paper's Figure 7).

@@ -30,11 +30,6 @@ type MuMamaConfig struct {
 	JAVSize  int
 	JAVGamma float64
 	JAVLCB   float64
-	// JAVSets/JAVWays select the set-associative organization of
-	// §4.2.3 instead of the default fully associative cache (both zero
-	// keeps the paper's design). JAVSize is ignored when set.
-	JAVSets int
-	JAVWays int
 	// ThetaGlobal is the sensitivity threshold below which a local
 	// agent receives the system reward (Table 1: 1 - 1.4/n). Zero means
 	// "use the Table 1 formula".
@@ -49,12 +44,6 @@ type MuMamaConfig struct {
 	// ablation of §6.6.1.
 	DisableJAV bool
 	DisableGRW bool
-	// LimitMode applies dictated joint actions as aggressiveness *caps*
-	// rather than exact configurations (§7's sketch for applying µMama
-	// to large-state-space controllers like RL-CoPref): each local
-	// agent still picks its own arm, but it is clamped to the dictated
-	// arm's position in the least-to-most-aggressive ordering.
-	LimitMode bool
 	// RecordTimeline enables policy-timeline sampling (Figure 12).
 	RecordTimeline bool
 }
@@ -91,7 +80,7 @@ type MuMama struct {
 	sys    *sim.System
 	agents []*localAgent
 	arb    *bandit.DUCB
-	jav    JAVStore
+	jav    *JAV
 	theta  float64
 	// profiles holds the rescaled offline S^MP profile (nil when
 	// estimating at runtime).
@@ -199,11 +188,7 @@ func (m *MuMama) Attach(sys *sim.System) {
 		m.agents[i] = newLocalAgent(m.cfg.LocalC, m.cfg.LocalGamma, n, i)
 	}
 	m.arb = bandit.New(bandit.Config{Arms: 2, C: m.cfg.ArbiterC, Gamma: m.cfg.ArbiterGamma})
-	if m.cfg.JAVSets > 0 || m.cfg.JAVWays > 0 {
-		m.jav = NewSetAssocJAV(m.cfg.JAVSets, m.cfg.JAVWays, m.cfg.JAVGamma, m.cfg.JAVLCB)
-	} else {
-		m.jav = NewJAVLCB(m.cfg.JAVSize, m.cfg.JAVGamma, m.cfg.JAVLCB)
-	}
+	m.jav = NewJAVLCB(m.cfg.JAVSize, m.cfg.JAVGamma, m.cfg.JAVLCB)
 	m.theta = m.cfg.ThetaGlobal
 	if m.theta == 0 {
 		m.theta = 1 - 1.4/float64(n)
@@ -242,18 +227,8 @@ func (m *MuMama) Attach(sys *sim.System) {
 // Engine implements sim.Controller.
 func (m *MuMama) Engine(core int) prefetch.Prefetcher { return m.agents[core].engine }
 
-// JAVCache exposes the fully associative JAV for tests and
-// introspection; it returns nil when the set-associative organization
-// is configured (use JAVStore then).
-func (m *MuMama) JAVCache() *JAV {
-	if j, ok := m.jav.(*JAV); ok {
-		return j
-	}
-	return nil
-}
-
-// JAVStore exposes whichever JAV organization is configured.
-func (m *MuMama) JAVStore() JAVStore { return m.jav }
+// JAVCache exposes the JAV cache for tests and introspection.
+func (m *MuMama) JAVCache() *JAV { return m.jav }
 
 // Arbiter exposes the arbiter bandit.
 func (m *MuMama) Arbiter() *bandit.DUCB { return m.arb }
@@ -446,16 +421,8 @@ func (m *MuMama) advance(now uint64) {
 	if warm && !m.cfg.DisableJAV && m.arbAction == arbActJoint {
 		if best := m.jav.Best(); best != nil {
 			nextDictated = true
-			for i, a := range m.agents {
+			for i := range nextArms {
 				nextArms[i] = int(best[i])
-				if m.cfg.LimitMode {
-					// The dictated arm is a ceiling: the local choice
-					// stands unless it is more aggressive (arms are
-					// ordered least to most aggressive).
-					if local := a.d.Select(); local < nextArms[i] {
-						nextArms[i] = local
-					}
-				}
 			}
 		}
 	}

@@ -142,13 +142,6 @@ var controllers = []controllerRow{
 	}),
 	muMamaRow("mumama-jav-only", core.MetricWS(), func(c *core.MuMamaConfig, _ Options) error { c.DisableGRW = true; return nil }),
 	muMamaRow("mumama-grw-only", core.MetricWS(), func(c *core.MuMamaConfig, _ Options) error { c.DisableJAV = true; return nil }),
-	{name: "mumama-l1l2", build: func(opt Options, _ map[string]float64) (sim.Controller, error) {
-		cfg := core.DefaultMuMamaConfig()
-		if opt.Step > 0 {
-			cfg.Step = opt.Step
-		}
-		return core.NewDualMuMama(cfg), nil
-	}},
 	{name: "phase-select", build: func(opt Options, _ map[string]float64) (sim.Controller, error) {
 		cfg := core.DefaultPhaseSelectConfig()
 		if opt.Step > 0 {

@@ -41,7 +41,6 @@ func TestControllerKeys(t *testing.T) {
 		"mumama@jav":         `"" is not a value for jav`,
 		"mumama @jav=4":      `unknown controller "mumama "`,
 		"bandit@jav=4":       `bandit takes no parameters`,
-		"mumama-l1l2@jav=4":  `mumama-l1l2 takes no parameters`,
 		"mumama@jav=" + strings.Repeat("0", MaxControllerKey) + "4": `at most 128`,
 	} {
 		if err := CheckController(key); err == nil || !strings.Contains(err.Error(), want) {

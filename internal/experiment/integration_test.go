@@ -101,18 +101,3 @@ func TestIntegrationRunsDeterministic(t *testing.T) {
 		t.Errorf("non-deterministic µMama runs: %.6f/%.6f vs %.6f/%.6f", a.WS, a.HS, b.WS, b.HS)
 	}
 }
-
-func TestIntegrationDualControllerRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration")
-	}
-	r := NewRunner(ScaleTiny)
-	mix := workload.Mixes(2, 1, 5)[0]
-	res, err := r.RunMixContext(context.Background(), mix, sim.DefaultConfig(2), "mumama-l1l2", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WS <= 0 {
-		t.Errorf("dual controller WS = %g", res.WS)
-	}
-}

@@ -397,8 +397,12 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 		t.Errorf("while suspect: degraded_local=%d proxied=%d writebacks=%d remote hits/misses=%d/%d, want 1 0 0 0/0",
 			acl.DegradedLocal, acl.Proxied, acl.Writebacks, acl.RemoteCacheHits, acl.RemoteCacheMisses)
 	}
-	if bst := getStats(t, b.ts); bst.Submitted != 0 || bst.CachedKeys != 0 {
-		t.Errorf("suspect peer saw traffic: submitted=%d cached_keys=%d", bst.Submitted, bst.CachedKeys)
+	// B's boot-time repair runs on its own goroutine; B sees A healthy, so
+	// when that goroutine runs late it rightly pulls the B-owned result A
+	// just computed. A sent B nothing iff every key B holds, B pulled.
+	if bst, bcl := clusterStats(t, b); bst.Submitted != 0 || uint64(bst.CachedKeys) != bcl.RepairPulled {
+		t.Errorf("suspect peer saw traffic: submitted=%d cached_keys=%d repair_pulled=%d",
+			bst.Submitted, bst.CachedKeys, bcl.RepairPulled)
 	}
 
 	healGossip()

@@ -412,11 +412,15 @@ func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) error
 
 // jobTimeout is the one rule for a job's execution deadline: the
 // requested timeout_ms clamped to MaxTimeout, DefaultTimeout when unset.
+// The clamp compares milliseconds, since ms×1e6 ns can overflow.
 func (s *Server) jobTimeout(ms int64) time.Duration {
 	if ms <= 0 {
 		return s.cfg.DefaultTimeout
 	}
-	return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
+	if ms >= s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // admission is how admitLocked disposed of a key.

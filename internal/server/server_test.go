@@ -278,6 +278,42 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutClamps submits timeout_ms values whose nanosecond
+// count overflows int64 and checks the job runs under a MaxTimeout
+// deadline instead of one already in the past.
+func TestHugeTimeoutClamps(t *testing.T) {
+	left := make(chan time.Duration, 1)
+	srv := mustNew(t, Config{
+		Workers:    1,
+		QueueDepth: 4,
+		Run: func(ctx context.Context, spec JobSpec) (JobResult, error) {
+			d, _ := ctx.Deadline()
+			left <- time.Until(d)
+			return JobResult{}, nil
+		},
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	limit := srv.cfg.MaxTimeout
+	for i, ms := range []string{"9223372036854775807", "10000000000000"} {
+		// timeout_ms is not in the key, so the seed makes each a new job.
+		spec := fmt.Sprintf(`{"mix":["spec06.libquantum"],"controller":"no","scale":"tiny","seed":%d,"timeout_ms":%s}`, i+1, ms)
+		if resp, _ := postJob(t, ts, spec); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("timeout_ms %s: HTTP %d", ms, resp.StatusCode)
+		}
+		select {
+		case d := <-left:
+			if d < limit-time.Minute || d > limit {
+				t.Errorf("timeout_ms %s: deadline %v away, want about %v", ms, d, limit)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timeout_ms %s: the job never ran", ms)
+		}
+	}
+}
+
 // scrapeMetric fetches /metrics and returns the value of the series
 // with the given name (including any label body), or -1 if absent.
 func scrapeMetric(t *testing.T, ts *httptest.Server, series string) float64 {

@@ -23,14 +23,6 @@ type Controller interface {
 	OnL2Demand(core int, now uint64)
 }
 
-// L1Provider is implemented by controllers that also control the L1D
-// prefetcher (the paper's §7 L1+L2 extension). Controllers that do not
-// implement it get the default ip_stride prefetcher in every L1D.
-type L1Provider interface {
-	// L1Engine returns core i's L1D prefetch engine.
-	L1Engine(core int) prefetch.Prefetcher
-}
-
 // FixedController runs a static prefetcher in every L2 (or none).
 type FixedController struct {
 	name    string

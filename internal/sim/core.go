@@ -79,10 +79,6 @@ type Core struct {
 }
 
 func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *Core {
-	l1Engine := prefetch.Prefetcher(prefetch.NewIPStride())
-	if p, ok := sys.controller.(L1Provider); ok {
-		l1Engine = p.L1Engine(id)
-	}
 	c := &Core{
 		sys:           sys,
 		id:            id,
@@ -92,7 +88,7 @@ func newCore(sys *System, id int, tr trace.Reader, engine prefetch.Prefetcher) *
 		l1i:           cache.New(sys.cfg.L1I),
 		l1d:           cache.New(sys.cfg.L1D),
 		l2:            cache.New(sys.cfg.L2),
-		l1Engine:      l1Engine,
+		l1Engine:      prefetch.NewIPStride(),
 		l2Engine:      engine,
 		pending:       make([]pendingMiss, 0, pendingCompact+1+sys.cfg.MLP),
 		fetchLineMask: ^(sys.cfg.L1I.LineBytes - 1),
