@@ -107,7 +107,8 @@ fuzz-smoke:
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
 # resubmission answered entirely from the warm cache with zero new
-# simulations. See scripts/sweepsmoke.
+# simulations, and the resumed and warm streams byte-equal to the cold
+# one, key and result per cell. See scripts/sweepsmoke.
 # Smoke targets capture their output to <name>.out (portably preserving
 # the exit status) so CI can upload the file as a failure artifact.
 sweep-smoke:

@@ -19,10 +19,11 @@ type resultCache struct {
 	m  map[string]cachedResult
 }
 
-// cachedResult is one entry: the result and its JSON, encoded once in
-// put. Sweep event logs, result streams and peer replies all hand out
-// raw itself, so nobody may write to it.
+// cachedResult is one entry: its key (the map's own string), the result
+// and its JSON, encoded once in put. Result streams and peer replies all
+// hand out raw itself, so nobody may write to it.
 type cachedResult struct {
+	key string
 	res JobResult
 	raw json.RawMessage
 }
@@ -36,6 +37,15 @@ func (c *resultCache) get(key string) (cachedResult, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	v, ok := c.m[key]
+	return v, ok
+}
+
+// lookup is get for a key held in bytes: the map index converts it
+// without allocating.
+func (c *resultCache) lookup(key []byte) (cachedResult, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	v, ok := c.m[string(key)]
 	return v, ok
 }
 
@@ -53,7 +63,7 @@ func (c *resultCache) put(key string, res JobResult) (json.RawMessage, error) {
 		if v.raw, err = json.Marshal(res); err != nil {
 			return nil, fmt.Errorf("encode result: %w", err)
 		}
-		v.res = res
+		v.key, v.res = key, res
 		c.m[key] = v
 	}
 	return v.raw, nil

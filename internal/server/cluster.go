@@ -32,6 +32,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -327,21 +328,23 @@ type cacheLookupResponse[R any] struct {
 	Results map[string]R `json:"results"`
 }
 
-// prefetch is handed the keys of a sweep about to be admitted
-// (sweep.Exec.Prefetch: sweep.KeyLen bytes each, back to back) and
+// prefetch is handed the key digests of a sweep about to be admitted
+// (sweep.Exec.Prefetch: sweep.DigestLen bytes each, back to back) and
 // batch-fetches every remote-owned one this node lacks from its owner,
 // one RPC per peer. Hits land in the local cache, so the sweep manager's
 // admission-time dedupe marks those cells complete without dispatching
 // anything: a warm cluster serves a resubmitted sweep with zero
 // recomputation no matter which node receives it. Failures are ignored
 // — a missed prefetch only costs a recompute.
-func (cs *clusterState) prefetch(ctx context.Context, keys string) {
+func (cs *clusterState) prefetch(ctx context.Context, digests string) {
 	byOwner := make(map[string][]string)
-	for ; len(keys) >= sweep.KeyLen; keys = keys[sweep.KeyLen:] {
-		key := keys[:sweep.KeyLen]
-		if _, ok := cs.s.cache.get(key); ok {
+	var buf [sweep.KeyLen]byte
+	for ; len(digests) >= sweep.DigestLen; digests = digests[sweep.DigestLen:] {
+		hex.Encode(buf[:], []byte(digests[:sweep.DigestLen]))
+		if _, ok := cs.s.cache.lookup(buf[:]); ok {
 			continue
 		}
+		key := string(buf[:])
 		owner := cs.c.Owner(key)
 		if cs.c.IsSelf(owner) {
 			continue
@@ -643,7 +646,7 @@ func (cs *clusterState) dispatchNext() {
 		}
 		slot := cs.reserve(t.Key, false)
 		if slot == nil {
-			cs.s.sweeps.CellDone(t, sweep.CellPending, nil, "")
+			cs.s.sweeps.CellDone(t, sweep.CellPending, "")
 			return
 		}
 		if j := cs.s.admitCell(t, true); j != nil {

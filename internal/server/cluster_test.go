@@ -152,7 +152,8 @@ func clusterStats(t *testing.T, n *clusterNode) (Stats, ClusterStats) {
 // cold sweep submitted to node A computes every cell exactly once
 // across the cluster; resubmitting the identical sweep to node C
 // completes with zero additional simulations anywhere — admission
-// prefetch pulls every remote-owned result from its owning shard.
+// prefetch pulls every remote-owned result from its owning shard — and
+// each node streams every event from its own result cache.
 func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 	const cells = 9
 	sims := make([]atomic.Int64, 3)
@@ -188,6 +189,12 @@ func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 	if got := total(); got != cells {
 		t.Fatalf("cold sweep ran %d simulations across the cluster, want exactly %d", got, cells)
 	}
+	// A cell that ran on a peer streams what A's cache holds: its result
+	// came back through storeResult like a local run's.
+	if _, acl := clusterStats(t, a); acl.RemoteCells == 0 {
+		t.Error("no cell of the cold sweep ran on a peer")
+	}
+	eventsReadCache(t, a.srv, a.ts, view.ID)
 
 	// Same grid against a different node: every cell must dedupe at
 	// admission via the distributed cache.
@@ -205,6 +212,7 @@ func TestClusterWarmSweepZeroRecompute(t *testing.T) {
 	if _, ccl := clusterStats(t, c); ccl.RemoteCacheHits == 0 {
 		t.Error("warm pass recorded no cross-shard cache hits; prefetch did not reach the owners")
 	}
+	eventsReadCache(t, c.srv, c.ts, view2.ID)
 }
 
 // specsOwnedBy hunts for count fake-job seeds whose keys land on the

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -390,7 +392,7 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	if acs.spare() {
 		t.Error("spare() counts a suspect peer's slots")
 	}
-	acs.prefetch(ctx, keys[1])
+	acs.prefetch(ctx, digestOf(t, keys[1]))
 	_, acl := clusterStats(t, a)
 	if acl.DegradedLocal != 1 || acl.Proxied != 0 || acl.Writebacks != 0 ||
 		acl.RemoteCacheHits != 0 || acl.RemoteCacheMisses != 0 {
@@ -433,7 +435,7 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	if sims[0].Load() != 1 || sims[1].Load() != 1 {
 		t.Errorf("simulations = [%d %d], want [1 1]: the refuted owner computes again", sims[0].Load(), sims[1].Load())
 	}
-	acs.prefetch(ctx, keys[1])
+	acs.prefetch(ctx, digestOf(t, keys[1]))
 	for _, key := range []string{keys[2], own.key} {
 		if slot := acs.reserve(key, false); slot == nil || slot.venue != b.url {
 			t.Errorf("reserve still passes over the refuted peer (key owned by %s)", acs.c.Owner(key))
@@ -611,4 +613,15 @@ func TestGossipPartitionChaos(t *testing.T) {
 	if sims[0].Load() != 1 {
 		t.Errorf("receiving node ran %d simulations, want 1 (local compute)", sims[0].Load())
 	}
+}
+
+// digestOf is a job key as sweep.Exec.Prefetch takes it: the raw bytes
+// its hex digits spell.
+func digestOf(t *testing.T, key string) string {
+	t.Helper()
+	d, err := hex.DecodeString(key)
+	if err != nil || len(d) != sha256.Size {
+		t.Fatalf("job key %q is not %d hex-encoded bytes", key, sha256.Size)
+	}
+	return string(d)
 }

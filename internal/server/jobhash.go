@@ -2,7 +2,6 @@ package server
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -12,11 +11,12 @@ import (
 	"micromama/internal/sweep"
 )
 
-// appendJobKey derives the content address of a job and appends it, as
-// sweep.KeyLen hex digits, to dst: the SHA-256 of a canonical JSON
-// encoding of everything that determines the simulation outcome — mix
-// (ordered trace names), seed, the controller key, the resolved
-// experiment.Scale and the fully resolved sim.Config. Two specs that
+// appendJobKey derives the content address of a job and appends its
+// sweep.DigestLen raw bytes to dst (the job key is their sweep.KeyLen
+// hex digits): the SHA-256 of a canonical JSON encoding of everything
+// that determines the simulation outcome — mix (ordered trace names),
+// seed, the controller key, the resolved experiment.Scale and the fully
+// resolved sim.Config. Two specs that
 // resolve to the same simulation hash identically even if they spelled
 // defaults differently; TimeoutMs is deliberately excluded because it
 // bounds execution without changing the result.
@@ -54,7 +54,7 @@ func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment
 	b = strconv.AppendUint(append(b, `,"Step":`...), scale.Step, 10)
 	b = append(append(b, '}'), configTail...)
 	sum := sha256.Sum256(b)
-	return hex.AppendEncode(dst, sum[:])
+	return append(dst, sum[:]...)
 }
 
 // jobID renders the short job identifier clients see: the first 16 hex

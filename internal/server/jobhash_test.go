@@ -198,7 +198,7 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 							mix[c] = awkward[(i+c)%len(awkward)]
 						}
 						spec := JobSpec{Cell: sweep.Cell{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}}
-						got := string(appendJobKey(nil, &spec.Cell, tail, scale))
+						got := hex.EncodeToString(appendJobKey(nil, &spec.Cell, tail, scale))
 						if want := canonicalKey(t, spec, cfg, scale); got != want {
 							t.Fatalf("%dc dram %v %s %v ctrl %q: streamed key %s, canonical %s",
 								cores, dram, scaleName, over, ctrl, got, want)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -138,11 +139,12 @@ func TestOneCoreNoJobSimulatesOnce(t *testing.T) {
 
 // TestAppendKeyMatchesResolve: resolve is appendKey plus the plan, so
 // the two cannot key a cell differently; what is left to hold is the
-// contract a sweep leans on. The key lands after whatever dst already
-// held and the cell is normalized in place, as resolve leaves its spec;
-// what resolve refuses appendKey refuses in the same words — a request
-// error, never errInternal — leaving dst as it got it; and a cell in
-// canonical form is keyed with no allocation, which is the point of it.
+// contract a sweep leans on. The key's digest lands after whatever dst
+// already held and the cell is normalized in place, as resolve leaves
+// its spec; what resolve refuses appendKey refuses in the same words — a
+// request error, never errInternal — leaving dst as it got it; and a
+// cell in canonical form is keyed with no allocation, which is the
+// point of it.
 func TestAppendKeyMatchesResolve(t *testing.T) {
 	s := newResolver(t)
 	traces := []string{"spec06.libquantum", "spec06.mcf", "ligra.BFS", "spec06.sphinx3"}
@@ -158,7 +160,7 @@ func TestAppendKeyMatchesResolve(t *testing.T) {
 			t.Fatalf("resolve(%+v): %v", c, err)
 		}
 		got, scale, err := s.appendKey([]byte(prefix), &c)
-		if err != nil || string(got) != prefix+want.key || scale != want.Scale {
+		if err != nil || string(got[:len(prefix)]) != prefix || hex.EncodeToString(got[len(prefix):]) != want.key || scale != want.Scale {
 			t.Fatalf("appendKey(%+v) = %q at %+v, %v; resolve files it under %s at %+v", c, got, scale, err, want.key, want.Scale)
 		}
 		if !reflect.DeepEqual(c, want.spec.Cell) {
@@ -194,7 +196,7 @@ func TestAppendKeyMatchesResolve(t *testing.T) {
 	}
 
 	clean := sweep.Cell{Mix: traces, Controller: "mumama", Scale: "tiny", Seed: 9, Target: 20_000}
-	dst := make([]byte, 0, sweep.KeyLen)
+	dst := make([]byte, 0, sweep.DigestLen)
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := s.appendKey(dst, &clean); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -312,15 +313,15 @@ type plan struct {
 // resolve validates a spec and computes its canonical plan: appendKey's
 // checks and key, then the plan the checked cell names.
 func (s *Server) resolve(spec JobSpec) (plan, error) {
-	var buf [sweep.KeyLen]byte
-	hexKey, scale, err := s.appendKey(buf[:0], &spec.Cell)
+	var buf [sweep.DigestLen]byte
+	digest, scale, err := s.appendKey(buf[:0], &spec.Cell)
 	if err != nil {
 		return plan{}, err
 	}
 	if spec.TimeoutMs < 0 {
 		return plan{}, fmt.Errorf("timeout_ms must be >= 0")
 	}
-	key := string(hexKey)
+	key := hex.EncodeToString(digest)
 	return plan{Plan: experiment.PlanOf(&spec.Cell, scale), spec: spec, key: key, id: jobID(key)}, nil
 }
 
@@ -328,8 +329,8 @@ func (s *Server) resolve(spec JobSpec) (plan, error) {
 // cell at admission and plans only the ones it dispatches: c checked
 // inside this server's core limit (experiment.CheckCell: normalized in
 // place, catalog, registry, scale and budget overrides) and its content
-// address appended to dst, with no trace looked up and no sim.Config
-// copied. On an error dst comes back as it was given.
+// address's digest appended to dst, with no trace looked up and no
+// sim.Config copied. On an error dst comes back as it was given.
 func (s *Server) appendKey(dst []byte, c *sweep.Cell) ([]byte, experiment.Scale, error) {
 	if s.cfg.MaxCores > 0 && len(c.Mix) > s.cfg.MaxCores {
 		return dst, experiment.Scale{}, fmt.Errorf("mix has %d traces; server accepts at most %d cores", len(c.Mix), s.cfg.MaxCores)
@@ -406,7 +407,7 @@ func (s *Server) finishJob(j *job, res JobResult, err error, ranHere bool) error
 			m.jobsFailed.Inc()
 		}
 	}
-	s.settle(j.cell, j.finish(res, err), raw, err)
+	s.settle(j.cell, j.finish(res, err), err)
 	return err
 }
 

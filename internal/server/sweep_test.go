@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -324,11 +325,13 @@ func TestSweepWarmCacheDedupe(t *testing.T) {
 }
 
 // TestFinishedSweepFootprint: what the manager keeps of a sweep it has
-// finished is its spec, one key blob, a status byte and a log entry per
-// cell — 64 + 1 + 32 bytes — not the cells, a string per key and a
-// status string apiece (235 B per cell before cells were read off the
-// spec). 200 warm 512-cell sweeps through Manager.Submit with the real
-// sweepExec, then the heap that survives a collection.
+// finished is its spec, one blob of key digests, a status byte and a
+// completion-order entry per cell — 32 + 1 + 4 bytes — not the cells,
+// hex keys or results, which are read off the spec and the result cache
+// (235 B per cell before cells were read off the spec, 103 B before
+// keys were held as digests and the log as an order). 200 warm 512-cell
+// sweeps through Manager.Submit with the real sweepExec, then the heap
+// that survives a collection.
 func TestFinishedSweepFootprint(t *testing.T) {
 	srv, _ := warmBenchServer(t)
 	heap := func() uint64 {
@@ -348,8 +351,8 @@ func TestFinishedSweepFootprint(t *testing.T) {
 	}
 	perCell := float64(int64(heap()-before)) / (sweeps * cells)
 	t.Logf("%d finished %d-cell sweeps retain %.1f B per cell", sweeps, cells, perCell)
-	if perCell > 112 {
-		t.Errorf("a finished sweep retains %.1f B per cell, want <= 112", perCell)
+	if perCell > 48 {
+		t.Errorf("a finished sweep retains %.1f B per cell, want <= 48", perCell)
 	}
 }
 
@@ -765,6 +768,127 @@ func TestSweepStreamStopsAtUndeliveredEvent(t *testing.T) {
 	}
 	if w.largest < streamChunk || w.largest > streamChunk+1024 {
 		t.Errorf("largest write was %d bytes, want one chunk (%d) and at most a frame over", w.largest, streamChunk)
+	}
+}
+
+// eventsReadCache streams a finished sweep from srv and holds every
+// event to the node's result cache: its key is its cell's job key, a
+// done or deduped event's result is byte for byte the cache entry's,
+// and a failed one has its error and no result. It returns the events.
+func eventsReadCache(t *testing.T, srv *Server, ts *httptest.Server, id string) []sweep.Event {
+	t.Helper()
+	events, final := readSweepEvents(t, ts, id, "")
+	if final.Status != "done" || len(events) != final.Cells {
+		t.Fatalf("sweep %s: %d events, %+v; want one per cell of a finished sweep", id, len(events), final)
+	}
+	for _, ev := range events {
+		p, err := srv.resolve(JobSpec{Cell: ev.Spec})
+		if err != nil {
+			t.Fatalf("event %d: %v", ev.Seq, err)
+		}
+		if ev.Key != p.key {
+			t.Errorf("sweep %s cell %d: event key %s, job key %s", id, ev.Cell, ev.Key, p.key)
+		}
+		hit, cached := srv.cache.get(p.key)
+		switch ev.Status {
+		case sweep.CellDone, sweep.CellDeduped:
+			if !cached || len(ev.Result) == 0 || !bytes.Equal(ev.Result, hit.raw) {
+				t.Errorf("sweep %s cell %d (%s): result %s, cache holds %s (cached=%v)", id, ev.Cell, ev.Status, ev.Result, hit.raw, cached)
+			}
+		case sweep.CellFailed:
+			if ev.Error == "" || len(ev.Result) != 0 {
+				t.Errorf("sweep %s cell %d failed with error %q and result %s, want an error and no result", id, ev.Cell, ev.Error, ev.Result)
+			}
+		default:
+			t.Errorf("sweep %s cell %d: status %q in the log", id, ev.Cell, ev.Status)
+		}
+	}
+	return events
+}
+
+// statuses lists events' statuses in cell order.
+func statuses(events []sweep.Event) []sweep.CellStatus {
+	out := make([]sweep.CellStatus, len(events))
+	for _, ev := range events {
+		out[ev.Cell] = ev.Status
+	}
+	return out
+}
+
+// TestEveryCompletionPathReadsTheCache: a sweep's log holds only which
+// cells finished, in order; a stream reads each finished cell's key and
+// result from the result cache. Every way a cell finishes is covered —
+// a local run, a failure, a rider on an interactive job, dedupe at
+// admission, and a resume over a cache dir after a restart — and a
+// result the cache does not hold cuts the stream before that event.
+func TestEveryCompletionPathReadsTheCache(t *testing.T) {
+	dir := t.TempDir()
+	h := newHeldRun()
+	run := func(ctx context.Context, spec JobSpec) (JobResult, error) {
+		if spec.Seed == 3 {
+			return JobResult{}, errors.New("boom")
+		}
+		return h.run(ctx, spec) // seed 1 waits for release
+	}
+	srv1 := mustNew(t, Config{Workers: 2, CacheDir: dir, Run: run})
+	ts1 := httptest.NewServer(srv1.Handler())
+
+	// Seed 1 is an interactive job, held; the sweep's seed-1 cell rides
+	// on it, seeds 2 and 4 run here, seed 3 fails.
+	_, jv := postJob(t, ts1, fakeSpec(1))
+	h.awaitStart(t)
+	_, first := postSweep(t, ts1, sweepGridJSON("paths", 4))
+	awaitRiders(t, srv1, heldSpec, 1)
+	close(h.release)
+	waitSweepDone(t, ts1, first.ID, 10*time.Second)
+	waitDone(t, ts1, jv.ID, 10*time.Second)
+	ran := []sweep.CellStatus{sweep.CellDeduped, sweep.CellDone, sweep.CellFailed, sweep.CellDone}
+	if got := statuses(eventsReadCache(t, srv1, ts1, first.ID)); !reflect.DeepEqual(got, ran) {
+		t.Errorf("first sweep's statuses %v, want %v (rider, ran, failed, ran)", got, ran)
+	}
+
+	// The same cells again: all but the failed one dedupe at admission.
+	_, again := postSweep(t, ts1, sweepGridJSON("again", 4))
+	if again.Deduped != 3 {
+		t.Errorf("resubmission deduped %d cells at admission, want 3", again.Deduped)
+	}
+	waitSweepDone(t, ts1, again.ID, 10*time.Second)
+	admitted := []sweep.CellStatus{sweep.CellDeduped, sweep.CellDeduped, sweep.CellFailed, sweep.CellDeduped}
+	if got := statuses(eventsReadCache(t, srv1, ts1, again.ID)); !reflect.DeepEqual(got, admitted) {
+		t.Errorf("second sweep's statuses %v, want %v", got, admitted)
+	}
+	ts1.Close()
+	if err := srv1.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	// Restarted over the cache dir, both sweeps resume finished and
+	// stream from the cache the disk brought back.
+	srv2 := mustNew(t, Config{Workers: 2, CacheDir: dir, Run: run})
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	for id, want := range map[string][]sweep.CellStatus{first.ID: ran, again.ID: admitted} {
+		if got := statuses(eventsReadCache(t, srv2, ts2, id)); !reflect.DeepEqual(got, want) {
+			t.Errorf("resumed sweep %s's statuses %v, want %v", id, got, want)
+		}
+	}
+
+	// Were an entry ever gone, the stream would end before its event,
+	// without the end line.
+	events, _ := readSweepEvents(t, ts2, first.ID, "")
+	srv2.cache.mu.Lock()
+	delete(srv2.cache.m, events[1].Key)
+	srv2.cache.mu.Unlock()
+	resp, err := http.Get(ts2.URL + "/v1/sweeps/" + first.ID + "/results?follow=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if n := strings.Count(string(body), `"seq":`); n != 1 || strings.Contains(string(body), `"end":true`) {
+		t.Errorf("a result gone from the cache: %d events and end line %v, want 1 and none:\n%s",
+			n, strings.Contains(string(body), `"end":true`), body)
 	}
 }
 

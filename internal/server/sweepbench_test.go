@@ -73,11 +73,11 @@ func BenchmarkJobKey(b *testing.B) {
 		Mix:        []string{"spec06.libquantum", "spec06.mcf", "spec06.sphinx3", "ligra.BFS"},
 		Controller: "mumama", Scale: "tiny", Seed: 7,
 	}}
-	var buf [sweep.KeyLen]byte
+	var buf [sweep.DigestLen]byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if key := appendJobKey(buf[:0], &spec.Cell, tail, experiment.ScaleTiny); len(key) != sweep.KeyLen {
+		if key := appendJobKey(buf[:0], &spec.Cell, tail, experiment.ScaleTiny); len(key) != sweep.DigestLen {
 			b.Fatalf("appendJobKey = %q", key)
 		}
 	}

@@ -20,9 +20,9 @@ import (
 var faultSweepWorkerKill = faultinject.New("server/sweep/worker-kill")
 
 // sweepExec adapts the Server into the sweep manager's execution
-// backend: cell keys through the canonical job hash, result lookups
-// against the content-addressed cache and, clustered, the peers' caches
-// asked for what this one lacks.
+// backend: cell key digests through the canonical job hash, result
+// lookups against the content-addressed cache and, clustered, the
+// peers' caches asked for what this one lacks.
 type sweepExec struct{ s *Server }
 
 func (e sweepExec) AppendKey(dst []byte, c sweep.Cell) ([]byte, error) {
@@ -30,15 +30,15 @@ func (e sweepExec) AppendKey(dst []byte, c sweep.Cell) ([]byte, error) {
 	return dst, err
 }
 
-func (e sweepExec) Prefetch(ctx context.Context, keys string) {
+func (e sweepExec) Prefetch(ctx context.Context, digests string) {
 	if e.s.cl != nil {
-		e.s.cl.prefetch(ctx, keys)
+		e.s.cl.prefetch(ctx, digests)
 	}
 }
 
-func (e sweepExec) CachedResult(key string) (json.RawMessage, bool) {
-	hit, ok := e.s.cache.get(key)
-	return hit.raw, ok
+func (e sweepExec) Lookup(key []byte) (string, json.RawMessage, bool) {
+	hit, ok := e.s.cache.lookup(key)
+	return hit.key, hit.raw, ok
 }
 
 // runCell sees one dequeued ticket to an execution venue: this worker,
@@ -50,7 +50,7 @@ func (s *Server) runCell(worker int, t sweep.Ticket) {
 	if faultSweepWorkerKill.Fire() {
 		s.log.Warn("sweep cell abandoned: injected worker death",
 			"sweep", t.SweepID, "cell", t.Index, "worker", worker)
-		s.sweeps.CellDone(t, sweep.CellPending, nil, "")
+		s.sweeps.CellDone(t, sweep.CellPending, "")
 		return
 	}
 	var slot *remoteSlot
@@ -89,8 +89,7 @@ func (s *Server) admitCell(t sweep.Ticket, remote bool) *job {
 	case admitNew:
 		return j
 	case admitHit:
-		hit, _ := s.cache.get(t.Key)
-		s.settle(nil, []sweep.Ticket{t}, hit.raw, nil)
+		s.settle(nil, []sweep.Ticket{t}, nil)
 	}
 	return nil
 }
@@ -98,12 +97,13 @@ func (s *Server) admitCell(t sweep.Ticket, remote bool) *job {
 // settle reports one outcome to the sweep cells waiting on it: ran is
 // the ticket whose job executed (nil when an interactive job or the
 // cache produced the outcome), riders the tickets that joined it. On
-// success ran is done and the riders deduped, all sharing raw, the
-// cache entry's JSON. A failure belongs to ran alone: the riders were
-// never attempted, so each goes back for its own run. Shutdown and a
-// lost peer are nobody's failure — ran goes back too and re-runs on the
-// next dispatch or after restart.
-func (s *Server) settle(ran *sweep.Ticket, riders []sweep.Ticket, raw json.RawMessage, err error) {
+// success the result is already cached — storeResult comes first —
+// and ran is done and the riders deduped, their streams reading that
+// cache entry. A failure belongs to ran alone: the riders were never
+// attempted, so each goes back for its own run. Shutdown and a lost
+// peer are nobody's failure — ran goes back too and re-runs on the next
+// dispatch or after restart.
+func (s *Server) settle(ran *sweep.Ticket, riders []sweep.Ticket, err error) {
 	ranAs, rideAs, msg := sweep.CellDone, sweep.CellDeduped, ""
 	if err != nil {
 		ranAs, rideAs, msg = sweep.CellFailed, sweep.CellPending, err.Error()
@@ -112,10 +112,10 @@ func (s *Server) settle(ran *sweep.Ticket, riders []sweep.Ticket, raw json.RawMe
 		}
 	}
 	if ran != nil {
-		s.sweeps.CellDone(*ran, ranAs, raw, msg)
+		s.sweeps.CellDone(*ran, ranAs, msg)
 	}
 	for _, t := range riders {
-		s.sweeps.CellDone(t, rideAs, raw, msg)
+		s.sweeps.CellDone(t, rideAs, msg)
 	}
 }
 
@@ -196,14 +196,15 @@ var streamBufs = sync.Pool{New: func() any { return new(streamBuf) }}
 // {"end":true,"sweep":…} line. cursor resumes after the N'th event;
 // delivery is at-least-once across server restarts, so consumers dedupe
 // on the event's cell index. follow=0 dumps what exists and ends
-// immediately.
+// immediately. A stream that cannot read a finished cell's result from
+// the cache ends there, without the end line: the client sees it cut.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	cursor, _ := strconv.Atoi(r.URL.Query().Get("cursor"))
 	follow := r.URL.Query().Get("follow") != "0"
 
 	sb := streamBufs.Get().(*streamBuf)
-	events, view, changed, ok := s.sweeps.EventsSince(id, cursor, sb.events[:0])
+	events, view, changed, ok, err := s.sweeps.EventsSince(id, cursor, sb.events[:0])
 	buf := sb.frames[:0]
 	defer func() { sb.events, sb.frames = events, buf; streamBufs.Put(sb) }()
 	if !ok {
@@ -246,6 +247,10 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		if !writeEvents(events) {
 			return
 		}
+		if err != nil {
+			s.log.Error("sweep stream cut", "sweep", id, "cursor", cursor, "err", err)
+			return
+		}
 		if view.Status == "done" || !follow {
 			writeEnd(view)
 			return
@@ -257,13 +262,13 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 		case <-s.sweeps.DrainCh():
 			// Shutdown: hand the client its resume point; whatever is
 			// still pending completes on the restarted server.
-			events, view, _, ok = s.sweeps.EventsSince(id, cursor, events[:0])
-			if ok && writeEvents(events) {
+			events, view, _, ok, err = s.sweeps.EventsSince(id, cursor, events[:0])
+			if ok && writeEvents(events) && err == nil {
 				writeEnd(view)
 			}
 			return
 		}
-		events, view, changed, ok = s.sweeps.EventsSince(id, cursor, events[:0])
+		events, view, changed, ok, err = s.sweeps.EventsSince(id, cursor, events[:0])
 		if !ok {
 			return
 		}

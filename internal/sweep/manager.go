@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -14,8 +16,13 @@ import (
 	"micromama/internal/telemetry"
 )
 
-// KeyLen is the length of a job key: the hex digits of a SHA-256.
-const KeyLen = 64
+// A job key is a SHA-256: the manager holds its DigestLen raw bytes,
+// and everything outside it (the result cache, tickets, events) its
+// KeyLen hex digits.
+const (
+	DigestLen = sha256.Size
+	KeyLen    = 2 * DigestLen
+)
 
 // Exec is what the manager needs from its execution backend (the
 // server): canonical cell resolution — validation plus the
@@ -23,20 +30,22 @@ const KeyLen = 64
 // these calls keeps internal/sweep free of the server's types (the
 // server imports sweep, not the reverse).
 type Exec interface {
-	// AppendKey validates a cell and appends its content-addressed job
-	// key, KeyLen bytes, to dst. The error, if any, is a client error
-	// (bad trace name, too many cores, unknown controller), and dst comes
-	// back as it was given.
+	// AppendKey validates a cell and appends its job key's digest,
+	// DigestLen bytes, to dst. The error, if any, is a client error (bad
+	// trace name, too many cores, unknown controller), and dst comes back
+	// as it was given.
 	AppendKey(dst []byte, c Cell) ([]byte, error)
-	// Prefetch is handed the keys of a sweep that is about to be
-	// admitted — KeyLen bytes each, back to back — before admission looks
-	// any of them up: a backend whose results may sit elsewhere (a
+	// Prefetch is handed the digests of a sweep that is about to be
+	// admitted — DigestLen bytes each, back to back — before admission
+	// looks any of them up: a backend whose results may sit elsewhere (a
 	// cluster peer's cache) fetches what it can now, under the submitting
 	// request's context. Best effort: a result it misses is recomputed.
-	Prefetch(ctx context.Context, keys string)
-	// CachedResult returns the cached result for a job key, encoded as
-	// the API's JSON result object.
-	CachedResult(key string) (json.RawMessage, bool)
+	Prefetch(ctx context.Context, digests string)
+	// Lookup finds the cached result for a job key, given as its KeyLen
+	// hex digits: the cache's own key string and the result encoded as
+	// the API's JSON object, both shared and read-only. A cached result
+	// is never dropped, so a key found once is found ever after.
+	Lookup(key []byte) (cacheKey string, result json.RawMessage, ok bool)
 }
 
 // Config tunes a Manager. Zero values select defaults.
@@ -63,22 +72,24 @@ type Ticket struct {
 	SweepID   string
 	Index     int
 	Cell      Cell
-	Key       string
+	Key       string // KeyLen hex digits in a string of its own
 	TimeoutMs int64
 }
 
 // state is the in-memory authority for one sweep. Per cell it holds a
-// key, a status byte and, once the cell is terminal, a log entry; the
-// cell itself is read off the spec.
+// key digest, a status byte and, once the cell is terminal, its place in
+// the completion order — 32 + 1 + 4 bytes; the cell itself is read off
+// the spec, and a finished cell's result and key string off the result
+// cache.
 type state struct {
 	id        string
 	spec      Spec // normalized; includes priority for persistence
 	priority  int
 	cells     layout  // over spec's own grid and cells
-	keys      string  // KeyLen bytes per cell: one pointer-free allocation
+	keys      string  // DigestLen bytes per cell: one pointer-free allocation
 	status    []uint8 // a statusNames index per cell
 	errors    map[int]string
-	events    []logged // terminal cells in completion order; position = Event.Seq
+	events    []int32 // terminal cells in completion order; position = Event.Seq
 	createdAt time.Time
 	finished  time.Time // zero while cells remain
 
@@ -88,17 +99,12 @@ type state struct {
 	deduped int
 }
 
-// logged is one entry of a sweep's append-only result log: which cell
-// finished, and its result (the result cache's own bytes, read-only;
-// nil for a failed cell). The rest of an Event is held once, in the
-// per-cell slices — a terminal cell's status and error never change.
-type logged struct {
-	cell   int
-	result json.RawMessage
-}
+// digest is cell i's job key digest: a substring of keys, no allocation.
+func (st *state) digest(i int) string { return st.keys[i*DigestLen : (i+1)*DigestLen] }
 
-// key is cell i's job key: a substring of keys, no allocation.
-func (st *state) key(i int) string { return st.keys[i*KeyLen : (i+1)*KeyLen] }
+// key is cell i's job key in a string of its own, for a ticket or a
+// failed cell's event.
+func (st *state) key(i int) string { return hex.EncodeToString([]byte(st.digest(i))) }
 
 func (st *state) terminalCount() int { return st.done + st.failed + st.deduped }
 
@@ -196,6 +202,8 @@ type Manager struct {
 	notify   chan struct{} // closed and replaced whenever any event log grows
 	draining bool
 
+	hexKey [KeyLen]byte // lookupLocked's scratch
+
 	wake    chan struct{} // cap 1; pokes the server's dispatcher
 	drainCh chan struct{} // closed once Drain begins; ends follow-streams
 
@@ -269,13 +277,14 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 	spec.Priority = clampPriority(spec.Priority)
 	n := cells.len()
 	var keys strings.Builder
-	keys.Grow(n * KeyLen)
-	key := make([]byte, 0, KeyLen)
+	keys.Grow(n * DigestLen)
+	var buf [DigestLen]byte
 	for i := 0; i < n; i++ {
-		if key, err = mgr.exec.AppendKey(key[:0], cells.at(i)); err != nil {
+		key, err := mgr.exec.AppendKey(buf[:0], cells.at(i))
+		if err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
-		if len(key) != KeyLen { // key(i) slices the blob at fixed strides
+		if len(key) != DigestLen { // digest(i) slices the blob at fixed strides
 			return nil, fmt.Errorf("cell %d: backend returned a %d-byte key", i, len(key))
 		}
 		keys.Write(key)
@@ -286,7 +295,7 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 		keys:   keys.String(),
 		status: make([]uint8, n), // codePending
 		errors: make(map[int]string),
-		events: make([]logged, 0, n), // every cell is logged once
+		events: make([]int32, 0, n), // every cell is logged once
 	}, nil
 }
 
@@ -331,8 +340,8 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 	mgr.sched.add(id, priority)
 	enqueued := 0
 	for i := 0; i < n; i++ {
-		if raw, ok := mgr.exec.CachedResult(st.key(i)); ok {
-			mgr.completeLocked(st, i, CellDeduped, raw, "")
+		if _, _, ok := mgr.lookupLocked(st, i); ok {
+			mgr.completeLocked(st, i, CellDeduped, "")
 			continue
 		}
 		mgr.sched.push(id, i)
@@ -399,14 +408,14 @@ func (mgr *Manager) resume(rec record) {
 		}
 		switch prev {
 		case CellDone, CellDeduped:
-			if raw, ok := mgr.exec.CachedResult(st.key(i)); ok {
-				mgr.completeLocked(st, i, prev, raw, "")
+			if _, _, ok := mgr.lookupLocked(st, i); ok {
+				mgr.completeLocked(st, i, prev, "")
 				continue
 			}
 			// The result was lost (cache file quarantined or the cache dir
 			// changed): re-run rather than lie.
 		case CellFailed:
-			mgr.completeLocked(st, i, CellFailed, nil, rec.Errors[i])
+			mgr.completeLocked(st, i, CellFailed, rec.Errors[i])
 			continue
 		}
 		mgr.sched.push(st.id, i)
@@ -478,13 +487,14 @@ func (mgr *Manager) TryDequeue() (Ticket, bool) {
 }
 
 // CellDone returns a dispatched ticket with its outcome. CellDone and
-// CellDeduped carry the result (the cell ran, or shared a run or a
-// cached result); CellFailed carries the error. CellPending hands the
-// cell back without an outcome — shutdown, a lost peer, an injected
-// worker death, a failed run this cell was only waiting on — and it
-// re-runs on the next dispatch or after restart, from the head of its
-// queue: it already waited its turn once.
-func (mgr *Manager) CellDone(t Ticket, status CellStatus, raw json.RawMessage, errMsg string) {
+// CellDeduped say the cell's result is in the backend's cache (the cell
+// ran, or shared a run or a cached result), where streams will read it;
+// CellFailed carries the error. CellPending hands the cell back without
+// an outcome — shutdown, a lost peer, an injected worker death, a failed
+// run this cell was only waiting on — and it re-runs on the next
+// dispatch or after restart, from the head of its queue: it already
+// waited its turn once.
+func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	st := mgr.sweeps[t.SweepID]
@@ -496,15 +506,16 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, raw json.RawMessage, e
 		st.status[t.Index] = codePending
 		mgr.sched.pushFront(st.id, t.Index)
 	} else {
-		mgr.completeLocked(st, t.Index, status, raw, errMsg)
+		mgr.completeLocked(st, t.Index, status, errMsg)
 	}
 	mgr.saveLocked(st)
 	mgr.pokeLocked()
 	mgr.broadcastLocked()
 }
 
-// completeLocked finishes one cell and appends its event.
-func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, raw json.RawMessage, errMsg string) {
+// completeLocked finishes one cell and appends it to the completion
+// order.
+func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, errMsg string) {
 	switch status {
 	case CellDone:
 		st.status[idx] = codeDone
@@ -522,7 +533,7 @@ func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, raw js
 			st.errors[idx] = errMsg
 		}
 	}
-	st.events = append(st.events, logged{idx, raw})
+	st.events = append(st.events, int32(idx))
 	mgr.finishIfDoneLocked(st)
 }
 
@@ -617,25 +628,36 @@ func (mgr *Manager) List() []View {
 // hands back the slice it has just written out — and returns them with
 // the current view (so callers can tell whether the log is final) and a
 // channel that closes when any event log grows (re-check the cursor
-// then). ok=false for an unknown sweep.
-func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Event, v View, changed <-chan struct{}, ok bool) {
+// then). ok=false for an unknown sweep. A done or deduped event's key
+// and result are the result cache's own; should the cache ever not hold
+// one, err says so and events end before it: no event goes out without
+// its result.
+func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Event, v View, changed <-chan struct{}, ok bool, err error) {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
 	st, found := mgr.sweeps[id]
 	if !found {
-		return dst, View{}, nil, false
+		return dst, View{}, nil, false, nil
 	}
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor < len(st.events) {
-		for seq, l := range st.events[cursor:] {
-			i := l.cell
-			dst = append(dst, Event{Seq: cursor + seq, Cell: i, Status: statusNames[st.status[i]],
-				Key: st.key(i), Spec: st.cells.at(i), Result: l.result, Error: st.errors[i]})
+	for seq := max(cursor, 0); seq < len(st.events); seq++ {
+		i := int(st.events[seq])
+		ev := Event{Seq: seq, Cell: i, Status: statusNames[st.status[i]], Spec: st.cells.at(i)}
+		if ev.Status == CellFailed {
+			ev.Key, ev.Error = st.key(i), st.errors[i]
+		} else if ev.Key, ev.Result, found = mgr.lookupLocked(st, i); !found {
+			err = fmt.Errorf("sweep %s: event %d: cell %d's result %s is not in the result cache", id, seq, i, mgr.hexKey[:])
+			break
 		}
+		dst = append(dst, ev)
 	}
-	return dst, st.view(), mgr.notify, true
+	return dst, st.view(), mgr.notify, true, err
+}
+
+// lookupLocked asks the backend's cache for cell i's result, the key
+// hex-encoded into the manager's scratch.
+func (mgr *Manager) lookupLocked(st *state, i int) (string, json.RawMessage, bool) {
+	hex.Encode(mgr.hexKey[:], []byte(st.digest(i)))
+	return mgr.exec.Lookup(mgr.hexKey[:])
 }
 
 // Counts snapshots the sweep block of /v1/stats.
