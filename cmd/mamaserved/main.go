@@ -91,7 +91,7 @@ func main() {
 			os.Exit(1)
 		}
 		// Every bootstrap source doubles as a gossip seed: a restarted
-		// node re-syncs with whoever it knew, learns its own tombstone,
+		// node pings whoever it knew, learns its own tombstone,
 		// and rejoins with a bumped incarnation — no flag changes needed.
 		cl.EnableGossip(cluster.GossipOptions{
 			Interval:       *gossipEvery,

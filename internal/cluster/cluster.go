@@ -61,9 +61,8 @@ type Cluster struct {
 	version  atomic.Uint64
 
 	memMu   sync.Mutex
-	members map[string]*member       // peers only, never self
-	selfInc uint64                   // this node's incarnation
-	queue   map[string]*queuedUpdate // piggyback deltas awaiting retransmission
+	members map[string]*member // peers only, never self
+	selfInc uint64             // this node's incarnation
 
 	hooksMu sync.Mutex
 	hooks   []func(ChangeEvent)
@@ -110,7 +109,6 @@ func New(self string, peers []string, opts Options) (*Cluster, error) {
 		hc:      &http.Client{Transport: NewTransport()},
 		rpcTO:   opts.RPCTimeout,
 		members: make(map[string]*member),
-		queue:   make(map[string]*queuedUpdate),
 	}
 	// Bootstrap peers enter the table alive at incarnation 0; the ring
 	// over them is identical on every node that holds the same list.
@@ -257,7 +255,7 @@ func (c *Cluster) DoTimeout(parent context.Context, peer, method, path string, b
 	// considered opinion, not a transport failure.
 	c.setRPCFailed(peer, false)
 	// Ordinary cluster traffic doubles as a gossip channel: merge the
-	// peer's piggybacked membership deltas.
+	// peer's piggybacked member table.
 	c.ApplyGossipHeader(resp.Header.Get(HeaderGossip))
 	return resp.StatusCode, b, nil
 }

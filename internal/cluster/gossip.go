@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -28,9 +27,9 @@ import (
 // the rest of the cluster while ordinary RPC traffic keeps flowing.
 //
 // faultGossipFlap makes this node refuse incoming pings with a 503, so
-// peers suspect it; the node then learns of the suspicion from
-// piggybacked deltas and must refute with a bumped incarnation — the
-// flapping-peer scenario.
+// peers suspect it; the node then learns of the suspicion from the
+// member table its ping-reqs and ordinary traffic carry back and must
+// refute with a bumped incarnation — the flapping-peer scenario.
 var (
 	faultProbeDrop       = faultinject.New("cluster/gossip/probe-drop")
 	faultGossipPartition = faultinject.New("cluster/gossip/partition")
@@ -42,10 +41,9 @@ var (
 const (
 	PathGossipPing    = "/internal/gossip/ping"
 	PathGossipPingReq = "/internal/gossip/ping-req"
-	PathGossipSync    = "/internal/gossip/sync"
 )
 
-// HeaderGossip piggybacks membership deltas on ordinary cluster
+// HeaderGossip piggybacks the member table on ordinary cluster
 // traffic: base64url-encoded JSON gossipMsg. Every peer RPC and every
 // server response carries one, so membership converges even between
 // probe ticks.
@@ -109,23 +107,15 @@ type GossipOptions struct {
 	// SuspectTimeout is how long a suspected peer has to refute before
 	// it is confirmed dead (default 5×Interval).
 	SuspectTimeout time.Duration
-	// SyncInterval is the full-state anti-entropy cadence (default
-	// 10×Interval). Full syncs repair any deltas lost to piggyback
-	// budget exhaustion and are how an isolated node finds its seeds.
-	SyncInterval time.Duration
-	// Seeds are join targets: synced at startup and retried whenever
-	// the node finds itself alone. Seeds are not assumed to be members;
+	// Seeds are join targets: pinged at startup and probed whenever the
+	// node finds itself alone. Seeds are not assumed to be members;
 	// membership comes from what they answer.
 	Seeds []string
 }
 
-const (
-	// indirectProbes is k, the number of relays asked to ping-req a
-	// peer that failed its direct probe.
-	indirectProbes = 2
-	// maxPiggyback bounds the membership deltas attached to one message.
-	maxPiggyback = 8
-)
+// indirectProbes is k, the number of relays asked to ping-req a peer
+// that failed its direct probe.
+const indirectProbes = 2
 
 func (o GossipOptions) withDefaults() GossipOptions {
 	if o.Interval <= 0 {
@@ -133,9 +123,6 @@ func (o GossipOptions) withDefaults() GossipOptions {
 	}
 	if o.SuspectTimeout <= 0 {
 		o.SuspectTimeout = 5 * o.Interval
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 10 * o.Interval
 	}
 	return o
 }
@@ -157,9 +144,10 @@ type gossipState struct {
 	wg                  sync.WaitGroup
 }
 
-// gossipMsg is the wire envelope for pings, syncs, and the
-// X-Mama-Gossip header. Updates always lead with the sender's own
-// alive claim, so every message doubles as a heartbeat.
+// gossipMsg is the wire envelope for pings, ping-reqs, and the
+// X-Mama-Gossip header. Updates are the sender's whole member table,
+// led by its own alive claim, so every message doubles as a heartbeat
+// and none can leave a claim behind.
 type gossipMsg struct {
 	From    string         `json:"from"`
 	Version uint64         `json:"v"`
@@ -174,7 +162,7 @@ type pingReqMsg struct {
 }
 
 // pingReqResp reports whether the relay's probe reached Target, plus
-// the relay's own piggyback.
+// the relay's own member table.
 type pingReqResp struct {
 	OK  bool      `json:"ok"`
 	Msg gossipMsg `json:"msg"`
@@ -190,7 +178,7 @@ type GossipDigest struct {
 }
 
 // DecodeGossipDigest parses an X-Mama-Gossip header value without
-// applying its membership updates (the client side of the protocol).
+// applying its member table (the client side of the protocol).
 func DecodeGossipDigest(v string) (GossipDigest, bool) {
 	msg, ok := decodeGossip(v)
 	if !ok {
@@ -232,7 +220,7 @@ func (c *Cluster) EnableGossip(opts GossipOptions) {
 	c.gossip.opts = opts
 }
 
-// StartGossip launches the probe and anti-entropy loops. Idempotent.
+// StartGossip launches the probe loop. Idempotent.
 func (c *Cluster) StartGossip() {
 	g := c.gossip
 	g.startOnce.Do(func() {
@@ -241,8 +229,8 @@ func (c *Cluster) StartGossip() {
 	})
 }
 
-// StopGossip stops the loops and waits for them. Idempotent and safe
-// when they were never started.
+// StopGossip stops the probe loop and waits for it. Idempotent and
+// safe when it was never started.
 func (c *Cluster) StopGossip() {
 	g := c.gossip
 	g.stopOnce.Do(func() { close(g.stop) })
@@ -254,25 +242,21 @@ func (g *gossipState) run() {
 	g.join()
 	probe := time.NewTicker(g.opts.Interval)
 	defer probe.Stop()
-	sync := time.NewTicker(g.opts.SyncInterval)
-	defer sync.Stop()
 	for {
 		select {
 		case <-g.stop:
 			return
 		case <-probe.C:
 			g.probeOnce()
-		case <-sync.C:
-			g.syncOnce()
 		}
 	}
 }
 
-// join performs the initial full-state exchange with every seed. A
-// restarted node (incarnation 0) learns here that the cluster holds a
-// dead tombstone for it at incarnation N, refutes with N+1, and its
-// next outbound message re-announces it — rejoin needs no flag changes
-// and no operator action.
+// join pings every seed: both sides of each exchange learn the other's
+// whole table. A restarted node (incarnation 0) learns here that the
+// cluster holds a dead tombstone for it at incarnation N, refutes with
+// N+1, and its next outbound message re-announces it — rejoin needs no
+// flag changes and no operator action.
 func (g *gossipState) join() {
 	for _, s := range g.opts.Seeds {
 		select {
@@ -280,13 +264,15 @@ func (g *gossipState) join() {
 			return
 		default:
 		}
-		g.c.gossipSync(s)
+		g.c.gossipPing(s, g.probeTimeout())
 	}
 }
 
 // probeOnce is one SWIM protocol period: expire overdue suspicions,
 // then probe the next member — direct ping first, k indirect ping-req
-// relays on failure, suspicion if nobody can reach it.
+// relays on failure, suspicion if nobody can reach it. A node alone
+// probes a seed instead; a seed outside the ring cannot be suspected,
+// so a lost probe costs nothing.
 func (g *gossipState) probeOnce() {
 	g.c.expireSuspects(g.opts.SuspectTimeout)
 	target := g.nextTarget()
@@ -314,24 +300,6 @@ func (g *gossipState) probeOnce() {
 	}
 }
 
-// syncOnce is periodic anti-entropy: a full-state exchange with one
-// random ring member, or with a seed when the node is alone (which is
-// how a partitioned or freshly-started node finds its way back).
-func (g *gossipState) syncOnce() {
-	peers := g.c.Peers()
-	g.mu.Lock()
-	var target string
-	if len(peers) > 0 {
-		target = peers[g.rng.Intn(len(peers))]
-	} else if len(g.opts.Seeds) > 0 {
-		target = g.opts.Seeds[g.rng.Intn(len(g.opts.Seeds))]
-	}
-	g.mu.Unlock()
-	if target != "" {
-		g.c.gossipSync(target)
-	}
-}
-
 // probeTimeout bounds one probe RPC: comfortably within a protocol
 // period so a slow peer fails the direct ping with time left for the
 // indirect round, but never pathologically short.
@@ -352,21 +320,26 @@ func (g *gossipState) probeTimeout() time.Duration {
 // every member is probed at least once per n intervals. An alive peer
 // whose last RPC failed jumps the queue: routing already avoids it, so
 // the detector rules on it — answering, or suspect — within one
-// interval, and either verdict takes it out of this fast lane.
+// interval, and either verdict takes it out of this fast lane. A node
+// with no live peer gets a random seed, which is how a partitioned or
+// freshly-started node finds its way back.
 func (g *gossipState) nextTarget() string {
 	if t := g.c.rpcFailedPeer(); t != "" {
 		return t
 	}
 	peers := g.c.Peers()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if len(peers) == 0 {
-		return ""
+		if len(g.opts.Seeds) == 0 {
+			return ""
+		}
+		return g.opts.Seeds[g.rng.Intn(len(g.opts.Seeds))]
 	}
 	alive := make(map[string]bool, len(peers))
 	for _, p := range peers {
 		alive[p] = true
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for {
 		if g.idx >= len(g.order) {
 			g.order = append(g.order[:0], peers...)
@@ -436,12 +409,11 @@ func (c *Cluster) applyOneLocked(u MemberUpdate) {
 	}
 	if u.URL == c.self {
 		// Somebody thinks we are suspect or dead. Refute: bump our
-		// incarnation past theirs and gossip the new alive claim, which
-		// overrides their claim everywhere it has spread.
+		// incarnation past theirs. Every outbound message leads with the
+		// new alive claim, which overrides theirs everywhere it has spread.
 		if u.State != StateAlive && u.Inc >= c.selfInc {
 			c.selfInc = u.Inc + 1
 			c.refutes.Add(1)
-			c.enqueueLocked(MemberUpdate{URL: c.self, Inc: c.selfInc, State: StateAlive})
 		}
 		return
 	}
@@ -456,7 +428,6 @@ func (c *Cluster) applyOneLocked(u MemberUpdate) {
 			c.confirmsCount.Add(1)
 		}
 		c.members[u.URL] = m
-		c.enqueueLocked(u)
 		return
 	}
 	applies := false
@@ -485,7 +456,6 @@ func (c *Cluster) applyOneLocked(u MemberUpdate) {
 	case u.State == StateDead && prev != StateDead:
 		c.confirmsCount.Add(1)
 	}
-	c.enqueueLocked(u)
 }
 
 // markSuspect starts suspicion on a peer that failed both direct and
@@ -501,14 +471,14 @@ func (c *Cluster) markSuspect(peer string) {
 	m.state = StateSuspect
 	m.suspectAt = time.Now()
 	c.suspectsCount.Add(1)
-	c.enqueueLocked(MemberUpdate{URL: peer, Inc: m.inc, State: StateSuspect})
 }
 
 // probeAnswered records a successful direct or indirect probe: it
-// reverts a local suspicion and clears a failed-RPC mark. Local-only
-// (not gossiped): remote suspicions are cleared by the member's own
-// incarnation-bumping refutation, which this node will have delivered
-// to it via piggyback.
+// reverts a local suspicion and clears a failed-RPC mark. Local-only in
+// effect: the alive claim it leaves has the suspicion's incarnation, so
+// it overrides nobody else's. Remote suspicions are cleared by the
+// member's own incarnation-bumping refutation, prompted by the
+// suspicion every message to it carries.
 func (c *Cluster) probeAnswered(peer string) {
 	peer = NormalizePeer(peer)
 	c.memMu.Lock()
@@ -552,11 +522,10 @@ func (c *Cluster) expireSuspects(timeout time.Duration) {
 	now := time.Now()
 	c.memMu.Lock()
 	before := c.ringMembersLocked()
-	for url, m := range c.members {
+	for _, m := range c.members {
 		if m.state == StateSuspect && now.Sub(m.suspectAt) >= timeout {
 			m.state = StateDead
 			c.confirmsCount.Add(1)
-			c.enqueueLocked(MemberUpdate{URL: url, Inc: m.inc, State: StateDead})
 		}
 	}
 	ev, changed := c.rebuildLocked(before)
@@ -599,74 +568,26 @@ func (c *Cluster) rebuildLocked(before []string) (ChangeEvent, bool) {
 	}, true
 }
 
-// enqueueLocked queues a membership delta for piggybacking, with a
-// retransmit budget that scales with cluster size (classic SWIM:
-// O(log n) transmissions spread a rumor with high probability). A
-// newer claim about the same member replaces the queued one.
-func (c *Cluster) enqueueLocked(u MemberUpdate) {
-	n := len(c.members) + 1
-	c.queue[u.URL] = &queuedUpdate{u: u, remaining: 4 + 3*bits.Len(uint(n))}
-}
-
-type queuedUpdate struct {
-	u         MemberUpdate
-	remaining int
-}
-
 // outMsg builds one outbound gossip envelope: the node's own alive
-// claim plus up to maxPiggyback queued deltas (deterministic order,
-// budgets decremented).
+// claim, then every member claim in URL order, dead tombstones included
+// (so a restarted member learns its own tombstone and refutes).
 func (c *Cluster) outMsg() gossipMsg {
 	c.memMu.Lock()
-	ups := make([]MemberUpdate, 0, maxPiggyback+1)
+	ups := make([]MemberUpdate, 0, len(c.members)+1)
 	ups = append(ups, MemberUpdate{URL: c.self, Inc: c.selfInc, State: StateAlive})
-	if len(c.queue) > 0 {
-		keys := make([]string, 0, len(c.queue))
-		for k := range c.queue {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if len(ups) > maxPiggyback {
-				break
-			}
-			q := c.queue[k]
-			ups = append(ups, q.u)
-			q.remaining--
-			if q.remaining <= 0 {
-				delete(c.queue, k)
-			}
-		}
+	for url, m := range c.members {
+		ups = append(ups, MemberUpdate{URL: url, Inc: m.inc, State: m.state})
 	}
 	c.memMu.Unlock()
+	sort.Slice(ups[1:], func(i, j int) bool { return ups[1+i].URL < ups[1+j].URL })
 	return gossipMsg{From: c.self, Version: c.version.Load(), Ring: c.ringHash.Load(), Updates: ups}
-}
-
-// fullState snapshots every member claim including dead tombstones
-// (so a restarted member learns its own tombstone and refutes) and the
-// node's own alive claim.
-func (c *Cluster) fullState() []MemberUpdate {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	out := make([]MemberUpdate, 0, len(c.members)+1)
-	out = append(out, MemberUpdate{URL: c.self, Inc: c.selfInc, State: StateAlive})
-	keys := make([]string, 0, len(c.members))
-	for k := range c.members {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		m := c.members[k]
-		out = append(out, MemberUpdate{URL: k, Inc: m.inc, State: m.state})
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
 // Transport.
 
-// gossipPing sends one direct ping. The response piggyback (which
-// always includes the target's own alive claim) is applied on success.
+// gossipPing sends one direct ping. The response's member table (led
+// by the target's own alive claim) is applied on success.
 func (c *Cluster) gossipPing(target string, timeout time.Duration) bool {
 	resp, ok := c.gossipPost(target, PathGossipPing, c.outMsg(), timeout)
 	if !ok {
@@ -695,18 +616,6 @@ func (c *Cluster) gossipPingReq(relay, target string, timeout time.Duration) boo
 	return pr.OK
 }
 
-// gossipSync runs one full-state exchange with a peer; both sides end
-// up with the union of their knowledge.
-func (c *Cluster) gossipSync(target string) bool {
-	msg := gossipMsg{From: c.self, Version: c.version.Load(), Ring: c.ringHash.Load(), Updates: c.fullState()}
-	resp, ok := c.gossipPost(target, PathGossipSync, msg, c.rpcTO)
-	if !ok {
-		return false
-	}
-	c.applyUpdates(resp.Updates)
-	return true
-}
-
 func (c *Cluster) gossipPost(target, path string, msg gossipMsg, timeout time.Duration) (gossipMsg, bool) {
 	if faultGossipPartition.Fire() {
 		return gossipMsg{}, false
@@ -726,8 +635,8 @@ func (c *Cluster) gossipPost(target, path string, msg gossipMsg, timeout time.Du
 // gossipRoundTrip is the raw HTTP exchange for gossip RPCs. A failed
 // one deliberately does not mark the peer's last RPC failed: a lost
 // probe already has its own consequence (the indirect round, then
-// suspicion), and a sync or relay lost to a busy peer is no reason to
-// route around it.
+// suspicion), and a join ping or relay lost to a busy peer is no
+// reason to route around it.
 func (c *Cluster) gossipRoundTrip(target, path string, body []byte, timeout time.Duration) ([]byte, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -755,7 +664,6 @@ func (c *Cluster) gossipRoundTrip(target, path string, body []byte, timeout time
 func (c *Cluster) RegisterGossipHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathGossipPing, c.handleGossipPing)
 	mux.HandleFunc("POST "+PathGossipPingReq, c.handleGossipPingReq)
-	mux.HandleFunc("POST "+PathGossipSync, c.handleGossipSync)
 }
 
 func (c *Cluster) handleGossipPing(w http.ResponseWriter, r *http.Request) {
@@ -786,16 +694,6 @@ func (c *Cluster) handleGossipPingReq(w http.ResponseWriter, r *http.Request) {
 	writeGossipJSON(w, pingReqResp{OK: ok, Msg: c.outMsg()})
 }
 
-func (c *Cluster) handleGossipSync(w http.ResponseWriter, r *http.Request) {
-	var msg gossipMsg
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&msg); err != nil {
-		http.Error(w, "bad sync body", http.StatusBadRequest)
-		return
-	}
-	c.applyUpdates(msg.Updates)
-	writeGossipJSON(w, gossipMsg{From: c.self, Version: c.version.Load(), Ring: c.ringHash.Load(), Updates: c.fullState()})
-}
-
 func writeGossipJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	b, err := json.Marshal(v)
@@ -820,9 +718,8 @@ func (c *Cluster) GossipHeaderValue() string {
 	return base64.RawURLEncoding.EncodeToString(b)
 }
 
-// ApplyGossipHeader merges the membership deltas piggybacked on an
-// incoming request or a peer response; a value that does not decode is
-// ignored.
+// ApplyGossipHeader merges the member table piggybacked on an incoming
+// request or a peer response; a value that does not decode is ignored.
 func (c *Cluster) ApplyGossipHeader(v string) {
 	if msg, ok := decodeGossip(v); ok {
 		c.applyUpdates(msg.Updates)

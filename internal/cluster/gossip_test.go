@@ -79,10 +79,12 @@ func TestRefutation(t *testing.T) {
 	if got := c.SelfIncarnation(); got != 2 {
 		t.Fatalf("SelfIncarnation = %d, want 2 after refuting dead(1)", got)
 	}
-	// The refutation is queued for piggybacking.
+	// Every outbound message leads with the refuted alive claim, then
+	// carries the rest of the table.
 	msg := c.outMsg()
-	if len(msg.Updates) == 0 || msg.Updates[0].URL != "http://a:1" || msg.Updates[0].Inc != 2 {
-		t.Fatalf("outMsg does not lead with the refuted alive claim: %+v", msg.Updates)
+	want := []MemberUpdate{{"http://a:1", 2, StateAlive}, {"http://b:1", 0, StateAlive}}
+	if !reflect.DeepEqual(msg.Updates, want) {
+		t.Fatalf("outMsg updates = %+v, want %+v", msg.Updates, want)
 	}
 }
 
@@ -142,32 +144,57 @@ func TestRingRebuildOnTransition(t *testing.T) {
 	}
 }
 
-// TestPiggybackBudget: a queued delta is retransmitted a bounded
-// number of times and then dropped; a newer claim about the same
-// member replaces the queued one.
-func TestPiggybackBudget(t *testing.T) {
-	c, err := New("http://a:1", []string{"http://b:1"}, Options{})
+// TestEveryMessageCarriesWholeTable: no claim ages out of the
+// messages. After 64 outbound headers a suspicion and a tombstone still
+// ride the next one, and a restarted node learns its own tombstone from
+// one ping answer, refutes it, and its next message resurrects it.
+func TestEveryMessageCarriesWholeTable(t *testing.T) {
+	const b, c = "http://b:1", "http://c:1"
+	ln := listenLocal(t)
+	aURL := "http://" + ln.Addr().String()
+	a, err := New(aURL, []string{b, c}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.markSuspect("http://b:1")
-	seen := 0
+	a.markSuspect(c)
+	a.applyUpdates([]MemberUpdate{{URL: b, Inc: 0, State: StateDead}})
 	for i := 0; i < 64; i++ {
-		msg := c.outMsg()
-		// Updates[0] is always the sender's own alive claim.
-		if len(msg.Updates) > 1 {
-			seen++
-		} else {
-			break
+		if a.GossipHeaderValue() == "" {
+			t.Fatal("empty gossip header")
 		}
 	}
-	if seen == 0 || seen >= 64 {
-		t.Fatalf("suspect delta retransmitted %d times, want bounded and nonzero", seen)
+	msg, ok := decodeGossip(a.GossipHeaderValue())
+	want := []MemberUpdate{{aURL, 0, StateAlive}, {b, 0, StateDead}, {c, 0, StateSuspect}}
+	if !ok || !reflect.DeepEqual(msg.Updates, want) {
+		t.Errorf("65th header carries %+v (ok=%v), want %+v", msg.Updates, ok, want)
+	}
+
+	mux := http.NewServeMux()
+	a.RegisterGossipHandlers(mux)
+	ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: mux}}
+	ts.Start()
+	defer ts.Close()
+	restarted, err := New(b, []string{aURL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restarted.gossipPing(aURL, time.Second) {
+		t.Fatal("ping to a failed")
+	}
+	if inc := restarted.SelfIncarnation(); inc != 1 {
+		t.Fatalf("restarted node's incarnation = %d after one ping answer, want 1", inc)
+	}
+	if a.Contains(b) {
+		t.Fatal("an alive claim at the tombstone's incarnation resurrected b")
+	}
+	a.ApplyGossipHeader(restarted.GossipHeaderValue())
+	if !a.Contains(b) {
+		t.Fatalf("refutation did not resurrect b: %+v", a.Members())
 	}
 }
 
-// TestGossipHeaderRoundTrip: membership deltas attached to ordinary
-// traffic via X-Mama-Gossip are decodable as a digest and merge into
+// TestGossipHeaderRoundTrip: the member table attached to ordinary
+// traffic via X-Mama-Gossip is decodable as a digest and merges into
 // the receiver's table.
 func TestGossipHeaderRoundTrip(t *testing.T) {
 	mk := func(self string) *Cluster {
@@ -178,7 +205,7 @@ func TestGossipHeaderRoundTrip(t *testing.T) {
 		return c
 	}
 	a, b := mk("http://a:1"), mk("http://b:1")
-	// a confirms c dead; the delta rides the header.
+	// a confirms c dead; the tombstone rides the header.
 	a.applyUpdates([]MemberUpdate{{URL: "http://c:1", Inc: 0, State: StateDead}})
 	hdr := a.GossipHeaderValue()
 	if hdr == "" {
@@ -302,7 +329,6 @@ func TestGossipKillRejoin(t *testing.T) {
 	opts := GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 60 * time.Millisecond,
-		SyncInterval:   50 * time.Millisecond,
 		Seeds:          urls,
 	}
 	nodes := make([]*gossipNode, 3)
@@ -367,7 +393,6 @@ func TestProbeDropSuspects(t *testing.T) {
 	opts := GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 40 * time.Millisecond,
-		SyncInterval:   time.Hour, // no sync rescue: the probe path must do it
 	}
 	a := startGossipNode(t, urls[0], urls, lns[0], opts)
 	startGossipNode(t, urls[1], urls, lns[1], opts)

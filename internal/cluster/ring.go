@@ -12,10 +12,13 @@
 // by a SWIM-style failure detector (gossip.go): probes suspect
 // unresponsive peers, suspects that fail to refute are confirmed dead
 // and leave the ring, and rejoining nodes announce themselves with a
-// bumped incarnation. Because ring construction is deterministic (peers
-// are sorted before hashing, vnode points depend only on the peer URL),
-// every node that converges on the same member set computes the
-// identical ring.
+// bumped incarnation. Every gossip message, and every peer request and
+// server response, carries the sender's whole member table: at the
+// size this cluster runs it is a few hundred bytes, so no claim needs a
+// retransmit budget or a separate full-state sync. Because ring
+// construction is deterministic (peers are sorted before hashing, vnode
+// points depend only on the peer URL), every node that converges on the
+// same member set computes the identical ring.
 package cluster
 
 import (

@@ -292,12 +292,12 @@ func TestShutdownDeadline(t *testing.T) {
 	srv.Close()
 }
 
-// TestReadyzSaturation checks readiness flips when the queue reaches
-// the saturation threshold and recovers when it drains.
+// TestReadyzSaturation checks readiness flips when the queue is full
+// and recovers when it drains.
 func TestReadyzSaturation(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2, ReadyThreshold: 1,
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 1,
 		Run: func(ctx context.Context, spec JobSpec) (JobResult, error) {
 			started <- struct{}{}
 			select {
@@ -315,8 +315,8 @@ func TestReadyzSaturation(t *testing.T) {
 		t.Fatalf("/readyz on idle server = %d, want 200", code)
 	}
 
-	// Occupy the worker, then park one job in the queue: depth reaches
-	// the threshold (1) and readiness must flip.
+	// Occupy the worker, then park one job in the queue: the queue is
+	// full and readiness must flip.
 	postJob(t, ts, fakeSpec(1))
 	select {
 	case <-started:

@@ -205,7 +205,7 @@ func (cs *clusterState) wait() {
 
 // onRingChange reacts to one atomic membership transition (fired
 // synchronously by the cluster layer, possibly from a gossip loop or
-// any request goroutine that merged a piggybacked delta) with
+// any request goroutine that merged a piggybacked member table) with
 // anti-entropy repair in the background: every ring change moves some
 // key ranges onto this node, so it batch-pulls the warm cache entries it
 // now owns from the peers that held them. Results are immutable and
@@ -368,7 +368,9 @@ func (cs *clusterState) prefetch(ctx context.Context, digests string) {
 			continue
 		}
 		for key, res := range out.Results {
-			_, _ = cs.s.storeResult(key, res) // decoded from JSON, so it encodes
+			if _, err := cs.s.storeResult(key, res); err != nil {
+				continue // not a job key (a result decoded from JSON encodes)
+			}
 			cs.m.remoteHits.Inc()
 			cs.m.perPeer("mama_cluster_peer_remote_cache_hits_total",
 				"Results fetched from this peer's cache.", owner)
@@ -459,7 +461,9 @@ func (cs *clusterState) repairFrom(peer string) {
 				if _, ok := cs.s.cache.get(key); ok {
 					continue
 				}
-				_, _ = cs.s.storeResult(key, res) // decoded from JSON, so it encodes
+				if _, err := cs.s.storeResult(key, res); err != nil {
+					continue // not a job key (a result decoded from JSON encodes)
+				}
 				cs.m.repairPulled.Inc()
 			}
 			if out.Next == "" {
@@ -774,11 +778,11 @@ func (cs *clusterState) runRemoteCell(venue string, j *job) (JobResult, error) {
 // ---------------------------------------------------------------------
 
 // gossipExchange is the piggyback middleware wrapped around a clustered
-// node's whole HTTP surface: incoming requests may carry
-// membership deltas from peers or cluster-aware clients, and every
-// response carries this node's current digest plus queued deltas. This
-// is what makes membership converge between probe ticks — ordinary
-// traffic is the widest gossip channel the cluster has.
+// node's whole HTTP surface: incoming requests may carry a member
+// table from peers or cluster-aware clients, and every response
+// carries this node's digest and whole member table. This is what
+// makes membership converge between probe ticks — ordinary traffic is
+// the widest gossip channel the cluster has.
 func (cs *clusterState) gossipExchange(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cs.c.ApplyGossipHeader(r.Header.Get(cluster.HeaderGossip))
@@ -803,7 +807,11 @@ func (cs *clusterState) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad result: " + err.Error()})
 		return
 	}
-	_, _ = cs.s.storeResult(r.PathValue("key"), res) // decoded from JSON, so it encodes
+	if _, err := cs.s.storeResult(r.PathValue("key"), res); err != nil {
+		// Not a job key (a result decoded from JSON encodes).
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 

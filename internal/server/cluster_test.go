@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,7 +40,6 @@ func testGossipOptions(seeds []string) cluster.GossipOptions {
 	return cluster.GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 150 * time.Millisecond,
-		SyncInterval:   40 * time.Millisecond,
 		Seeds:          seeds,
 	}
 }
@@ -625,11 +627,13 @@ func TestClusterSpillPeerDeath(t *testing.T) {
 	}
 }
 
-// TestStealEndpointsGone: the coordinator's dispatch is the only way a
-// cell changes nodes; the pull protocol's endpoints answer 404.
-func TestStealEndpointsGone(t *testing.T) {
+// TestRemovedEndpointsGone: the coordinator's dispatch is the only way
+// a cell changes nodes, so the pull protocol's endpoints answer 404;
+// every gossip message carries the whole member table, so there is no
+// full-state sync endpoint either.
+func TestRemovedEndpointsGone(t *testing.T) {
 	n := startCluster(t, 1, nil)[0]
-	for _, path := range []string{"/internal/steal", "/internal/steal/done"} {
+	for _, path := range []string{"/internal/steal", "/internal/steal/done", "/internal/gossip/sync"} {
 		resp, err := http.Post(n.ts.URL+path, "application/json", strings.NewReader(`{"max":1,"thief":"http://127.0.0.1:1"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -638,6 +642,50 @@ func TestStealEndpointsGone(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("POST %s: HTTP %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestCachePutRefusesNonKeys: a write-back's key becomes a file name
+// under CacheDir, and ServeMux hands the handler the path segment
+// unescaped. A key that is not a job key answers 400 and writes
+// nothing anywhere; a job key is stored under CacheDir as before.
+func TestCachePutRefusesNonKeys(t *testing.T) {
+	root := t.TempDir()
+	cacheDir := filepath.Join(root, "a", "b", "cache")
+	n := startCluster(t, 1, func(_ int, cfg *Config) { cfg.CacheDir = cacheDir })[0]
+	put := func(key string) int {
+		req, err := http.NewRequest(http.MethodPut, n.ts.URL+"/internal/cache/"+key, strings.NewReader(`{"mix":"fake","ws":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	good := strings.Repeat("0123456789abcdef", sweep.KeyLen/16)
+	for _, key := range []string{"..%2F..%2Fescaped", "..%2Fcache%2F" + good, strings.ToUpper(good), good[1:], good + "0"} {
+		if code := put(key); code != http.StatusBadRequest {
+			t.Errorf("PUT /internal/cache/%s: HTTP %d, want 400", key, code)
+		}
+	}
+	if code := put(good); code != http.StatusNoContent {
+		t.Fatalf("PUT a job key: HTTP %d, want 204", code)
+	}
+	n.kill() // flushes the write-behind mirror
+
+	var files []string
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return nil
+	})
+	want := []string{filepath.Join(cacheDir, good+".json")}
+	if !reflect.DeepEqual(files, want) {
+		t.Errorf("files under %s = %v, want only %v", root, files, want)
 	}
 }
 

@@ -496,8 +496,8 @@ func TestClusterNewAloneGossips(t *testing.T) {
 
 // TestGossipFlapChaos runs a cluster whose gossip ping handlers answer
 // 503 (a flapping peer, injected): every probe fails, so suspicion
-// churns constantly — but refutations ride the unaffected sync path,
-// so nobody is ever confirmed dead, the ring stays full, and a sweep
+// churns constantly — but refutations ride the unaffected ping-req
+// path and ordinary traffic, so nobody is ever confirmed dead, the ring stays full, and a sweep
 // still completes every cell exactly once.
 func TestGossipFlapChaos(t *testing.T) {
 	enableFault(t, "cluster/gossip/flap", "always")
@@ -507,7 +507,6 @@ func TestGossipFlapChaos(t *testing.T) {
 	opts := cluster.GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 30 * time.Second, // refutes must always win under -race load
-		SyncInterval:   20 * time.Millisecond,
 		Seeds:          urls,
 	}
 	nodes := make([]*clusterNode, 3)
@@ -518,7 +517,7 @@ func TestGossipFlapChaos(t *testing.T) {
 	}
 
 	// Suspicion and refutation counters must both move: probes fail,
-	// the suspects hear about it over sync and refute.
+	// the suspects hear about it from a relay's answer and refute.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var suspects, refutes uint64
@@ -560,7 +559,7 @@ func TestGossipFlapChaos(t *testing.T) {
 }
 
 // TestGossipPartitionChaos cuts every outbound gossip path: with no
-// probes, relays, or syncs leaving any node, each one suspects and
+// probes or relays leaving any node, each one suspects and
 // then confirms the whole peer set dead, degrading to a singleton ring
 // — and keeps serving local work.
 func TestGossipPartitionChaos(t *testing.T) {
@@ -570,7 +569,6 @@ func TestGossipPartitionChaos(t *testing.T) {
 	opts := cluster.GossipOptions{
 		Interval:       10 * time.Millisecond,
 		SuspectTimeout: 100 * time.Millisecond,
-		SyncInterval:   30 * time.Millisecond,
 		Seeds:          urls,
 	}
 	nodes := make([]*clusterNode, 3)

@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"micromama/internal/faultinject"
 	"micromama/internal/persist"
+	"micromama/internal/sweep"
 )
 
 // Fault-injection sites on the result cache's disk mirror (see
@@ -46,10 +48,29 @@ func (s *Server) openPersist() error {
 // execution; the fetch paths (sweep prefetch, anti-entropy repair, a
 // peer's write-back) call it for results computed elsewhere. It returns the entry's JSON (shared,
 // read-only); a result that does not encode is an error, not stored.
+// So is a key that is not a job key: the key names the mirror's file,
+// and a peer's write-back path segment arrives unescaped.
 func (s *Server) storeResult(key string, res JobResult) (json.RawMessage, error) {
+	if !isJobKey(key) {
+		return nil, fmt.Errorf("%q is not a job key", key)
+	}
 	raw, err := s.cache.put(key, res)
 	if err == nil {
 		s.persist.Save(persistEntry{Key: key, Result: res})
 	}
 	return raw, err
+}
+
+// isJobKey reports whether key has the one shape jobKey produces:
+// sweep.KeyLen lowercase hex digits.
+func isJobKey(key string) bool {
+	if len(key) != sweep.KeyLen {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -54,10 +54,6 @@ type Config struct {
 	// restored on startup, so a restart serves previously simulated
 	// specs as cache hits. Corrupt entries are quarantined, not fatal.
 	CacheDir string
-	// ReadyThreshold is the queue depth at or above which /readyz
-	// reports not-ready (load shedding hint for balancers); 0 means the
-	// queue capacity.
-	ReadyThreshold int
 	// Logger receives structured job-lifecycle logs with per-job request
 	// IDs (see internal/telemetry field conventions). nil discards them;
 	// cmd/mamaserved always sets one.
@@ -815,14 +811,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: whether this instance should receive new
-// traffic. Not ready while draining or while the admission queue is at
-// or beyond the saturation threshold (default: its capacity) — both
-// states mean a new submission would be refused anyway.
+// traffic. Not ready while draining or while the admission queue is
+// full — both states mean a new submission would be refused anyway.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	threshold := s.cfg.ReadyThreshold
-	if threshold <= 0 {
-		threshold = s.q.cap()
-	}
+	threshold := s.q.cap()
 	depth := s.q.depth()
 	switch {
 	case s.isDraining():

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -626,59 +627,49 @@ func TestSweepPersistReadFault(t *testing.T) {
 	}
 }
 
-// TestSweepDepthGaugeOnlyWhenQueued: a sweep gets its
-// mama_server_sweep_queue_depth series when it queues a cell, not
-// before — the registry never drops a series, and sweeps answered whole
-// from the cache at admission used to leave one behind each.
-func TestSweepDepthGaugeOnlyWhenQueued(t *testing.T) {
-	release := make(chan struct{})
-	run := func(ctx context.Context, spec JobSpec) (JobResult, error) {
-		select {
-		case <-release:
-			return JobResult{Mix: "fake", WS: 1}, nil
-		case <-ctx.Done():
-			return JobResult{}, ctx.Err()
-		}
-	}
-	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: run})
+// TestMetricsSeriesPerSweepBounded: /metrics holds the same series
+// after ten more cold sweeps as after the first. The registry never
+// drops a series, so one labelled by sweep would grow with every sweep
+// the server ever queued; a sweep's own depth is `pending` in its view.
+func TestMetricsSeriesPerSweepBounded(t *testing.T) {
+	var sims atomic.Int64
+	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: pureRun(&sims, 0)})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	depthSeries := func() int {
+	runSweep := func(i int) {
+		body := fmt.Sprintf(`{"name":"s%d","grid":{"mixes":[["spec06.libquantum"]],"controllers":["no"],"scales":["tiny"],"seeds":[%d,%d]}}`,
+			i, 2*i+1, 2*i+2)
+		resp, v := postSweep(t, ts, body)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("sweep %d: HTTP %d", i, resp.StatusCode)
+		}
+		waitSweepDone(t, ts, v.ID, 10*time.Second)
+	}
+	series := func() int {
 		var buf bytes.Buffer
 		if err := srv.Registry().WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return strings.Count(buf.String(), "\nmama_server_sweep_queue_depth{")
+		n := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
 	}
 
-	// Cold: the worker is held inside the first cell, the rest wait.
-	const cells = 6
-	_, cold := postSweep(t, ts, sweepGridJSON("cold", cells))
-	series := fmt.Sprintf(`mama_server_sweep_queue_depth{sweep=%q}`, cold.ID)
-	deadline := time.Now().Add(10 * time.Second)
-	for scrapeMetric(t, ts, series) != cells-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s = %v, want %d while one cell runs", series, scrapeMetric(t, ts, series), cells-1)
-		}
-		time.Sleep(5 * time.Millisecond)
+	runSweep(0)
+	before := series()
+	for i := 1; i <= 10; i++ {
+		runSweep(i)
 	}
-	close(release)
-	waitSweepDone(t, ts, cold.ID, 10*time.Second)
-	if v := scrapeMetric(t, ts, series); v != 0 {
-		t.Errorf("%s = %v after the sweep finished, want 0", series, v)
+	if got := sims.Load(); got != 22 {
+		t.Fatalf("simulations = %d, want 22 (every cell cold)", got)
 	}
-
-	// Warm: fifty sweeps over the same cells finish at admission and
-	// register nothing.
-	for i := 0; i < 50; i++ {
-		_, v := postSweep(t, ts, sweepGridJSON(fmt.Sprint("warm-", i), cells))
-		if v.Status != "done" || v.Deduped != cells {
-			t.Fatalf("warm sweep %d: %+v, want done at admission", i, v)
-		}
-	}
-	if n := depthSeries(); n != 1 {
-		t.Errorf("%d queue-depth series after 1 cold and 50 warm sweeps, want 1", n)
+	if after := series(); after != before {
+		t.Errorf("/metrics series: %d after one sweep, %d after eleven; want no growth", before, after)
 	}
 }
 

@@ -193,7 +193,6 @@ type Manager struct {
 	exec     Exec
 	maxCells int
 	log      *slog.Logger
-	reg      *telemetry.Registry
 	m        *metrics
 
 	mu       sync.Mutex
@@ -231,7 +230,6 @@ func New(cfg Config) (*Manager, error) {
 		exec:     cfg.Exec,
 		maxCells: cfg.MaxCells,
 		log:      cfg.Logger,
-		reg:      cfg.Registry,
 		sweeps:   make(map[string]*state),
 		sched:    newSched(),
 		notify:   make(chan struct{}),
@@ -350,9 +348,6 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 	if st.pendingCount() == 0 && st.running == 0 {
 		mgr.finishIfDoneLocked(st)
 	}
-	if enqueued > 0 {
-		mgr.registerDepthGauge(id)
-	}
 	mgr.saveLocked(st)
 	mgr.log.Info("sweep submitted", "sweep", id, "name", spec.Name,
 		"cells", n, "deduped", st.deduped, "enqueued", enqueued,
@@ -424,33 +419,10 @@ func (mgr *Manager) resume(rec record) {
 	if pending == 0 && st.running == 0 {
 		mgr.finishIfDoneLocked(st)
 	}
-	if pending > 0 {
-		mgr.registerDepthGauge(st.id)
-	}
 	mgr.saveLocked(st)
 	mgr.log.Info("sweep resumed", "sweep", st.id, "name", st.spec.Name,
 		"cells", n, "finished", st.terminalCount(), "pending", pending)
 	mgr.pokeLocked()
-}
-
-// registerDepthGauge exposes this sweep's live pending-queue depth as
-// mama_server_sweep_queue_depth{sweep="..."}; the series reads 0 once
-// the sweep finishes. The registry cannot drop a series and a scrape
-// takes mu once per series, so only a sweep that queued something gets
-// one: a sweep answered whole at admission never had a depth to show.
-func (mgr *Manager) registerDepthGauge(id string) {
-	mgr.reg.GaugeFunc("mama_server_sweep_queue_depth",
-		"Cells waiting for dispatch, per sweep.",
-		func() float64 {
-			mgr.mu.Lock()
-			defer mgr.mu.Unlock()
-			st, ok := mgr.sweeps[id]
-			if !ok {
-				return 0
-			}
-			return float64(st.pendingCount())
-		},
-		telemetry.L("sweep", id))
 }
 
 // TryDequeue hands the dispatcher the next cell under weighted round-

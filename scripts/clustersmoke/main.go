@@ -57,7 +57,6 @@ func gossipOpts(urls []string) cluster.GossipOptions {
 	return cluster.GossipOptions{
 		Interval:       25 * time.Millisecond,
 		SuspectTimeout: 300 * time.Millisecond,
-		SyncInterval:   100 * time.Millisecond,
 		Seeds:          urls,
 	}
 }
