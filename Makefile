@@ -94,7 +94,9 @@ chaos:
 # builds); in the cache layer the set-associative cache against its
 # timestamp-LRU reference model (every lookup, victim, MSHR count and
 # counter equal, over geometries from 1 to 16 ways and 8- to 128-byte
-# lines).
+# lines); in the server layer the result cache's persisted entry files
+# (any bytes under any name are quarantined, or load as one entry under
+# a job key equal to the file name that serves its result's JSON).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -106,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s ./internal/experiment
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s ./internal/server
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells

@@ -95,8 +95,9 @@ func Open[T any](o Options[T]) (*Store[T], error) {
 }
 
 // Load hands every persisted record to fn in key order (os.ReadDir
-// sorts), quarantining anything unreadable or mismatched.
-func (s *Store[T]) Load(fn func(T)) {
+// sorts), quarantining anything unreadable or mismatched, and any record
+// fn refuses (its error is the cause).
+func (s *Store[T]) Load(fn func(T) error) {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {
 		// Just created, or unreadable; either way there is nothing to load
@@ -112,12 +113,14 @@ func (s *Store[T]) Load(fn func(T)) {
 		}
 		path := filepath.Join(s.Dir, name)
 		rec, err := s.read(path, strings.TrimSuffix(name, ".json"))
+		if err == nil {
+			err = fn(rec)
+		}
 		if err != nil {
 			s.quarantine(path, err)
 			quarantined++
 			continue
 		}
-		fn(rec)
 		loaded++
 	}
 	s.Metrics.Loaded.Add(uint64(loaded))

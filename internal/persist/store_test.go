@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -33,7 +34,8 @@ func open(t *testing.T, dir string) (*Store[rec], Metrics) {
 
 // TestLatestSnapshotWins: many saves of one key leave one file holding
 // the last of them, Close is the flush barrier, and a reload returns
-// every record in key order while quarantining what it cannot read.
+// every record in key order while quarantining what it cannot read and
+// what its owner refuses.
 func TestLatestSnapshotWins(t *testing.T) {
 	dir := t.TempDir()
 	s, m := open(t, dir)
@@ -50,19 +52,30 @@ func TestLatestSnapshotWins(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "z.json"), []byte(`{"id":"not-z"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "y.json"), []byte(`{"id":"y","n":-1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, m2 := open(t, dir)
 	defer s2.Close()
 	var got []rec
-	s2.Load(func(r rec) { got = append(got, r) })
+	s2.Load(func(r rec) error {
+		if r.N < 0 {
+			return fmt.Errorf("negative n")
+		}
+		got = append(got, r)
+		return nil
+	})
 	if len(got) != 2 || got[0] != (rec{"a", 7}) || got[1] != (rec{"b", 100}) {
 		t.Errorf("reloaded %+v, want a=7 then b=100", got)
 	}
-	if m2.Loaded.Value() != 2 || m2.Quarantined.Value() != 1 {
-		t.Errorf("loaded/quarantined = %d/%d, want 2/1", m2.Loaded.Value(), m2.Quarantined.Value())
+	if m2.Loaded.Value() != 2 || m2.Quarantined.Value() != 2 {
+		t.Errorf("loaded/quarantined = %d/%d, want 2/2", m2.Loaded.Value(), m2.Quarantined.Value())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "z.json.quarantine")); err != nil {
-		t.Errorf("mismatched record not quarantined: %v", err)
+	for _, name := range []string{"z.json.quarantine", "y.json.quarantine"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("mismatched or refused record not quarantined: %v", err)
+		}
 	}
 }
 

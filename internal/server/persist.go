@@ -24,7 +24,10 @@ type persistEntry struct {
 }
 
 // openPersist opens the result cache's disk mirror and replays it into
-// the cache, so a restart serves previously simulated specs as hits.
+// the cache through storeResult, so a restart serves previously
+// simulated specs as hits and a file storeResult refuses (its key is no
+// job key) is quarantined. The mirror is not yet attached while it
+// loads, so nothing loaded is written back.
 func (s *Server) openPersist() error {
 	st, err := persist.Open(persist.Options[persistEntry]{
 		Dir:        s.cfg.CacheDir,
@@ -38,7 +41,7 @@ func (s *Server) openPersist() error {
 	if err != nil {
 		return err
 	}
-	st.Load(func(e persistEntry) { _, _ = s.cache.put(e.Key, e.Result) }) // decoded from JSON, so it encodes
+	st.Load(func(e persistEntry) error { _, err := s.storeResult(e.Key, e.Result); return err })
 	s.persist = st
 	return nil
 }
@@ -46,8 +49,10 @@ func (s *Server) openPersist() error {
 // storeResult is the one way a result enters this node: the in-memory
 // cache, then the write-behind mirror. finishJob calls it for every
 // execution; the fetch paths (sweep prefetch, anti-entropy repair, a
-// peer's write-back) call it for results computed elsewhere. It returns the entry's JSON (shared,
-// read-only); a result that does not encode is an error, not stored.
+// peer's write-back) call it for results computed elsewhere, and
+// openPersist for results the mirror brings back. It returns the entry's
+// JSON (shared, read-only); a result that does not encode is an error,
+// not stored.
 // So is a key that is not a job key: the key names the mirror's file,
 // and a peer's write-back path segment arrives unescaped.
 func (s *Server) storeResult(key string, res JobResult) (json.RawMessage, error) {

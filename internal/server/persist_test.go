@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"micromama/internal/sweep"
 )
 
 // countingRun returns a fake runFunc and a pointer to its call count.
@@ -141,6 +143,38 @@ func TestPersistQuarantine(t *testing.T) {
 	resp, _ := postJob(t, ts2, fakeSpec(1))
 	if resp.StatusCode != http.StatusOK || calls2.Load() != 0 {
 		t.Errorf("valid entry not restored: HTTP %d, %d simulations", resp.StatusCode, calls2.Load())
+	}
+}
+
+// TestCacheLoadRefusesNonKeys: a cache file is loaded through
+// storeResult, the one way a result enters a node, so a record whose key
+// matches its file name but is no job key is quarantined like a corrupt
+// one. It never reaches cached_keys or a pull page, and a job key's file
+// beside it still loads.
+func TestCacheLoadRefusesNonKeys(t *testing.T) {
+	dir := t.TempDir()
+	good := strings.Repeat("0123456789abcdef", sweep.KeyLen/16)
+	bad := []string{"zzz", good[1:], good + "0"}
+	for _, key := range append([]string{good}, bad...) {
+		b, _ := json.Marshal(persistEntry{Key: key, Result: JobResult{Mix: "fake", WS: 1}})
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := startCluster(t, 1, func(_ int, cfg *Config) { cfg.CacheDir = dir })[0]
+	st := getStats(t, n.ts)
+	if st.CacheLoaded != 1 || st.CacheQuarantined != uint64(len(bad)) || st.CachedKeys != 1 {
+		t.Errorf("loaded/quarantined/cached_keys = %d/%d/%d, want 1/%d/1",
+			st.CacheLoaded, st.CacheQuarantined, st.CachedKeys, len(bad))
+	}
+	for _, key := range bad {
+		if _, err := os.Stat(filepath.Join(dir, key+".json.quarantine")); err != nil {
+			t.Errorf("%s.json not quarantined: %v", key, err)
+		}
+	}
+	page := pullPage(t, n.srv.Handler(), cachePullRequest{Owner: n.url, Max: 16})
+	if _, ok := page.Results[good]; !ok || len(page.Results) != 1 {
+		t.Errorf("pull page holds %d results (the job key among them: %v), want just the job key", len(page.Results), ok)
 	}
 }
 

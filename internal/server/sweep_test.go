@@ -326,13 +326,14 @@ func TestSweepWarmCacheDedupe(t *testing.T) {
 }
 
 // TestFinishedSweepFootprint: what the manager keeps of a sweep it has
-// finished is its spec, one blob of key digests, a status byte and a
-// completion-order entry per cell — 32 + 1 + 4 bytes — not the cells,
-// hex keys or results, which are read off the spec and the result cache
-// (235 B per cell before cells were read off the spec, 103 B before
-// keys were held as digests and the log as an order). 200 warm 512-cell
-// sweeps through Manager.Submit with the real sweepExec, then the heap
-// that survives a collection.
+// finished is its spec and, per cell, a handle into the result cache's
+// key table, a status byte and a completion-order entry — 4 + 1 + 4
+// bytes — not the cells, keys or results, which are read off the spec
+// and the result cache (235 B per cell before cells were read off the
+// spec, 103 B before keys were held as digests and the log as an order,
+// 39 B before a digest became a handle). 200 warm 512-cell sweeps
+// through Manager.Submit with the real sweepExec, then the heap that
+// survives a collection.
 func TestFinishedSweepFootprint(t *testing.T) {
 	srv, _ := warmBenchServer(t)
 	heap := func() uint64 {
@@ -352,8 +353,8 @@ func TestFinishedSweepFootprint(t *testing.T) {
 	}
 	perCell := float64(int64(heap()-before)) / (sweeps * cells)
 	t.Logf("%d finished %d-cell sweeps retain %.1f B per cell", sweeps, cells, perCell)
-	if perCell > 48 {
-		t.Errorf("a finished sweep retains %.1f B per cell, want <= 48", perCell)
+	if perCell > 16 {
+		t.Errorf("a finished sweep retains %.1f B per cell, want <= 16", perCell)
 	}
 }
 
@@ -865,11 +866,11 @@ func TestEveryCompletionPathReadsTheCache(t *testing.T) {
 		}
 	}
 
-	// Were an entry ever gone, the stream would end before its event,
-	// without the end line.
+	// Were an entry ever without its result, the stream would end before
+	// its event, without the end line.
 	events, _ := readSweepEvents(t, ts2, first.ID, "")
 	srv2.cache.mu.Lock()
-	delete(srv2.cache.m, events[1].Key)
+	srv2.cache.entries[srv2.cache.index[events[1].Key]].raw = nil
 	srv2.cache.mu.Unlock()
 	resp, err := http.Get(ts2.URL + "/v1/sweeps/" + first.ID + "/results?follow=0")
 	if err != nil {

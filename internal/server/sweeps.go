@@ -20,9 +20,9 @@ import (
 var faultSweepWorkerKill = faultinject.New("server/sweep/worker-kill")
 
 // sweepExec adapts the Server into the sweep manager's execution
-// backend: cell key digests through the canonical job hash, result
-// lookups against the content-addressed cache and, clustered, the
-// peers' caches asked for what this one lacks.
+// backend: cell key digests through the canonical job hash, handles into
+// the content-addressed cache's key table and, clustered, the peers'
+// caches asked for what this one lacks.
 type sweepExec struct{ s *Server }
 
 func (e sweepExec) AppendKey(dst []byte, c sweep.Cell) ([]byte, error) {
@@ -36,10 +36,9 @@ func (e sweepExec) Prefetch(ctx context.Context, digests string) {
 	}
 }
 
-func (e sweepExec) Lookup(key []byte) (string, json.RawMessage, bool) {
-	hit, ok := e.s.cache.lookup(key)
-	return hit.key, hit.raw, ok
-}
+func (e sweepExec) Intern(digests string) []uint32 { return e.s.cache.intern(digests) }
+
+func (e sweepExec) Lookup(h uint32) (string, json.RawMessage) { return e.s.cache.entry(h) }
 
 // runCell sees one dequeued ticket to an execution venue: this worker,
 // or (clustered) the peer the dispatch rule picks — see reserve — in

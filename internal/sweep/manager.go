@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -16,9 +15,9 @@ import (
 	"micromama/internal/telemetry"
 )
 
-// A job key is a SHA-256: the manager holds its DigestLen raw bytes,
-// and everything outside it (the result cache, tickets, events) its
-// KeyLen hex digits.
+// A job key is a SHA-256: the backend keys a cell into its DigestLen
+// raw bytes, and the result cache, tickets and events hold its KeyLen
+// hex digits.
 const (
 	DigestLen = sha256.Size
 	KeyLen    = 2 * DigestLen
@@ -26,9 +25,10 @@ const (
 
 // Exec is what the manager needs from its execution backend (the
 // server): canonical cell resolution — validation plus the
-// content-addressed job key — and result-cache lookups. Abstracting
-// these calls keeps internal/sweep free of the server's types (the
-// server imports sweep, not the reverse).
+// content-addressed job key — and the result cache's key table, where
+// each key the manager holds is a handle. Abstracting these calls keeps
+// internal/sweep free of the server's types (the server imports sweep,
+// not the reverse).
 type Exec interface {
 	// AppendKey validates a cell and appends its job key's digest,
 	// DigestLen bytes, to dst. The error, if any, is a client error (bad
@@ -41,11 +41,16 @@ type Exec interface {
 	// cluster peer's cache) fetches what it can now, under the submitting
 	// request's context. Best effort: a result it misses is recomputed.
 	Prefetch(ctx context.Context, digests string)
-	// Lookup finds the cached result for a job key, given as its KeyLen
-	// hex digits: the cache's own key string and the result encoded as
-	// the API's JSON object, both shared and read-only. A cached result
-	// is never dropped, so a key found once is found ever after.
-	Lookup(key []byte) (cacheKey string, result json.RawMessage, ok bool)
+	// Intern admits the same digests' keys to the result cache, which
+	// may not hold their results yet, and returns one handle per digest,
+	// in order. A handle names its key for the life of the process and
+	// never leaves it.
+	Intern(digests string) []uint32
+	// Lookup reads the cache entry behind a handle: its key, KeyLen hex
+	// digits, and its result encoded as the API's JSON object, or nil
+	// while it has none — both shared and read-only. A result once there
+	// is never dropped.
+	Lookup(h uint32) (key string, result json.RawMessage)
 }
 
 // Config tunes a Manager. Zero values select defaults.
@@ -76,20 +81,20 @@ type Ticket struct {
 	TimeoutMs int64
 }
 
-// state is the in-memory authority for one sweep. Per cell it holds a
-// key digest, a status byte and, once the cell is terminal, its place in
-// the completion order — 32 + 1 + 4 bytes; the cell itself is read off
-// the spec, and a finished cell's result and key string off the result
-// cache.
+// state is the in-memory authority for one sweep. Per cell it holds the
+// result cache's handle for its key, a status byte and, once the cell is
+// terminal, its place in the completion order — 4 + 1 + 4 bytes in
+// three pointer-free slices, which the collector never scans; the cell
+// itself is read off the spec, and its key and result off the cache.
 type state struct {
 	id        string
 	spec      Spec // normalized; includes priority for persistence
 	priority  int
-	cells     layout  // over spec's own grid and cells
-	keys      string  // DigestLen bytes per cell: one pointer-free allocation
-	status    []uint8 // a statusNames index per cell
-	errors    map[int]string
-	events    []int32 // terminal cells in completion order; position = Event.Seq
+	cells     layout         // over spec's own grid and cells
+	handles   []uint32       // Exec.Intern's handle per cell
+	status    []uint8        // a statusNames index per cell
+	errors    map[int]string // a failed cell's error; nil until one fails
+	events    []int32        // terminal cells in completion order; position = Event.Seq
 	createdAt time.Time
 	finished  time.Time // zero while cells remain
 
@@ -98,13 +103,6 @@ type state struct {
 	failed  int
 	deduped int
 }
-
-// digest is cell i's job key digest: a substring of keys, no allocation.
-func (st *state) digest(i int) string { return st.keys[i*DigestLen : (i+1)*DigestLen] }
-
-// key is cell i's job key in a string of its own, for a ticket or a
-// failed cell's event.
-func (st *state) key(i int) string { return hex.EncodeToString([]byte(st.digest(i))) }
 
 func (st *state) terminalCount() int { return st.done + st.failed + st.deduped }
 
@@ -201,7 +199,10 @@ type Manager struct {
 	notify   chan struct{} // closed and replaced whenever any event log grows
 	draining bool
 
-	hexKey [KeyLen]byte // lookupLocked's scratch
+	// Counts' gauges, kept at every transition rather than summed over
+	// every sweep ever held: sweeps not yet finished, and their cells
+	// waiting for dispatch and out on a worker.
+	active, pending, running int
 
 	wake    chan struct{} // cap 1; pokes the server's dispatcher
 	drainCh chan struct{} // closed once Drain begins; ends follow-streams
@@ -266,11 +267,13 @@ func clampPriority(p int) int {
 
 // newState lays a spec out and keys every cell into a sweep with all of
 // them pending, before any state is taken: a spec with one bad cell is
-// refused whole, so a partially admitted sweep never exists.
-func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state, error) {
+// refused whole, so a partially admitted sweep never exists. It returns
+// the cells' key digests, DigestLen bytes each, for the caller to hand to
+// Exec.Prefetch and then Exec.Intern, which fills the handles.
+func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state, string, error) {
 	cells, err := spec.layout(mgr.maxCells)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	spec.Priority = clampPriority(spec.Priority)
 	n := cells.len()
@@ -280,21 +283,27 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 	for i := 0; i < n; i++ {
 		key, err := mgr.exec.AppendKey(buf[:0], cells.at(i))
 		if err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
+			return nil, "", fmt.Errorf("cell %d: %w", i, err)
 		}
-		if len(key) != DigestLen { // digest(i) slices the blob at fixed strides
-			return nil, fmt.Errorf("cell %d: backend returned a %d-byte key", i, len(key))
+		if len(key) != DigestLen { // Intern reads the blob at fixed strides
+			return nil, "", fmt.Errorf("cell %d: backend returned a %d-byte key", i, len(key))
 		}
 		keys.Write(key)
 	}
 	return &state{
 		id: id, spec: spec, priority: spec.Priority, createdAt: createdAt,
 		cells:  cells,
-		keys:   keys.String(),
-		status: make([]uint8, n), // codePending
-		errors: make(map[int]string),
+		status: make([]uint8, n),    // codePending
 		events: make([]int32, 0, n), // every cell is logged once
-	}, nil
+	}, keys.String(), nil
+}
+
+// addLocked starts tracking a sweep whose cells are all pending.
+func (mgr *Manager) addLocked(st *state) {
+	mgr.sweeps[st.id] = st
+	mgr.active++
+	mgr.pending += st.cells.len()
+	mgr.sched.add(st.id, st.priority)
 }
 
 // Submit admits a sweep: layout, content addressing, cache dedupe, and
@@ -316,12 +325,14 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 	if held || err != nil {
 		return v, false, err
 	}
-	// Keying a big sweep and fetching for it take a while: outside the lock.
-	st, err := mgr.newState(id, spec, time.Now().UTC())
+	// Keying a big sweep and fetching for it take a while: outside the
+	// lock. Only a sweep whose every cell keyed interns its keys.
+	st, digests, err := mgr.newState(id, spec, time.Now().UTC())
 	if err != nil {
 		return View{}, false, err
 	}
-	mgr.exec.Prefetch(ctx, st.keys)
+	mgr.exec.Prefetch(ctx, digests)
+	st.handles = mgr.exec.Intern(digests)
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
@@ -329,16 +340,15 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 		return v, false, err // a twin submission won the race
 	}
 	n := st.cells.len()
-	mgr.sweeps[id] = st
+	mgr.addLocked(st)
 	mgr.m.submitted.Inc()
 	mgr.m.cellsExpanded.Add(uint64(n))
 
 	// Dedupe against the warm cache at admission: anything already
 	// simulated completes immediately without touching the scheduler.
-	mgr.sched.add(id, priority)
 	enqueued := 0
 	for i := 0; i < n; i++ {
-		if _, _, ok := mgr.lookupLocked(st, i); ok {
+		if _, res := mgr.exec.Lookup(st.handles[i]); res != nil {
 			mgr.completeLocked(st, i, CellDeduped, "")
 			continue
 		}
@@ -381,20 +391,20 @@ func (mgr *Manager) attachLocked(id string, priority int) (v View, held bool, er
 // restored result cache: done/deduped cells keep their status only if
 // the cached result is still present (otherwise they re-run), running
 // cells return to pending (the process died under them), failed cells
-// stay failed with their stored error.
-func (mgr *Manager) resume(rec record) {
-	st, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
+// stay failed with their stored error. A record whose spec no longer
+// expands and resolves is refused, and the store quarantines it.
+func (mgr *Manager) resume(rec record) error {
+	st, digests, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
 	if err != nil {
-		mgr.log.Error("persisted sweep no longer expands and resolves; dropping", "sweep", rec.ID, "err", err)
-		return
+		return fmt.Errorf("persisted sweep no longer expands and resolves: %w", err)
 	}
+	st.handles = mgr.exec.Intern(digests)
 	n := st.cells.len()
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	mgr.sweeps[st.id] = st
+	mgr.addLocked(st)
 	mgr.m.resumed.Inc()
-	mgr.sched.add(st.id, st.priority)
 	pending := 0
 	for i := 0; i < n; i++ {
 		prev := CellPending
@@ -403,7 +413,7 @@ func (mgr *Manager) resume(rec record) {
 		}
 		switch prev {
 		case CellDone, CellDeduped:
-			if _, _, ok := mgr.lookupLocked(st, i); ok {
+			if _, res := mgr.exec.Lookup(st.handles[i]); res != nil {
 				mgr.completeLocked(st, i, prev, "")
 				continue
 			}
@@ -423,6 +433,7 @@ func (mgr *Manager) resume(rec record) {
 	mgr.log.Info("sweep resumed", "sweep", st.id, "name", st.spec.Name,
 		"cells", n, "finished", st.terminalCount(), "pending", pending)
 	mgr.pokeLocked()
+	return nil
 }
 
 // TryDequeue hands the dispatcher the next cell under weighted round-
@@ -443,17 +454,20 @@ func (mgr *Manager) TryDequeue() (Ticket, bool) {
 	st := mgr.sweeps[id]
 	st.status[idx] = codeRunning
 	st.running++
+	mgr.running++
+	mgr.pending--
 	// Cascade the wake: this call consumed at most one wake token but
 	// may leave more dispatchable cells behind it, and other workers
 	// may be blocked on the channel.
 	if mgr.sched.anyPending() {
 		mgr.pokeLocked()
 	}
+	key, _ := mgr.exec.Lookup(st.handles[idx])
 	return Ticket{
 		SweepID:   id,
 		Index:     idx,
 		Cell:      st.cells.at(idx),
-		Key:       st.key(idx),
+		Key:       key,
 		TimeoutMs: st.spec.TimeoutMs,
 	}, true
 }
@@ -473,7 +487,11 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 	if st == nil || st.status[t.Index] != codeRunning {
 		return
 	}
+	// The cell leaves running: pending until it is either queued again or
+	// completed, which takes it out of pending.
 	st.running--
+	mgr.running--
+	mgr.pending++
 	if status == CellPending {
 		st.status[t.Index] = codePending
 		mgr.sched.pushFront(st.id, t.Index)
@@ -485,9 +503,10 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 	mgr.broadcastLocked()
 }
 
-// completeLocked finishes one cell and appends it to the completion
-// order.
+// completeLocked finishes one pending cell and appends it to the
+// completion order.
 func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, errMsg string) {
+	mgr.pending--
 	switch status {
 	case CellDone:
 		st.status[idx] = codeDone
@@ -502,6 +521,9 @@ func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, errMsg
 		st.failed++
 		mgr.m.cellsFailed.Inc()
 		if errMsg != "" {
+			if st.errors == nil {
+				st.errors = make(map[int]string)
+			}
 			st.errors[idx] = errMsg
 		}
 	}
@@ -516,6 +538,7 @@ func (mgr *Manager) finishIfDoneLocked(st *state) {
 		return
 	}
 	st.finished = time.Now().UTC()
+	mgr.active--
 	mgr.sched.remove(st.id)
 	mgr.log.Info("sweep finished", "sweep", st.id, "name", st.spec.Name,
 		"done", st.done, "deduped", st.deduped, "failed", st.failed)
@@ -614,10 +637,11 @@ func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Ev
 	for seq := max(cursor, 0); seq < len(st.events); seq++ {
 		i := int(st.events[seq])
 		ev := Event{Seq: seq, Cell: i, Status: statusNames[st.status[i]], Spec: st.cells.at(i)}
+		ev.Key, ev.Result = mgr.exec.Lookup(st.handles[i])
 		if ev.Status == CellFailed {
-			ev.Key, ev.Error = st.key(i), st.errors[i]
-		} else if ev.Key, ev.Result, found = mgr.lookupLocked(st, i); !found {
-			err = fmt.Errorf("sweep %s: event %d: cell %d's result %s is not in the result cache", id, seq, i, mgr.hexKey[:])
+			ev.Result, ev.Error = nil, st.errors[i]
+		} else if ev.Result == nil {
+			err = fmt.Errorf("sweep %s: event %d: cell %d's result %s is not in the result cache", id, seq, i, ev.Key)
 			break
 		}
 		dst = append(dst, ev)
@@ -625,33 +649,21 @@ func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Ev
 	return dst, st.view(), mgr.notify, true, err
 }
 
-// lookupLocked asks the backend's cache for cell i's result, the key
-// hex-encoded into the manager's scratch.
-func (mgr *Manager) lookupLocked(st *state, i int) (string, json.RawMessage, bool) {
-	hex.Encode(mgr.hexKey[:], []byte(st.digest(i)))
-	return mgr.exec.Lookup(mgr.hexKey[:])
-}
-
 // Counts snapshots the sweep block of /v1/stats.
 func (mgr *Manager) Counts() Counts {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	c := Counts{
+	return Counts{
+		Active:       mgr.active,
 		Total:        len(mgr.sweeps),
 		Submitted:    mgr.m.submitted.Value(),
 		Resumed:      mgr.m.resumed.Value(),
+		CellsPending: mgr.pending,
+		CellsRunning: mgr.running,
 		CellsDone:    mgr.m.cellsDone.Value(),
 		CellsDeduped: mgr.m.cellsDeduped.Value(),
 		CellsFailed:  mgr.m.cellsFailed.Value(),
 	}
-	for _, st := range mgr.sweeps {
-		if st.finished.IsZero() {
-			c.Active++
-		}
-		c.CellsPending += st.pendingCount()
-		c.CellsRunning += st.running
-	}
-	return c
 }
 
 // Drain stops dispatch (TryDequeue returns false; Submit refuses) and

@@ -13,11 +13,14 @@ import (
 )
 
 // recordingExec is a backend that caches nothing and writes down what
-// the manager asks of it, in order.
+// the manager asks of it, in order. Its key table hands out a handle per
+// key in the order they are first interned.
 type recordingExec struct {
-	calls   []string // "key", "prefetch", "lookup"
+	calls   []string // "key", "prefetch", "intern", "lookup"
 	digests strings.Builder
-	fetch   string // what Prefetch was handed
+	fetch   string            // what Prefetch was handed
+	keys    []string          // the key behind each handle
+	index   map[string]uint32 // each key's handle
 }
 
 func (e *recordingExec) AppendKey(dst []byte, c Cell) ([]byte, error) {
@@ -38,9 +41,28 @@ func (e *recordingExec) Prefetch(_ context.Context, digests string) {
 	e.fetch = digests
 }
 
-func (e *recordingExec) Lookup([]byte) (string, json.RawMessage, bool) {
+func (e *recordingExec) Intern(digests string) []uint32 {
+	e.calls = append(e.calls, "intern")
+	if e.index == nil {
+		e.index = make(map[string]uint32)
+	}
+	var hs []uint32
+	for ; digests != ""; digests = digests[DigestLen:] {
+		key := hex.EncodeToString([]byte(digests[:DigestLen]))
+		h, ok := e.index[key]
+		if !ok {
+			h = uint32(len(e.keys))
+			e.keys = append(e.keys, key)
+			e.index[key] = h
+		}
+		hs = append(hs, h)
+	}
+	return hs
+}
+
+func (e *recordingExec) Lookup(h uint32) (string, json.RawMessage) {
 	e.calls = append(e.calls, "lookup")
-	return "", nil, false
+	return e.keys[h], nil
 }
 
 // A manager given no Logger renders no records to throw away.
@@ -56,10 +78,10 @@ func TestNilLoggerIsDisabled(t *testing.T) {
 
 // TestSubmitKeysOncePrefetchesThenLooksUp pins what admission asks of
 // its backend: every cell keyed once, the backend handed all the key
-// digests — the ones just computed, in cell order — before the first
-// cache lookup, each ticket keyed by its digest's hex, and a
-// resubmission none of it: an ID the manager holds is a map lookup that
-// still takes the new priority.
+// digests — the ones just computed, in cell order — to prefetch and then
+// to intern, both before the first cache lookup, each ticket keyed by
+// its digest's hex, and a resubmission none of it: an ID the manager
+// holds is a map lookup that still takes the new priority.
 func TestSubmitKeysOncePrefetchesThenLooksUp(t *testing.T) {
 	exec := &recordingExec{}
 	mgr, err := New(Config{Exec: exec})
@@ -71,7 +93,7 @@ func TestSubmitKeysOncePrefetchesThenLooksUp(t *testing.T) {
 	if err != nil || !created || v.Cells != 16 || v.Pending != 16 || v.Priority != 1 {
 		t.Fatalf("submit: %+v created=%v err=%v", v, created, err)
 	}
-	want := strings.Fields(strings.Repeat("key ", 16) + "prefetch" + strings.Repeat(" lookup", 16))
+	want := strings.Fields(strings.Repeat("key ", 16) + "prefetch intern" + strings.Repeat(" lookup", 16))
 	if fmt.Sprint(exec.calls) != fmt.Sprint(want) {
 		t.Errorf("backend calls:\n got %v\nwant %v", exec.calls, want)
 	}
@@ -108,25 +130,21 @@ func TestSubmitKeysOncePrefetchesThenLooksUp(t *testing.T) {
 	if _, _, err := mgr.Submit(ctx, bad); err == nil || err.Error() != "cell 16: backend returned a 3-byte key" {
 		t.Errorf("short key: %v", err)
 	}
-	if n := len(mgr.List()); n != 1 || strings.Contains(fmt.Sprint(exec.calls), "prefetch") {
-		t.Errorf("a refused sweep left %d sweeps tracked, backend calls %v", n, exec.calls)
+	if n := len(mgr.List()); n != 1 || strings.Contains(fmt.Sprint(exec.calls), "prefetch") ||
+		strings.Contains(fmt.Sprint(exec.calls), "intern") || len(exec.keys) != 16 {
+		t.Errorf("a refused sweep left %d sweeps tracked and %d keys interned, backend calls %v", n, len(exec.keys), exec.calls)
 	}
 }
 
 // cacheExec is a backend whose cache holds what its map holds: a result
-// per hex key, each entry's key string its own.
+// per hex key, each handle's key string the key table's own.
 type cacheExec struct {
 	recordingExec
 	m map[string]json.RawMessage
 }
 
-func (e *cacheExec) Lookup(key []byte) (string, json.RawMessage, bool) {
-	for k, raw := range e.m {
-		if k == string(key) {
-			return k, raw, true
-		}
-	}
-	return "", nil, false
+func (e *cacheExec) Lookup(h uint32) (string, json.RawMessage) {
+	return e.keys[h], e.m[e.keys[h]]
 }
 
 // TestEventsReadTheCache: the log holds only the completion order, so a
@@ -175,7 +193,7 @@ func TestEventsReadTheCache(t *testing.T) {
 			}
 			continue
 		}
-		got, _, _ := exec.Lookup([]byte(want))
+		got, _ := exec.Lookup(exec.index[want])
 		if ev.Status != CellDeduped || string(ev.Result) != string(exec.m[want]) ||
 			unsafe.StringData(ev.Key) != unsafe.StringData(got) {
 			t.Errorf("event %+v, want deduped with the cache's own key and result", ev)
@@ -188,5 +206,118 @@ func TestEventsReadTheCache(t *testing.T) {
 	if !ok || err == nil || !strings.Contains(err.Error(), lost) || len(events) != 3 {
 		t.Errorf("a result gone from the cache: %d events from cursor 2, err %v; want events 2-4 and an error naming %s",
 			len(events), err, lost)
+	}
+}
+
+// TestCountsMatchRecount: Counts keeps its gauges at each transition
+// instead of walking every sweep the manager holds. After every step of
+// a mixed sequence — cells deduped at admission, dequeued, done, failed
+// and handed back, a sweep finished, a restart that resumes the rest,
+// and the rest run out — they equal a recount of every cell's status.
+func TestCountsMatchRecount(t *testing.T) {
+	dir := t.TempDir()
+	exec := &cacheExec{m: map[string]json.RawMessage{}}
+	grid := gridSpec()
+	cells, err := grid.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells[:4] {
+		key, _ := exec.AppendKey(nil, c)
+		exec.m[hex.EncodeToString(key)] = json.RawMessage(`{}`)
+	}
+	check := func(mgr *Manager, when string) {
+		t.Helper()
+		var want Counts
+		mgr.mu.Lock()
+		for _, st := range mgr.sweeps {
+			if st.finished.IsZero() {
+				want.Active++
+			}
+			for _, code := range st.status {
+				switch code {
+				case codePending:
+					want.CellsPending++
+				case codeRunning:
+					want.CellsRunning++
+				}
+			}
+		}
+		mgr.mu.Unlock()
+		got := mgr.Counts()
+		if got.Active != want.Active || got.CellsPending != want.CellsPending || got.CellsRunning != want.CellsRunning {
+			t.Errorf("%s: active/pending/running %d/%d/%d, recount %d/%d/%d", when,
+				got.Active, got.CellsPending, got.CellsRunning, want.Active, want.CellsPending, want.CellsRunning)
+		}
+	}
+	done := func(mgr *Manager, tk Ticket) {
+		exec.m[tk.Key] = json.RawMessage(`{}`)
+		mgr.CellDone(tk, CellDone, "")
+	}
+
+	ctx := context.Background()
+	mgr, err := New(Config{Exec: exec, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mgr.Submit(ctx, gridSpec()); err != nil {
+		t.Fatal(err)
+	}
+	check(mgr, "grid admitted")
+	small, _, err := mgr.Submit(ctx, Spec{Name: "small", Cells: cells[:6]})
+	if err != nil || small.Deduped != 4 || small.Pending != 2 {
+		t.Fatalf("small sweep: %+v err=%v, want 4 deduped and 2 pending", small, err)
+	}
+	check(mgr, "small admitted")
+
+	var held []Ticket
+	for {
+		tk, ok := mgr.TryDequeue()
+		if !ok {
+			break
+		}
+		held = append(held, tk)
+	}
+	check(mgr, "all dequeued")
+	for i, tk := range held {
+		switch {
+		case tk.SweepID == small.ID:
+			done(mgr, tk)
+		case i%4 == 0:
+			done(mgr, tk)
+		case i%4 == 1:
+			mgr.CellDone(tk, CellFailed, "boom")
+		case i%4 == 2:
+			mgr.CellDone(tk, CellPending, "")
+		default:
+			continue // still running when the process dies
+		}
+		check(mgr, fmt.Sprintf("ticket %d returned", i))
+	}
+	if v, _ := mgr.View(small.ID); v.Status != "done" {
+		t.Fatalf("small sweep %+v, want done", v)
+	}
+	mgr.CloseStore()
+
+	mgr, err = New(Config{Exec: exec, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.CloseStore()
+	check(mgr, "resumed")
+	if c := mgr.Counts(); c.Active != 1 || c.CellsPending == 0 || c.CellsRunning != 0 {
+		t.Errorf("resumed counts %+v, want the grid active with cells pending and none running", c)
+	}
+	for {
+		tk, ok := mgr.TryDequeue()
+		if !ok {
+			break
+		}
+		check(mgr, "resumed cell dequeued")
+		done(mgr, tk)
+	}
+	check(mgr, "every cell run")
+	if c := mgr.Counts(); c.Active != 0 || c.CellsPending != 0 || c.CellsRunning != 0 {
+		t.Errorf("final counts %+v, want nothing active, pending or running", c)
 	}
 }
