@@ -21,11 +21,11 @@ import (
 // sweep interns its cells' keys at admission and from then on names each
 // cell by a 4-byte handle (sweep.Exec), so an entry may exist before
 // its result does — raw == nil is a key admitted but not yet computed.
-// get, lookup, size and keysSorted see only entries that have a result. Entries are never evicted, so a handle stays valid
-// for the process's life; an entry could go only once no sweep holds its
-// handle. A result is about 1.5 KB of JSON at four cores, and the key
-// space is bounded by distinct (mix, config, controller, scale) tuples
-// actually requested.
+// get, lookup, size and keysSorted see only entries that have a result.
+// Entries are never evicted, so a handle stays valid for the process's
+// life; an entry could go only once no sweep holds its handle. A result
+// is about 1.5 KB of JSON at four cores, and the key space is bounded by
+// distinct (mix, config, controller, scale) tuples actually requested.
 type resultCache struct {
 	mu      sync.RWMutex
 	index   map[string]uint32
@@ -86,35 +86,16 @@ func (c *resultCache) entry(h uint32) (string, json.RawMessage) {
 
 // intern hands out a handle per key digest (sweep.DigestLen bytes each,
 // back to back), adding an entry without a result for each key not yet
-// held. A sweep whose keys are all held — every warm one — takes only
-// the read lock, so it never stalls a stream's reads; one that adds
-// takes the write lock once, from its first new key on.
+// held: one write lock for the whole sweep.
 func (c *resultCache) intern(digests string) []uint32 {
-	n := len(digests) / sweep.DigestLen
-	hs := make([]uint32, 0, n)
-	c.mu.RLock()
-	hs = c.handlesLocked(hs, digests, false)
-	c.mu.RUnlock()
-	if len(hs) < n {
-		c.mu.Lock()
-		hs = c.handlesLocked(hs, digests, true)
-		c.mu.Unlock()
-	}
-	return hs
-}
-
-// handlesLocked appends the handles of digests' keys from the len(hs)'th
-// on. A key not yet held takes one when add is set (the write lock is
-// held) and ends the run otherwise.
-func (c *resultCache) handlesLocked(hs []uint32, digests string, add bool) []uint32 {
+	hs := make([]uint32, 0, len(digests)/sweep.DigestLen)
 	var buf [sweep.KeyLen]byte
-	for i := len(hs) * sweep.DigestLen; i < len(digests); i += sweep.DigestLen {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := 0; i < len(digests); i += sweep.DigestLen {
 		hex.Encode(buf[:], []byte(digests[i:i+sweep.DigestLen]))
 		h, ok := c.index[string(buf[:])]
 		if !ok {
-			if !add {
-				break
-			}
 			h = c.addLocked(string(buf[:]))
 		}
 		hs = append(hs, h)

@@ -329,11 +329,8 @@ func TestSweepWarmCacheDedupe(t *testing.T) {
 // finished is its spec and, per cell, a handle into the result cache's
 // key table, a status byte and a completion-order entry — 4 + 1 + 4
 // bytes — not the cells, keys or results, which are read off the spec
-// and the result cache (235 B per cell before cells were read off the
-// spec, 103 B before keys were held as digests and the log as an order,
-// 39 B before a digest became a handle). 200 warm 512-cell sweeps
-// through Manager.Submit with the real sweepExec, then the heap that
-// survives a collection.
+// and the result cache. 200 warm 512-cell sweeps through Manager.Submit
+// with the real sweepExec, then the heap that survives a collection.
 func TestFinishedSweepFootprint(t *testing.T) {
 	srv, _ := warmBenchServer(t)
 	heap := func() uint64 {

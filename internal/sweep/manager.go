@@ -199,11 +199,6 @@ type Manager struct {
 	notify   chan struct{} // closed and replaced whenever any event log grows
 	draining bool
 
-	// Counts' gauges, kept at every transition rather than summed over
-	// every sweep ever held: sweeps not yet finished, and their cells
-	// waiting for dispatch and out on a worker.
-	active, pending, running int
-
 	wake    chan struct{} // cap 1; pokes the server's dispatcher
 	drainCh chan struct{} // closed once Drain begins; ends follow-streams
 
@@ -252,7 +247,7 @@ func New(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		mgr.store = st
-		st.Load(mgr.resume)
+		st.Load(func(rec record) error { mgr.resume(rec); return nil })
 	}
 	return mgr, nil
 }
@@ -298,14 +293,6 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 	}, keys.String(), nil
 }
 
-// addLocked starts tracking a sweep whose cells are all pending.
-func (mgr *Manager) addLocked(st *state) {
-	mgr.sweeps[st.id] = st
-	mgr.active++
-	mgr.pending += st.cells.len()
-	mgr.sched.add(st.id, st.priority)
-}
-
 // Submit admits a sweep: layout, content addressing, cache dedupe, and
 // scheduling. Resubmitting an identical spec attaches to the existing
 // sweep (created=false) and only updates its priority — submission is
@@ -340,12 +327,13 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 		return v, false, err // a twin submission won the race
 	}
 	n := st.cells.len()
-	mgr.addLocked(st)
+	mgr.sweeps[id] = st
 	mgr.m.submitted.Inc()
 	mgr.m.cellsExpanded.Add(uint64(n))
 
 	// Dedupe against the warm cache at admission: anything already
 	// simulated completes immediately without touching the scheduler.
+	mgr.sched.add(id, priority)
 	enqueued := 0
 	for i := 0; i < n; i++ {
 		if _, res := mgr.exec.Lookup(st.handles[i]); res != nil {
@@ -380,7 +368,9 @@ func (mgr *Manager) attachLocked(id string, priority int) (v View, held bool, er
 	if old.priority != priority {
 		old.priority = priority
 		old.spec.Priority = priority
-		mgr.sched.add(id, priority)
+		if old.finished.IsZero() { // a finished sweep has left the rotation
+			mgr.sched.add(id, priority)
+		}
 		mgr.saveLocked(old)
 	}
 	return old.view(), true, nil
@@ -392,19 +382,22 @@ func (mgr *Manager) attachLocked(id string, priority int) (v View, held bool, er
 // the cached result is still present (otherwise they re-run), running
 // cells return to pending (the process died under them), failed cells
 // stay failed with their stored error. A record whose spec no longer
-// expands and resolves is refused, and the store quarantines it.
-func (mgr *Manager) resume(rec record) error {
+// expands and resolves is logged and left on disk: the limits it broke
+// (-max-sweep-cells, -max-cores) may be raised again by a later start.
+func (mgr *Manager) resume(rec record) {
 	st, digests, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
 	if err != nil {
-		return fmt.Errorf("persisted sweep no longer expands and resolves: %w", err)
+		mgr.log.Error("persisted sweep no longer expands and resolves; skipping it", "sweep", rec.ID, "err", err)
+		return
 	}
 	st.handles = mgr.exec.Intern(digests)
 	n := st.cells.len()
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	mgr.addLocked(st)
+	mgr.sweeps[st.id] = st
 	mgr.m.resumed.Inc()
+	mgr.sched.add(st.id, st.priority)
 	pending := 0
 	for i := 0; i < n; i++ {
 		prev := CellPending
@@ -433,7 +426,6 @@ func (mgr *Manager) resume(rec record) error {
 	mgr.log.Info("sweep resumed", "sweep", st.id, "name", st.spec.Name,
 		"cells", n, "finished", st.terminalCount(), "pending", pending)
 	mgr.pokeLocked()
-	return nil
 }
 
 // TryDequeue hands the dispatcher the next cell under weighted round-
@@ -454,8 +446,6 @@ func (mgr *Manager) TryDequeue() (Ticket, bool) {
 	st := mgr.sweeps[id]
 	st.status[idx] = codeRunning
 	st.running++
-	mgr.running++
-	mgr.pending--
 	// Cascade the wake: this call consumed at most one wake token but
 	// may leave more dispatchable cells behind it, and other workers
 	// may be blocked on the channel.
@@ -487,11 +477,7 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 	if st == nil || st.status[t.Index] != codeRunning {
 		return
 	}
-	// The cell leaves running: pending until it is either queued again or
-	// completed, which takes it out of pending.
 	st.running--
-	mgr.running--
-	mgr.pending++
 	if status == CellPending {
 		st.status[t.Index] = codePending
 		mgr.sched.pushFront(st.id, t.Index)
@@ -503,10 +489,9 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 	mgr.broadcastLocked()
 }
 
-// completeLocked finishes one pending cell and appends it to the
-// completion order.
+// completeLocked finishes one cell and appends it to the completion
+// order.
 func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, errMsg string) {
-	mgr.pending--
 	switch status {
 	case CellDone:
 		st.status[idx] = codeDone
@@ -538,7 +523,6 @@ func (mgr *Manager) finishIfDoneLocked(st *state) {
 		return
 	}
 	st.finished = time.Now().UTC()
-	mgr.active--
 	mgr.sched.remove(st.id)
 	mgr.log.Info("sweep finished", "sweep", st.id, "name", st.spec.Name,
 		"done", st.done, "deduped", st.deduped, "failed", st.failed)
@@ -649,21 +633,28 @@ func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Ev
 	return dst, st.view(), mgr.notify, true, err
 }
 
-// Counts snapshots the sweep block of /v1/stats.
+// Counts snapshots the sweep block of /v1/stats. A finished sweep has
+// no pending or running cell and has left the scheduler's rotation, so
+// the gauges sum over the rotation alone: their cost follows the sweeps
+// in flight, not every sweep the process has held.
 func (mgr *Manager) Counts() Counts {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
-	return Counts{
-		Active:       mgr.active,
+	c := Counts{
+		Active:       len(mgr.sched.order),
 		Total:        len(mgr.sweeps),
 		Submitted:    mgr.m.submitted.Value(),
 		Resumed:      mgr.m.resumed.Value(),
-		CellsPending: mgr.pending,
-		CellsRunning: mgr.running,
 		CellsDone:    mgr.m.cellsDone.Value(),
 		CellsDeduped: mgr.m.cellsDeduped.Value(),
 		CellsFailed:  mgr.m.cellsFailed.Value(),
 	}
+	for _, id := range mgr.sched.order {
+		st := mgr.sweeps[id]
+		c.CellsPending += st.pendingCount()
+		c.CellsRunning += st.running
+	}
+	return c
 }
 
 // Drain stops dispatch (TryDequeue returns false; Submit refuses) and

@@ -209,11 +209,12 @@ func TestEventsReadTheCache(t *testing.T) {
 	}
 }
 
-// TestCountsMatchRecount: Counts keeps its gauges at each transition
-// instead of walking every sweep the manager holds. After every step of
+// TestCountsMatchRecount: Counts sums its gauges over the scheduler's
+// rotation instead of every sweep the manager holds. After every step of
 // a mixed sequence — cells deduped at admission, dequeued, done, failed
-// and handed back, a sweep finished, a restart that resumes the rest,
-// and the rest run out — they equal a recount of every cell's status.
+// and handed back, a sweep finished and then resubmitted at a new
+// priority, a restart that resumes the rest, and the rest run out —
+// they equal a recount of every cell's status over every sweep.
 func TestCountsMatchRecount(t *testing.T) {
 	dir := t.TempDir()
 	exec := &cacheExec{m: map[string]json.RawMessage{}}
@@ -297,6 +298,10 @@ func TestCountsMatchRecount(t *testing.T) {
 	if v, _ := mgr.View(small.ID); v.Status != "done" {
 		t.Fatalf("small sweep %+v, want done", v)
 	}
+	if v, created, err := mgr.Submit(ctx, Spec{Name: "small", Cells: cells[:6], Priority: 3}); err != nil || created || v.ID != small.ID {
+		t.Fatalf("resubmitted small sweep: %+v created=%v err=%v, want it attached", v, created, err)
+	}
+	check(mgr, "finished sweep resubmitted at a new priority")
 	mgr.CloseStore()
 
 	mgr, err = New(Config{Exec: exec, Dir: dir})
@@ -319,5 +324,43 @@ func TestCountsMatchRecount(t *testing.T) {
 	check(mgr, "every cell run")
 	if c := mgr.Counts(); c.Active != 0 || c.CellsPending != 0 || c.CellsRunning != 0 {
 		t.Errorf("final counts %+v, want nothing active, pending or running", c)
+	}
+}
+
+// TestResumeKeepsRecordOverLimits: a persisted sweep that does not fit
+// the limits of the process restoring it is skipped, not quarantined, so
+// a later start with the old limits resumes it.
+func TestResumeKeepsRecordOverLimits(t *testing.T) {
+	dir := t.TempDir()
+	exec := &cacheExec{m: map[string]json.RawMessage{}}
+	mgr, err := New(Config{Exec: exec, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := mgr.Submit(context.Background(), gridSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.CloseStore()
+
+	small, err := New(Config{Exec: exec, Dir: dir, MaxCells: v.Cells - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := small.View(v.ID); ok {
+		t.Errorf("a %d-cell sweep resumed under MaxCells %d", v.Cells, v.Cells-1)
+	}
+	if q := small.m.store.Quarantined.Value(); q != 0 {
+		t.Errorf("%d sweep records quarantined, want 0", q)
+	}
+	small.CloseStore()
+
+	again, err := New(Config{Exec: exec, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.CloseStore()
+	if got, ok := again.View(v.ID); !ok || got.Pending != v.Cells {
+		t.Errorf("restart at the old limits: %+v held=%v, want %d cells pending", got, ok, v.Cells)
 	}
 }
