@@ -13,8 +13,10 @@ package main
 // submit accepts either a full JSON spec (-spec file, "-" for stdin) or
 // grid axes as flags; -mixes separates mixes with ';' and traces within
 // a mix with ','. watch streams events as they complete and survives
-// server restarts (the client reconnects and resumes from its cursor);
-// results dumps the events recorded so far without following.
+// server restarts: the client reconnects from cursor 0 and skips cells
+// it already printed, because a restarted server rebuilds the event log
+// in another order. results dumps the events recorded so far without
+// following.
 
 import (
 	"context"

@@ -125,15 +125,15 @@ func main() {
 	if len(keys) > 1 {
 		// Comparison mode: one summary row per controller.
 		fmt.Printf("system: %d cores, %s (%.1f GB/s)\n\n", cfg.Cores, cfg.DRAM.Name, cfg.DRAM.PeakGBps())
-		fmt.Printf("%-16s %8s %8s %8s %10s %12s\n", "controller", "WS", "HS", "GM", "unfairness", "L2 prefetches")
+		fmt.Printf("%-16s %8s %8s %8s %10s %13s %s\n", "controller", "WS", "HS", "GM", "unfairness", "L2 prefetches", signatureHeader)
 		for _, key := range keys {
 			res, err := runner.RunMixContext(ctx, mix, cfg, key, experiment.Options{})
 			if err != nil {
 				fatal(1, "mamasim:", err)
 			}
-			fmt.Printf("%-16s %8.3f %8.3f %8.3f %10.2f %12d\n",
+			fmt.Printf("%-16s %8.3f %8.3f %8.3f %10.2f %13d %s\n",
 				res.Controller, res.WS, res.HS, metrics.GM(res.Speedups), res.Unfairness,
-				res.Result.TotalL2Prefetches())
+				res.Result.TotalL2Prefetches(), runSignature(res.Result, scale.Target, cfg.DRAM.Channels))
 		}
 		return
 	}
@@ -155,4 +155,33 @@ func main() {
 	d := res.Result.DRAM
 	fmt.Printf("DRAM: %d reads, %d writes, %.0f%% row hits, %d prefetches rejected\n",
 		d.Reads, d.Writes, 100*float64(d.RowHits)/float64(d.RowHits+d.RowMisses+1), d.PrefetchesRejected)
+	fmt.Printf("\nrun: %s\n     %s\n", signatureHeader, runSignature(res.Result, scale.Target, cfg.DRAM.Channels))
+}
+
+// signatureHeader labels runSignature's columns. The bus is busy for
+// the cycles the DRAM model books at issue, not those it transfers in.
+var signatureHeader = fmt.Sprintf("%10s %5s %11s %10s", "cycles", "guard", "bus(booked)", "qdelay/req")
+
+// runSignature formats a run's length signature: cycles (the longest
+// core's), whether the cycle guard stopped the run (a core short of
+// target), DRAM bus utilisation as BusBusyCycles / (cycles × channels),
+// and queue delay per DRAM request.
+func runSignature(r sim.Result, target uint64, channels int) string {
+	var cycles uint64
+	guard := "no"
+	for _, c := range r.Cores {
+		cycles = max(cycles, c.Cycles)
+		if c.Instructions < target {
+			guard = "hit"
+		}
+	}
+	d := r.DRAM
+	var util, delay float64
+	if cycles > 0 {
+		util = float64(d.BusBusyCycles) / (float64(cycles) * float64(channels))
+	}
+	if n := d.Reads + d.Writes; n > 0 {
+		delay = float64(d.QueueDelay) / float64(n)
+	}
+	return fmt.Sprintf("%10d %5s %11.3f %10.1f", cycles, guard, util, delay)
 }

@@ -13,17 +13,6 @@
 // idempotent because jobs are content-addressed — resubmitting an
 // identical spec lands on the same job ID via the server's cache and
 // singleflight dedup, never a second simulation.
-//
-// Against a sharded cluster the client is owner-sticky: when a node
-// answers with X-Mama-Owner (it proxied the request to the shard that
-// owns the key, or it is the owner itself), subsequent requests go
-// straight to that owner, skipping the extra proxy hop. The hint is
-// dropped the moment it stops matching reality: a transport failure
-// against the preferred owner, an X-Mama-Owner header that disagrees
-// with it, or a membership change seen in the X-Mama-Gossip digest all
-// clear the preference and fall back to the seed base URL, where the
-// normal retry/backoff machinery (and the cluster's own degraded-local
-// path) takes over.
 package client
 
 import (
@@ -37,7 +26,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"micromama/internal/cluster"
@@ -86,22 +74,6 @@ type Client struct {
 	baseDelay  time.Duration
 	maxDelay   time.Duration
 
-	// preferred holds the base URL of the cluster node that owns the
-	// keys this client is working with, learned from X-Mama-Owner
-	// response headers (empty string = use the seed base). It is a
-	// best-effort routing hint: wrong or stale values still work,
-	// because every node proxies to the true owner. The hint is dropped
-	// when a response's owner header disagrees with it, when transport
-	// to it fails, or when the cluster's ring hash changes (see
-	// ringHash) — all three mean ownership may have moved.
-	preferred atomic.Value // string
-
-	// ringHash is the last cluster membership fingerprint seen in an
-	// X-Mama-Gossip response header (0 = none yet). The hash is
-	// identical on every converged node, so a change means the ring
-	// itself changed and every sticky owner hint is suspect.
-	ringHash atomic.Uint64
-
 	// sleep is swapped by tests to observe backoff without waiting.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -127,7 +99,7 @@ func New(base string, opts Options) *Client {
 	if hc == nil {
 		hc = &http.Client{Timeout: opts.Timeout, Transport: newTransport()}
 	}
-	c := &Client{
+	return &Client{
 		base:       strings.TrimRight(base, "/"),
 		hc:         hc,
 		maxRetries: opts.MaxRetries,
@@ -135,8 +107,6 @@ func New(base string, opts Options) *Client {
 		maxDelay:   opts.MaxDelay,
 		sleep:      sleepCtx,
 	}
-	c.preferred.Store("")
-	return c
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -245,56 +215,12 @@ type attemptResult struct {
 	body   []byte
 }
 
-// baseURL picks the request target: the learned cluster owner when one
-// is set, otherwise the seed base.
-func (c *Client) baseURL() string {
-	if p, _ := c.preferred.Load().(string); p != "" {
-		return p
-	}
-	return c.base
-}
-
-// observeMembership watches the X-Mama-Gossip response header for ring
-// changes: when the membership fingerprint moves, the sticky owner
-// hint is cleared so the next request re-learns ownership from the
-// seed base instead of bouncing through a node that may no longer own
-// anything this client cares about.
-func (c *Client) observeMembership(h http.Header) {
-	d, ok := cluster.DecodeGossipDigest(h.Get(cluster.HeaderGossip))
-	if !ok || d.Ring == 0 {
-		return
-	}
-	if old := c.ringHash.Swap(d.Ring); old != 0 && old != d.Ring {
-		c.preferred.Store("")
-	}
-}
-
-// observeOwner reconciles the owner hint with a response's
-// X-Mama-Owner header. A header that disagrees with the cached hint
-// replaces it (the responding node knows the current ring better than
-// our stale hint does); a hint equal to the seed base is stored as "no
-// preference" so peer death can never strand the client away from its
-// configured server. No header leaves the hint alone.
-func (c *Client) observeOwner(h http.Header) {
-	owner := strings.TrimRight(strings.TrimSpace(h.Get(cluster.HeaderOwner)), "/")
-	if owner == "" {
-		return
-	}
-	if owner == c.base {
-		owner = ""
-	}
-	if cur, _ := c.preferred.Load().(string); cur != owner {
-		c.preferred.Store(owner)
-	}
-}
-
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte) (attemptResult, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	target := c.baseURL()
-	req, err := http.NewRequestWithContext(ctx, method, target+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return attemptResult{}, err
 	}
@@ -303,20 +229,9 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		// Transport failure against a learned owner: drop the hint so the
-		// retry goes back to the seed base, whose cluster logic degrades
-		// to local compute if the owner really is down.
-		if target != c.base {
-			c.preferred.CompareAndSwap(target, "")
-		}
 		return attemptResult{}, err
 	}
 	defer resp.Body.Close()
-	// Membership first: a ring change clears the hint, and the same
-	// response's owner header (if any) then re-seeds it with the owner
-	// under the new ring.
-	c.observeMembership(resp.Header)
-	c.observeOwner(resp.Header)
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return attemptResult{}, err

@@ -2,25 +2,12 @@ package client
 
 import (
 	"context"
-	"encoding/base64"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"micromama/internal/cluster"
 )
-
-// gossipHeader fabricates an X-Mama-Gossip digest with the given ring
-// fingerprint (the wire form is base64url JSON; see
-// cluster.DecodeGossipDigest).
-func gossipHeader(ring uint64) string {
-	return base64.RawURLEncoding.EncodeToString(
-		[]byte(fmt.Sprintf(`{"from":"http://node:1","v":1,"ring":%d}`, ring)))
-}
 
 // countingServer is an httptest server that counts fresh TCP
 // connections via the ConnState hook — the observable difference
@@ -60,194 +47,31 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
-// TestOwnerStickyRouting verifies the cluster-awareness protocol: the
-// client follows X-Mama-Owner hints to the owning shard, and a
-// transport failure against the learned owner clears the hint so the
-// next attempt falls back to the seed base.
-func TestOwnerStickyRouting(t *testing.T) {
-	var ownerHits, seedHits atomic.Int64
-
+// TestOwnerHeaderDoesNotRoute: the client sends every request to its
+// base URL, even after a response that names another node as the key's
+// owner.
+func TestOwnerHeaderDoesNotRoute(t *testing.T) {
+	var ownerHits, baseHits atomic.Int64
 	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ownerHits.Add(1)
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer owner.Close()
+	base := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		baseHits.Add(1)
+		w.Header().Set("X-Mama-Owner", owner.URL)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer base.Close()
 
-	var advertise atomic.Bool
-	advertise.Store(true)
-	seed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seedHits.Add(1)
-		if advertise.Load() {
-			w.Header().Set(cluster.HeaderOwner, owner.URL)
+	c := New(base.URL, Options{})
+	for i := 0; i < 2; i++ {
+		if _, err := c.Get(context.Background(), "/v1/jobs/j1"); err != nil {
+			t.Fatal(err)
 		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer seed.Close()
-
-	c := New(seed.URL, Options{})
-	c.sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	ctx := context.Background()
-
-	// First call lands on the seed, which names the owner.
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
 	}
-	if got, _ := c.preferred.Load().(string); got != owner.URL {
-		t.Fatalf("preferred = %q; want owner %q", got, owner.URL)
-	}
-
-	// Subsequent calls go straight to the owner.
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if seedHits.Load() != 1 || ownerHits.Load() != 1 {
-		t.Fatalf("seed=%d owner=%d hits; want 1/1", seedHits.Load(), ownerHits.Load())
-	}
-
-	// Owner dies: the transport failure clears the hint and the retry
-	// machinery lands the same logical call back on the seed.
-	owner.Close()
-	advertise.Store(false)
-	resp, err := c.Get(ctx, "/v1/jobs/j1")
-	if err != nil || resp.Status != http.StatusOK {
-		t.Fatalf("after owner death: resp=%v err=%v", resp, err)
-	}
-	if got, _ := c.preferred.Load().(string); got != "" {
-		t.Fatalf("preferred = %q after owner death; want cleared", got)
-	}
-	if seedHits.Load() != 2 {
-		t.Fatalf("seed hits = %d; want 2 (fallback after owner death)", seedHits.Load())
-	}
-}
-
-// TestOwnerHintCorrectedOnDisagreement: a cached owner hint must be
-// replaced — not merely kept until a transport failure — when a
-// response's X-Mama-Owner names a different node (ownership moved, or
-// the hint was learned from a stale ring).
-func TestOwnerHintCorrectedOnDisagreement(t *testing.T) {
-	var owner1Hits, owner2Hits atomic.Int64
-	owner2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		owner2Hits.Add(1)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer owner2.Close()
-	owner1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		owner1Hits.Add(1)
-		// This node no longer owns the key: it names the real owner.
-		w.Header().Set(cluster.HeaderOwner, owner2.URL)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer owner1.Close()
-	seed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(cluster.HeaderOwner, owner1.URL)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer seed.Close()
-
-	c := New(seed.URL, Options{})
-	ctx := context.Background()
-
-	// Learn owner1 from the seed, then hit owner1 — whose disagreeing
-	// header must move the hint to owner2.
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.preferred.Load().(string); got != owner1.URL {
-		t.Fatalf("preferred = %q, want %q", got, owner1.URL)
-	}
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.preferred.Load().(string); got != owner2.URL {
-		t.Fatalf("preferred after disagreeing header = %q, want %q", got, owner2.URL)
-	}
-
-	// The next request goes straight to the corrected owner.
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if owner1Hits.Load() != 1 || owner2Hits.Load() != 1 {
-		t.Fatalf("owner1=%d owner2=%d hits, want 1/1", owner1Hits.Load(), owner2Hits.Load())
-	}
-}
-
-// TestOwnerHintClearedOnRingChange: a changed membership fingerprint
-// in the X-Mama-Gossip response header invalidates the sticky owner
-// hint — the ring moved, so ownership may have moved with it.
-func TestOwnerHintClearedOnRingChange(t *testing.T) {
-	var ring atomic.Uint64
-	ring.Store(111)
-	var ownerHits atomic.Int64
-	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ownerHits.Add(1)
-		w.Header().Set(cluster.HeaderGossip, gossipHeader(ring.Load()))
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer owner.Close()
-	var seedHits atomic.Int64
-	seed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seedHits.Add(1)
-		w.Header().Set(cluster.HeaderOwner, owner.URL)
-		w.Header().Set(cluster.HeaderGossip, gossipHeader(ring.Load()))
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer seed.Close()
-
-	c := New(seed.URL, Options{})
-	ctx := context.Background()
-
-	// Learn the owner and the ring fingerprint; a second call sticks to
-	// the owner while the ring is stable.
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.preferred.Load().(string); got != owner.URL {
-		t.Fatalf("preferred = %q, want %q", got, owner.URL)
-	}
-	if seedHits.Load() != 1 || ownerHits.Load() != 1 {
-		t.Fatalf("seed=%d owner=%d hits, want 1/1", seedHits.Load(), ownerHits.Load())
-	}
-
-	// Membership changes (a node died or joined): the next response's
-	// digest carries a new fingerprint, and the hint must clear.
-	ring.Store(222)
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.preferred.Load().(string); got != "" {
-		t.Fatalf("preferred after ring change = %q, want cleared", got)
-	}
-	// Back on the seed base, which re-teaches ownership under the new
-	// ring.
-	if _, err := c.Get(ctx, "/v1/jobs/j1"); err != nil {
-		t.Fatal(err)
-	}
-	if seedHits.Load() != 2 {
-		t.Fatalf("seed hits = %d, want 2 (fallback after ring change)", seedHits.Load())
-	}
-	if got, _ := c.preferred.Load().(string); got != owner.URL {
-		t.Fatalf("preferred after re-learn = %q, want %q", got, owner.URL)
-	}
-}
-
-// TestOwnerHintEqualSeedIsNoop: a node advertising itself as owner must
-// not be stored as a "preference" — the seed base already points there.
-func TestOwnerHintEqualSeedIsNoop(t *testing.T) {
-	var ts *httptest.Server
-	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(cluster.HeaderOwner, ts.URL)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ts.Close()
-	c := New(ts.URL, Options{})
-	if _, err := c.Get(context.Background(), "/v1/stats"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.preferred.Load().(string); got != "" {
-		t.Fatalf("preferred = %q; want empty (self-owner hint)", got)
+	if baseHits.Load() != 2 || ownerHits.Load() != 0 {
+		t.Fatalf("base=%d owner=%d hits, want 2/0", baseHits.Load(), ownerHits.Load())
 	}
 }
 

@@ -260,15 +260,9 @@ func (c *Cluster) DoTimeout(parent context.Context, peer, method, path string, b
 	return resp.StatusCode, b, nil
 }
 
-// Header names of the cluster routing protocol.
-const (
-	// HeaderForwarded marks a request already routed once; the receiver
-	// must handle it locally (loop prevention).
-	HeaderForwarded = "X-Mama-Forwarded"
-	// HeaderOwner carries the owning peer's URL on routed responses so
-	// cluster-aware clients can talk to the owner directly next time.
-	HeaderOwner = "X-Mama-Owner"
-)
+// HeaderForwarded marks a request already routed once; the receiver
+// must handle it locally (loop prevention).
+const HeaderForwarded = "X-Mama-Forwarded"
 
 // MaxResultWait is the longest a node holds GET /v1/jobs/{id}/result?wait=
 // open. It lives here because every hop has to agree on it: the serving

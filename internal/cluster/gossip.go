@@ -44,9 +44,9 @@ const (
 )
 
 // HeaderGossip piggybacks the member table on ordinary cluster
-// traffic: base64url-encoded JSON gossipMsg. Every peer RPC and every
-// server response carries one, so membership converges even between
-// probe ticks.
+// traffic: base64url-encoded JSON gossipMsg. Every peer RPC carries
+// one and its answer carries one back, so membership converges even
+// between probe ticks.
 const HeaderGossip = "X-Mama-Gossip"
 
 // MemberState is one member's liveness state in the SWIM state
@@ -149,9 +149,6 @@ type gossipState struct {
 // led by its own alive claim, so every message doubles as a heartbeat
 // and none can leave a claim behind.
 type gossipMsg struct {
-	From    string         `json:"from"`
-	Version uint64         `json:"v"`
-	Ring    uint64         `json:"ring"`
 	Updates []MemberUpdate `json:"updates,omitempty"`
 }
 
@@ -166,25 +163,6 @@ type pingReqMsg struct {
 type pingReqResp struct {
 	OK  bool      `json:"ok"`
 	Msg gossipMsg `json:"msg"`
-}
-
-// GossipDigest is the part of a gossip header a client cares about:
-// who sent it and the hash of their current ring membership. Clients
-// drop their owner-sticky hint when the ring hash changes.
-type GossipDigest struct {
-	From    string
-	Version uint64
-	Ring    uint64
-}
-
-// DecodeGossipDigest parses an X-Mama-Gossip header value without
-// applying its member table (the client side of the protocol).
-func DecodeGossipDigest(v string) (GossipDigest, bool) {
-	msg, ok := decodeGossip(v)
-	if !ok {
-		return GossipDigest{}, false
-	}
-	return GossipDigest{From: msg.From, Version: msg.Version, Ring: msg.Ring}, true
 }
 
 func decodeGossip(v string) (gossipMsg, bool) {
@@ -580,7 +558,7 @@ func (c *Cluster) outMsg() gossipMsg {
 	}
 	c.memMu.Unlock()
 	sort.Slice(ups[1:], func(i, j int) bool { return ups[1+i].URL < ups[1+j].URL })
-	return gossipMsg{From: c.self, Version: c.version.Load(), Ring: c.ringHash.Load(), Updates: ups}
+	return gossipMsg{Updates: ups}
 }
 
 // ---------------------------------------------------------------------------

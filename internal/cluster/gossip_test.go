@@ -194,8 +194,8 @@ func TestEveryMessageCarriesWholeTable(t *testing.T) {
 }
 
 // TestGossipHeaderRoundTrip: the member table attached to ordinary
-// traffic via X-Mama-Gossip is decodable as a digest and merges into
-// the receiver's table.
+// traffic via X-Mama-Gossip decodes to the sender's whole table and
+// merges into the receiver's.
 func TestGossipHeaderRoundTrip(t *testing.T) {
 	mk := func(self string) *Cluster {
 		c, err := New(self, []string{"http://a:1", "http://b:1", "http://c:1"}, Options{})
@@ -211,9 +211,10 @@ func TestGossipHeaderRoundTrip(t *testing.T) {
 	if hdr == "" {
 		t.Fatal("empty gossip header")
 	}
-	d, ok := DecodeGossipDigest(hdr)
-	if !ok || d.From != "http://a:1" || d.Ring != a.RingHash() {
-		t.Fatalf("digest = %+v ok=%v, want from=a ring=%d", d, ok, a.RingHash())
+	msg, ok := decodeGossip(hdr)
+	want := []MemberUpdate{{"http://a:1", 0, StateAlive}, {"http://b:1", 0, StateAlive}, {"http://c:1", 0, StateDead}}
+	if !ok || !reflect.DeepEqual(msg.Updates, want) {
+		t.Fatalf("header carries %+v (ok=%v), want %+v", msg.Updates, ok, want)
 	}
 	b.ApplyGossipHeader(hdr)
 	if b.Size() != 2 {
@@ -238,9 +239,9 @@ func FuzzDecodeGossip(f *testing.F) {
 	f.Add("")
 	f.Add("not base64!")
 	f.Add(base64.RawURLEncoding.EncodeToString([]byte(`{"updates":7}`)))
-	f.Add(enc(gossipMsg{From: peer, Updates: []MemberUpdate{{peer, 3, StateAlive}, {"http://c:1", 0, StateSuspect}}}))
-	f.Add(enc(gossipMsg{From: peer, Updates: []MemberUpdate{{self, 9, StateDead}, {"a:1/", 2, StateSuspect}, {peer, 0, StateDead}}}))
-	f.Add(enc(gossipMsg{From: peer, Updates: []MemberUpdate{{"", 1, StateDead}, {self, 0, "zombie"}, {" http://a:1 /", 0, StateDead}}}))
+	f.Add(enc(gossipMsg{Updates: []MemberUpdate{{peer, 3, StateAlive}, {"http://c:1", 0, StateSuspect}}}))
+	f.Add(enc(gossipMsg{Updates: []MemberUpdate{{self, 9, StateDead}, {"a:1/", 2, StateSuspect}, {peer, 0, StateDead}}}))
+	f.Add(enc(gossipMsg{Updates: []MemberUpdate{{"", 1, StateDead}, {self, 0, "zombie"}, {" http://a:1 /", 0, StateDead}}}))
 	f.Fuzz(func(t *testing.T, v string) {
 		c, err := New(self, []string{peer}, Options{})
 		if err != nil {

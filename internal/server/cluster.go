@@ -240,7 +240,6 @@ func (cs *clusterState) proxySubmit(w http.ResponseWriter, r *http.Request, spec
 	}
 	owner := cs.c.Owner(p.key)
 	if cs.c.IsSelf(owner) {
-		w.Header().Set(cluster.HeaderOwner, cs.c.Self())
 		return false
 	}
 	if !cs.c.Healthy(owner) {
@@ -268,7 +267,6 @@ func (cs *clusterState) proxySubmit(w http.ResponseWriter, r *http.Request, spec
 	cs.m.proxied.Inc()
 	cs.m.perPeer("mama_cluster_peer_proxied_total",
 		"Requests forwarded to this peer.", owner)
-	w.Header().Set(cluster.HeaderOwner, owner)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(resp)
@@ -304,7 +302,6 @@ func (cs *clusterState) proxyLookup(w http.ResponseWriter, r *http.Request, id, 
 		return true
 	}
 	cs.m.proxied.Inc()
-	w.Header().Set(cluster.HeaderOwner, owner)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(resp)
@@ -778,16 +775,18 @@ func (cs *clusterState) runRemoteCell(venue string, j *job) (JobResult, error) {
 // ---------------------------------------------------------------------
 
 // gossipExchange is the piggyback middleware wrapped around a clustered
-// node's whole HTTP surface: incoming requests may carry a member
-// table from peers or cluster-aware clients, and every response
-// carries this node's digest and whole member table. This is what
-// makes membership converge between probe ticks — ordinary traffic is
-// the widest gossip channel the cluster has.
+// node's whole HTTP surface: a request that carries a peer's member
+// table is merged and answered with this node's whole table. This is
+// what makes membership converge between probe ticks — ordinary
+// traffic is the widest gossip channel the cluster has. A request
+// without one did not come from a peer, and gets no table back.
 func (cs *clusterState) gossipExchange(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cs.c.ApplyGossipHeader(r.Header.Get(cluster.HeaderGossip))
-		if g := cs.c.GossipHeaderValue(); g != "" {
-			w.Header().Set(cluster.HeaderGossip, g)
+		if in := r.Header.Get(cluster.HeaderGossip); in != "" {
+			cs.c.ApplyGossipHeader(in)
+			if g := cs.c.GossipHeaderValue(); g != "" {
+				w.Header().Set(cluster.HeaderGossip, g)
+			}
 		}
 		next.ServeHTTP(w, r)
 	})

@@ -313,12 +313,58 @@ func TestGossipKillRejoinRepair(t *testing.T) {
 
 // gossipHeader encodes membership claims as an X-Mama-Gossip value,
 // the way a peer that held them would piggyback them.
-func gossipHeader(from string, claims ...cluster.MemberUpdate) string {
+func gossipHeader(claims ...cluster.MemberUpdate) string {
 	b, _ := json.Marshal(struct {
-		From    string                 `json:"from"`
 		Updates []cluster.MemberUpdate `json:"updates"`
-	}{from, claims})
+	}{claims})
 	return base64.RawURLEncoding.EncodeToString(b)
+}
+
+// TestGossipTableOnlyForPeers: a clustered node answers a member table
+// only to a request that brought one. A plain GET /healthz gets no
+// X-Mama-Gossip header; a cluster.Do round trip carries the caller's
+// table there and the node's table back, and each side merges the
+// other's. The caller is a bare cluster view with no listener and no
+// probe loop, and the node's detector sleeps, so each side can learn
+// the other's tombstone only from that one round trip.
+func TestGossipTableOnlyForPeers(t *testing.T) {
+	lns, urls := listenLoopback(t, 2)
+	lns[0].Close()
+	a, err := cluster.New(urls[0], urls, cluster.Options{RPCTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := startNode(t, urls[1], urls, lns[1], cluster.GossipOptions{Interval: time.Hour}, nil)
+
+	resp, err := http.Get(b.url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if g := resp.Header.Get(cluster.HeaderGossip); g != "" {
+		t.Errorf("plain GET /healthz got a %d-byte member table", len(g))
+	}
+
+	const ghostA, ghostB = "http://ghost-a:1", "http://ghost-b:1"
+	a.ApplyGossipHeader(gossipHeader(cluster.MemberUpdate{URL: ghostA, Inc: 3, State: cluster.StateDead}))
+	b.srv.cl.c.ApplyGossipHeader(gossipHeader(cluster.MemberUpdate{URL: ghostB, Inc: 4, State: cluster.StateDead}))
+	if code, _, err := a.Do(context.Background(), b.url, http.MethodGet, "/healthz", nil); err != nil || code != http.StatusOK {
+		t.Fatalf("cluster.Do /healthz: HTTP %d, %v", code, err)
+	}
+	knows := func(c *cluster.Cluster, url string, inc uint64) bool {
+		for _, m := range c.Members() {
+			if m.URL == url {
+				return m.Inc == inc && m.State == cluster.StateDead
+			}
+		}
+		return false
+	}
+	if !knows(b.srv.cl.c, ghostA, 3) {
+		t.Errorf("node did not merge the caller's table: %+v", b.srv.cl.c.Members())
+	}
+	if !knows(a, ghostB, 4) {
+		t.Errorf("caller did not merge the node's table: %+v", a.Members())
+	}
 }
 
 // TestSuspectPeerIsSkipped: a peer the failure detector holds suspect
@@ -362,7 +408,7 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 		keys[i], bodies[i] = p.key, string(body)
 	}
 
-	acs.c.ApplyGossipHeader(gossipHeader("http://third-party:1",
+	acs.c.ApplyGossipHeader(gossipHeader(
 		cluster.MemberUpdate{URL: b.url, Inc: 0, State: cluster.StateSuspect}))
 	if acs.c.Healthy(b.url) {
 		t.Fatal("a suspect peer reads healthy")
@@ -425,9 +471,10 @@ func TestSuspectPeerIsSkipped(t *testing.T) {
 	// for an owned cell and for a spilled one, and a result computed
 	// off-owner (a forwarded-marked submit is never proxied) is written
 	// back.
-	resp, view = postJob(t, a.ts, bodies[1])
-	if got := resp.Header.Get(cluster.HeaderOwner); got != b.url {
-		t.Fatalf("X-Mama-Owner = %q after refutation, want the owner %s", got, b.url)
+	_, view = postJob(t, a.ts, bodies[1])
+	if _, acl := clusterStats(t, a); acl.Proxied != 1 || acl.DegradedLocal != 1 {
+		t.Fatalf("after refutation the submit left proxied=%d degraded_local=%d, want 1 and 1 (proxied to the owner)",
+			acl.Proxied, acl.DegradedLocal)
 	}
 	if done := waitDone(t, a.ts, view.ID, 10*time.Second); done.Status != StatusDone {
 		t.Fatalf("proxied job finished as %q: %s", done.Status, done.Error)

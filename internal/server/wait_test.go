@@ -199,9 +199,9 @@ func TestResultWaitOutcomes(t *testing.T) {
 }
 
 // TestWaitJobThroughNonOwner is the same contract across proxyLookup: a
-// client with no owner hint waits on a node that does not own the job,
-// the wait is forwarded and held on the owner, and the job still costs
-// the client one GET and the owner one held request.
+// client waits on a node that does not own the job, the wait is
+// forwarded and held on the owner, and the job still costs the client
+// one GET and the owner one held request.
 func TestWaitJobThroughNonOwner(t *testing.T) {
 	const jobs = 5
 	enableFault(t, "server/worker/slow", "always")
@@ -220,13 +220,12 @@ func TestWaitJobThroughNonOwner(t *testing.T) {
 		return http.DefaultTransport.RoundTrip(r)
 	})}
 
+	submitter := client.New(nonOwner.url, client.Options{})
+	waiter := client.New(nonOwner.url, client.Options{HTTPClient: counting})
 	lags := make([]time.Duration, 0, jobs)
 	for _, spec := range specsOwnedBy(t, nonOwner, owner.url, jobs) {
 		body, _ := json.Marshal(spec)
-		// A fresh waiter per job: one that had seen X-Mama-Owner would go
-		// straight to the owner and bypass the proxy under test.
-		waiter := client.New(nonOwner.url, client.Options{HTTPClient: counting})
-		lags = append(lags, submitAndWait(t, client.New(nonOwner.url, client.Options{}), waiter, string(body)))
+		lags = append(lags, submitAndWait(t, submitter, waiter, string(body)))
 	}
 	if got := clientGets.Load(); got != jobs {
 		t.Errorf("%d jobs cost the client %d GETs, want one each", jobs, got)

@@ -251,17 +251,17 @@ func init() {
 
 	// --- Insensitive traces (fail the >10% filter; §6.3's secondary
 	// set). Compute-bound or cache-resident.
-	insens := func(name string, ws uint64, memRatio float64) {
-		add(name, ClassSPEC06, false, func(seed uint64) trace.Reader {
+	insens := func(name string, class Class, ws uint64, memRatio float64) {
+		add(name, class, false, func(seed uint64) trace.Reader {
 			return trace.NewCompute(name, trace.ComputeConfig{
 				Seed: seed, WorkingSet: ws, MemRatio: memRatio, Length: unbounded,
 			})
 		})
 	}
-	insens("spec06.povray", 64<<10, 0.12)
-	insens("spec06.gamess", 96<<10, 0.15)
-	insens("spec17.leela", 128<<10, 0.12)
-	insens("spec17.exchange2", 64<<10, 0.08)
+	insens("spec06.povray", ClassSPEC06, 64<<10, 0.12)
+	insens("spec06.gamess", ClassSPEC06, 96<<10, 0.15)
+	insens("spec17.leela", ClassSPEC17, 128<<10, 0.12)
+	insens("spec17.exchange2", ClassSPEC17, 64<<10, 0.08)
 }
 
 // Catalog returns all catalog entries (sorted by name, stable).

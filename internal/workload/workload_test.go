@@ -2,10 +2,21 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"micromama/internal/trace"
 )
+
+// TestCatalogClassMatchesName: a trace is listed under the suite its
+// name is prefixed with (mamasim -list and /v1/catalog print the class).
+func TestCatalogClassMatchesName(t *testing.T) {
+	for _, s := range Catalog() {
+		if !strings.HasPrefix(s.Name, string(s.Class)+".") {
+			t.Errorf("trace %q has class %q", s.Name, s.Class)
+		}
+	}
+}
 
 func TestCatalogIntegrity(t *testing.T) {
 	cat := Catalog()
