@@ -80,9 +80,7 @@ chaos:
 
 # Ten seconds of coverage-guided fuzzing per target on the parsers of
 # untrusted shape: in the trace layer the run-length packer (pack then
-# expand is the identity, through every read surface) and the MMT1
-# reader (any bytes give an error or records that pack, never a panic,
-# never more records than the header counts or the bytes hold); in the cluster layer the X-Mama-Gossip
+# expand is the identity, through every read surface); in the cluster layer the X-Mama-Gossip
 # header any client can send (it fails to decode or applies without a
 # panic, and the node stays alive in its own ring); in the sweep layer
 # the POST /v1/sweeps body (Expand and ID never panic, stay inside the
@@ -101,7 +99,6 @@ chaos:
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzOpenFile$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/sweep
@@ -197,7 +194,7 @@ bench-check:
 # The default gate: compile everything (for Windows and macOS too),
 # lint (vet + staticcheck when available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
-# fuzz the trace packer, the trace file reader, the gossip-header decoder,
+# fuzz the trace packer, the gossip-header decoder,
 # the sweep spec, the stream's line encoder and parser, the controller
 # key and the cache against its reference for ten seconds each,
 # drive a real

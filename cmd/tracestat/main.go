@@ -1,24 +1,24 @@
-// Command tracestat analyzes an instruction trace — a catalog name or a
-// binary MMT1 file — and prints the characteristics the paper's
-// methodology cares about: memory-instruction ratio, load/store split,
-// working-set footprint, stride regularity, an estimated no-prefetch L2
-// MPKI (distinct lines touched outside a recent-reuse window), and what
-// the trace costs held in memory: the lengths of its runs of idle
-// non-memory instructions and the bytes per instruction of the
-// run-length packed slab the simulator replays.
+// Command tracestat analyzes a catalog trace and prints the
+// characteristics the paper's methodology cares about:
+// memory-instruction ratio, load/store split, working-set footprint,
+// stride regularity, an estimated no-prefetch L2 MPKI (distinct lines
+// touched outside a recent-reuse window), and what the trace costs held
+// in memory: the lengths of its runs of idle non-memory instructions
+// and the bytes per instruction of the run-length packed records the
+// simulator replays.
 //
 // Usage:
 //
 //	tracestat spec06.libquantum
-//	tracestat -n 2000000 path/to/trace.mmt
+//	tracestat -n 2000000 spec06.gromacs
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"micromama/internal/trace"
@@ -29,32 +29,15 @@ func main() {
 	n := flag.Uint64("n", 1_000_000, "instructions to analyze")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "tracestat: name one trace (catalog name or .mmt file)")
+		fmt.Fprintln(os.Stderr, "tracestat: name one catalog trace")
 		os.Exit(2)
 	}
-	name := flag.Arg(0)
-
-	var r trace.Reader
-	var ft *trace.FileTrace
-	if sp, err := workload.ByName(name); err == nil {
-		r = sp.New()
-	} else {
-		var ferr error
-		if ft, ferr = trace.OpenFile(name); ferr != nil {
-			fmt.Fprintf(os.Stderr, "tracestat: %q is neither a catalog trace (%v) nor a trace file (%v)\n",
-				name, err, ferr)
-			os.Exit(2)
-		}
-		defer ft.Close()
-		r = trace.NewLooping(ft)
+	sp, err := workload.ByName(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracestat:", err)
+		os.Exit(2)
 	}
-
-	st := Analyze(r, *n)
-	if ft != nil && ft.Err() != nil {
-		fmt.Fprintf(os.Stderr, "tracestat: %s: %v\n", name, ft.Err())
-		os.Exit(1)
-	}
-	st.Print(os.Stdout)
+	Analyze(sp.New(), *n).Print(os.Stdout)
 }
 
 // Stats summarizes a trace prefix.
@@ -87,8 +70,8 @@ type Stats struct {
 	RunMean        float64
 	RunP50, RunP99 uint32
 	RunMax         uint32
-	// PackedBytesPerInstr is the packed slab's size over Instructions
-	// (one record per instruction would be 8 bytes).
+	// PackedBytesPerInstr is the size of the records read over
+	// Instructions (one record per instruction would be 8 bytes).
 	PackedBytesPerInstr float64
 }
 
@@ -98,14 +81,12 @@ type StrideCount struct {
 	Count  uint64
 }
 
-// Analyze scans up to n instructions of r, through the packer the trace
-// pool uses, so the run statistics are of the records a simulation
-// actually reads.
+// Analyze scans the first n instructions of r as the simulator reads
+// them: run-length packed by trace.Packed, whose records are the ones a
+// trace pool's slab holds for the same stream, runs cut at the slab's
+// chunk floors. The last record's run is cut at n.
 func Analyze(r trace.Reader, n uint64) Stats {
 	var st Stats
-	if n == 0 {
-		return st
-	}
 	lines := map[uint64]bool{}
 
 	// Recent-reuse window as a ring over line addresses (~16K lines).
@@ -118,55 +99,62 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	strideHist := map[int64]uint64{}
 	var strideRepeats, strideSamples uint64
 
-	m := trace.Materialize(r, n)
-	st.Instructions = uint64(m.Len())
-	if st.Instructions > 0 {
-		st.PackedBytesPerInstr = float64(m.Footprint()) / float64(st.Instructions)
-	}
+	// Hiding every surface of r but Reader's makes Packed pack it, as
+	// the pool packs a generator, even when r reads packed itself.
+	p := trace.Packed(struct{ trace.Reader }{r})
 	var runs []uint32
-	var accessIdx uint64
-	for _, rec := range m.Replay().NextPacked(m.Len()) {
-		ins := rec.Instr()
-		if ins.Kind == trace.Other {
-			runs = append(runs, uint32(rec.Run())+1)
-			continue
-		}
-		if rec.Run() > 0 {
-			runs = append(runs, uint32(rec.Run()))
-		}
-		if ins.Kind == trace.Load {
-			st.Loads++
-			if ins.Flags&trace.DependsPrev != 0 {
-				st.Dependent++
+	var records, accessIdx uint64
+read:
+	for blk := p.NextPacked(256); len(blk) > 0; blk = p.NextPacked(256) {
+		for _, rec := range blk {
+			if st.Instructions == n {
+				break read
 			}
-		} else {
-			st.Stores++
-		}
-		line := ins.Addr &^ 63
-		lines[line] = true
-		accessIdx++
-		if last, seen := recent[line]; !seen || accessIdx-last > window {
-			misses++
-		}
-		recent[line] = accessIdx
-		if len(recent) > 4*window {
-			for k, v := range recent {
-				if accessIdx-v > window {
-					delete(recent, k)
+			records++
+			run := min(uint64(rec.Run()), n-st.Instructions-1)
+			st.Instructions += run + 1
+			ins := rec.Instr()
+			if ins.Kind == trace.Other {
+				runs = append(runs, uint32(run)+1)
+				continue
+			}
+			if run > 0 {
+				runs = append(runs, uint32(run))
+			}
+			if ins.Kind == trace.Load {
+				st.Loads++
+				if ins.Flags&trace.DependsPrev != 0 {
+					st.Dependent++
+				}
+			} else {
+				st.Stores++
+			}
+			line := ins.Addr &^ 63
+			lines[line] = true
+			accessIdx++
+			if last, seen := recent[line]; !seen || accessIdx-last > window {
+				misses++
+			}
+			recent[line] = accessIdx
+			if len(recent) > 4*window {
+				for k, v := range recent {
+					if accessIdx-v > window {
+						delete(recent, k)
+					}
 				}
 			}
-		}
 
-		if last, ok := lastByPC[ins.PC]; ok {
-			stride := int64(ins.Addr) - int64(last)
-			strideHist[stride]++
-			strideSamples++
-			if stride == strideByPC[ins.PC] {
-				strideRepeats++
+			if last, ok := lastByPC[ins.PC]; ok {
+				stride := int64(ins.Addr) - int64(last)
+				strideHist[stride]++
+				strideSamples++
+				if stride == strideByPC[ins.PC] {
+					strideRepeats++
+				}
+				strideByPC[ins.PC] = stride
 			}
-			strideByPC[ins.PC] = stride
+			lastByPC[ins.PC] = ins.Addr
 		}
-		lastByPC[ins.PC] = ins.Addr
 	}
 
 	if st.Runs = uint64(len(runs)); st.Runs > 0 {
@@ -181,6 +169,7 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	st.FootprintMB = float64(st.DistinctLines) * 64 / (1 << 20)
 	if st.Instructions > 0 {
 		st.EstMPKI = float64(misses) * 1000 / float64(st.Instructions)
+		st.PackedBytesPerInstr = float64(records*uint64(unsafe.Sizeof(trace.Rec{}))) / float64(st.Instructions)
 	}
 	if strideSamples > 0 {
 		st.StrideRegularity = float64(strideRepeats) / float64(strideSamples)
@@ -188,7 +177,10 @@ func Analyze(r trace.Reader, n uint64) Stats {
 	for s, c := range strideHist {
 		st.TopStrides = append(st.TopStrides, StrideCount{s, c})
 	}
-	sort.Slice(st.TopStrides, func(i, j int) bool { return st.TopStrides[i].Count > st.TopStrides[j].Count })
+	// Most common first; a tie in stride order, not map order.
+	slices.SortFunc(st.TopStrides, func(a, b StrideCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Stride, b.Stride))
+	})
 	if len(st.TopStrides) > 5 {
 		st.TopStrides = st.TopStrides[:5]
 	}

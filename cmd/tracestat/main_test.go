@@ -81,3 +81,45 @@ func TestAnalyzeRuns(t *testing.T) {
 		t.Errorf("packed bytes per instruction = %v, want %v", st.PackedBytesPerInstr, want)
 	}
 }
+
+// Analyze counts the records a pool slab holds for the same stream,
+// whose runs are cut at every 64 Ki-instruction chunk floor: over 16
+// chunks of a sparse stream its run count and packed bytes per
+// instruction are the slab's, read to the end. A prefix cut inside a
+// run is still exactly n instructions long.
+func TestAnalyzeMatchesPoolSlab(t *testing.T) {
+	const n = 1 << 20
+	gen := func() trace.Reader {
+		return trace.NewCompute("k", trace.ComputeConfig{Seed: 3, WorkingSet: 64 << 10, MemRatio: 0.02, Length: n})
+	}
+	pool := trace.NewPool(1<<30, 0)
+	slab := pool.Shared("k", gen).(trace.PackedReader)
+	var records, runs uint64
+	for blk := slab.NextPacked(256); len(blk) > 0; blk = slab.NextPacked(256) {
+		for _, rec := range blk {
+			records++
+			if rec.Kind() == trace.Other || rec.Run() > 0 {
+				runs++
+			}
+		}
+	}
+	ps := pool.Stats()
+	if ps.Instructions != n || ps.UsedBytes != int64(records)*int64(unsafe.Sizeof(trace.Rec{})) {
+		t.Fatalf("pool holds %d instructions in %d bytes, want %d in %d records", ps.Instructions, ps.UsedBytes, n, records)
+	}
+
+	st := Analyze(gen(), n)
+	if st.Instructions != n || st.Runs != runs {
+		t.Errorf("analyzed %d instructions in %d runs, the pool slab holds %d in %d", st.Instructions, st.Runs, n, runs)
+	}
+	if want := float64(ps.UsedBytes) / float64(ps.Instructions); st.PackedBytesPerInstr != want {
+		t.Errorf("packed bytes per instruction = %v (%.0f records), the pool slab's are %v (%d records)",
+			st.PackedBytesPerInstr, st.PackedBytesPerInstr*n/8, want, records)
+	}
+
+	for _, cut := range []uint64{n - 1, n/2 + 7, 1} {
+		if st := Analyze(gen(), cut); st.Instructions != cut {
+			t.Errorf("Analyze(%d) read %d instructions", cut, st.Instructions)
+		}
+	}
+}

@@ -92,6 +92,15 @@ func SystemConfig(cores, dramMTps, dramChannels int) sim.Config {
 	return cfg
 }
 
+// ModelEpoch numbers the model that turns a job's hashed inputs into
+// its result: the simulator's code and the catalog generators'
+// parameters, which the rest of the job key does not cover. It is the
+// key's last member, omitted at 0 (so epoch-0 keys are the keys from
+// before it), and a change that moves any result bumps it: every result
+// cached under the old model then stops matching a key.
+// TestModelEpochCanary fails when results move and the epoch does not.
+const ModelEpoch = 0
+
 // MixResult is one (mix, controller) measurement.
 type MixResult struct {
 	Mix        workload.Mix

@@ -15,22 +15,24 @@ import (
 // sweep.DigestLen raw bytes to dst (the job key is their sweep.KeyLen
 // hex digits): the SHA-256 of a canonical JSON encoding of everything
 // that determines the simulation outcome — mix (ordered trace names),
-// seed, the controller key, the resolved experiment.Scale and the fully
-// resolved sim.Config. Two specs that
+// seed, the controller key, the resolved experiment.Scale, the fully
+// resolved sim.Config and the model epoch. Two specs that
 // resolve to the same simulation hash identically even if they spelled
 // defaults differently; TimeoutMs is deliberately excluded because it
 // bounds execution without changing the result.
 //
 // The hashed bytes are exactly json.Marshal(struct{Mix; Seed;
-// Controller; Scale; Config}) — every cache file, job ID and ring
-// placement derives from them, so they may never change
-// (TestJobKeyMatchesCanonicalJSON holds them to that definition) — but
-// nothing is marshalled per call. Config, the last member and 1.2 KB of
-// the encoding's 1.4, arrives already encoded (configTail, from
-// configMemo: a grid has one or two distinct configs), and the head is
-// appended member by member: the integers through strconv, a string
-// directly unless encoding/json would escape it (sweep.AppendString).
-func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment.Scale) []byte {
+// Controller; Scale; Config; ModelEpoch int `json:",omitempty"`}) —
+// every cache file, job ID and ring placement derives from them, so
+// they change only with the epoch (TestJobKeyMatchesCanonicalJSON holds
+// them to that definition) — but nothing is marshalled per call.
+// Config, 1.2 KB of the encoding's 1.4, arrives already encoded
+// (configTail, from configMemo: a grid has one or two distinct
+// configs), and the rest is appended member by member: the integers
+// through strconv, a string directly unless encoding/json would escape
+// it (sweep.AppendString). The server passes experiment.ModelEpoch as
+// epoch.
+func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment.Scale, epoch int) []byte {
 	var buf [2048]byte // the encoding is 1.4 KB; a longer one moves to the heap
 	b := append(buf[:0], `{"Mix":`...)
 	if c.Mix == nil {
@@ -53,6 +55,11 @@ func appendJobKey(dst []byte, c *sweep.Cell, configTail []byte, scale experiment
 	b = strconv.AppendUint(append(b, `,"Seed":`...), scale.Seed, 10)
 	b = strconv.AppendUint(append(b, `,"Step":`...), scale.Step, 10)
 	b = append(append(b, '}'), configTail...)
+	if epoch != 0 {
+		// The member goes inside the closing brace configTail ends with.
+		b = strconv.AppendInt(append(b[:len(b)-1], `,"ModelEpoch":`...), int64(epoch), 10)
+		b = append(b, '}')
+	}
 	sum := sha256.Sum256(b)
 	return append(dst, sum[:]...)
 }

@@ -151,7 +151,9 @@ func TestJobResultBytesPinned(t *testing.T) {
 // struct through one json.Marshal. It is what the job key was before it
 // streamed memoised config bytes into the hash, and what it must equal
 // for ever: cache files, job IDs and ring placements are filed under it.
-func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.Scale) string {
+// The model epoch is omitted at 0, so epoch-0 keys are the keys from
+// before the member.
+func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.Scale, epoch int) string {
 	t.Helper()
 	b, err := json.Marshal(struct {
 		Mix        []string
@@ -159,7 +161,8 @@ func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.S
 		Controller string
 		Scale      experiment.Scale
 		Config     sim.Config
-	}{spec.Mix, spec.Seed, spec.Controller, scale, cfg})
+		ModelEpoch int `json:",omitempty"`
+	}{spec.Mix, spec.Seed, spec.Controller, scale, cfg, epoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +173,8 @@ func canonicalKey(t *testing.T, spec JobSpec, cfg sim.Config, scale experiment.S
 // TestJobKeyMatchesCanonicalJSON holds the streamed key to its
 // definition over every system shape and scale, with overrides, and
 // with strings encoding/json escapes (HTML characters, quotes, control
-// bytes, U+2028, invalid UTF-8) — resolve would refuse those names, so
-// appendJobKey is called directly.
+// bytes, U+2028, invalid UTF-8) and at several model epochs — resolve
+// would refuse those names, so appendJobKey is called directly.
 func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 	var memo configMemo
 	awkward := []string{"mumama", `a"b\c`, "<script>&amp;</script>", "tab\tnl\n\x00", "sep\u2028\u2029", "bad\xff\xfeutf8", "ünï.cödé"}
@@ -198,10 +201,11 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 							mix[c] = awkward[(i+c)%len(awkward)]
 						}
 						spec := JobSpec{Cell: sweep.Cell{Mix: mix, Controller: ctrl, Seed: uint64(n) << 40}}
-						got := hex.EncodeToString(appendJobKey(nil, &spec.Cell, tail, scale))
-						if want := canonicalKey(t, spec, cfg, scale); got != want {
-							t.Fatalf("%dc dram %v %s %v ctrl %q: streamed key %s, canonical %s",
-								cores, dram, scaleName, over, ctrl, got, want)
+						epoch := []int{0, 1, 12}[n%3]
+						got := hex.EncodeToString(appendJobKey(nil, &spec.Cell, tail, scale, epoch))
+						if want := canonicalKey(t, spec, cfg, scale, epoch); got != want {
+							t.Fatalf("%dc dram %v %s %v ctrl %q epoch %d: streamed key %s, canonical %s",
+								cores, dram, scaleName, over, ctrl, epoch, got, want)
 						}
 						n++
 					}
@@ -220,8 +224,47 @@ func TestJobKeyMatchesCanonicalJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := canonicalKey(t, p.spec, p.Config, p.Scale); p.key != want {
+		if want := canonicalKey(t, p.spec, p.Config, p.Scale, experiment.ModelEpoch); p.key != want {
 			t.Errorf("resolve(%+v): key %s, canonical %s", cell, p.key, want)
+		}
+	}
+}
+
+// TestModelEpochMovesEveryKey: the model epoch joined the key as its
+// last member, omitted at 0. At epoch 0 every key is the one the
+// definition without the member gives, so no cache file written before
+// it is orphaned, and epoch 1 moves every key, so none written under
+// another model is served.
+func TestModelEpochMovesEveryKey(t *testing.T) {
+	var memo configMemo
+	for _, cores := range []int{1, 4} {
+		tail, err := memo.resolve(cores, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := experiment.SystemConfig(cores, 0, 0)
+		for _, scaleName := range experiment.ScaleNames() {
+			scale, _ := experiment.ScaleByName(scaleName)
+			for _, ctrl := range []string{"no", "bandit", "mumama", "pythia"} {
+				cell := sweep.Cell{Mix: []string{"spec06.libquantum", "spec06.mcf", "ligra.BFS", "spec06.sphinx3"}[:cores], Controller: ctrl}
+				b, err := json.Marshal(struct {
+					Mix        []string
+					Seed       uint64
+					Controller string
+					Scale      experiment.Scale
+					Config     sim.Config
+				}{cell.Mix, cell.Seed, cell.Controller, scale, cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := sha256.Sum256(b)
+				if got := appendJobKey(nil, &cell, tail, scale, 0); !bytes.Equal(got, before[:]) {
+					t.Errorf("%dc %s %s: epoch 0 key %x, the key without the member %x", cores, scaleName, ctrl, got, before)
+				}
+				if got := appendJobKey(nil, &cell, tail, scale, 1); bytes.Equal(got, before[:]) {
+					t.Errorf("%dc %s %s: epoch 1 left the key at %x", cores, scaleName, ctrl, got)
+				}
+			}
 		}
 	}
 }

@@ -341,7 +341,7 @@ func (s *Server) appendKey(dst []byte, c *sweep.Cell) ([]byte, experiment.Scale,
 		// answer 500, never panic the process on a hostile spec.
 		return dst, scale, fmt.Errorf("%w: %v", errInternal, err)
 	}
-	return appendJobKey(dst, c, tail, scale), scale, nil
+	return appendJobKey(dst, c, tail, scale, experiment.ModelEpoch), scale, nil
 }
 
 // simulate is the production runFunc: the job's plan, simulated under

@@ -77,7 +77,7 @@ func BenchmarkJobKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if key := appendJobKey(buf[:0], &spec.Cell, tail, experiment.ScaleTiny); len(key) != sweep.DigestLen {
+		if key := appendJobKey(buf[:0], &spec.Cell, tail, experiment.ScaleTiny, experiment.ModelEpoch); len(key) != sweep.DigestLen {
 			b.Fatalf("appendJobKey = %q", key)
 		}
 	}

@@ -25,8 +25,11 @@ import (
 // packedOf is how a test case turns a stream into the packed reader.
 type packedOf func(core int, ins []trace.Instr) trace.Reader
 
-func materialized(core int, ins []trace.Instr) trace.Reader {
-	return trace.NewMaterialized(fmt.Sprintf("core%d", core), ins).Replay()
+// pooled serves the stream from an uncapped pool: the core reads the
+// whole trace in place from the entry's slab.
+func pooled(core int, ins []trace.Instr) trace.Reader {
+	name := fmt.Sprintf("core%d", core)
+	return trace.NewPool(1<<30, 0).Shared(name, func() trace.Reader { return trace.NewSlice(name, ins) })
 }
 
 // pooledCapped serves the stream from a pool whose per-trace cap is
@@ -40,7 +43,7 @@ func pooledCapped(recs int64) packedOf {
 }
 
 // generator hides every surface of the stream but Next, Reset and Name,
-// as a synthetic generator or a trace file has them.
+// as a synthetic generator has them.
 type generator struct{ trace.Reader }
 
 // unbudgeted serves the stream from a pool with no budget: Shared
@@ -172,7 +175,7 @@ func TestPackedStepMatchesUnpackedRandom(t *testing.T) {
 		}
 		what := fmt.Sprintf("seed %d (cores %d, width %d, epoch %d, target %d, max epochs %d)",
 			seed, cores, cfg.CommitWidth, cfg.Epoch, target, maxEpochs)
-		diffRun(t, what, cfg, target, maxEpochs, streams, materialized)
+		diffRun(t, what, cfg, target, maxEpochs, streams, pooled)
 	}
 }
 
@@ -192,7 +195,7 @@ func TestPackedRunMatchesUnpackedMaxCycles(t *testing.T) {
 			defer sys.Close()
 			return sys.Run(target, maxCycles)
 		}
-		want, got := run(trace.NewSlice("core0", ins)), run(materialized(0, ins))
+		want, got := run(trace.NewSlice("core0", ins)), run(pooled(0, ins))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d, max cycles %d: results differ\npacked:   %+v\nunpacked: %+v", seed, maxCycles, got, want)
 		}
@@ -266,7 +269,7 @@ func TestPackedStepCases(t *testing.T) {
 			}
 			packed := tc.packed
 			if packed == nil {
-				packed = materialized
+				packed = pooled
 			}
 			streams := [][]trace.Instr{tc.stream, long}[:cores]
 			what := fmt.Sprintf("%s (%d cores)", tc.name, cores)

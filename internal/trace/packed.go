@@ -5,11 +5,12 @@ import (
 	"math"
 )
 
-// Materialized trace replay: a trace decoded once into an immutable,
-// run-length packed []Rec slab that any number of readers can replay
-// concurrently. The slab replaces per-instruction generator work (PRNG
-// draws, modulo arithmetic, interface dispatch) with an array read, and
-// an instruction and the run of idle instructions after it with one
+// Run-length packed records: the packing rule (appendPacked), the
+// cursor over a packed slab (packedCursor) that pool replays read, and
+// Packed, which packs any other Reader into the same records on the
+// fly. A slab replaces per-instruction generator work (PRNG draws,
+// modulo arithmetic, interface dispatch) with an array read, and an
+// instruction and the run of idle instructions after it with one
 // record — see the "Trace materialization & replay" section of
 // docs/ARCHITECTURE.md.
 
@@ -53,8 +54,7 @@ var idle = Instr{PC: IdlePC, Kind: Other}
 //
 // It is the one place an Instr becomes a Rec, and it panics on an
 // instruction no Rec holds: an address of 2^32 or more, or a kind or
-// flag the model does not know. Catalog generators never emit one, and
-// the MMT1 decoder refuses one.
+// flag the model does not know. Catalog generators never emit one.
 func appendPacked(recs []Rec, floor int, ins Instr) []Rec {
 	if n := len(recs); n > floor && ins == idle && recs[n-1].Run() < maxRun {
 		recs[n-1].bits++
@@ -234,87 +234,6 @@ func (p *packer) NextPacked(max int) []Rec {
 	}
 	return p.cur.packed(p.recs, max)
 }
-
-// Materialized is an immutable in-memory trace: the complete record
-// sequence of some Reader, decoded once and packed. It is safe for
-// concurrent use; replay cursors (Replay) carry all mutable state.
-type Materialized struct {
-	name string
-	recs []Rec
-	n    int // instructions recs stands for
-}
-
-// Materialize drains r into a Materialized slab. If max > 0 the slab is
-// truncated to the first max instructions (the result then replays as a
-// finite trace that loops at max, like a trace file written with the
-// same cap). The reader is consumed; Reset it before reuse.
-func Materialize(r Reader, max uint64) *Materialized {
-	m := &Materialized{name: r.Name()}
-	for max == 0 || uint64(m.n) < max {
-		ins, ok := r.Next()
-		if !ok {
-			break
-		}
-		m.add(ins)
-	}
-	return m
-}
-
-// NewMaterialized packs an already-decoded instruction sequence (one
-// record per instruction) into a slab. instrs is not retained.
-func NewMaterialized(name string, instrs []Instr) *Materialized {
-	m := &Materialized{name: name}
-	for _, ins := range instrs {
-		m.add(ins)
-	}
-	return m
-}
-
-func (m *Materialized) add(ins Instr) {
-	m.recs = appendPacked(m.recs, 0, ins)
-	m.n++
-}
-
-// Name identifies the trace.
-func (m *Materialized) Name() string { return m.name }
-
-// Len returns the number of instructions.
-func (m *Materialized) Len() int { return m.n }
-
-// Footprint returns the slab's approximate memory footprint in bytes.
-func (m *Materialized) Footprint() int64 { return int64(len(m.recs)) * recBytes }
-
-// Replay returns a fresh cursor over the slab. Replays are independent:
-// any number may read the same Materialized concurrently.
-func (m *Materialized) Replay() *Replay { return &Replay{m: m} }
-
-// Replay is a cursor over a Materialized slab. It implements Reader,
-// BlockReader and PackedReader; all are allocation-free in steady state
-// (NextBlock expands into a buffer the cursor keeps).
-type Replay struct {
-	m   *Materialized
-	cur packedCursor
-	buf []Instr
-}
-
-// Name implements Reader.
-func (r *Replay) Name() string { return r.m.name }
-
-// Reset implements Reader.
-func (r *Replay) Reset() { r.cur = packedCursor{} }
-
-// Next implements Reader.
-func (r *Replay) Next() (Instr, bool) { return r.cur.next(r.m.recs) }
-
-// NextBlock implements BlockReader.
-func (r *Replay) NextBlock(max int) []Instr {
-	r.buf = grow(r.buf, max)
-	return r.buf[:r.cur.expand(r.m.recs, r.buf[:max])]
-}
-
-// NextPacked implements PackedReader: the returned slice aliases the
-// slab directly, so replay costs one bounds check per block.
-func (r *Replay) NextPacked(max int) []Rec { return r.cur.packed(r.m.recs, max) }
 
 // grow returns buf with capacity for n records.
 func grow(buf []Instr, n int) []Instr {

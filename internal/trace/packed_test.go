@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -112,21 +109,16 @@ func checkSurfaces(t *testing.T, what string, r PackedReader, want []Instr) {
 // as a generator has them.
 type streamOnly struct{ Reader }
 
-// Every read surface of a packed slab — Materialized, pooled, and
-// pooled under a per-trace cap that leaves most of the trace to tail
-// streaming — delivers the generator's sequence, for every generator
-// class.
+// Every read surface of a packed stream — pooled, packed on the fly,
+// and pooled under a per-trace cap that leaves most of the trace to
+// tail streaming — delivers the generator's sequence, for every
+// generator class.
 func TestPackedSurfacesMatchGenerator(t *testing.T) {
 	for i, g := range generators() {
 		want := drain(g)
 		g.Reset()
 		factory := func() Reader { return generators()[i] }
 
-		m := Materialize(g, 0)
-		if m.Len() != len(want) {
-			t.Fatalf("%s: Len = %d, want %d", g.Name(), m.Len(), len(want))
-		}
-		checkSurfaces(t, g.Name()+" materialized", m.Replay(), want)
 		checkSurfaces(t, g.Name()+" packed on the fly", Packed(factory()), want)
 
 		pool := NewPool(1<<30, 0)
@@ -152,11 +144,32 @@ func TestPackedSurfacesMatchGenerator(t *testing.T) {
 	}
 }
 
+// slab is a packed slab and one cursor over it, read as a pool replay
+// reads its entry's slab, but packed with whatever chunk floors a test
+// chooses: a pool fixes them every extendChunk instructions.
+type slab struct {
+	recs []Rec
+	n    int // instructions recs stands for
+	cur  packedCursor
+	buf  []Instr
+}
+
+func (s *slab) Name() string        { return "slab" }
+func (s *slab) Reset()              { s.cur = packedCursor{} }
+func (s *slab) Next() (Instr, bool) { return s.cur.next(s.recs) }
+
+func (s *slab) NextBlock(max int) []Instr {
+	s.buf = grow(s.buf, max)
+	return s.buf[:s.cur.expand(s.recs, s.buf[:max])]
+}
+
+func (s *slab) NextPacked(max int) []Rec { return s.cur.packed(s.recs, max) }
+
 // packChunked packs ins the way a pool entry grows: the floor rises to
 // the slab's end every `every` instructions (never when every is 0). It
 // also returns which records open a chunk.
-func packChunked(ins []Instr, every int) (*Materialized, map[int]bool) {
-	m := &Materialized{name: "chunked"}
+func packChunked(ins []Instr, every int) (*slab, map[int]bool) {
+	m := &slab{}
 	floors := map[int]bool{}
 	floor := 0
 	for i, in := range ins {
@@ -214,14 +227,11 @@ func TestPackRule(t *testing.T) {
 			[]Rec{packedRec(Instr{Addr: 1<<32 - 1, PC: 0xffff, Kind: Store, Flags: DependsPrev}, 1)}},
 	}
 	for _, tc := range cases {
-		m := NewMaterialized(tc.name, tc.in)
-		if tc.every > 0 {
-			m, _ = packChunked(tc.in, tc.every)
-		}
+		m, _ := packChunked(tc.in, tc.every)
 		if !slices.Equal(m.recs, tc.want) {
 			t.Errorf("%s: packed %+v, want %+v", tc.name, m.recs, tc.want)
 		}
-		checkSurfaces(t, tc.name, m.Replay(), tc.in)
+		checkSurfaces(t, tc.name, m, tc.in)
 	}
 }
 
@@ -379,36 +389,6 @@ func TestPoolConcurrentGrowth(t *testing.T) {
 	}
 }
 
-// WriteFile writes a packed slab as plain MMT1: one 18-byte record per
-// instruction, the same header, no version bump.
-func TestMaterializedFileFormatUnchanged(t *testing.T) {
-	want := runTrace(5, 50)
-	m := NewMaterialized("fmt", want)
-	if len(m.recs) >= len(want)/10 {
-		t.Fatalf("slab of %d records for %d instructions is not packed", len(m.recs), len(want))
-	}
-	path := filepath.Join(t.TempDir(), "fmt.mmt")
-	if _, err := WriteFile(path, m.Replay(), 0); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header := 4 + 2 + len("fmt") + 8
-	if string(raw[:4]) != "MMT1" || len(raw) != header+recordBytes*len(want) {
-		t.Fatalf("file is %d bytes with magic %q, want %d with MMT1", len(raw), raw[:4], header+recordBytes*len(want))
-	}
-	if n := binary.LittleEndian.Uint64(raw[header-8:]); n != uint64(len(want)) {
-		t.Fatalf("header counts %d records, want %d", n, len(want))
-	}
-	got := loadFile(t, path)
-	equalInstrs(t, "reloaded", drain(got.Replay()), want)
-	if !slices.Equal(got.recs, m.recs) {
-		t.Fatal("a reloaded slab packs differently from the one saved")
-	}
-}
-
 // fuzzInstrs decodes fuzz bytes into a sequence over a small alphabet
 // of instructions a Rec holds, so that idle runs, near-idle
 // instructions and memory records all occur: a byte with its top bit
@@ -451,7 +431,7 @@ func FuzzPackRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, every uint8) {
 		want := fuzzInstrs(data)
 		m, floors := packChunked(want, int(every))
-		checkSurfaces(t, "fuzz", m.Replay(), want)
+		checkSurfaces(t, "fuzz", m, want)
 		total := 0
 		for i, rec := range m.recs {
 			total += int(rec.Run()) + 1
@@ -459,8 +439,8 @@ func FuzzPackRoundTrip(f *testing.F) {
 				t.Fatalf("record %d %+v is a bare idle record after %+v, whose run had room", i, m.recs[i], m.recs[i-1])
 			}
 		}
-		if total != len(want) || m.Len() != len(want) {
-			t.Fatalf("slab stands for %d instructions, Len %d, want %d", total, m.Len(), len(want))
+		if total != len(want) || m.n != len(want) {
+			t.Fatalf("slab stands for %d instructions, counts %d, want %d", total, m.n, len(want))
 		}
 	})
 }

@@ -40,6 +40,22 @@ func TestPoolSharedEquivalence(t *testing.T) {
 	}
 }
 
+// NextBlock must walk the same sequence as Next, in any block size,
+// and report exhaustion as an empty block.
+func TestReplayBatchForms(t *testing.T) {
+	g := NewStride("st", StrideConfig{Seed: 2, Strides: []uint64{128, 384}, MemRatio: 0.3, Length: 777})
+	want := drain(g)
+	r := NewPool(1<<30, 0).Shared("st", func() Reader { return NewSlice("st", want) }).(BlockReader)
+	for _, max := range []int{1, 7, 100, 1000} {
+		var got []Instr
+		for blk := r.NextBlock(max); len(blk) > 0; blk = r.NextBlock(max) {
+			got = append(got, blk...)
+		}
+		equalInstrs(t, fmt.Sprintf("NextBlock(%d)", max), got, want)
+		r.Reset()
+	}
+}
+
 // Two readers of the same key share one materialization; each keeps an
 // independent cursor.
 func TestPoolSharedIndependentCursors(t *testing.T) {

@@ -10,7 +10,8 @@ import "micromama/internal/xrand"
 // frontier phases, phase-mixed programs, and compute-bound code.
 //
 // All generators are "infinite" in spirit but expose a finite Length so
-// tests can bound them; the simulator wraps them in Looping anyway.
+// tests can bound them; the simulator core Resets a trace that ends
+// before its target and reads on.
 
 const (
 	lineBytes = 64

@@ -9,9 +9,9 @@
 // simulation does, exactly as the paper's methodology prescribes.
 //
 // The simulator reads one surface, PackedReader: 8-byte Rec records,
-// each an instruction and the idle run after it. A materialized slab
-// (Materialized, Pool) is that surface in place; Packed packs any other
-// Reader on the fly into the same records.
+// each an instruction and the idle run after it. A Pool slab is that
+// surface in place; Packed packs any other Reader on the fly into the
+// same records.
 package trace
 
 import (
@@ -64,11 +64,9 @@ const IdlePC = 0x1000
 // Instr is one instruction of a trace, the unit every Reader delivers.
 // For non-memory instructions Addr is meaningless and should be zero.
 //
-// A PC is 16 bits: the generators' PCs sit below 0x7000, and an MMT1
-// file, whose records keep 64 bits for it, has a record whose PC does
-// not fit refused. An address must also fit in 32 bits to be packed
-// (see Rec); it stays 64 bits wide here, as wide as the simulator's
-// address arithmetic.
+// A PC is 16 bits: the generators' PCs sit below 0x7000. An address
+// must fit in 32 bits to be packed (see Rec); it stays 64 bits wide
+// here, as wide as the simulator's address arithmetic.
 type Instr struct {
 	Addr  uint64
 	PC    uint16

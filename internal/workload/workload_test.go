@@ -97,7 +97,9 @@ func TestCatalogFitsRec(t *testing.T) {
 			}
 			want = append(want, ins)
 		}
-		replay := trace.NewMaterialized(s.Name, want).Replay()
+		// Packed packs what it cannot read packed; hiding the Slice's own
+		// one-record-per-instruction NextPacked makes it run-length pack.
+		replay := trace.Packed(struct{ trace.Reader }{trace.NewSlice(s.Name, want)})
 		for i, ins := range want {
 			if got, _ := replay.Next(); got != ins {
 				t.Errorf("%s: instruction %d is %+v, packed and read back as %+v", s.Name, i, ins, got)
