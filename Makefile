@@ -94,7 +94,10 @@ chaos:
 # counter equal, over geometries from 1 to 16 ways and 8- to 128-byte
 # lines); in the server layer the result cache's persisted entry files
 # (any bytes under any name are quarantined, or load as one entry under
-# a job key equal to the file name that serves its result's JSON).
+# a job key equal to the file name that serves its result's JSON) and
+# the key table's cell index (a cell admitted twice gets the key the job
+# path gives it, or is refused with the job path's error and never
+# indexed).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s ./internal/experiment
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 10s ./internal/server
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
@@ -215,7 +219,7 @@ check: build cross lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster
 # checked-in baseline (report
 # only: nothing here fails the build; bench-smoke is the gate).
 # Regenerate the baseline on a quiet machine with `make bench-baseline`.
-BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkLLCWorkingSet|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkJobKey|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine
+BENCH_PATTERN = BenchmarkLookup|BenchmarkFillEvict|BenchmarkLLCWorkingSet|BenchmarkMarkDirty|BenchmarkCoreAdvance|BenchmarkSimulatorThroughput|BenchmarkTrace|BenchmarkCachePullPage|BenchmarkClientConnReuse|BenchmarkJobKey|BenchmarkSweepSubmitWarm|BenchmarkSweepStream|BenchmarkEventAppend|BenchmarkParseLine|BenchmarkParseLineSingle
 BENCH_PKGS    = ./internal/cache ./internal/sim ./internal/trace ./internal/sweep ./internal/server ./internal/client .
 
 bench:

@@ -82,13 +82,14 @@ func (c *Client) Sweeps(ctx context.Context) ([]sweep.View, error) {
 // non-nil error from fn aborts the stream.
 func (c *Client) StreamSweepResults(ctx context.Context, id string, fn func(sweep.Event) error) (sweep.View, error) {
 	var seen seenCells
+	var dec sweep.Decoder
 	attempts := 0
 	var lastErr error
 	for {
 		if err := ctx.Err(); err != nil {
 			return sweep.View{}, err
 		}
-		view, done, progressed, err := c.streamOnce(ctx, id, &seen, fn)
+		view, done, progressed, err := c.streamOnce(ctx, id, &seen, &dec, fn)
 		if err != nil {
 			if ctx.Err() != nil {
 				return sweep.View{}, ctx.Err()
@@ -200,10 +201,15 @@ func (s *seenCells) add(cell int) bool {
 	return !was
 }
 
-// streamOnce consumes one connection's worth of the result stream.
-// Returns the latest view (zero until an end marker arrives), whether
-// the sweep is finished, and whether any event arrived.
-func (c *Client) streamOnce(ctx context.Context, id string, seen *seenCells, fn func(sweep.Event) error) (view sweep.View, done, progressed bool, err error) {
+// streamLineMax is the longest stream line the client reads: far past
+// any event a server sends, whose result is a few KB.
+const streamLineMax = 8 << 20
+
+// streamOnce consumes one connection's worth of the result stream,
+// decoding its lines with dec. Returns the latest view (zero until an
+// end marker arrives), whether the sweep is finished, and whether any
+// event arrived.
+func (c *Client) streamOnce(ctx context.Context, id string, seen *seenCells, dec *sweep.Decoder, fn func(sweep.Event) error) (view sweep.View, done, progressed bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/sweeps/"+id+"/results", nil)
 	if err != nil {
@@ -217,14 +223,16 @@ func (c *Client) streamOnce(ctx context.Context, id string, seen *seenCells, fn 
 	if resp.StatusCode != http.StatusOK {
 		return sweep.View{}, false, false, fmt.Errorf("stream sweep %s: HTTP %d", id, resp.StatusCode)
 	}
+	// The scanner starts at its own small buffer, which holds a few
+	// events, and doubles it only for a longer line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	sc.Buffer(nil, streamLineMax)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes()) // no copy: ParseLine copies what it keeps
+		line := bytes.TrimSpace(sc.Bytes()) // no copy: the decoder copies what it keeps
 		if len(line) == 0 {
 			continue
 		}
-		l, perr := sweep.ParseLine(line)
+		l, perr := dec.Parse(line)
 		if perr != nil {
 			return view, false, progressed, fmt.Errorf("stream sweep %s: bad line: %w", id, perr)
 		}

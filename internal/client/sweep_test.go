@@ -189,3 +189,33 @@ func TestStreamSweepResultsBadLines(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamSweepResultsLongLine: the stream's scanner starts small and
+// grows to the line it must hold, so an event far longer than any result
+// a server sends — 100 KiB here, well inside the 8 MiB cap — still
+// arrives whole, and so do the lines around it.
+func TestStreamSweepResultsLongLine(t *testing.T) {
+	long := `{"pad":"` + strings.Repeat("x", 100<<10) + `"}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, sweepEventLine(0, 0))
+		ev := sweep.Event{Seq: 1, Cell: 1, Status: sweep.CellDone, Key: "k1", Result: json.RawMessage(long)}
+		b, _ := json.Marshal(ev)
+		fmt.Fprint(w, string(b)+"\n")
+		fmt.Fprint(w, sweepEventLine(2, 2))
+		fmt.Fprint(w, sweepEndLine("done", 3))
+	}))
+	defer ts.Close()
+
+	c, _ := newTestClient(ts, Options{MaxRetries: 1})
+	var cells []int
+	view, err := c.StreamSweepResults(context.Background(), "s1", func(ev sweep.Event) error {
+		cells = append(cells, ev.Cell)
+		if ev.Cell == 1 && string(ev.Result) != long {
+			t.Errorf("the long event's result arrived as %d bytes, want %d", len(ev.Result), len(long))
+		}
+		return nil
+	})
+	if err != nil || view.Status != "done" || fmt.Sprint(cells) != "[0 1 2]" {
+		t.Fatalf("stream: cells %v, view %+v, err %v; want [0 1 2] and done", cells, view, err)
+	}
+}

@@ -32,7 +32,6 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -325,23 +324,21 @@ type cacheLookupResponse[R any] struct {
 	Results map[string]R `json:"results"`
 }
 
-// prefetch is handed the key digests of a sweep about to be admitted
-// (sweep.Exec.Prefetch: sweep.DigestLen bytes each, back to back) and
-// batch-fetches every remote-owned one this node lacks from its owner,
-// one RPC per peer. Hits land in the local cache, so the sweep manager's
-// admission-time dedupe marks those cells complete without dispatching
-// anything: a warm cluster serves a resubmitted sweep with zero
-// recomputation no matter which node receives it. Failures are ignored
-// — a missed prefetch only costs a recompute.
-func (cs *clusterState) prefetch(ctx context.Context, digests string) {
+// prefetch is handed the handles of a sweep about to be admitted
+// (sweep.Exec.Prefetch) and batch-fetches every remote-owned key among
+// them this node lacks a result for from its owner, one RPC per peer.
+// Hits land in the local cache, so the sweep manager's admission-time
+// dedupe marks those cells complete without dispatching anything: a warm
+// cluster serves a resubmitted sweep with zero recomputation no matter
+// which node receives it. Failures are ignored — a missed prefetch only
+// costs a recompute.
+func (cs *clusterState) prefetch(ctx context.Context, handles []uint32) {
 	byOwner := make(map[string][]string)
-	var buf [sweep.KeyLen]byte
-	for ; len(digests) >= sweep.DigestLen; digests = digests[sweep.DigestLen:] {
-		hex.Encode(buf[:], []byte(digests[:sweep.DigestLen]))
-		if _, ok := cs.s.cache.lookup(buf[:]); ok {
+	for _, h := range handles {
+		key, raw := cs.s.cache.entry(h)
+		if raw != nil {
 			continue
 		}
-		key := string(buf[:])
 		owner := cs.c.Owner(key)
 		if cs.c.IsSelf(owner) {
 			continue

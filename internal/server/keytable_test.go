@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -39,6 +38,22 @@ func handleOf(t *testing.T, srv *Server, key string) (uint32, bool) {
 		t.Fatalf("key %s holds no handle", key)
 	}
 	return h, srv.cache.entries[h].raw != nil
+}
+
+// internKeys hands out a handle per job key, as admission does, adding
+// an entry without a result for each key not held yet.
+func internKeys(srv *Server, keys ...string) []uint32 {
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	hs := make([]uint32, len(keys))
+	for i, key := range keys {
+		h, ok := srv.cache.index[key]
+		if !ok {
+			h = srv.cache.addLocked(key)
+		}
+		hs[i] = h
+	}
+	return hs
 }
 
 // TestRefusedSweepInternsNothing: a sweep refused at cell k — here the
@@ -90,14 +105,7 @@ func TestEntryWithoutResultIsInvisible(t *testing.T) {
 		}
 	}
 	bare, full := keys[0], keys[1]
-	digest := func(key string) string {
-		d, err := hex.DecodeString(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(d)
-	}
-	hs := a.srv.cache.intern(digest(bare) + digest(full))
+	hs := internKeys(a.srv, bare, full)
 	if _, err := a.srv.storeResult(full, JobResult{Mix: "full", WS: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -212,8 +212,6 @@ func TestSweepKeyDeterminism(t *testing.T) {
 	run, _ := countingRun()
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, Run: run})
 	defer srv.Close()
-	exec := sweepExec{srv}
-
 	keyList := func() []string {
 		spec := sweep.Spec{
 			Name: "det",
@@ -230,7 +228,7 @@ func TestSweepKeyDeterminism(t *testing.T) {
 		}
 		keys := make([]string, len(cells))
 		for i, c := range cells {
-			key, err := exec.AppendKey(nil, c)
+			key, _, err := srv.appendKey(nil, &c)
 			if err != nil {
 				t.Fatalf("resolve cell %d: %v", i, err)
 			}

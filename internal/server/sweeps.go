@@ -20,23 +20,20 @@ import (
 var faultSweepWorkerKill = faultinject.New("server/sweep/worker-kill")
 
 // sweepExec adapts the Server into the sweep manager's execution
-// backend: cell key digests through the canonical job hash, handles into
+// backend: cells keyed through the canonical job hash into handles of
 // the content-addressed cache's key table and, clustered, the peers'
 // caches asked for what this one lacks.
 type sweepExec struct{ s *Server }
 
-func (e sweepExec) AppendKey(dst []byte, c sweep.Cell) ([]byte, error) {
-	dst, _, err := e.s.appendKey(dst, &c)
-	return dst, err
+func (e sweepExec) Intern(n int, cell func(int) sweep.Cell) ([]uint32, error) {
+	return e.s.internCells(n, cell)
 }
 
-func (e sweepExec) Prefetch(ctx context.Context, digests string) {
+func (e sweepExec) Prefetch(ctx context.Context, handles []uint32) {
 	if e.s.cl != nil {
-		e.s.cl.prefetch(ctx, digests)
+		e.s.cl.prefetch(ctx, handles)
 	}
 }
-
-func (e sweepExec) Intern(digests string) []uint32 { return e.s.cache.intern(digests) }
 
 func (e sweepExec) Lookup(h uint32) (string, json.RawMessage) { return e.s.cache.entry(h) }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,22 +29,20 @@ const (
 // internal/sweep free of the server's types (the server imports sweep,
 // not the reverse).
 type Exec interface {
-	// AppendKey validates a cell and appends its job key's digest,
-	// DigestLen bytes, to dst. The error, if any, is a client error (bad
-	// trace name, too many cores, unknown controller), and dst comes back
-	// as it was given.
-	AppendKey(dst []byte, c Cell) ([]byte, error)
-	// Prefetch is handed the digests of a sweep that is about to be
-	// admitted — DigestLen bytes each, back to back — before admission
-	// looks any of them up: a backend whose results may sit elsewhere (a
-	// cluster peer's cache) fetches what it can now, under the submitting
-	// request's context. Best effort: a result it misses is recomputed.
-	Prefetch(ctx context.Context, digests string)
-	// Intern admits the same digests' keys to the result cache, which
-	// may not hold their results yet, and returns one handle per digest,
-	// in order. A handle names its key for the life of the process and
-	// never leaves it.
-	Intern(digests string) []uint32
+	// Intern keys a sweep's n cells, cell(i) the i'th, and returns the
+	// result cache's handle for each, in order, admitting every key the
+	// cache does not hold yet without a result. A cell that does not key
+	// refuses the sweep whole: nothing is admitted, and the error — a
+	// client error: bad trace name, too many cores, unknown controller —
+	// names the first such cell ("cell 3: …"). A handle names its key for
+	// the life of the process and never leaves it.
+	Intern(n int, cell func(i int) Cell) ([]uint32, error)
+	// Prefetch is handed the handles of a sweep that is about to be
+	// admitted, before admission looks any of them up: a backend whose
+	// results may sit elsewhere (a cluster peer's cache) fetches what it
+	// can now, under the submitting request's context. Best effort: a
+	// result it misses is recomputed.
+	Prefetch(ctx context.Context, handles []uint32)
 	// Lookup reads the cache entry behind a handle: its key, KeyLen hex
 	// digits, and its result encoded as the API's JSON object, or nil
 	// while it has none — both shared and read-only. A result once there
@@ -260,37 +257,27 @@ func clampPriority(p int) int {
 	return min(max(p, 1), maxPriority)
 }
 
-// newState lays a spec out and keys every cell into a sweep with all of
-// them pending, before any state is taken: a spec with one bad cell is
-// refused whole, so a partially admitted sweep never exists. It returns
-// the cells' key digests, DigestLen bytes each, for the caller to hand to
-// Exec.Prefetch and then Exec.Intern, which fills the handles.
-func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state, string, error) {
+// newState lays a spec out and interns every cell's key into a sweep
+// with all of them pending, before any state is taken: a spec with one
+// bad cell is refused whole, so a partially admitted sweep never exists.
+func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state, error) {
 	cells, err := spec.layout(mgr.maxCells)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	spec.Priority = clampPriority(spec.Priority)
 	n := cells.len()
-	var keys strings.Builder
-	keys.Grow(n * DigestLen)
-	var buf [DigestLen]byte
-	for i := 0; i < n; i++ {
-		key, err := mgr.exec.AppendKey(buf[:0], cells.at(i))
-		if err != nil {
-			return nil, "", fmt.Errorf("cell %d: %w", i, err)
-		}
-		if len(key) != DigestLen { // Intern reads the blob at fixed strides
-			return nil, "", fmt.Errorf("cell %d: backend returned a %d-byte key", i, len(key))
-		}
-		keys.Write(key)
+	handles, err := mgr.exec.Intern(n, cells.at)
+	if err != nil {
+		return nil, err
 	}
 	return &state{
 		id: id, spec: spec, priority: spec.Priority, createdAt: createdAt,
-		cells:  cells,
-		status: make([]uint8, n),    // codePending
-		events: make([]int32, 0, n), // every cell is logged once
-	}, keys.String(), nil
+		cells:   cells,
+		handles: handles,
+		status:  make([]uint8, n),    // codePending
+		events:  make([]int32, 0, n), // every cell is logged once
+	}, nil
 }
 
 // Submit admits a sweep: layout, content addressing, cache dedupe, and
@@ -313,13 +300,12 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 		return v, false, err
 	}
 	// Keying a big sweep and fetching for it take a while: outside the
-	// lock. Only a sweep whose every cell keyed interns its keys.
-	st, digests, err := mgr.newState(id, spec, time.Now().UTC())
+	// lock.
+	st, err := mgr.newState(id, spec, time.Now().UTC())
 	if err != nil {
 		return View{}, false, err
 	}
-	mgr.exec.Prefetch(ctx, digests)
-	st.handles = mgr.exec.Intern(digests)
+	mgr.exec.Prefetch(ctx, st.handles)
 
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
@@ -385,12 +371,11 @@ func (mgr *Manager) attachLocked(id string, priority int) (v View, held bool, er
 // expands and resolves is logged and left on disk: the limits it broke
 // (-max-sweep-cells, -max-cores) may be raised again by a later start.
 func (mgr *Manager) resume(rec record) {
-	st, digests, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
+	st, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
 	if err != nil {
 		mgr.log.Error("persisted sweep no longer expands and resolves; skipping it", "sweep", rec.ID, "err", err)
 		return
 	}
-	st.handles = mgr.exec.Intern(digests)
 	n := st.cells.len()
 
 	mgr.mu.Lock()

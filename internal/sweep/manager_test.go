@@ -14,50 +14,49 @@ import (
 
 // recordingExec is a backend that caches nothing and writes down what
 // the manager asks of it, in order. Its key table hands out a handle per
-// key in the order they are first interned.
+// key in the order they are first interned; a cell's key is keyOf's.
 type recordingExec struct {
-	calls   []string // "key", "prefetch", "intern", "lookup"
-	digests strings.Builder
-	fetch   string            // what Prefetch was handed
-	keys    []string          // the key behind each handle
-	index   map[string]uint32 // each key's handle
+	calls []string          // "intern", "prefetch", "lookup"
+	fetch []uint32          // what Prefetch was handed
+	keys  []string          // the key behind each handle
+	index map[string]uint32 // each key's handle
 }
 
-func (e *recordingExec) AppendKey(dst []byte, c Cell) ([]byte, error) {
-	if c.Controller == "bad" {
-		return dst, fmt.Errorf("unknown controller %q", c.Controller)
-	}
-	if c.Controller == "short" {
-		return append(dst, "abc"...), nil
-	}
-	e.calls = append(e.calls, "key")
+// keyOf is the key recordingExec gives a cell: KeyLen hex digits.
+func keyOf(c Cell) string {
 	sum := sha256.Sum256([]byte(fmt.Sprint(c)))
-	e.digests.Write(sum[:])
-	return append(dst, sum[:]...), nil
+	return hex.EncodeToString(sum[:])
 }
 
-func (e *recordingExec) Prefetch(_ context.Context, digests string) {
-	e.calls = append(e.calls, "prefetch")
-	e.fetch = digests
-}
-
-func (e *recordingExec) Intern(digests string) []uint32 {
+func (e *recordingExec) Intern(n int, cell func(int) Cell) ([]uint32, error) {
 	e.calls = append(e.calls, "intern")
+	keys := make([]string, n)
+	for i := range keys {
+		c := cell(i)
+		if c.Controller == "bad" {
+			return nil, fmt.Errorf("cell %d: unknown controller %q", i, c.Controller)
+		}
+		keys[i] = keyOf(c)
+	}
 	if e.index == nil {
 		e.index = make(map[string]uint32)
 	}
-	var hs []uint32
-	for ; digests != ""; digests = digests[DigestLen:] {
-		key := hex.EncodeToString([]byte(digests[:DigestLen]))
+	hs := make([]uint32, n)
+	for i, key := range keys {
 		h, ok := e.index[key]
 		if !ok {
 			h = uint32(len(e.keys))
 			e.keys = append(e.keys, key)
 			e.index[key] = h
 		}
-		hs = append(hs, h)
+		hs[i] = h
 	}
-	return hs
+	return hs, nil
+}
+
+func (e *recordingExec) Prefetch(_ context.Context, handles []uint32) {
+	e.calls = append(e.calls, "prefetch")
+	e.fetch = handles
 }
 
 func (e *recordingExec) Lookup(h uint32) (string, json.RawMessage) {
@@ -77,11 +76,11 @@ func TestNilLoggerIsDisabled(t *testing.T) {
 }
 
 // TestSubmitKeysOncePrefetchesThenLooksUp pins what admission asks of
-// its backend: every cell keyed once, the backend handed all the key
-// digests — the ones just computed, in cell order — to prefetch and then
-// to intern, both before the first cache lookup, each ticket keyed by
-// its digest's hex, and a resubmission none of it: an ID the manager
-// holds is a map lookup that still takes the new priority.
+// its backend: the sweep's cells interned in one call, the backend
+// handed their handles — in cell order — to prefetch, both before the
+// first cache lookup, each ticket keyed by its handle's key, and a
+// resubmission none of it: an ID the manager holds is a map lookup that
+// still takes the new priority.
 func TestSubmitKeysOncePrefetchesThenLooksUp(t *testing.T) {
 	exec := &recordingExec{}
 	mgr, err := New(Config{Exec: exec})
@@ -89,21 +88,26 @@ func TestSubmitKeysOncePrefetchesThenLooksUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	v, created, err := mgr.Submit(ctx, gridSpec())
+	spec := gridSpec()
+	cells, err := spec.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, created, err := mgr.Submit(ctx, spec)
 	if err != nil || !created || v.Cells != 16 || v.Pending != 16 || v.Priority != 1 {
 		t.Fatalf("submit: %+v created=%v err=%v", v, created, err)
 	}
-	want := strings.Fields(strings.Repeat("key ", 16) + "prefetch intern" + strings.Repeat(" lookup", 16))
+	want := strings.Fields("intern prefetch" + strings.Repeat(" lookup", 16))
 	if fmt.Sprint(exec.calls) != fmt.Sprint(want) {
 		t.Errorf("backend calls:\n got %v\nwant %v", exec.calls, want)
 	}
-	if exec.fetch != exec.digests.String() || len(exec.fetch) != 16*DigestLen {
-		t.Errorf("Prefetch was handed %d bytes that are not the 16 digests computed", len(exec.fetch))
+	if len(exec.fetch) != 16 {
+		t.Fatalf("Prefetch was handed %d handles, want the 16 cells'", len(exec.fetch))
 	}
 	for i := 0; i < 16; i++ {
 		tk, ok := mgr.TryDequeue()
-		if !ok || tk.Index != i || tk.Key != hex.EncodeToString([]byte(exec.fetch[i*DigestLen:(i+1)*DigestLen])) {
-			t.Fatalf("ticket %d: %+v ok=%v, want cell %d under its key", i, tk, ok, i)
+		if !ok || tk.Index != i || tk.Key != keyOf(cells[i]) || exec.keys[exec.fetch[i]] != tk.Key {
+			t.Fatalf("ticket %d: %+v ok=%v, want cell %d under its key, the key of the handle prefetched for it", i, tk, ok, i)
 		}
 	}
 
@@ -125,13 +129,7 @@ func TestSubmitKeysOncePrefetchesThenLooksUp(t *testing.T) {
 	if _, _, err := mgr.Submit(ctx, bad); err == nil || err.Error() != `cell 16: unknown controller "bad"` {
 		t.Errorf("bad cell: %v", err)
 	}
-	// So does one whose key would shift every later cell's in the blob.
-	bad.Name, bad.Cells = "short", []Cell{{Mix: []string{"a"}, Controller: "short"}}
-	if _, _, err := mgr.Submit(ctx, bad); err == nil || err.Error() != "cell 16: backend returned a 3-byte key" {
-		t.Errorf("short key: %v", err)
-	}
-	if n := len(mgr.List()); n != 1 || strings.Contains(fmt.Sprint(exec.calls), "prefetch") ||
-		strings.Contains(fmt.Sprint(exec.calls), "intern") || len(exec.keys) != 16 {
+	if n := len(mgr.List()); n != 1 || fmt.Sprint(exec.calls) != "[intern]" || len(exec.keys) != 16 {
 		t.Errorf("a refused sweep left %d sweeps tracked and %d keys interned, backend calls %v", n, len(exec.keys), exec.calls)
 	}
 }
@@ -164,8 +162,7 @@ func TestEventsReadTheCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cells[1:] { // cell 0 is not cached: it fails
-		key, _ := exec.AppendKey(nil, c)
-		exec.m[hex.EncodeToString(key)] = json.RawMessage(fmt.Sprintf(`{"cell":%d}`, i+1))
+		exec.m[keyOf(c)] = json.RawMessage(fmt.Sprintf(`{"cell":%d}`, i+1))
 	}
 	v, _, err := mgr.Submit(context.Background(), spec)
 	if err != nil || v.Deduped != 15 || v.Pending != 1 {
@@ -182,8 +179,7 @@ func TestEventsReadTheCache(t *testing.T) {
 		t.Fatalf("EventsSince: %d events, %+v ok=%v err=%v", len(events), v, ok, err)
 	}
 	for seq, ev := range events {
-		key, _ := exec.AppendKey(nil, cells[ev.Cell])
-		want := hex.EncodeToString(key)
+		want := keyOf(cells[ev.Cell])
 		if ev.Seq != seq || ev.Key != want {
 			t.Errorf("event %d: seq %d key %s, want key %s", seq, ev.Seq, ev.Key, want)
 		}
@@ -224,8 +220,7 @@ func TestCountsMatchRecount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells[:4] {
-		key, _ := exec.AppendKey(nil, c)
-		exec.m[hex.EncodeToString(key)] = json.RawMessage(`{}`)
+		exec.m[keyOf(c)] = json.RawMessage(`{}`)
 	}
 	check := func(mgr *Manager, when string) {
 		t.Helper()

@@ -23,7 +23,7 @@ func AppendEvent(dst []byte, ev Event) []byte {
 	dst = strconv.AppendInt(append(dst, `,"cell":`...), int64(ev.Cell), 10)
 	dst = AppendString(append(dst, `,"status":`...), string(ev.Status))
 	dst = AppendString(append(dst, `,"key":`...), ev.Key)
-	dst = appendCell(append(dst, `,"spec":`...), ev.Spec)
+	dst = AppendCell(append(dst, `,"spec":`...), ev.Spec)
 	if len(ev.Result) > 0 {
 		dst = append(append(dst, `,"result":`...), ev.Result...)
 	}
@@ -33,9 +33,10 @@ func AppendEvent(dst []byte, ev Event) []byte {
 	return append(dst, '}')
 }
 
-// appendCell appends c member by member in declaration order, under
-// Cell's omitempty rules.
-func appendCell(dst []byte, c Cell) []byte {
+// AppendCell appends the JSON encoding of c, the bytes json.Marshal(c)
+// produces: member by member in declaration order, under Cell's
+// omitempty rules.
+func AppendCell(dst []byte, c Cell) []byte {
 	dst = append(dst, `{"mix":`...)
 	if c.Mix == nil {
 		dst = append(dst, "null"...)
@@ -112,14 +113,37 @@ type Line struct {
 // match exactly, not case-insensitively, so "Cell" is an unknown member.
 // The once-per-stream sweep view is json.Unmarshal's to decode, and so
 // is a string holding an escape or a non-ASCII byte.
-func ParseLine(line []byte) (Line, error) {
-	p := lineParser{b: line}
+func ParseLine(line []byte) (Line, error) { return parse(line, nil) }
+
+// Decoder reads the lines of one result stream in order: ParseLine with
+// the strings of the previous event at hand. A mix name (by its place in
+// the mix), a controller or a scale with the same bytes as in that event
+// is that event's string, not a new copy: a grid's cells stream in runs
+// that share all three, so a warm line allocates little beyond its key
+// and its result. What a line decodes to is ParseLine's. The zero
+// Decoder is ready to use; it is not safe for concurrent use.
+type Decoder struct {
+	mix        [maxRememberedMix]string
+	controller string
+	scale      string
+}
+
+// maxRememberedMix is how many of a mix's names a Decoder remembers: the
+// server's default core limit. Names past it are copied every time.
+const maxRememberedMix = 16
+
+// Parse decodes the stream's next line.
+func (d *Decoder) Parse(line []byte) (Line, error) { return parse(line, d) }
+
+// parse is ParseLine, remembering strings in d unless it is nil.
+func parse(line []byte, d *Decoder) (Line, error) {
+	p := lineParser{b: line, d: d}
 	var l Line
 	var err error
 	if p.space(); p.peek() == 'n' {
 		err = p.literal("null") // decodes to nothing, as it does for a struct
 	} else {
-		err = p.object(func(key []byte) error { return p.lineMember(&l, key) })
+		err = p.line(&l)
 	}
 	if err == nil {
 		if p.space(); p.i < len(p.b) {
@@ -133,15 +157,18 @@ func ParseLine(line []byte) (Line, error) {
 }
 
 // maxLineDepth is encoding/json's nesting limit, so a line it would
-// refuse as too deep is refused here too (and recursion stays bounded).
+// refuse as too deep is refused here too.
 const maxLineDepth = 10000
 
 // lineParser is a cursor over one line. Every method leaves i just past
-// what it consumed, or returns an error; none reads past len(b).
+// what it consumed, or returns an error; none reads past len(b). depth
+// counts the objects and arrays the cursor is inside; d, when set, is the
+// stream's Decoder.
 type lineParser struct {
 	b     []byte
 	i     int
 	depth int
+	d     *Decoder
 }
 
 func (p *lineParser) errorf(format string, a ...any) error {
@@ -157,28 +184,170 @@ func (p *lineParser) peek() byte {
 	return 0
 }
 
-func (p *lineParser) space() {
-	b, i := p.b, p.i
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
-		i++
-	}
-	p.i = i
-}
+func (p *lineParser) space() { p.i = skipSpace(p.b, p.i) }
 
 func (p *lineParser) literal(word string) error {
-	if len(p.b)-p.i < len(word) || string(p.b[p.i:p.i+len(word)]) != word {
-		return p.errorf("invalid literal, want %s", word)
+	end, fault := scanWord(p.b, p.i, word)
+	if fault != "" {
+		return p.errorf("%s", fault)
 	}
-	p.i += len(word)
+	p.i = end
 	return nil
 }
 
-func (p *lineParser) lineMember(l *Line, key []byte) error {
+// open steps into the object or array whose opening bracket is at the
+// cursor, one level deeper, and reports whether it holds anything: when
+// closer follows at once, open steps out again past it and reports
+// false. Otherwise the cursor is on the first member or element.
+func (p *lineParser) open(closer byte) (bool, error) {
+	if p.depth++; p.depth > maxLineDepth {
+		return false, p.errorf("exceeded max depth")
+	}
+	p.i++
+	if p.space(); p.peek() == closer {
+		p.i++
+		p.depth--
+		return false, nil
+	}
+	return true, nil
+}
+
+// next steps over what follows a member or an element: a ',', reporting
+// true with the cursor on the next one, or closer, out of the container,
+// reporting false.
+func (p *lineParser) next(closer byte) (bool, error) {
+	p.space()
+	switch p.peek() {
+	case ',':
+		p.i++
+		p.space()
+		return true, nil
+	case closer:
+		p.i++
+		p.depth--
+		return false, nil
+	}
+	return false, p.errorf("want ',' or '%c'", closer)
+}
+
+// name reads a member name and the ':' after it, leaving the cursor on
+// the member's value, and returns the name unescaped. A name spelled as
+// AppendEvent spells it — plain, the ':' right after — is read off its
+// bytes in place.
+func (p *lineParser) name() ([]byte, error) {
+	b, i := p.b, p.i
+	if i < len(b) && b[i] == '"' {
+		if j := plainRun(b, i+1); j+1 < len(b) && b[j] == '"' && b[j+1] == ':' {
+			p.i = j + 2
+			p.space()
+			return b[i+1 : j], nil
+		}
+	} else {
+		return nil, p.errorf("want a member name")
+	}
+	body, plain, err := p.stringToken()
+	if err != nil {
+		return nil, err
+	}
+	if !plain {
+		var s string // a name may be spelled with escapes: "c\u0065ll"
+		if err := json.Unmarshal(b[i:p.i], &s); err != nil {
+			return nil, err
+		}
+		body = []byte(s)
+	}
+	if p.space(); p.peek() != ':' {
+		return nil, p.errorf("want ':' after a member name")
+	}
+	p.i++
+	p.space()
+	return body, nil
+}
+
+// The members a line and its spec hold, each spelled as AppendEvent
+// writes its name, in the order it writes them: quoted, then the ':'.
+var (
+	lineMembers = [...]string{`"seq":`, `"cell":`, `"status":`, `"key":`, `"spec":`, `"result":`, `"error":`, `"end":`, `"sweep":`}
+	cellMembers = [...]string{`"mix":`, `"controller":`, `"scale":`, `"seed":`, `"target":`, `"step":`, `"dram_mtps":`, `"dram_channels":`}
+)
+
+// Indexes into lineMembers and cellMembers.
+const (
+	mSeq = iota
+	mCell
+	mStatus
+	mKey
+	mSpec
+	mResult
+	mError
+	mEnd
+	mSweep
+)
+
+const (
+	mMix = iota
+	mController
+	mScale
+	mSeed
+	mTarget
+	mStep
+	mDRAMMTps
+	mDRAMChannels
+)
+
+// member reads a member's name and the ':' after it, leaving the cursor
+// on its value, and returns the name's index in names, or -1 for a name
+// not there. The name's bytes are matched against names from index from
+// on, then from the start, so members that come in the order names
+// lists them match on the first try; a name spelled any other way — an
+// escape, space before the ':' — is read and unescaped first.
+func (p *lineParser) member(names []string, from int) (int, error) {
+	rest := p.b[p.i:]
+	for j := range names {
+		k := from + j
+		if k >= len(names) {
+			k -= len(names)
+		}
+		if n := names[k]; len(rest) >= len(n) && string(rest[:len(n)]) == n {
+			p.i += len(n)
+			p.space()
+			return k, nil
+		}
+	}
+	name, err := p.name()
+	if err != nil {
+		return -1, err
+	}
+	for k, n := range names {
+		if string(name) == n[1:len(n)-2] {
+			return k, nil
+		}
+	}
+	return -1, nil
+}
+
+// line decodes the line's object, member by member.
+func (p *lineParser) line(l *Line) error {
+	if p.peek() != '{' {
+		return p.errorf("want an object")
+	}
+	more, err := p.open('}')
+	for k := -1; more && err == nil; {
+		if k, err = p.member(lineMembers[:], k+1); err == nil {
+			if err = p.lineMember(l, k); err == nil {
+				more, err = p.next('}')
+			}
+		}
+	}
+	return err
+}
+
+func (p *lineParser) lineMember(l *Line, member int) error {
 	ev := &l.Event
-	switch string(key) {
-	case "end":
+	switch member {
+	case mEnd:
 		return p.boolean(&l.End)
-	case "sweep":
+	case mSweep:
 		raw, err := p.raw()
 		if err != nil {
 			return err
@@ -194,115 +363,73 @@ func (p *lineParser) lineMember(l *Line, key []byte) error {
 			return fmt.Errorf("stream line: sweep view: %w", err)
 		}
 		return nil
-	case "seq":
+	case mSeq:
 		return p.integer(&ev.Seq)
-	case "cell":
+	case mCell:
 		return p.integer(&ev.Cell)
-	case "status":
-		return p.str((*string)(&ev.Status), string(CellDeduped), string(CellDone), string(CellFailed))
-	case "key":
-		return p.str(&ev.Key)
-	case "spec":
-		if p.peek() == 'n' {
+	case mStatus:
+		return p.status(&ev.Status)
+	case mKey:
+		return p.str(&ev.Key, nil)
+	case mSpec:
+		switch p.peek() {
+		case 'n':
 			return p.literal("null")
+		case '{':
+			return p.cell(&ev.Spec)
 		}
-		return p.object(func(key []byte) error { return p.cellMember(&ev.Spec, key) })
-	case "result":
+		return p.errorf("want an object")
+	case mResult:
 		raw, err := p.raw()
 		ev.Result = append(ev.Result[:0], raw...)
 		return err
-	case "error":
-		return p.str(&ev.Error)
+	case mError:
+		return p.str(&ev.Error, nil)
 	}
-	_, err := p.raw()
+	return p.skip()
+}
+
+// cell decodes the spec object at the cursor into c, member by member.
+func (p *lineParser) cell(c *Cell) error {
+	more, err := p.open('}')
+	for k := -1; more && err == nil; {
+		if k, err = p.member(cellMembers[:], k+1); err == nil {
+			if err = p.cellMember(c, k); err == nil {
+				more, err = p.next('}')
+			}
+		}
+	}
 	return err
 }
 
-func (p *lineParser) cellMember(c *Cell, key []byte) error {
-	switch string(key) {
-	case "mix":
+func (p *lineParser) cellMember(c *Cell, member int) error {
+	switch member {
+	case mMix:
 		return p.strings(&c.Mix)
-	case "controller":
-		return p.str(&c.Controller)
-	case "scale":
-		return p.str(&c.Scale)
-	case "seed":
+	case mController:
+		var memo *string
+		if p.d != nil {
+			memo = &p.d.controller
+		}
+		return p.str(&c.Controller, memo)
+	case mScale:
+		var memo *string
+		if p.d != nil {
+			memo = &p.d.scale
+		}
+		return p.str(&c.Scale, memo)
+	case mSeed:
 		return p.unsigned(&c.Seed)
-	case "target":
+	case mTarget:
 		return p.unsigned(&c.Target)
-	case "step":
+	case mStep:
 		return p.unsigned(&c.Step)
-	case "dram_mtps":
+	case mDRAMMTps:
 		return p.integer(&c.DRAMMTps)
-	case "dram_channels":
+	case mDRAMChannels:
 		return p.integer(&c.DRAMChannels)
 	}
-	_, err := p.raw()
-	return err
-}
-
-// sequence walks the object or array at the cursor, from its opening
-// bracket (which the caller has seen) to closer, calling item with the
-// cursor on each member or element, and returns how many there were.
-func (p *lineParser) sequence(closer byte, item func(i int) error) (int, error) {
-	if p.depth++; p.depth > maxLineDepth {
-		return 0, p.errorf("exceeded max depth")
-	}
-	p.i++
-	if p.space(); p.peek() == closer {
-		p.i++
-		p.depth--
-		return 0, nil
-	}
-	for n := 0; ; {
-		p.space()
-		if err := item(n); err != nil {
-			return n, err
-		}
-		n++
-		p.space()
-		switch p.peek() {
-		case ',':
-			p.i++
-		case closer:
-			p.i++
-			p.depth--
-			return n, nil
-		default:
-			return n, p.errorf("want ',' or '%c'", closer)
-		}
-	}
-}
-
-// object walks the object at the cursor, calling member for each name
-// with the cursor on that member's value; member consumes the value.
-func (p *lineParser) object(member func(key []byte) error) error {
-	if p.peek() != '{' {
-		return p.errorf("want an object")
-	}
-	_, err := p.sequence('}', func(int) error {
-		if p.peek() != '"' {
-			return p.errorf("want a member name")
-		}
-		key, plain, err := p.stringToken()
-		if err != nil {
-			return err
-		}
-		if !plain { // a name may be spelled with escapes: "c\u0065ll"
-			var s string
-			if err := json.Unmarshal(p.b[p.i-len(key)-2:p.i], &s); err != nil {
-				return err
-			}
-			key = []byte(s)
-		}
-		if p.space(); p.peek() != ':' {
-			return p.errorf("want ':' after a member name")
-		}
-		p.i++
-		p.space()
-		return member(key)
-	})
-	return err
+	return p.skip()
 }
 
 // raw validates the value at the cursor, whatever it is, and returns
@@ -313,66 +440,177 @@ func (p *lineParser) raw() ([]byte, error) {
 	return p.b[start:p.i], err
 }
 
+// skip validates the value at the cursor, whatever it is, and steps over
+// it.
 func (p *lineParser) skip() error {
-	switch p.peek() {
-	case '{':
-		return p.object(func([]byte) error { return p.skip() })
-	case '[':
-		_, err := p.sequence(']', func(int) error { return p.skip() })
-		return err
-	case '"':
-		_, _, err := p.stringToken()
-		return err
-	case 't':
-		return p.literal("true")
-	case 'f':
-		return p.literal("false")
-	case 'n':
-		return p.literal("null")
-	default:
-		_, err := p.number()
-		return err
+	end, fault := skipValue(p.b, p.i, p.depth)
+	p.i = end
+	if fault != "" {
+		return p.errorf("%s", fault)
+	}
+	return nil
+}
+
+// The scanners below validate JSON in place, each with its own index
+// into the line, and return the index just past what they read — or,
+// with a fault saying what is wrong, the index of the byte at fault.
+
+// skipValue scans the value at b[i], inside depth containers already, in
+// one loop rather than by recursion: it keeps the closer of each object
+// or array it is inside on a stack, and refuses to nest past
+// maxLineDepth in all as encoding/json does.
+func skipValue(b []byte, i, depth int) (int, string) {
+	var stack [32]byte // deeper nesting moves the stack to the heap
+	closers := stack[:0]
+	for {
+		// A value starts at i.
+		if i == len(b) {
+			return i, "unexpected end of line, want a value"
+		}
+		var fault string
+		switch c := b[i]; c {
+		case '"':
+			i, _, fault = scanString(b, i)
+		case '{', '[':
+			if depth+len(closers) >= maxLineDepth {
+				return i, "exceeded max depth"
+			}
+			closer := c + 2 // '}' and ']' are two past their openers in ASCII
+			if i = skipSpace(b, i+1); i < len(b) && b[i] == closer {
+				i++
+				break
+			}
+			closers = append(closers, closer)
+			if c == '{' {
+				i, fault = skipName(b, i)
+			}
+			if fault != "" {
+				return i, fault
+			}
+			continue
+		case 't':
+			i, fault = scanWord(b, i, "true")
+		case 'f':
+			i, fault = scanWord(b, i, "false")
+		case 'n':
+			i, fault = scanWord(b, i, "null")
+		default:
+			i, fault = scanNumber(b, i)
+		}
+		if fault != "" {
+			return i, fault
+		}
+		// The value is over: on to the next one, out of every container
+		// that ends here.
+		for ; len(closers) > 0; closers = closers[:len(closers)-1] {
+			closer := closers[len(closers)-1]
+			if i = skipSpace(b, i); i < len(b) && b[i] == ',' {
+				if i = skipSpace(b, i+1); closer == '}' {
+					i, fault = skipName(b, i)
+				}
+				break
+			}
+			if i == len(b) || b[i] != closer {
+				return i, "want ',' or '" + string(closer) + "'"
+			}
+			i++
+		}
+		if fault != "" {
+			return i, fault
+		}
+		if len(closers) == 0 {
+			return i, ""
+		}
 	}
 }
 
-// stringToken validates the string at the cursor and returns the bytes
-// between its quotes. plain reports that those bytes are the string's
-// value as they stand: ASCII with no escape.
-func (p *lineParser) stringToken() (body []byte, plain bool, err error) {
-	b, start := p.b, p.i+1
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// skipName scans a member name at b[i] and the ':' after it, and returns
+// the index of the member's value. A name spelled as AppendEvent spells
+// it — plain, the ':' right after — goes in one step.
+func skipName(b []byte, i int) (int, string) {
+	if i == len(b) || b[i] != '"' {
+		return i, "want a member name"
+	}
+	if j := plainRun(b, i+1); j+1 < len(b) && b[j] == '"' && b[j+1] == ':' {
+		return skipSpace(b, j+2), ""
+	}
+	i, _, fault := scanString(b, i)
+	if fault != "" {
+		return i, fault
+	}
+	if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
+		return i, "want ':' after a member name"
+	}
+	return skipSpace(b, i+1), ""
+}
+
+func scanWord(b []byte, i int, word string) (int, string) {
+	if len(b)-i < len(word) || string(b[i:i+len(word)]) != word {
+		return i, "invalid literal, want " + word
+	}
+	return i + len(word), ""
+}
+
+// plainByte is set for the bytes that stand for themselves in a string
+// that is its value as it stands: printable ASCII but '"' and '\\'.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// plainRun returns the index of the first byte at or after i that is not
+// a plainByte one, or len(b).
+func plainRun(b []byte, i int) int {
+	for i < len(b) && plainByte[b[i]] {
+		i++
+	}
+	return i
+}
+
+// scanString scans the string whose opening quote is at b[i]. plain
+// reports that the bytes between its quotes are its value as they
+// stand: ASCII with no escape.
+func scanString(b []byte, i int) (end int, plain bool, fault string) {
 	plain = true
-	i := start // the cursor in a register: this loop sees most of a line's bytes
-	for ; i < len(b); i++ {
+	for i++; ; i++ {
+		if i = plainRun(b, i); i == len(b) {
+			return i, false, "unexpected end of line in a string"
+		}
 		switch c := b[i]; {
 		case c == '"':
-			p.i = i + 1
-			return b[start:i], plain, nil
+			return i + 1, plain, ""
 		case c == '\\':
 			plain = false
 			if i++; i == len(b) {
-				continue // the line ends inside the escape: out of the loop, to its error
+				return i, false, "unexpected end of line in a string"
 			}
 			switch b[i] {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
 			case 'u':
 				if len(b)-i < 5 || !isHex4(b[i+1:i+5]) {
-					p.i = i
-					return nil, false, p.errorf(`invalid \u escape`)
+					return i, false, `invalid \u escape`
 				}
 				i += 4
 			default:
-				p.i = i
-				return nil, false, p.errorf("invalid escape in a string")
+				return i, false, "invalid escape in a string"
 			}
 		case c < 0x20:
-			p.i = i
-			return nil, false, p.errorf("control character in a string")
-		case c >= 0x80:
+			return i, false, "control character in a string"
+		default: // a byte of a non-ASCII rune, or of broken UTF-8
 			plain = false
 		}
 	}
-	p.i = len(b)
-	return nil, false, p.errorf("unexpected end of line in a string")
 }
 
 func isHex4(b []byte) bool {
@@ -384,43 +622,69 @@ func isHex4(b []byte) bool {
 	return true
 }
 
-// number scans the JSON number at the cursor.
-func (p *lineParser) number() ([]byte, error) {
-	start := p.i
-	if p.peek() == '-' {
-		p.i++
+// scanNumber scans the number at b[i].
+func scanNumber(b []byte, i int) (int, string) {
+	if i < len(b) && b[i] == '-' {
+		i++
 	}
-	if p.peek() == '0' {
-		p.i++
-	} else if !p.digits() {
-		return nil, p.errorf("invalid value")
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return i, "invalid value"
 	}
-	if p.peek() == '.' {
-		if p.i++; !p.digits() {
-			return nil, p.errorf("invalid number: want a digit after '.'")
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return j, "invalid number: want a digit after '.'"
 		}
+		i = j
 	}
-	if c := p.peek(); c == 'e' || c == 'E' {
-		p.i++
-		if c := p.peek(); c == '+' || c == '-' {
-			p.i++
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
 		}
-		if !p.digits() {
-			return nil, p.errorf("invalid number: want a digit in the exponent")
+		j := skipDigits(b, i)
+		if j == i {
+			return j, "invalid number: want a digit in the exponent"
 		}
+		i = j
 	}
-	return p.b[start:p.i], nil
+	return i, ""
 }
 
-// digits consumes a run of digits and reports whether there was one.
-func (p *lineParser) digits() bool {
-	b, i := p.b, p.i
+// skipDigits returns the index of the first byte at or after i that is
+// not a decimal digit, or len(b).
+func skipDigits(b []byte, i int) int {
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
-	found := i > p.i
-	p.i = i
-	return found
+	return i
+}
+
+// stringToken validates the string at the cursor and returns the bytes
+// between its quotes, and whether they are its value as they stand.
+func (p *lineParser) stringToken() (body []byte, plain bool, err error) {
+	end, plain, fault := scanString(p.b, p.i)
+	if fault != "" {
+		p.i = end
+		return nil, false, p.errorf("%s", fault)
+	}
+	body, p.i = p.b[p.i+1:end-1], end
+	return body, plain, nil
+}
+
+// number scans the JSON number at the cursor.
+func (p *lineParser) number() ([]byte, error) {
+	start := p.i
+	end, fault := scanNumber(p.b, p.i)
+	p.i = end
+	if fault != "" {
+		return nil, p.errorf("%s", fault)
+	}
+	return p.b[start:end], nil
 }
 
 func (p *lineParser) boolean(dst *bool) error {
@@ -471,33 +735,66 @@ func (p *lineParser) unsigned(dst *uint64) error {
 	return nil
 }
 
-// str decodes the string at the cursor into dst. A value equal to one
-// of known is set to that constant instead of a fresh copy.
-func (p *lineParser) str(dst *string, known ...string) error {
+// token reads the string or null at the cursor: a string's bytes between
+// its quotes and whether they are its value as they stand, or null set.
+func (p *lineParser) token() (body []byte, plain, null bool, err error) {
 	switch p.peek() {
 	case 'n':
-		return p.literal("null")
+		return nil, false, true, p.literal("null")
 	case '"':
+		body, plain, err = p.stringToken()
+		return body, plain, false, err
+	}
+	return nil, false, false, p.errorf("want a string")
+}
+
+// unquote decodes the string token whose body the cursor has just passed
+// into dst, escapes and all.
+func (p *lineParser) unquote(dst *string, body []byte) error {
+	var s string // not dst itself: what json.Unmarshal is handed moves to the heap
+	err := json.Unmarshal(p.b[p.i-len(body)-2:p.i], &s)
+	*dst = s
+	return err
+}
+
+// str decodes the string at the cursor into dst. Given a memo (the
+// Decoder's string for this field), a value with the memo's bytes is the
+// memo's string, and any other becomes the memo.
+func (p *lineParser) str(dst, memo *string) error {
+	body, plain, null, err := p.token()
+	switch {
+	case err != nil || null:
+		return err
+	case !plain:
+		return p.unquote(dst, body)
+	case memo != nil && *memo == string(body):
+		*dst = *memo
 	default:
-		return p.errorf("want a string")
+		*dst = string(body)
+		if memo != nil {
+			*memo = *dst
+		}
 	}
-	body, plain, err := p.stringToken()
-	if err != nil {
+	return nil
+}
+
+// status is str for a cell status: one of the three a server sends is
+// its constant.
+func (p *lineParser) status(dst *CellStatus) error {
+	body, plain, null, err := p.token()
+	switch {
+	case err != nil || null:
 		return err
+	case !plain:
+		return p.unquote((*string)(dst), body)
 	}
-	if !plain {
-		var s string // not dst itself: what json.Unmarshal is handed moves to the heap
-		err := json.Unmarshal(p.b[p.i-len(body)-2:p.i], &s)
-		*dst = s
-		return err
-	}
-	for _, k := range known {
-		if string(body) == k {
-			*dst = k
+	for _, known := range [...]CellStatus{CellDeduped, CellDone, CellFailed} {
+		if string(body) == string(known) {
+			*dst = known
 			return nil
 		}
 	}
-	*dst = string(body)
+	*dst = CellStatus(body)
 	return nil
 }
 
@@ -515,19 +812,28 @@ func (p *lineParser) strings(dst *[]string) error {
 		return p.errorf("want an array of strings")
 	}
 	s := *dst
-	n, err := p.sequence(']', func(i int) error {
-		if i == len(s) {
+	n := 0
+	more, err := p.open(']')
+	for more && err == nil {
+		if n == len(s) {
 			switch {
-			case i < cap(s):
-				s = s[:i+1]
-			case i == 0:
+			case n < cap(s):
+				s = s[:n+1]
+			case n == 0:
 				s = make([]string, 1, 4) // a 4-core mix, the paper's main configuration, in one allocation
 			default:
 				s = append(s, "")
 			}
 		}
-		return p.str(&s[i])
-	})
+		var memo *string
+		if p.d != nil && n < len(p.d.mix) {
+			memo = &p.d.mix[n]
+		}
+		if err = p.str(&s[n], memo); err == nil {
+			n++
+			more, err = p.next(']')
+		}
+	}
 	if n == 0 {
 		s = []string{}
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refLine is the shape a stream line was decoded into before ParseLine
@@ -357,5 +358,84 @@ func BenchmarkParseLine(b *testing.B) {
 	}
 	if !reflect.DeepEqual(l.Event, ev) {
 		b.Fatalf("decoded %+v", l.Event)
+	}
+}
+
+// benchSingleEvent is one deduped event as sweep_warm streams it: a
+// single-trace mix, its seed and budget override, and a one-core result
+// (fixture cell 3), about 470 bytes.
+func benchSingleEvent(b *testing.B) (Event, []byte) {
+	b.Helper()
+	l, err := ParseLine(streamFixture(b)[3])
+	if err != nil || len(l.Event.Spec.Mix) != 1 || len(l.Event.Result) == 0 {
+		b.Fatalf("fixture event = %+v, %v", l.Event, err)
+	}
+	l.Event.Status = CellDeduped
+	l.Event.Spec.Seed, l.Event.Spec.Target = 7, 20_000
+	return l.Event, AppendEvent(nil, l.Event)
+}
+
+// BenchmarkParseLineSingle reads that line as a stream's Decoder does,
+// line after line of one grid run: the mix name, controller and scale
+// are the previous line's strings.
+func BenchmarkParseLineSingle(b *testing.B) {
+	ev, line := benchSingleEvent(b)
+	var d Decoder
+	var l Line
+	var err error
+	b.SetBytes(int64(len(line)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if l, err = d.Parse(line); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(l.Event, ev) {
+		b.Fatalf("decoded %+v", l.Event)
+	}
+}
+
+// TestDecoderMatchesParseLine: a Decoder remembers the previous event's
+// strings, and that changes no value. For every pair of lines from a
+// corpus of real, respelled and broken ones, the second read after the
+// first decodes exactly as ParseLine reads it alone; and a mix name,
+// controller or scale equal to the previous event's is that event's
+// string, not a copy.
+func TestDecoderMatchesParseLine(t *testing.T) {
+	corpus := [][]byte{
+		[]byte(`{"seq":0,"cell":0,"status":"deduped","key":"k0","spec":{"mix":["a"],"controller":"c","scale":"tiny","seed":1},"result":{"ws":1}}`),
+		[]byte(`{"seq":1,"cell":1,"status":"deduped","key":"k1","spec":{"mix":["a"],"controller":"c","scale":"tiny","seed":2},"result":{"ws":2}}`),
+		[]byte(`{"seq":2,"cell":2,"status":"done","key":"k2","spec":{"mix":["a","b","a"],"controller":"d","scale":"small"}}`),
+		[]byte(`{"spec":{"mix":["b",null,"a"],"controller":"cd","scale":null},"spec":{"mix":["x"]}}`),
+		[]byte(`{"spec":{"mix":[],"controller":"","scale":""}}`),
+		[]byte(`{"spec":null,"status":"running","error":"e"}`),
+		[]byte(`{"spec":{"mix":["a","b"],"controller":"c"},"spec":{"mix":[null,"é"]}}`),
+		[]byte(`{"spec":{"mix":["a"],"controller":"c","scale":"tiny"},"cell":"broken"}`),
+		[]byte(` null `),
+	}
+	corpus = append(corpus, streamFixture(t)...)
+	for _, first := range corpus {
+		for _, second := range corpus {
+			var d Decoder
+			d.Parse(first)
+			got, err := d.Parse(second)
+			want, wantErr := ParseLine(second)
+			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s, the decoder read %s as %+v (%v); ParseLine as %+v (%v)", first, second, got, err, want, wantErr)
+			}
+		}
+	}
+
+	var d Decoder
+	a, _ := d.Parse(corpus[0])
+	b, _ := d.Parse(corpus[1])
+	if unsafe.StringData(a.Event.Spec.Mix[0]) != unsafe.StringData(b.Event.Spec.Mix[0]) ||
+		unsafe.StringData(a.Event.Spec.Controller) != unsafe.StringData(b.Event.Spec.Controller) ||
+		unsafe.StringData(a.Event.Spec.Scale) != unsafe.StringData(b.Event.Spec.Scale) {
+		t.Error("a repeated mix name, controller or scale was copied again")
+	}
+	if &a.Event.Spec.Mix[0] == &b.Event.Spec.Mix[0] || unsafe.StringData(a.Event.Key) == unsafe.StringData(b.Event.Key) {
+		t.Error("two events share a mix slice or a key")
 	}
 }

@@ -56,11 +56,17 @@ func seedOf(name string) uint64 {
 	return h
 }
 
-// catalog is built once at init.
-var catalog []Spec
+// catalog is built once at init, and byName indexes it by name.
+var (
+	catalog []Spec
+	byName  = map[string]int{}
+)
 
 func add(name string, class Class, sensitive bool, f func(seed uint64) trace.Reader) {
 	seed := seedOf(name)
+	if _, dup := byName[name]; !dup {
+		byName[name] = len(catalog)
+	}
 	catalog = append(catalog, Spec{
 		Name:      name,
 		Class:     class,
@@ -296,16 +302,17 @@ func Insensitive() []Spec {
 
 // ByName returns the named spec.
 func ByName(name string) (Spec, error) {
-	for _, s := range catalog {
-		if s.Name == name {
-			return s, nil
-		}
+	if i, ok := byName[name]; ok {
+		return catalog[i], nil
 	}
 	return Spec{}, fmt.Errorf("workload: unknown trace %q", name)
 }
 
 // Known reports whether the catalog has a trace of that name.
-func Known(name string) bool { _, err := ByName(name); return err == nil }
+func Known(name string) bool {
+	_, ok := byName[name]
+	return ok
+}
 
 // Mix is one multicore workload: an ordered list of trace specs, one
 // per core.

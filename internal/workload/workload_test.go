@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -117,6 +118,36 @@ func TestSensitiveInsensitivePartition(t *testing.T) {
 	for _, s := range Insensitive() {
 		if s.Sensitive {
 			t.Errorf("%q in Insensitive but marked sensitive", s.Name)
+		}
+	}
+}
+
+// TestByNameIsTheCatalog: the name index finds, for every catalog name,
+// the entry a scan of the catalog finds — the same name, class,
+// sensitivity and instruction stream — and nothing else: an unknown or
+// differently cased name is refused with the error text it always had.
+func TestByNameIsTheCatalog(t *testing.T) {
+	for _, want := range Catalog() {
+		got, err := ByName(want.Name)
+		if err != nil || !Known(want.Name) {
+			t.Fatalf("ByName(%q): %v, Known %v", want.Name, err, Known(want.Name))
+		}
+		if got.Name != want.Name || got.Class != want.Class || got.Sensitive != want.Sensitive {
+			t.Errorf("ByName(%q) = %+v, the catalog holds %+v", want.Name, got, want)
+		}
+		a, b := got.New(), want.New()
+		for i := 0; i < 4096; i++ {
+			x, okx := a.Next()
+			y, oky := b.Next()
+			if x != y || okx != oky {
+				t.Fatalf("%s: instruction %d is %+v (%v) by name, %+v (%v) in the catalog", want.Name, i, x, okx, y, oky)
+			}
+		}
+	}
+	for _, name := range []string{"nope.nothing", "SPEC06.libquantum", " spec06.libquantum", ""} {
+		_, err := ByName(name)
+		if want := fmt.Sprintf("workload: unknown trace %q", name); err == nil || err.Error() != want || Known(name) {
+			t.Errorf("ByName(%q) = %v (Known %v), want the error %q", name, err, Known(name), want)
 		}
 	}
 }
