@@ -92,12 +92,15 @@ chaos:
 # builds); in the cache layer the set-associative cache against its
 # timestamp-LRU reference model (every lookup, victim, MSHR count and
 # counter equal, over geometries from 1 to 16 ways and 8- to 128-byte
-# lines); in the server layer the result cache's persisted entry files
-# (any bytes under any name are quarantined, or load as one entry under
+# lines); in the server layer the result cache's entry files of the
+# one-file-per-entry layout a start imports into its log (any bytes
+# under any name are quarantined, or load as one entry under
 # a job key equal to the file name that serves its result's JSON) and
 # the key table's cell index (a cell admitted twice gets the key the job
 # path gives it, or is refused with the job path's error and never
-# indexed).
+# indexed); in the persist layer a store's log as any bytes (every
+# non-empty line loads under the key it claims or is quarantined byte
+# for byte, and a save on top survives a restart).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -110,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreLog$$' -fuzztime 10s ./internal/persist
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells

@@ -227,13 +227,13 @@ func (c *Client) streamOnce(ctx context.Context, id string, seen *seenCells, dec
 	// events, and doubles it only for a longer line.
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, streamLineMax)
+	var l sweep.Line
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes()) // no copy: the decoder copies what it keeps
 		if len(line) == 0 {
 			continue
 		}
-		l, perr := dec.Parse(line)
-		if perr != nil {
+		if perr := dec.Parse(line, &l); perr != nil {
 			return view, false, progressed, fmt.Errorf("stream sweep %s: bad line: %w", id, perr)
 		}
 		if l.End {

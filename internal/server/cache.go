@@ -151,28 +151,29 @@ func (c *resultCache) addLocked(key string) uint32 {
 	return h
 }
 
-// put stores a completed result and returns the entry's JSON. First
-// write wins: identical keys mean identical simulations, so a
-// concurrent duplicate (only possible after a failed job was retried)
-// carries the same payload. A result that does not encode (a NaN
-// metric) is not stored: it could be neither persisted nor served.
-func (c *resultCache) put(key string, res JobResult) (json.RawMessage, error) {
+// put stores a completed result and returns the entry's JSON, and
+// whether this call stored it. First write wins: identical keys mean
+// identical simulations, so a concurrent duplicate (only possible after
+// a failed job was retried) carries the same payload. A result that
+// does not encode (a NaN metric) is not stored: it could be neither
+// persisted nor served.
+func (c *resultCache) put(key string, res JobResult) (raw json.RawMessage, stored bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.index[key]
 	if ok && c.entries[h].raw != nil {
-		return c.entries[h].raw, nil
+		return c.entries[h].raw, false, nil
 	}
-	raw, err := json.Marshal(res)
+	raw, err = json.Marshal(res)
 	if err != nil {
-		return nil, fmt.Errorf("encode result: %w", err)
+		return nil, false, fmt.Errorf("encode result: %w", err)
 	}
 	if !ok {
 		h = c.addLocked(key)
 	}
 	c.entries[h].res, c.entries[h].raw = res, raw
 	c.results++
-	return raw, nil
+	return raw, true, nil
 }
 
 // size returns the number of distinct cached results.

@@ -681,9 +681,12 @@ func TestCachePutRefusesNonKeys(t *testing.T) {
 		}
 		return nil
 	})
-	want := []string{filepath.Join(cacheDir, good+".json")}
+	want := []string{filepath.Join(cacheDir, "records.log")}
 	if !reflect.DeepEqual(files, want) {
 		t.Errorf("files under %s = %v, want only %v", root, files, want)
+	}
+	if recs := latestLines(t, cacheDir, "key"); len(recs) != 1 || recs[good] == nil {
+		t.Errorf("the log holds %d records, want just the job key's", len(recs))
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -138,11 +136,12 @@ func TestEntryWithoutResultIsInvisible(t *testing.T) {
 	}
 
 	a.kill() // flushes the mirror
-	if _, err := os.Stat(filepath.Join(dir, bare+".json")); !os.IsNotExist(err) {
-		t.Errorf("the disk mirror holds the bare key: %v", err)
+	recs := latestLines(t, dir, "key")
+	if recs[bare] != nil {
+		t.Errorf("the disk mirror holds the bare key: %s", recs[bare])
 	}
-	if _, err := os.Stat(filepath.Join(dir, full+".json")); err != nil {
-		t.Errorf("the disk mirror lacks the stored result: %v", err)
+	if recs[full] == nil {
+		t.Error("the disk mirror lacks the stored result")
 	}
 	srv := mustNew(t, Config{Workers: 1, CacheDir: dir})
 	defer srv.Close()

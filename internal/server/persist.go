@@ -16,17 +16,31 @@ var (
 	faultPersistRead  = faultinject.New("server/cache/persist-read")
 )
 
-// persistEntry is the on-disk form of one cached result, stored as
-// <CacheDir>/<key>.json. Key is the full content hash.
+// persistEntry is the on-disk form of one cached result, one line of
+// <CacheDir>/records.log. Key is the full content hash. raw, when set,
+// is Result's JSON as the cache holds it, written in its place rather
+// than encoding Result again.
 type persistEntry struct {
 	Key    string    `json:"key"`
 	Result JobResult `json:"result"`
+	raw    json.RawMessage
+}
+
+// MarshalJSON writes the bytes json.Marshal writes for Key and Result.
+func (e persistEntry) MarshalJSON() ([]byte, error) {
+	if e.raw == nil {
+		type plain persistEntry // without this method
+		return json.Marshal(plain(e))
+	}
+	b := make([]byte, 0, len(`{"key":,"result":}`)+len(e.Key)+2+len(e.raw))
+	b = sweep.AppendString(append(b, `{"key":`...), e.Key)
+	return append(append(append(b, `,"result":`...), e.raw...), '}'), nil
 }
 
 // openPersist opens the result cache's disk mirror and replays it into
 // the cache through storeResult, so a restart serves previously
-// simulated specs as hits and a file storeResult refuses (its key is no
-// job key) is quarantined. The mirror is not yet attached while it
+// simulated specs as hits and a record storeResult refuses (its key is
+// no job key) is quarantined. The mirror is not yet attached while it
 // loads, so nothing loaded is written back.
 func (s *Server) openPersist() error {
 	st, err := persist.Open(persist.Options[persistEntry]{
@@ -53,15 +67,16 @@ func (s *Server) openPersist() error {
 // openPersist for results the mirror brings back. It returns the entry's
 // JSON (shared, read-only); a result that does not encode is an error,
 // not stored.
-// So is a key that is not a job key: the key names the mirror's file,
-// and a peer's write-back path segment arrives unescaped.
+// So is a key that is not a job key: a peer's write-back path segment
+// arrives unescaped, and the mirror keeps only job keys. Only a result
+// the cache did not hold yet goes to the mirror, as the bytes it holds.
 func (s *Server) storeResult(key string, res JobResult) (json.RawMessage, error) {
 	if !isJobKey(key) {
 		return nil, fmt.Errorf("%q is not a job key", key)
 	}
-	raw, err := s.cache.put(key, res)
-	if err == nil {
-		s.persist.Save(persistEntry{Key: key, Result: res})
+	raw, stored, err := s.cache.put(key, res)
+	if stored {
+		s.persist.Save(persistEntry{Key: key, raw: raw})
 	}
 	return raw, err
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"micromama/internal/persist"
 	"micromama/internal/sweep"
 )
 
@@ -58,9 +59,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if calls1.Load() != 1 {
 		t.Fatalf("first server ran %d simulations, want 1", calls1.Load())
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("persisted files = %v (err %v), want exactly one entry", files, err)
+	if lines := logLines(t, dir); len(lines) != 1 {
+		t.Fatalf("persisted lines = %q, want exactly one entry", lines)
 	}
 
 	// "Restart": a fresh server over the same dir must not re-simulate.
@@ -199,8 +199,8 @@ func TestPersistWriteFault(t *testing.T) {
 	}
 	ts.Close()
 	srv.Close()
-	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
-		t.Errorf("files written despite injected failures: %v", files)
+	if lines := logLines(t, dir); len(lines) != 0 {
+		t.Errorf("records written despite injected failures: %q", lines)
 	}
 }
 
@@ -226,6 +226,13 @@ func TestPersistReadFault(t *testing.T) {
 	if st.CacheLoaded != 0 || st.CacheQuarantined != 1 {
 		t.Fatalf("loaded/quarantined = %d/%d, want 0/1", st.CacheLoaded, st.CacheQuarantined)
 	}
+	// The entry went aside: out of the log, into its quarantine.
+	if lines := logLines(t, dir); len(lines) != 0 {
+		t.Errorf("the log still holds %q", lines)
+	}
+	if q, _ := os.ReadFile(filepath.Join(dir, "records.log.quarantine")); bytes.Count(q, []byte("\n")) != 1 {
+		t.Errorf("quarantine holds %q, want the one entry", q)
+	}
 	// The entry is gone, so the spec re-simulates — availability over
 	// completeness.
 	runOneJob(t, ts2, fakeSpec(1))
@@ -234,38 +241,114 @@ func TestPersistReadFault(t *testing.T) {
 	}
 }
 
-// TestCorruptFileNamesAreSafe ensures quarantine file naming cannot
-// escape the cache dir (a *.json file with path separators cannot exist
-// as a single directory entry, but keys inside entries are attacker
-// influenced — they only ever feed comparisons, never paths).
+// TestCorruptFileNamesAreSafe ensures a key never names a file: keys
+// inside entries are attacker influenced, and they only ever feed
+// comparisons, never paths — whether the entry is a line of the log or
+// a <key>.json file of the one-file-per-entry layout (which is
+// quarantined in place: its name cannot hold a path separator).
 func TestCorruptFileNamesAreSafe(t *testing.T) {
-	dir := t.TempDir()
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "cache")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	evil, _ := json.Marshal(persistEntry{Key: "../../escape", Result: JobResult{}})
 	if err := os.WriteFile(filepath.Join(dir, "dddd.json"), evil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "records.log"), append(evil, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	run, _ := countingRun()
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir, Run: run})
 	defer srv.Close()
-	// The mismatched key is quarantined in place; nothing outside dir.
-	if _, err := os.Stat(filepath.Join(dir, "dddd.json.quarantine")); err != nil {
-		t.Errorf("evil-key entry not quarantined: %v", err)
+	if st := srv.Stats(); st.CacheLoaded != 0 || st.CacheQuarantined != 2 {
+		t.Errorf("loaded/quarantined = %d/%d, want 0/2", st.CacheLoaded, st.CacheQuarantined)
 	}
-	entries, err := os.ReadDir(dir)
+	// Nothing outside dir, and in it only the store's own files: the
+	// quarantined file, the quarantined line and the log without it.
+	var files []string
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return nil
+	})
+	want := []string{filepath.Join(dir, "dddd.json.quarantine"), filepath.Join(dir, "records.log"), filepath.Join(dir, "records.log.quarantine")}
+	if !reflect.DeepEqual(files, want) {
+		t.Errorf("files = %v, want %v", files, want)
+	}
+	if lines := logLines(t, dir); len(lines) != 0 {
+		t.Errorf("the log still holds %q", lines)
+	}
+}
+
+// TestMirrorWritesEachResultOnce: a result's log line is the bytes
+// json.Marshal writes for its key and JobResult, and storing a result
+// the cache already holds — a peer's write-back or a repair pull of a
+// key this node ran — writes nothing.
+func TestMirrorWritesEachResultOnce(t *testing.T) {
+	dir := t.TempDir()
+	srv := mustNew(t, Config{Workers: 1, CacheDir: dir})
+	key := strings.Repeat("0123456789abcdef", sweep.KeyLen/16)
+	res := JobResult{Mix: "spec06.mcf <&> é", Controller: "mumama@jav=4", WS: 1.5, HS: 1e-9,
+		Speedups: []float64{0.5, 1}, IPC: []float64{1.25, 3}, L2MPKI: []float64{12}, Prefetches: 7, SimMs: 3}
+	for range 2 {
+		if _, err := srv.storeResult(key, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close()
+	want, err := json.Marshal(struct {
+		Key    string    `json:"key"`
+		Result JobResult `json:"result"`
+	}{key, res})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ignore the server's own subdirectories (sweeps/); the assertion is
-	// about files: nothing but the quarantined entry may survive.
-	var files []string
-	for _, de := range entries {
-		if !de.IsDir() {
-			files = append(files, de.Name())
+	if lines := logLines(t, dir); len(lines) != 1 || !bytes.Equal(lines[0], want) {
+		t.Errorf("log lines %q, want one line %s", lines, want)
+	}
+	if w := srv.metrics.persist.Writes.Value(); w != 1 {
+		t.Errorf("writes = %d, want 1", w)
+	}
+}
+
+// logLines returns the non-empty lines of the disk mirror's log in dir
+// (none when there is no log).
+func logLines(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, persist.LogName))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var lines [][]byte
+	for _, l := range bytes.Split(b, []byte("\n")) {
+		if len(l) > 0 {
+			lines = append(lines, l)
 		}
 	}
-	if len(files) != 1 || !strings.HasSuffix(files[0], ".quarantine") {
-		t.Errorf("cache dir files = %v, want just the quarantined file", files)
+	return lines
+}
+
+// latestLines returns each record's latest line in the disk mirror's
+// log in dir, by the member that holds its key ("key" for a result,
+// "id" for a sweep).
+func latestLines(t *testing.T, dir, member string) map[string][]byte {
+	t.Helper()
+	latest := map[string][]byte{}
+	for _, l := range logLines(t, dir) {
+		var m map[string]json.RawMessage
+		var key string
+		if err := json.Unmarshal(l, &m); err != nil {
+			t.Fatalf("log line %s: %v", l, err)
+		}
+		if err := json.Unmarshal(m[member], &key); err != nil {
+			t.Fatalf("log line %s: %q: %v", l, member, err)
+		}
+		latest[key] = l
 	}
+	return latest
 }
 
 // TestParentStateResumes: a -cache-dir written by the commit before

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -224,10 +223,11 @@ func TestSameKeyDrainMidRun(t *testing.T) {
 	if err := srv1.Shutdown(expired); !errors.Is(err, context.Canceled) {
 		t.Fatalf("shutdown past its deadline returned %v, want context.Canceled", err)
 	}
+	records := latestLines(t, filepath.Join(dir, "sweeps"), "id")
 	for _, id := range []string{a.ID, b.ID} {
-		raw, err := os.ReadFile(filepath.Join(dir, "sweeps", id+".json"))
-		if err != nil {
-			t.Fatal(err)
+		raw := records[id]
+		if raw == nil {
+			t.Fatalf("sweep %s not persisted", id)
 		}
 		var rec struct {
 			Status []sweep.CellStatus `json:"status"`

@@ -50,9 +50,10 @@ type Config struct {
 	// MaxCores bounds the mix size a job may request (default 16).
 	MaxCores int
 	// CacheDir, when non-empty, mirrors the result cache to disk:
-	// completed results are written behind (atomic tmp+rename) and
-	// restored on startup, so a restart serves previously simulated
-	// specs as cache hits. Corrupt entries are quarantined, not fatal.
+	// completed results are appended behind to CacheDir/records.log (and
+	// sweep state to CacheDir/sweeps/records.log) and restored on
+	// startup, so a restart serves previously simulated specs as cache
+	// hits. Corrupt entries are quarantined, not fatal.
 	CacheDir string
 	// Logger receives structured job-lifecycle logs with per-job request
 	// IDs (see internal/telemetry field conventions). nil discards them;

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -583,8 +584,8 @@ func TestSweepPersistWriteFault(t *testing.T) {
 	if v := scrapeMetric(t, ts, "mama_server_sweep_persist_errors_total"); v < 1 {
 		t.Errorf("mama_server_sweep_persist_errors_total = %v, want >= 1", v)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "sweeps", "*.json")); len(files) != 0 {
-		t.Errorf("sweep records written despite injected failures: %v", files)
+	if lines := logLines(t, filepath.Join(dir, "sweeps")); len(lines) != 0 {
+		t.Errorf("sweep records written despite injected failures: %q", lines)
 	}
 }
 
@@ -620,6 +621,15 @@ func TestSweepPersistReadFault(t *testing.T) {
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "sweeps", "*.quarantine")); len(files) != 1 {
 		t.Errorf("quarantined files = %v, want exactly one", files)
+	}
+	// The record went aside — its latest line, the one Load read — and
+	// the log no longer holds it.
+	q, _ := os.ReadFile(filepath.Join(dir, "sweeps", "records.log.quarantine"))
+	if bytes.Count(q, []byte("\n")) != 1 || !bytes.Contains(q, []byte(sv.ID)) {
+		t.Errorf("quarantine holds %q, want the sweep's one record", q)
+	}
+	if lines := logLines(t, filepath.Join(dir, "sweeps")); len(lines) != 0 {
+		t.Errorf("the log still holds %q", lines)
 	}
 }
 

@@ -115,8 +115,8 @@ func FuzzEventLine(f *testing.F) {
 				t.Fatalf("payload differs from json.Marshal:\n got %s\nwant %s", payload, want)
 			}
 			checkAgainstReference(t, payload)
-			parsed, err := ParseLine(payload)
-			if err != nil {
+			var parsed Line
+			if err := ParseLine(payload, &parsed); err != nil {
 				t.Fatalf("ParseLine(%s): %v", payload, err)
 			}
 			got := parsed.Event

@@ -56,8 +56,9 @@ type Config struct {
 	Exec Exec
 	// MaxCells bounds a single sweep's expansion (default 4096).
 	MaxCells int
-	// Dir, when non-empty, persists sweep state (one JSON file per
-	// sweep) so a restarted server resumes incomplete sweeps.
+	// Dir, when non-empty, persists sweep state (one JSON line per
+	// snapshot of a sweep, appended to Dir/records.log) so a restarted
+	// server resumes incomplete sweeps.
 	Dir string
 	// Registry receives the mama_server_sweep_* instruments; nil uses a
 	// private throwaway registry (tests).

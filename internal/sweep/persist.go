@@ -8,7 +8,7 @@ import (
 
 // Fault-injection sites on the sweep store (see persist.Options): a
 // lost write means a crash before the next successful one replays more
-// cells; a failed read quarantines that sweep's file.
+// cells; a failed read quarantines that sweep's record.
 var (
 	faultSweepPersistWrite = faultinject.New("server/sweep/persist-write")
 	faultSweepPersistRead  = faultinject.New("server/sweep/persist-read")

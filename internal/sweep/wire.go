@@ -95,8 +95,8 @@ type Line struct {
 	Event Event
 }
 
-// ParseLine decodes one line of a result stream in a single validating
-// pass. It accepts what json.Unmarshal accepts for
+// ParseLine decodes one line of a result stream into *l, in a single
+// validating pass. It accepts what json.Unmarshal accepts for
 //
 //	struct {
 //		End   bool  `json:"end"`
@@ -104,7 +104,8 @@ type Line struct {
 //		Event
 //	}
 //
-// and decodes it to the same value: members in any order, unknown
+// and decodes it to the same value, as if into a zero Line (on an error
+// *l is the zero Line): members in any order, unknown
 // members skipped, a repeated member decoded over the earlier one, null
 // leaving a scalar as it was, result kept as the exact bytes of its
 // value (copied once), and bad syntax anywhere in the line — inside
@@ -113,7 +114,7 @@ type Line struct {
 // match exactly, not case-insensitively, so "Cell" is an unknown member.
 // The once-per-stream sweep view is json.Unmarshal's to decode, and so
 // is a string holding an escape or a non-ASCII byte.
-func ParseLine(line []byte) (Line, error) { return parse(line, nil) }
+func ParseLine(line []byte, l *Line) error { return parse(line, l, nil) }
 
 // Decoder reads the lines of one result stream in order: ParseLine with
 // the strings of the previous event at hand. A mix name (by its place in
@@ -132,18 +133,18 @@ type Decoder struct {
 // server's default core limit. Names past it are copied every time.
 const maxRememberedMix = 16
 
-// Parse decodes the stream's next line.
-func (d *Decoder) Parse(line []byte) (Line, error) { return parse(line, d) }
+// Parse decodes the stream's next line into *l, as ParseLine does.
+func (d *Decoder) Parse(line []byte, l *Line) error { return parse(line, l, d) }
 
 // parse is ParseLine, remembering strings in d unless it is nil.
-func parse(line []byte, d *Decoder) (Line, error) {
+func parse(line []byte, l *Line, d *Decoder) error {
 	p := lineParser{b: line, d: d}
-	var l Line
+	*l = Line{}
 	var err error
 	if p.space(); p.peek() == 'n' {
 		err = p.literal("null") // decodes to nothing, as it does for a struct
 	} else {
-		err = p.line(&l)
+		err = p.line(l)
 	}
 	if err == nil {
 		if p.space(); p.i < len(p.b) {
@@ -151,9 +152,9 @@ func parse(line []byte, d *Decoder) (Line, error) {
 		}
 	}
 	if err != nil {
-		return Line{}, err
+		*l = Line{}
 	}
-	return l, nil
+	return err
 }
 
 // maxLineDepth is encoding/json's nesting limit, so a line it would

@@ -83,7 +83,8 @@ func checkAgainstReference(t *testing.T, line []byte) {
 		}
 	}
 	want, wantErr := refParse(ref)
-	got, err := ParseLine(line)
+	var got Line
+	err := ParseLine(line, &got)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("ParseLine(%q) error = %v, encoding/json's = %v", line, err, wantErr)
 	}
@@ -122,8 +123,8 @@ func TestWireBytesDoNotMove(t *testing.T) {
 	events, ends := 0, 0
 	for _, payload := range streamFixture(t) {
 		checkAgainstReference(t, payload)
-		l, err := ParseLine(payload)
-		if err != nil {
+		var l Line
+		if err := ParseLine(payload, &l); err != nil {
 			t.Fatal(err)
 		}
 		if l.End {
@@ -182,8 +183,8 @@ func TestCodecCoversEveryField(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("AppendEvent\n got %s\nwant %s", got, want)
 	}
-	l, err := ParseLine(got)
-	if err != nil || !reflect.DeepEqual(l.Event, ev) {
+	var l Line
+	if err := ParseLine(got, &l); err != nil || !reflect.DeepEqual(l.Event, ev) {
 		t.Fatalf("ParseLine(%s) = %+v, %v; want %+v", got, l.Event, err, ev)
 	}
 }
@@ -282,7 +283,8 @@ func TestParseLine(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkAgainstReference(t, []byte(tc.line))
-			l, err := ParseLine([]byte(tc.line))
+			var l Line
+			err := ParseLine([]byte(tc.line), &l)
 			if tc.bad {
 				if err == nil {
 					t.Fatalf("accepted, as %+v", l)
@@ -305,8 +307,8 @@ func TestParseLineCopiesWhatItKeeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseLine(line)
-	if err != nil {
+	var got Line
+	if err := ParseLine(line, &got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range line {
@@ -322,7 +324,8 @@ func TestParseLineCopiesWhatItKeeps(t *testing.T) {
 func benchEvent(b *testing.B) (Event, []byte) {
 	b.Helper()
 	payload := streamFixture(b)[1]
-	l, err := ParseLine(payload)
+	var l Line
+	err := ParseLine(payload, &l)
 	if err != nil || len(l.Event.Spec.Mix) != 4 || len(l.Event.Result) == 0 {
 		b.Fatalf("fixture event = %+v, %v", l.Event, err)
 	}
@@ -347,12 +350,11 @@ func BenchmarkEventAppend(b *testing.B) {
 func BenchmarkParseLine(b *testing.B) {
 	ev, line := benchEvent(b)
 	var l Line
-	var err error
 	b.SetBytes(int64(len(line)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if l, err = ParseLine(line); err != nil {
+		if err := ParseLine(line, &l); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +368,8 @@ func BenchmarkParseLine(b *testing.B) {
 // (fixture cell 3), about 470 bytes.
 func benchSingleEvent(b *testing.B) (Event, []byte) {
 	b.Helper()
-	l, err := ParseLine(streamFixture(b)[3])
+	var l Line
+	err := ParseLine(streamFixture(b)[3], &l)
 	if err != nil || len(l.Event.Spec.Mix) != 1 || len(l.Event.Result) == 0 {
 		b.Fatalf("fixture event = %+v, %v", l.Event, err)
 	}
@@ -382,12 +385,11 @@ func BenchmarkParseLineSingle(b *testing.B) {
 	ev, line := benchSingleEvent(b)
 	var d Decoder
 	var l Line
-	var err error
 	b.SetBytes(int64(len(line)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if l, err = d.Parse(line); err != nil {
+		if err := d.Parse(line, &l); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,9 +420,10 @@ func TestDecoderMatchesParseLine(t *testing.T) {
 	for _, first := range corpus {
 		for _, second := range corpus {
 			var d Decoder
-			d.Parse(first)
-			got, err := d.Parse(second)
-			want, wantErr := ParseLine(second)
+			var got, want Line
+			d.Parse(first, &got)
+			err := d.Parse(second, &got)
+			wantErr := ParseLine(second, &want)
 			if (err == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("after %s, the decoder read %s as %+v (%v); ParseLine as %+v (%v)", first, second, got, err, want, wantErr)
 			}
@@ -428,8 +431,9 @@ func TestDecoderMatchesParseLine(t *testing.T) {
 	}
 
 	var d Decoder
-	a, _ := d.Parse(corpus[0])
-	b, _ := d.Parse(corpus[1])
+	var a, b Line
+	d.Parse(corpus[0], &a)
+	d.Parse(corpus[1], &b)
 	if unsafe.StringData(a.Event.Spec.Mix[0]) != unsafe.StringData(b.Event.Spec.Mix[0]) ||
 		unsafe.StringData(a.Event.Spec.Controller) != unsafe.StringData(b.Event.Spec.Controller) ||
 		unsafe.StringData(a.Event.Spec.Scale) != unsafe.StringData(b.Event.Spec.Scale) {

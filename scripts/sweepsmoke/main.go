@@ -52,8 +52,8 @@ func dump(ctx context.Context, c *client.Client, id string) (map[int]sweep.Event
 		if len(line) == 0 {
 			continue
 		}
-		l, err := sweep.ParseLine(line)
-		if err != nil {
+		var l sweep.Line
+		if err := sweep.ParseLine(line, &l); err != nil {
 			return nil, sweep.View{}, fmt.Errorf("bad line %q: %w", line, err)
 		}
 		if l.End {
