@@ -69,20 +69,18 @@ race:
 # deterministic, so a red run reproduces exactly from the same seed.
 # The second line repeats the same-key tests (one content key wanted by
 # two sweeps, an interactive job, a cell out on a peer — see
-# samekey_test.go) and the suspect-peer routing test (a late boot-time
-# repair goroutine races it) twenty times: what they pin depends on the
-# schedule, so one pass proves little.
+# samekey_test.go) and the unhealthy-peer routing test (boot-time
+# repairs and write-backs run beside it) twenty times: what they pin
+# depends on the schedule, so one pass proves little.
 chaos:
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
 		$(GO) test -race -count=1 ./internal/faultinject ./internal/cluster ./internal/server ./internal/client ./internal/sweep
 	MAMA_FAULTS="server/worker/slow=every:5" MAMA_FAULTS_SEED=7 \
-		$(GO) test -race -count=20 -run '^(TestSameKey.*|TestSuspectPeerIsSkipped)$$' ./internal/server
+		$(GO) test -race -count=20 -run '^(TestSameKey.*|TestUnhealthyPeerIsSkipped)$$' ./internal/server
 
 # Ten seconds of coverage-guided fuzzing per target on the parsers of
 # untrusted shape: in the trace layer the run-length packer (pack then
-# expand is the identity, through every read surface); in the cluster layer the X-Mama-Gossip
-# header any client can send (it fails to decode or applies without a
-# panic, and the node stays alive in its own ring); in the sweep layer
+# expand is the identity, through every read surface); in the sweep layer
 # the POST /v1/sweeps body (Expand and ID never panic, stay inside the
 # cell budget and are deterministic) and the result stream's line codec
 # (the encoder byte for byte what json.Marshal would emit, the parser
@@ -105,7 +103,6 @@ chaos:
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 10s ./internal/sweep
@@ -126,15 +123,15 @@ sweep-smoke:
 	@$(GO) run ./scripts/sweepsmoke > sweep-smoke.out 2>&1; st=$$?; \
 		cat sweep-smoke.out; exit $$st
 
-# Three sharded in-process nodes (gossip membership) driven end to
+# Three sharded in-process nodes (one fixed peer list) driven end to
 # end: a cold sweep submitted to node A is routed across the
 # consistent-hash ring (every cell simulated exactly once
 # cluster-wide), the same cells resubmitted to node C complete with
 # zero new simulations served by cross-shard cache fetches, then a
-# churn phase kills node B mid-sweep (confirm-dead + exactly-once
-# completion on the survivors) and restarts it (gossip rejoin with a
-# bumped incarnation, anti-entropy cache repair, warm resubmission
-# with zero new simulations). Last, on a second trio with the default
+# churn phase kills node B mid-sweep (exactly-once completion on the
+# survivors, simulations per cell printed) and restarts it (/healthz
+# answered, boot repair settled, warm resubmission with zero new
+# simulations). Last, on a second trio with the default
 # per-peer slots, a sweep whose every cell is owned by the node that
 # receives it must put all three nodes to work (the per-node simulation
 # counts are printed and must add up to the cells). See
@@ -202,8 +199,7 @@ bench-check:
 # The default gate: compile everything (for Windows and macOS too),
 # lint (vet + staticcheck when available), check formatting, run the test suite, re-run it under the
 # race detector, run the chaos suite with fault injection enabled,
-# fuzz the trace packer, the gossip-header decoder,
-# the sweep spec, the stream's line encoder and parser, the controller
+# fuzz the trace packer, the sweep spec, the stream's line encoder and parser, the controller
 # key and the cache against its reference for ten seconds each,
 # drive a real
 # sweep, the 3-node cluster, the controller tournament and every

@@ -62,16 +62,12 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "structured-log level: debug|info|warn|error")
 		logFormat  = flag.String("log-format", "text", "structured-log format: text|json")
 
-		// Cluster membership (see docs/ARCHITECTURE.md, "Cluster &
-		// sharding"). A node is clustered iff -advertise is set; -peers
-		// and -join only say where membership starts. The live member set
-		// is maintained by the SWIM failure detector, so a node can die,
-		// rejoin, or be added without restarting the rest.
-		advertise   = flag.String("advertise", "", "this node's URL as peers reach it (e.g. http://10.0.0.5:8077); setting it makes the node one member of a sharded cluster")
-		peers       = flag.String("peers", "", "comma-separated peer URLs assumed alive at boot (include or omit this node; it is added automatically); the live set evolves from there by gossip")
-		join        = flag.String("join", "", "comma-separated URLs of existing cluster nodes to join via gossip; unlike -peers they are contacted, not assumed — membership comes from what they answer")
-		gossipEvery = flag.Duration("gossip-interval", time.Second, "SWIM probe interval (must be positive)")
-		suspectT    = flag.Duration("suspect-timeout", 0, "how long a suspected peer has to refute before it is confirmed dead (0 = 5x gossip-interval)")
+		// Cluster membership (see docs/ARCHITECTURE.md, "Membership and
+		// health"). A node is clustered iff -advertise is set, and the
+		// members are -peers, fixed for the life of the process: adding a
+		// node is a restart of every node with the longer list.
+		advertise = flag.String("advertise", "", "this node's URL as peers reach it (e.g. http://10.0.0.5:8077); setting it makes the node one member of a sharded cluster")
+		peers     = flag.String("peers", "", "comma-separated URLs of every cluster member, the same list on every node (this node may be included or omitted; it is added automatically)")
 	)
 	flag.Parse()
 
@@ -79,29 +75,16 @@ func main() {
 
 	var cl *cluster.Cluster
 	if *advertise != "" {
-		if *gossipEvery <= 0 {
-			fmt.Fprintln(os.Stderr, "mamaserved: -gossip-interval must be positive: every clustered node runs the failure detector")
-			os.Exit(2)
-		}
-		list, joinSeeds := splitList(*peers), splitList(*join)
 		var err error
-		cl, err = cluster.New(*advertise, list, cluster.Options{})
+		cl, err = cluster.New(*advertise, splitList(*peers), cluster.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mamaserved:", err)
 			os.Exit(1)
 		}
-		// Every bootstrap source doubles as a gossip seed: a restarted
-		// node pings whoever it knew, learns its own tombstone,
-		// and rejoins with a bumped incarnation — no flag changes needed.
-		cl.EnableGossip(cluster.GossipOptions{
-			Interval:       *gossipEvery,
-			SuspectTimeout: *suspectT,
-			Seeds:          append(list, joinSeeds...),
-		})
 		logger.Info("cluster configured", "self", cl.Self(),
-			"peers", len(cl.Peers()), "ring_size", cl.Size(), "seeds", len(list)+len(joinSeeds))
-	} else if *peers != "" || *join != "" {
-		fmt.Fprintln(os.Stderr, "mamaserved: -advertise is required with -peers/-join")
+			"peers", len(cl.Peers()), "ring_size", cl.Size(), "ring_hash", cl.RingHash())
+	} else if *peers != "" {
+		fmt.Fprintln(os.Stderr, "mamaserved: -advertise is required with -peers")
 		os.Exit(2)
 	}
 

@@ -5,9 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,8 +19,8 @@ import (
 // partitioned: the request never leaves the node and the failure is
 // booked against the peer, exactly like a real unreachable host.
 //
-// faultPeerDown makes Healthy report a peer down without any RPC or
-// probe having failed — the "owning shard died" scenario, letting chaos
+// faultPeerDown makes Healthy report a peer down without any RPC
+// having failed — the "owning shard died" scenario, letting chaos
 // tests force the degrade-to-local path deterministically.
 var (
 	faultPartition = faultinject.New("cluster/rpc/partition")
@@ -31,6 +30,14 @@ var (
 // ErrPartitioned marks an RPC suppressed by the partition fault site.
 var ErrPartitioned = fmt.Errorf("cluster: injected partition")
 
+// retryAfter is how long a peer whose last RPC failed in transport is
+// passed over. After it Healthy reads true again, and the next call to
+// the peer is the probe: answered, it clears the mark; failed, it starts
+// the wait over. There is no background prober. One second: a dead peer
+// costs each node about one failed call a second, and a restarted one is
+// used again within a second. A variable only so tests can shrink it.
+var retryAfter = time.Second
+
 // Options tunes a Cluster. Zero values select production defaults.
 type Options struct {
 	// RPCTimeout bounds one peer RPC (default 10s). Job proxying uses
@@ -38,41 +45,35 @@ type Options struct {
 	RPCTimeout time.Duration
 }
 
-// Cluster is one node's view of the peer set: the member table, the
-// ring built from it, and the HTTP client used for peer RPCs. Safe for
-// concurrent use.
-//
-// Membership starts from the bootstrap peer list and evolves at
-// runtime: the SWIM failure detector in gossip.go mutates the member
-// table and every transition rebuilds the ring and swaps it in
-// atomically, so readers always see a complete, internally-consistent
-// ring. The member table is also the one record of peer health (see
-// Healthy).
+// Cluster is one node's view of the peer set: the peer list it was
+// built from, fixed for the life of the process, the ring over it, each
+// peer's last RPC outcome, and the HTTP client used for peer RPCs. Safe
+// for concurrent use.
 type Cluster struct {
-	self  string
-	hc    *http.Client
-	rpcTO time.Duration
+	self     string
+	hc       *http.Client
+	rpcTO    time.Duration
+	ring     *Ring
+	ringHash uint64
+	peers    []string // ring members except self, sorted
 
-	// Membership state. ring/ringHash/version are lock-free snapshots
-	// for the hot routing path; the member table behind them is guarded
-	// by memMu and mutated only in gossip.go.
-	ring     atomic.Pointer[Ring]
-	ringHash atomic.Uint64
-	version  atomic.Uint64
-
-	memMu   sync.Mutex
-	members map[string]*member // peers only, never self
-	selfInc uint64             // this node's incarnation
-
-	hooksMu sync.Mutex
-	hooks   []func(ChangeEvent)
-
-	suspectsCount atomic.Uint64
-	refutes       atomic.Uint64
-	confirmsCount atomic.Uint64
-
-	gossip *gossipState
+	// failedAt holds, per peer, when its last RPC failed in transport
+	// (nanoseconds since born, never 0), or 0 once one was answered. The
+	// map is built in New and only its values change.
+	failedAt map[string]*atomic.Int64
+	born     time.Time
 }
+
+// GossipOptions and EnableGossip do nothing. They are kept only because
+// the benchmark module (bench/mamaload) compiles against this package and
+// still calls cl.EnableGossip(cluster.GossipOptions{Seeds: urls}); both go
+// when bench/ next changes. Membership is the peer list New was given.
+type GossipOptions struct {
+	Seeds []string
+}
+
+// EnableGossip does nothing; see GossipOptions.
+func (c *Cluster) EnableGossip(GossipOptions) {}
 
 // NewTransport returns an http.Transport tuned for cluster traffic:
 // keep-alives on with enough idle connections per peer that a node
@@ -89,12 +90,11 @@ func NewTransport() *http.Transport {
 	}
 }
 
-// New builds a node's cluster view. self must appear in peers (it is
-// added if absent) so every node computes ownership over the identical
-// set. A cluster of one (or an empty peer list) is valid and routes
-// everything to self until gossip brings in more members. The failure
-// detector is built with default GossipOptions and the bootstrap peers
-// as seeds; EnableGossip replaces those before StartGossip.
+// New builds a node's cluster view over a fixed peer list. self is added
+// to peers if absent, so every node given the same list computes
+// ownership over the identical set, whatever its order or spelling. A
+// cluster of one (or an empty peer list) is valid and routes everything
+// to self.
 func New(self string, peers []string, opts Options) (*Cluster, error) {
 	self = NormalizePeer(self)
 	if self == "" {
@@ -105,57 +105,47 @@ func New(self string, peers []string, opts Options) (*Cluster, error) {
 	}
 	ring := NewRing(append([]string{self}, peers...), 0)
 	c := &Cluster{
-		self:    self,
-		hc:      &http.Client{Transport: NewTransport()},
-		rpcTO:   opts.RPCTimeout,
-		members: make(map[string]*member),
+		self:     self,
+		hc:       &http.Client{Transport: NewTransport()},
+		rpcTO:    opts.RPCTimeout,
+		ring:     ring,
+		ringHash: hash64(strings.Join(ring.Peers(), ",")),
+		failedAt: make(map[string]*atomic.Int64),
+		born:     time.Now(),
 	}
-	// Bootstrap peers enter the table alive at incarnation 0; the ring
-	// over them is identical on every node that holds the same list.
 	for _, p := range ring.Peers() {
 		if p != self {
-			c.members[p] = &member{inc: 0, state: StateAlive}
+			c.peers = append(c.peers, p)
+			c.failedAt[p] = new(atomic.Int64)
 		}
 	}
-	c.ring.Store(ring)
-	c.ringHash.Store(hash64(joinPeers(ring.Peers())))
-	c.version.Store(1)
-	c.gossip = &gossipState{
-		c:    c,
-		rng:  rand.New(rand.NewSource(int64(hash64(self)))), // deterministic per node
-		stop: make(chan struct{}),
-	}
-	c.EnableGossip(GossipOptions{Seeds: peers})
 	return c, nil
 }
 
 // Self returns this node's normalized advertised URL.
 func (c *Cluster) Self() string { return c.self }
 
-// Peers returns every current ring member except self.
-func (c *Cluster) Peers() []string {
-	peers := c.ring.Load().Peers()
-	out := make([]string, 0, len(peers))
-	for _, p := range peers {
-		if p != c.self {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// Peers returns every ring member except self, sorted. Callers must not
+// mutate it.
+func (c *Cluster) Peers() []string { return c.peers }
 
 // Size returns the total ring membership including self.
-func (c *Cluster) Size() int { return len(c.ring.Load().Peers()) }
+func (c *Cluster) Size() int { return len(c.ring.Peers()) }
+
+// RingHash returns a stable hash of the sorted ring membership: equal on
+// every node given the same peer list.
+func (c *Cluster) RingHash() uint64 { return c.ringHash }
 
 // Owner returns the peer owning a routing key. Job routing hashes the
 // key's 16-hex-digit prefix — exactly the digits embedded in the job
 // ID — so ownership is computable both from a full job key and from a
-// bare job ID (see OwnerOfJobID).
+// bare job ID (see OwnerOfJobID). It is a pure function of the key and
+// the peer list: a peer's health never moves a key.
 func (c *Cluster) Owner(key string) string {
 	if len(key) > 16 {
 		key = key[:16]
 	}
-	return c.ring.Load().Owner(key)
+	return c.ring.Owner(key)
 }
 
 // OwnerOfJobID routes a job ID ("j" + 16 hex digits of the key): the
@@ -171,33 +161,37 @@ func (c *Cluster) OwnerOfJobID(id string) string {
 // IsSelf reports whether a peer URL names this node.
 func (c *Cluster) IsSelf(peer string) bool { return NormalizePeer(peer) == c.self }
 
-// Contains reports whether a URL is in the current ring (self
-// included). During membership convergence two nodes can briefly
-// disagree on this; callers that need agreement (e.g. anti-entropy
-// repair) should retry rather than trust one snapshot.
-func (c *Cluster) Contains(peer string) bool {
-	peer = NormalizePeer(peer)
-	for _, p := range c.ring.Load().Peers() {
-		if p == peer {
-			return true
-		}
-	}
-	return false
-}
-
-// Healthy reports whether routing should use a peer: the failure
-// detector holds it alive and the last RPC to it did not fail. One
-// failed RPC sidelines the peer at once and makes it the next probe
-// target, so within one gossip interval it is either answering again
-// or on its way to confirmed dead; there is no threshold or cooldown.
+// Healthy reports whether routing should use a peer: it is in the peer
+// list and its last RPC did not fail in transport, or failed at least
+// retryAfter ago. One failed RPC sidelines the peer at once; one
+// answered RPC restores it at once.
 func (c *Cluster) Healthy(peer string) bool {
 	if faultPeerDown.Fire() {
 		return false
 	}
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	m, ok := c.members[peer]
-	return ok && m.state == StateAlive && !m.rpcFailed
+	f, ok := c.failedAt[peer]
+	if !ok {
+		return false
+	}
+	at := f.Load()
+	return at == 0 || time.Duration(c.since()-at) >= retryAfter
+}
+
+// since is the failedAt clock: monotonic, and never 0.
+func (c *Cluster) since() int64 { return int64(time.Since(c.born)) + 1 }
+
+// record books the transport outcome of one peer RPC (DoTimeout is the
+// only caller). A URL outside the peer list has no health to record:
+// Healthy already rejects it.
+func (c *Cluster) record(peer string, failed bool) {
+	f, ok := c.failedAt[peer]
+	switch {
+	case !ok:
+	case failed:
+		f.Store(c.since())
+	case f.Load() != 0:
+		f.Store(0)
+	}
 }
 
 // Do performs one peer RPC: method+path against the peer's base URL,
@@ -218,7 +212,7 @@ func (c *Cluster) DoTimeout(parent context.Context, peer, method, path string, b
 	// own timeout does count.
 	fail := func(err error) (int, []byte, error) {
 		if parent.Err() == nil {
-			c.setRPCFailed(peer, true)
+			c.record(peer, true)
 		}
 		return 0, nil, err
 	}
@@ -239,9 +233,6 @@ func (c *Cluster) DoTimeout(parent context.Context, peer, method, path string, b
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set(HeaderForwarded, "1")
-	if g := c.GossipHeaderValue(); g != "" {
-		req.Header.Set(HeaderGossip, g)
-	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return fail(err)
@@ -253,10 +244,7 @@ func (c *Cluster) DoTimeout(parent context.Context, peer, method, path string, b
 	}
 	// Any HTTP answer means the peer process is alive; 4xx/5xx are its
 	// considered opinion, not a transport failure.
-	c.setRPCFailed(peer, false)
-	// Ordinary cluster traffic doubles as a gossip channel: merge the
-	// peer's piggybacked member table.
-	c.ApplyGossipHeader(resp.Header.Get(HeaderGossip))
+	c.record(peer, false)
 	return resp.StatusCode, b, nil
 }
 

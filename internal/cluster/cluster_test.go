@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,29 +23,28 @@ func enableFault(t *testing.T, site, rule string) (restore func()) {
 	return restore
 }
 
-// startIdlePeers boots n live nodes that answer gossip RPCs but whose
-// own loops sleep for an hour, and returns their URLs: peers for a
-// Cluster whose detector the test drives by hand.
-func startIdlePeers(t *testing.T, n int) []string {
+// startPeers boots n peers that answer every request 200 and returns
+// their URLs and a count of the requests they served.
+func startPeers(t *testing.T, n int) ([]string, *atomic.Int32) {
 	t.Helper()
+	var hits atomic.Int32
 	urls := make([]string, n)
 	for i := range urls {
-		ln := listenLocal(t)
-		urls[i] = "http://" + ln.Addr().String()
-		startGossipNode(t, urls[i], nil, ln, GossipOptions{Interval: time.Hour})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+		}))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
 	}
-	return urls
+	return urls, &hits
 }
 
-func memberState(t *testing.T, c *Cluster, peer string) MemberState {
-	t.Helper()
-	for _, m := range c.Members() {
-		if m.URL == peer {
-			return m.State
-		}
-	}
-	t.Fatalf("%s is not in the member table %+v", peer, c.Members())
-	return ""
+// setRetryAfter sets how long a failed peer is passed over for the rest
+// of the test.
+func setRetryAfter(t *testing.T, d time.Duration) {
+	saved := retryAfter
+	retryAfter = d
+	t.Cleanup(func() { retryAfter = saved })
 }
 
 // failOneRPC fails exactly one c.Do against peer at the partition site.
@@ -58,13 +57,59 @@ func failOneRPC(t *testing.T, c *Cluster, peer string) {
 	}
 }
 
+// TestRingAgreement: membership is the -peers list, so every node given
+// that list, in any order, spelled with or without trailing slashes,
+// with or without itself, builds the same ring — the same RingHash and
+// the same Owner for every key. This is what lets a cluster agree on
+// ownership without exchanging a message.
+func TestRingAgreement(t *testing.T) {
+	urls := []string{"http://10.0.0.1:8077", "http://10.0.0.2:8077", "http://10.0.0.3:8077"}
+	keys := keysN(10000)
+	ref, err := New(urls[0], urls, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i, self := range urls {
+		others := make([]string, 0, len(urls)-1)
+		for _, u := range urls {
+			if u != self {
+				others = append(others, u)
+			}
+		}
+		permuted := append([]string(nil), urls...)
+		rng.Shuffle(len(permuted), func(a, b int) { permuted[a], permuted[b] = permuted[b], permuted[a] })
+		slashed := make([]string, len(permuted))
+		for j, u := range permuted {
+			slashed[j] = u + "/"
+		}
+		for name, list := range map[string][]string{
+			"permuted": permuted, "without self": others, "trailing slashes": slashed,
+		} {
+			c, err := New(self+"/", list, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.RingHash() != ref.RingHash() || c.Size() != len(urls) || len(c.Peers()) != len(urls)-1 {
+				t.Fatalf("node %d, %s: ring_hash %x size %d peers %v; want %x, %d and the other two",
+					i, name, c.RingHash(), c.Size(), c.Peers(), ref.RingHash(), len(urls))
+			}
+			for _, k := range keys {
+				if got, want := c.Owner(k), ref.Owner(k); got != want {
+					t.Fatalf("node %d, %s: Owner(%s) = %s, want %s", i, name, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestFailedRPCSidelinesPeerAtOnce: one failed RPC — no threshold —
-// makes a peer unhealthy while the detector still holds it alive, and
-// puts it at the head of the probe order; the answered probe makes it
-// healthy again — no cooldown. Every peer takes a turn as the victim, so
-// the shuffled round-robin order cannot pass for the fast lane.
+// makes that peer unhealthy and leaves every other peer healthy. Every
+// peer takes a turn as the victim. A URL outside the peer list is never
+// healthy.
 func TestFailedRPCSidelinesPeerAtOnce(t *testing.T) {
-	urls := startIdlePeers(t, 3)
+	setRetryAfter(t, time.Hour)
+	urls, _ := startPeers(t, 3)
 	for _, victim := range urls {
 		c, err := New("http://self:1", urls, Options{})
 		if err != nil {
@@ -76,55 +121,47 @@ func TestFailedRPCSidelinesPeerAtOnce(t *testing.T) {
 				t.Fatalf("after one failed RPC to %s: Healthy(%s) = %v, want %v", victim, p, got, want)
 			}
 		}
-		if st := memberState(t, c, victim); st != StateAlive {
-			t.Fatalf("a failed RPC moved the member to %q; only probes may", st)
-		}
-		if got := c.gossip.nextTarget(); got != victim {
-			t.Fatalf("next probe target = %s, want the peer whose RPC failed (%s)", got, victim)
-		}
-		c.gossip.probeOnce()
-		if !c.Healthy(victim) {
-			t.Fatal("an answered probe did not make the peer healthy again")
-		}
-		if got := c.rpcFailedPeer(); got != "" {
-			t.Fatalf("%s still in the probe fast lane after its probe was answered", got)
-		}
+	}
+	c, _ := New("http://self:1", urls, Options{})
+	if c.Healthy("http://stranger:1") || c.Healthy(c.Self()) {
+		t.Error("a URL outside the peer list reads healthy")
 	}
 }
 
-// TestFailedPeerRecoversThroughProbe follows a sidelined peer through
-// both probe verdicts: an unanswered probe turns the failed RPC into an
-// ordinary suspicion (still unhealthy, no longer jumping the probe
-// queue), and the next answered probe clears suspicion and RPC mark in
-// one step.
+// TestFailedPeerRecoversThroughProbe: with no other traffic a sidelined
+// peer reads healthy again once retryAfter has passed — nothing probes
+// it in the background — and the next call to it is the probe: failed,
+// it sidelines the peer again at once; answered, it clears the mark at
+// once, whatever retryAfter is.
 func TestFailedPeerRecoversThroughProbe(t *testing.T) {
-	peer := startIdlePeers(t, 1)[0]
-	c, err := New("http://self:1", []string{peer}, Options{})
+	urls, hits := startPeers(t, 1)
+	peer := urls[0]
+	c, err := New("http://self:1", urls, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	setRetryAfter(t, 20*time.Millisecond)
 	failOneRPC(t, c, peer)
-
-	// Two nodes, so no relay: a dropped direct ping is a failed probe.
-	restore := enableFault(t, "cluster/gossip/probe-drop", "always")
-	c.gossip.probeOnce()
-	restore()
-	if st := memberState(t, c, peer); st != StateSuspect {
-		t.Fatalf("member state after an unanswered probe = %q, want suspect", st)
+	for deadline := time.Now().Add(5 * time.Second); !c.Healthy(peer); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a failed peer never read healthy again after retryAfter")
+		}
 	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("the peer served %d requests while it waited out retryAfter, want 0", n)
+	}
+
+	retryAfter = time.Hour
+	failOneRPC(t, c, peer) // the probe fails
 	if c.Healthy(peer) {
-		t.Fatal("a suspect peer reads healthy")
+		t.Fatal("a failed probe left the peer healthy")
 	}
-	if got := c.rpcFailedPeer(); got != "" {
-		t.Fatalf("suspect %s still jumps the probe queue", got)
-	}
-
-	c.gossip.probeOnce()
-	if st := memberState(t, c, peer); st != StateAlive {
-		t.Fatalf("member state after an answered probe = %q, want alive", st)
+	if code, _, err := c.Do(context.Background(), peer, http.MethodGet, "/x", nil); err != nil || code != http.StatusOK {
+		t.Fatalf("Do = (%d, %v), want (200, nil)", code, err)
 	}
 	if !c.Healthy(peer) {
-		t.Fatal("an answered probe did not clear the failed-RPC mark")
+		t.Fatal("an answered RPC did not clear the mark at once")
 	}
 }
 
@@ -167,9 +204,8 @@ func TestDoRecordsRPCOutcome(t *testing.T) {
 
 // TestCallerCancelIsNotPeerFailure: an RPC that ends because its caller
 // gave up (a client that hung up, the node shutting down) is no
-// evidence about the peer — Healthy stays true and the member table is
-// untouched — while the call's own timeout against the same silent peer
-// does count.
+// evidence about the peer — Healthy stays true — while the call's own
+// timeout against the same silent peer does count.
 func TestCallerCancelIsNotPeerFailure(t *testing.T) {
 	arrived := make(chan struct{}, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +218,6 @@ func TestCallerCancelIsNotPeerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.Members()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -194,12 +229,6 @@ func TestCallerCancelIsNotPeerFailure(t *testing.T) {
 	}
 	if !c.Healthy(ts.URL) {
 		t.Fatal("the caller's cancellation was booked against the peer")
-	}
-	if got := c.Members(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("member table changed: %+v, was %+v", got, before)
-	}
-	if got := c.rpcFailedPeer(); got != "" {
-		t.Fatalf("%s queued for a priority probe by its caller's cancellation", got)
 	}
 
 	if _, _, err := c.Do(context.Background(), ts.URL, http.MethodGet, "/x", nil); err == nil {

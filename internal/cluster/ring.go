@@ -3,22 +3,17 @@
 // job key), so the cluster layer is thin and stateless: a consistent-
 // hash ring assigns every job key an owning peer, any node accepts any
 // request and routes it to the owner, and one health verdict per peer
-// (Healthy: the failure detector's state plus the last RPC outcome) lets
-// the serving path degrade to local compute the moment a peer stops
-// answering — a partition slows the cluster down, it never surfaces
-// errors to clients.
+// (Healthy: the outcome of the last RPC to it) lets the serving path
+// degrade to local compute the moment a peer stops answering — a
+// partition slows the cluster down, it never surfaces errors to
+// clients.
 //
-// Membership is seeded from the command line and maintained at runtime
-// by a SWIM-style failure detector (gossip.go): probes suspect
-// unresponsive peers, suspects that fail to refute are confirmed dead
-// and leave the ring, and rejoining nodes announce themselves with a
-// bumped incarnation. Every gossip message, and every peer request and
-// server response, carries the sender's whole member table: at the
-// size this cluster runs it is a few hundred bytes, so no claim needs a
-// retransmit budget or a separate full-state sync. Because ring
-// construction is deterministic (peers are sorted before hashing, vnode
-// points depend only on the peer URL), every node that converges on the
-// same member set computes the identical ring.
+// Membership is the peer list a node is started with, fixed for the
+// life of the process. Ring construction is deterministic (peers are
+// normalized and sorted before hashing, vnode points depend only on the
+// peer URL), so every node given the same list computes the identical
+// ring. Two nodes that disagree about who is alive cost at worst a
+// duplicate simulation of a deterministic cell, never a wrong answer.
 package cluster
 
 import (
@@ -43,8 +38,7 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash ring over peer URLs. Immutable once built;
-// rebuilding on membership change is cheap (sort of peers×vnodes
-// points) and remaps only the keys owned by the peers that changed.
+// a ring over a longer list remaps only the keys the new peers take.
 type Ring struct {
 	points []ringPoint
 	peers  []string // sorted, deduplicated
@@ -61,8 +55,7 @@ func hash64(s string) uint64 {
 
 // NewRing builds the ring for a peer list. Peers are normalized
 // (sorted, deduplicated) first, so any permutation of the same list —
-// every node's flag order, the order gossip delivered it in — produces
-// an identical ring. vnodes <= 0 selects DefaultVnodes.
+// every node's flag order — produces an identical ring. vnodes <= 0 selects DefaultVnodes.
 func NewRing(peers []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes

@@ -184,7 +184,7 @@ func (c *resultCache) size() int {
 }
 
 // keysSorted snapshots every cached key in lexicographic order. The
-// anti-entropy repair scan pages through this with a cursor, so the
+// boot repair scan pages through this with a cursor, so the
 // order must be stable across calls on an append-only cache.
 func (c *resultCache) keysSorted() []string {
 	c.mu.RLock()

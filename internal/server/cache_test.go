@@ -35,7 +35,7 @@ func pullPage(tb testing.TB, h http.Handler, req cachePullRequest) cachePullResp
 	return out
 }
 
-// BenchmarkCachePullPage is one anti-entropy page served from a warm
+// BenchmarkCachePullPage is one boot-repair page served from a warm
 // 10 000-entry cache: the middle page of a scan, 256 results. Every
 // page copies and sorts all keys (resultCache.keysSorted), so the cost
 // scales with cache size, not page size.

@@ -41,9 +41,6 @@ func TestFaultSiteCoverage(t *testing.T) {
 		"server/sweep/worker-kill",
 		"cluster/rpc/partition",
 		"cluster/peer/down",
-		"cluster/gossip/probe-drop",
-		"cluster/gossip/partition",
-		"cluster/gossip/flap",
 	}
 	registered := make(map[string]bool)
 	for _, name := range faultinject.Sites() {

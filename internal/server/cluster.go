@@ -12,6 +12,11 @@
 //     dead or partitioned owner degrades to local compute: slower,
 //     never an error.
 //
+//   - Membership and health. The peers are the -peers list, fixed for
+//     the life of the process, and a peer is healthy unless its last
+//     RPC failed in transport less than a retry interval ago (see
+//     cluster.Healthy). Nothing probes in the background.
+//
 //   - Distributed result cache. The owner is the authoritative copy of
 //     a key's result. Sweep admission batch-fetches remote-owned keys
 //     from their owners (one RPC per peer), so a warm cluster dedupes
@@ -36,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,9 +59,7 @@ var errPeerUnavailable = errors.New("cluster: executing peer unavailable")
 // clusterMetrics is the mama_cluster_* instrument set. Aggregate
 // counters feed /v1/stats; the per-peer series (label "peer") feed
 // /metrics so an operator can see which shard is slow, dead, or being
-// farmed for work. The failure detector's own state (member count,
-// membership version, suspicion / refutation / confirm-dead counters)
-// is read from the cluster at scrape time.
+// farmed for work.
 type clusterMetrics struct {
 	reg *telemetry.Registry
 
@@ -67,25 +71,13 @@ type clusterMetrics struct {
 	remoteCells  *telemetry.Counter // sweep cells executed on a peer
 	cacheServed  *telemetry.Counter // cache entries served to peers
 	writebacks   *telemetry.Counter // non-owned results pushed to owners
-	repairPulled *telemetry.Counter // cache entries pulled by anti-entropy repair
+	repairPulled *telemetry.Counter // cache entries pulled by boot repair
 }
 
 func newClusterMetrics(r *telemetry.Registry, c *cluster.Cluster) *clusterMetrics {
 	r.GaugeFunc("mama_cluster_members",
 		"Current ring membership including self.",
 		func() float64 { return float64(c.Size()) })
-	r.GaugeFunc("mama_cluster_membership_version",
-		"Node-local membership version, bumped once per atomic ring transition.",
-		func() float64 { return float64(c.MembershipVersion()) })
-	r.CounterFunc("mama_cluster_suspect_total",
-		"Members this node has suspected (locally or via gossip).",
-		func() uint64 { n, _, _ := c.GossipCounts(); return n })
-	r.CounterFunc("mama_cluster_refute_total",
-		"Suspicions about this node it refuted by bumping its incarnation.",
-		func() uint64 { _, n, _ := c.GossipCounts(); return n })
-	r.CounterFunc("mama_cluster_confirm_dead_total",
-		"Members confirmed dead (suspect timeout expired or learned via gossip).",
-		func() uint64 { _, _, n := c.GossipCounts(); return n })
 	return &clusterMetrics{
 		reg: r,
 		proxied: r.Counter("mama_cluster_proxied_total",
@@ -105,7 +97,7 @@ func newClusterMetrics(r *telemetry.Registry, c *cluster.Cluster) *clusterMetric
 		writebacks: r.Counter("mama_cluster_writebacks_total",
 			"Results computed off-owner and pushed back to the owning peer."),
 		repairPulled: r.Counter("mama_cluster_repair_pulled_total",
-			"Cache entries pulled from previous owners by anti-entropy repair."),
+			"Cache entries this node pulled back from peers at boot."),
 	}
 }
 
@@ -127,18 +119,15 @@ var longPollWait = 2 * time.Second
 // closes.
 const earlyReleasePause = 100 * time.Millisecond
 
-// clusterState is the per-server cluster runtime: the ring and member
-// view and the remote-execution slots.
+// clusterState is the per-server cluster runtime: the cluster view and
+// the remote-execution slots.
 type clusterState struct {
 	s *Server
 	c *cluster.Cluster
 	m *clusterMetrics
 
-	sem       chan struct{} // bounds concurrent remote cell executions
-	peerSlots int           // capacity of each per-peer semaphore
-
-	mu      sync.Mutex
-	peerSem map[string]chan struct{} // per-peer in-flight bound, created on demand
+	sem     chan struct{}            // bounds concurrent remote cell executions
+	peerSem map[string]chan struct{} // per-peer in-flight bound, one per peer
 
 	wg sync.WaitGroup
 }
@@ -150,44 +139,23 @@ func newClusterState(s *Server) *clusterState {
 		peerSlots = cfg.Workers
 	}
 	cs := &clusterState{
-		s:         s,
-		c:         cfg.Cluster,
-		m:         newClusterMetrics(s.reg, cfg.Cluster),
-		sem:       make(chan struct{}, 4*cfg.Workers),
-		peerSlots: peerSlots,
-		peerSem:   make(map[string]chan struct{}),
+		s:       s,
+		c:       cfg.Cluster,
+		m:       newClusterMetrics(s.reg, cfg.Cluster),
+		sem:     make(chan struct{}, 4*cfg.Workers),
+		peerSem: make(map[string]chan struct{}),
 	}
-	// The ring-change hook must be in place before gossip starts (see
-	// start()): a transition observed with no hook would skip repair.
-	cfg.Cluster.OnChange(cs.onRingChange)
+	for _, p := range cfg.Cluster.Peers() {
+		cs.peerSem[p] = make(chan struct{}, peerSlots)
+	}
 	return cs
 }
 
-// peerSlot returns (creating on demand) the in-flight bound for one
-// peer. Created lazily because gossip membership means the peer set is
-// not known at construction time.
-func (cs *clusterState) peerSlot(peer string) chan struct{} {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	ps, ok := cs.peerSem[peer]
-	if !ok {
-		ps = make(chan struct{}, cs.peerSlots)
-		cs.peerSem[peer] = ps
-	}
-	return ps
-}
-
-// start launches the failure detector and one boot-time repair, which
-// stops when the server's base context is cancelled; wait() joins it
-// and any write-back still in flight.
+// start launches the one boot-time repair, which stops when the
+// server's base context is cancelled; wait() joins it and any
+// write-back still in flight. A restarted node pulls back the warm
+// entries it owns from whoever kept serving while it was gone.
 func (cs *clusterState) start() {
-	// Gossip starts here, after newClusterState registered the ring-
-	// change hook, so no transition can be missed.
-	cs.c.StartGossip()
-	// A node repairs itself once at boot: a restarted member pulls back
-	// the warm entries it owns from whoever kept serving while it was
-	// gone (join-only nodes with no bootstrap peers get the same effect
-	// from the onRingChange hook when the synced membership lands).
 	cs.wg.Add(1)
 	go func() {
 		defer cs.wg.Done()
@@ -195,34 +163,7 @@ func (cs *clusterState) start() {
 	}()
 }
 
-func (cs *clusterState) wait() {
-	// Stop gossip first: no new ring transitions (and thus no new
-	// repair goroutines on cs.wg) can start while we join.
-	cs.c.StopGossip()
-	cs.wg.Wait()
-}
-
-// onRingChange reacts to one atomic membership transition (fired
-// synchronously by the cluster layer, possibly from a gossip loop or
-// any request goroutine that merged a piggybacked member table) with
-// anti-entropy repair in the background: every ring change moves some
-// key ranges onto this node, so it batch-pulls the warm cache entries it
-// now owns from the peers that held them. Results are immutable and
-// content-addressed, which makes repair safe to run concurrently with
-// anything.
-func (cs *clusterState) onRingChange(ev cluster.ChangeEvent) {
-	cs.s.log.Info("cluster: membership changed",
-		"version", ev.Version, "members", len(ev.Members),
-		"joined", ev.Joined, "dead", ev.Dead)
-	if cs.s.isDraining() || cs.s.baseCtx.Err() != nil {
-		return
-	}
-	cs.wg.Add(1)
-	go func() {
-		defer cs.wg.Done()
-		cs.repairOwned()
-	}()
-}
+func (cs *clusterState) wait() { cs.wg.Wait() }
 
 // ---------------------------------------------------------------------
 // Interactive request routing
@@ -330,49 +271,74 @@ type cacheLookupResponse[R any] struct {
 // Hits land in the local cache, so the sweep manager's admission-time
 // dedupe marks those cells complete without dispatching anything: a warm
 // cluster serves a resubmitted sweep with zero recomputation no matter
-// which node receives it. Failures are ignored — a missed prefetch only
-// costs a recompute.
+// which node receives it. A key whose owner is unhealthy, or whose
+// owner's lookup failed in transport during this call, is asked of every
+// other healthy peer in one more RPC each: while its owner was away the
+// key ran, and was kept, wherever the coordinator sent it. Other failures
+// are ignored — a missed prefetch only costs a recompute.
 func (cs *clusterState) prefetch(ctx context.Context, handles []uint32) {
 	byOwner := make(map[string][]string)
+	var orphans []string
 	for _, h := range handles {
 		key, raw := cs.s.cache.entry(h)
 		if raw != nil {
 			continue
 		}
-		owner := cs.c.Owner(key)
-		if cs.c.IsSelf(owner) {
-			continue
+		switch owner := cs.c.Owner(key); {
+		case cs.c.IsSelf(owner):
+		case cs.c.Healthy(owner):
+			byOwner[owner] = append(byOwner[owner], key)
+		default:
+			orphans = append(orphans, key)
 		}
-		byOwner[owner] = append(byOwner[owner], key)
 	}
 	for owner, keys := range byOwner {
-		if !cs.c.Healthy(owner) {
-			continue
-		}
-		body, err := json.Marshal(cacheLookupRequest{Keys: keys})
-		if err != nil {
-			continue
-		}
-		code, resp, err := cs.c.Do(ctx, owner, http.MethodPost, "/internal/cache/lookup", body)
-		if err != nil || code != http.StatusOK {
-			continue
-		}
-		var out cacheLookupResponse[JobResult]
-		if err := json.Unmarshal(resp, &out); err != nil {
-			continue
-		}
-		for key, res := range out.Results {
-			if _, err := cs.s.storeResult(key, res); err != nil {
-				continue // not a job key (a result decoded from JSON encodes)
-			}
-			cs.m.remoteHits.Inc()
-			cs.m.perPeer("mama_cluster_peer_remote_cache_hits_total",
-				"Results fetched from this peer's cache.", owner)
-		}
-		if miss := len(keys) - len(out.Results); miss > 0 {
-			cs.m.remoteMisses.Add(uint64(miss))
+		if !cs.lookup(ctx, owner, keys) {
+			orphans = append(orphans, keys...)
 		}
 	}
+	for _, peer := range cs.c.Peers() {
+		if len(orphans) == 0 {
+			return
+		}
+		if !cs.c.Healthy(peer) {
+			continue
+		}
+		cs.lookup(ctx, peer, orphans)
+		orphans = slices.DeleteFunc(orphans, func(key string) bool {
+			_, ok := cs.s.cache.get(key)
+			return ok
+		})
+	}
+}
+
+// lookup asks peer for the results of keys in one batched RPC and stores
+// those it holds. It reports false only when the RPC failed in transport.
+func (cs *clusterState) lookup(ctx context.Context, peer string, keys []string) bool {
+	body, err := json.Marshal(cacheLookupRequest{Keys: keys})
+	if err != nil {
+		return true
+	}
+	code, resp, err := cs.c.Do(ctx, peer, http.MethodPost, "/internal/cache/lookup", body)
+	if err != nil {
+		return false
+	}
+	var out cacheLookupResponse[JobResult]
+	if code != http.StatusOK || json.Unmarshal(resp, &out) != nil {
+		return true
+	}
+	for key, res := range out.Results {
+		if _, err := cs.s.storeResult(key, res); err != nil {
+			continue // not a job key (a result decoded from JSON encodes)
+		}
+		cs.m.remoteHits.Inc()
+		cs.m.perPeer("mama_cluster_peer_remote_cache_hits_total",
+			"Results fetched from this peer's cache.", peer)
+	}
+	if miss := len(keys) - len(out.Results); miss > 0 {
+		cs.m.remoteMisses.Add(uint64(miss))
+	}
+	return true
 }
 
 // cachePullRequest asks a peer for the cache entries whose keys this
@@ -389,22 +355,16 @@ type cachePullRequest struct {
 type cachePullResponse[R any] struct {
 	Results map[string]R `json:"results"`
 	Next    string       `json:"next,omitempty"`
-	// Member reports whether the serving node's ring contains the
-	// requester. False means the requester's (re)join has not reached
-	// this peer yet — nothing can match the ownership filter, so the
-	// puller should retry after the membership propagates rather than
-	// conclude there is nothing to repair.
-	Member bool `json:"member"`
 }
 
 // repairPageSize bounds one repair pull page.
 const repairPageSize = 256
 
-// repairOwned is the anti-entropy half of a ring transition: pull from
-// every healthy peer the warm cache entries whose keys this node now
-// owns. It is the ring-change analogue of the sweep-admission prefetch
-// — same storeResult path, same first-write-wins cache — except the
-// key set comes from the peer's cache scan instead of a sweep spec.
+// repairOwned is boot repair: pull from every healthy peer the warm
+// cache entries whose keys this node owns, which peers computed and kept
+// while it was down. It is the boot-time analogue of the sweep-admission
+// prefetch — same storeResult path, same first-write-wins cache — except
+// the key set comes from the peer's cache scan instead of a sweep spec.
 // Best-effort: a failed pull only costs a future recompute or remote
 // fetch.
 func (cs *clusterState) repairOwned() {
@@ -419,66 +379,41 @@ func (cs *clusterState) repairOwned() {
 	}
 }
 
-// repairFrom pages one peer's cache for the entries this node owns. A
-// rejoining node races its own membership propagation: until the peer
-// has resurrected us in its ring, the ownership filter matches nothing
-// and the pull answers member=false — so that answer is retried (the
-// gossip round-trip is a few probe intervals) instead of being read as
-// "nothing to repair".
+// repairFrom pages one peer's cache for the entries this node owns.
 func (cs *clusterState) repairFrom(peer string) {
-	const (
-		notMemberRetries = 40
-		notMemberWait    = 250 * time.Millisecond
-	)
-	for attempt := 0; attempt < notMemberRetries; attempt++ {
-		after := ""
-		for {
-			if cs.s.baseCtx.Err() != nil || cs.s.isDraining() {
-				return
-			}
-			body, err := json.Marshal(cachePullRequest{Owner: cs.c.Self(), After: after, Max: repairPageSize})
-			if err != nil {
-				return
-			}
-			code, resp, err := cs.c.Do(cs.s.baseCtx, peer, http.MethodPost, "/internal/cache/pull", body)
-			if err != nil || code != http.StatusOK {
-				return // peer down or refusing: best-effort, give up
-			}
-			var out cachePullResponse[JobResult]
-			if err := json.Unmarshal(resp, &out); err != nil {
-				return
-			}
-			if !out.Member {
-				break // peer does not count us a member yet: retry below
-			}
-			for key, res := range out.Results {
-				if _, ok := cs.s.cache.get(key); ok {
-					continue
-				}
-				if _, err := cs.s.storeResult(key, res); err != nil {
-					continue // not a job key (a result decoded from JSON encodes)
-				}
-				cs.m.repairPulled.Inc()
-			}
-			if out.Next == "" {
-				return // full scan served
-			}
-			after = out.Next
-		}
-		select {
-		case <-cs.s.baseCtx.Done():
+	after := ""
+	for cs.s.baseCtx.Err() == nil && !cs.s.isDraining() {
+		body, err := json.Marshal(cachePullRequest{Owner: cs.c.Self(), After: after, Max: repairPageSize})
+		if err != nil {
 			return
-		case <-time.After(notMemberWait):
 		}
+		code, resp, err := cs.c.Do(cs.s.baseCtx, peer, http.MethodPost, "/internal/cache/pull", body)
+		if err != nil || code != http.StatusOK {
+			return // peer down or refusing: best-effort, give up
+		}
+		var out cachePullResponse[JobResult]
+		if err := json.Unmarshal(resp, &out); err != nil {
+			return
+		}
+		for key, res := range out.Results {
+			if _, ok := cs.s.cache.get(key); ok {
+				continue
+			}
+			if _, err := cs.s.storeResult(key, res); err != nil {
+				continue // not a job key (a result decoded from JSON encodes)
+			}
+			cs.m.repairPulled.Inc()
+		}
+		if out.Next == "" {
+			return // full scan served
+		}
+		after = out.Next
 	}
 }
 
 // handleCachePull serves a repair scan: every cached key after the
-// cursor that the requester currently owns, up to Max entries. The
-// ownership check uses this node's own ring — during convergence the
-// two nodes may briefly disagree, which at worst transfers an entry
-// the requester did not strictly need; the cache is content-addressed,
-// so a superfluous copy is harmless.
+// cursor that the requester owns, up to Max entries. A requester outside
+// this node's peer list owns nothing here and gets an empty page.
 func (cs *clusterState) handleCachePull(w http.ResponseWriter, r *http.Request) {
 	var req cachePullRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -491,14 +426,7 @@ func (cs *clusterState) handleCachePull(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "pull request needs owner and max"})
 		return
 	}
-	out := cachePullResponse[json.RawMessage]{Results: make(map[string]json.RawMessage), Member: cs.c.Contains(owner)}
-	if !out.Member {
-		// Not in our ring (yet): the ownership filter below can never
-		// match, so skip the scan and let the puller retry after the
-		// membership propagates.
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
+	out := cachePullResponse[json.RawMessage]{Results: make(map[string]json.RawMessage)}
 	for _, key := range cs.s.cache.keysSorted() {
 		if key <= req.After {
 			continue
@@ -579,7 +507,7 @@ func (cs *clusterState) reserve(key string, onWorker bool) *remoteSlot {
 		if cs.c.IsSelf(venue) || !cs.c.Healthy(venue) {
 			continue
 		}
-		ps := cs.peerSlot(venue)
+		ps := cs.peerSem[venue]
 		select {
 		case ps <- struct{}{}:
 			return &remoteSlot{cs: cs, venue: venue, peer: ps}
@@ -599,8 +527,8 @@ func (cs *clusterState) spare() bool {
 	if len(cs.sem) == cap(cs.sem) {
 		return false
 	}
-	for _, p := range cs.c.Peers() {
-		if len(cs.peerSlot(p)) < cs.peerSlots && cs.c.Healthy(p) {
+	for p, ps := range cs.peerSem {
+		if len(ps) < cap(ps) && cs.c.Healthy(p) {
 			return true
 		}
 	}
@@ -771,29 +699,10 @@ func (cs *clusterState) runRemoteCell(venue string, j *job) (JobResult, error) {
 // Internal HTTP endpoints (peer-to-peer protocol)
 // ---------------------------------------------------------------------
 
-// gossipExchange is the piggyback middleware wrapped around a clustered
-// node's whole HTTP surface: a request that carries a peer's member
-// table is merged and answered with this node's whole table. This is
-// what makes membership converge between probe ticks — ordinary
-// traffic is the widest gossip channel the cluster has. A request
-// without one did not come from a peer, and gets no table back.
-func (cs *clusterState) gossipExchange(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if in := r.Header.Get(cluster.HeaderGossip); in != "" {
-			cs.c.ApplyGossipHeader(in)
-			if g := cs.c.GossipHeaderValue(); g != "" {
-				w.Header().Set(cluster.HeaderGossip, g)
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
 func (cs *clusterState) registerHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("PUT /internal/cache/{key}", cs.handleCachePut)
 	mux.HandleFunc("POST /internal/cache/lookup", cs.handleCacheLookup)
 	mux.HandleFunc("POST /internal/cache/pull", cs.handleCachePull)
-	cs.c.RegisterGossipHandlers(mux)
 }
 
 func (cs *clusterState) handleCachePut(w http.ResponseWriter, r *http.Request) {
@@ -830,7 +739,6 @@ func (cs *clusterState) handleCacheLookup(w http.ResponseWriter, r *http.Request
 
 // clusterStats snapshots the cluster block of /v1/stats.
 func (cs *clusterState) stats() *ClusterStats {
-	suspects, refutes, confirms := cs.c.GossipCounts()
 	peers := cs.c.Peers()
 	var unhealthy []string
 	for _, p := range peers {
@@ -842,13 +750,7 @@ func (cs *clusterState) stats() *ClusterStats {
 		Self:              cs.c.Self(),
 		Peers:             peers,
 		Unhealthy:         unhealthy,
-		Members:           cs.c.Members(),
-		MembershipVersion: cs.c.MembershipVersion(),
 		RingHash:          cs.c.RingHash(),
-		SelfIncarnation:   cs.c.SelfIncarnation(),
-		Suspicions:        suspects,
-		Refutes:           refutes,
-		ConfirmedDead:     confirms,
 		RepairPulled:      cs.m.repairPulled.Value(),
 		Proxied:           cs.m.proxied.Value(),
 		ProxyErrors:       cs.m.proxyErrors.Value(),

@@ -32,18 +32,6 @@ func (n *clusterNode) kill() {
 	n.srv.Close()
 }
 
-// testGossipOptions are aggressive SWIM timings for in-process tests:
-// fast probes so kill/rejoin converges in tens of milliseconds, with a
-// suspect timeout loose enough that -race scheduling jitter cannot
-// spuriously confirm a live node dead.
-func testGossipOptions(seeds []string) cluster.GossipOptions {
-	return cluster.GossipOptions{
-		Interval:       10 * time.Millisecond,
-		SuspectTimeout: 150 * time.Millisecond,
-		Seeds:          seeds,
-	}
-}
-
 // listenLoopback binds n loopback listeners and returns them with the
 // URLs nodes served on them will advertise. Binding first lets every
 // node be constructed with the full peer set.
@@ -62,10 +50,14 @@ func listenLoopback(t testing.TB, n int) ([]net.Listener, []string) {
 	return lns, urls
 }
 
-// serveNode boots a server around an already-built cluster view and
-// serves it on a pre-bound listener; mut customizes the server Config.
-func serveNode(t testing.TB, cl *cluster.Cluster, ln net.Listener, mut func(cfg *Config)) *clusterNode {
+// startNode boots one cluster node with peer list urls on a pre-bound
+// listener; mut customizes the server Config.
+func startNode(t testing.TB, self string, urls []string, ln net.Listener, mut func(cfg *Config)) *clusterNode {
 	t.Helper()
+	cl, err := cluster.New(self, urls, cluster.Options{RPCTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := Config{
 		Workers:    2,
 		QueueDepth: 64,
@@ -86,28 +78,13 @@ func serveNode(t testing.TB, cl *cluster.Cluster, ln net.Listener, mut func(cfg 
 	return n
 }
 
-// startNode boots one cluster node on a pre-bound listener. urls is
-// the bootstrap membership; opts are the failure detector's timings and
-// seeds.
-func startNode(t testing.TB, self string, urls []string, ln net.Listener,
-	opts cluster.GossipOptions, mut func(cfg *Config)) *clusterNode {
-	t.Helper()
-	cl, err := cluster.New(self, urls, cluster.Options{RPCTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.EnableGossip(opts)
-	return serveNode(t, cl, ln, mut)
-}
-
-// startCluster boots n nodes that share one bootstrap list (also the
-// gossip seed list) under testGossipOptions.
+// startCluster boots n nodes that share one peer list.
 func startCluster(t testing.TB, n int, mut func(i int, cfg *Config)) []*clusterNode {
 	t.Helper()
 	lns, urls := listenLoopback(t, n)
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
-		nodes[i] = startNode(t, urls[i], urls, lns[i], testGossipOptions(urls), func(cfg *Config) {
+		nodes[i] = startNode(t, urls[i], urls, lns[i], func(cfg *Config) {
 			if mut != nil {
 				mut(i, cfg)
 			}
@@ -626,12 +603,10 @@ func TestClusterSpillPeerDeath(t *testing.T) {
 }
 
 // TestRemovedEndpointsGone: the coordinator's dispatch is the only way
-// a cell changes nodes, so the pull protocol's endpoints answer 404;
-// every gossip message carries the whole member table, so there is no
-// full-state sync endpoint either.
+// a cell changes nodes, so the pull protocol's endpoints answer 404.
 func TestRemovedEndpointsGone(t *testing.T) {
 	n := startCluster(t, 1, nil)[0]
-	for _, path := range []string{"/internal/steal", "/internal/steal/done", "/internal/gossip/sync"} {
+	for _, path := range []string{"/internal/steal", "/internal/steal/done"} {
 		resp, err := http.Post(n.ts.URL+path, "application/json", strings.NewReader(`{"max":1,"thief":"http://127.0.0.1:1"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -690,11 +665,11 @@ func TestCachePutRefusesNonKeys(t *testing.T) {
 	}
 }
 
-// TestClusterPartitionDegrade cuts every ordinary peer RPC via the
-// injected partition fault while gossip keeps flowing: each RPC fails
-// and sidelines the peer, each answered probe brings it back, and
-// submissions against the reachable node must degrade to local compute
-// throughout — slower, but never a client-visible error.
+// TestClusterPartitionDegrade cuts every peer RPC via the injected
+// partition fault: each RPC fails and sidelines the peer, each retry
+// after the sideline fails again, and submissions against the reachable
+// node must degrade to local compute throughout — slower, but never a
+// client-visible error.
 func TestClusterPartitionDegrade(t *testing.T) {
 	enableFault(t, "cluster/rpc/partition", "always")
 	sims := make([]atomic.Int64, 2)
@@ -733,9 +708,9 @@ func TestClusterPartitionDegrade(t *testing.T) {
 	if sims[1].Load() != 0 {
 		t.Errorf("partitioned peer ran %d simulations; nothing should reach it", sims[1].Load())
 	}
-	// No end-state check on cluster.unhealthy: probes still reach the
-	// peer, so the mark a failed RPC leaves is cleared within one gossip
-	// interval (TestSuspectPeerIsSkipped pins the stat while it holds).
+	// No end-state check on cluster.unhealthy: a sideline lasts one
+	// retry interval (TestUnhealthyPeerIsSkipped pins the stat while it
+	// holds).
 	if _, acl := clusterStats(t, a); acl.DegradedLocal == 0 {
 		t.Error("no degraded-local compute recorded under full partition")
 	}

@@ -62,7 +62,7 @@ func (s *Server) openPersist() error {
 
 // storeResult is the one way a result enters this node: the in-memory
 // cache, then the write-behind mirror. finishJob calls it for every
-// execution; the fetch paths (sweep prefetch, anti-entropy repair, a
+// execution; the fetch paths (sweep prefetch, boot repair, a
 // peer's write-back) call it for results computed elsewhere, and
 // openPersist for results the mirror brings back. It returns the entry's
 // JSON (shared, read-only); a result that does not encode is an error,

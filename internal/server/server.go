@@ -595,9 +595,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	if s.cl != nil {
-		return s.cl.gossipExchange(mux)
-	}
 	return mux
 }
 

@@ -9,7 +9,6 @@ package server
 import (
 	"time"
 
-	"micromama/internal/cluster"
 	"micromama/internal/experiment"
 	"micromama/internal/sweep"
 )
@@ -86,20 +85,11 @@ type Stats struct {
 // ClusterStats is the cluster block of /v1/stats: this node's view of
 // the ring plus its cross-shard traffic counters.
 type ClusterStats struct {
-	Self      string   `json:"self"`
-	Peers     []string `json:"peers"`
-	Unhealthy []string `json:"unhealthy,omitempty"` // ring peers routing avoids right now (cluster.Healthy false)
-
-	// Gossip membership (see internal/cluster/gossip.go). RingHash is
-	// identical on every converged node; MembershipVersion is node-local.
-	Members           []cluster.MemberInfo `json:"members,omitempty"`
-	MembershipVersion uint64               `json:"membership_version"`
-	RingHash          uint64               `json:"ring_hash"`
-	SelfIncarnation   uint64               `json:"self_incarnation"`
-	Suspicions        uint64               `json:"suspicions"`
-	Refutes           uint64               `json:"refutes"`
-	ConfirmedDead     uint64               `json:"confirmed_dead"`
-	RepairPulled      uint64               `json:"repair_pulled"`
+	Self         string   `json:"self"`
+	Peers        []string `json:"peers"`
+	Unhealthy    []string `json:"unhealthy,omitempty"` // peers routing avoids right now (cluster.Healthy false)
+	RingHash     uint64   `json:"ring_hash"`           // hash of the peer list: equal on every node given the same one
+	RepairPulled uint64   `json:"repair_pulled"`       // cache entries boot repair pulled from peers
 
 	Proxied           uint64 `json:"proxied"`             // requests forwarded to owners
 	ProxyErrors       uint64 `json:"proxy_errors"`        // forwards that failed in transport
