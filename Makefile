@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check check bench bench-smoke bench-baseline figures examples clean
+.PHONY: all build cross vet fmt fmt-check loc lint test race chaos fuzz-smoke sweep-smoke cluster-smoke figures-smoke bench-check check bench bench-smoke bench-baseline figures examples clean
 
 all: check
 
@@ -140,28 +140,19 @@ cluster-smoke:
 	@$(GO) run ./scripts/clustersmoke > cluster-smoke.out 2>&1; st=$$?; \
 		cat cluster-smoke.out; exit $$st
 
-# The controller tournament driven end to end against an in-process
-# server: a 3-controller × 2-mix × 1-seed tournament with a complete
-# deterministic leaderboard, then a restart + warm resubmission
-# answered entirely from cache with zero new simulations. See
-# scripts/tournamentsmoke.
-tournament-smoke:
-	@$(GO) run ./scripts/tournamentsmoke > tournament-smoke.out 2>&1; st=$$?; \
-		cat tournament-smoke.out; exit $$st
-
 # Every experiment id through the real binary at the tiny scale:
 # `mamabench -scale tiny -json <tmp> all` must exit 0, write one JSON
 # file per emitting id (a report holding a NaN does not encode, so its
 # file goes missing), and print no NaN. The cell figures among them run
 # through the same registry, Executor and reducers as at any scale, so
 # this is the end-to-end guard of `make figures`. A second pass over the
-# cell-figure ids alone reads the Runner's books from
-# -metrics-dump: every simulation started is a baseline miss or a cell
+# cell-figure ids alone, the tournament too (`all` leaves it out), reads
+# the Runner's books from -metrics-dump: every simulation started is a baseline miss or a cell
 # miss of its one memo (nothing is simulated twice, nothing off the
 # books), and no profile is ever simulated, because each profiled mix's
 # "no" cell is among the figures' own cells.
 CELL_FIGURES = fig9 fig10 fig11 fig13 fig14 fig15a fig15b fig16 sec63 \
-	abl-theta abl-tarbit abl-lcb abl-kstep
+	abl-theta abl-tarbit abl-lcb abl-kstep tournament
 FIGURE_JSON = fig2 fig3 fig4 fig9 fig10-WS-4C fig10-HS-4C fig10-WS-8C fig10-HS-8C \
 	fig11 fig12 fig13 fig14 fig15a fig15b fig16 sec63 \
 	abl-theta abl-tarbit abl-lcb abl-kstep
@@ -202,12 +193,11 @@ bench-check:
 # fuzz the trace packer, the sweep spec, the stream's line encoder and parser, the controller
 # key and the cache against its reference for ten seconds each,
 # drive a real
-# sweep, the 3-node cluster, the controller tournament and every
-# figure id end to end, check the bench/ module against this tree, then make sure
+# sweep, the 3-node cluster and every figure id end to end, check the bench/ module against this tree, then make sure
 # the hot-path benchmarks still run and stay allocation-free (1
 # iteration; catches bit-rot and alloc regressions, not timing
 # regressions).
-check: build cross lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke tournament-smoke figures-smoke bench-check bench-smoke
+check: build cross lint fmt-check test race chaos fuzz-smoke sweep-smoke cluster-smoke figures-smoke bench-check bench-smoke
 
 # Hot-path benchmark suite: cache/MSHR microbenchmarks (one at the
 # Table 3 LLC geometry over twice its capacity), the per-core
@@ -252,13 +242,8 @@ figures:
 	$(GO) run ./cmd/mamabench -scale default -svg figures -json data all
 
 examples:
-	$(GO) run ./examples/gametheory
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/fairness
-	$(GO) run ./examples/bandwidth
-	$(GO) run ./examples/policytrace
 
 clean:
-	rm -f fig2_bandit.svg fig4_shared.svg fig12_mumama.svg
 	rm -f bench.out bench-smoke.out micromama.test *.test
-	rm -f sweep-smoke.out cluster-smoke.out tournament-smoke.out figures-smoke.out
+	rm -f sweep-smoke.out cluster-smoke.out figures-smoke.out

@@ -28,12 +28,10 @@
 // are mumama@jav=1 … mumama@jav=16 (mamasim -controllers lists each
 // controller's parameters).
 //
-// The tournament id races controller families head-to-head over the
-// workload catalog (see internal/tournament):
-//
-//	mamabench -scale small tournament
-//	mamabench -controllers bandit,mumama,phase-select,coord-rl tournament
-//	mamabench -server http://localhost:8077 tournament
+// The tournament id ranks one controller of every coordination family
+// (no ip_stride bingo pythia spp bandit mumama phase-select coord-rl) on
+// the same 4-core mixes; a custom field of controllers is a
+// `mamactl sweep submit -controllers …` grid.
 package main
 
 import (
@@ -45,7 +43,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -57,59 +54,18 @@ import (
 	"micromama/internal/sim"
 	"micromama/internal/sweep"
 	"micromama/internal/telemetry"
-	"micromama/internal/tournament"
 )
 
 var (
 	svgDir  string
 	jsonDir string
-
-	// Tournament knobs (the "tournament" experiment id).
-	tournamentCtrls string
-	tournamentCores string
-	tournamentSeeds int
 )
-
-// defaultTournamentControllers races one representative of every
-// coordination family; "all" expands to every registry key.
-const defaultTournamentControllers = "no,ip_stride,bingo,pythia,spp,bandit,mumama,phase-select,coord-rl"
-
-// buildTournamentSpec resolves the tournament flags into a spec.
-func buildTournamentSpec() (tournament.Spec, error) {
-	ctrls := tournamentCtrls
-	if ctrls == "all" {
-		ctrls = strings.Join(experiment.ControllerKeys, ",")
-	}
-	var cores []int
-	for _, f := range strings.Split(tournamentCores, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return tournament.Spec{}, fmt.Errorf("bad -tournament-cores entry %q", f)
-		}
-		cores = append(cores, n)
-	}
-	spec := tournament.Spec{
-		Controllers: strings.Split(ctrls, ","),
-		CoreCounts:  cores,
-		Seeds:       tournamentSeeds,
-	}
-	for i := range spec.Controllers {
-		spec.Controllers[i] = strings.TrimSpace(spec.Controllers[i])
-	}
-	return spec, spec.Validate()
-}
 
 func main() {
 	scaleName := flag.String("scale", "small", strings.Join(experiment.ScaleNames(), " | "))
 	flag.StringVar(&svgDir, "svg", "", "also write figures as SVG files into this directory")
 	flag.StringVar(&jsonDir, "json", "", "also write report data as JSON files into this directory")
 	server := flag.String("server", "", "run the cells of every cell figure (fig9 fig10 fig11 fig13 fig14 fig15a fig15b fig16 sec63 abl-* tournament) as sweeps against this mamaserved URL; other ids still run locally")
-	flag.StringVar(&tournamentCtrls, "controllers", defaultTournamentControllers,
-		"comma-separated controller keys for the tournament id (\"all\" = every registry key)")
-	flag.StringVar(&tournamentCores, "tournament-cores", "4",
-		"comma-separated core counts the tournament races")
-	flag.IntVar(&tournamentSeeds, "tournament-seeds", 1,
-		"seed replicas: replica i samples mixes with scale seed + i")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	metricsOut := flag.String("metrics-dump", "", "write telemetry in Prometheus text format to this file at exit (\"-\" for stdout)")
@@ -285,13 +241,6 @@ func (d *driver) run(id string) error {
 		return nil
 	}
 	figs := experiment.FiguresByID(id)
-	if id == "tournament" {
-		spec, err := buildTournamentSpec()
-		if err != nil {
-			return err
-		}
-		figs = []experiment.Figure{spec.Figure()}
-	}
 	if len(figs) == 0 {
 		return fmt.Errorf("unknown experiment id %q", id)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"micromama/internal/experiment"
 	"micromama/internal/server"
 	"micromama/internal/sweep"
-	"micromama/internal/tournament"
 )
 
 // Every cell figure at the tiny scale with a 60k-instruction budget.
@@ -69,12 +67,7 @@ func TestFiguresLocalEqualsRemote(t *testing.T) {
 	local := newDriver(nil)
 	remote := newDriver(client.New(ts.URL, client.Options{}))
 
-	figs := append([]experiment.Figure{}, experiment.Figures...)
-	figs = append(figs, tournament.Spec{
-		Controllers: []string{"bandit", "mumama", "pythia"}, CoreCounts: []int{4}, Seeds: 1,
-	}.Figure())
-
-	for _, fig := range figs {
+	for _, fig := range experiment.Figures {
 		want := draw(t, local, fig, "")
 		if got := draw(t, remote, fig, fig.ID+"-cold"); string(got) != string(want) {
 			t.Errorf("%s: remote report differs from local\nlocal  %s\nremote %s", fig.ID, want, got)
@@ -83,7 +76,7 @@ func TestFiguresLocalEqualsRemote(t *testing.T) {
 
 	// The same figures under new sweep names: every cell answered from
 	// the result cache, nothing simulated, reports unchanged.
-	for _, fig := range figs {
+	for _, fig := range experiment.Figures {
 		cells, err := fig.Cells(testScale, testTarget, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -119,8 +112,8 @@ func TestFiguresLocalEqualsRemote(t *testing.T) {
 	}
 }
 
-// TestRunUnknownID: an id that is no table, probe, figure or tournament
-// is an error, not a silent no-op.
+// TestRunUnknownID: an id that is no table, probe or figure is an
+// error, not a silent no-op.
 func TestRunUnknownID(t *testing.T) {
 	if err := newDriver(nil).run("fig99"); err == nil {
 		t.Error("unknown experiment id accepted")
@@ -130,23 +123,9 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
-// TestControllersAllIsTheRegistry: "-controllers all" races every
-// registry key — mumama-profiled too, whose profile the Runner (or the
-// server's) measures itself.
-func TestControllersAllIsTheRegistry(t *testing.T) {
-	tournamentCtrls, tournamentCores, tournamentSeeds = "all", "4", 1
-	spec, err := buildTournamentSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(spec.Controllers, experiment.ControllerKeys) || !slices.Contains(spec.Controllers, "mumama-profiled") {
-		t.Errorf("all = %v, want %v", spec.Controllers, experiment.ControllerKeys)
-	}
-}
-
-// TestEveryControllerKeyIsUsed: a registry key no figure cell at tiny,
-// timeline probe or default tournament runs is a controller nothing
-// reproduces; it earns a use or leaves the registry.
+// TestEveryControllerKeyIsUsed: a registry key no figure cell at tiny
+// or timeline probe runs is a controller nothing reproduces; it earns a
+// use or leaves the registry.
 func TestEveryControllerKeyIsUsed(t *testing.T) {
 	used := map[string]bool{}
 	mark := func(key string) { name, _, _ := strings.Cut(key, "@"); used[name] = true }
@@ -162,12 +141,9 @@ func TestEveryControllerKeyIsUsed(t *testing.T) {
 	for _, key := range timelines {
 		mark(key)
 	}
-	for _, key := range strings.Split(defaultTournamentControllers, ",") {
-		mark(key)
-	}
 	for _, key := range experiment.ControllerKeys {
 		if !used[key] {
-			t.Errorf("controller %q is in no figure cell at tiny, timeline probe or default tournament", key)
+			t.Errorf("controller %q is in no figure cell at tiny or timeline probe", key)
 		}
 	}
 }

@@ -46,10 +46,10 @@ func (f Figure) Run(ctx context.Context, exec Executor, scale string, target, st
 }
 
 // Figures is the registry: the paper's figures in its order, then
-// DESIGN.md's four parameter ablations. fig2/4/12 and fig3 are not in
-// it because they read controller-internal state (the policy timeline,
-// MeanChosenDegree) that no job result carries; they stay probes on the
-// local Runner.
+// DESIGN.md's four parameter ablations, then the controller tournament.
+// fig2/4/12 and fig3 are not in it because they read controller-internal
+// state (the policy timeline, MeanChosenDegree) that no job result
+// carries; they stay probes on the local Runner.
 var Figures = []Figure{
 	fig9(),
 	perWorkload("fig10-WS-4C", 4, "mumama", false),
@@ -67,6 +67,7 @@ var Figures = []Figure{
 	sensitivity("abl-tarbit", "tarbit", "mumama@tarbit=2", "mumama", "mumama@tarbit=10"),
 	sensitivity("abl-lcb", "lcb", "mumama@lcb=0", "mumama"),
 	sensitivity("abl-kstep", "kstep", "mumama@kstep=2", "mumama", "mumama@kstep=20"),
+	tournament(),
 }
 
 // FiguresByID returns the registry entries an experiment id names:
@@ -150,6 +151,7 @@ func defaultArms(coreCounts []int, controllers ...string) []arm {
 
 func cellWS(r CellResult) float64         { return r.WS }
 func cellHS(r CellResult) float64         { return r.HS }
+func cellGM(r CellResult) float64         { return r.GM }
 func cellUnfairness(r CellResult) float64 { return r.Unfairness }
 
 // singleMixes builds one-core "mixes", one per sensitive trace, capped

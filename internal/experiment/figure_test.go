@@ -347,6 +347,92 @@ func TestSec63Reducer(t *testing.T) {
 	}
 }
 
+// tournamentKeys are the tournament's controllers from best to worst
+// under tournamentWS.
+var tournamentKeys = []string{"bandit", "mumama", "spp", "bingo", "phase-select", "no", "coord-rl", "pythia", "ip_stride"}
+
+// tournamentWS scores each controller by its place in tournamentKeys:
+// every controller beats every one below it on every mix.
+func tournamentWS(c sweep.Cell, mix int) CellResult {
+	ws := float64(len(tournamentKeys) - slices.Index(tournamentKeys, c.Controller))
+	return CellResult{WS: ws, HS: ws * 0.9, GM: ws * 0.95, Unfairness: 1.1}
+}
+
+func TestTournamentRanksAndPairwise(t *testing.T) {
+	rep := reduce(t, "tournament", tournamentWS).(*TournamentReport)
+	mixes, rivals := ScaleTiny.MixCount, len(tournamentKeys)-1
+	for i, want := range tournamentKeys {
+		row := rep.Rows[i]
+		if row.Controller != want || row.Rank != i+1 || row.Cells != mixes {
+			t.Fatalf("row %d = %+v, want rank %d %s over %d cells", i, row, i+1, want, mixes)
+		}
+		if w := float64(rivals + 1 - i); row.MeanWS != w || !near(row.MeanHS, w*0.9) || !near(row.MeanGM, w*0.95) || !near(row.MeanUnfair, 1.1) {
+			t.Errorf("%s means %+v", want, row)
+		}
+		if row.Wins != (rivals-i)*mixes || row.Losses != i*mixes || row.Ties != 0 {
+			t.Errorf("%s W-L-T = %d-%d-%d, want %d-%d-0", want, row.Wins, row.Losses, row.Ties, (rivals-i)*mixes, i*mixes)
+		}
+		for j := range rep.Rows {
+			want := 0
+			if i < j {
+				want = mixes
+			}
+			if rep.Wins[i][j] != want {
+				t.Errorf("Wins[%d][%d] = %d, want %d", i, j, rep.Wins[i][j], want)
+			}
+		}
+	}
+	if s := rep.String(); !strings.Contains(s, "Pairwise wins") || !strings.Contains(s, "(4 cores)") {
+		t.Errorf("String() missing the title or win matrix:\n%s", s)
+	}
+	if !strings.Contains(rep.SVG(), "<svg") {
+		t.Error("SVG() empty")
+	}
+	if _, err := json.Marshal(rep); err != nil {
+		t.Errorf("report not JSON-serializable: %v", err)
+	}
+}
+
+func TestTournamentTies(t *testing.T) {
+	rep := reduce(t, "tournament", func(sweep.Cell, int) CellResult { return CellResult{WS: 1} }).(*TournamentReport)
+	want := (len(tournamentKeys) - 1) * ScaleTiny.MixCount
+	var order []string
+	for _, row := range rep.Rows {
+		order = append(order, row.Controller)
+		if row.Wins != 0 || row.Losses != 0 || row.Ties != want {
+			t.Errorf("%s W-L-T = %d-%d-%d on all-equal results, want 0-0-%d", row.Controller, row.Wins, row.Losses, row.Ties, want)
+		}
+	}
+	if !slices.IsSorted(order) {
+		t.Errorf("equal mean WS not ranked by name: %v", order)
+	}
+}
+
+// TestTournamentReducerDeterministic: the same results reduced twice
+// give the same leaderboard, equal means ranked by name and per-mix
+// wins split by mix.
+func TestTournamentReducerDeterministic(t *testing.T) {
+	result := func(c sweep.Cell, mix int) CellResult {
+		// coord-rl and no tie on mean WS but split the two mixes.
+		switch c.Controller {
+		case "coord-rl":
+			return CellResult{WS: []float64{3, 1}[mix]}
+		case "no":
+			return CellResult{WS: []float64{1, 3}[mix]}
+		}
+		return CellResult{WS: float64(len(c.Controller))}
+	}
+	a, b := reduce(t, "tournament", result), reduce(t, "tournament", result)
+	if a.String() != b.String() {
+		t.Fatalf("tournament not deterministic:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
+	}
+	rep := a.(*TournamentReport)
+	i := slices.IndexFunc(rep.Rows, func(r TournamentRow) bool { return r.Controller == "coord-rl" })
+	if i < 0 || i+1 >= len(rep.Rows) || rep.Rows[i+1].Controller != "no" || rep.Wins[i][i+1] != 1 || rep.Wins[i+1][i] != 1 {
+		t.Errorf("coord-rl and no should rank by name and win one mix each:\n%s", a)
+	}
+}
+
 // TestRunCellsSimulatesDistinctCellsOnce: the union of every registry
 // figure's cells holds each Bandit, µMama, … column several times over
 // (and fig11's DDR4-2400×1 spelling of the default memory system); one

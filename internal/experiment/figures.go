@@ -545,6 +545,121 @@ func (s *SensitivityReport) String() string {
 		table([]string{"controller", "WS vs bandit"}, rows)
 }
 
+// TournamentRow is one leaderboard line of the controller tournament.
+type TournamentRow struct {
+	Rank       int     `json:"rank"`
+	Controller string  `json:"controller"`
+	Cells      int     `json:"cells"`
+	MeanWS     float64 `json:"mean_ws"`
+	MeanHS     float64 `json:"mean_hs"`
+	MeanGM     float64 `json:"mean_gm"`
+	MeanUnfair float64 `json:"mean_unfairness"`
+	Wins       int     `json:"wins"`
+	Losses     int     `json:"losses"`
+	Ties       int     `json:"ties"`
+}
+
+// TournamentReport is not a paper figure: it ranks one controller of
+// every coordination family on the same mixes, the cross-core
+// coordinator of 2509.10719 (coord-rl) and a per-core phase selector
+// (phase-select) among them. Rows are ranked by mean WS, controller name
+// breaking ties.
+type TournamentReport struct {
+	Cores int             `json:"cores"`
+	Rows  []TournamentRow `json:"leaderboard"`
+	// Wins[i][j] counts mixes on which Rows[i].Controller's WS strictly
+	// beat Rows[j].Controller's; the diagonal is 0.
+	Wins [][]int `json:"wins"`
+}
+
+// tournament races the controller families at 4 cores, compared per
+// mix as Figures 9/10 compare µMama with Bandit.
+func tournament() Figure {
+	const cores = 4
+	keys := []string{"no", "ip_stride", "bingo", "pythia", "spp", "bandit", "mumama", "phase-select", "coord-rl"}
+	return armFigure("tournament", defaultArms([]int{cores}, keys...),
+		func(byArm map[arm][]CellResult) fmt.Stringer {
+			results := func(key string) []CellResult { return byArm[arm{cores: cores, controller: key}] }
+			rep := &TournamentReport{Cores: cores}
+			for _, key := range keys {
+				rs := results(key)
+				rep.Rows = append(rep.Rows, TournamentRow{
+					Controller: key, Cells: len(rs),
+					MeanWS: mean(rs, cellWS), MeanHS: mean(rs, cellHS),
+					MeanGM: mean(rs, cellGM), MeanUnfair: mean(rs, cellUnfairness),
+				})
+			}
+			sort.Slice(rep.Rows, func(i, j int) bool {
+				a, b := rep.Rows[i], rep.Rows[j]
+				if a.MeanWS != b.MeanWS {
+					return a.MeanWS > b.MeanWS
+				}
+				return a.Controller < b.Controller
+			})
+			// armFigure hands every arm the same mixes in the same order,
+			// so index m is one mix in every row.
+			rep.Wins = make([][]int, len(rep.Rows))
+			for i := range rep.Rows {
+				rep.Wins[i] = make([]int, len(rep.Rows))
+				ra := results(rep.Rows[i].Controller)
+				for j := range rep.Rows {
+					if i == j {
+						continue
+					}
+					rb := results(rep.Rows[j].Controller)
+					for m := range ra {
+						switch {
+						case ra[m].WS > rb[m].WS:
+							rep.Wins[i][j]++
+						case ra[m].WS == rb[m].WS:
+							rep.Rows[i].Ties++
+						}
+					}
+				}
+			}
+			for i := range rep.Rows {
+				rep.Rows[i].Rank = i + 1
+				for j := range rep.Rows {
+					rep.Rows[i].Wins += rep.Wins[i][j]
+					rep.Rows[i].Losses += rep.Wins[j][i]
+				}
+			}
+			return rep
+		})
+}
+
+// String renders the leaderboard and the win matrix.
+func (r *TournamentReport) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Controller tournament (%d cores)\n", r.Cores)
+	fmt.Fprintf(&b, "%-4s %-16s %-6s %8s %8s %8s %8s %10s\n",
+		"rank", "controller", "cells", "WS", "HS", "GM", "unfair", "W-L-T")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-4d %-16s %-6d %8.3f %8.3f %8.3f %8.3f %4d-%d-%d\n",
+			row.Rank, row.Controller, row.Cells,
+			row.MeanWS, row.MeanHS, row.MeanGM, row.MeanUnfair,
+			row.Wins, row.Losses, row.Ties)
+	}
+	b.WriteString("\nPairwise wins (row beats column on per-arena WS):\n")
+	fmt.Fprintf(&b, "%-16s", "")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, " %7.7s", row.Controller)
+	}
+	b.WriteByte('\n')
+	for i, row := range r.Rows {
+		fmt.Fprintf(&b, "%-16s", row.Controller)
+		for j := range r.Rows {
+			if i == j {
+				fmt.Fprintf(&b, " %7s", "-")
+			} else {
+				fmt.Fprintf(&b, " %7d", r.Wins[i][j])
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // TimelineReport reproduces Figures 2, 4, and 12: the policy choices of
 // the four agents on the motivating workload mix over time.
 type TimelineReport struct {

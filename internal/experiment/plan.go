@@ -51,8 +51,8 @@ func CheckCell(c *sweep.Cell) (Scale, error) {
 	if c.Controller == "" {
 		return Scale{}, fmt.Errorf("controller is required")
 	}
-	// The error names what is accepted so tournament clients can
-	// self-correct without a second round trip to /v1/catalog.
+	// The error names what is accepted so a client that spelled a key
+	// wrong can self-correct without a second round trip to /v1/catalog.
 	key, err := parseController(c.Controller)
 	if err != nil {
 		return Scale{}, err

@@ -125,6 +125,15 @@ func (j *JAVSweepReport) SVG() string {
 		"JAV entries", "WS vs bandit (%)", []plot.Series{s})
 }
 
+// SVG renders the tournament leaderboard as grouped WS/HS bars.
+func (r *TournamentReport) SVG() string {
+	groups := make([]plot.BarGroup, len(r.Rows))
+	for i, row := range r.Rows {
+		groups[i] = plot.BarGroup{Label: row.Controller, Values: []float64{row.MeanWS, row.MeanHS}}
+	}
+	return plot.Bar(fmt.Sprintf("Controller tournament (%d cores)", r.Cores), "mean speedup", []string{"WS", "HS"}, groups)
+}
+
 // SVG renders a policy timeline (Figures 2/4/12); dictated samples are
 // hollow, matching the paper's gray shading semantics.
 func (t *TimelineReport) SVG() string {

@@ -473,8 +473,8 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestCatalogListsControllers checks that /v1/catalog names every
-// controller the harness can build, so tournament clients can validate
-// controller names before submitting.
+// controller the harness can build, so clients can validate controller
+// names before submitting.
 func TestCatalogListsControllers(t *testing.T) {
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2})
 	defer srv.Close()
@@ -544,7 +544,7 @@ func TestControllerKeyRefusedAtAdmission(t *testing.T) {
 }
 
 // TestUnknownControllerListsKnownSet checks the 400 from an unknown
-// controller names the valid keys (the tournament-client contract).
+// controller names the valid keys, so a client can self-correct.
 func TestUnknownControllerListsKnownSet(t *testing.T) {
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 2})
 	defer srv.Close()
