@@ -98,7 +98,9 @@ chaos:
 # path gives it, or is refused with the job path's error and never
 # indexed); in the persist layer a store's log as any bytes (every
 # non-empty line loads under the key it claims or is quarantined byte
-# for byte, and a save on top survives a restart).
+# for byte, and a save on top survives a restart), and back in the sweep
+# layer that log resumed by the sweep manager (no cell reads done or
+# deduped without its result, and a second restart resumes it alike).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLog$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepResume$$' -fuzztime 10s ./internal/sweep
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells
@@ -128,8 +131,9 @@ sweep-smoke:
 # consistent-hash ring (every cell simulated exactly once
 # cluster-wide), the same cells resubmitted to node C complete with
 # zero new simulations served by cross-shard cache fetches, then a
-# churn phase kills node B mid-sweep (exactly-once completion on the
-# survivors, simulations per cell printed) and restarts it (/healthz
+# churn phase kills node B mid-sweep, the cells sent to B held until the
+# kill (exactly-once completion on the survivors, simulations per cell
+# printed) and restarts it (/healthz
 # answered, boot repair settled, warm resubmission with zero new
 # simulations). Last, on a second trio with the default
 # per-peer slots, a sweep whose every cell is owned by the node that

@@ -214,12 +214,15 @@ func (d *driver) executor(sweepName string) experiment.Executor {
 		return d.r.RunCells
 	}
 	return func(ctx context.Context, cells []sweep.Cell) ([]experiment.CellResult, error) {
-		results, view, err := d.remote.RunSweep(ctx, sweep.Spec{Name: sweepName, Cells: cells})
+		results, view, created, err := d.remote.RunSweep(ctx, sweep.Spec{Name: sweepName, Cells: cells})
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "mamabench: sweep %s: %d cells (%d answered without simulating)\n",
-			view.ID, view.Cells, view.Deduped)
+		how := fmt.Sprintf("%d answered without simulating", view.Deduped)
+		if !created { // the counts are the held sweep's, not this call's
+			how = "attached to the sweep the server already held"
+		}
+		fmt.Fprintf(os.Stderr, "mamabench: sweep %s: %d cells (%s)\n", view.ID, view.Cells, how)
 		return results, nil
 	}
 }

@@ -18,23 +18,29 @@ import (
 // server (sweeps are content-addressed), so the normal retry policy
 // applies; resubmitting an already-running sweep attaches to it.
 func (c *Client) SubmitSweep(ctx context.Context, spec sweep.Spec) (sweep.View, error) {
+	v, _, err := c.submitSweep(ctx, spec)
+	return v, err
+}
+
+// submitSweep is SubmitSweep, also telling whether the server created
+// the sweep (HTTP 201) or attached the spec to one it held (200).
+func (c *Client) submitSweep(ctx context.Context, spec sweep.Spec) (v sweep.View, created bool, err error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return sweep.View{}, err
+		return v, false, err
 	}
 	resp, err := c.Post(ctx, "/v1/sweeps", body)
 	if err != nil {
-		return sweep.View{}, err
+		return v, false, err
 	}
 	if resp.Status != http.StatusOK && resp.Status != http.StatusCreated {
-		return sweep.View{}, fmt.Errorf("submit sweep: HTTP %d: %s",
+		return v, false, fmt.Errorf("submit sweep: HTTP %d: %s",
 			resp.Status, strings.TrimSpace(string(resp.Body)))
 	}
-	var v sweep.View
 	if err := json.Unmarshal(resp.Body, &v); err != nil {
-		return sweep.View{}, fmt.Errorf("submit sweep: decode view: %w", err)
+		return v, false, fmt.Errorf("submit sweep: decode view: %w", err)
 	}
-	return v, nil
+	return v, resp.Status == http.StatusCreated, nil
 }
 
 // Sweep fetches one sweep's current view.
@@ -124,18 +130,21 @@ func (c *Client) StreamSweepResults(ctx context.Context, id string, fn func(swee
 
 // RunSweep submits the spec, follows its result stream to the end and
 // returns one result per cell, index-aligned with the spec's expansion,
-// plus the sweep's final view. Any failed cell fails the call: a mean
-// over a partial sample is not the figure. Bound to a sweep name it is
-// the remote experiment.Executor.
-func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) ([]experiment.CellResult, sweep.View, error) {
-	view, err := c.SubmitSweep(ctx, spec)
+// plus the sweep's final view and whether this submission created the
+// sweep: false when the server already held it (an earlier run, or a
+// retried submission whose first answer was lost), so the view's counts
+// are not this call's. Any failed cell fails the call: a mean over a
+// partial sample is not the figure. Bound to a sweep name it is the
+// remote experiment.Executor.
+func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) (results []experiment.CellResult, final sweep.View, created bool, err error) {
+	view, created, err := c.submitSweep(ctx, spec)
 	if err != nil {
-		return nil, sweep.View{}, err
+		return nil, final, false, err
 	}
-	results := make([]experiment.CellResult, view.Cells)
+	results = make([]experiment.CellResult, view.Cells)
 	delivered := 0
 	var failures []string
-	final, err := c.StreamSweepResults(ctx, view.ID, func(ev sweep.Event) error {
+	final, err = c.StreamSweepResults(ctx, view.ID, func(ev sweep.Event) error {
 		if ev.Cell < 0 || ev.Cell >= len(results) {
 			return fmt.Errorf("event for cell %d of a %d-cell sweep", ev.Cell, len(results))
 		}
@@ -152,17 +161,17 @@ func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) ([]experiment.Ce
 		return nil
 	})
 	if err != nil {
-		return nil, final, fmt.Errorf("sweep %s: %w", view.ID, err)
+		return nil, final, created, fmt.Errorf("sweep %s: %w", view.ID, err)
 	}
 	if len(failures) > 0 {
-		return nil, final, fmt.Errorf("sweep %s: %d cells failed:\n  %s",
+		return nil, final, created, fmt.Errorf("sweep %s: %d cells failed:\n  %s",
 			view.ID, len(failures), strings.Join(failures, "\n  "))
 	}
 	if delivered != len(results) {
-		return nil, final, fmt.Errorf("sweep %s: stream delivered %d of %d cell results",
+		return nil, final, created, fmt.Errorf("sweep %s: stream delivered %d of %d cell results",
 			view.ID, delivered, len(results))
 	}
-	return results, final, nil
+	return results, final, created, nil
 }
 
 // streamAbort wraps an error that must stop the stream instead of

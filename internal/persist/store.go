@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -48,7 +47,7 @@ const (
 	LogName = "records.log"
 	// quarantineName collects the log lines Load could not hand over.
 	quarantineName = LogName + ".quarantine"
-	// tmpName is a compacted log before it is renamed over LogName.
+	// tmpName is a rewritten log before it is renamed over LogName.
 	tmpName = LogName + ".tmp"
 )
 
@@ -78,10 +77,11 @@ type Options[T any] struct {
 // its batch with a single write (a 1000-cell sweep completing does not
 // issue 1000 writes, and the pending set is bounded by the number of
 // distinct keys, so nothing is ever dropped). A crash mid-append tears
-// at most the last line, which loses only that record. When the lines
-// that a later line for the same key superseded outweigh the live ones,
-// the writer rewrites the log to its live lines, into a tmp file renamed
-// over it, so the log stays within twice its live bytes plus one batch.
+// at most the last line, which loses only that record. The owners save
+// a key again only rarely (a result never, a sweep's header on a
+// priority change), so the log is not compacted while it runs: Load
+// rewrites it to its live lines, into a tmp file renamed over it, which
+// bounds it to the live records plus what one process appended.
 // Load quarantines unreadable records instead of failing: the owner's
 // data is a memo or re-runnable work, so losing a record costs a
 // recomputation while dying on it costs the service.
@@ -98,18 +98,11 @@ type Store[T any] struct {
 	closeCh chan struct{}
 	done    chan struct{}
 
-	// logMu guards the log and what is known of it. Load holds it from
-	// its first read to the end of its rewrite, so the writer, which
-	// holds it to append or compact, never appends to a log that Load is
-	// about to replace.
+	// logMu guards the log. Load holds it from its first read to the end
+	// of its rewrite, so the writer, which holds it to append, never
+	// appends to a log that Load is about to replace.
 	logMu sync.Mutex
-	f     *os.File        // the log, open for appending; nil until needed
-	lines map[string]span // each key's latest line
-	size  int64           // bytes in the log
-	live  int64           // bytes of the lines in lines, newlines included
-	// indexed is set once lines describes the whole log (Load read it, or
-	// the writer created it); until then the log is never compacted.
-	indexed bool
+	f     *os.File // the log, open for appending; nil until needed
 	// torn means the log may not end in a newline (a crash or a failed
 	// write cut its last line): the next append starts a new line first.
 	torn bool
@@ -120,9 +113,6 @@ type Store[T any] struct {
 // maxKeptBuf is the largest batch buffer the writer keeps for the next
 // batch.
 const maxKeptBuf = 1 << 20
-
-// span is one line of the log, without its newline.
-type span struct{ off, n int64 }
 
 // Open prepares the directory and starts the writer.
 func Open[T any](o Options[T]) (*Store[T], error) {
@@ -135,7 +125,6 @@ func Open[T any](o Options[T]) (*Store[T], error) {
 		kick:    make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
-		lines:   make(map[string]span),
 	}
 	s.enc = json.NewEncoder(&s.buf) // Encode writes json.Marshal's bytes and a newline
 	go s.writer()
@@ -147,7 +136,6 @@ func Open[T any](o Options[T]) (*Store[T], error) {
 type found[T any] struct {
 	rec  T
 	body []byte
-	off  int64  // where body starts in the log
 	file string // the <key>.json file it came from, or ""
 }
 
@@ -167,7 +155,7 @@ func (s *Store[T]) Load(fn func(T) error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		// Unreadable: there is nothing to load, and the log is never
-		// compacted over what could not be read.
+		// rewritten over what could not be read.
 		s.Logger.Warn(s.What+" log unreadable; starting empty", "file", path, "err", err)
 		return
 	}
@@ -185,7 +173,6 @@ func (s *Store[T]) Load(fn func(T) error) {
 		if i := bytes.IndexByte(line, '\n'); i >= 0 {
 			line = line[:i]
 		} // else a torn last line, decoded like any other
-		start := off
 		off += len(line) + 1
 		if len(line) == 0 {
 			continue
@@ -195,7 +182,7 @@ func (s *Store[T]) Load(fn func(T) error) {
 			refuse(line, err)
 			continue
 		}
-		recs[s.Key(rec)] = found[T]{rec: rec, body: line, off: int64(start)}
+		recs[s.Key(rec)] = found[T]{rec: rec, body: line}
 	}
 	imported := s.loadFiles(recs, &quarantined)
 
@@ -239,24 +226,16 @@ func (s *Store[T]) Load(fn func(T) error) {
 	}
 
 	if imported == 0 && keep == int64(len(data)) && (keep == 0 || data[keep-1] == '\n') {
-		// Every byte of the log is a line fn took and its newline: the log
-		// is its live lines already, so it is indexed in place.
-		s.lines = make(map[string]span, len(recs))
-		for key, r := range recs {
-			s.lines[key] = span{r.off, int64(len(r.body))}
-		}
-		s.size, s.live, s.indexed = keep, keep, true
-		return
+		return // every byte of the log is a line fn took and its newline
 	}
-	lines := make([]keyed, 0, len(recs))
+	lines := make([][]byte, 0, len(recs))
 	for _, key := range keys {
 		if r, ok := recs[key]; ok {
-			lines = append(lines, keyed{key, bytes.NewReader(r.body), int64(len(r.body))})
+			lines = append(lines, r.body)
 		}
 	}
 	if err := s.rewrite(lines); err != nil {
 		s.Logger.Error(s.What+" log rewrite failed; appending to the old log", "dir", s.Dir, "err", err)
-		s.indexed = false
 		return
 	}
 	for _, r := range recs {
@@ -356,36 +335,20 @@ func appendFile(path string, b []byte) error {
 	return err
 }
 
-// keyed is one line of a log being rewritten: n bytes read from src.
-type keyed struct {
-	key string
-	src io.Reader
-	n   int64
-}
-
-// rewrite replaces the log with lines, one per key, through a tmp file
-// renamed over it, and indexes the result. The tmp file's descriptor
-// becomes the log's. Called with logMu held.
-func (s *Store[T]) rewrite(lines []keyed) error {
+// rewrite replaces the log with lines through a tmp file renamed over
+// it, whose descriptor becomes the log's. Called with logMu held.
+func (s *Store[T]) rewrite(lines [][]byte) error {
 	tmp := filepath.Join(s.Dir, tmpName)
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	idx := make(map[string]span, len(lines))
-	off := int64(0)
 	w := bufio.NewWriterSize(f, 64<<10)
 	for _, l := range lines {
-		if _, err = io.CopyN(w, l.src, l.n); err != nil {
-			break
-		}
+		w.Write(l)
 		w.WriteByte('\n')
-		idx[l.key] = span{off, l.n}
-		off += l.n + 1
 	}
-	if err == nil {
-		err = w.Flush()
-	}
+	err = w.Flush() // a failed Write is kept and returned here
 	if err == nil {
 		err = os.Rename(tmp, filepath.Join(s.Dir, LogName))
 	}
@@ -397,7 +360,7 @@ func (s *Store[T]) rewrite(lines []keyed) error {
 	if s.f != nil {
 		s.f.Close()
 	}
-	s.f, s.lines, s.size, s.live, s.indexed, s.torn = f, idx, off, off, true, false
+	s.f, s.torn = f, false
 	return nil
 }
 
@@ -451,8 +414,7 @@ func (s *Store[T]) writer() {
 	}
 }
 
-// append writes one batch to the log in key order with a single write,
-// then compacts the log if its dead lines outweigh its live ones.
+// append writes one batch to the log in key order with a single write.
 // Failures are counted and logged, never propagated: persistence is
 // best-effort by design, the owner's memory is authoritative.
 func (s *Store[T]) append(batch map[string]T) {
@@ -467,22 +429,17 @@ func (s *Store[T]) append(batch map[string]T) {
 	// buf opens with a newline, written only when the log may be torn.
 	s.buf.Reset()
 	s.buf.WriteByte('\n')
-	type line struct {
-		key string
-		at  span // in buf
-	}
-	written := make([]line, 0, len(keys))
+	written := keys[:0]
 	for _, key := range keys {
 		if s.WriteFault.Fire() {
 			s.failed(key, fmt.Errorf("faultinject: %s", s.WriteFault.Name()))
 			continue
 		}
-		start := s.buf.Len()
 		if err := s.enc.Encode(batch[key]); err != nil {
 			s.failed(key, err)
 			continue
 		}
-		written = append(written, line{key, span{int64(start), int64(s.buf.Len() - start - 1)}})
+		written = append(written, key)
 	}
 	if len(written) == 0 {
 		return
@@ -494,40 +451,21 @@ func (s *Store[T]) append(batch map[string]T) {
 	}
 	if err == nil {
 		if _, err = s.f.Write(out); err != nil {
-			// Part of the batch may have reached the disk: its bytes are
-			// dead, and the next batch starts on a line of its own.
+			// Part of the batch may have reached the disk: the next batch
+			// starts on a line of its own.
 			s.torn = true
-			if fi, serr := s.f.Stat(); serr == nil {
-				s.size = fi.Size()
-			} else {
-				s.indexed = false
-			}
 		}
 	}
 	if err != nil {
-		for _, w := range written {
-			s.failed(w.key, err)
+		for _, key := range written {
+			s.failed(key, err)
 		}
 		return
 	}
-	base := s.size + int64(len(out)-s.buf.Len()) // where buf[0] is in the log
-	for _, w := range written {
-		if old, ok := s.lines[w.key]; ok {
-			s.live -= old.n + 1
-		}
-		s.lines[w.key] = span{base + w.at.off, w.at.n}
-		s.live += w.at.n + 1
-	}
-	s.size += int64(len(out))
 	s.torn = false
 	s.Metrics.Writes.Add(uint64(len(written)))
 	if s.buf.Cap() > maxKeptBuf {
-		s.buf = bytes.Buffer{} // a one-off batch (a resume re-saving every sweep) is not held for good
-	}
-	if s.indexed && s.size-s.live > s.live {
-		if err := s.compact(); err != nil {
-			s.Logger.Error(s.What+" log compaction failed", "dir", s.Dir, "err", err)
-		}
+		s.buf = bytes.Buffer{} // a one-off big batch is not held for good
 	}
 }
 
@@ -538,7 +476,8 @@ func (s *Store[T]) failed(key string, err error) {
 }
 
 // openLog opens the log for appending if it is not open yet: the first
-// append of a store that was not loaded. Called with logMu held.
+// append of a store whose Load did not rewrite it. Called with logMu
+// held.
 func (s *Store[T]) openLog() error {
 	if s.f != nil {
 		return nil
@@ -552,32 +491,14 @@ func (s *Store[T]) openLog() error {
 		f.Close()
 		return err
 	}
-	s.f, s.size = f, fi.Size()
-	if s.size == 0 {
-		s.indexed = true // a log it starts holds only its own lines
-	} else {
+	if size := fi.Size(); size > 0 {
 		last := []byte{0}
-		if _, err := f.ReadAt(last, s.size-1); err != nil || last[0] != '\n' {
+		if _, err := f.ReadAt(last, size-1); err != nil || last[0] != '\n' {
 			s.torn = true
 		}
 	}
+	s.f = f
 	return nil
-}
-
-// compact rewrites the log to each key's latest line, copied from the
-// log a line at a time. Called with logMu held.
-func (s *Store[T]) compact() error {
-	keys := make([]string, 0, len(s.lines))
-	for key := range s.lines {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	lines := make([]keyed, len(keys))
-	for i, key := range keys {
-		l := s.lines[key]
-		lines[i] = keyed{key, io.NewSectionReader(s.f, l.off, l.n), l.n}
-	}
-	return s.rewrite(lines)
 }
 
 // Close flushes every dirty record and stops the writer. Safe to call

@@ -169,9 +169,8 @@ func TestTornTailLosesOnlyTheTornRecord(t *testing.T) {
 	}
 }
 
-// TestSaveDuringLoadIsKept: an owner saves from inside Load (the sweep
-// manager re-saves every sweep it resumes) while Load is about to
-// rewrite the log. The save reaches the rewritten log, not the one the
+// TestSaveDuringLoadIsKept: an owner saves from inside Load, which
+// Load's fn may do, while Load is about to rewrite the log. The save reaches the rewritten log, not the one the
 // rewrite replaces.
 func TestSaveDuringLoadIsKept(t *testing.T) {
 	dir := t.TempDir()
@@ -200,41 +199,41 @@ func TestSaveDuringLoadIsKept(t *testing.T) {
 	}
 }
 
-// TestCompactionBoundsTheLog: keys saved over and over leave a log
-// within twice its live bytes plus one batch, whenever it is looked at;
-// a log whose records are all live is never rewritten.
-func TestCompactionBoundsTheLog(t *testing.T) {
+// TestLoadBoundsTheLog: a running store never compacts, so keys saved
+// over and over leave every line they wrote in the log; the next Load
+// hands over each key's last line and rewrites the log to those lines
+// alone. A log whose records are all live is never rewritten.
+func TestLoadBoundsTheLog(t *testing.T) {
 	dir := t.TempDir()
 	s, m := open(t, dir)
 	s.Load(func(rec) error { return nil })
 	const keys = 10
-	line := int64(len(`{"id":"k0","n":1000}` + "\n")) // every line is this long
-	bound := 2*keys*line + keys*line
-	for n := 1000; n < 2000; n++ {
+	for n := 1000; n < 1100; n++ {
 		for k := range keys {
 			s.Save(rec{ID: fmt.Sprint("k", k), N: n})
 		}
 		time.Sleep(time.Microsecond) // let batches stay small
-		if fi, err := os.Stat(filepath.Join(dir, LogName)); err == nil && fi.Size() > bound {
-			t.Fatalf("log is %d bytes, bound %d", fi.Size(), bound)
-		}
 	}
 	s.Close()
-	fi, err := os.Stat(filepath.Join(dir, LogName))
+	b, err := os.ReadFile(filepath.Join(dir, LogName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := m.Writes.Value(); int64(w)*line <= bound {
-		t.Skipf("only %d lines written; the bound does not show compaction", w)
-	}
-	if fi.Size() > bound {
-		t.Errorf("log is %d bytes after %d lines, bound %d", fi.Size(), m.Writes.Value(), bound)
+	if n := bytes.Count(b, []byte("\n")); uint64(n) != m.Writes.Value() || n <= keys {
+		t.Errorf("the log holds %d lines after %d writes of %d keys, want every write", n, m.Writes.Value(), keys)
 	}
 	s, _ = open(t, dir)
 	got := loadAll(s)
 	s.Close()
-	if len(got) != keys || got[0] != (rec{"k0", 1999}) || got[keys-1] != (rec{"k9", 1999}) {
-		t.Errorf("reloaded %+v, want each key at 1999", got)
+	var live bytes.Buffer
+	for k := range keys {
+		if k >= len(got) || got[k] != (rec{fmt.Sprint("k", k), 1099}) {
+			t.Fatalf("reloaded %+v, want each key at 1099", got)
+		}
+		fmt.Fprintf(&live, "{\"id\":\"k%d\",\"n\":1099}\n", k)
+	}
+	if b, _ := os.ReadFile(filepath.Join(dir, LogName)); !bytes.Equal(b, live.Bytes()) {
+		t.Errorf("after Load the log is\n%s\nwant its live lines\n%s", b, live.Bytes())
 	}
 
 	dir = t.TempDir()

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -448,4 +450,193 @@ func eventLines(stream []byte) []string {
 		}
 	}
 	return lines
+}
+
+// awaitPersistWrites waits until the sweep store and the result cache's
+// store have each written exactly what is asked of them: they write
+// behind, so a count is read once it settles, and one past it fails.
+func awaitPersistWrites(t *testing.T, ts *httptest.Server, sweeps, results float64, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s := scrapeMetric(t, ts, "mama_server_sweep_persist_writes_total")
+		r := scrapeMetric(t, ts, "mama_server_cache_persist_writes_total")
+		if s > sweeps || r > results || time.Now().After(deadline) {
+			t.Fatalf("%s: %v sweep lines and %v results written, want %v and %v", what, s, r, sweeps, results)
+		}
+		if s == sweeps && r == results {
+			return
+		}
+	}
+}
+
+// TestSweepRecordWrittenOnce pins what the sweep log costs: a sweep's
+// header is written at admission and again only on a priority change,
+// and a cell writes a line of its own only when it is deduped at
+// dispatch or fails — a cell that runs to its result writes nothing
+// there, its result in the cache is the record of it.
+func TestSweepRecordWrittenOnce(t *testing.T) {
+	dir := t.TempDir()
+	run, _ := countingRun()
+	srv := mustNew(t, Config{Workers: 2, QueueDepth: 8, CacheDir: dir, Run: run})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, cold := postSweep(t, ts, sweepGridJSON("cold", 4))
+	waitSweepDone(t, ts, cold.ID, 10*time.Second)
+	awaitPersistWrites(t, ts, 1, 4, "a cold four-cell sweep")
+	// sweep_warm's shape: four mixes, four controllers, 32 seeds.
+	seeds := make([]string, 32)
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(1_000_000 + i)
+	}
+	grid512 := func(name string) string {
+		return fmt.Sprintf(`{"name":%q,"grid":{"mixes":[["spec06.libquantum"],["spec06.mcf"],["spec06.sphinx3"],["ligra.BFS"]],`+
+			`"controllers":["no","bandit","mumama","pythia"],"scales":["tiny"],"seeds":[%s]}}`, name, strings.Join(seeds, ","))
+	}
+	_, fill := postSweep(t, ts, grid512("fill"))
+	waitSweepDone(t, ts, fill.ID, 30*time.Second)
+	srv.Close()
+	awaitPersistWrites(t, ts, 2, 4+512, "a cold 512-cell sweep after it")
+
+	// The restarted server answers the whole grid from the cache: one
+	// header, every cell flagged deduped in its bitmap.
+	srv = mustNew(t, Config{Workers: 2, QueueDepth: 8, CacheDir: dir, Run: run})
+	ts2 := httptest.NewServer(srv.Handler())
+	defer ts2.Close()
+	_, warm := postSweep(t, ts2, grid512("warm"))
+	if warm.Status != "done" || warm.Deduped != 512 {
+		t.Fatalf("warm resubmission %+v, want all 512 cells deduped at admission", warm)
+	}
+	srv.Close()
+	awaitPersistWrites(t, ts2, 1, 0, "a warm 512-cell resubmission")
+	line := latestLines(t, filepath.Join(dir, "sweeps"), "id")[warm.ID]
+	t.Logf("a warm 512-cell sweep's line: %d bytes", len(line))
+	if len(line) == 0 || len(line) > 1024 {
+		t.Errorf("the warm sweep's line is %d bytes, want at most 1 KB: %s", len(line), line)
+	}
+
+	// A rider deduped at dispatch, a failed cell and a priority change
+	// each add one line.
+	h := newHeldRun()
+	failing := func(ctx context.Context, spec JobSpec) (JobResult, error) {
+		if spec.Seed == 2 {
+			return JobResult{}, errors.New("simulated failure")
+		}
+		return h.run(ctx, spec)
+	}
+	srv = mustNew(t, Config{Workers: 2, QueueDepth: 8, CacheDir: t.TempDir(), Run: failing})
+	defer srv.Close()
+	ts3 := httptest.NewServer(srv.Handler())
+	defer ts3.Close()
+	_, a := postSweep(t, ts3, sweepGridJSON("a", 1))
+	h.awaitStart(t)
+	_, b := postSweep(t, ts3, sweepGridJSON("b", 1))
+	awaitRiders(t, srv, heldSpec, 1)
+	close(h.release)
+	waitSweepDone(t, ts3, a.ID, 10*time.Second)
+	if v := waitSweepDone(t, ts3, b.ID, 10*time.Second); v.Deduped != 1 {
+		t.Fatalf("the riding sweep finished as %+v, want its cell deduped", v)
+	}
+	awaitPersistWrites(t, ts3, 3, 1, "two headers and a rider")
+	_, f := postSweep(t, ts3, `{"name":"f","grid":{"mixes":[["spec06.libquantum"]],"controllers":["no"],"scales":["tiny"],"seeds":[2]}}`)
+	if v := waitSweepDone(t, ts3, f.ID, 10*time.Second); v.Failed != 1 {
+		t.Fatalf("sweep f finished as %+v, want its cell failed", v)
+	}
+	awaitPersistWrites(t, ts3, 5, 1, "a failed cell")
+	if resp, _ := postSweep(t, ts3, `{"name":"a","priority":5,"grid":{"mixes":[["spec06.libquantum"]],"controllers":["no"],"scales":["tiny"],"seeds":[1]}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("priority change: HTTP %d, want 200", resp.StatusCode)
+	}
+	awaitPersistWrites(t, ts3, 6, 1, "a priority change")
+}
+
+// TestParentLogResumes: a -cache-dir in the one-log layout written by
+// the commit before a sweep's record was written once (4cf5141: its
+// server, a fake run, the directory copied while the process ran, as a
+// crash leaves it) resumes here as it resumed there.
+// testdata/resume-4cf5141/cache is that directory: seven results, and a
+// sweep log of status snapshots, superseded ones among them, of three
+// sweeps — fixture-finished, four cells done; fixture-failed, one cell
+// failed and one done; fixture-midrun, two cells deduped at admission,
+// two done, two running and two pending. resumed.<id>.ndjson is what
+// that commit's own restart over it streamed for each sweep before any
+// cell left to run finished. Every event line must be the same bytes,
+// and the counts the same counts.
+func TestParentLogResumes(t *testing.T) {
+	const fixture = "testdata/resume-4cf5141"
+	dir := t.TempDir()
+	for _, name := range []string{persist.LogName, filepath.Join("sweeps", persist.LogName)} {
+		b, err := os.ReadFile(filepath.Join(fixture, "cache", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, calls := countingRun()
+	release := make(chan struct{})
+	held := func(ctx context.Context, spec JobSpec) (JobResult, error) {
+		select {
+		case <-release:
+			return run(ctx, spec)
+		case <-ctx.Done():
+			return JobResult{}, ctx.Err()
+		}
+	}
+	srv := mustNew(t, Config{Workers: 2, QueueDepth: 4, CacheDir: dir, Run: held})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	st := getStats(t, ts)
+	if st.CacheLoaded != 7 || st.CacheQuarantined != 0 || st.Sweeps.Resumed != 3 ||
+		st.Sweeps.CellsPending != 2 || st.Sweeps.CellsRunning != 2 || st.Sweeps.CellsDone != 7 ||
+		st.Sweeps.CellsDeduped != 2 || st.Sweeps.CellsFailed != 1 {
+		t.Fatalf("restored cache_loaded=%d quarantined=%d sweeps=%+v, want 7 results and 3 sweeps: "+
+			"7 cells done, 2 deduped, 1 failed, 2 running and 2 pending", st.CacheLoaded, st.CacheQuarantined, st.Sweeps)
+	}
+	streams, err := filepath.Glob(filepath.Join(fixture, "resumed.*.ndjson"))
+	if err != nil || len(streams) != 3 {
+		t.Fatalf("fixture streams: %v, %v", streams, err)
+	}
+	for _, path := range streams {
+		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "resumed."), ".ndjson")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/results?follow=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %s: HTTP %d, %v", id, resp.StatusCode, err)
+		}
+		if gotLines, wantLines := eventLines(got), eventLines(want); len(gotLines) == 0 || !reflect.DeepEqual(gotLines, wantLines) {
+			t.Errorf("sweep %s resumes as\n%s\nthe parent resumed it as\n%s", id, got, want)
+		}
+	}
+
+	close(release)
+	const midrun = "s87f12f702fcb65b4"
+	final := waitSweepDone(t, ts, midrun, 15*time.Second)
+	if final.Deduped != 2 || final.Done != 6 || final.Failed != 0 || calls.Load() != 4 {
+		t.Errorf("fixture-midrun finished as %+v after %d runs, want 2 deduped + 6 done after 4", final, calls.Load())
+	}
+	srv.Close()
+
+	// The old snapshots stay as they are, and a second restart finds
+	// every sweep finished without running anything.
+	srv = mustNew(t, Config{Workers: 2, QueueDepth: 4, CacheDir: dir, Run: held})
+	defer srv.Close()
+	ts2 := httptest.NewServer(srv.Handler())
+	defer ts2.Close()
+	if st := getStats(t, ts2); st.Sweeps.Resumed != 3 || st.Sweeps.Active != 0 || st.Sweeps.CellsDone != 11 ||
+		st.Sweeps.CellsDeduped != 2 || st.Sweeps.CellsFailed != 1 || calls.Load() != 4 {
+		t.Errorf("second restart: sweeps=%+v after %d runs, want 3 finished sweeps, 11 cells done, 2 deduped, 1 failed after 4",
+			st.Sweeps, calls.Load())
+	}
 }

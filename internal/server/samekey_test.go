@@ -223,16 +223,19 @@ func TestSameKeyDrainMidRun(t *testing.T) {
 	if err := srv1.Shutdown(expired); !errors.Is(err, context.Canceled) {
 		t.Fatalf("shutdown past its deadline returned %v, want context.Canceled", err)
 	}
+	// Pending is what a sweep's header says of a cell when it marks the
+	// cell neither deduped nor failed and no cell line follows it.
 	records := latestLines(t, filepath.Join(dir, "sweeps"), "id")
+	if len(records) != 2 {
+		t.Errorf("sweep log holds %d records, want the two headers alone: %q", len(records), records)
+	}
 	for _, id := range []string{a.ID, b.ID} {
 		raw := records[id]
 		if raw == nil {
 			t.Fatalf("sweep %s not persisted", id)
 		}
-		var rec struct {
-			Status []sweep.CellStatus `json:"status"`
-		}
-		if err := json.Unmarshal(raw, &rec); err != nil || len(rec.Status) != 1 || rec.Status[0] != sweep.CellPending {
+		var rec map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &rec); err != nil || rec["spec"] == nil || rec["deduped"] != nil || rec["errors"] != nil {
 			t.Errorf("sweep %s persisted as %s (err %v), want its one cell pending", id, raw, err)
 		}
 	}

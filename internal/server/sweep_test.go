@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"micromama/internal/client"
 	"micromama/internal/sweep"
 	"micromama/internal/workload"
 )
@@ -921,5 +922,28 @@ func TestSweepSubmitValidation(t *testing.T) {
 	}
 	if st := getStats(t, ts); st.Sweeps.Total != 0 {
 		t.Errorf("rejected specs left %d sweeps tracked", st.Sweeps.Total)
+	}
+}
+
+// TestRunSweepReportsAttach: client.RunSweep says whether its
+// submission created the sweep. A second identical call attaches to the
+// sweep the server already holds and says so, with the same results.
+func TestRunSweepReportsAttach(t *testing.T) {
+	run, calls := countingRun()
+	srv := mustNew(t, Config{Workers: 2, Run: run})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, client.Options{})
+	spec := sweep.Spec{Name: "attach", Grid: &sweep.Grid{Mixes: [][]string{{"spec06.libquantum"}},
+		Controllers: []string{"no", "bandit"}, Scales: []string{"tiny"}}}
+	first, v1, created, err := c.RunSweep(context.Background(), spec)
+	if err != nil || !created || v1.Done != 2 {
+		t.Fatalf("first RunSweep: %+v created=%v err=%v, want the sweep created and both cells done", v1, created, err)
+	}
+	again, v2, created, err := c.RunSweep(context.Background(), spec)
+	if err != nil || created || v2.ID != v1.ID || !reflect.DeepEqual(again, first) || calls.Load() != 2 {
+		t.Errorf("second RunSweep: %+v created=%v err=%v after %d runs, want it attached to %s with the same results",
+			v2, created, err, calls.Load(), v1.ID)
 	}
 }

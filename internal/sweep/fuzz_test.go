@@ -3,9 +3,13 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"micromama/internal/persist"
 )
 
 // fuzzSpecCorpus seeds FuzzSweepSpec, and TestLayoutMatchesReference
@@ -161,5 +165,76 @@ func FuzzParseLine(f *testing.F) {
 	f.Add([]byte(`{"seq":1}}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		checkAgainstReference(t, line)
+	})
+}
+
+// halfCachedExec is a backend whose cache holds a result for about half
+// of all keys: those whose first hex digit is below 8.
+type halfCachedExec struct{ recordingExec }
+
+func (e *halfCachedExec) Lookup(h uint32) (string, json.RawMessage) {
+	if key := e.keys[h]; key[0] < '8' {
+		return key, json.RawMessage(`{}`)
+	}
+	return e.keys[h], nil
+}
+
+// FuzzSweepResume takes any bytes as the sweep log and restarts a
+// manager over it. New never panics; no cell it resumes reads done or
+// deduped unless the backend holds its result, so every resumed sweep
+// streams without a gap; and a second restart, which finds the log as
+// the first one's Load rewrote it, resumes every cell as the first did.
+func FuzzSweepResume(f *testing.F) {
+	const spec = `"spec":{"name":"f","cells":[{"mix":["a"],"controller":"no"},{"mix":["b"],"controller":"no"},` +
+		`{"mix":["c"],"controller":"no"},{"mix":["d"],"controller":"no"}]},"created_at":"2026-01-01T00:00:00Z"`
+	for _, log := range []string{
+		// A header, and a cell line for each outcome it can have.
+		`{"id":"s1",` + spec + `,"deduped":"Aw=="}` + "\n" + `{"id":"s1/2","cell":"deduped"}` + "\n" +
+			`{"id":"s1/3","cell":"failed","error":"boom"}` + "\n",
+		// A header rewritten on a priority change, with the failures.
+		`{"id":"s1",` + spec + `,"deduped":"AQ==","errors":{"1":"","3":"x"}}` + "\n" + `{"id":"s1",` + spec + "}\n",
+		// An older build's snapshots, superseded and then current.
+		`{"id":"s2",` + spec + `,"status":["pending","pending","pending","pending"]}` + "\n" +
+			`{"id":"s2",` + spec + `,"status":["done","deduped","failed","running"],"errors":{"2":"x"}}` + "\n" +
+			`{"id":"s2/3","cell":"deduped"}` + "\n",
+		// Cell lines without their header, or naming no cell or outcome.
+		`{"id":"s9/1","cell":"deduped"}` + "\n" + `{"id":"s1",` + spec + "}\n" + `{"id":"s1/x","cell":"failed"}` + "\n" +
+			`{"id":"s1/-1","cell":"deduped"}` + "\n" + `{"id":"s1/99","cell":"deduped"}` + "\n" + `{"id":"s1/0","cell":"done"}` + "\n" +
+			`{"id":"s1/","cell":"failed"}` + "\n" + `{"id":"/0","cell":"failed"}` + "\n",
+		// A torn tail, and a spec that no longer lays out.
+		`{"id":"s1",` + spec + "}\n" + `{"id":"s3","spec":{"cells":[{"mix":["a"],"controller":"bad"}]}}` + "\n" + `{"id":"s1/2","cell":"ded`,
+	} {
+		f.Add([]byte(log))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, persist.LogName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resume := func() map[string][]uint8 {
+			exec := &halfCachedExec{}
+			mgr, err := New(Config{Exec: exec, Dir: dir, MaxCells: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.CloseStore()
+			out := map[string][]uint8{}
+			for id, st := range mgr.sweeps {
+				for i, code := range st.status {
+					if _, res := exec.Lookup(st.handles[i]); res == nil && (code == codeDone || code == codeDeduped) {
+						t.Fatalf("sweep %s cell %d resumed %s without its result", id, i, statusNames[code])
+					}
+				}
+				if _, _, _, _, err := mgr.EventsSince(id, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+				out[id] = append([]uint8(nil), st.status...)
+			}
+			return out
+		}
+		first := resume()
+		if again := resume(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("a second restart resumed %v, the first %v", again, first)
+		}
 	})
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,9 +58,10 @@ type Config struct {
 	Exec Exec
 	// MaxCells bounds a single sweep's expansion (default 4096).
 	MaxCells int
-	// Dir, when non-empty, persists sweep state (one JSON line per
-	// snapshot of a sweep, appended to Dir/records.log) so a restarted
-	// server resumes incomplete sweeps.
+	// Dir, when non-empty, persists sweep state (a header line per sweep
+	// and a line per cell deduped at dispatch or failed, appended to
+	// Dir/records.log; see record) so a restarted server resumes
+	// incomplete sweeps.
 	Dir string
 	// Registry receives the mama_server_sweep_* instruments; nil uses a
 	// private throwaway registry (tests).
@@ -204,9 +207,9 @@ type Manager struct {
 }
 
 // New builds a Manager and, when Config.Dir is set, restores persisted
-// sweeps: finished cells whose results survive in the result cache stay
-// finished; cells that were running (or whose results were lost) return
-// to pending and are re-dispatched.
+// sweeps: cells whose results survive in the result cache are finished,
+// failed cells stay failed, and every other cell — running when the
+// process died, or its result lost — is pending and re-dispatched.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Exec == nil {
 		return nil, fmt.Errorf("sweep: Config.Exec is required")
@@ -245,9 +248,39 @@ func New(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		mgr.store = st
-		st.Load(func(rec record) error { mgr.resume(rec); return nil })
+		var sweeps []*loaded
+		byID := make(map[string]*loaded)
+		st.Load(func(rec record) error { return take(byID, &sweeps, rec) })
+		for _, l := range sweeps {
+			mgr.resume(l)
+		}
 	}
 	return mgr, nil
+}
+
+// loaded is one sweep as the log holds it: its header, and its cell
+// lines by cell index.
+type loaded struct {
+	header record
+	cells  map[int]record
+}
+
+// take files one record Load hands over. Load hands a sweep's header
+// over before its cell lines (its ID is their keys' prefix), so a cell
+// line whose header is missing is refused: quarantined, not kept.
+func take(byID map[string]*loaded, sweeps *[]*loaded, rec record) error {
+	id, cell, isCell := strings.Cut(rec.ID, "/")
+	if !isCell && rec.Spec != nil {
+		byID[id] = &loaded{header: rec, cells: map[int]record{}}
+		*sweeps = append(*sweeps, byID[id])
+		return nil
+	}
+	i, err := strconv.Atoi(cell)
+	if l := byID[id]; isCell && l != nil && err == nil && (rec.Cell == CellDeduped || rec.Cell == CellFailed) {
+		l.cells[i] = rec
+		return nil
+	}
+	return fmt.Errorf("sweep record %s is neither a header nor a cell line under one", rec.ID)
 }
 
 // maxPriority is the largest per-sweep priority the scheduler honours.
@@ -333,7 +366,7 @@ func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
 	if st.pendingCount() == 0 && st.running == 0 {
 		mgr.finishIfDoneLocked(st)
 	}
-	mgr.saveLocked(st)
+	mgr.saveHeaderLocked(st)
 	mgr.log.Info("sweep submitted", "sweep", id, "name", spec.Name,
 		"cells", n, "deduped", st.deduped, "enqueued", enqueued,
 		"priority", priority)
@@ -358,21 +391,26 @@ func (mgr *Manager) attachLocked(id string, priority int) (v View, held bool, er
 		if old.finished.IsZero() { // a finished sweep has left the rotation
 			mgr.sched.add(id, priority)
 		}
-		mgr.saveLocked(old)
+		mgr.saveHeaderLocked(old)
 	}
 	return old.view(), true, nil
 }
 
 // resume restores one persisted sweep. The spec lays out the same cells
-// again; stored statuses are reconciled against the
-// restored result cache: done/deduped cells keep their status only if
-// the cached result is still present (otherwise they re-run), running
-// cells return to pending (the process died under them), failed cells
-// stay failed with their stored error. A record whose spec no longer
+// again, each reconciled against the restored result cache: a failed
+// cell stays failed with its stored error; a cell whose result the
+// cache holds is deduped if the log says so, and done otherwise; any
+// other cell was running when the process died, or lost its result,
+// and is pending (re-run rather than lie). A sweep whose spec no longer
 // expands and resolves is logged and left on disk: the limits it broke
 // (-max-sweep-cells, -max-cores) may be raised again by a later start.
-func (mgr *Manager) resume(rec record) {
-	st, err := mgr.newState(rec.ID, rec.Spec, rec.CreatedAt)
+func (mgr *Manager) resume(l *loaded) {
+	rec := l.header
+	var createdAt time.Time
+	if rec.CreatedAt != nil {
+		createdAt = *rec.CreatedAt
+	}
+	st, err := mgr.newState(rec.ID, *rec.Spec, createdAt)
 	if err != nil {
 		mgr.log.Error("persisted sweep no longer expands and resolves; skipping it", "sweep", rec.ID, "err", err)
 		return
@@ -386,29 +424,30 @@ func (mgr *Manager) resume(rec record) {
 	mgr.sched.add(st.id, st.priority)
 	pending := 0
 	for i := 0; i < n; i++ {
-		prev := CellPending
+		var was CellStatus // in an older build's snapshot, or the cell's line
 		if i < len(rec.Status) {
-			prev = rec.Status[i]
+			was = rec.Status[i]
 		}
-		switch prev {
-		case CellDone, CellDeduped:
-			if _, res := mgr.exec.Lookup(st.handles[i]); res != nil {
-				mgr.completeLocked(st, i, prev, "")
-				continue
-			}
-			// The result was lost (cache file quarantined or the cache dir
-			// changed): re-run rather than lie.
-		case CellFailed:
-			mgr.completeLocked(st, i, CellFailed, rec.Errors[i])
-			continue
+		errMsg, failed := rec.Errors[i]
+		if line, ok := l.cells[i]; ok {
+			was, errMsg = line.Cell, line.Error
 		}
-		mgr.sched.push(st.id, i)
-		pending++
+		_, res := mgr.exec.Lookup(st.handles[i])
+		switch {
+		case failed || was == CellFailed:
+			mgr.completeLocked(st, i, CellFailed, errMsg)
+		case res == nil:
+			mgr.sched.push(st.id, i)
+			pending++
+		case was == CellDeduped || (i/8 < len(rec.Deduped) && rec.Deduped[i/8]>>(i%8)&1 == 1):
+			mgr.completeLocked(st, i, CellDeduped, "")
+		default:
+			mgr.completeLocked(st, i, CellDone, "")
+		}
 	}
 	if pending == 0 && st.running == 0 {
 		mgr.finishIfDoneLocked(st)
 	}
-	mgr.saveLocked(st)
 	mgr.log.Info("sweep resumed", "sweep", st.id, "name", st.spec.Name,
 		"cells", n, "finished", st.terminalCount(), "pending", pending)
 	mgr.pokeLocked()
@@ -469,8 +508,10 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 		mgr.sched.pushFront(st.id, t.Index)
 	} else {
 		mgr.completeLocked(st, t.Index, status, errMsg)
+		if status != CellDone { // a done cell's result says so after a restart
+			mgr.store.Save(record{ID: st.id + "/" + strconv.Itoa(t.Index), Cell: status, Error: errMsg})
+		}
 	}
-	mgr.saveLocked(st)
 	mgr.pokeLocked()
 	mgr.broadcastLocked()
 }
@@ -514,24 +555,26 @@ func (mgr *Manager) finishIfDoneLocked(st *state) {
 		"done", st.done, "deduped", st.deduped, "failed", st.failed)
 }
 
-// saveLocked snapshots one sweep into the crash-safe store.
-func (mgr *Manager) saveLocked(st *state) {
+// saveHeaderLocked writes one sweep's header: its spec and the cells
+// deduped and failed so far.
+func (mgr *Manager) saveHeaderLocked(st *state) {
 	if mgr.store == nil {
 		return
 	}
-	rec := record{
-		ID:        st.id,
-		Spec:      st.spec,
-		Status:    make([]CellStatus, len(st.status)),
-		CreatedAt: st.createdAt,
-	}
+	spec, createdAt := st.spec, st.createdAt // copies: the writer encodes them outside mu
+	rec := record{ID: st.id, Spec: &spec, CreatedAt: &createdAt}
 	for i, code := range st.status {
-		rec.Status[i] = statusNames[code]
-	}
-	if len(st.errors) > 0 {
-		rec.Errors = make(map[int]string, len(st.errors))
-		for i, e := range st.errors {
-			rec.Errors[i] = e
+		switch code {
+		case codeDeduped:
+			if rec.Deduped == nil {
+				rec.Deduped = make([]byte, (len(st.status)+7)/8)
+			}
+			rec.Deduped[i/8] |= 1 << (i % 8)
+		case codeFailed:
+			if rec.Errors == nil {
+				rec.Errors = make(map[int]string)
+			}
+			rec.Errors[i] = st.errors[i]
 		}
 	}
 	mgr.store.Save(rec)

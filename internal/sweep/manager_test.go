@@ -1,15 +1,21 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"micromama/internal/persist"
 )
 
 // recordingExec is a backend that caches nothing and writes down what
@@ -357,5 +363,82 @@ func TestResumeKeepsRecordOverLimits(t *testing.T) {
 	defer again.CloseStore()
 	if got, ok := again.View(v.ID); !ok || got.Pending != v.Cells {
 		t.Errorf("restart at the old limits: %+v held=%v, want %d cells pending", got, ok, v.Cells)
+	}
+}
+
+// TestResumeRestoresEveryOutcome: a restart brings every finished cell
+// back as it finished — deduped at admission (the header's bitmap), at
+// dispatch (its cell line), failed with its error (its cell line), done
+// (its result alone) — and every other cell pending. The log is the
+// header and those two cell lines, and the restart writes nothing.
+func TestResumeRestoresEveryOutcome(t *testing.T) {
+	dir := t.TempDir()
+	exec := &cacheExec{m: map[string]json.RawMessage{}}
+	spec := gridSpec()
+	cells, err := spec.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells[:4] {
+		exec.m[keyOf(c)] = json.RawMessage(`{}`)
+	}
+	mgr, err := New(Config{Exec: exec, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := mgr.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := -1
+	for i := 0; ; i++ {
+		tk, ok := mgr.TryDequeue()
+		if !ok {
+			break
+		}
+		switch i {
+		case 0, 1:
+			exec.m[tk.Key] = json.RawMessage(`{}`)
+			mgr.CellDone(tk, CellDone, "")
+		case 2:
+			exec.m[tk.Key] = json.RawMessage(`{}`)
+			mgr.CellDone(tk, CellDeduped, "")
+		case 3:
+			failed = tk.Index
+			mgr.CellDone(tk, CellFailed, "boom")
+		case 4:
+			mgr.CellDone(tk, CellPending, "")
+		} // the rest are running when the process dies
+	}
+	want := make([]CellStatus, len(cells))
+	mgr.mu.Lock()
+	for i, code := range mgr.sweeps[v.ID].status {
+		want[i] = statusNames[code]
+		if code == codeRunning {
+			want[i] = CellPending
+		}
+	}
+	mgr.mu.Unlock()
+	mgr.CloseStore()
+
+	mgr, err = New(Config{Exec: exec, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.CloseStore()
+	st := mgr.sweeps[v.ID]
+	got := make([]CellStatus, len(st.status))
+	for i, code := range st.status {
+		got[i] = statusNames[code]
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(st.errors, map[int]string{failed: "boom"}) {
+		t.Errorf("resumed as %v (errors %v), want %v with the failure's error", got, st.errors, want)
+	}
+	if w := mgr.m.store.Writes.Value(); w != 0 {
+		t.Errorf("the restart wrote %d lines, want none", w)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, persist.LogName))
+	if n := bytes.Count(b, []byte("\n")); err != nil || n != 3 {
+		t.Errorf("the log holds %d lines (err %v), want a header and two cell lines:\n%s", n, err, b)
 	}
 }

@@ -5,9 +5,10 @@
 // cluster-wide), then the same cells are resubmitted under a new sweep
 // name to node C — the warm pass must complete with zero new
 // simulations anywhere, served by cross-shard cache fetches from the
-// owning nodes. A churn phase kills node B mid-sweep (the sweep must
-// still finish every cell exactly once on the survivors; the phase's
-// simulations per cell are printed), then restarts it: B must answer
+// owning nodes. A churn phase kills node B mid-sweep, holding the cells
+// sent to B until the kill (the sweep must still finish every cell
+// exactly once on the survivors; the phase's simulations per cell are
+// printed), then restarts it: B must answer
 // /healthz again and its boot repair settle, and a warm resubmission
 // against the restarted node must cost zero new simulations. A last
 // phase boots a second trio with the default per-peer slots and gives
@@ -23,8 +24,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"time"
 
 	"micromama/internal/client"
@@ -50,11 +53,45 @@ func spec(name string, seeds ...uint64) sweep.Spec {
 }
 
 type node struct {
-	cl  *cluster.Cluster
-	srv *server.Server
-	ts  *httptest.Server
-	url string
-	c   *client.Client
+	cl   *cluster.Cluster
+	srv  *server.Server
+	ts   *httptest.Server
+	url  string
+	c    *client.Client
+	jobs jobGate
+}
+
+// jobGate holds the job submissions (POST /v1/jobs) a node is sent
+// once it is shut — the churn phase shuts B's from the churn sweep's
+// submission to B's kill, so that B finishes none of that sweep's cells
+// (a cell B ran and wrote back just before its kill would complete
+// deduped on A) — and answers them 503, as a node going away does, once
+// it is released. It never opens again: a restarted node has its own.
+type jobGate struct {
+	mu   sync.Mutex
+	held chan struct{} // nil until shut; closed on release
+}
+
+func (g *jobGate) shut() {
+	g.mu.Lock()
+	g.held = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *jobGate) release() { close(g.held) }
+
+func (g *jobGate) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g.mu.Lock()
+		held := g.held
+		g.mu.Unlock()
+		if held != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			<-held
+			http.Error(w, "node is going away", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // startNode builds one cluster member on an already-bound listener.
@@ -74,12 +111,12 @@ func startNode(ln net.Listener, self string, urls []string, peerSlots int) (*nod
 	if err != nil {
 		return nil, fmt.Errorf("server %s: %w", self, err)
 	}
-	ts := httptest.NewUnstartedServer(srv.Handler())
-	ts.Listener.Close()
-	ts.Listener = ln
-	ts.Start()
-	return &node{cl: cl, srv: srv, ts: ts, url: self,
-		c: client.New(self, client.Options{Timeout: 2 * time.Minute})}, nil
+	nd := &node{cl: cl, srv: srv, url: self, c: client.New(self, client.Options{Timeout: 2 * time.Minute})}
+	nd.ts = httptest.NewUnstartedServer(nd.jobs.wrap(srv.Handler()))
+	nd.ts.Listener.Close()
+	nd.ts.Listener = ln
+	nd.ts.Start()
+	return nd, nil
 }
 
 // startCluster binds n loopback listeners first so every node is built
@@ -292,12 +329,15 @@ func run() error {
 	fmt.Printf("cluster-smoke: warm sweep to node C answered in %v (%d cells deduped, %d cross-shard cache hits, 0 new simulations)\n",
 		warmDur.Round(time.Millisecond), warm.Deduped, cStats.Cluster.RemoteCacheHits)
 
-	// Phase 3: churn. Kill node B mid-sweep: the sweep must still finish
-	// every cell exactly once on the survivors. Then restart B: it must
-	// answer /healthz again and its boot repair settle, until a warm
-	// resubmission against B costs zero new simulations.
+	// Phase 3: churn. Kill node B mid-sweep, with the cells sent to it
+	// held at its door: the sweep must still finish every cell exactly
+	// once on the survivors. Then restart B: it must answer /healthz
+	// again and its boot repair settle, until a warm resubmission against
+	// B costs zero new simulations.
 	b := nodes[1]
 	bAddr := b.url[len("http://"):]
+	b.jobs.shut()
+	bSimsBefore := b.srv.Stats().Simulations
 	churn, err := a.c.SubmitSweep(ctx, spec("cluster-smoke-churn", 3, 4))
 	if err != nil {
 		return fmt.Errorf("churn submit: %w", err)
@@ -323,6 +363,7 @@ func run() error {
 		time.Sleep(2 * time.Millisecond)
 	}
 	killAt := time.Now()
+	b.jobs.release()
 	b.ts.Close()
 	b.srv.Close()
 	fmt.Printf("cluster-smoke: killed node B mid-sweep (%s)\n", b.url)
@@ -346,11 +387,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	churnSims := survivorSims + b.srv.Stats().Simulations - simsAfterWarm
-	fmt.Printf("cluster-smoke: churn phase ran %d simulations for %d cells (%.2f per cell)\n",
-		churnSims, churn.Cells, float64(churnSims)/float64(churn.Cells))
+	bSims := b.srv.Stats().Simulations
+	churnSims := survivorSims + bSims - simsAfterWarm
+	fmt.Printf("cluster-smoke: churn phase ran %d simulations for %d cells (%.2f per cell, %d on B)\n",
+		churnSims, churn.Cells, float64(churnSims)/float64(churn.Cells), bSims-bSimsBefore)
 	if churnFinal.Done != churn.Cells || churnFinal.Failed != 0 {
-		return fmt.Errorf("churn sweep: done %d failed %d, want %d/0", churnFinal.Done, churnFinal.Failed, churn.Cells)
+		return fmt.Errorf("churn sweep: done %d deduped %d failed %d, want %d/0/0",
+			churnFinal.Done, churnFinal.Deduped, churnFinal.Failed, churn.Cells)
 	}
 	if len(terminal) != churn.Cells {
 		return fmt.Errorf("churn sweep emitted terminal events for %d cells, want %d", len(terminal), churn.Cells)
