@@ -100,7 +100,10 @@ chaos:
 # non-empty line loads under the key it claims or is quarantined byte
 # for byte, and a save on top survives a restart), and back in the sweep
 # layer that log resumed by the sweep manager (no cell reads done or
-# deduped without its result, and a second restart resumes it alike).
+# deduped without its result, a finished sweep streams each cell once,
+# and a second restart resumes it alike) and the manager's lifecycle
+# against a reference model that stores the whole completion order
+# (views, events and saved headers equal).
 # `go test` alone only replays the seed corpus. One target per
 # invocation is a `go test -fuzz` rule.
 fuzz-smoke:
@@ -114,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLog$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepResume$$' -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepLifecycle$$' -fuzztime 10s ./internal/sweep
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells

@@ -327,8 +327,9 @@ func TestSweepWarmCacheDedupe(t *testing.T) {
 
 // TestFinishedSweepFootprint: what the manager keeps of a sweep it has
 // finished is its spec and, per cell, a handle into the result cache's
-// key table, a status byte and a completion-order entry — 4 + 1 + 4
-// bytes — not the cells, keys or results, which are read off the spec
+// key table and a status byte — 4 + 1 bytes; a fully deduped sweep
+// completed in cell order stores no completion order — not the cells,
+// keys or results, which are read off the spec
 // and the result cache. 200 warm 512-cell sweeps through Manager.Submit
 // with the real sweepExec, then the heap that survives a collection.
 func TestFinishedSweepFootprint(t *testing.T) {
@@ -350,8 +351,8 @@ func TestFinishedSweepFootprint(t *testing.T) {
 	}
 	perCell := float64(int64(heap()-before)) / (sweeps * cells)
 	t.Logf("%d finished %d-cell sweeps retain %.1f B per cell", sweeps, cells, perCell)
-	if perCell > 16 {
-		t.Errorf("a finished sweep retains %.1f B per cell, want <= 16", perCell)
+	if perCell > 8 {
+		t.Errorf("a finished sweep retains %.1f B per cell, want <= 8", perCell)
 	}
 }
 

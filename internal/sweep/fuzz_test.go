@@ -182,8 +182,10 @@ func (e *halfCachedExec) Lookup(h uint32) (string, json.RawMessage) {
 // FuzzSweepResume takes any bytes as the sweep log and restarts a
 // manager over it. New never panics; no cell it resumes reads done or
 // deduped unless the backend holds its result, so every resumed sweep
-// streams without a gap; and a second restart, which finds the log as
-// the first one's Load rewrote it, resumes every cell as the first did.
+// streams without a gap; a resumed sweep that is finished streams each
+// cell exactly once from cursor 0, with the status resume gave it; and a
+// second restart, which finds the log as the first one's Load rewrote
+// it, resumes every cell as the first did.
 func FuzzSweepResume(f *testing.F) {
 	const spec = `"spec":{"name":"f","cells":[{"mix":["a"],"controller":"no"},{"mix":["b"],"controller":"no"},` +
 		`{"mix":["c"],"controller":"no"},{"mix":["d"],"controller":"no"}]},"created_at":"2026-01-01T00:00:00Z"`
@@ -225,8 +227,22 @@ func FuzzSweepResume(f *testing.F) {
 						t.Fatalf("sweep %s cell %d resumed %s without its result", id, i, statusNames[code])
 					}
 				}
-				if _, _, _, _, err := mgr.EventsSince(id, 0, nil); err != nil {
+				events, v, _, _, err := mgr.EventsSince(id, 0, nil)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if v.Status == "done" {
+					seen := make([]bool, len(st.status))
+					for _, ev := range events {
+						if seen[ev.Cell] || ev.Status != statusNames[st.status[ev.Cell]] {
+							t.Fatalf("finished sweep %s streams cell %d again or as %s, resumed as %s",
+								id, ev.Cell, ev.Status, statusNames[st.status[ev.Cell]])
+						}
+						seen[ev.Cell] = true
+					}
+					if len(events) != len(st.status) {
+						t.Fatalf("finished sweep %s streams %d events for %d cells", id, len(events), len(st.status))
+					}
 				}
 				out[id] = append([]uint8(nil), st.status...)
 			}

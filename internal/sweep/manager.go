@@ -87,6 +87,11 @@ type Ticket struct {
 // terminal, its place in the completion order — 4 + 1 + 4 bytes in
 // three pointer-free slices, which the collector never scans; the cell
 // itself is read off the spec, and its key and result off the cache.
+//
+// The order is stored only once it leaves cell order: while every
+// terminal cell completed in index order (a fully deduped admission, a
+// resume of a finished sweep), event i is cell i, events is nil, and the
+// sweep keeps 4 + 1 bytes per cell.
 type state struct {
 	id        string
 	spec      Spec // normalized; includes priority for persistence
@@ -95,7 +100,7 @@ type state struct {
 	handles   []uint32       // Exec.Intern's handle per cell
 	status    []uint8        // a statusNames index per cell
 	errors    map[int]string // a failed cell's error; nil until one fails
-	events    []int32        // terminal cells in completion order; position = Event.Seq
+	events    []int32        // terminal cells in completion order, position = Event.Seq; nil while that is cell order
 	createdAt time.Time
 	finished  time.Time // zero while cells remain
 
@@ -123,7 +128,7 @@ func (st *state) view() View {
 		Done:      st.done,
 		Failed:    st.failed,
 		Deduped:   st.deduped,
-		Events:    len(st.events),
+		Events:    st.terminalCount(),
 		CreatedAt: st.createdAt,
 	}
 	if !st.finished.IsZero() {
@@ -309,8 +314,7 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 		id: id, spec: spec, priority: spec.Priority, createdAt: createdAt,
 		cells:   cells,
 		handles: handles,
-		status:  make([]uint8, n),    // codePending
-		events:  make([]int32, 0, n), // every cell is logged once
+		status:  make([]uint8, n), // codePending
 	}, nil
 }
 
@@ -321,7 +325,10 @@ func (mgr *Manager) newState(id string, spec Spec, createdAt time.Time) (*state,
 // over flaky links — and costs a map lookup: an equal ID is an equal
 // normalized spec, validated when it was admitted. ctx is the
 // submitting request's, for Exec.Prefetch. Errors are client errors.
+// Submit normalizes and keeps a copy of spec: the caller's slices are
+// neither written nor shared with the sweep.
 func (mgr *Manager) Submit(ctx context.Context, spec Spec) (View, bool, error) {
+	spec = spec.clone()
 	id, err := spec.ID()
 	if err != nil {
 		return View{}, false, err
@@ -517,8 +524,18 @@ func (mgr *Manager) CellDone(t Ticket, status CellStatus, errMsg string) {
 }
 
 // completeLocked finishes one cell and appends it to the completion
-// order.
+// order, which it starts storing at the first cell to complete out of
+// index order.
 func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, errMsg string) {
+	if seq := st.terminalCount(); st.events != nil || idx != seq {
+		if st.events == nil {
+			st.events = make([]int32, seq, st.cells.len())
+			for i := range st.events {
+				st.events[i] = int32(i)
+			}
+		}
+		st.events = append(st.events, int32(idx))
+	}
 	switch status {
 	case CellDone:
 		st.status[idx] = codeDone
@@ -539,7 +556,6 @@ func (mgr *Manager) completeLocked(st *state, idx int, status CellStatus, errMsg
 			st.errors[idx] = errMsg
 		}
 	}
-	st.events = append(st.events, int32(idx))
 	mgr.finishIfDoneLocked(st)
 }
 
@@ -647,8 +663,11 @@ func (mgr *Manager) EventsSince(id string, cursor int, dst []Event) (events []Ev
 	if !found {
 		return dst, View{}, nil, false, nil
 	}
-	for seq := max(cursor, 0); seq < len(st.events); seq++ {
-		i := int(st.events[seq])
+	for seq := max(cursor, 0); seq < st.terminalCount(); seq++ {
+		i := seq
+		if st.events != nil {
+			i = int(st.events[seq])
+		}
 		ev := Event{Seq: seq, Cell: i, Status: statusNames[st.status[i]], Spec: st.cells.at(i)}
 		ev.Key, ev.Result = mgr.exec.Lookup(st.handles[i])
 		if ev.Status == CellFailed {

@@ -211,6 +211,43 @@ func TestEventsReadTheCache(t *testing.T) {
 	}
 }
 
+// TestSubmitCopiesTheSpec: Submit neither writes the caller's spec nor
+// keeps its slices, so the caller may change them at once — while the
+// log's writer may still be encoding the sweep's header — and the sweep
+// keeps the cells it was submitted with.
+func TestSubmitCopiesTheSpec(t *testing.T) {
+	mgr, err := New(Config{Exec: &recordingExec{}, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.CloseStore()
+	spec := paddedSpec()
+	v, _, err := mgr.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec, paddedSpec()) {
+		t.Errorf("Submit rewrote the caller's spec: %+v", spec)
+	}
+	g := spec.Grid
+	g.Mixes[0][0], g.Controllers[0], g.Scales[0], g.Seeds[1], g.DRAM[1].MTps = "z", "z", "z", 9, 9
+	spec.Cells[0].Mix[0], spec.Cells[0].Controller = "z", "z"
+
+	clean := paddedSpec()
+	want, err := clean.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	st := mgr.sweeps[v.ID]
+	for i, c := range want {
+		if got := st.cells.at(i); !reflect.DeepEqual(got, c) {
+			t.Errorf("cell %d is %+v after the caller changed its spec, want %+v", i, got, c)
+		}
+	}
+}
+
 // TestCountsMatchRecount: Counts sums its gauges over the scheduler's
 // rotation instead of every sweep the manager holds. After every step of
 // a mixed sequence — cells deduped at admission, dequeued, done, failed

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -154,6 +155,28 @@ func (s *Spec) normalize() {
 	for i := range s.Cells {
 		s.Cells[i].Normalize()
 	}
+}
+
+// clone is a deep copy of s: it shares no slice with s, so normalizing
+// or laying out the copy never writes or keeps the original's.
+func (s Spec) clone() Spec {
+	s.Cells = slices.Clone(s.Cells)
+	for i := range s.Cells {
+		s.Cells[i].Mix = slices.Clone(s.Cells[i].Mix)
+	}
+	if s.Grid != nil {
+		g := *s.Grid
+		g.Mixes = slices.Clone(g.Mixes)
+		for i := range g.Mixes {
+			g.Mixes[i] = slices.Clone(g.Mixes[i])
+		}
+		g.Controllers = slices.Clone(g.Controllers)
+		g.Scales = slices.Clone(g.Scales)
+		g.Seeds = slices.Clone(g.Seeds)
+		g.DRAM = slices.Clone(g.DRAM)
+		s.Grid = &g
+	}
+	return s
 }
 
 // layout is a spec's ordered cell list, unmaterialized: the grid's

@@ -5,7 +5,8 @@
 // cluster-wide), then the same cells are resubmitted under a new sweep
 // name to node C — the warm pass must complete with zero new
 // simulations anywhere, served by cross-shard cache fetches from the
-// owning nodes. A churn phase kills node B mid-sweep, holding the cells
+// owning nodes, one per key C neither held after the cold pass nor
+// owns. A churn phase kills node B mid-sweep, holding the cells
 // sent to B until the kill (the sweep must still finish every cell
 // exactly once on the survivors; the phase's simulations per cell are
 // printed), then restarts it: B must answer
@@ -199,6 +200,30 @@ func totalSims(ctx context.Context, nodes []*node) (uint64, error) {
 	return total, nil
 }
 
+// holds is the set of keys whose results nd's cache holds, asked
+// through the peers' own cache probe.
+func holds(ctx context.Context, nd *node, keys []string) (map[string]bool, error) {
+	body, err := json.Marshal(map[string][]string{"keys": keys})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := nd.c.Post(ctx, "/internal/cache/lookup", body)
+	if err != nil {
+		return nil, fmt.Errorf("cache lookup on %s: %w", nd.url, err)
+	}
+	var out struct {
+		Results map[string]json.RawMessage `json:"results"`
+	}
+	if resp.Status != http.StatusOK || json.Unmarshal(resp.Body, &out) != nil {
+		return nil, fmt.Errorf("cache lookup on %s: HTTP %d %s", nd.url, resp.Status, resp.Body)
+	}
+	held := make(map[string]bool, len(out.Results))
+	for key := range out.Results {
+		held[key] = true
+	}
+	return held, nil
+}
+
 // waitCluster polls every node's /v1/stats until each answers with the
 // expected ring size and all ring fingerprints agree.
 func waitCluster(ctx context.Context, nodes []*node, size int, timeout time.Duration, what string) error {
@@ -272,7 +297,11 @@ func run() error {
 		return fmt.Errorf("cold submit: %w", err)
 	}
 	fmt.Printf("cluster-smoke: submitted %s (%d cells) to node A\n", v.ID, v.Cells)
-	final, err := a.c.StreamSweepResults(ctx, v.ID, func(ev sweep.Event) error { return nil })
+	var keys []string
+	final, err := a.c.StreamSweepResults(ctx, v.ID, func(ev sweep.Event) error {
+		keys = append(keys, ev.Key)
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("cold stream: %w", err)
 	}
@@ -300,7 +329,25 @@ func run() error {
 
 	// Phase 2: same cells, new sweep name, submitted to node C. Every
 	// result lives on its owning shard; C must assemble the sweep from
-	// cross-shard cache fetches without a single new simulation.
+	// cross-shard cache fetches without a single new simulation: one
+	// fetch per key C neither holds (it ran the cell, or was written
+	// back to as its owner) nor owns.
+	held := make([]map[string]bool, len(nodes))
+	for i, nd := range nodes {
+		if held[i], err = holds(ctx, nd, keys); err != nil {
+			return err
+		}
+	}
+	wantHits := 0
+	for _, key := range keys {
+		if !held[2][key] && c.cl.Owner(key) != c.url {
+			wantHits++
+		}
+	}
+	cBefore, err := getStats(ctx, c)
+	if err != nil {
+		return err
+	}
 	warmStart := time.Now()
 	warm, err := c.c.SubmitSweep(ctx, spec("cluster-smoke-warm", 1, 2))
 	if err != nil {
@@ -323,11 +370,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if cStats.Cluster.RemoteCacheHits == 0 {
-		return fmt.Errorf("node C reports zero cross-shard cache hits; warm pass was not served by the ring")
+	hits := cStats.Cluster.RemoteCacheHits - cBefore.Cluster.RemoteCacheHits
+	if hits != uint64(wantHits) {
+		return fmt.Errorf("node C reports %d cross-shard cache hits, want %d: one per key it neither held (A/B/C held %d/%d/%d of %d) nor owns",
+			hits, wantHits, len(held[0]), len(held[1]), len(held[2]), len(keys))
 	}
-	fmt.Printf("cluster-smoke: warm sweep to node C answered in %v (%d cells deduped, %d cross-shard cache hits, 0 new simulations)\n",
-		warmDur.Round(time.Millisecond), warm.Deduped, cStats.Cluster.RemoteCacheHits)
+	fmt.Printf("cluster-smoke: warm sweep to node C answered in %v (%d cells deduped, %d cross-shard cache hits: A/B/C held %d/%d/%d keys, 0 new simulations)\n",
+		warmDur.Round(time.Millisecond), warm.Deduped, hits, len(held[0]), len(held[1]), len(held[2]))
 
 	// Phase 3: churn. Kill node B mid-sweep, with the cells sent to it
 	// held at its door: the sweep must still finish every cell exactly
