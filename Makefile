@@ -90,34 +90,37 @@ chaos:
 # builds); in the cache layer the set-associative cache against its
 # timestamp-LRU reference model (every lookup, victim, MSHR count and
 # counter equal, over geometries from 1 to 16 ways and 8- to 128-byte
-# lines); in the server layer the result cache's entry files of the
-# one-file-per-entry layout a start imports into its log (any bytes
-# under any name are quarantined, or load as one entry under
-# a job key equal to the file name that serves its result's JSON) and
+# lines); in the server layer one line of the result cache's stamped log
+# (any bytes are quarantined byte for byte, or load as one entry under
+# a job key that serves its result's JSON) and
 # the key table's cell index (a cell admitted twice gets the key the job
 # path gives it, or is refused with the job path's error and never
-# indexed); in the persist layer a store's log as any bytes (every
+# indexed); in the persist layer a store's log as any bytes (a log
+# without the stamp is set aside byte for byte; in a stamped one every
 # non-empty line loads under the key it claims or is quarantined byte
-# for byte, and a save on top survives a restart), and back in the sweep
+# for byte; a save on top survives a restart), and back in the sweep
 # layer that log resumed by the sweep manager (no cell reads done or
 # deduped without its result, a finished sweep streams each cell once,
 # and a second restart resumes it alike) and the manager's lifecycle
 # against a reference model that stores the whole completion order
 # (views, events and saved headers equal).
 # `go test` alone only replays the seed corpus. One target per
-# invocation is a `go test -fuzz` rule.
+# invocation is a `go test -fuzz` rule. Each new input is minimized for
+# at most a second: at go test's default of a minute, one minimization
+# of a target whose every run starts a store on disk (FuzzSweepResume)
+# outlasts the whole ten seconds.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 10s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s ./internal/experiment
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 10s ./internal/cache
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 10s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzStoreLog$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzSweepResume$$' -fuzztime 10s ./internal/sweep
-	$(GO) test -run '^$$' -fuzz '^FuzzSweepLifecycle$$' -fuzztime 10s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzEventLine$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzControllerKey$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/experiment
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheVsReference$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cache
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzCellIndex$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreLog$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepResume$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepLifecycle$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sweep
 
 # Tiny real sweep driven end to end against an in-process server:
 # submit → stream → restart over the same cache dir → same-cells

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -27,16 +28,20 @@ type Metrics struct {
 	Errors      *telemetry.Counter
 	Loaded      *telemetry.Counter
 	Quarantined *telemetry.Counter
+	SetAside    *telemetry.Counter
 }
 
-// NewMetrics registers <prefix>_{writes,errors,loaded,quarantined}_total
-// on r; what names the records in the help text ("sweep records").
+// NewMetrics registers
+// <prefix>_{writes,errors,loaded,quarantined,set_aside}_total on r; what
+// names the records in the help text ("sweep records").
 func NewMetrics(r *telemetry.Registry, prefix, what string) Metrics {
 	return Metrics{
 		Writes:      r.Counter(prefix+"_writes_total", "Durable writes of "+what+"."),
 		Errors:      r.Counter(prefix+"_errors_total", "Failed writes of "+what+"."),
 		Loaded:      r.Counter(prefix+"_loaded_total", "Count of "+what+" restored from disk at startup."),
 		Quarantined: r.Counter(prefix+"_quarantined_total", "Corrupt or unreadable "+what+" quarantined at startup."),
+		SetAside: r.Counter(prefix+"_set_aside_total",
+			"Files of "+what+" set aside unread at startup: a log of another format or model epoch, or a *.json file."),
 	}
 }
 
@@ -49,6 +54,8 @@ const (
 	quarantineName = LogName + ".quarantine"
 	// tmpName is a rewritten log before it is renamed over LogName.
 	tmpName = LogName + ".tmp"
+	// setAsideDir holds, unread, the files Load would not parse.
+	setAsideDir = "set-aside"
 )
 
 // Options wires a Store to its owner.
@@ -57,10 +64,12 @@ type Options[T any] struct {
 	Dir string
 	// What names the store in log lines ("result cache", "sweep state").
 	What string
+	// Epoch is the model epoch the records belong to (the server passes
+	// experiment.ModelEpoch). The log's first line stamps it, and Load
+	// sets a log of any other epoch aside unread.
+	Epoch int
 	// Key returns the key a record claims; a record claiming "" is
-	// quarantined. A <key>.json file of the one-file-per-record layout
-	// this store replaced must claim its file name, or it is quarantined
-	// too. Keys only ever feed comparisons, never paths.
+	// quarantined. Keys only ever feed comparisons, never paths.
 	Key     func(T) string
 	Metrics Metrics
 	// WriteFault fails one record's write (one durability update is
@@ -72,11 +81,12 @@ type Options[T any] struct {
 }
 
 // Store mirrors keyed JSON records to disk as one append-only log,
-// written behind by one coalescing goroutine: updates to the same key
-// between writer wakeups collapse into one line, and each wakeup appends
-// its batch with a single write (a 1000-cell sweep completing does not
-// issue 1000 writes, and the pending set is bounded by the number of
-// distinct keys, so nothing is ever dropped). A crash mid-append tears
+// whose first line is a stamp, {"format":1,"epoch":E}, written behind
+// by one coalescing goroutine: updates to the same key between writer
+// wakeups collapse into one line, and each wakeup appends its batch with
+// a single write (a 1000-cell sweep completing does not issue 1000
+// writes, and the pending set is bounded by the number of distinct
+// keys, so nothing is ever dropped). A crash mid-append tears
 // at most the last line, which loses only that record. The owners save
 // a key again only rarely (a result never, a sweep's header on a
 // priority change), so the log is not compacted while it runs: Load
@@ -84,7 +94,10 @@ type Options[T any] struct {
 // bounds it to the live records plus what one process appended.
 // Load quarantines unreadable records instead of failing: the owner's
 // data is a memo or re-runnable work, so losing a record costs a
-// recomputation while dying on it costs the service.
+// recomputation while dying on it costs the service. A log this build
+// did not write (another stamp, or none) is never parsed: Load moves it
+// aside whole, so no record of an older model outlives the epoch that
+// computed it.
 //
 // A nil *Store keeps nothing: Save and Close are no-ops.
 type Store[T any] struct {
@@ -98,11 +111,10 @@ type Store[T any] struct {
 	closeCh chan struct{}
 	done    chan struct{}
 
-	// logMu guards the log. Load holds it from its first read to the end
-	// of its rewrite, so the writer, which holds it to append, never
-	// appends to a log that Load is about to replace.
-	logMu sync.Mutex
-	f     *os.File // the log, open for appending; nil until needed
+	stamp []byte // the log's first line, without its newline
+
+	logMu sync.Mutex // guards the log
+	f     *os.File   // the log, open for appending; nil until needed
 	// torn means the log may not end in a newline (a crash or a failed
 	// write cut its last line): the next append starts a new line first.
 	torn bool
@@ -126,31 +138,27 @@ func Open[T any](o Options[T]) (*Store[T], error) {
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	s.stamp = fmt.Appendf(nil, `{"format":1,"epoch":%d}`, o.Epoch)
 	s.enc = json.NewEncoder(&s.buf) // Encode writes json.Marshal's bytes and a newline
 	go s.writer()
 	return s, nil
 }
 
-// found is one record Load read: from a log line (body is the line) or
-// from a file of the replaced layout (body is its compacted JSON).
+// found is one record Load read, and its line.
 type found[T any] struct {
 	rec  T
 	body []byte
-	file string // the <key>.json file it came from, or ""
 }
 
-// Load hands every persisted record to fn in key order, the last line
+// Load hands every record of the log to fn in key order, the last line
 // for a key being its record, quarantining what it cannot read and any
-// record fn refuses (its error is the cause). It imports the <key>.json
-// files of the replaced layout as well, quarantined by the same checks
-// as before. Unless the log already holds exactly the records fn took,
-// it then rewrites the log to those records and removes the imported
-// files. Saves made meanwhile, fn's own among them, are appended after
-// the rewrite: the writer waits for Load, so fn may call Save but not
-// Close.
+// record fn refuses (its error is the cause). Unless the log already
+// holds exactly the records fn took, it then rewrites the log to those
+// records. A log whose first line is not this store's stamp, and any
+// *.json file in Dir, is set aside unread. The owner calls Load once,
+// before its first Save.
 func (s *Store[T]) Load(fn func(T) error) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
+	s.setAsideJSON()
 	path := filepath.Join(s.Dir, LogName)
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -159,6 +167,14 @@ func (s *Store[T]) Load(fn func(T) error) {
 		s.Logger.Warn(s.What+" log unreadable; starting empty", "file", path, "err", err)
 		return
 	}
+	stamp, body, _ := bytes.Cut(data, []byte{'\n'})
+	if !bytes.Equal(stamp, s.stamp) {
+		if len(data) > 0 {
+			s.setAside(LogName)
+		}
+		return
+	}
+	data = body
 	recs := make(map[string]found[T])
 	var bad bytes.Buffer // quarantined lines
 	quarantined := 0
@@ -184,66 +200,47 @@ func (s *Store[T]) Load(fn func(T) error) {
 		}
 		recs[s.Key(rec)] = found[T]{rec: rec, body: line}
 	}
-	imported := s.loadFiles(recs, &quarantined)
 
 	keys := make([]string, 0, len(recs))
 	for key := range recs {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	keep := int64(0)
+	keep := 0
+	lines := make([][]byte, 0, len(recs))
 	for _, key := range keys {
 		r := recs[key]
 		var err error
-		if r.file == "" && s.ReadFault.Fire() {
+		if s.ReadFault.Fire() {
 			err = fmt.Errorf("faultinject: %s", s.ReadFault.Name())
 		}
 		if err == nil {
 			err = fn(r.rec)
 		}
 		if err != nil {
-			if r.file != "" {
-				s.quarantine(r.file, err)
-				quarantined++
-			} else {
-				refuse(r.body, err)
-			}
-			delete(recs, key)
+			refuse(r.body, err)
 			continue
 		}
-		keep += int64(len(r.body)) + 1
+		lines = append(lines, r.body)
+		keep += len(r.body) + 1
 	}
 	if bad.Len() > 0 {
 		if err := appendFile(filepath.Join(s.Dir, quarantineName), bad.Bytes()); err != nil {
 			s.Logger.Error("quarantine write failed", "file", quarantineName, "err", err)
 		}
 	}
-	s.Metrics.Loaded.Add(uint64(len(recs)))
+	s.Metrics.Loaded.Add(uint64(len(lines)))
 	s.Metrics.Quarantined.Add(uint64(quarantined))
-	if len(recs) > 0 || quarantined > 0 {
+	if len(lines) > 0 || quarantined > 0 {
 		s.Logger.Info(s.What+" restored from disk",
-			"dir", s.Dir, "loaded", len(recs), "quarantined", quarantined)
+			"dir", s.Dir, "loaded", len(lines), "quarantined", quarantined)
 	}
 
-	if imported == 0 && keep == int64(len(data)) && (keep == 0 || data[keep-1] == '\n') {
-		return // every byte of the log is a line fn took and its newline
-	}
-	lines := make([][]byte, 0, len(recs))
-	for _, key := range keys {
-		if r, ok := recs[key]; ok {
-			lines = append(lines, r.body)
-		}
+	if keep == len(data) && (keep == 0 || data[keep-1] == '\n') {
+		return // every byte after the stamp is a line fn took and its newline
 	}
 	if err := s.rewrite(lines); err != nil {
 		s.Logger.Error(s.What+" log rewrite failed; appending to the old log", "dir", s.Dir, "err", err)
-		return
-	}
-	for _, r := range recs {
-		if r.file != "" {
-			if err := os.Remove(r.file); err != nil {
-				s.Logger.Error("imported "+s.What+" file not removed", "file", r.file, "err", err)
-			}
-		}
 	}
 }
 
@@ -258,68 +255,43 @@ func (s *Store[T]) decode(b []byte) (rec T, err error) {
 	return rec, nil
 }
 
-// loadFiles reads the <key>.json files of the one-file-per-record layout
-// into recs, where such a file wins over the log's line for its key (the
-// layout's only writer is a build older than the log, so it wrote
-// later). A file that does not read, decode and claim its own name is
-// quarantined and counted in *quarantined. It returns the number read.
-func (s *Store[T]) loadFiles(recs map[string]found[T], quarantined *int) int {
+// setAsideJSON sets aside every *.json file in Dir: no build of the log
+// reads one.
+func (s *Store[T]) setAsideJSON() {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {
 		s.Logger.Warn(s.What+" dir unreadable", "dir", s.Dir, "err", err)
-		return 0
-	}
-	n := 0
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(s.Dir, name)
-		key := strings.TrimSuffix(name, ".json")
-		rec, body, err := s.read(path, key)
-		if err != nil {
-			s.quarantine(path, err)
-			*quarantined++
-			continue
-		}
-		recs[key] = found[T]{rec: rec, body: body, file: path}
-		n++
-	}
-	return n
-}
-
-// read reads and validates one record file, returning its JSON with the
-// insignificant space (newlines among it) taken out: a line of the log.
-func (s *Store[T]) read(path, wantKey string) (rec T, body []byte, err error) {
-	if s.ReadFault.Fire() {
-		return rec, nil, fmt.Errorf("faultinject: %s", s.ReadFault.Name())
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return rec, nil, err
-	}
-	if rec, err = s.decode(b); err != nil {
-		return rec, nil, err
-	}
-	if got := s.Key(rec); got != wantKey {
-		return rec, nil, fmt.Errorf("record key %q does not match file name", got)
-	}
-	var line bytes.Buffer
-	if err := json.Compact(&line, b); err != nil {
-		return rec, nil, err
-	}
-	return rec, line.Bytes(), nil
-}
-
-// quarantine renames a bad file aside (path + ".quarantine") so it is
-// never retried but stays available for inspection.
-func (s *Store[T]) quarantine(path string, cause error) {
-	if err := os.Rename(path, path+".quarantine"); err != nil {
-		s.Logger.Error("quarantine rename failed", "file", path, "err", err)
 		return
 	}
-	s.Logger.Warn("quarantined corrupt "+s.What+" file", "file", path, "cause", cause)
+	for _, de := range entries {
+		if !de.IsDir() && strings.HasSuffix(de.Name(), ".json") {
+			s.setAside(de.Name())
+		}
+	}
+}
+
+// setAside moves the file name in Dir, its bytes intact, into
+// Dir/set-aside, which no start reads: under its own name, or with the
+// first ".N" suffix no file there holds, so nothing set aside is lost.
+func (s *Store[T]) setAside(name string) {
+	dir := filepath.Join(s.Dir, setAsideDir)
+	dst := filepath.Join(dir, name)
+	for n := 1; ; n++ {
+		if _, err := os.Lstat(dst); err != nil {
+			break
+		}
+		dst = filepath.Join(dir, name+"."+strconv.Itoa(n))
+	}
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = os.Rename(filepath.Join(s.Dir, name), dst)
+	}
+	if err != nil {
+		s.Logger.Error(s.What+" file not set aside", "file", name, "err", err)
+		return
+	}
+	s.Metrics.SetAside.Inc()
+	s.Logger.Warn(s.What+" file set aside unread: not this build's format and model epoch", "file", dst)
 }
 
 // appendFile appends b to the file at path, creating it if missing.
@@ -335,15 +307,23 @@ func appendFile(path string, b []byte) error {
 	return err
 }
 
-// rewrite replaces the log with lines through a tmp file renamed over
-// it, whose descriptor becomes the log's. Called with logMu held.
+// rewrite replaces the log with the stamp and lines through a tmp file
+// renamed over it, whose descriptor becomes the log's. With no lines it
+// removes the log instead: the next append creates it, stamped.
 func (s *Store[T]) rewrite(lines [][]byte) error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if len(lines) == 0 {
+		return os.Remove(filepath.Join(s.Dir, LogName))
+	}
 	tmp := filepath.Join(s.Dir, tmpName)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 64<<10)
+	w.Write(s.stamp)
+	w.WriteByte('\n')
 	for _, l := range lines {
 		w.Write(l)
 		w.WriteByte('\n')
@@ -426,8 +406,10 @@ func (s *Store[T]) append(batch map[string]T) {
 
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	// buf opens with a newline, written only when the log may be torn.
+	// buf opens with the stamp, written only when this append creates the
+	// log, then a newline, written only then or when the log may be torn.
 	s.buf.Reset()
+	s.buf.Write(s.stamp)
 	s.buf.WriteByte('\n')
 	written := keys[:0]
 	for _, key := range keys {
@@ -444,10 +426,13 @@ func (s *Store[T]) append(batch map[string]T) {
 	if len(written) == 0 {
 		return
 	}
-	err := s.openLog()
+	created, err := s.openLog()
 	out := s.buf.Bytes()
-	if !s.torn {
-		out = out[1:]
+	switch {
+	case s.torn:
+		out = out[len(s.stamp):]
+	case !created:
+		out = out[len(s.stamp)+1:]
 	}
 	if err == nil {
 		if _, err = s.f.Write(out); err != nil {
@@ -476,29 +461,31 @@ func (s *Store[T]) failed(key string, err error) {
 }
 
 // openLog opens the log for appending if it is not open yet: the first
-// append of a store whose Load did not rewrite it. Called with logMu
-// held.
-func (s *Store[T]) openLog() error {
+// append of a store whose Load did not rewrite it. created reports that
+// the log is empty, so the append starts it with the stamp. Called with
+// logMu held.
+func (s *Store[T]) openLog() (created bool, err error) {
 	if s.f != nil {
-		return nil
+		return false, nil
 	}
 	f, err := os.OpenFile(filepath.Join(s.Dir, LogName), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
-		return err
+		return false, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return err
+		return false, err
 	}
-	if size := fi.Size(); size > 0 {
+	size := fi.Size()
+	if size > 0 {
 		last := []byte{0}
 		if _, err := f.ReadAt(last, size-1); err != nil || last[0] != '\n' {
 			s.torn = true
 		}
 	}
 	s.f = f
-	return nil
+	return size == 0, nil
 }
 
 // Close flushes every dirty record and stops the writer. Safe to call

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -37,10 +36,10 @@ func open(t *testing.T, dir string) (*Store[rec], Metrics) {
 	return s, m
 }
 
-// TestLatestSnapshotWins: many saves of one key leave one file holding
+// TestLatestSnapshotWins: many saves of one key leave one record holding
 // the last of them, Close is the flush barrier, and a reload returns
 // every record in key order while quarantining what it cannot read and
-// what its owner refuses.
+// what its owner refuses, and setting a *.json file aside unread.
 func TestLatestSnapshotWins(t *testing.T) {
 	dir := t.TempDir()
 	s, m := open(t, dir)
@@ -54,10 +53,11 @@ func TestLatestSnapshotWins(t *testing.T) {
 	if w := m.Writes.Value(); w < 2 || w > 101 {
 		t.Errorf("writes = %d, want between 2 (fully coalesced) and 101", w)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "z.json"), []byte(`{"id":"not-z"}`), 0o644); err != nil {
+	damaged := `{"id":"","n":3}` + "\n" + `{"id":"y","n":-1}` + "\n"
+	if err := appendFile(filepath.Join(dir, LogName), []byte(damaged)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "y.json"), []byte(`{"id":"y","n":-1}`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "z.json"), []byte(`{"id":"z"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,13 +74,17 @@ func TestLatestSnapshotWins(t *testing.T) {
 	if len(got) != 2 || got[0] != (rec{"a", 7}) || got[1] != (rec{"b", 100}) {
 		t.Errorf("reloaded %+v, want a=7 then b=100", got)
 	}
-	if m2.Loaded.Value() != 2 || m2.Quarantined.Value() != 2 {
-		t.Errorf("loaded/quarantined = %d/%d, want 2/2", m2.Loaded.Value(), m2.Quarantined.Value())
+	if m2.Loaded.Value() != 2 || m2.Quarantined.Value() != 2 || m2.SetAside.Value() != 1 {
+		t.Errorf("loaded/quarantined/set aside = %d/%d/%d, want 2/2/1", m2.Loaded.Value(), m2.Quarantined.Value(), m2.SetAside.Value())
 	}
-	for _, name := range []string{"z.json.quarantine", "y.json.quarantine"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("mismatched or refused record not quarantined: %v", err)
-		}
+	if q, _ := os.ReadFile(filepath.Join(dir, quarantineName)); string(q) != damaged {
+		t.Errorf("quarantined %q, want the keyless and the refused record %q", q, damaged)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, setAsideDir, "z.json")); string(b) != `{"id":"z"}` {
+		t.Errorf("z.json set aside as %q (%v), want its bytes", b, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "z.json")); !os.IsNotExist(err) {
+		t.Errorf("z.json left in place: %v", err)
 	}
 }
 
@@ -100,12 +104,30 @@ func loadAll(s *Store[rec]) []rec {
 	return got
 }
 
-// writeLog makes dir's log hold exactly b.
+// stamp is the first line, without its newline, of the log of a store
+// that open makes.
+const stamp = `{"format":1,"epoch":0}`
+
+// writeLog makes dir's log hold exactly b after its stamp.
 func writeLog(t *testing.T, dir string, b []byte) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, LogName), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, LogName), append([]byte(stamp+"\n"), b...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readLog returns what dir's log holds after its stamp.
+func readLog(t *testing.T, dir string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := bytes.CutPrefix(b, []byte(stamp+"\n"))
+	if !ok {
+		t.Fatalf("the log does not open with its stamp: %q", b)
+	}
+	return body
 }
 
 // TestTornTailLosesOnlyTheTornRecord: a crash mid-append cuts the log's
@@ -122,10 +144,7 @@ func TestTornTailLosesOnlyTheTornRecord(t *testing.T) {
 	s, _ = open(t, src)
 	s.Save(rec{ID: "e", N: 12345})
 	s.Close()
-	full, err := os.ReadFile(filepath.Join(src, LogName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := readLog(t, src)
 	last := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
 	if string(full[last:]) != `{"id":"e","n":12345}`+"\n" {
 		t.Fatalf("log ends in %q, want e's line", full[last:])
@@ -169,36 +188,6 @@ func TestTornTailLosesOnlyTheTornRecord(t *testing.T) {
 	}
 }
 
-// TestSaveDuringLoadIsKept: an owner saves from inside Load, which
-// Load's fn may do, while Load is about to rewrite the log. The save reaches the rewritten log, not the one the
-// rewrite replaces.
-func TestSaveDuringLoadIsKept(t *testing.T) {
-	dir := t.TempDir()
-	// A superseded line, so that Load rewrites the log.
-	writeLog(t, dir, []byte(`{"id":"a","n":1}`+"\n"+`{"id":"a","n":2}`+"\n"))
-	s, m := open(t, dir)
-	s.Load(func(r rec) error {
-		s.Save(rec{ID: r.ID, N: r.N + 1})
-		// Wait for the writer to take the save, then give a writer that
-		// did not wait for Load up to 20 ms to append it; this one never
-		// appends before Load returns.
-		for taken := false; !taken; runtime.Gosched() {
-			s.mu.Lock()
-			taken = len(s.dirty) == 0
-			s.mu.Unlock()
-		}
-		for end := time.Now().Add(20 * time.Millisecond); m.Writes.Value() == 0 && time.Now().Before(end); runtime.Gosched() {
-		}
-		return nil
-	})
-	s.Close()
-	s, _ = open(t, dir)
-	defer s.Close()
-	if got := loadAll(s); !reflect.DeepEqual(got, []rec{{"a", 3}}) {
-		t.Errorf("restart loaded %+v, want the save made during Load, a=3", got)
-	}
-}
-
 // TestLoadBoundsTheLog: a running store never compacts, so keys saved
 // over and over leave every line they wrote in the log; the next Load
 // hands over each key's last line and rewrites the log to those lines
@@ -215,11 +204,7 @@ func TestLoadBoundsTheLog(t *testing.T) {
 		time.Sleep(time.Microsecond) // let batches stay small
 	}
 	s.Close()
-	b, err := os.ReadFile(filepath.Join(dir, LogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(b, []byte("\n")); uint64(n) != m.Writes.Value() || n <= keys {
+	if n := bytes.Count(readLog(t, dir), []byte("\n")); uint64(n) != m.Writes.Value() || n <= keys {
 		t.Errorf("the log holds %d lines after %d writes of %d keys, want every write", n, m.Writes.Value(), keys)
 	}
 	s, _ = open(t, dir)
@@ -232,7 +217,7 @@ func TestLoadBoundsTheLog(t *testing.T) {
 		}
 		fmt.Fprintf(&live, "{\"id\":\"k%d\",\"n\":1099}\n", k)
 	}
-	if b, _ := os.ReadFile(filepath.Join(dir, LogName)); !bytes.Equal(b, live.Bytes()) {
+	if b := readLog(t, dir); !bytes.Equal(b, live.Bytes()) {
 		t.Errorf("after Load the log is\n%s\nwant its live lines\n%s", b, live.Bytes())
 	}
 
@@ -264,83 +249,64 @@ func TestLoadBoundsTheLog(t *testing.T) {
 	s.Close()
 }
 
-// TestLegacyLayoutImported: the one-file-per-record layout the log
-// replaced loads as it did — a good file loads, and a torn, mismatched
-// or refused one is renamed aside and counted — and is then folded into
-// the log: a second start finds no <key>.json file and loads the same
-// records from the log alone.
-func TestLegacyLayoutImported(t *testing.T) {
+// TestSetAsideKeepsEveryFile: a log of another epoch and a *.json file
+// are set aside unread by every start that finds them, and what an
+// earlier start set aside under the same name stays: nothing is lost.
+func TestSetAsideKeepsEveryFile(t *testing.T) {
 	dir := t.TempDir()
-	for name, body := range map[string]string{
-		"good":     `{"id":"good", "n": 1}` + "\n", // as a person might write it
-		"torn":     `{"id":"torn","n":`,
-		"mismatch": `{"id":"other","n":1}`,
-		"refused":  `{"id":"refused","n":-1}`,
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name+".json"), []byte(body), 0o644); err != nil {
+	const other = `{"format":1,"epoch":1}` + "\n"
+	body := func(n int) string { return fmt.Sprintf(`{"id":"a","n":%d}`+"\n", n) }
+	for n := range 3 {
+		if err := os.WriteFile(filepath.Join(dir, LogName), []byte(other+body(n)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A log line for the good key, older than its file.
-	writeLog(t, dir, []byte(`{"id":"good","n":0}`+"\n"+`{"id":"logged","n":2}`+"\n"))
-	refuse := func(r rec) error {
-		if r.N < 0 {
-			return fmt.Errorf("negative n")
+		if err := os.WriteFile(filepath.Join(dir, "a.json"), []byte(body(n)), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}
-	want := []rec{{"good", 1}, {"logged", 2}}
-	for start := 1; start <= 2; start++ {
 		s, m := open(t, dir)
-		var got []rec
-		s.Load(func(r rec) error {
-			if err := refuse(r); err != nil {
-				return err
-			}
-			got = append(got, r)
-			return nil
-		})
+		if got := loadAll(s); len(got) != 0 || m.SetAside.Value() != 2 {
+			t.Errorf("start %d loaded %+v and set aside %d files, want nothing and 2", n, got, m.SetAside.Value())
+		}
 		s.Close()
-		wantQ := uint64(3)
-		if start == 2 {
-			wantQ = 0
-		}
-		if !reflect.DeepEqual(got, want) || m.Loaded.Value() != 2 || m.Quarantined.Value() != wantQ {
-			t.Errorf("start %d: loaded %+v (%d), quarantined %d; want %+v, %d quarantined",
-				start, got, m.Loaded.Value(), m.Quarantined.Value(), want, wantQ)
-		}
-		if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
-			t.Errorf("start %d: imported files left behind: %v", start, files)
-		}
-		for _, name := range []string{"torn", "mismatch", "refused"} {
-			if _, err := os.Stat(filepath.Join(dir, name+".json.quarantine")); err != nil {
-				t.Errorf("start %d: %s.json not quarantined: %v", start, name, err)
+	}
+	for n, suffix := range []string{"", ".1", ".2"} {
+		for name, want := range map[string]string{LogName: other + body(n), "a.json": body(n)} {
+			if b, err := os.ReadFile(filepath.Join(dir, setAsideDir, name+suffix)); string(b) != want {
+				t.Errorf("%s%s holds %q (%v), want %q", name, suffix, b, err, want)
 			}
 		}
-	}
-	b, _ := os.ReadFile(filepath.Join(dir, LogName))
-	if string(b) != `{"id":"good","n":1}`+"\n"+`{"id":"logged","n":2}`+"\n" {
-		t.Errorf("log is %q, want one compact line per record", b)
 	}
 }
 
-// FuzzStoreLog takes any bytes as a store's log. Load never panics;
-// every non-empty line either decodes to a record claiming a key, and
-// that key loads with its last such line's value, or is quarantined,
-// byte for byte; and a save on top of what loaded survives a restart
-// with everything else.
+// FuzzStoreLog takes any bytes as a store's log. Load never panics. A
+// log whose first line is not the stamp is set aside byte for byte and
+// nothing loads. In a stamped log every non-empty line after the stamp
+// either decodes to a record claiming a key, and that key loads with its
+// last such line's value, or is quarantined, byte for byte. Either way a
+// save on top of what loaded survives a restart with everything else.
 func FuzzStoreLog(f *testing.F) {
-	f.Add([]byte(`{"id":"a","n":1}` + "\n" + `{"id":"b","n":2}` + "\n"))
-	f.Add([]byte(`{"id":"a","n":1}` + "\n" + `{"id":"a","n":2}` + "\n" + `{"id":"a","n":`))
-	f.Add([]byte("\n\nnull\n{}\n{\"id\":\"\"}\n  {\"id\":\"x\"}  \r\n{\"id\":\"y\",\"n\":1.5}"))
-	f.Add([]byte(`{"id":"fuzz","n":-7}` + "\n" + `[1,2]` + "\n" + `{"id":"é\ud800"}`))
+	for _, log := range []string{
+		`{"id":"a","n":1}` + "\n" + `{"id":"b","n":2}` + "\n",
+		`{"id":"a","n":1}` + "\n" + `{"id":"a","n":2}` + "\n" + `{"id":"a","n":`,
+		"\n\nnull\n{}\n{\"id\":\"\"}\n  {\"id\":\"x\"}  \r\n{\"id\":\"y\",\"n\":1.5}",
+		`{"id":"fuzz","n":-7}` + "\n" + `[1,2]` + "\n" + `{"id":"é\ud800"}`,
+	} {
+		f.Add([]byte(stamp + "\n" + log))
+	}
+	f.Add([]byte(`{"id":"a","n":1}` + "\n"))                            // an older build's log
+	f.Add([]byte(`{"format":1,"epoch":1}` + "\n" + `{"id":"a","n":1}`)) // another epoch's
+	f.Add([]byte(stamp))                                                // a torn stamp
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		writeLog(t, dir, data)
+		if err := os.WriteFile(filepath.Join(dir, LogName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, body, _ := bytes.Cut(data, []byte("\n"))
+		stamped := string(first) == stamp
 		want := map[string]rec{}
 		var bad []byte
-		for _, line := range bytes.Split(data, []byte("\n")) {
-			if len(line) == 0 {
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			if len(line) == 0 || !stamped {
 				continue
 			}
 			var r rec
@@ -362,14 +328,23 @@ func FuzzStoreLog(f *testing.F) {
 		if !bytes.Equal(q, bad) || m.Quarantined.Value() != uint64(bytes.Count(bad, []byte("\n"))) {
 			t.Fatalf("quarantined %q (%d), want %q", q, m.Quarantined.Value(), bad)
 		}
+		aside, err := os.ReadFile(filepath.Join(dir, setAsideDir, LogName))
+		if stamped || len(data) == 0 {
+			if err == nil || m.SetAside.Value() != 0 {
+				t.Fatalf("a stamped or empty log was set aside (%d): %q", m.SetAside.Value(), aside)
+			}
+		} else if !bytes.Equal(aside, data) || m.SetAside.Value() != 1 {
+			t.Fatalf("set aside %q (%d, %v), want the unstamped log %q", aside, m.SetAside.Value(), err, data)
+		}
 
 		want["fuzz"] = rec{ID: "fuzz", N: 1}
 		s, m = open(t, dir)
 		got = map[string]rec{}
 		s.Load(func(r rec) error { got[r.ID] = r; return nil })
 		s.Close()
-		if !reflect.DeepEqual(got, want) || m.Quarantined.Value() != 0 {
-			t.Fatalf("after a save, a restart loaded %+v (quarantined %d), want %+v", got, m.Quarantined.Value(), want)
+		if !reflect.DeepEqual(got, want) || m.Quarantined.Value() != 0 || m.SetAside.Value() != 0 {
+			t.Fatalf("after a save, a restart loaded %+v (quarantined %d, set aside %d), want %+v",
+				got, m.Quarantined.Value(), m.SetAside.Value(), want)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"micromama/internal/experiment"
 	"micromama/internal/faultinject"
 	"micromama/internal/persist"
 	"micromama/internal/sweep"
@@ -46,6 +47,7 @@ func (s *Server) openPersist() error {
 	st, err := persist.Open(persist.Options[persistEntry]{
 		Dir:        s.cfg.CacheDir,
 		What:       "result cache",
+		Epoch:      experiment.ModelEpoch,
 		Key:        func(e persistEntry) string { return e.Key },
 		Metrics:    s.metrics.persist,
 		WriteFault: faultPersistWrite,

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"micromama/internal/experiment"
 	"micromama/internal/persist"
 	"micromama/internal/sweep"
 )
@@ -97,8 +98,10 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 // TestPersistQuarantine starts a server over a cache dir holding one
-// valid entry and three damaged ones; the damaged files must be
-// renamed aside and counted while the valid entry still loads.
+// valid entry, three damaged ones and an entry file of the retired
+// one-file-per-entry layout: the damaged lines must move to the
+// quarantine, byte for byte, and be counted, the file must be set aside
+// unread, and the valid entry still loads.
 func TestPersistQuarantine(t *testing.T) {
 	dir := t.TempDir()
 
@@ -111,17 +114,19 @@ func TestPersistQuarantine(t *testing.T) {
 	srv1.Close()
 
 	// Damage: truncated JSON, non-JSON garbage, and a syntactically
-	// valid entry whose key does not match its file name.
-	writeFile := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// valid entry whose key is no job key.
+	lines := logLines(t, dir)
 	valid, _ := json.Marshal(persistEntry{Key: "someotherkey", Result: JobResult{WS: 9}})
-	writeFile("aaaa.json", `{"key":"aaaa","result":{"ws"`) // truncated (torn write)
-	writeFile("bbbb.json", "not json at all")
-	writeFile("cccc.json", string(valid)) // key/file mismatch
+	damaged := [][]byte{[]byte(`{"key":"aaaa","result":{"ws"`), []byte("not json at all"), valid}
+	writeLog(t, dir, append(damaged, lines...)...)
+	var entry persistEntry
+	if len(lines) != 1 || json.Unmarshal(lines[0], &entry) != nil {
+		t.Fatalf("the log holds %q, want one entry", lines)
+	}
+	file := filepath.Join(dir, entry.Key+".json")
+	if err := os.WriteFile(file, lines[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	run2, calls2 := countingRun()
 	srv2 := mustNew(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir, Run: run2})
@@ -133,13 +138,21 @@ func TestPersistQuarantine(t *testing.T) {
 	if st.CacheLoaded != 1 || st.CacheQuarantined != 3 {
 		t.Fatalf("loaded/quarantined = %d/%d, want 1/3", st.CacheLoaded, st.CacheQuarantined)
 	}
-	for _, name := range []string{"aaaa", "bbbb", "cccc"} {
-		if _, err := os.Stat(filepath.Join(dir, name+".json.quarantine")); err != nil {
-			t.Errorf("%s.json not quarantined: %v", name, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, name+".json")); !os.IsNotExist(err) {
-			t.Errorf("%s.json still present after quarantine", name)
-		}
+	q, _ := os.ReadFile(filepath.Join(dir, "records.log.quarantine"))
+	if want := bytes.Join(append(damaged, nil), []byte("\n")); !bytes.Equal(q, want) {
+		t.Errorf("quarantine holds %q, want the damaged lines %q", q, want)
+	}
+	if got := logLines(t, dir); !reflect.DeepEqual(got, lines) {
+		t.Errorf("the log holds %q after the start, want the valid entry alone", got)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "set-aside", filepath.Base(file))); !bytes.Equal(b, lines[0]) {
+		t.Errorf("the entry file set aside as %q (%v), want its bytes", b, err)
+	}
+	if _, err := os.Stat(file); !os.IsNotExist(err) {
+		t.Errorf("the entry file still present after the start: %v", err)
+	}
+	if v := scrapeMetric(t, ts2, "mama_server_cache_persist_set_aside_total"); v != 1 {
+		t.Errorf("mama_server_cache_persist_set_aside_total = %v, want 1", v)
 	}
 	// The valid entry still serves as a cache hit.
 	resp, _ := postJob(t, ts2, fakeSpec(1))
@@ -148,20 +161,23 @@ func TestPersistQuarantine(t *testing.T) {
 	}
 }
 
-// TestCacheLoadRefusesNonKeys: a cache file is loaded through
-// storeResult, the one way a result enters a node, so a record whose key
-// matches its file name but is no job key is quarantined like a corrupt
-// one. It never reaches cached_keys or a pull page, and a job key's file
-// beside it still loads.
+// TestCacheLoadRefusesNonKeys: a log line is loaded through storeResult,
+// the one way a result enters a node, so a record whose key is no job key
+// is quarantined like a corrupt one. It never reaches cached_keys or a
+// pull page, and a job key's line beside it still loads; an entry file
+// beside the log is set aside unread, whatever its key.
 func TestCacheLoadRefusesNonKeys(t *testing.T) {
 	dir := t.TempDir()
 	good := strings.Repeat("0123456789abcdef", sweep.KeyLen/16)
 	bad := []string{"zzz", good[1:], good + "0"}
+	var lines [][]byte
 	for _, key := range append([]string{good}, bad...) {
 		b, _ := json.Marshal(persistEntry{Key: key, Result: JobResult{Mix: "fake", WS: 1}})
-		if err := os.WriteFile(filepath.Join(dir, key+".json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		lines = append(lines, b)
+	}
+	writeLog(t, dir, lines...)
+	if err := os.WriteFile(filepath.Join(dir, bad[0]+".json"), lines[1], 0o644); err != nil {
+		t.Fatal(err)
 	}
 	n := startCluster(t, 1, func(_ int, cfg *Config) { cfg.CacheDir = dir })[0]
 	st := getStats(t, n.ts)
@@ -169,10 +185,14 @@ func TestCacheLoadRefusesNonKeys(t *testing.T) {
 		t.Errorf("loaded/quarantined/cached_keys = %d/%d/%d, want 1/%d/1",
 			st.CacheLoaded, st.CacheQuarantined, st.CachedKeys, len(bad))
 	}
-	for _, key := range bad {
-		if _, err := os.Stat(filepath.Join(dir, key+".json.quarantine")); err != nil {
-			t.Errorf("%s.json not quarantined: %v", key, err)
+	q, _ := os.ReadFile(filepath.Join(dir, "records.log.quarantine"))
+	for i, key := range bad {
+		if !bytes.Contains(q, append(lines[1+i], '\n')) {
+			t.Errorf("%s's line not quarantined: the quarantine holds %q", key, q)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "set-aside", bad[0]+".json")); err != nil {
+		t.Errorf("%s.json not set aside: %v", bad[0], err)
 	}
 	page := pullPage(t, n.srv.Handler(), cachePullRequest{Owner: n.url, Max: 16})
 	if _, ok := page.Results[good]; !ok || len(page.Results) != 1 {
@@ -245,9 +265,9 @@ func TestPersistReadFault(t *testing.T) {
 
 // TestCorruptFileNamesAreSafe ensures a key never names a file: keys
 // inside entries are attacker influenced, and they only ever feed
-// comparisons, never paths — whether the entry is a line of the log or
-// a <key>.json file of the one-file-per-entry layout (which is
-// quarantined in place: its name cannot hold a path separator).
+// comparisons, never paths. A log line claiming one is quarantined, and
+// a <name>.json file holding one is set aside unread under its own name
+// (which cannot hold a path separator).
 func TestCorruptFileNamesAreSafe(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "cache")
@@ -258,17 +278,17 @@ func TestCorruptFileNamesAreSafe(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "dddd.json"), evil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "records.log"), append(evil, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, dir, evil)
 	run, _ := countingRun()
 	srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir, Run: run})
 	defer srv.Close()
-	if st := srv.Stats(); st.CacheLoaded != 0 || st.CacheQuarantined != 2 {
-		t.Errorf("loaded/quarantined = %d/%d, want 0/2", st.CacheLoaded, st.CacheQuarantined)
+	if st := srv.Stats(); st.CacheLoaded != 0 || st.CacheQuarantined != 1 || srv.metrics.persist.SetAside.Value() != 1 {
+		t.Errorf("loaded/quarantined/set aside = %d/%d/%d, want 0/1/1",
+			st.CacheLoaded, st.CacheQuarantined, srv.metrics.persist.SetAside.Value())
 	}
 	// Nothing outside dir, and in it only the store's own files: the
-	// quarantined file, the quarantined line and the log without it.
+	// quarantined line and the file set aside. The log, left with no
+	// record, is gone.
 	var files []string
 	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
@@ -276,7 +296,7 @@ func TestCorruptFileNamesAreSafe(t *testing.T) {
 		}
 		return nil
 	})
-	want := []string{filepath.Join(dir, "dddd.json.quarantine"), filepath.Join(dir, "records.log"), filepath.Join(dir, "records.log.quarantine")}
+	want := []string{filepath.Join(dir, "records.log.quarantine"), filepath.Join(dir, "set-aside", "dddd.json")}
 	if !reflect.DeepEqual(files, want) {
 		t.Errorf("files = %v, want %v", files, want)
 	}
@@ -316,13 +336,20 @@ func TestMirrorWritesEachResultOnce(t *testing.T) {
 	}
 }
 
-// logLines returns the non-empty lines of the disk mirror's log in dir
-// (none when there is no log).
+// stamp is the first line of a log this build writes.
+var stamp = fmt.Sprintf(`{"format":1,"epoch":%d}`, experiment.ModelEpoch) + "\n"
+
+// logLines returns the non-empty lines after the stamp of the disk
+// mirror's log in dir (none when there is no log).
 func logLines(t *testing.T, dir string) [][]byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(dir, persist.LogName))
 	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
+	}
+	b, ok := bytes.CutPrefix(b, []byte(stamp))
+	if !ok && len(b) > 0 {
+		t.Fatalf("the log in %s does not open with its stamp: %q", dir, b)
 	}
 	var lines [][]byte
 	for _, l := range bytes.Split(b, []byte("\n")) {
@@ -331,6 +358,18 @@ func logLines(t *testing.T, dir string) [][]byte {
 		}
 	}
 	return lines
+}
+
+// writeLog makes the disk mirror's log in dir hold the stamp and lines.
+func writeLog(t *testing.T, dir string, lines ...[]byte) {
+	t.Helper()
+	b := []byte(stamp)
+	for _, l := range lines {
+		b = append(append(b, l...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, persist.LogName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // latestLines returns each record's latest line in the disk mirror's
@@ -356,34 +395,23 @@ func latestLines(t *testing.T, dir, member string) map[string][]byte {
 // TestParentStateResumes: a -cache-dir written by the commit before
 // cells were read off the spec (d769a7f: its mamaserved, three sweeps
 // submitted with its mamactl, SIGTERM in the middle of the third)
-// resumes here as it resumed there. testdata/resume-d769a7f/cache is
-// that directory — eight results; fixture-a finished (a grid plus an
-// explicit cell in a padded spelling), fixture-c failed on its timeout,
-// fixture-b with four cells deduped, three done and three pending — and
-// resumed.<id>.ndjson what that commit's own restart over it streamed
-// for each sweep before any pending cell finished. Sweep IDs, job keys
-// (they are the cache's file names) and every event line must be the
-// same bytes: a persisted record does not move.
+// resumes here as it resumed there. testdata/unstamped-d769a7f is that
+// directory, one file per record — eight results; fixture-a finished (a
+// grid plus an explicit cell in a padded spelling), fixture-c failed on
+// its timeout, fixture-b with four cells deduped, three done and three
+// pending — and resumed.<id>.ndjson what that commit's own restart over
+// it streamed for each sweep before any pending cell finished.
+// testdata/resume-d769a7f/cache is the same state in the stamped logs:
+// adb6333's server imported the files into its logs, its workers held,
+// every sweep was resubmitted at another priority and at its own (so
+// each header is in the current form), a second start rewrote the logs
+// to their live lines, and the stamp was prepended. Sweep IDs, job keys
+// and every event line must be the same bytes: a persisted record does
+// not move.
 func TestParentStateResumes(t *testing.T) {
 	const fixture = "testdata/resume-d769a7f"
 	dir := t.TempDir()
-	src := filepath.Join(fixture, "cache")
-	if err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path) // path is under src
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, rel), b, 0o644)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	copyTree(t, filepath.Join(fixture, "cache"), dir)
 	run, calls := countingRun()
 	release := make(chan struct{})
 	held := func(ctx context.Context, spec JobSpec) (JobResult, error) {
@@ -435,6 +463,83 @@ func TestParentStateResumes(t *testing.T) {
 	final := waitSweepDone(t, ts, fixtureB, 15*time.Second)
 	if final.Deduped != 4 || final.Done != 6 || final.Failed != 0 || calls.Load() != 3 {
 		t.Errorf("fixture-b finished as %+v after %d runs, want 4 deduped + 6 done after 3", final, calls.Load())
+	}
+}
+
+// copyTree copies the files under src to the same paths under dst and
+// returns their bytes by path relative to src.
+func copyTree(t *testing.T, src, dst string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	if err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path) // path is under src
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files[rel] = b
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRetiredStateSetAside: a -cache-dir this build did not write is set
+// aside whole and never read. testdata/unstamped-d769a7f is the
+// one-file-per-entry layout d769a7f wrote, testdata/unstamped-4cf5141 the
+// unstamped logs 4cf5141 wrote (both the inputs the resume fixtures were
+// converted from), and the resume-4cf5141 logs restamped with the next
+// model epoch are what this build leaves for the build that bumps it.
+// Every file moves, byte for byte, into its store's set-aside directory;
+// the server starts empty; each store's set_aside counter equals the
+// files it moved; and a second start moves and loads nothing.
+func TestRetiredStateSetAside(t *testing.T) {
+	next := fmt.Sprintf(`{"format":1,"epoch":%d}`, experiment.ModelEpoch+1) + "\n"
+	for _, src := range []string{"testdata/unstamped-d769a7f", "testdata/unstamped-4cf5141", "testdata/resume-4cf5141/cache"} {
+		dir := t.TempDir()
+		files := copyTree(t, src, dir)
+		moved := map[string]float64{}
+		for rel, b := range files {
+			if restamped, ok := bytes.CutPrefix(b, []byte(stamp)); ok {
+				files[rel] = append([]byte(next), restamped...)
+				if err := os.WriteFile(filepath.Join(dir, rel), files[rel], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			moved[filepath.Dir(rel)]++
+		}
+		for start := 1; start <= 2; start++ {
+			srv := mustNew(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir})
+			ts := httptest.NewServer(srv.Handler())
+			st := getStats(t, ts)
+			cache := scrapeMetric(t, ts, "mama_server_cache_persist_set_aside_total")
+			sweeps := scrapeMetric(t, ts, "mama_server_sweep_persist_set_aside_total")
+			ts.Close()
+			srv.Close()
+			if start == 2 {
+				moved = map[string]float64{}
+			}
+			if st.CacheLoaded != 0 || st.CacheQuarantined != 0 || st.Sweeps.Resumed != 0 || st.Sweeps.Total != 0 ||
+				cache != moved["."] || sweeps != moved["sweeps"] {
+				t.Errorf("%s, start %d: cache_loaded=%d quarantined=%d sweeps=%+v, set aside %v results and %v sweep files; want nothing loaded, %v and %v set aside",
+					src, start, st.CacheLoaded, st.CacheQuarantined, st.Sweeps, cache, sweeps, moved["."], moved["sweeps"])
+			}
+			for rel, want := range files {
+				if _, err := os.Stat(filepath.Join(dir, rel)); !os.IsNotExist(err) {
+					t.Errorf("%s, start %d: %s still in place (%v)", src, start, rel, err)
+				}
+				if got, err := os.ReadFile(filepath.Join(dir, filepath.Dir(rel), "set-aside", filepath.Base(rel))); !bytes.Equal(got, want) {
+					t.Errorf("%s, start %d: %s set aside as %d bytes (%v), want its %d bytes", src, start, rel, len(got), err, len(want))
+				}
+			}
+		}
 	}
 }
 
@@ -552,29 +657,20 @@ func TestSweepRecordWrittenOnce(t *testing.T) {
 // the commit before a sweep's record was written once (4cf5141: its
 // server, a fake run, the directory copied while the process ran, as a
 // crash leaves it) resumes here as it resumed there.
-// testdata/resume-4cf5141/cache is that directory: seven results, and a
+// testdata/unstamped-4cf5141 is that directory: seven results, and a
 // sweep log of status snapshots, superseded ones among them, of three
 // sweeps — fixture-finished, four cells done; fixture-failed, one cell
 // failed and one done; fixture-midrun, two cells deduped at admission,
 // two done, two running and two pending. resumed.<id>.ndjson is what
 // that commit's own restart over it streamed for each sweep before any
-// cell left to run finished. Every event line must be the same bytes,
-// and the counts the same counts.
+// cell left to run finished. testdata/resume-4cf5141/cache is the same
+// state in stamped logs of headers, converted as TestParentStateResumes
+// says. Every event line must be the same bytes, and the counts the same
+// counts.
 func TestParentLogResumes(t *testing.T) {
 	const fixture = "testdata/resume-4cf5141"
 	dir := t.TempDir()
-	for _, name := range []string{persist.LogName, filepath.Join("sweeps", persist.LogName)} {
-		b, err := os.ReadFile(filepath.Join(fixture, "cache", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyTree(t, filepath.Join(fixture, "cache"), dir)
 	run, calls := countingRun()
 	release := make(chan struct{})
 	held := func(ctx context.Context, spec JobSpec) (JobResult, error) {
@@ -628,8 +724,8 @@ func TestParentLogResumes(t *testing.T) {
 	}
 	srv.Close()
 
-	// The old snapshots stay as they are, and a second restart finds
-	// every sweep finished without running anything.
+	// A second restart finds every sweep finished without running
+	// anything.
 	srv = mustNew(t, Config{Workers: 2, QueueDepth: 4, CacheDir: dir, Run: held})
 	defer srv.Close()
 	ts2 := httptest.NewServer(srv.Handler())

@@ -53,7 +53,8 @@ type Config struct {
 	// completed results are appended behind to CacheDir/records.log (and
 	// sweep state to CacheDir/sweeps/records.log) and restored on
 	// startup, so a restart serves previously simulated specs as cache
-	// hits. Corrupt entries are quarantined, not fatal.
+	// hits. Corrupt entries are quarantined, not fatal; a log of another
+	// format or model epoch is set aside unread.
 	CacheDir string
 	// Logger receives structured job-lifecycle logs with per-job request
 	// IDs (see internal/telemetry field conventions). nil discards them;
@@ -189,6 +190,7 @@ func New(cfg Config) (*Server, error) {
 		Exec:     sweepExec{s},
 		MaxCells: cfg.MaxSweepCells,
 		Dir:      sweepDir,
+		Epoch:    experiment.ModelEpoch,
 		Registry: s.reg,
 		Logger:   s.log,
 	})

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"micromama/internal/persist"
 )
 
 // fourCells is a four-cell sweep over single-trace mixes a-d.
@@ -43,12 +41,8 @@ func finishedHeaders(t *testing.T) []byte {
 	exec.m[keyOf(cells[1])] = json.RawMessage(`{"cell":1}`)
 	ctx := context.Background()
 	lastHeader := func(id string) []byte {
-		b, err := os.ReadFile(filepath.Join(dir, persist.LogName))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var last []byte
-		for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		for _, line := range bytes.SplitAfter(readLog(t, dir), []byte("\n")) {
 			var rec record
 			if json.Unmarshal(line, &rec) == nil && rec.ID == id {
 				last = line

@@ -179,8 +179,9 @@ func (e *halfCachedExec) Lookup(h uint32) (string, json.RawMessage) {
 	return e.keys[h], nil
 }
 
-// FuzzSweepResume takes any bytes as the sweep log and restarts a
-// manager over it. New never panics; no cell it resumes reads done or
+// FuzzSweepResume takes any bytes as the sweep log after its stamp and
+// restarts a manager over it. New never panics; each seed resumes at
+// least one sweep; no cell it resumes reads done or
 // deduped unless the backend holds its result, so every resumed sweep
 // streams without a gap; a resumed sweep that is finished streams each
 // cell exactly once from cursor 0, with the status resume gave it; and a
@@ -189,15 +190,16 @@ func (e *halfCachedExec) Lookup(h uint32) (string, json.RawMessage) {
 func FuzzSweepResume(f *testing.F) {
 	const spec = `"spec":{"name":"f","cells":[{"mix":["a"],"controller":"no"},{"mix":["b"],"controller":"no"},` +
 		`{"mix":["c"],"controller":"no"},{"mix":["d"],"controller":"no"}]},"created_at":"2026-01-01T00:00:00Z"`
+	seeds := map[string]bool{}
 	for _, log := range []string{
 		// A header, and a cell line for each outcome it can have.
 		`{"id":"s1",` + spec + `,"deduped":"Aw=="}` + "\n" + `{"id":"s1/2","cell":"deduped"}` + "\n" +
 			`{"id":"s1/3","cell":"failed","error":"boom"}` + "\n",
 		// A header rewritten on a priority change, with the failures.
 		`{"id":"s1",` + spec + `,"deduped":"AQ==","errors":{"1":"","3":"x"}}` + "\n" + `{"id":"s1",` + spec + "}\n",
-		// An older build's snapshots, superseded and then current.
-		`{"id":"s2",` + spec + `,"status":["pending","pending","pending","pending"]}` + "\n" +
-			`{"id":"s2",` + spec + `,"status":["done","deduped","failed","running"],"errors":{"2":"x"}}` + "\n" +
+		// A header superseded by one carrying a deduped and a failed cell.
+		`{"id":"s2",` + spec + "}\n" +
+			`{"id":"s2",` + spec + `,"deduped":"Ag==","errors":{"2":"x"}}` + "\n" +
 			`{"id":"s2/3","cell":"deduped"}` + "\n",
 		// Cell lines without their header, or naming no cell or outcome.
 		`{"id":"s9/1","cell":"deduped"}` + "\n" + `{"id":"s1",` + spec + "}\n" + `{"id":"s1/x","cell":"failed"}` + "\n" +
@@ -207,10 +209,11 @@ func FuzzSweepResume(f *testing.F) {
 		`{"id":"s1",` + spec + "}\n" + `{"id":"s3","spec":{"cells":[{"mix":["a"],"controller":"bad"}]}}` + "\n" + `{"id":"s1/2","cell":"ded`,
 	} {
 		f.Add([]byte(log))
+		seeds[log] = true
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, persist.LogName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, persist.LogName), append([]byte(stamp), data...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		resume := func() map[string][]uint8 {
@@ -249,6 +252,9 @@ func FuzzSweepResume(f *testing.F) {
 			return out
 		}
 		first := resume()
+		if seeds[string(data)] && len(first) == 0 {
+			t.Fatal("a seed resumed no sweep")
+		}
 		if again := resume(); !reflect.DeepEqual(again, first) {
 			t.Fatalf("a second restart resumed %v, the first %v", again, first)
 		}

@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strconv"
 	"testing"
 	"time"
-
-	"micromama/internal/persist"
 )
 
 // refSweep is a sweep as a reference model keeps it: a status byte per
@@ -294,12 +290,8 @@ func FuzzSweepLifecycle(f *testing.F) {
 		}
 
 		mgr.CloseStore()
-		b, err := os.ReadFile(filepath.Join(dir, persist.LogName))
-		if err != nil && len(order) > 0 {
-			t.Fatal(err)
-		}
 		last := map[string][]byte{}
-		for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		for _, line := range bytes.SplitAfter(readLog(t, dir), []byte("\n")) {
 			var rec record
 			if json.Unmarshal(line, &rec) == nil && rec.Spec != nil {
 				last[rec.ID] = line

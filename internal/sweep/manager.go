@@ -63,6 +63,8 @@ type Config struct {
 	// Dir/records.log; see record) so a restarted server resumes
 	// incomplete sweeps.
 	Dir string
+	// Epoch is the model epoch stamped on Dir's log (see persist.Options).
+	Epoch int
 	// Registry receives the mama_server_sweep_* instruments; nil uses a
 	// private throwaway registry (tests).
 	Registry *telemetry.Registry
@@ -243,6 +245,7 @@ func New(cfg Config) (*Manager, error) {
 		st, err := persist.Open(persist.Options[record]{
 			Dir:        cfg.Dir,
 			What:       "sweep state",
+			Epoch:      cfg.Epoch,
 			Key:        func(rec record) string { return rec.ID },
 			Metrics:    mgr.m.store,
 			WriteFault: faultSweepPersistWrite,
@@ -431,10 +434,7 @@ func (mgr *Manager) resume(l *loaded) {
 	mgr.sched.add(st.id, st.priority)
 	pending := 0
 	for i := 0; i < n; i++ {
-		var was CellStatus // in an older build's snapshot, or the cell's line
-		if i < len(rec.Status) {
-			was = rec.Status[i]
-		}
+		var was CellStatus // the cell's line
 		errMsg, failed := rec.Errors[i]
 		if line, ok := l.cells[i]; ok {
 			was, errMsg = line.Cell, line.Error

@@ -30,9 +30,8 @@ var (
 // deduped at dispatch or fails. A cell that runs to its result writes
 // nothing: the result cache says it is done.
 //
-// A snapshot, written by builds older than the header, carries every
-// cell's status and the failed cells' errors; it loads as a header
-// whose statuses give the deduped and failed cells.
+// The log opens with the store's stamp, so only lines of this form and
+// of this build's model epoch are ever decoded (persist.Store.Load).
 type record struct {
 	ID string `json:"id"`
 
@@ -45,6 +44,4 @@ type record struct {
 
 	Cell  CellStatus `json:"cell,omitempty"` // CellDeduped or CellFailed
 	Error string     `json:"error,omitempty"`
-
-	Status []CellStatus `json:"status,omitempty"`
 }
