@@ -9,9 +9,9 @@ all: check
 build:
 	$(GO) build ./...
 
-# Keep the builds that take no Linux-only path compiling: a trace slab
-# is an anonymous mapping on Linux and ordinary heap everywhere else
-# (internal/trace/slab_*.go).
+# Keep the builds that take no Linux-only path compiling: trace slabs,
+# cache arrays and Pythia's vaults are anonymous mappings on Linux and
+# ordinary heap everywhere else (internal/offheap/mmap_*.go).
 cross:
 	GOOS=windows $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...

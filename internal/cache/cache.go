@@ -42,7 +42,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
+
+	"micromama/internal/offheap"
 )
 
 // Config describes one cache level.
@@ -193,53 +194,41 @@ type Cache struct {
 	// emulating MSHRs for the synchronous timing walk. State (the line
 	// itself) is installed eagerly; timing consults this array.
 	inflight []mshr
+
+	block *offheap.Block // backs words; holding it keeps the array mapped
 }
 
-// wordArrays recycles set arrays between caches: a sync.Pool of
-// *[]uint64 per array length. A simulation's arrays are its only large
-// allocation (0.98 MB for one core, 1.42 MB for four) and short sweep
-// cells build hundreds of systems a second, so without reuse the
-// collector runs every simulation or two (ARCHITECTURE.md, "Cache-array
-// recycling"). The collector still trims arrays no one has taken for
-// two cycles, so an odd geometry does not stay resident.
-var wordArrays sync.Map // int -> *sync.Pool
-
-// takeWords returns the set array of a sets×ways cache: every way
-// invalid and every rank word the identity permutation. A recycled
-// array needs both steps, since a cleared rank word is no permutation,
-// and the array may come from another way count of the same length.
-func takeWords(sets, ways int) []uint64 {
-	n := sets * (ways + 1)
-	var a []uint64
-	if p, ok := wordArrays.Load(n); ok {
-		if pa, ok := p.(*sync.Pool).Get().(*[]uint64); ok {
-			a = *pa
-			clear(a)
-		}
-	}
-	if a == nil {
-		a = make([]uint64, n)
-	}
+// takeWords returns the set array of a sets×ways cache and the
+// offheap block behind it: every way invalid and every rank word the
+// identity permutation. The block is zeroed even when recycled, which
+// clears the ways; the rank words need this loop, since a cleared rank
+// word is no permutation. The arrays are a simulation's largest
+// allocation (0.98 MB for one core, 1.42 MB for four), outweighed only
+// by Pythia's Q-vaults on three cores or more (1.8 MB for four), and
+// short sweep cells build hundreds of systems a second, so they come
+// from offheap's recycled blocks (ARCHITECTURE.md, "Array recycling
+// outside the heap").
+func takeWords(sets, ways int) (*offheap.Block, []uint64) {
+	b, a := offheap.Take[uint64](sets * (ways + 1))
 	ranks := identityRanks(ways)
-	for i := 0; i < n; i += ways + 1 {
+	for i := 0; i < len(a); i += ways + 1 {
 		a[i] = ranks
 	}
-	return a
+	return b, a
 }
 
 // Release returns the cache's set array for reuse by a later New of
-// the same array length. The cache must not be used afterwards except
+// the same array size. The cache must not be used afterwards except
 // for Stats and Config: any lookup or fill panics on the nil array
 // instead of corrupting whichever cache took the array over. Releasing
-// twice is harmless.
+// twice is harmless. A cache that is never released gives its array
+// back once the collector finds the cache unreachable.
 func (c *Cache) Release() {
-	if c.words == nil {
+	if c.block == nil {
 		return
 	}
-	a := c.words
-	c.words = nil
-	p, _ := wordArrays.LoadOrStore(len(a), new(sync.Pool))
-	p.(*sync.Pool).Put(&a)
+	c.block.Release()
+	c.block, c.words = nil, nil
 }
 
 // New constructs a cache. It panics on invalid configuration (a
@@ -252,9 +241,10 @@ func New(cfg Config) *Cache {
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		shift++
 	}
+	block, words := takeWords(cfg.Sets, cfg.Ways)
 	return &Cache{
 		cfg:       cfg,
-		words:     takeWords(cfg.Sets, cfg.Ways),
+		words:     words,
 		setMask:   uint64(cfg.Sets - 1),
 		ways:      cfg.Ways,
 		lineShift: shift,
@@ -264,6 +254,7 @@ func New(cfg Config) *Cache {
 		// tracked entry is still recorded at capacity (see pruneInflight),
 		// so occupancy can transiently exceed MSHRs.
 		inflight: make([]mshr, 0, cfg.MSHRs+1),
+		block:    block,
 	}
 }
 

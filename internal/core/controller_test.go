@@ -78,6 +78,31 @@ func TestTable1Defaults(t *testing.T) {
 	}
 }
 
+// A global step allocates nothing: its per-core vectors and the next
+// policy are sized in Attach, and a JAV slot keeps its action buffer
+// from one occupant to the next.
+func TestMuMamaStepAllocatesNothing(t *testing.T) {
+	cfg := DefaultMuMamaConfig()
+	cfg.Step = 100
+	m := NewMuMama(cfg)
+	sys, err := sim.New(sim.DefaultConfig(4), tinyTraces(t, 4), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Run(200_000, 4_000_000)
+	if m.GlobalSteps() < 20 || m.JAVCache().Len() != m.JAVCache().Cap() {
+		t.Fatalf("warm-up took %d global steps and filled %d of %d JAV slots", m.GlobalSteps(), m.JAVCache().Len(), m.JAVCache().Cap())
+	}
+	now := sys.Cycles(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		now += 1000
+		m.advance(now)
+	}); allocs != 0 {
+		t.Errorf("a global step allocates %v times", allocs)
+	}
+}
+
 func TestMuMamaAdvancesGlobalTimesteps(t *testing.T) {
 	cfg := DefaultMuMamaConfig()
 	cfg.Step = 100

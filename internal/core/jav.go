@@ -127,7 +127,8 @@ func (j *JAV) Len() int {
 func (j *JAV) Cap() int { return len(j.entries) }
 
 // Best returns the joint action with the highest rField, or nil when
-// the cache is empty.
+// the cache is empty. The slice is the entry's own: a later Update may
+// overwrite it.
 func (j *JAV) Best() JointAction {
 	if j.bestIdx < 0 || !j.entries[j.bestIdx].valid {
 		return nil
@@ -191,17 +192,25 @@ func (j *JAV) Update(action JointAction, reward float64) {
 		j.entries[idx].n++
 		j.entries[idx].s += reward
 	case freeIdx >= 0:
-		j.entries[freeIdx] = javEntry{action: action.Clone(), n: 1, s: reward, valid: true}
-		j.Inserts++
+		j.insert(freeIdx, action, reward)
 	case reward > worst:
-		j.entries[worstIdx] = javEntry{action: action.Clone(), n: 1, s: reward, valid: true}
-		j.Inserts++
+		j.insert(worstIdx, action, reward)
 		j.Evictions++
 	default:
 		j.Rejects++
 	}
 
 	j.refreshBest()
+}
+
+// insert makes entry i hold action with one observation of reward. It
+// copies action into the entry's own buffer, which a slot keeps from
+// one occupant to the next, so once every slot has held an action an
+// insert allocates nothing.
+func (j *JAV) insert(i int, action JointAction, reward float64) {
+	e := &j.entries[i]
+	*e = javEntry{action: append(e.action[:0], action...), n: 1, s: reward, valid: true}
+	j.Inserts++
 }
 
 func (j *JAV) refreshBest() {

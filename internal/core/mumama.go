@@ -107,9 +107,17 @@ type MuMama struct {
 	// timestep boundary takes effect only after the µMama unit's
 	// broadcast arrives (the 200-cycle critical path); until then the
 	// prefetchers keep operating under the previous policy.
-	pendingArms     []int
+	pending         bool  // pendingArms awaits its broadcast
+	pendingArms     []int // one arm per core, sized in Attach
 	pendingDictated bool
 	applyAt         uint64
+
+	// Per-timestep scratch of advance, sized in Attach so that a
+	// global step allocates nothing: the normalized IPCs, the would-be
+	// miss rates δ, the S^MP estimates, their products Ŝ, and the joint
+	// action played.
+	r, delta, smp, shat []float64
+	played              JointAction
 
 	// sysEWMA tracks the typical system reward so global rewards handed
 	// to local agents can be rescaled to the ~1.0 scale of their local
@@ -215,6 +223,12 @@ func (m *MuMama) Attach(sys *sim.System) {
 		}
 	}
 	m.ready = make([]bool, n)
+	m.pendingArms = make([]int, n)
+	m.r = make([]float64, n)
+	m.delta = make([]float64, n)
+	m.smp = make([]float64, n)
+	m.shat = make([]float64, n)
+	m.played = make(JointAction, n)
 	m.lastMisses = make([]uint64, n)
 	m.lastUseful = make([]uint64, n)
 	m.lastArms = make([]int, n)
@@ -265,7 +279,7 @@ func (m *MuMama) LocalSteps() uint64 { return m.localSteps }
 // ready at Step accesses; once a majority is ready — or one agent hits
 // KStep×Step — the global timestep advances (§4.3.1).
 func (m *MuMama) OnL2Demand(core int, now uint64) {
-	if m.pendingArms != nil && now >= m.applyAt {
+	if m.pending && now >= m.applyAt {
 		m.applyPending(now)
 	}
 	a := m.agents[core]
@@ -295,7 +309,7 @@ func (m *MuMama) applyPending(now uint64) {
 		}
 	}
 	m.dictated = m.pendingDictated
-	m.pendingArms = nil
+	m.pending = false
 }
 
 // advance ends the global timestep at cycle now: it computes the
@@ -305,15 +319,15 @@ func (m *MuMama) advance(now uint64) {
 	// If the previous boundary's broadcast is still in flight (possible
 	// only for degenerately short timesteps), apply it first so action
 	// attribution stays coherent.
-	if m.pendingArms != nil {
+	if m.pending {
 		m.applyPending(now)
 	}
 	n := len(m.agents)
 	m.globalStep++
 
 	// Per-core interval measurements.
-	r := make([]float64, n)     // S^opt estimates (normalized IPC)
-	delta := make([]float64, n) // δ_i: would-be L2 misses per instruction
+	r := m.r         // S^opt estimates (normalized IPC)
+	delta := m.delta // δ_i: would-be L2 misses per instruction
 	var deltaSum float64
 	for i, a := range m.agents {
 		prevInstr := a.lastInstr
@@ -325,6 +339,7 @@ func (m *MuMama) advance(now uint64) {
 		dMiss := st.Misses - m.lastMisses[i]
 		dUseful := st.PrefetchUseful - m.lastUseful[i]
 		m.lastMisses[i], m.lastUseful[i] = st.Misses, st.PrefetchUseful
+		delta[i] = 0
 		if dInstr > 0 {
 			delta[i] = float64(dMiss+dUseful) / float64(dInstr)
 		}
@@ -334,7 +349,7 @@ func (m *MuMama) advance(now uint64) {
 	// S^MP estimates (Equation 5) or offline profiles (§6.6.3).
 	// Equation 5 assumes n >= 2: with a single core there is no
 	// multicore slowdown to apportion, so S^MP is 1 by definition.
-	smp := make([]float64, n)
+	smp := m.smp
 	for i := range smp {
 		switch {
 		case n == 1:
@@ -347,14 +362,14 @@ func (m *MuMama) advance(now uint64) {
 			smp[i] = 1
 		}
 	}
-	shat := make([]float64, n)
+	shat := m.shat
 	for i := range shat {
 		shat[i] = smp[i] * r[i]
 	}
 	sysReward := m.cfg.Metric.Reward(shat)
 
 	// Current joint action (what was actually played this timestep).
-	played := make(JointAction, n)
+	played := m.played
 	for i, a := range m.agents {
 		played[i] = uint8(a.curArm)
 	}
@@ -416,8 +431,9 @@ func (m *MuMama) advance(now uint64) {
 
 	// Select the next joint policy (Algorithm 1). It takes effect only
 	// when the µMama unit's broadcast lands (Figure 8's critical path).
+	// The previous choice has been applied above, so its buffer is free.
 	nextDictated := false
-	nextArms := make([]int, n)
+	nextArms := m.pendingArms
 	if warm && !m.cfg.DisableJAV && m.arbAction == arbActJoint {
 		if best := m.jav.Best(); best != nil {
 			nextDictated = true
@@ -443,7 +459,7 @@ func (m *MuMama) advance(now uint64) {
 	net := m.sys.Network()
 	m.applyAt = net.CriticalPath(now)
 	net.Broadcast(now, noc.PerStepBytes, n)
-	m.pendingArms = nextArms
+	m.pending = true
 	m.pendingDictated = nextDictated
 
 	// Reset per-timestep state.

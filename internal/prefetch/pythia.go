@@ -1,6 +1,9 @@
 package prefetch
 
-import "micromama/internal/xrand"
+import (
+	"micromama/internal/offheap"
+	"micromama/internal/xrand"
+)
 
 // Pythia (Bera et al., MICRO'21) reimplemented as a tabular RL offset
 // prefetcher. The original learns, per program-context state, which
@@ -66,17 +69,38 @@ type Pythia struct {
 	Issued  uint64
 	Useful  uint64
 	Useless uint64
+
+	vaults *offheap.Block // backs q1 and q2, one after the other
 }
 
 // NewPythia constructs a Pythia prefetcher. seed drives its ε-greedy
-// exploration deterministically.
+// exploration deterministically. Its vaults come zeroed from offheap's
+// recycled blocks: 459 KB per engine, so four engines outweigh a
+// four-core system's cache arrays (1.8 against 1.42 MB).
 func NewPythia(seed uint64) *Pythia {
+	n := pythiaVaultSize * len(pythiaActions)
+	vaults, q := offheap.Take[float32](2 * n)
 	return &Pythia{
-		rng: xrand.New(seed),
-		q1:  make([]float32, pythiaVaultSize*len(pythiaActions)),
-		q2:  make([]float32, pythiaVaultSize*len(pythiaActions)),
-		eq:  make([]pythiaEQEntry, pythiaEQDepth),
+		rng:    xrand.New(seed),
+		q1:     q[:n:n],
+		q2:     q[n:],
+		vaults: vaults,
+		eq:     make([]pythiaEQEntry, pythiaEQDepth),
 	}
+}
+
+// Release returns the vaults for reuse by a later NewPythia. The
+// engine must not be used afterwards except for its counters: an
+// access panics on the nil vaults instead of corrupting whichever
+// engine took them over. Releasing twice is harmless; an engine that
+// is never released gives its vaults back once the collector finds it
+// unreachable.
+func (p *Pythia) Release() {
+	if p.vaults == nil {
+		return
+	}
+	p.vaults.Release()
+	p.vaults, p.q1, p.q2 = nil, nil, nil
 }
 
 // qIdx is the vault index of (state hash h, action a).

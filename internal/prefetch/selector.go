@@ -117,6 +117,10 @@ func NewSelector(seed uint64) *Selector {
 	return s
 }
 
+// Release returns the Pythia engine's vaults (Pythia.Release); the
+// selector must not be used afterwards.
+func (s *Selector) Release() { s.engines[SelPythia].(*Pythia).Release() }
+
 // Name implements Prefetcher.
 func (s *Selector) Name() string { return "selector:" + SelectorEngineNames[s.active] }
 

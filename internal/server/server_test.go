@@ -362,7 +362,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// The queue/worker/trace-pool families are present before any job.
+	// The queue/worker/trace-pool/off-heap families are present before any job.
 	for _, series := range []string{
 		"mama_server_queue_depth",
 		"mama_server_workers",
@@ -370,6 +370,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mama_trace_pool_entries",
 		"mama_trace_pool_used_bytes",
 		"mama_trace_pool_instructions",
+		"mama_offheap_mapped_bytes",
 	} {
 		if v := scrapeMetric(t, ts, series); v < 0 {
 			t.Errorf("series %s missing from /metrics", series)

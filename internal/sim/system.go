@@ -20,6 +20,12 @@ type bandwidthAware interface {
 	SetBandwidthUtil(u float64)
 }
 
+// releaser is implemented by engines whose arrays are recycled
+// (Pythia's Q-vaults); System.Close releases them.
+type releaser interface {
+	Release()
+}
+
 // System is one simulated multicore: cores with private L1D/L2, a
 // shared LLC, DRAM, and a prefetch controller.
 type System struct {
@@ -178,15 +184,20 @@ func (s *System) stepEpoch(target uint64) {
 	}
 }
 
-// Close hands the cache arrays back for the next system of the same
-// geometry (cache.Release). Result and the stats accessors still work
-// afterwards; advancing a closed system panics. A system that is never
-// closed only costs the collector its arrays. Safe to call repeatedly.
+// Close hands the cache arrays and the L2 engines' arrays (Pythia's
+// Q-vaults) back for the next system of the same geometry
+// (cache.Release, Pythia.Release). Result and the stats accessors
+// still work afterwards; advancing a closed system panics. A system
+// that is never closed gives its arrays back once the collector finds
+// it unreachable. Safe to call repeatedly.
 func (s *System) Close() {
 	for _, c := range s.cores {
 		c.l1i.Release()
 		c.l1d.Release()
 		c.l2.Release()
+		if r, ok := c.l2Engine.(releaser); ok {
+			r.Release()
+		}
 	}
 	s.llc.Release()
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"micromama/internal/offheap"
 	"micromama/internal/telemetry"
 )
 
@@ -226,9 +227,9 @@ func (e *sharedTrace) ensure(n int) *traceSnap {
 	next := &traceSnap{recs: snap.recs, n: snap.n}
 	if next.recs == nil {
 		// The first extension reserves the entry's whole cap (reserve
-		// never grants past it), so the slab grows in place. On nil,
-		// append grows it on the heap.
-		next.recs = newSlab(int(e.store.per / recBytes))
+		// never grants past it), so the slab grows in place outside
+		// the heap. On nil, append grows it on the heap.
+		next.recs = offheap.Reserve[Rec](int(e.store.per / recBytes))
 	}
 	for next.n < n && !next.done {
 		// One chunk: extendChunk instructions, or as many as fit in the

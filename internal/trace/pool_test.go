@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"micromama/internal/offheap"
 )
 
 func poolGen() Reader {
@@ -186,10 +188,10 @@ func TestPoolSlabOffHeap(t *testing.T) {
 			race = s.Value == "true"
 		}
 	}
-	if want := runtime.GOOS == "linux" && !race; slabOffHeap != want {
-		t.Fatalf("slabOffHeap = %v on %s with race=%v, want %v", slabOffHeap, runtime.GOOS, race, want)
+	if want := runtime.GOOS == "linux" && !race; offheap.Enabled != want {
+		t.Fatalf("offheap.Enabled = %v on %s with race=%v, want %v", offheap.Enabled, runtime.GOOS, race, want)
 	}
-	if !slabOffHeap {
+	if !offheap.Enabled {
 		t.Skip("this build grows slabs on the heap")
 	}
 
